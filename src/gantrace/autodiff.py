@@ -36,6 +36,7 @@ __all__ = [
     "backward",
     "vjp_of_gradient",
     "vjp_gradient_call_count",
+    "count_vjp_of_gradient",
     "reset_vjp_gradient_call_count",
 ]
 
@@ -45,13 +46,19 @@ class NonFiniteError(FloatingPointError):
 
 
 # Instrumentation for the cost contract of the influence sweep: one
-# vjp_of_gradient call per traced step, independent of how many instances
-# are scored.
+# vector-Jacobian product of a gradient map per traced step, independent of
+# how many instances are scored.
 _vjp_gradient_calls = 0
 
 
 def vjp_gradient_call_count() -> int:
     return _vjp_gradient_calls
+
+
+def count_vjp_of_gradient() -> None:
+    """Record one vector-Jacobian product of a gradient map, taped or closed-form."""
+    global _vjp_gradient_calls
+    _vjp_gradient_calls += 1
 
 
 def reset_vjp_gradient_call_count() -> None:
@@ -370,7 +377,6 @@ def vjp_of_gradient(vector: np.ndarray, gradient_map, params: np.ndarray) -> np.
     ``<vector, gradient_map(theta)>`` once more yields the product without
     forming the (d, d) Jacobian.
     """
-    global _vjp_gradient_calls
     params = np.asarray(params, dtype=np.float64)
     vector = np.asarray(vector, dtype=np.float64)
     theta = Tensor(params)
@@ -381,5 +387,5 @@ def vjp_of_gradient(vector: np.ndarray, gradient_map, params: np.ndarray) -> np.
         raise ValueError(f"vector length {vector.shape} does not match gradient length {grad.shape}")
     inner = constant(vector).dot(grad)
     (pullback,) = backward(inner, [theta])
-    _vjp_gradient_calls += 1
+    count_vjp_of_gradient()
     return pullback.data.copy()

@@ -175,8 +175,8 @@ def _cmd_oracle(args) -> int:
                 after = metric_value(spec, problem, result.params,
                                      run.reference_latents, run.context)
                 writer.writerow([int(target), spec.kind,
-                                 repr(after - baselines[spec.kind]),
-                                 repr(tables[spec.kind].scores[int(target)])])
+                                 repr(float(after - baselines[spec.kind])),
+                                 repr(float(tables[spec.kind].scores[int(target)]))])
     print(f"oracle results: {args.out} ({len(targets)} targets)")
     return 0
 

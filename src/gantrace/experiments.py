@@ -370,8 +370,9 @@ def write_accuracy_report(report: AccuracyReport, directory) -> None:
         writer.writerow(["metric", "k_epochs", "tau", "jaccard", "n_targets",
                          "seed", "p_value", "threshold"])
         for row in report.rows:
-            writer.writerow([row.metric, row.k_epochs, repr(row.tau), repr(row.jaccard),
-                             row.n_targets, row.seed, repr(row.p_value), repr(row.threshold)])
+            writer.writerow([row.metric, row.k_epochs, repr(float(row.tau)),
+                             repr(float(row.jaccard)), row.n_targets, row.seed,
+                             repr(float(row.p_value)), repr(float(row.threshold))])
     (directory / "accuracy.json").write_text(json.dumps({
         "rows": [asdict(row) for row in report.rows],
         "fingerprints": {str(k): v for k, v in report.fingerprints.items()},
@@ -386,8 +387,8 @@ def write_cleansing_report(report: CleansingReport, directory) -> None:
         writer.writerow(["method", "metric", "n_harmful", "before", "after",
                          "improvement", "seed"])
         for row in report.rows:
-            writer.writerow([row.method, row.metric, row.n_harmful, repr(row.before),
-                             repr(row.after), repr(row.improvement), row.seed])
+            writer.writerow([row.method, row.metric, row.n_harmful, repr(float(row.before)),
+                             repr(float(row.after)), repr(float(row.improvement)), row.seed])
     (directory / "cleansing.json").write_text(json.dumps({
         "rows": [asdict(row) for row in report.rows],
         "fingerprints": {str(k): v for k, v in report.fingerprints.items()},
@@ -408,8 +409,9 @@ def write_scatter_data(table: InfluenceTable, dataset: np.ndarray, spec: MetricS
         writer = csv.writer(handle)
         writer.writerow(["index", "x0", "x1", "score", "harmfulness_rank"])
         for pos, index in enumerate(indices):
-            writer.writerow([int(index), repr(dataset[index][0]), repr(dataset[index][1]),
-                             repr(scores[pos]), int(ranks[pos])])
+            writer.writerow([int(index), repr(float(dataset[index][0])),
+                             repr(float(dataset[index][1])), repr(float(scores[pos])),
+                             int(ranks[pos])])
 
 
 def write_cleansing_curves(report: CleansingReport, path) -> None:

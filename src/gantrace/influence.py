@@ -24,8 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import vjp_of_gradient
-from .models import data_term_gradient, data_term_scores, joint_gradient, joint_gradient_graph
+from .models import data_term_gradient, data_term_scores, joint_gradient
 from .training import StepRecord, TrainingTrace, latents_from_seed
 
 
@@ -76,7 +75,7 @@ def save_influence_csv(table: InfluenceTable, path) -> None:
         writer = csv.writer(handle)
         writer.writerow(["index", "score"])
         for index in sorted(table.scores):
-            writer.writerow([index, repr(table.scores[index])])
+            writer.writerow([index, repr(float(table.scores[index]))])
 
 
 def save_influence_json(table: InfluenceTable, path) -> None:
@@ -111,19 +110,15 @@ def propagate_query(problem, query: np.ndarray, record: StepRecord,
     Returns ``q - q^T B J`` where ``B`` holds the step's block learning
     rates and ``J`` is the Jacobian of the joint batch gradient at the
     step's snapshot.  Folding ``B`` into the query first reduces the whole
-    product to one differentiation of an inner product, so no square matrix
-    is ever formed.
+    product to one vector-Jacobian product, so no square matrix is ever
+    formed.
     """
     latents = latents_from_seed(record.latent_seed, len(record.batch_indices),
                                 problem.latent_dim)
     d = problem.dim_gen
     scaled = np.concatenate([record.lr_gen * query[:d], record.lr_disc * query[d:]])
-
-    def gradient_map(theta):
-        return joint_gradient_graph(problem, theta, latents, data_rows,
-                                    denom=len(latents))
-
-    return query - vjp_of_gradient(scaled, gradient_map, record.params)
+    return query - problem.joint_gradient_vjp(scaled, record.params, latents, data_rows,
+                                              len(latents))
 
 
 def infer_linear_influence(problem, trace: TrainingTrace, dataset: np.ndarray,
@@ -170,7 +165,7 @@ def infer_linear_influence(problem, trace: TrainingTrace, dataset: np.ndarray,
     k_used = trace.epochs if k_epochs is None else int(k_epochs)
     return InfluenceTable(
         metric_name=query.label,
-        scores={j: sums[j] for j in targets},
+        scores={j: float(sums[j]) for j in targets},
         k_epochs=k_used,
         query_fingerprint=query.fingerprint,
     )

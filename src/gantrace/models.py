@@ -6,20 +6,32 @@ default (generator minimizes -D(G(z))), with the minimax form available as
 a configuration switch.  Batch means fix the summation order so repeated
 evaluation is bit-reproducible.
 
-The module also hosts the generic gradient machinery shared by training,
-counterfactual replay and influence inference: the joint two-block batch
-gradient, the per-instance data-term gradient, and the batched inner
-products of a query vector with every per-instance data-term gradient.
+A "problem" is anything exposing dim_gen / dim_disc / dim_params /
+latent_dim, three gradient methods and the graph builders the metrics
+differentiate.  The gradient methods serve training, counterfactual replay
+and influence inference through the module-level functions of the same
+names:
+
+- ``joint_gradient``: the two-block batch gradient;
+- ``joint_gradient_vjp``: a vector-Jacobian product against it;
+- ``data_term_scores``: a discriminator query's inner product with every
+  row's data-term gradient.
+
+``FcGan`` computes all three in closed form with NumPy, the product by
+Pearlmutter's R-operator, so the hot path builds no tape.  Its ``*_graph``
+builders express the same losses on the autodiff tape, which the metrics
+use and the tests take as the reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from .autodiff import Tensor, backward, concat_vec, constant
+from .autodiff import NonFiniteError, Tensor, backward, constant, count_vjp_of_gradient
 
 # Discriminator probabilities are clamped away from {0, 1} before any log so
 # the losses and every influence quantity stay finite even when the
@@ -227,58 +239,244 @@ class FcGan:
     def disc_real_loss(self, params: np.ndarray, x: np.ndarray) -> float:
         return float(self.disc_real_terms_graph(Tensor(params), np.atleast_2d(x)).data[0])
 
+    # -- closed-form gradient kernels ---------------------------------------
+    #
+    # Each kernel runs one forward pass (``_Activations``) and then the
+    # backward pass, or its R-operator derivative, by hand.  The per-logit
+    # derivatives follow the tape's conventions: the clamp at PROB_FLOOR has
+    # zero derivative at and beyond its bounds, relu has derivative 0 at the
+    # kink and no curvature, and the L2 penalty covers kernels only.
 
-# -- generic batch machinery over any adversarial problem -----------------
+    def joint_gradient(self, params: np.ndarray, latents: np.ndarray,
+                       data_rows: np.ndarray, denom: int) -> np.ndarray:
+        """Generator-loss gradient over the generator block, then the
+        discriminator-loss gradient over the discriminator block."""
+        f = self._forward(params, latents, data_rows)
+        n = len(f.latents)
+        gen_first, _ = self._gen_logit_derivatives(f.probs[:n])
+        disc_first, _ = _disc_logit_derivatives(f.probs, n)
+        disc_logit_adj = disc_first / denom
+        (w1, _), (w2, _) = f.gen_layers
+        (v1, _), (v2, _) = f.disc_layers
+        disc_adj = np.outer(disc_logit_adj, v2) * f.disc_mask
+        g_w1, g_b1, g_w2, g_b2 = _gen_grads(f, _fake_adjoint(f, gen_first / n))
+        lam = 2.0 * self.arch.l2_rate
+        return _checked(_flat(
+            g_w1 + lam * w1, g_b1, g_w2 + lam * w2, g_b2,
+            f.inputs.T @ disc_adj + lam * v1, disc_adj.sum(axis=0),
+            f.disc_hidden.T @ disc_logit_adj + lam * v2, disc_logit_adj.sum(keepdims=True),
+        ), "joint_gradient")
+
+    def joint_gradient_vjp(self, vector: np.ndarray, params: np.ndarray, latents: np.ndarray,
+                           data_rows: np.ndarray, denom: int) -> np.ndarray:
+        """``vector^T J`` for the Jacobian ``J`` of ``joint_gradient``.
+
+        The generator rows of ``J`` are rows of the generator loss's
+        Hessian and the discriminator rows rows of the discriminator
+        loss's, so with ``vector = (u_gen, u_disc)`` the product is
+        ``H_G (u_gen, 0) + H_D (0, u_disc)``: one R-operator pass each.
+        """
+        f = self._forward(params, latents, data_rows)
+        vector = np.asarray(vector, dtype=np.float64)
+        if vector.shape != (self.dim_params,):
+            raise ValueError(f"vector of shape {vector.shape} does not match "
+                             f"{self.dim_params} parameters")
+        product = _checked(self._gen_loss_hvp(f, vector[:self.dim_gen])
+                           + self._disc_loss_hvp(f, vector[self.dim_gen:], denom),
+                           "joint_gradient_vjp")
+        count_vjp_of_gradient()
+        return product
+
+    def data_term_scores(self, disc_query: np.ndarray, params: np.ndarray,
+                         rows: np.ndarray) -> np.ndarray:
+        """<disc_query, gradient of one row's data-term loss> for every row.
+
+        A row's loss depends on the discriminator only through its logit, so
+        its score is the loss's logit derivative times the derivative of the
+        logit along the query.
+        """
+        f = self._forward(params, np.empty((0, self.latent_dim)), rows)
+        (qv1, qd1), (qv2, qd2) = self.disc_net.unpack(np.asarray(disc_query, dtype=np.float64))
+        first, _ = _disc_logit_derivatives(f.probs, 0)
+        v2 = f.disc_layers[1][0]
+        along = ((f.inputs @ qv1 + qd1) * f.disc_mask) @ v2 + f.disc_hidden @ qv2[:, 0] + qd2[0]
+        return _checked(first * along, "data_term_scores")
+
+    def _forward(self, params, latents, data_rows) -> _Activations:
+        params = _checked(np.asarray(params, dtype=np.float64), "parameters")
+        (w1, b1), (w2, b2) = self.gen_net.unpack(params[:self.dim_gen])
+        (v1, d1), (v2, d2) = self.disc_net.unpack(params[self.dim_gen:])
+        z = np.asarray(latents, dtype=np.float64).reshape(-1, self.latent_dim)
+        rows = np.asarray(data_rows, dtype=np.float64).reshape(-1, self.data_dim)
+        gen_pre = z @ w1 + b1
+        gen_hidden = np.maximum(gen_pre, 0.0)
+        fake = np.tanh(gen_hidden @ w2 + b2)
+        inputs = np.concatenate([fake, rows])
+        disc_pre = inputs @ v1 + d1
+        disc_hidden = np.maximum(disc_pre, 0.0)
+        return _Activations(
+            gen_layers=((w1, b1), (w2, b2)),
+            disc_layers=((v1, d1), (v2[:, 0], d2)),
+            latents=z, gen_mask=gen_pre > 0, gen_hidden=gen_hidden,
+            fake=fake, tanh_slope=1.0 - fake * fake,
+            inputs=inputs, disc_mask=disc_pre > 0, disc_hidden=disc_hidden,
+            probs=expit(disc_hidden @ v2[:, 0] + d2[0]),
+        )
+
+    def _gen_logit_derivatives(self, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """First and second logit derivatives of the per-latent generator loss."""
+        slope = probs * (1.0 - probs)
+        if self.arch.objective == "nonsaturating":   # -p
+            return -slope, -slope * (1.0 - 2.0 * probs)
+        keep = _clamp_mask(1.0 - probs)              # log clamp(1 - p)
+        return -(keep * probs), -(keep * slope)
+
+    def _gen_loss_hvp(self, f: _Activations, u_gen: np.ndarray) -> np.ndarray:
+        """Hessian of the generator batch loss times ``(u_gen, 0)``."""
+        (uw1, ub1), (uw2, ub2) = self.gen_net.unpack(u_gen)
+        (w1, _), (w2, _) = f.gen_layers
+        (v1, _), (v2, _) = f.disc_layers
+        n = len(f.latents)
+        fake_mask, fake_hidden = f.disc_mask[:n], f.disc_hidden[:n]
+        # Forward R pass: directional derivatives R{.} of the activations.
+        r_gen_hidden = (f.latents @ uw1 + ub1) * f.gen_mask
+        r_fake = (r_gen_hidden @ w2 + f.gen_hidden @ uw2 + ub2) * f.tanh_slope
+        r_disc_hidden = (r_fake @ v1) * fake_mask
+        r_logit = r_disc_hidden @ v2
+        # Backward pass and its R derivative.
+        first, second = self._gen_logit_derivatives(f.probs[:n])
+        logit_adj, r_logit_adj = first / n, second / n * r_logit
+        disc_adj = np.outer(logit_adj, v2) * fake_mask
+        r_disc_adj = np.outer(r_logit_adj, v2) * fake_mask
+        fake_adj = disc_adj @ v1.T
+        r_fake_adj = r_disc_adj @ v1.T
+        out_adj = fake_adj * f.tanh_slope
+        r_out_adj = r_fake_adj * f.tanh_slope - 2.0 * fake_adj * f.fake * r_fake
+        r_w1, r_b1, r_w2, r_b2 = _gen_grads(f, r_out_adj)
+        r_hidden_adj = (out_adj @ uw2.T) * f.gen_mask
+        lam = 2.0 * self.arch.l2_rate
+        return _flat(
+            r_w1 + f.latents.T @ r_hidden_adj + lam * uw1, r_b1 + r_hidden_adj.sum(axis=0),
+            r_w2 + r_gen_hidden.T @ out_adj + lam * uw2, r_b2,
+            r_fake.T @ disc_adj + f.fake.T @ r_disc_adj, r_disc_adj.sum(axis=0),
+            r_disc_hidden.T @ logit_adj + fake_hidden.T @ r_logit_adj,
+            r_logit_adj.sum(keepdims=True),
+        )
+
+    def _disc_loss_hvp(self, f: _Activations, u_disc: np.ndarray, denom: int) -> np.ndarray:
+        """Hessian of the discriminator batch loss times ``(0, u_disc)``."""
+        (uv1, ud1), (uv2, ud2) = self.disc_net.unpack(u_disc)
+        uv2 = uv2[:, 0]
+        (v1, _), (v2, _) = f.disc_layers
+        n = len(f.latents)
+        # Forward R pass; the discriminator's inputs do not move.
+        r_disc_hidden = (f.inputs @ uv1 + ud1) * f.disc_mask
+        r_logit = r_disc_hidden @ v2 + f.disc_hidden @ uv2 + ud2[0]
+        # Backward pass and its R derivative.
+        first, second = _disc_logit_derivatives(f.probs, n)
+        logit_adj, r_logit_adj = first / denom, second / denom * r_logit
+        disc_adj = np.outer(logit_adj, v2) * f.disc_mask
+        r_disc_adj = (np.outer(r_logit_adj, v2) + np.outer(logit_adj, uv2)) * f.disc_mask
+        r_out_adj = (r_disc_adj[:n] @ v1.T + disc_adj[:n] @ uv1.T) * f.tanh_slope
+        lam = 2.0 * self.arch.l2_rate
+        return _flat(
+            *_gen_grads(f, r_out_adj),
+            f.inputs.T @ r_disc_adj + lam * uv1, r_disc_adj.sum(axis=0),
+            r_disc_hidden.T @ logit_adj + f.disc_hidden.T @ r_logit_adj + lam * uv2,
+            r_logit_adj.sum(keepdims=True),
+        )
+
+
+@dataclass
+class _Activations:
+    """One batch's forward pass, kept for the backward and R-operator passes.
+
+    generator on latents z:        a = z W1 + b1,  h = relu(a),  x = tanh(h W2 + b2)
+    discriminator on inputs v:     c = v V1 + d1,  r = relu(c),  p = sigmoid(r V2 + d2)
+
+    The discriminator's inputs stack the generated rows first, then the
+    data rows.  Masks are ``a > 0`` and ``c > 0``; ``tanh_slope`` is
+    ``1 - x**2``; the output kernel ``V2`` is kept as a vector.
+    """
+
+    gen_layers: tuple
+    disc_layers: tuple
+    latents: np.ndarray
+    gen_mask: np.ndarray
+    gen_hidden: np.ndarray
+    fake: np.ndarray
+    tanh_slope: np.ndarray
+    inputs: np.ndarray
+    disc_mask: np.ndarray
+    disc_hidden: np.ndarray
+    probs: np.ndarray
+
+
+def _clamp_mask(values: np.ndarray) -> np.ndarray:
+    """Where ``clamp(values, PROB_FLOOR, 1 - PROB_FLOOR)`` passes a derivative."""
+    return (values > PROB_FLOOR) & (values < 1.0 - PROB_FLOOR)
+
+
+def _disc_logit_derivatives(probs: np.ndarray, n_fake: int) -> tuple[np.ndarray, np.ndarray]:
+    """First and second logit derivatives of the discriminator's per-input loss.
+
+    The first ``n_fake`` inputs are generated, with loss -log clamp(1 - p);
+    the rest are data rows, with loss -log clamp(p).
+    """
+    fake, real = probs[:n_fake], probs[n_fake:]
+    keep = np.concatenate([_clamp_mask(1.0 - fake), _clamp_mask(real)])
+    first = keep * np.concatenate([fake, real - 1.0])
+    return first, keep * probs * (1.0 - probs)
+
+
+def _fake_adjoint(f: _Activations, logit_adj: np.ndarray) -> np.ndarray:
+    """Adjoint of the generator's pre-tanh output from fake-logit adjoints."""
+    (v1, _), (v2, _) = f.disc_layers
+    fake_mask = f.disc_mask[:len(logit_adj)]
+    return ((np.outer(logit_adj, v2) * fake_mask) @ v1.T) * f.tanh_slope
+
+
+def _gen_grads(f: _Activations, out_adj: np.ndarray) -> list[np.ndarray]:
+    """Generator parameter gradients from the adjoint of its pre-tanh output."""
+    hidden_adj = (out_adj @ f.gen_layers[1][0].T) * f.gen_mask
+    return [f.latents.T @ hidden_adj, hidden_adj.sum(axis=0),
+            f.gen_hidden.T @ out_adj, out_adj.sum(axis=0)]
+
+
+def _flat(*pieces: np.ndarray) -> np.ndarray:
+    return np.concatenate([piece.ravel() for piece in pieces])
+
+
+def _checked(values: np.ndarray, what: str) -> np.ndarray:
+    # Any NaN or infinity contaminates the sum, so one reduction checks the
+    # whole array, as the tape does.
+    if not math.isfinite(values.sum()):
+        raise NonFiniteError(f"non-finite values in {what}")
+    return values
+
+
+# -- entry points over any problem -------------------------------------------
 #
-# A "problem" is anything exposing dim_gen / dim_disc / dim_params /
-# latent_dim plus the five *_graph methods used below.  Training, replay
-# and inference all go through these helpers so their arithmetic is
-# identical, which is what makes bit-exact replay possible.
-
-
-def gen_batch_loss_graph(problem, theta: Tensor, latents: np.ndarray) -> Tensor:
-    if len(latents) == 0:
-        raise ValueError("empty latent batch")
-    return problem.gen_terms_graph(theta, latents).mean() + problem.gen_reg_graph(theta)
-
-
-def disc_batch_loss_graph(problem, theta: Tensor, latents: np.ndarray,
-                          data_rows: np.ndarray, denom: int | None = None) -> Tensor:
-    """Discriminator batch loss with an explicit normalizer.
-
-    ``denom`` defaults to the latent count.  Counterfactual replays drop
-    data rows while keeping the original denominator, so removing one
-    instance removes exactly one summand.
-    """
-    if len(latents) == 0:
-        raise ValueError("empty latent batch")
-    denom = int(len(latents) if denom is None else denom)
-    total = problem.disc_fake_terms_graph(theta, latents).sum()
-    if len(data_rows):
-        total = total + problem.disc_real_terms_graph(theta, data_rows).sum()
-    return total * (1.0 / denom) + problem.disc_reg_graph(theta)
-
-
-def joint_gradient_graph(problem, theta: Tensor, latents: np.ndarray,
-                         data_rows: np.ndarray, denom: int | None = None) -> Tensor:
-    """Differentiable two-block batch gradient, shape (dim_params,).
-
-    The top block is the gradient of the generator batch loss with respect
-    to generator parameters only; the bottom block the discriminator batch
-    loss gradient with respect to discriminator parameters only.
-    """
-    gen_loss = gen_batch_loss_graph(problem, theta, latents)
-    disc_loss = disc_batch_loss_graph(problem, theta, latents, data_rows, denom)
-    (gen_grad,) = backward(gen_loss, [theta])
-    (disc_grad,) = backward(disc_loss, [theta])
-    d = problem.dim_gen
-    return concat_vec([gen_grad[:d], disc_grad[d:]])
+# Training, replay and the oracle all take their steps through
+# ``joint_gradient``, so their arithmetic is identical, which is what makes
+# bit-exact replay possible.
 
 
 def joint_gradient(problem, params: np.ndarray, latents: np.ndarray,
                    data_rows: np.ndarray, denom: int | None = None) -> np.ndarray:
-    theta = Tensor(np.asarray(params, dtype=np.float64))
-    return joint_gradient_graph(problem, theta, latents, data_rows, denom).data.copy()
+    """Two-block batch gradient, shape (dim_params,).
+
+    The top block is the gradient of the generator batch loss with respect
+    to generator parameters only; the bottom block the discriminator batch
+    loss gradient with respect to discriminator parameters only.  ``denom``
+    normalizes the discriminator loss and defaults to the latent count.
+    Counterfactual replays drop data rows while keeping the original
+    denominator, so removing one instance removes exactly one summand.
+    """
+    if len(latents) == 0:
+        raise ValueError("empty latent batch")
+    return problem.joint_gradient(params, latents, data_rows,
+                                  len(latents) if denom is None else int(denom))
 
 
 def data_term_gradient(problem, params: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -295,18 +493,5 @@ def data_term_gradient(problem, params: np.ndarray, row: np.ndarray) -> np.ndarr
 
 def data_term_scores(problem, disc_query: np.ndarray, params: np.ndarray,
                      rows: np.ndarray) -> np.ndarray:
-    """<query, data-term gradient> for every row, via one batched double backward.
-
-    Weighting the per-row losses by auxiliary coefficients and
-    differentiating the query inner product with respect to those
-    coefficients yields all the per-row inner products at once; no per-row
-    graphs are built.
-    """
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    theta = Tensor(np.asarray(params, dtype=np.float64))
-    weights = Tensor(np.ones(len(rows)))
-    weighted = weights.dot(problem.disc_real_terms_graph(theta, rows))
-    (grad,) = backward(weighted, [theta])
-    inner = constant(np.asarray(disc_query, dtype=np.float64)).dot(grad[problem.dim_gen:])
-    (per_row,) = backward(inner, [weights])
-    return per_row.data.copy()
+    """<query, data-term gradient> for every row, without per-row gradients."""
+    return problem.data_term_scores(disc_query, params, rows)

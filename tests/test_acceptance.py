@@ -9,7 +9,7 @@ with the measured quantities.
 import numpy as np
 import pytest
 
-from gantrace.autodiff import reset_vjp_gradient_call_count, vjp_gradient_call_count, vjp_of_gradient
+from gantrace.autodiff import reset_vjp_gradient_call_count, vjp_gradient_call_count
 from gantrace.config import DatasetSpec, ExperimentConfig
 from gantrace.datasets import make_digit_images, sample_normal2d
 from gantrace.experiments import (
@@ -31,7 +31,7 @@ from gantrace.metrics import (
     metric_value,
     train_classifier,
 )
-from gantrace.models import FcGan, GanArchitecture, joint_gradient, joint_gradient_graph
+from gantrace.models import FcGan, GanArchitecture, joint_gradient
 from gantrace.oracle import counterfactual_retrain
 from gantrace.training import TrainingSettings, replay_trace, run_training, trace_checksum
 from test_metrics import brute_force_all, with_exact_moments
@@ -98,11 +98,7 @@ def test_criterion_02_second_order_correctness():
         # Finite differences are only a valid oracle away from relu kinks.
         params = kink_safe_params(gan, latents, rows, rng)
         query = rng.standard_normal(gan.dim_params)
-
-        def gradient_map(theta):
-            return joint_gradient_graph(gan, theta, latents, rows)
-
-        got = vjp_of_gradient(query, gradient_map, params)
+        got = gan.joint_gradient_vjp(query, params, latents, rows, len(latents))
         eps = 1e-4
         fd = np.zeros_like(params)
         for i in range(len(params)):

@@ -200,6 +200,23 @@ def test_cli_oracle_writes_joint_csv(mini_config, tmp_path, capsys):
     assert set(rows[0]) == {"index", "metric", "true_influence", "estimated_influence"}
 
 
+def test_cli_csv_cells_are_plain_floats(mini_config, tmp_path, capsys):
+    _, path = mini_config
+    cli_main(["train", "--config", str(path), "--out", str(tmp_path / "trace")])
+    assert cli_main(["influence", "--config", str(path), "--trace", str(tmp_path / "trace"),
+                     "--k", "1", "--out", str(tmp_path / "scores.csv")]) == 0
+    assert cli_main(["oracle", "--config", str(path), "--trace", str(tmp_path / "trace"),
+                     "--targets", "4", "--k", "1", "--out", str(tmp_path / "oracle.csv")]) == 0
+    scores = list(csv.DictReader(open(tmp_path / "scores.csv")))
+    oracle = list(csv.DictReader(open(tmp_path / "oracle.csv")))
+    for row in scores + oracle:
+        for column, cell in row.items():
+            if column != "metric":
+                float(cell)
+    twin = json.loads((tmp_path / "scores.json").read_text())["scores"]
+    assert {row["index"]: float(row["score"]) for row in scores} == twin
+
+
 def test_cli_accuracy_smoke(mini_config, tmp_path, capsys):
     _, path = mini_config
     code = cli_main(["accuracy", "--config", str(path), "--k", "1", "--targets", "8",

@@ -9,11 +9,9 @@ from gantrace.models import (
     MlpLayout,
     data_term_gradient,
     data_term_scores,
-    disc_batch_loss_graph,
-    gen_batch_loss_graph,
     joint_gradient,
 )
-from toys import TinyDiscriminatorProblem, kink_safe_params
+from toys import TinyDiscriminatorProblem, disc_batch_loss_graph, gen_batch_loss_graph, kink_safe_params
 
 
 @pytest.fixture

@@ -1,17 +1,87 @@
-"""Tiny hand-analyzable adversarial problems used across the test suite.
+"""Tiny hand-analyzable adversarial problems and the autodiff reference.
 
 Each toy exposes the same surface the trainer, oracle and influence engine
-use on the real models: dimensions plus the five graph builders.  Their
-losses are low-order polynomials, so Jacobians and update maps have closed
-forms the tests can write down explicitly.
+use on the real models: dimensions, the five graph builders and the three
+gradient methods, which ``TapeGradients`` derives from the graph builders.
+Their losses are low-order polynomials, so Jacobians and update maps have
+closed forms the tests can write down explicitly.
+
+The same mixin over ``FcGan`` (``TapeFcGan``) is the autodiff reference
+that the closed-form kernels are checked against.
 """
 
 import numpy as np
 
-from gantrace.autodiff import constant
+from gantrace.autodiff import Tensor, backward, concat_vec, constant, vjp_of_gradient
+from gantrace.models import FcGan
 
 
-class QuadraticGameProblem:
+def gen_batch_loss_graph(problem, theta, latents):
+    if len(latents) == 0:
+        raise ValueError("empty latent batch")
+    return problem.gen_terms_graph(theta, latents).mean() + problem.gen_reg_graph(theta)
+
+
+def disc_batch_loss_graph(problem, theta, latents, data_rows, denom=None):
+    """Discriminator batch loss with an explicit normalizer (default: latent count)."""
+    if len(latents) == 0:
+        raise ValueError("empty latent batch")
+    denom = int(len(latents) if denom is None else denom)
+    total = problem.disc_fake_terms_graph(theta, latents).sum()
+    if len(data_rows):
+        total = total + problem.disc_real_terms_graph(theta, data_rows).sum()
+    return total * (1.0 / denom) + problem.disc_reg_graph(theta)
+
+
+def joint_gradient_graph(problem, theta, latents, data_rows, denom=None):
+    """Differentiable two-block batch gradient, shape (dim_params,).
+
+    The generator block differentiates the generator batch loss, the
+    discriminator block the discriminator batch loss.
+    """
+    gen_loss = gen_batch_loss_graph(problem, theta, latents)
+    disc_loss = disc_batch_loss_graph(problem, theta, latents, data_rows, denom)
+    (gen_grad,) = backward(gen_loss, [theta])
+    (disc_grad,) = backward(disc_loss, [theta])
+    d = problem.dim_gen
+    return concat_vec([gen_grad[:d], disc_grad[d:]])
+
+
+class TapeGradients:
+    """The three gradient methods of a problem, derived from its graph builders."""
+
+    def joint_gradient(self, params, latents, data_rows, denom):
+        theta = Tensor(np.asarray(params, dtype=np.float64))
+        return joint_gradient_graph(self, theta, latents, data_rows, denom).data.copy()
+
+    def joint_gradient_vjp(self, vector, params, latents, data_rows, denom):
+        def gradient_map(theta):
+            return joint_gradient_graph(self, theta, latents, data_rows, denom)
+
+        return vjp_of_gradient(vector, gradient_map, params)
+
+    def data_term_scores(self, disc_query, params, rows):
+        """All per-row inner products from one batched double backward.
+
+        Weighting the per-row losses by auxiliary coefficients and
+        differentiating the query inner product with respect to those
+        coefficients yields every per-row inner product at once.
+        """
+        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+        theta = Tensor(np.asarray(params, dtype=np.float64))
+        weights = Tensor(np.ones(len(rows)))
+        weighted = weights.dot(self.disc_real_terms_graph(theta, rows))
+        (grad,) = backward(weighted, [theta])
+        inner = constant(np.asarray(disc_query, dtype=np.float64)).dot(grad[self.dim_gen:])
+        (per_row,) = backward(inner, [weights])
+        return per_row.data.copy()
+
+
+class TapeFcGan(TapeGradients, FcGan):
+    """``FcGan`` whose gradient methods run on the autodiff tape."""
+
+
+class QuadraticGameProblem(TapeGradients):
     """Both losses quadratic in the coupled vector; data terms linear.
 
     gen loss per latent:  0.5 * theta^T A theta   (A symmetric)
@@ -101,7 +171,7 @@ def decoupled_game(dim_gen=2, dim_disc=2):
     return QuadraticGameProblem(dim_gen, dim_disc, gen_quad, disc_quad, data_map)
 
 
-class TinyDiscriminatorProblem:
+class TinyDiscriminatorProblem(TapeGradients):
     """Single-parameter discriminator D(x) = sigmoid(w * x), no generator net.
 
     The generator block is one inert parameter so the coupled layout is
