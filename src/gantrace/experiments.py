@@ -52,7 +52,7 @@ def kendall_tau(a, b) -> float:
     b = np.asarray(b, dtype=np.float64)
     if len(a) != len(b) or len(a) < 2:
         raise ValueError("need two equal-length score lists of size >= 2")
-    return float(stats.kendalltau(a, b).statistic)
+    return float(_reordered_tau_b(a, b, np.arange(len(a))[None, :])[0])
 
 
 def critical_set(scores, m: int = 10) -> set[int]:
@@ -83,13 +83,57 @@ def permutation_test_tau(estimated, true, n_permutations: int = 1000,
     """One-sided permutation null for tau: shuffle the estimate order."""
     rng = rng or np.random.default_rng(0)
     estimated = np.asarray(estimated, dtype=np.float64)
+    true = np.asarray(true, dtype=np.float64)
     observed = kendall_tau(estimated, true)
-    null = np.empty(n_permutations)
-    for i in range(n_permutations):
-        null[i] = kendall_tau(estimated[rng.permutation(len(estimated))], true)
+    n = len(estimated)
+    orders = np.array([rng.permutation(n) for _ in range(n_permutations)]).reshape(-1, n)
+    null = _reordered_tau_b(estimated, true, orders)
     threshold = float(np.quantile(null, 0.975))
     p_value = float((np.sum(null >= observed) + 1) / (n_permutations + 1))
     return PermutationResult(observed, threshold, p_value, n_permutations)
+
+
+# Sign-matrix entries gathered per block of permutations; bounds the test's
+# scratch memory at a few MB whatever the number of targets.
+_SIGN_BLOCK = 1 << 18
+
+
+def _reordered_tau_b(x: np.ndarray, y: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """Kendall's tau-b of ``x[order]`` against ``y`` for every row of ``orders``.
+
+    scipy's formula, con_minus_dis / sqrt(tot - xtie) / sqrt(tot - ytie)
+    clipped to [-1, 1], with con_minus_dis the sum over pairs of the
+    product of the two signs.  The counts are integers and a reordering
+    leaves the tie counts alone, so each value is bit-identical to
+    ``scipy.stats.kendalltau(x[order], y)``, NaN where either side is all
+    ties or holds a NaN.
+    """
+    if np.isnan(x).any() or np.isnan(y).any():
+        return np.full(len(orders), np.nan)
+    x_signs, y_signs = _sign_matrix(x), _sign_matrix(y)
+    n = len(x)
+    tot = n * (n - 1) // 2
+    xtie = (n * n - np.count_nonzero(x_signs) - n) // 2
+    ytie = (n * n - np.count_nonzero(y_signs) - n) // 2
+    if xtie == tot or ytie == tot:
+        return np.full(len(orders), np.nan)
+    con_minus_dis = np.empty(len(orders), dtype=np.int64)
+    step = max(1, _SIGN_BLOCK // (n * n))
+    for start in range(0, len(orders), step):
+        block = orders[start:start + step]
+        # Both sign matrices are antisymmetric, so the full sum counts each pair twice.
+        gathered = x_signs[block[:, :, None], block[:, None, :]]
+        con_minus_dis[start:start + step] = \
+            (gathered * y_signs).sum(axis=(1, 2), dtype=np.int64) // 2
+    tau = con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
+    return np.clip(tau, -1.0, 1.0)
+
+
+def _sign_matrix(values: np.ndarray) -> np.ndarray:
+    """sign(values[i] - values[j]) as int8; equal values, infinities included, give 0."""
+    above = values[:, None] > values[None, :]
+    below = values[:, None] < values[None, :]
+    return above.astype(np.int8) - below.astype(np.int8)
 
 
 def select_harmful(table: InfluenceTable, spec: MetricSpec, n_harmful: int) -> np.ndarray:

@@ -8,11 +8,12 @@ scores the discriminator's expected loss and serves as a baseline selector.
 
 Each metric's gradient with respect to the generated samples is analytic at
 the outer level; where samples pass through a network (classifier features
-or posteriors), the pullback to the inputs runs through the autodiff graph.
-Chaining those sample gradients through the generator produces the query
-vector whose backward propagation estimates per-instance influence: the
-discriminator block of such a query is exactly zero because real data never
-passes through the generator.
+or posteriors), the pullback to the inputs is the closed-form backward pass
+of ``MlpLayout.vjp_np``, which also trains the classifier.  Chaining those
+sample gradients through the generator produces the query vector whose
+backward propagation estimates per-instance influence: the discriminator
+block of such a query is exactly zero because real data never passes
+through the generator.  No metric builds an autodiff tape.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 from scipy.special import logsumexp as np_logsumexp
 from scipy.special import softmax as np_softmax
 
-from .autodiff import Tensor, backward, constant, logsumexp
 from .influence import QueryVector
 from .models import MlpLayout
 from .training import DivergenceError
@@ -121,7 +121,7 @@ def _is_gradient(generated: np.ndarray, classifier: "Classifier") -> np.ndarray:
 
     The outer derivative with respect to the logits collapses to
     (score / n) * p * (r - <p, r>) with r the per-sample log ratio to the
-    marginal; the pullback from logits to inputs runs through the graph.
+    marginal; the pullback from logits to inputs is the classifier's.
     """
     generated = np.atleast_2d(np.asarray(generated, dtype=np.float64))
     posteriors = classifier.posteriors(generated)
@@ -250,12 +250,10 @@ class Classifier:
 
     def input_pullback(self, x: np.ndarray, output_grads: np.ndarray, layer: str) -> np.ndarray:
         """Chain per-sample output gradients back to the classifier inputs."""
-        leaf = Tensor(np.atleast_2d(np.asarray(x, dtype=np.float64)))
         upto = None if layer == "logits" else self.feature_layer
-        out = self.layout.forward_graph(constant(self.params), 0, leaf, upto_layer=upto)
-        inner = (constant(output_grads) * out).sum()
-        (grad,) = backward(inner, [leaf])
-        return grad.data.copy()
+        _, pullback = self.layout.vjp_np(self.params, x, upto_layer=upto)
+        _, input_grad = pullback(output_grads)
+        return input_grad
 
 
 def train_classifier(data: np.ndarray, labels: np.ndarray,
@@ -278,12 +276,10 @@ def train_classifier(data: np.ndarray, labels: np.ndarray,
         order = shuffle_rng.permutation(len(data))
         for start in range(0, len(data), settings.batch_size):
             batch = order[start:start + settings.batch_size]
-            theta = Tensor(params)
-            logits = layout.forward_graph(theta, 0, data[batch])
-            logp = logits - logsumexp(logits, axis=1, keepdims=True)
-            loss = -(constant(onehot[batch]) * logp).sum(axis=1).mean()
-            (grad,) = backward(loss, [theta])
-            params = params - settings.lr * grad.data
+            logits, pullback = layout.vjp_np(params, data[batch])
+            # Mean cross-entropy's logit adjoint: (softmax - onehot) / batch.
+            grad, _ = pullback((np_softmax(logits, axis=1) - onehot[batch]) / len(batch))
+            params = params - settings.lr * grad
             peak = np.max(np.abs(params))
             if not np.isfinite(peak) or peak > 1e6:
                 raise DivergenceError("classifier training diverged")
@@ -348,37 +344,17 @@ _METRIC_GRADS = {
 
 
 def metric_gradient_wrt_generated(spec: MetricSpec, generated: np.ndarray,
-                                  context: MetricContext, problem=None,
-                                  params: np.ndarray | None = None) -> np.ndarray:
+                                  context: MetricContext) -> np.ndarray:
     """One gradient vector per generated sample, shape (n_generated, data_dim)."""
-    if spec.kind == "disc_loss":
-        _require(problem is not None and params is not None,
-                 "disc_loss gradients need the problem and its parameters")
-        return _disc_loss_gradient_wrt_generated(problem, params, generated)
-    handler = _METRIC_GRADS[spec.kind]
+    handler = _METRIC_GRADS.get(spec.kind)
+    _require(handler is not None, f"metric {spec.kind!r} is not sample-based")
     return handler(spec, np.atleast_2d(np.asarray(generated, dtype=np.float64)), context)
-
-
-def _disc_loss_gradient_wrt_generated(problem, params: np.ndarray,
-                                      generated: np.ndarray) -> np.ndarray:
-    generated = np.atleast_2d(np.asarray(generated, dtype=np.float64))
-    leaf = Tensor(generated)
-    theta = constant(np.asarray(params, dtype=np.float64))
-    from .models import PROB_FLOOR
-
-    probs = problem.discriminator_graph(theta, leaf)
-    loss = -(((1.0 - probs).clamp(PROB_FLOOR, 1.0 - PROB_FLOOR)).log()).mean()
-    (grad,) = backward(loss, [leaf])
-    return grad.data.copy()
 
 
 def expected_disc_loss(problem, params: np.ndarray, latents: np.ndarray,
                        real_data: np.ndarray) -> float:
     """Mean discriminator loss over independent latents and reference data."""
-    theta = Tensor(np.asarray(params, dtype=np.float64))
-    value = problem.disc_fake_terms_graph(theta, latents).mean() \
-        + problem.disc_real_terms_graph(theta, real_data).mean()
-    return float(value.data)
+    return problem.expected_disc_loss(params, latents, real_data)
 
 
 def metric_value(spec: MetricSpec, problem, params: np.ndarray,
@@ -399,11 +375,8 @@ def generator_pullback(problem, params: np.ndarray, latents: np.ndarray,
     The discriminator block of the result is exactly zero: the generated
     samples depend only on generator parameters.
     """
-    theta = Tensor(np.asarray(params, dtype=np.float64))
-    samples = problem.generator_graph(theta, latents)
-    inner = (constant(np.asarray(sample_grads, dtype=np.float64)) * samples).sum()
-    (grad,) = backward(inner, [theta])
-    return QueryVector(grad.data.copy(), problem.dim_gen, label=label)
+    return QueryVector(problem.generator_vjp(params, latents, sample_grads),
+                       problem.dim_gen, label=label)
 
 
 def build_query_vector(spec: MetricSpec, problem, params: np.ndarray,
@@ -416,11 +389,9 @@ def build_query_vector(spec: MetricSpec, problem, params: np.ndarray,
     """
     params = np.asarray(params, dtype=np.float64)
     if spec.kind == "disc_loss":
-        theta = Tensor(params)
-        value = problem.disc_fake_terms_graph(theta, eval_latents).mean() \
-            + problem.disc_real_terms_graph(theta, context.real_data).mean()
-        (grad,) = backward(value, [theta])
-        return QueryVector(grad.data.copy(), problem.dim_gen, label=spec.kind)
+        return QueryVector(problem.expected_disc_loss_gradient(params, eval_latents,
+                                                               context.real_data),
+                           problem.dim_gen, label=spec.kind)
     generated = problem.generator_forward(params, eval_latents)
     sample_grads = metric_gradient_wrt_generated(spec, generated, context)
     return generator_pullback(problem, params, eval_latents, sample_grads, label=spec.kind)

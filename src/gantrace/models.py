@@ -7,20 +7,26 @@ a configuration switch.  Batch means fix the summation order so repeated
 evaluation is bit-reproducible.
 
 A "problem" is anything exposing dim_gen / dim_disc / dim_params /
-latent_dim, three gradient methods and the graph builders the metrics
-differentiate.  The gradient methods serve training, counterfactual replay
-and influence inference through the module-level functions of the same
-names:
+latent_dim, three gradient methods and the graph builders.  The gradient
+methods serve training, counterfactual replay and influence inference
+through the module-level functions of the same names:
 
 - ``joint_gradient``: the two-block batch gradient;
 - ``joint_gradient_vjp``: a vector-Jacobian product against it;
 - ``data_term_scores``: a discriminator query's inner product with every
   row's data-term gradient.
 
-``FcGan`` computes all three in closed form with NumPy, the product by
-Pearlmutter's R-operator, so the hot path builds no tape.  Its ``*_graph``
-builders express the same losses on the autodiff tape, which the metrics
-use and the tests take as the reference.
+The metrics' query vectors use three more: ``generator_vjp`` pulls
+per-sample gradients back through the generator, and
+``expected_disc_loss`` with ``expected_disc_loss_gradient`` give the
+``disc_loss`` metric and its gradient.
+
+``FcGan`` computes all of these in closed form with NumPy, the product by
+Pearlmutter's R-operator and the rest by ``MlpLayout.vjp_np``, the one
+hand-written backward pass of a dense stack, which the classifier shares.
+No metric or hot-path caller builds a tape.  The ``*_graph`` builders
+express the same losses on the autodiff tape; ``data_term_gradient`` uses
+them, and the tests take them as the reference.
 """
 
 from __future__ import annotations
@@ -43,6 +49,14 @@ _NP_ACTS = {
     "tanh": np.tanh,
     "sigmoid": expit,
     "linear": lambda x: x,
+}
+
+# Each activation's derivative from its pre-activation and its output.
+_NP_SLOPES = {
+    "relu": lambda pre, out: pre > 0,   # derivative 0 at the kink, as on the tape
+    "tanh": lambda pre, out: 1.0 - out * out,
+    "sigmoid": lambda pre, out: out * (1.0 - out),
+    "linear": lambda pre, out: 1.0,
 }
 
 _GRAPH_ACTS = {
@@ -108,6 +122,44 @@ class MlpLayout:
             if upto_layer is not None and i == upto_layer:
                 return h
         return h
+
+    def vjp_np(self, flat: np.ndarray, x: np.ndarray, upto_layer: int | None = None):
+        """Forward pass and its closed-form pullback.
+
+        Returns the output of ``forward_np(flat, x, upto_layer)`` and a
+        function that maps an output adjoint ``g`` to the gradients of
+        ``<g, output>``: the parameter gradient, shape (n_params,) and zero
+        for the layers past ``upto_layer``, and the input gradient, shaped
+        like the two-dimensional inputs.
+        """
+        flat = _checked(np.asarray(flat, dtype=np.float64), "parameters")
+        layers = self.unpack(flat)
+        if upto_layer is not None:
+            layers = layers[:upto_layer + 1]
+        h = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        inputs, slopes = [], []
+        for (kernel, bias), activation in zip(layers, self.activations):
+            inputs.append(h)
+            pre = h @ kernel + bias
+            h = _NP_ACTS[activation](pre)
+            slopes.append(_NP_SLOPES[activation](pre, h))
+        output = h
+
+        def pullback(output_adjoint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            adj = np.asarray(output_adjoint, dtype=np.float64)
+            if adj.shape != output.shape:
+                raise ValueError(f"adjoint of shape {adj.shape} does not match "
+                                 f"the output's {output.shape}")
+            grad = np.zeros(self.n_params)
+            for i in reversed(range(len(layers))):
+                adj = adj * slopes[i]
+                k_off, b_off = self.spans[2 * i][0], self.spans[2 * i + 1][0]
+                grad[k_off:b_off] = (inputs[i].T @ adj).ravel()
+                grad[b_off:b_off + adj.shape[1]] = adj.sum(axis=0)
+                adj = adj @ layers[i][0].T
+            return _checked(grad, "parameter gradient"), _checked(adj, "input gradient")
+
+        return output, pullback
 
     def forward_graph(self, theta: Tensor, base: int, x, upto_layer: int | None = None) -> Tensor:
         h = x if isinstance(x, Tensor) else constant(np.atleast_2d(np.asarray(x, dtype=np.float64)))
@@ -302,6 +354,51 @@ class FcGan:
         along = ((f.inputs @ qv1 + qd1) * f.disc_mask) @ v2 + f.disc_hidden @ qv2[:, 0] + qd2[0]
         return _checked(first * along, "data_term_scores")
 
+    # -- closed-form metric queries ------------------------------------------
+
+    def generator_vjp(self, params: np.ndarray, latents: np.ndarray,
+                      sample_grads: np.ndarray) -> np.ndarray:
+        """Gradient of ``<sample_grads, generator_forward(params, latents)>``
+        over all parameters; the discriminator block is exactly zero."""
+        params = _checked(np.asarray(params, dtype=np.float64), "parameters")
+        _, pullback = self.gen_net.vjp_np(params[:self.dim_gen], latents)
+        gen_grad, _ = pullback(sample_grads)
+        return np.concatenate([gen_grad, np.zeros(self.dim_disc)])
+
+    def expected_disc_loss(self, params: np.ndarray, latents: np.ndarray,
+                           rows: np.ndarray) -> float:
+        """Mean discriminator loss on the generated samples plus its mean on ``rows``."""
+        params = _checked(np.asarray(params, dtype=np.float64), "parameters")
+        fake_probs = self.discriminator_forward(params, self.generator_forward(params, latents))
+        real_probs = self.discriminator_forward(params, rows)
+        value = -np.log(_clamped(1.0 - fake_probs)).mean() - np.log(_clamped(real_probs)).mean()
+        return float(_checked(value, "expected_disc_loss"))
+
+    def expected_disc_loss_gradient(self, params: np.ndarray, latents: np.ndarray,
+                                    rows: np.ndarray) -> np.ndarray:
+        """Gradient of ``expected_disc_loss`` over both blocks.
+
+        One discriminator pullback over the generated and data rows
+        together, then a generator pullback of the generated rows' input
+        adjoint.
+        """
+        params = _checked(np.asarray(params, dtype=np.float64), "parameters")
+        gen_params, disc_params = self.split(params)
+        fake, gen_pullback = self.gen_net.vjp_np(gen_params, latents)
+        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+        probs, disc_pullback = self.disc_net.vjp_np(disc_params, np.concatenate([fake, rows]))
+        n = len(fake)
+        fake_probs, real_probs = probs[:n, 0], probs[n:, 0]
+        # Probability derivatives of -log clamp(1 - p) and -log clamp(p),
+        # zero where the clamp binds.
+        prob_adj = np.concatenate([
+            _clamp_mask(1.0 - fake_probs) / _clamped(1.0 - fake_probs) / n,
+            -(_clamp_mask(real_probs) / _clamped(real_probs)) / len(rows),
+        ])
+        disc_grad, input_adj = disc_pullback(prob_adj[:, None])
+        gen_grad, _ = gen_pullback(input_adj[:n])
+        return np.concatenate([gen_grad, disc_grad])
+
     def _forward(self, params, latents, data_rows) -> _Activations:
         params = _checked(np.asarray(params, dtype=np.float64), "parameters")
         (w1, b1), (w2, b2) = self.gen_net.unpack(params[:self.dim_gen])
@@ -410,6 +507,10 @@ class _Activations:
     disc_mask: np.ndarray
     disc_hidden: np.ndarray
     probs: np.ndarray
+
+
+def _clamped(values: np.ndarray) -> np.ndarray:
+    return np.clip(values, PROB_FLOOR, 1.0 - PROB_FLOOR)
 
 
 def _clamp_mask(values: np.ndarray) -> np.ndarray:

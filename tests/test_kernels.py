@@ -1,19 +1,43 @@
-"""Closed-form FcGan kernels against the autodiff tape.
+"""Closed-form kernels against the autodiff tape.
 
-``TapeFcGan`` computes the joint gradient, its vector-Jacobian product and
-the data-term scores from the graph builders; the closed forms must match
-it to 1e-12 relative in every regime the relu and clamp conventions
-distinguish.
+``TapeFcGan`` computes the joint gradient, its vector-Jacobian product, the
+data-term scores and the metric queries from the graph builders; the
+closed forms must match it to 1e-12 relative in every regime the relu and
+clamp conventions distinguish.  The dense-stack backward
+(``MlpLayout.vjp_np``) and the classifier built on it are checked against
+the ``tape_*`` references the same way, and the vectorized permutation
+test against a loop over ``scipy.stats.kendalltau``.
 """
+
+import sys
 
 import numpy as np
 import pytest
 
+import gantrace.autodiff
 from gantrace.autodiff import NonFiniteError, vjp_gradient_call_count
+from gantrace.config import load_config
+from gantrace.experiments import permutation_test_tau, prepare_seed_run
 from gantrace.influence import propagate_query
-from gantrace.models import FcGan, GanArchitecture, data_term_scores, joint_gradient
+from gantrace.metrics import (
+    ClassifierSettings,
+    MetricContext,
+    MetricSpec,
+    build_query_vector,
+    expected_disc_loss,
+    generator_pullback,
+    train_classifier,
+)
+from gantrace.models import FcGan, GanArchitecture, MlpLayout, data_term_scores, joint_gradient
 from gantrace.training import StepRecord, latents_from_seed
-from toys import TapeFcGan, bilinear_game
+from toys import (
+    TapeFcGan,
+    bilinear_game,
+    loop_permutation_test_tau,
+    tape_input_pullback,
+    tape_mlp_vjp,
+    tape_train_classifier,
+)
 
 LATENT, DATA, HIDDEN_GEN, HIDDEN_DISC = 3, 2, 6, 8
 
@@ -129,3 +153,203 @@ def test_non_finite_parameter_raises(bad, position):
     record = StepRecord(0, indices, 1e-3, 1e-3, params, 9)
     with pytest.raises(NonFiniteError):
         propagate_query(gan, rng.standard_normal(gan.dim_params), record, rows)
+
+
+# -- dense-stack backward ----------------------------------------------------------
+
+@pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid", "linear"])
+@pytest.mark.parametrize("upto_layer", [None, 1])
+@pytest.mark.parametrize("n_rows", [1, 7])
+@pytest.mark.parametrize("dead", [False, True])
+def test_mlp_vjp_matches_tape(activation, upto_layer, n_rows, dead):
+    layout = MlpLayout((4, 6, 5, 3), (activation,) * 3)
+    rng = np.random.default_rng(30)
+    params = layout.init_params(rng) + rng.normal(0.0, 0.1, layout.n_params)
+    if dead:
+        # Half the first layer's units get a bias no input overcomes.
+        bias = layout.spans[1][0]
+        params[bias:bias + 3] = -50.0
+    x = rng.standard_normal((n_rows, 4))
+    output, pullback = layout.vjp_np(params, x, upto_layer=upto_layer)
+    assert np.array_equal(output, layout.forward_np(params, x, upto_layer=upto_layer))
+    adjoint = rng.standard_normal(output.shape)
+    param_grad, input_grad = pullback(adjoint)
+    ref_param, ref_input = tape_mlp_vjp(layout, params, x, adjoint, upto_layer)
+    assert_matches(param_grad, ref_param)
+    assert_matches(input_grad, ref_input)
+    if upto_layer is not None:
+        assert not param_grad[layout.spans[2 * upto_layer + 2][0]:].any()
+    if dead and activation == "relu":
+        assert not layout.forward_np(params, x, upto_layer=0)[:, :3].any()
+
+
+def test_mlp_vjp_rejects_a_misshapen_adjoint():
+    layout = MlpLayout((4, 6, 3), ("tanh", "linear"))
+    rng = np.random.default_rng(31)
+    _, pullback = layout.vjp_np(layout.init_params(rng), rng.standard_normal((5, 4)))
+    with pytest.raises(ValueError, match="does not match"):
+        pullback(np.ones((5, 1)))
+
+
+# -- classifier and metric queries ----------------------------------------------------
+
+def small_classifier_data(seed=32):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 3, 45)
+    data = rng.standard_normal((45, 5)) + 1.5 * np.eye(3, 5)[labels]
+    return data, labels
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_train_classifier_matches_tape(activation):
+    data, labels = small_classifier_data()
+    settings = ClassifierSettings(hidden=(6, 4), epochs=6, batch_size=8, lr=0.1,
+                                  activation=activation)
+    got = train_classifier(data, labels, settings, seed=3)
+    ref = tape_train_classifier(data, labels, settings, seed=3)
+    assert np.linalg.norm(got.params - ref.params) <= 1e-10 * np.linalg.norm(ref.params)
+    assert got.train_accuracy == ref.train_accuracy
+
+
+@pytest.mark.parametrize("layer", ["logits", "features"])
+def test_input_pullback_matches_tape(layer):
+    data, labels = small_classifier_data()
+    clf = train_classifier(data, labels, ClassifierSettings(hidden=(6, 4), epochs=3), seed=4)
+    rng = np.random.default_rng(33)
+    x = rng.standard_normal((9, 5))
+    width = clf.n_classes if layer == "logits" else 4
+    grads = rng.standard_normal((9, width))
+    assert_matches(clf.input_pullback(x, grads, layer),
+                   tape_input_pullback(clf, x, grads, layer))
+
+
+@pytest.mark.parametrize("scenario", ["full_batch", "single_row", "dead_relus",
+                                      "saturated_discriminator"])
+def test_metric_queries_match_tape(scenario):
+    gan, tape = pair("nonsaturating")
+    n_latents, n_rows, _, edit = SCENARIOS[scenario]
+    rng = np.random.default_rng(34)
+    params = gan.init_params(rng) + rng.normal(0.0, 0.1, gan.dim_params)
+    if edit is not None:
+        params = edit(gan, params)
+    latents = rng.standard_normal((n_latents, LATENT))
+    rows = rng.standard_normal((n_rows, DATA))
+    sample_grads = rng.standard_normal((n_latents, DATA))
+    context = MetricContext(real_data=rows)
+
+    pulled = generator_pullback(gan, params, latents, sample_grads)
+    assert_matches(pulled.data, tape.generator_vjp(params, latents, sample_grads))
+    query = build_query_vector(MetricSpec("disc_loss"), gan, params, latents, context)
+    assert_matches(query.data, tape.expected_disc_loss_gradient(params, latents, rows))
+    value = expected_disc_loss(gan, params, latents, rows)
+    assert abs(value - tape.expected_disc_loss(params, latents, rows)) <= 1e-12 * abs(value)
+    if edit is saturated:
+        # D == 1 on every input: both clamps bind, so no derivative flows
+        # and the whole gradient is exactly zero.
+        assert not query.data.any()
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("position", ["generator_kernel", "discriminator_output_bias"])
+def test_metric_queries_refuse_non_finite_parameters(bad, position):
+    gan, _ = pair("nonsaturating")
+    rng = np.random.default_rng(35)
+    params = gan.init_params(rng)
+    params[0 if position == "generator_kernel" else -1] = bad
+    latents = rng.standard_normal((4, LATENT))
+    rows = rng.standard_normal((4, DATA))
+    with pytest.raises(NonFiniteError):
+        generator_pullback(gan, params, latents, rng.standard_normal((4, DATA)))
+    with pytest.raises(NonFiniteError):
+        build_query_vector(MetricSpec("disc_loss"), gan, params, latents,
+                           MetricContext(real_data=rows))
+    with pytest.raises(NonFiniteError):
+        expected_disc_loss(gan, params, latents, rows)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_classifier_pullback_refuses_non_finite_parameters(bad):
+    data, labels = small_classifier_data()
+    clf = train_classifier(data, labels, ClassifierSettings(hidden=(6, 4), epochs=1), seed=5)
+    clf.params[-1] = bad
+    x = np.random.default_rng(36).standard_normal((3, 5))
+    with pytest.raises(NonFiniteError):
+        clf.input_pullback(x, np.ones((3, clf.n_classes)), "logits")
+
+
+# -- vectorized permutation test --------------------------------------------------------
+
+@pytest.mark.parametrize("n, ties", [(2, False), (16, False), (16, True), (40, True)])
+def test_permutation_test_matches_kendalltau_loop(n, ties):
+    rng = np.random.default_rng(n)
+    estimated, true = rng.standard_normal(n), rng.standard_normal(n)
+    if ties:
+        estimated, true = np.round(2.0 * estimated), np.round(true)
+    got = permutation_test_tau(estimated, true, 300, rng=np.random.default_rng(37))
+    ref = loop_permutation_test_tau(estimated, true, 300, rng=np.random.default_rng(37))
+    assert (got.observed, got.threshold, got.p_value) == \
+        (ref.observed, ref.threshold, ref.p_value)
+
+
+def test_permutation_test_of_an_all_tied_side_is_nan():
+    true = np.arange(10.0)
+    got = permutation_test_tau(np.ones(10), true, 50, rng=np.random.default_rng(38))
+    ref = loop_permutation_test_tau(np.ones(10), true, 50, rng=np.random.default_rng(38))
+    assert np.isnan(got.observed) and np.isnan(ref.observed)
+    assert np.isnan(got.threshold) and np.isnan(ref.threshold)
+    assert got.p_value == ref.p_value
+
+
+# -- no tape on the metric path ------------------------------------------------------------
+
+TINY_DIGITS = """
+[dataset]
+kind = digits8
+n_train = 40
+n_classes = 3
+
+[architecture]
+latent_dim = 4
+hidden_gen = 8
+hidden_disc = 8
+
+[training]
+epochs = 1
+batch_size = 20
+seed = 2
+
+[evaluation]
+metrics = fid,is
+n_reference = 40
+classifier_hidden = 8,6
+classifier_epochs = 2
+
+[influence]
+n_targets = 4
+
+[cleansing]
+n_harmful = 4
+"""
+
+
+def test_metric_path_builds_no_tape(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the metric path reached the autodiff tape")
+
+    # Every module that bound ``backward`` by name gets the refusal, and so
+    # does tensor construction, which a forward-only tape use needs too.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gantrace") and getattr(module, "backward", None) \
+                is gantrace.autodiff.backward:
+            monkeypatch.setattr(module, "backward", refuse)
+    monkeypatch.setattr(gantrace.autodiff.Tensor, "__init__", refuse)
+
+    path = tmp_path / "tiny.ini"
+    path.write_text(TINY_DIGITS)
+    config = load_config(path)
+    run = prepare_seed_run(config, 2)
+    problem = config.problem()
+    for kind in ("is", "fid", "disc_loss"):
+        query = build_query_vector(MetricSpec(kind), problem, run.trace.final_params,
+                                   run.reference_latents, run.context)
+        assert query.data.any()

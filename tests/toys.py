@@ -1,19 +1,26 @@
 """Tiny hand-analyzable adversarial problems and the autodiff reference.
 
 Each toy exposes the same surface the trainer, oracle and influence engine
-use on the real models: dimensions, the five graph builders and the three
+use on the real models: dimensions, the five graph builders and the
 gradient methods, which ``TapeGradients`` derives from the graph builders.
 Their losses are low-order polynomials, so Jacobians and update maps have
 closed forms the tests can write down explicitly.
 
 The same mixin over ``FcGan`` (``TapeFcGan``) is the autodiff reference
-that the closed-form kernels are checked against.
+that the closed-form kernels are checked against, and the ``tape_*``
+functions are the references for the closed-form dense-stack backward and
+the classifier built on it.  ``loop_permutation_test_tau`` is the
+per-permutation reference for the vectorized permutation test.
 """
 
 import numpy as np
+from scipy import stats
 
-from gantrace.autodiff import Tensor, backward, concat_vec, constant, vjp_of_gradient
-from gantrace.models import FcGan
+from gantrace.autodiff import Tensor, backward, concat_vec, constant, logsumexp, vjp_of_gradient
+from gantrace.experiments import PermutationResult
+from gantrace.metrics import Classifier
+from gantrace.models import FcGan, MlpLayout
+from gantrace.training import DivergenceError
 
 
 def gen_batch_loss_graph(problem, theta, latents):
@@ -48,7 +55,7 @@ def joint_gradient_graph(problem, theta, latents, data_rows, denom=None):
 
 
 class TapeGradients:
-    """The three gradient methods of a problem, derived from its graph builders."""
+    """The gradient methods of a problem, derived from its graph builders."""
 
     def joint_gradient(self, params, latents, data_rows, denom):
         theta = Tensor(np.asarray(params, dtype=np.float64))
@@ -76,9 +83,86 @@ class TapeGradients:
         (per_row,) = backward(inner, [weights])
         return per_row.data.copy()
 
+    def generator_vjp(self, params, latents, sample_grads):
+        theta = Tensor(np.asarray(params, dtype=np.float64))
+        samples = self.generator_graph(theta, latents)
+        inner = (constant(np.asarray(sample_grads, dtype=np.float64)) * samples).sum()
+        (grad,) = backward(inner, [theta])
+        return grad.data.copy()
+
+    def _expected_disc_loss_graph(self, theta, latents, rows):
+        return self.disc_fake_terms_graph(theta, latents).mean() \
+            + self.disc_real_terms_graph(theta, rows).mean()
+
+    def expected_disc_loss(self, params, latents, rows):
+        theta = Tensor(np.asarray(params, dtype=np.float64))
+        return float(self._expected_disc_loss_graph(theta, latents, rows).data)
+
+    def expected_disc_loss_gradient(self, params, latents, rows):
+        theta = Tensor(np.asarray(params, dtype=np.float64))
+        (grad,) = backward(self._expected_disc_loss_graph(theta, latents, rows), [theta])
+        return grad.data.copy()
+
 
 class TapeFcGan(TapeGradients, FcGan):
     """``FcGan`` whose gradient methods run on the autodiff tape."""
+
+
+def tape_mlp_vjp(layout, flat, x, output_adjoint, upto_layer=None):
+    """Parameter and input gradients of ``<output_adjoint, forward>`` on the tape."""
+    theta = Tensor(np.asarray(flat, dtype=np.float64))
+    leaf = Tensor(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    out = layout.forward_graph(theta, 0, leaf, upto_layer=upto_layer)
+    inner = (constant(output_adjoint) * out).sum()
+    param_grad, input_grad = backward(inner, [theta, leaf])
+    return param_grad.data.copy(), input_grad.data.copy()
+
+
+def tape_input_pullback(classifier, x, output_grads, layer):
+    upto = None if layer == "logits" else classifier.feature_layer
+    return tape_mlp_vjp(classifier.layout, classifier.params, x, output_grads, upto)[1]
+
+
+def tape_train_classifier(data, labels, settings, seed=0):
+    """``metrics.train_classifier`` with every gradient taken on the tape."""
+    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    labels = np.asarray(labels, dtype=np.int64)
+    n_classes = int(labels.max()) + 1
+    layout = MlpLayout((data.shape[1], *settings.hidden, n_classes),
+                       (settings.activation,) * len(settings.hidden) + ("linear",))
+    init_seq, shuffle_seq = np.random.SeedSequence(seed).spawn(2)
+    params = layout.init_params(np.random.default_rng(init_seq))
+    shuffle_rng = np.random.default_rng(shuffle_seq)
+    onehot = np.eye(n_classes)[labels]
+    for _ in range(settings.epochs):
+        order = shuffle_rng.permutation(len(data))
+        for start in range(0, len(data), settings.batch_size):
+            batch = order[start:start + settings.batch_size]
+            theta = Tensor(params)
+            logits = layout.forward_graph(theta, 0, data[batch])
+            logp = logits - logsumexp(logits, axis=1, keepdims=True)
+            loss = -(constant(onehot[batch]) * logp).sum(axis=1).mean()
+            (grad,) = backward(loss, [theta])
+            params = params - settings.lr * grad.data
+            peak = np.max(np.abs(params))
+            if not np.isfinite(peak) or peak > 1e6:
+                raise DivergenceError("classifier training diverged")
+    clf = Classifier(layout, params, n_classes, settings.feature_layer)
+    clf.train_accuracy = float((clf.logits(data).argmax(axis=1) == labels).mean())
+    return clf
+
+
+def loop_permutation_test_tau(estimated, true, n_permutations=1000, rng=None):
+    """The permutation test with one ``scipy.stats.kendalltau`` call per permutation."""
+    rng = rng or np.random.default_rng(0)
+    estimated = np.asarray(estimated, dtype=np.float64)
+    observed = float(stats.kendalltau(estimated, true).statistic)
+    null = np.empty(n_permutations)
+    for i in range(n_permutations):
+        null[i] = stats.kendalltau(estimated[rng.permutation(len(estimated))], true).statistic
+    threshold = float(np.quantile(null, 0.975))
+    p_value = float((np.sum(null >= observed) + 1) / (n_permutations + 1))
+    return PermutationResult(observed, threshold, p_value, n_permutations)
 
 
 class QuadraticGameProblem(TapeGradients):
