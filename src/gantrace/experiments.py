@@ -186,7 +186,7 @@ def prepare_seed_run(config: ExperimentConfig, seed: int) -> SeedRun:
 
     ref_rng = _stream(seed, "reference")
     reference_latents = ref_rng.standard_normal((config.n_reference, problem.latent_dim))
-    reference_data, reference_labels = _reference_set(config, ref_rng)
+    reference_data, reference_labels = _reference_set(config, ref_rng, config.n_reference)
     classifier = None
     if any(kind in ("is", "fid") for kind in config.metrics):
         if reference_labels is None:
@@ -208,14 +208,14 @@ def _reseeded(config: ExperimentConfig, seed: int):
     return replace(training, seed=seed)
 
 
-def _reference_set(config: ExperimentConfig, rng: np.random.Generator):
+def _reference_set(config: ExperimentConfig, rng: np.random.Generator, size: int):
     spec = config.dataset
     if spec.kind == "normal2d":
-        return sample_normal2d(config.n_reference, rng), None
+        return sample_normal2d(size, rng), None
     if spec.kind == "digits8":
-        return make_digit_images(config.n_reference, spec.n_classes, spec.noise, rng)
+        return make_digit_images(size, spec.n_classes, spec.noise, rng)
     data, labels = synthesize_dataset(spec, rng)
-    return data[:config.n_reference], None if labels is None else labels[:config.n_reference]
+    return data[:size], None if labels is None else labels[:size]
 
 
 # -- experiment 1: estimation accuracy -------------------------------------------
@@ -343,7 +343,7 @@ def run_data_cleansing(config: ExperimentConfig, seeds=None) -> CleansingReport:
         problem = config.problem()
         test_rng = _stream(seed, "test")
         test_latents = test_rng.standard_normal((config.n_test, problem.latent_dim))
-        test_data, _ = _reference_set_sized(config, test_rng, config.n_test)
+        test_data, _ = _reference_set(config, test_rng, config.n_test)
         test_context = MetricContext(real_data=test_data, classifier=run.context.classifier)
 
         tables = {}
@@ -392,16 +392,6 @@ def _select_for_method(config: ExperimentConfig, method: str, spec: MetricSpec,
             np.random.SeedSequence([int(seed), _STREAMS["random_select"], int(n_harmful)]))
         return np.sort(rng.choice(config.dataset.n_train, size=n_harmful, replace=False))
     raise ValueError(f"unknown selection method {method!r}")
-
-
-def _reference_set_sized(config: ExperimentConfig, rng: np.random.Generator, size: int):
-    spec = config.dataset
-    if spec.kind == "normal2d":
-        return sample_normal2d(size, rng), None
-    if spec.kind == "digits8":
-        return make_digit_images(size, spec.n_classes, spec.noise, rng)
-    data, labels = synthesize_dataset(spec, rng)
-    return data[:size], None if labels is None else labels[:size]
 
 
 # -- report emission ------------------------------------------------------------

@@ -6,6 +6,11 @@ classifier-based inception score (``is``), and the Frechet distance between
 classifier feature distributions (``fid``).  A fourth kind, ``disc_loss``,
 scores the discriminator's expected loss and serves as a baseline selector.
 
+The KDE never holds the n_ref x n_gen kernel matrix: its value and its
+gradient each stream one pass over blocks of reference rows, every row's
+log-sum-exp shifted by that row's largest log kernel, in one reused buffer
+of about ``_KDE_BLOCK_ENTRIES`` entries, so memory is O(block x n_generated).
+
 Each metric's gradient with respect to the generated samples is analytic at
 the outer level; where samples pass through a network (classifier features
 or posteriors), the pullback to the inputs is the closed-form backward pass
@@ -24,7 +29,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp as np_logsumexp
 from scipy.special import softmax as np_softmax
 
 from .influence import QueryVector
@@ -65,37 +69,74 @@ class MetricContext:
 
 # -- average log-likelihood ---------------------------------------------------
 
-def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
-    return np.maximum(sq, 0.0)
+# Reference rows per KDE block are chosen so that one block holds this many
+# kernel entries (1 MB of float64) whatever the size of the generated set.
+_KDE_BLOCK_ENTRIES = 2 ** 17
+
+
+def _kde_point_sets(real, generated) -> tuple[np.ndarray, np.ndarray]:
+    real = np.atleast_2d(np.asarray(real, dtype=np.float64))
+    generated = np.atleast_2d(np.asarray(generated, dtype=np.float64))
+    if real.size == 0 or generated.size == 0:
+        raise ValueError("both point sets must be non-empty")
+    return real, generated
+
+
+def _kde_blocks(real: np.ndarray, generated: np.ndarray, h2: float):
+    """Stream the Gaussian kernel matrix over blocks of reference rows.
+
+    Yields ``(rows, kernels, row_max)`` per block: the slice of reference
+    rows, ``exp(log kernel - row max)`` for those rows, and each row's
+    largest log kernel.  ``kernels`` is a view of one buffer that the next
+    block overwrites, so a caller may scale it in place but must not keep it.
+    """
+    n_gen = len(generated)
+    step = max(1, _KDE_BLOCK_ENTRIES // n_gen)
+    real_sq = (real * real).sum(axis=1)
+    gen_sq = (generated * generated).sum(axis=1)
+    minus_two_gen_t = -2.0 * generated.T  # scaling by a power of two is exact
+    buffer = np.empty((min(step, len(real)), n_gen))
+    for start in range(0, len(real), step):
+        rows = slice(start, min(start + step, len(real)))
+        block = buffer[:rows.stop - start]
+        np.matmul(real[rows], minus_two_gen_t, out=block)
+        block += real_sq[rows, None]
+        block += gen_sq
+        np.maximum(block, 0.0, out=block)
+        block *= -0.5 / h2
+        row_max = block.max(axis=1)
+        block -= row_max[:, None]
+        np.exp(block, out=block)
+        yield rows, block, row_max
 
 
 def average_log_likelihood(real: np.ndarray, generated: np.ndarray, bandwidth: float) -> float:
     """Mean log density of the real points under a Gaussian KDE of the generated set.
 
-    The kernel includes the full normalizing constant; evaluation is
-    log-sum-exp stabilized.
+    The kernel includes the full normalizing constant; each reference row's
+    log-sum-exp is stabilized by its own largest log kernel.
     """
-    real = np.atleast_2d(np.asarray(real, dtype=np.float64))
-    generated = np.atleast_2d(np.asarray(generated, dtype=np.float64))
-    if real.size == 0 or generated.size == 0:
-        raise ValueError("both point sets must be non-empty")
-    dim = real.shape[1]
+    real, generated = _kde_point_sets(real, generated)
     h2 = bandwidth * bandwidth
-    log_kernels = -_pairwise_sq_dists(real, generated) / (2.0 * h2)
-    log_density = (np_logsumexp(log_kernels, axis=1) - np.log(generated.shape[0])
-                   - 0.5 * dim * np.log(2.0 * np.pi * h2))
-    return float(log_density.mean())
+    total = 0.0
+    for _, kernels, row_max in _kde_blocks(real, generated, h2):
+        total += float((np.log(kernels.sum(axis=1)) + row_max).sum())
+    return float(total / len(real) - np.log(len(generated))
+                 - 0.5 * real.shape[1] * np.log(2.0 * np.pi * h2))
 
 
 def _all_gradient(real: np.ndarray, generated: np.ndarray, bandwidth: float) -> np.ndarray:
     """Per-sample gradient of the KDE log-likelihood, shape (n_generated, dim)."""
-    real = np.atleast_2d(np.asarray(real, dtype=np.float64))
-    generated = np.atleast_2d(np.asarray(generated, dtype=np.float64))
+    real, generated = _kde_point_sets(real, generated)
     h2 = bandwidth * bandwidth
-    weights = np_softmax(-_pairwise_sq_dists(real, generated) / (2.0 * h2), axis=1)
-    pulled = weights.T @ real - weights.sum(axis=0)[:, None] * generated
-    return pulled / (real.shape[0] * h2)
+    pulled = np.zeros_like(generated)
+    mass = np.zeros(len(generated))
+    for rows, kernels, _ in _kde_blocks(real, generated, h2):
+        kernels /= kernels.sum(axis=1, keepdims=True)
+        pulled += kernels.T @ real[rows]
+        mass += kernels.sum(axis=0)
+    pulled -= mass[:, None] * generated
+    return pulled / (len(real) * h2)
 
 
 # -- inception score ----------------------------------------------------------

@@ -5,11 +5,13 @@ data-term scores and the metric queries from the graph builders; the
 closed forms must match it to 1e-12 relative in every regime the relu and
 clamp conventions distinguish.  The dense-stack backward
 (``MlpLayout.vjp_np``) and the classifier built on it are checked against
-the ``tape_*`` references the same way, and the vectorized permutation
-test against a loop over ``scipy.stats.kendalltau``.
+the ``tape_*`` references the same way, the vectorized permutation test
+against a loop over ``scipy.stats.kendalltau``, and the blocked KDE against
+the dense ``dense_*`` references, which build the whole kernel matrix.
 """
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,12 +22,17 @@ from gantrace.config import load_config
 from gantrace.experiments import permutation_test_tau, prepare_seed_run
 from gantrace.influence import propagate_query
 from gantrace.metrics import (
+    _KDE_BLOCK_ENTRIES,
     ClassifierSettings,
     MetricContext,
     MetricSpec,
+    _all_gradient,
+    _kde_blocks,
+    average_log_likelihood,
     build_query_vector,
     expected_disc_loss,
     generator_pullback,
+    metric_value,
     train_classifier,
 )
 from gantrace.models import FcGan, GanArchitecture, MlpLayout, data_term_scores, joint_gradient
@@ -33,6 +40,8 @@ from gantrace.training import StepRecord, latents_from_seed
 from toys import (
     TapeFcGan,
     bilinear_game,
+    dense_all_gradient,
+    dense_average_log_likelihood,
     loop_permutation_test_tau,
     tape_input_pullback,
     tape_mlp_vjp,
@@ -298,6 +307,125 @@ def test_permutation_test_of_an_all_tied_side_is_nan():
     assert np.isnan(got.observed) and np.isnan(ref.observed)
     assert np.isnan(got.threshold) and np.isnan(ref.threshold)
     assert got.p_value == ref.p_value
+
+
+# -- blocked KDE -------------------------------------------------------------------------
+
+def rows_per_block(n_gen):
+    return max(1, _KDE_BLOCK_ENTRIES // n_gen)
+
+
+def assert_kde_matches_dense(real, generated, bandwidth):
+    value = average_log_likelihood(real, generated, bandwidth)
+    ref_value = dense_average_log_likelihood(real, generated, bandwidth)
+    assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+    grads = _all_gradient(real, generated, bandwidth)
+    ref_grads = dense_all_gradient(real, generated, bandwidth)
+    assert grads.shape == ref_grads.shape
+    assert np.max(np.abs(grads - ref_grads)) <= 1e-12 * np.max(np.abs(ref_grads))
+    return value, grads
+
+
+# Reference-set sizes around the block edge, as (blocks, extra rows).
+BLOCK_EDGES = {"one_row": (0, 1), "block_minus_one": (1, -1), "one_block": (1, 0),
+               "block_plus_one": (1, 1), "two_blocks_plus_three": (2, 3)}
+
+
+# One generated point gives 2^17 rows per block, 3000 give 43.  The 64-dim
+# case runs with 3000 points only: at one point its largest reference set
+# would be 2^18 x 64 floats.
+@pytest.mark.parametrize("n_gen,dim", [(1, 2), (3000, 2), (3000, 64)])
+@pytest.mark.parametrize("edge", sorted(BLOCK_EDGES))
+@pytest.mark.parametrize("bandwidth", [0.05, 2.0])
+def test_blocked_kde_matches_dense(n_gen, dim, edge, bandwidth):
+    blocks, extra = BLOCK_EDGES[edge]
+    n_real = blocks * rows_per_block(n_gen) + extra
+    rng = np.random.default_rng(40)
+    real = rng.standard_normal((n_real, dim))
+    generated = rng.standard_normal((n_gen, dim)) + 0.5
+    assert_kde_matches_dense(real, generated, bandwidth)
+
+
+@pytest.mark.parametrize("n_gen", [1, 3000, _KDE_BLOCK_ENTRIES + 1])
+def test_kde_blocks_are_sized_by_entries_in_one_buffer(n_gen):
+    step = rows_per_block(n_gen)
+    rng = np.random.default_rng(41)
+    real = rng.standard_normal((2 * step + 1, 2))
+    generated = rng.standard_normal((n_gen, 2))
+    seen = [(rows.start, rows.stop, kernels.shape, kernels.ctypes.data)
+            for rows, kernels, _ in _kde_blocks(real, generated, 1.0)]
+    assert [entry[:3] for entry in seen] == [
+        (0, step, (step, n_gen)), (step, 2 * step, (step, n_gen)),
+        (2 * step, 2 * step + 1, (1, n_gen))]
+    assert len({entry[3] for entry in seen}) == 1
+
+
+@pytest.mark.parametrize("bandwidth", [0.05, 2.0])
+def test_blocked_kde_far_cluster(bandwidth):
+    """Kernels to a cluster about 80 bandwidths off underflow to exactly zero."""
+    rng = np.random.default_rng(42)
+    real = rng.standard_normal((60, 2)) * bandwidth
+    near = rng.standard_normal((20, 2)) * bandwidth
+    far = rng.standard_normal((10, 2)) * bandwidth + [85.0 * bandwidth, 0.0]
+    gaps = np.linalg.norm(real[:, None, :] - far[None, :, :], axis=2)
+    assert gaps.min() > 75.0 * bandwidth
+    assert not np.exp(-gaps ** 2 / 2.0 / bandwidth ** 2).any()
+
+    _, grads = assert_kde_matches_dense(real, np.vstack([near, far]), bandwidth)
+    assert not grads[len(near):].any()
+    assert grads[:len(near)].any()
+    # With only the far cluster every kernel underflows; the row-max shift
+    # keeps the value finite and the gradient pointing at the data.
+    value, grads = assert_kde_matches_dense(real, far, bandwidth)
+    assert np.isfinite(value)
+    assert np.all(grads[:, 0] < 0.0)
+
+
+def test_blocked_kde_clamps_distances_rounded_below_zero():
+    """Coincident points far from the origin: the matmul expansion of some
+    squared distances rounds below zero, and the clamp must hold them at 0."""
+    rng = np.random.default_rng(45)
+    points = rng.standard_normal((200, 64)) * 10.0 + 1000.0
+    sq = (points * points).sum(axis=1)
+    assert (np.diag(points @ (-2.0 * points.T)) + sq + sq < 0.0).any()
+    value = average_log_likelihood(points, points, 0.05)
+    ref_value = dense_average_log_likelihood(points, points, 0.05)
+    assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+
+
+def test_all_metric_value_and_query_match_dense():
+    gan, _ = pair("nonsaturating")
+    rng = np.random.default_rng(43)
+    params = gan.init_params(rng) + rng.normal(0.0, 0.1, gan.dim_params)
+    latents = rng.standard_normal((50, LATENT))
+    rows = rng.standard_normal((300, DATA))
+    context = MetricContext(real_data=rows)
+    spec = MetricSpec("all", bandwidth=0.7)
+    generated = gan.generator_forward(params, latents)
+
+    value = metric_value(spec, gan, params, latents, context)
+    ref_value = dense_average_log_likelihood(rows, generated, 0.7)
+    assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+    query = build_query_vector(spec, gan, params, latents, context)
+    ref = generator_pullback(gan, params, latents, dense_all_gradient(rows, generated, 0.7))
+    assert np.max(np.abs(query.data - ref.data)) <= 1e-12 * np.max(np.abs(ref.data))
+    assert not query.data[gan.dim_gen:].any()
+
+
+def test_kde_memory_is_bounded_at_paper_scale():
+    """n_reference = 10000 against 1000 points; one dense matrix is 80 MB."""
+    rng = np.random.default_rng(44)
+    real = rng.standard_normal((10000, 2))
+    generated = rng.standard_normal((1000, 2))
+    tracemalloc.start()
+    try:
+        average_log_likelihood(real, generated, 1.0)
+        _all_gradient(real, generated, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The block buffer itself shows, so NumPy's allocations are traced.
+    assert 8 * rows_per_block(1000) * 1000 <= peak < 8 * 2 ** 20
 
 
 # -- no tape on the metric path ------------------------------------------------------------

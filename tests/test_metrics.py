@@ -91,6 +91,14 @@ def test_all_rejects_empty_sets():
         average_log_likelihood(np.zeros((0, 2)), np.zeros((3, 2)), 1.0)
 
 
+def test_all_gradient_rejects_empty_sets():
+    for real, generated in [(np.zeros((0, 2)), np.zeros((3, 2))),
+                            (np.zeros((3, 2)), np.zeros((0, 2)))]:
+        with pytest.raises(ValueError, match="non-empty"):
+            metric_gradient_wrt_generated(MetricSpec("all"), generated,
+                                          MetricContext(real_data=real))
+
+
 def test_all_gradient_negligible_for_far_generated_point():
     rng = np.random.default_rng(1)
     real = rng.standard_normal((6, 2)) * 0.3

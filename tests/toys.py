@@ -10,11 +10,15 @@ The same mixin over ``FcGan`` (``TapeFcGan``) is the autodiff reference
 that the closed-form kernels are checked against, and the ``tape_*``
 functions are the references for the closed-form dense-stack backward and
 the classifier built on it.  ``loop_permutation_test_tau`` is the
-per-permutation reference for the vectorized permutation test.
+per-permutation reference for the vectorized permutation test, and the
+``dense_*`` KDE functions, which build the whole n_ref x n_gen matrix, are
+the reference for the blocked KDE.
 """
 
 import numpy as np
 from scipy import stats
+from scipy.special import logsumexp as np_logsumexp
+from scipy.special import softmax as np_softmax
 
 from gantrace.autodiff import Tensor, backward, concat_vec, constant, logsumexp, vjp_of_gradient
 from gantrace.experiments import PermutationResult
@@ -163,6 +167,32 @@ def loop_permutation_test_tau(estimated, true, n_permutations=1000, rng=None):
     threshold = float(np.quantile(null, 0.975))
     p_value = float((np.sum(null >= observed) + 1) / (n_permutations + 1))
     return PermutationResult(observed, threshold, p_value, n_permutations)
+
+
+def _pairwise_sq_dists(a, b):
+    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+    return np.maximum(sq, 0.0)
+
+
+def dense_average_log_likelihood(real, generated, bandwidth):
+    """``metrics.average_log_likelihood`` over the whole n_ref x n_gen matrix at once."""
+    real = np.atleast_2d(np.asarray(real, dtype=np.float64))
+    generated = np.atleast_2d(np.asarray(generated, dtype=np.float64))
+    h2 = bandwidth * bandwidth
+    log_kernels = -_pairwise_sq_dists(real, generated) / (2.0 * h2)
+    log_density = (np_logsumexp(log_kernels, axis=1) - np.log(generated.shape[0])
+                   - 0.5 * real.shape[1] * np.log(2.0 * np.pi * h2))
+    return float(log_density.mean())
+
+
+def dense_all_gradient(real, generated, bandwidth):
+    """``metrics._all_gradient`` over the whole n_ref x n_gen matrix at once."""
+    real = np.atleast_2d(np.asarray(real, dtype=np.float64))
+    generated = np.atleast_2d(np.asarray(generated, dtype=np.float64))
+    h2 = bandwidth * bandwidth
+    weights = np_softmax(-_pairwise_sq_dists(real, generated) / (2.0 * h2), axis=1)
+    pulled = weights.T @ real - weights.sum(axis=0)[:, None] * generated
+    return pulled / (real.shape[0] * h2)
 
 
 class QuadraticGameProblem(TapeGradients):
