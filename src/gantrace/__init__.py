@@ -28,7 +28,7 @@ from .metrics import (
     train_classifier,
 )
 from .models import FcGan, GanArchitecture, MlpLayout, joint_gradient
-from .oracle import CounterfactualResult, batch_oracle, counterfactual_retrain, true_influence_on_metric
+from .oracle import CounterfactualResult, counterfactual_retrain, metric_deltas
 from .training import (
     DivergenceError,
     StepRecord,

@@ -20,6 +20,7 @@ from .config import ExperimentConfig, load_config, synthesize_dataset, trace_fin
 from .datasets import dataset_checksum
 from .experiments import (
     _stream,
+    evaluation_context,
     prepare_seed_run,
     run_data_cleansing,
     run_estimation_accuracy,
@@ -30,8 +31,8 @@ from .experiments import (
     write_scatter_data,
 )
 from .influence import infer_linear_influence, save_influence_csv, save_influence_json
-from .metrics import MetricSpec, build_query_vector, metric_value
-from .oracle import counterfactual_retrain
+from .metrics import MetricSpec, build_query_vector
+from .oracle import metric_deltas
 from .training import DivergenceError, load_trace, run_training, save_trace, trace_checksum
 
 
@@ -133,11 +134,10 @@ def _load_matching_trace(args, config: ExperimentConfig):
 def _cmd_influence(args) -> int:
     config = _load(args)
     problem, data, trace = _load_matching_trace(args, config)
-    run = prepare_seed_run(config, config.training.seed)
+    latents, context = evaluation_context(config, config.training.seed)
     kind = args.metric or config.metrics[0]
     spec = MetricSpec(kind, bandwidth=config.bandwidth)
-    query = build_query_vector(spec, problem, trace.final_params,
-                               run.reference_latents, run.context)
+    query = build_query_vector(spec, problem, trace.final_params, latents, context)
     targets = None
     if args.targets is not None:
         targets = np.sort(_stream(config.training.seed, "targets").choice(
@@ -153,29 +153,24 @@ def _cmd_influence(args) -> int:
 def _cmd_oracle(args) -> int:
     config = _load(args)
     problem, data, trace = _load_matching_trace(args, config)
-    run = prepare_seed_run(config, config.training.seed)
+    latents, context = evaluation_context(config, config.training.seed)
     targets = np.sort(_stream(config.training.seed, "targets").choice(
         config.dataset.n_train, size=args.targets, replace=False))
     specs = config.metric_specs()
     queries = {spec.kind: build_query_vector(spec, problem, trace.final_params,
-                                             run.reference_latents, run.context)
+                                             latents, context)
                for spec in specs}
-    baselines = {spec.kind: metric_value(spec, problem, trace.final_params,
-                                         run.reference_latents, run.context)
-                 for spec in specs}
     tables = {spec.kind: infer_linear_influence(problem, trace, data, queries[spec.kind],
                                                 targets=targets, k_epochs=args.k)
               for spec in specs}
+    truths = metric_deltas(problem, trace, data, targets, args.k, specs, latents, context)
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["index", "metric", "true_influence", "estimated_influence"])
-        for target in targets:
-            result = counterfactual_retrain(problem, trace, data, int(target), k_epochs=args.k)
+        for position, target in enumerate(targets):
             for spec in specs:
-                after = metric_value(spec, problem, result.params,
-                                     run.reference_latents, run.context)
                 writer.writerow([int(target), spec.kind,
-                                 repr(float(after - baselines[spec.kind])),
+                                 repr(float(truths[spec.kind][position])),
                                  repr(float(tables[spec.kind].scores[int(target)]))])
     print(f"oracle results: {args.out} ({len(targets)} targets)")
     return 0

@@ -33,7 +33,7 @@ from .metrics import (
     metric_value,
     train_classifier,
 )
-from .oracle import counterfactual_retrain
+from .oracle import counterfactual_retrain, metric_deltas
 from .training import TrainingTrace, run_training
 
 _STREAMS = {"dataset": 11, "reference": 13, "targets": 17, "test": 19,
@@ -183,9 +183,22 @@ def prepare_seed_run(config: ExperimentConfig, seed: int) -> SeedRun:
     fingerprint = trace_fingerprint(config, dataset_checksum(data))
     training = _reseeded(config, seed)
     trace = run_training(problem, data, training, fingerprint=fingerprint)
+    reference_latents, context = evaluation_context(config, seed)
+    return SeedRun(seed=seed, dataset=data, labels=labels, trace=trace,
+                   reference_latents=reference_latents, context=context,
+                   fingerprint=fingerprint)
 
+
+def evaluation_context(config: ExperimentConfig, seed: int
+                       ) -> tuple[np.ndarray, MetricContext]:
+    """Reference latents and metric context of a seed, drawn from its reference stream.
+
+    Needs no trace: the latents come first, then the reference set, and a
+    classifier is trained on that set when an IS or FID metric is configured.
+    """
     ref_rng = _stream(seed, "reference")
-    reference_latents = ref_rng.standard_normal((config.n_reference, problem.latent_dim))
+    reference_latents = ref_rng.standard_normal((config.n_reference,
+                                                 config.architecture.latent_dim))
     reference_data, reference_labels = _reference_set(config, ref_rng, config.n_reference)
     classifier = None
     if any(kind in ("is", "fid") for kind in config.metrics):
@@ -193,10 +206,7 @@ def prepare_seed_run(config: ExperimentConfig, seed: int) -> SeedRun:
             raise ValueError("classifier metrics need a labeled dataset kind")
         classifier = train_classifier(reference_data, reference_labels,
                                       config.classifier, seed=config.classifier_seed)
-    context = MetricContext(real_data=reference_data, classifier=classifier)
-    return SeedRun(seed=seed, dataset=data, labels=labels, trace=trace,
-                   reference_latents=reference_latents, context=context,
-                   fingerprint=fingerprint)
+    return reference_latents, MetricContext(real_data=reference_data, classifier=classifier)
 
 
 def _reseeded(config: ExperimentConfig, seed: int):
@@ -261,7 +271,9 @@ def run_estimation_accuracy(config: ExperimentConfig, seeds=None,
                                                  run.reference_latents, run.context)
                    for spec in config.metric_specs()}
         for k in config.k_epochs:
-            truths = _true_metric_deltas(config, problem, run, targets, k)
+            truths = metric_deltas(problem, run.trace, run.dataset, targets, k,
+                                   config.metric_specs(), run.reference_latents,
+                                   run.context)
             for spec in config.metric_specs():
                 true_vals = truths[spec.kind]
                 if self_test:
@@ -282,24 +294,6 @@ def run_estimation_accuracy(config: ExperimentConfig, seeds=None,
                     p_value=perm.p_value, threshold=perm.threshold))
         report.fingerprints[seed] = run.fingerprint
     return report
-
-
-def _true_metric_deltas(config: ExperimentConfig, problem, run: SeedRun,
-                        targets: np.ndarray, k: int) -> dict[str, np.ndarray]:
-    """Counterfactual metric changes for every target, one re-run per target."""
-    specs = config.metric_specs()
-    baselines = {spec.kind: metric_value(spec, problem, run.trace.final_params,
-                                         run.reference_latents, run.context)
-                 for spec in specs}
-    deltas = {spec.kind: np.empty(len(targets)) for spec in specs}
-    for position, target in enumerate(targets):
-        result = counterfactual_retrain(problem, run.trace, run.dataset,
-                                        int(target), k_epochs=k)
-        for spec in specs:
-            after = metric_value(spec, problem, result.params,
-                                 run.reference_latents, run.context)
-            deltas[spec.kind][position] = after - baselines[spec.kind]
-    return deltas
 
 
 # -- experiment 2: data cleansing --------------------------------------------------

@@ -10,6 +10,9 @@ The KDE never holds the n_ref x n_gen kernel matrix: its value and its
 gradient each stream one pass over blocks of reference rows, every row's
 log-sum-exp shifted by that row's largest log kernel, in one reused buffer
 of about ``_KDE_BLOCK_ENTRIES`` entries, so memory is O(block x n_generated).
+The FID's reference side (the mean, covariance and covariance square root
+of the reference set's classifier features) is fitted once per frozen
+``MetricContext`` and shared by every FID value and gradient read from it.
 
 Each metric's gradient with respect to the generated samples is analytic at
 the outer level; where samples pass through a network (classifier features
@@ -26,7 +29,9 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import softmax as np_softmax
@@ -59,12 +64,21 @@ class MetricSpec:
         return _HARMFUL_SIGNS[self.kind]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricContext:
-    """Auxiliary data the metrics draw on: reference set and classifier."""
+    """Auxiliary data the metrics draw on: reference set and classifier.
+
+    Frozen, so that the FID reference fit, computed on first use, always
+    describes the context's own reference set and classifier.
+    """
 
     real_data: np.ndarray | None = None
     classifier: "Classifier | None" = None
+
+    @cached_property
+    def fid_reference(self) -> "FeatureFit":
+        """Gaussian fit of the reference set's classifier features."""
+        return _fit_features(self.classifier.features(self.real_data))
 
 
 # -- average log-likelihood ---------------------------------------------------
@@ -194,6 +208,36 @@ def _psd_pinv(matrix: np.ndarray) -> np.ndarray:
     return (eigvecs * inv) @ eigvecs.T
 
 
+class FeatureFit(NamedTuple):
+    """Gaussian fit of one feature set, with the square root of its covariance."""
+
+    mean: np.ndarray
+    cov: np.ndarray
+    root: np.ndarray
+    most_negative: float
+
+
+def _fit_features(feats: np.ndarray) -> FeatureFit:
+    """Mean and unbiased (n - 1) covariance of a feature set, plus its root."""
+    feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
+    if len(feats) < 2:
+        raise ValueError("need at least two samples per side for covariances")
+    cov = np.atleast_2d(np.cov(feats, rowvar=False, ddof=1))
+    root, most_negative = _psd_sqrt(cov)
+    return FeatureFit(feats.mean(axis=0), cov, root, most_negative)
+
+
+def _cross_root(reference: FeatureFit, gen_feats: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Generated mean and covariance, and the root of B S2 B with B the reference root."""
+    gen_feats = np.atleast_2d(np.asarray(gen_feats, dtype=np.float64))
+    if len(gen_feats) < 2:
+        raise ValueError("need at least two samples per side for covariances")
+    sigma2 = np.atleast_2d(np.cov(gen_feats, rowvar=False, ddof=1))
+    cross, most_negative = _psd_sqrt(reference.root @ sigma2 @ reference.root)
+    return gen_feats.mean(axis=0), sigma2, cross, most_negative
+
+
 def fid(real_feats: np.ndarray, gen_feats: np.ndarray) -> float:
     """Frechet distance between Gaussian fits of the two feature sets.
 
@@ -201,52 +245,44 @@ def fid(real_feats: np.ndarray, gen_feats: np.ndarray) -> float:
     product square root is computed through the symmetric similarity form,
     so a single eigendecomposition of a symmetric matrix suffices.
     """
-    real_feats = np.atleast_2d(np.asarray(real_feats, dtype=np.float64))
-    gen_feats = np.atleast_2d(np.asarray(gen_feats, dtype=np.float64))
-    if len(real_feats) < 2 or len(gen_feats) < 2:
-        raise ValueError("need at least two samples per side for covariances")
-    mu1, mu2 = real_feats.mean(axis=0), gen_feats.mean(axis=0)
-    sigma1 = np.cov(real_feats, rowvar=False, ddof=1)
-    sigma2 = np.cov(gen_feats, rowvar=False, ddof=1)
-    sigma1, sigma2 = np.atleast_2d(sigma1), np.atleast_2d(sigma2)
-    root1, neg1 = _psd_sqrt(sigma1)
-    cross, neg_cross = _psd_sqrt(root1 @ sigma2 @ root1)
-    worst = min(neg1, neg_cross)
+    return _fid_from_fit(_fit_features(real_feats), gen_feats)
+
+
+def _fid_from_fit(reference: FeatureFit, gen_feats: np.ndarray) -> float:
+    """Frechet distance from a fitted reference side to a generated feature set."""
+    mu2, sigma2, cross, neg_cross = _cross_root(reference, gen_feats)
+    worst = min(reference.most_negative, neg_cross)
     if worst < -1e-6:
         warnings.warn(f"clipped eigenvalue {worst:.3e} in the Frechet distance",
-                      RuntimeWarning, stacklevel=2)
-    diff = mu1 - mu2
-    value = float(diff @ diff + np.trace(sigma1) + np.trace(sigma2) - 2.0 * np.trace(cross))
+                      RuntimeWarning, stacklevel=3)
+    diff = reference.mean - mu2
+    value = float(diff @ diff + np.trace(reference.cov) + np.trace(sigma2)
+                  - 2.0 * np.trace(cross))
     return max(value, 0.0)
 
 
-def _fid_gradient_wrt_features(real_feats: np.ndarray, gen_feats: np.ndarray) -> np.ndarray:
+def _fid_gradient_wrt_features(reference: FeatureFit, gen_feats: np.ndarray) -> np.ndarray:
     """Per-sample gradient of the Frechet distance in generated feature space.
 
     The covariance term uses d tr((S1 S2)^(1/2)) / d S2
     = (1/2) B (B S2 B)^(-1/2) B with B the square root of S1.
     """
-    real_feats = np.atleast_2d(np.asarray(real_feats, dtype=np.float64))
     gen_feats = np.atleast_2d(np.asarray(gen_feats, dtype=np.float64))
     n = len(gen_feats)
-    mu1, mu2 = real_feats.mean(axis=0), gen_feats.mean(axis=0)
-    sigma1 = np.atleast_2d(np.cov(real_feats, rowvar=False, ddof=1))
-    sigma2 = np.atleast_2d(np.cov(gen_feats, rowvar=False, ddof=1))
-    root1, _ = _psd_sqrt(sigma1)
-    cross, _ = _psd_sqrt(root1 @ sigma2 @ root1)
+    mu2, sigma2, cross, _ = _cross_root(reference, gen_feats)
+    root1 = reference.root
     sigma_grad = np.eye(len(sigma2)) - root1 @ _psd_pinv(cross) @ root1
     sigma_grad = 0.5 * (sigma_grad + sigma_grad.T)
-    mean_part = (2.0 / n) * (mu2 - mu1)[None, :]
+    mean_part = (2.0 / n) * (mu2 - reference.mean)[None, :]
     cov_part = (2.0 / (n - 1)) * (gen_feats - mu2) @ sigma_grad
     return mean_part + cov_part
 
 
-def _fid_gradient(generated: np.ndarray, classifier: "Classifier",
-                  real_data: np.ndarray) -> np.ndarray:
+def _fid_gradient(generated: np.ndarray, context: MetricContext) -> np.ndarray:
     generated = np.atleast_2d(np.asarray(generated, dtype=np.float64))
-    real_feats = classifier.features(real_data)
-    gen_feats = classifier.features(generated)
-    feat_grad = _fid_gradient_wrt_features(real_feats, gen_feats)
+    classifier = context.classifier
+    feat_grad = _fid_gradient_wrt_features(context.fid_reference,
+                                           classifier.features(generated))
     return classifier.input_pullback(generated, feat_grad, layer="features")
 
 
@@ -373,14 +409,14 @@ def evaluate_metric(spec: MetricSpec, generated: np.ndarray, context: MetricCont
 _METRIC_VALUES = {
     "all": lambda spec, gen, ctx: average_log_likelihood(ctx.real_data, gen, spec.bandwidth),
     "is": lambda spec, gen, ctx: inception_score(gen, ctx.classifier),
-    "fid": lambda spec, gen, ctx: fid(ctx.classifier.features(ctx.real_data),
-                                      ctx.classifier.features(gen)),
+    "fid": lambda spec, gen, ctx: _fid_from_fit(ctx.fid_reference,
+                                                ctx.classifier.features(gen)),
 }
 
 _METRIC_GRADS = {
     "all": lambda spec, gen, ctx: _all_gradient(ctx.real_data, gen, spec.bandwidth),
     "is": lambda spec, gen, ctx: _is_gradient(gen, ctx.classifier),
-    "fid": lambda spec, gen, ctx: _fid_gradient(gen, ctx.classifier, ctx.real_data),
+    "fid": lambda spec, gen, ctx: _fid_gradient(gen, ctx),
 }
 
 

@@ -1,21 +1,23 @@
 """Exact ground truth by re-running the recorded schedule without an instance.
 
-The counterfactual run starts from the snapshot at the window start and
-replays every recorded step with the same batches, latents and learning
-rates, dropping the excluded instances' data-term summands while keeping
-the original batch normalizer.  With nothing excluded the replay reproduces
+The counterfactual run starts at the first step of the window whose batch
+holds an excluded instance, from that step's recorded snapshot: every
+earlier step would replay exactly as recorded.  From there it replays every
+recorded step with the same batches, latents and learning rates, dropping
+the excluded instances' data-term summands while keeping the original batch
+normalizer.  When no step of the window holds an excluded instance the
+whole window is replayed, so with nothing excluded the replay reproduces
 the stored final parameters bit-exactly, which anchors every comparison.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .influence import window_start
+from .metrics import metric_value
 from .training import TrainingTrace, asgd_step, latents_from_seed
 
 
@@ -25,7 +27,6 @@ class CounterfactualResult:
     k_epochs: int
     params: np.ndarray
     delta: np.ndarray
-    metric_deltas: dict[str, float] = field(default_factory=dict)
 
 
 def _as_exclusion_set(excluded) -> set[int]:
@@ -40,76 +41,49 @@ def counterfactual_retrain(problem, trace: TrainingTrace, dataset: np.ndarray,
 
     ``excluded`` may be a single index or a set; exclusion drops those
     rows from every batch they appear in while the loss normalizer stays
-    the full batch size.
+    the full batch size.  The replay starts at the first step of the window
+    that holds an excluded instance, or at the window start if none does.
     """
     dataset = np.asarray(dataset, dtype=np.float64)
-    exclusion = _as_exclusion_set(excluded)
-    start = window_start(trace, k_epochs)
-    params = trace.records[start].params.copy()
-    for record in trace.records[start:]:
+    exclusion = sorted(_as_exclusion_set(excluded))
+    window = trace.records[window_start(trace, k_epochs):]
+    batches = [record.batch_indices for record in window]
+    # One membership test over the whole window, cut back into per-step masks.
+    dropped = np.split(np.isin(np.concatenate(batches), exclusion),
+                       np.cumsum([len(idx) for idx in batches])[:-1])
+    first = next((t for t, drop in enumerate(dropped) if drop.any()), 0)
+    params = window[first].params.copy()
+    for record, drop in zip(window[first:], dropped[first:]):
         idx = record.batch_indices
-        keep = np.fromiter((int(j) not in exclusion for j in idx), dtype=bool, count=len(idx))
         latents = latents_from_seed(record.latent_seed, len(idx), problem.latent_dim)
-        params = asgd_step(problem, params, dataset[idx[keep]], latents,
+        params = asgd_step(problem, params, dataset[idx[~drop]], latents,
                            record.lr_gen, record.lr_disc, denom=len(idx))
     k_used = trace.epochs if k_epochs is None else int(k_epochs)
     return CounterfactualResult(
-        excluded=tuple(sorted(exclusion)),
+        excluded=tuple(exclusion),
         k_epochs=k_used,
         params=params,
         delta=params - trace.final_params,
     )
 
 
-def true_influence_on_metric(problem, base_params: np.ndarray, cf_params: np.ndarray,
-                             spec, eval_latents: np.ndarray, context) -> float:
-    """Signed metric change caused by the exclusion, on shared evaluation latents.
+def metric_deltas(problem, trace: TrainingTrace, dataset: np.ndarray, targets,
+                  k_epochs: int | None, specs, eval_latents: np.ndarray,
+                  context) -> dict[str, np.ndarray]:
+    """True metric change from dropping each target alone, one replay per target.
 
-    Evaluating both parameter vectors on the same latent set removes the
-    Monte Carlo noise between the two readings.
+    Both readings of a delta use the same evaluation latents, which removes
+    the Monte Carlo noise between them; the baseline reading of each metric
+    is taken once.  Each array is aligned with ``targets``.
     """
-    from .metrics import metric_value
-
-    before = metric_value(spec, problem, base_params, eval_latents, context)
-    after = metric_value(spec, problem, cf_params, eval_latents, context)
-    return after - before
-
-
-def _oracle_task(args) -> tuple[int, CounterfactualResult]:
-    problem, trace, dataset, target, k_epochs = args
-    return target, counterfactual_retrain(problem, trace, dataset, target, k_epochs)
-
-
-def batch_oracle(problem, trace: TrainingTrace, dataset: np.ndarray,
-                 targets: Iterable[int], k_epochs: int | None = None,
-                 specs=(), eval_latents: np.ndarray | None = None,
-                 context=None, n_workers: int = 1) -> dict[int, CounterfactualResult]:
-    """Independent counterfactual re-runs for every target.
-
-    Re-runs over the read-only trace are embarrassingly parallel; with
-    ``n_workers`` above one they fan out to a process pool and results are
-    merged by target.  When metric specs are given, each result carries the
-    true metric deltas; the baseline metric values are computed once.
-    """
-    ordered = list(dict.fromkeys(int(t) for t in targets))
-    results: dict[int, CounterfactualResult] = {}
-    if n_workers > 1 and len(ordered) > 1:
-        tasks = [(problem, trace, dataset, target, k_epochs) for target in ordered]
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            for target, result in pool.map(_oracle_task, tasks):
-                results[target] = result
-    else:
-        for target in ordered:
-            results[target] = counterfactual_retrain(problem, trace, dataset,
-                                                     target, k_epochs)
-    if specs:
-        from .metrics import metric_value
-
-        baselines = {spec.kind: metric_value(spec, problem, trace.final_params,
-                                             eval_latents, context)
-                     for spec in specs}
-        for result in results.values():
-            for spec in specs:
-                after = metric_value(spec, problem, result.params, eval_latents, context)
-                result.metric_deltas[spec.kind] = after - baselines[spec.kind]
-    return results
+    targets = [int(t) for t in targets]
+    baselines = {spec.kind: metric_value(spec, problem, trace.final_params,
+                                         eval_latents, context)
+                 for spec in specs}
+    deltas = {spec.kind: np.empty(len(targets)) for spec in specs}
+    for position, target in enumerate(targets):
+        result = counterfactual_retrain(problem, trace, dataset, target, k_epochs)
+        for spec in specs:
+            after = metric_value(spec, problem, result.params, eval_latents, context)
+            deltas[spec.kind][position] = after - baselines[spec.kind]
+    return deltas

@@ -4,9 +4,11 @@ from pathlib import Path
 
 import pytest
 
+import gantrace.cli
 from gantrace.cli import main as cli_main
 from gantrace.config import load_config
 from gantrace.experiments import (
+    evaluation_context,
     prepare_seed_run,
     run_data_cleansing,
     run_estimation_accuracy,
@@ -17,6 +19,7 @@ from gantrace.experiments import (
 )
 from gantrace.influence import infer_linear_influence
 from gantrace.metrics import MetricSpec, build_query_vector
+from gantrace.oracle import metric_deltas
 from gantrace.training import load_trace
 
 MINI_CONFIG = """
@@ -142,6 +145,47 @@ def test_report_files_roundtrip(mini_config, tmp_path):
     assert len(scatter) == 60
     ranks = sorted(int(r["harmfulness_rank"]) for r in scatter)
     assert ranks == list(range(60))
+
+
+@pytest.mark.parametrize("name", ["normal2d_desk", "digits8_smoke"])
+@pytest.mark.parametrize("seed", [1, 3])
+def test_evaluation_context_matches_prepare_seed_run(name, seed):
+    config = load_config(Path(__file__).parent.parent / "configs" / f"{name}.ini")
+    latents, context = evaluation_context(config, seed)
+    run = prepare_seed_run(config, seed)
+    assert latents.tobytes() == run.reference_latents.tobytes()
+    assert context.real_data.tobytes() == run.context.real_data.tobytes()
+    if name == "digits8_smoke":
+        assert context.classifier.params.tobytes() == run.context.classifier.params.tobytes()
+    else:
+        assert context.classifier is None and run.context.classifier is None
+
+
+def test_cli_influence_and_oracle_do_not_retrain(mini_config, tmp_path, capsys, monkeypatch):
+    config, path = mini_config
+    cli_main(["train", "--config", str(path), "--out", str(tmp_path / "trace")])
+    run = prepare_seed_run(config, config.training.seed)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command retrained the trace")
+
+    monkeypatch.setattr(gantrace.cli, "prepare_seed_run", refuse)
+    common = ["--config", str(path), "--trace", str(tmp_path / "trace"), "--k", "1"]
+    assert cli_main(["influence", *common, "--out", str(tmp_path / "scores.csv")]) == 0
+    assert cli_main(["oracle", *common, "--targets", "4",
+                     "--out", str(tmp_path / "oracle.csv")]) == 0
+    spec = MetricSpec("all")
+    query = build_query_vector(spec, config.problem(), run.trace.final_params,
+                               run.reference_latents, run.context)
+    table = infer_linear_influence(config.problem(), run.trace, run.dataset, query,
+                                   k_epochs=1)
+    scores = json.loads((tmp_path / "scores.json").read_text())["scores"]
+    assert all(scores[str(j)] == table.scores[j] for j in range(len(run.dataset)))
+    rows = list(csv.DictReader(open(tmp_path / "oracle.csv")))
+    targets = [int(r["index"]) for r in rows]
+    truths = metric_deltas(config.problem(), run.trace, run.dataset, targets, 1, [spec],
+                           run.reference_latents, run.context)
+    assert [float(r["true_influence"]) for r in rows] == list(truths["all"])
 
 
 def _with(config, **changes):

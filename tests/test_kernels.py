@@ -8,8 +8,11 @@ clamp conventions distinguish.  The dense-stack backward
 the ``tape_*`` references the same way, the vectorized permutation test
 against a loop over ``scipy.stats.kendalltau``, and the blocked KDE against
 the dense ``dense_*`` references, which build the whole kernel matrix.
+The FID value and query that read a context's cached reference fit are
+checked against the uncached forms.
 """
 
+import dataclasses
 import sys
 import tracemalloc
 
@@ -31,6 +34,7 @@ from gantrace.metrics import (
     average_log_likelihood,
     build_query_vector,
     expected_disc_loss,
+    fid,
     generator_pullback,
     metric_value,
     train_classifier,
@@ -46,6 +50,7 @@ from toys import (
     tape_input_pullback,
     tape_mlp_vjp,
     tape_train_classifier,
+    uncached_fid_gradient,
 )
 
 LATENT, DATA, HIDDEN_GEN, HIDDEN_DISC = 3, 2, 6, 8
@@ -481,3 +486,55 @@ def test_metric_path_builds_no_tape(tmp_path, monkeypatch):
         query = build_query_vector(MetricSpec(kind), problem, run.trace.final_params,
                                    run.reference_latents, run.context)
         assert query.data.any()
+
+
+# -- FID reference fit, once per context ----------------------------------------------------
+
+@pytest.fixture
+def tiny_digits_run(tmp_path):
+    path = tmp_path / "tiny.ini"
+    path.write_text(TINY_DIGITS)
+    config = load_config(path)
+    return config.problem(), prepare_seed_run(config, 2)
+
+
+def test_fid_value_and_query_match_the_uncached_forms(tiny_digits_run):
+    problem, run = tiny_digits_run
+    clf, real = run.context.classifier, run.context.real_data
+    params, latents = run.trace.final_params, run.reference_latents
+    generated = problem.generator_forward(params, latents)
+    value = metric_value(MetricSpec("fid"), problem, params, latents, run.context)
+    assert value == fid(clf.features(real), clf.features(generated))
+    query = build_query_vector(MetricSpec("fid"), problem, params, latents, run.context)
+    ref = generator_pullback(problem, params, latents,
+                             uncached_fid_gradient(generated, clf, real))
+    assert np.array_equal(query.data, ref.data)
+
+
+def test_fid_reference_features_are_computed_once(tiny_digits_run, monkeypatch):
+    problem, run = tiny_digits_run
+    context = MetricContext(real_data=run.context.real_data,
+                            classifier=run.context.classifier)
+    features = context.classifier.features
+    reference_calls = []
+
+    def counting_features(x):
+        reference_calls.append(x is context.real_data)
+        return features(x)
+
+    monkeypatch.setattr(context.classifier, "features", counting_features)
+    rng = np.random.default_rng(45)
+    params = run.trace.final_params
+    for _ in range(3):
+        latents = rng.standard_normal(run.reference_latents.shape)
+        metric_value(MetricSpec("fid"), problem, params, latents, context)
+        build_query_vector(MetricSpec("fid"), problem, params, latents, context)
+    assert sum(reference_calls) == 1 and len(reference_calls) == 7
+
+
+def test_metric_context_is_frozen(tiny_digits_run):
+    _, run = tiny_digits_run
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        run.context.real_data = run.context.real_data[:10]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        run.context.classifier = None

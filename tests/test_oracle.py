@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from gantrace.influence import QueryVector, infer_linear_influence
+import gantrace.oracle
+from gantrace.influence import QueryVector, infer_linear_influence, window_start
 from gantrace.metrics import MetricContext, MetricSpec
 from gantrace.models import FcGan, GanArchitecture, data_term_gradient
-from gantrace.oracle import batch_oracle, counterfactual_retrain, true_influence_on_metric
+from gantrace.oracle import counterfactual_retrain, metric_deltas
 from gantrace.training import TrainingSettings, run_training
+from toys import build_trace, full_window_retrain, true_influence_on_metric
 
 
 def normal2d(n, seed):
@@ -120,52 +122,90 @@ def test_constant_metric_stub_gives_zero_influence(gan, trained, monkeypatch):
     assert value == 0.0
 
 
-def test_batch_oracle_empty_and_duplicate_targets(gan, trained):
+def test_metric_deltas_empty_and_duplicate_targets(gan, trained):
     data, trace = trained
-    assert batch_oracle(gan, trace, data, targets=[]) == {}
-    results = batch_oracle(gan, trace, data, targets=[5, 5, 5], k_epochs=1)
-    assert list(results) == [5]
-    again = counterfactual_retrain(gan, trace, data, 5, k_epochs=1)
-    assert np.array_equal(results[5].params, again.params)
-
-
-def test_batch_oracle_fills_metric_deltas(gan, trained):
-    data, trace = trained
-    rng = np.random.default_rng(16)
-    latents = rng.standard_normal((30, 3))
+    latents = np.random.default_rng(16).standard_normal((30, 3))
     context = MetricContext(real_data=normal2d(30, 17))
-    results = batch_oracle(gan, trace, data, targets=[1, 2], k_epochs=1,
-                           specs=[MetricSpec("all")], eval_latents=latents,
-                           context=context)
-    for target in (1, 2):
-        assert "all" in results[target].metric_deltas
-        assert np.isfinite(results[target].metric_deltas["all"])
+    specs = [MetricSpec("all")]
+    empty = metric_deltas(gan, trace, data, [], 1, specs, latents, context)
+    assert list(empty) == ["all"] and empty["all"].shape == (0,)
+    repeated = metric_deltas(gan, trace, data, [5, 5, 5], 1, specs, latents, context)
+    alone = metric_deltas(gan, trace, data, [5], 1, specs, latents, context)
+    assert np.array_equal(repeated["all"], np.repeat(alone["all"], 3))
 
 
-def test_batch_oracle_runtime_budget():
-    # Ten one-epoch re-runs at desk scale must complete in well under a
-    # minute; the bound is generous to stay robust on slow machines.
-    import time
-
-    from gantrace.datasets import sample_normal2d
-    from gantrace.models import FcGan, GanArchitecture
-
-    gan = FcGan(GanArchitecture(latent_dim=10, data_dim=2, hidden_gen=32,
-                                hidden_disc=64, l2_rate=1e-3))
-    data = sample_normal2d(1000, np.random.default_rng(20))
-    trace = run_training(gan, data, TrainingSettings(
-        epochs=5, batch_size=100, lr_gen=1e-3, lr_disc=1e-3, seed=21))
-    start = time.perf_counter()
-    results = batch_oracle(gan, trace, data, targets=range(10), k_epochs=1)
-    elapsed = time.perf_counter() - start
-    assert len(results) == 10
-    assert elapsed < 60.0
-
-
-def test_batch_oracle_worker_pool_matches_serial(gan, trained):
+def test_metric_deltas_fill_every_metric(gan, trained):
     data, trace = trained
-    serial = batch_oracle(gan, trace, data, targets=[0, 3, 9], k_epochs=1)
-    parallel = batch_oracle(gan, trace, data, targets=[0, 3, 9], k_epochs=1,
-                            n_workers=2)
-    for target in (0, 3, 9):
-        assert np.array_equal(serial[target].params, parallel[target].params)
+    latents = np.random.default_rng(16).standard_normal((30, 3))
+    context = MetricContext(real_data=normal2d(30, 17))
+    specs = [MetricSpec("all"), MetricSpec("disc_loss")]
+    deltas = metric_deltas(gan, trace, data, [2, 1], 1, specs, latents, context)
+    for spec in specs:
+        for position, target in enumerate((2, 1)):
+            cf = counterfactual_retrain(gan, trace, data, target, k_epochs=1)
+            expected = true_influence_on_metric(gan, trace.final_params, cf.params,
+                                                spec, latents, context)
+            assert deltas[spec.kind][position] == expected
+            assert np.isfinite(expected)
+
+
+# -- replay from the first excluded step ---------------------------------------------
+
+def count_replayed_steps(monkeypatch):
+    calls = []
+    step = gantrace.oracle.asgd_step
+
+    def counting_step(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(gantrace.oracle, "asgd_step", counting_step)
+    return calls
+
+
+def first_occurrence(trace, excluded, k_epochs):
+    start = window_start(trace, k_epochs)
+    return next((t for t in range(start, trace.n_steps)
+                 if np.isin(trace.records[t].batch_indices, list(excluded)).any()), start)
+
+
+def assert_replay_matches_full_window(gan, trace, data, excluded, k, calls):
+    del calls[:]
+    got = counterfactual_retrain(gan, trace, data, excluded, k_epochs=k)
+    assert len(calls) == trace.n_steps - first_occurrence(trace, excluded, k)
+    assert np.array_equal(got.params, full_window_retrain(gan, trace, data, excluded, k))
+
+
+def test_replay_from_first_occurrence_is_bit_exact(gan, trained, monkeypatch):
+    data, trace = trained
+    calls = count_replayed_steps(monkeypatch)
+    for k in (1, 2):
+        for j in range(len(data)):
+            assert_replay_matches_full_window(gan, trace, data, [j], k, calls)
+        assert_replay_matches_full_window(gan, trace, data, {3, 17, 20}, k, calls)
+    # The first batch of the last epoch: the replay covers the whole window.
+    window_first = int(trace.records[window_start(trace, 1)].batch_indices[0])
+    assert_replay_matches_full_window(gan, trace, data, [window_first], 1, calls)
+    assert len(calls) == trace.n_steps - window_start(trace, 1)
+
+
+def test_instance_only_in_the_final_step_replays_one_step(gan, monkeypatch):
+    data = normal2d(10, 18)
+    theta0 = gan.init_params(np.random.default_rng(19))
+    schedule = [np.array([0, 1, 2, 3]), np.array([4, 5, 6, 7]), np.array([0, 4, 8, 9])]
+    trace = build_trace(gan, data, schedule, [(1e-3, 1e-3)] * 3, theta0)
+    calls = count_replayed_steps(monkeypatch)
+    for excluded, replayed in (([8], 1), ([9, 8], 1), ([5], 2), ([0], 3), ([2, 9], 3)):
+        assert_replay_matches_full_window(gan, trace, data, excluded, None, calls)
+        assert len(calls) == replayed
+
+
+def test_empty_or_untouched_exclusion_replays_the_whole_window(gan, trained, monkeypatch):
+    data, trace = trained
+    calls = count_replayed_steps(monkeypatch)
+    for excluded in ([], [len(data) + 5], {-1}):
+        for k in (1, 2):
+            del calls[:]
+            result = counterfactual_retrain(gan, trace, data, excluded, k_epochs=k)
+            assert len(calls) == trace.n_steps - window_start(trace, k)
+            assert np.array_equal(result.params, trace.final_params)

@@ -12,7 +12,12 @@ functions are the references for the closed-form dense-stack backward and
 the classifier built on it.  ``loop_permutation_test_tau`` is the
 per-permutation reference for the vectorized permutation test, and the
 ``dense_*`` KDE functions, which build the whole n_ref x n_gen matrix, are
-the reference for the blocked KDE.
+the reference for the blocked KDE.  ``full_window_retrain`` is the oracle
+that replays the whole window whatever it excludes, the reference for the
+replay that starts at the first excluded step; ``uncached_fid_gradient``
+refits the FID reference side on every call, the reference for the fit a
+``MetricContext`` keeps; and ``true_influence_on_metric`` reads one metric
+change from two parameter vectors.
 """
 
 import numpy as np
@@ -22,9 +27,10 @@ from scipy.special import softmax as np_softmax
 
 from gantrace.autodiff import Tensor, backward, concat_vec, constant, logsumexp, vjp_of_gradient
 from gantrace.experiments import PermutationResult
-from gantrace.metrics import Classifier
+from gantrace.influence import window_start
+from gantrace.metrics import Classifier, _psd_pinv, _psd_sqrt, metric_value
 from gantrace.models import FcGan, MlpLayout
-from gantrace.training import DivergenceError
+from gantrace.training import DivergenceError, asgd_step, latents_from_seed
 
 
 def gen_batch_loss_graph(problem, theta, latents):
@@ -193,6 +199,46 @@ def dense_all_gradient(real, generated, bandwidth):
     weights = np_softmax(-_pairwise_sq_dists(real, generated) / (2.0 * h2), axis=1)
     pulled = weights.T @ real - weights.sum(axis=0)[:, None] * generated
     return pulled / (real.shape[0] * h2)
+
+
+def full_window_retrain(problem, trace, dataset, excluded, k_epochs=None):
+    """Counterfactual parameters from a replay of the whole window."""
+    dataset = np.asarray(dataset, dtype=np.float64)
+    exclusion = {int(excluded)} if np.isscalar(excluded) else {int(j) for j in excluded}
+    start = window_start(trace, k_epochs)
+    params = trace.records[start].params.copy()
+    for record in trace.records[start:]:
+        idx = record.batch_indices
+        keep = np.fromiter((int(j) not in exclusion for j in idx), dtype=bool, count=len(idx))
+        latents = latents_from_seed(record.latent_seed, len(idx), problem.latent_dim)
+        params = asgd_step(problem, params, dataset[idx[keep]], latents,
+                           record.lr_gen, record.lr_disc, denom=len(idx))
+    return params
+
+
+def true_influence_on_metric(problem, base_params, cf_params, spec, eval_latents, context):
+    """Signed metric change caused by the exclusion, on shared evaluation latents."""
+    before = metric_value(spec, problem, base_params, eval_latents, context)
+    after = metric_value(spec, problem, cf_params, eval_latents, context)
+    return after - before
+
+
+def uncached_fid_gradient(generated, classifier, real_data):
+    """The FID's per-sample input gradient with the reference side fitted afresh."""
+    generated = np.atleast_2d(np.asarray(generated, dtype=np.float64))
+    real_feats = classifier.features(real_data)
+    gen_feats = classifier.features(generated)
+    n = len(gen_feats)
+    mu1, mu2 = real_feats.mean(axis=0), gen_feats.mean(axis=0)
+    sigma1 = np.atleast_2d(np.cov(real_feats, rowvar=False, ddof=1))
+    sigma2 = np.atleast_2d(np.cov(gen_feats, rowvar=False, ddof=1))
+    root1, _ = _psd_sqrt(sigma1)
+    cross, _ = _psd_sqrt(root1 @ sigma2 @ root1)
+    sigma_grad = np.eye(len(sigma2)) - root1 @ _psd_pinv(cross) @ root1
+    sigma_grad = 0.5 * (sigma_grad + sigma_grad.T)
+    mean_part = (2.0 / n) * (mu2 - mu1)[None, :]
+    cov_part = (2.0 / (n - 1)) * (gen_feats - mu2) @ sigma_grad
+    return classifier.input_pullback(generated, mean_part + cov_part, layer="features")
 
 
 class QuadraticGameProblem(TapeGradients):
