@@ -7,7 +7,8 @@ scored instance, the inner product of the query's discriminator block with
 that instance's data-term gradient, scaled by the step's discriminator rate
 over the batch size, is added to the instance's score.  One backward sweep
 serves every instance; the per-step cost is a single vector-Jacobian
-product plus one batched score computation.
+product plus one batched score computation.  Each step's latent batch is
+the record's own, drawn once per trace, so repeated sweeps never redraw it.
 
 A forward variant that assembles the full parameter-shift vector with
 finite-difference Jacobian-vector products is provided for validation at
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .models import data_term_gradient, data_term_scores, joint_gradient
-from .training import StepRecord, TrainingTrace, latents_from_seed
+from .training import StepRecord, TrainingTrace
 
 
 @dataclass
@@ -113,8 +114,7 @@ def propagate_query(problem, query: np.ndarray, record: StepRecord,
     product to one vector-Jacobian product, so no square matrix is ever
     formed.
     """
-    latents = latents_from_seed(record.latent_seed, len(record.batch_indices),
-                                problem.latent_dim)
+    latents = record.latents(problem.latent_dim)
     d = problem.dim_gen
     scaled = np.concatenate([record.lr_gen * query[:d], record.lr_disc * query[d:]])
     return query - problem.joint_gradient_vjp(scaled, record.params, latents, data_rows,
@@ -129,8 +129,10 @@ def infer_linear_influence(problem, trace: TrainingTrace, dataset: np.ndarray,
 
     Scores accumulate in 64-bit with compensated summation across a
     target's occurrences.  Instances with no occurrence inside the traced
-    window keep an exact zero.  The query propagation is identical
-    regardless of the target set.
+    window keep an exact zero.  A step whose batch holds a target scores
+    every row of the batch, so an instance's score, like the query
+    propagation, is identical regardless of the target set.  Targets must
+    be instance indices in ``[0, n_train)``.
     """
     _check_query(trace, query)
     dataset = np.asarray(dataset, dtype=np.float64)
@@ -139,33 +141,34 @@ def infer_linear_influence(problem, trace: TrainingTrace, dataset: np.ndarray,
         raise ValueError(f"start step {start} outside trace of {trace.n_steps} steps")
     if targets is None:
         targets = range(trace.n_train)
-    targets = [int(j) for j in targets]
-    target_set = set(targets)
+    targets = np.array([int(j) for j in targets], dtype=np.int64)
+    if targets.size and (targets.min() < 0 or targets.max() >= trace.n_train):
+        raise ValueError(f"targets must be instance indices in [0, {trace.n_train})")
+    is_target = np.zeros(trace.n_train, dtype=bool)
+    is_target[targets] = True
 
-    sums = {j: 0.0 for j in target_set}
-    carry = {j: 0.0 for j in target_set}
+    sums = np.zeros(trace.n_train)
+    carry = np.zeros(trace.n_train)
     current = query.data.copy()
     for record in reversed(trace.records[start:]):
         idx = record.batch_indices
-        hit_mask = np.fromiter((int(j) in target_set for j in idx), dtype=bool, count=len(idx))
-        if hit_mask.any() and record.lr_disc != 0.0:
-            hit_indices = idx[hit_mask]
-            per_row = data_term_scores(problem, current[trace.dim_gen:],
-                                       record.params, dataset[hit_indices])
-            coeff = record.lr_disc / len(idx)
-            for j, value in zip(hit_indices, per_row):
-                j = int(j)
-                # Kahan step: occurrences across epochs can partially cancel.
-                y = coeff * value - carry[j]
-                t = sums[j] + y
-                carry[j] = (t - sums[j]) - y
-                sums[j] = t
-        current = propagate_query(problem, current, record, dataset[idx])
+        rows = dataset[idx]
+        if record.lr_disc != 0.0 and is_target[idx].any():
+            values = (record.lr_disc / len(idx)) * data_term_scores(
+                problem, current[trace.dim_gen:], record.params, rows)
+            # Kahan step, since occurrences across epochs can partially
+            # cancel; a batch's indices are distinct, so each instance's
+            # update is the scalar one.
+            y = values - carry[idx]
+            t = sums[idx] + y
+            carry[idx] = (t - sums[idx]) - y
+            sums[idx] = t
+        current = propagate_query(problem, current, record, rows)
 
     k_used = trace.epochs if k_epochs is None else int(k_epochs)
     return InfluenceTable(
         metric_name=query.label,
-        scores={j: float(sums[j]) for j in targets},
+        scores={int(j): float(sums[j]) for j in targets},
         k_epochs=k_used,
         query_fingerprint=query.fingerprint,
     )
@@ -211,7 +214,7 @@ def estimate_influence_vector(problem, trace: TrainingTrace, dataset: np.ndarray
     shift = np.zeros(problem.dim_params)
     for record in trace.records[start:]:
         idx = record.batch_indices
-        latents = latents_from_seed(record.latent_seed, len(idx), problem.latent_dim)
+        latents = record.latents(problem.latent_dim)
         if np.any(shift):
             jv = jacobian_vector_product_fd(problem, record.params, shift, latents,
                                             dataset[idx], denom=len(latents))
@@ -265,8 +268,7 @@ def cross_block_transfer_check(problem, trace: TrainingTrace, dataset: np.ndarra
         probe = np.concatenate([np.zeros(d), rng.standard_normal(problem.dim_disc)])
         probe /= np.linalg.norm(probe)
     probe = np.asarray(probe, dtype=np.float64)
-    latents = latents_from_seed(record.latent_seed, len(record.batch_indices),
-                                problem.latent_dim)
+    latents = record.latents(problem.latent_dim)
     rows = dataset[record.batch_indices]
 
     disc_only = np.concatenate([np.zeros(d), probe[d:]])

@@ -9,7 +9,9 @@ scores the discriminator's expected loss and serves as a baseline selector.
 The KDE never holds the n_ref x n_gen kernel matrix: its value and its
 gradient each stream one pass over blocks of reference rows, every row's
 log-sum-exp shifted by that row's largest log kernel, in one reused buffer
-of about ``_KDE_BLOCK_ENTRIES`` entries, so memory is O(block x n_generated).
+of about ``_KDE_BLOCK_ENTRIES`` entries, so memory is O(block x n_generated)
+beside the two point sets.  Each block's squared distances come from one
+matmul of operands augmented with the squared norms.
 The FID's reference side (the mean, covariance and covariance square root
 of the reference set's classifier features) is fitted once per frozen
 ``MetricContext`` and shared by every FID value and gradient read from it.
@@ -106,16 +108,20 @@ def _kde_blocks(real: np.ndarray, generated: np.ndarray, h2: float):
     """
     n_gen = len(generated)
     step = max(1, _KDE_BLOCK_ENTRIES // n_gen)
-    real_sq = (real * real).sum(axis=1)
-    gen_sq = (generated * generated).sum(axis=1)
-    minus_two_gen_t = -2.0 * generated.T  # scaling by a power of two is exact
+    # Squared distances |r|^2 - 2 r.g + |g|^2 as one matmul of augmented
+    # operands [r, |r|^2, 1] and [-2 g; 1; |g|^2], built once per call.
+    # Scaling by -2 is exact.  The -1/(2 h^2) scale stays out: it is not a
+    # power of two, so applying it to each term before they cancel would
+    # add rounding errors of the terms' size, not of the distance's.
+    left = np.hstack([real, (real * real).sum(axis=1, keepdims=True),
+                      np.ones((len(real), 1))])
+    right = np.vstack([-2.0 * generated.T, np.ones((1, n_gen)),
+                       (generated * generated).sum(axis=1)[None, :]])
     buffer = np.empty((min(step, len(real)), n_gen))
     for start in range(0, len(real), step):
         rows = slice(start, min(start + step, len(real)))
         block = buffer[:rows.stop - start]
-        np.matmul(real[rows], minus_two_gen_t, out=block)
-        block += real_sq[rows, None]
-        block += gen_sq
+        np.matmul(left[rows], right, out=block)
         np.maximum(block, 0.0, out=block)
         block *= -0.5 / h2
         row_max = block.max(axis=1)

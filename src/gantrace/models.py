@@ -310,7 +310,7 @@ class FcGan:
         disc_logit_adj = disc_first / denom
         (w1, _), (w2, _) = f.gen_layers
         (v1, _), (v2, _) = f.disc_layers
-        disc_adj = np.outer(disc_logit_adj, v2) * f.disc_mask
+        disc_adj = disc_logit_adj[:, None] * v2 * f.disc_mask
         g_w1, g_b1, g_w2, g_b2 = _gen_grads(f, _fake_adjoint(f, gen_first / n))
         lam = 2.0 * self.arch.l2_rate
         return _checked(_flat(
@@ -443,8 +443,8 @@ class FcGan:
         # Backward pass and its R derivative.
         first, second = self._gen_logit_derivatives(f.probs[:n])
         logit_adj, r_logit_adj = first / n, second / n * r_logit
-        disc_adj = np.outer(logit_adj, v2) * fake_mask
-        r_disc_adj = np.outer(r_logit_adj, v2) * fake_mask
+        disc_adj = logit_adj[:, None] * v2 * fake_mask
+        r_disc_adj = r_logit_adj[:, None] * v2 * fake_mask
         fake_adj = disc_adj @ v1.T
         r_fake_adj = r_disc_adj @ v1.T
         out_adj = fake_adj * f.tanh_slope
@@ -472,8 +472,8 @@ class FcGan:
         # Backward pass and its R derivative.
         first, second = _disc_logit_derivatives(f.probs, n)
         logit_adj, r_logit_adj = first / denom, second / denom * r_logit
-        disc_adj = np.outer(logit_adj, v2) * f.disc_mask
-        r_disc_adj = (np.outer(r_logit_adj, v2) + np.outer(logit_adj, uv2)) * f.disc_mask
+        disc_adj = logit_adj[:, None] * v2 * f.disc_mask
+        r_disc_adj = (r_logit_adj[:, None] * v2 + logit_adj[:, None] * uv2) * f.disc_mask
         r_out_adj = (r_disc_adj[:n] @ v1.T + disc_adj[:n] @ uv1.T) * f.tanh_slope
         lam = 2.0 * self.arch.l2_rate
         return _flat(
@@ -534,7 +534,7 @@ def _fake_adjoint(f: _Activations, logit_adj: np.ndarray) -> np.ndarray:
     """Adjoint of the generator's pre-tanh output from fake-logit adjoints."""
     (v1, _), (v2, _) = f.disc_layers
     fake_mask = f.disc_mask[:len(logit_adj)]
-    return ((np.outer(logit_adj, v2) * fake_mask) @ v1.T) * f.tanh_slope
+    return ((logit_adj[:, None] * v2 * fake_mask) @ v1.T) * f.tanh_slope
 
 
 def _gen_grads(f: _Activations, out_adj: np.ndarray) -> list[np.ndarray]:

@@ -5,9 +5,11 @@ holds an excluded instance, from that step's recorded snapshot: every
 earlier step would replay exactly as recorded.  From there it replays every
 recorded step with the same batches, latents and learning rates, dropping
 the excluded instances' data-term summands while keeping the original batch
-normalizer.  When no step of the window holds an excluded instance the
-whole window is replayed, so with nothing excluded the replay reproduces
-the stored final parameters bit-exactly, which anchors every comparison.
+normalizer.  The latents are the records' own batches, drawn once per
+trace, so repeated calls on one trace never redraw them.  When no step of
+the window holds an excluded instance the whole window is replayed, so with
+nothing excluded the replay reproduces the stored final parameters
+bit-exactly, which anchors every comparison.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .influence import window_start
 from .metrics import metric_value
-from .training import TrainingTrace, asgd_step, latents_from_seed
+from .training import TrainingTrace, asgd_step
 
 
 @dataclass
@@ -55,8 +57,8 @@ def counterfactual_retrain(problem, trace: TrainingTrace, dataset: np.ndarray,
     params = window[first].params.copy()
     for record, drop in zip(window[first:], dropped[first:]):
         idx = record.batch_indices
-        latents = latents_from_seed(record.latent_seed, len(idx), problem.latent_dim)
-        params = asgd_step(problem, params, dataset[idx[~drop]], latents,
+        params = asgd_step(problem, params, dataset[idx[~drop]],
+                           record.latents(problem.latent_dim),
                            record.lr_gen, record.lr_disc, denom=len(idx))
     k_used = trace.epochs if k_epochs is None else int(k_epochs)
     return CounterfactualResult(

@@ -5,6 +5,14 @@ learning rates and a 64-bit seed that regenerates the step's latent batch
 bit-exactly.  Replaying the recorded schedule reproduces the final
 parameters byte for byte; the counterfactual oracle relies on that.
 
+Replays and sweeps draw a step's latent batch once per trace: the first
+replay or sweep that reaches a step keeps its batch, read-only, on the
+record for every later one.  Training draws its own batches and keeps
+none, so only the steps that replays and sweeps reach hold one.  The
+batches are never written to disk and cost memory only, 8 bytes per latent
+entry: 400 KB when every step of the desk config holds one, at most
+280 MB for the 35000 steps of the paper's cleansing config.
+
 Traces persist as a directory: a JSON manifest plus one little-endian
 binary record per step and the final parameter vector.
 """
@@ -14,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +66,15 @@ class StepRecord:
     lr_disc: float
     params: np.ndarray
     latent_seed: int
+    _latents: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    def latents(self, latent_dim: int) -> np.ndarray:
+        """The step's latent batch, drawn from its seed on first use and kept read-only."""
+        if self._latents is None:
+            batch = latents_from_seed(self.latent_seed, len(self.batch_indices), latent_dim)
+            batch.flags.writeable = False
+            self._latents = batch
+        return self._latents
 
 
 @dataclass
@@ -188,9 +205,8 @@ def replay_trace(problem, trace: TrainingTrace, dataset: np.ndarray) -> np.ndarr
     dataset = np.asarray(dataset, dtype=np.float64)
     params = trace.records[0].params.copy()
     for record in trace.records:
-        latents = latents_from_seed(record.latent_seed, len(record.batch_indices), trace.latent_dim)
-        params = asgd_step(problem, params, dataset[record.batch_indices], latents,
-                           record.lr_gen, record.lr_disc)
+        params = asgd_step(problem, params, dataset[record.batch_indices],
+                           record.latents(trace.latent_dim), record.lr_gen, record.lr_disc)
     return params
 
 

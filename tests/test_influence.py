@@ -194,6 +194,33 @@ def test_generator_only_occurrence_has_zero_influence(gan):
         assert np.array_equal(cf.delta, np.zeros(gan.dim_params))
 
 
+def test_scores_do_not_depend_on_the_target_set():
+    gan = FcGan(GanArchitecture(latent_dim=3, data_dim=2, hidden_gen=8,
+                                hidden_disc=16, l2_rate=1e-3))
+    data = normal2d(200, 7)
+    settings = TrainingSettings(epochs=2, batch_size=50, lr_gen=1e-3, lr_disc=1e-3, seed=8)
+    trace = run_training(gan, data, settings)
+    query = QueryVector(np.random.default_rng(9).standard_normal(gan.dim_params), gan.dim_gen)
+    full = infer_linear_influence(gan, trace, data, query)
+    targets = list(range(0, 200, 7))
+    some = infer_linear_influence(gan, trace, data, query, targets=targets)
+    assert some.scores == {j: full.scores[j] for j in targets}
+    for j in targets[:8]:
+        alone = infer_linear_influence(gan, trace, data, query, targets=[j])
+        assert alone.scores == {j: full.scores[j]}
+
+
+def test_targets_must_be_instance_indices(gan):
+    data = normal2d(20, 12)
+    settings = TrainingSettings(epochs=1, batch_size=5, lr_gen=1e-3, lr_disc=1e-3, seed=13)
+    trace = run_training(gan, data, settings)
+    query = QueryVector(np.ones(gan.dim_params), gan.dim_gen)
+    for bad in (-1, len(data)):
+        with pytest.raises(ValueError, match="targets"):
+            infer_linear_influence(gan, trace, data, query, targets=[0, bad])
+    assert infer_linear_influence(gan, trace, data, query, targets=[]).scores == {}
+
+
 def test_one_sweep_vjp_count_is_step_count_independent_of_targets(gan):
     data = normal2d(30, 25)
     settings = TrainingSettings(epochs=2, batch_size=10, lr_gen=1e-3, lr_disc=1e-3, seed=26)

@@ -1,12 +1,15 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import gantrace.oracle
+import gantrace.training
 from gantrace.influence import QueryVector, infer_linear_influence, window_start
 from gantrace.metrics import MetricContext, MetricSpec
 from gantrace.models import FcGan, GanArchitecture, data_term_gradient
 from gantrace.oracle import counterfactual_retrain, metric_deltas
-from gantrace.training import TrainingSettings, run_training
+from gantrace.training import TrainingSettings, load_trace, run_training, save_trace
 from toys import build_trace, full_window_retrain, true_influence_on_metric
 
 
@@ -209,3 +212,25 @@ def test_empty_or_untouched_exclusion_replays_the_whole_window(gan, trained, mon
             result = counterfactual_retrain(gan, trace, data, excluded, k_epochs=k)
             assert len(calls) == trace.n_steps - window_start(trace, k)
             assert np.array_equal(result.params, trace.final_params)
+
+
+def test_repeated_replays_draw_each_latent_batch_at_most_once(gan, trained, tmp_path,
+                                                               monkeypatch):
+    data, trace = trained
+    save_trace(trace, tmp_path / "trace")
+    loaded = load_trace(tmp_path / "trace")
+    draws = Counter()
+    draw = gantrace.training.latents_from_seed
+
+    def counting_draw(seed, count, latent_dim):
+        draws[seed] += 1
+        return draw(seed, count, latent_dim)
+
+    monkeypatch.setattr(gantrace.training, "latents_from_seed", counting_draw)
+    for k in (1, 2):
+        for j in range(len(data)):
+            result = counterfactual_retrain(gan, loaded, data, [j], k_epochs=k)
+            assert np.array_equal(result.params, full_window_retrain(gan, trace, data, [j], k))
+    query = QueryVector(np.random.default_rng(4).standard_normal(gan.dim_params), gan.dim_gen)
+    infer_linear_influence(gan, loaded, data, query)
+    assert draws == Counter(record.latent_seed for record in loaded.records)

@@ -180,3 +180,21 @@ def test_trace_save_load_roundtrip(gan, data, tmp_path):
         assert np.array_equal(a.batch_indices, b.batch_indices)
         assert (a.lr_gen, a.lr_disc, a.latent_seed) == (b.lr_gen, b.lr_disc, b.latent_seed)
     assert trace_checksum(loaded) == trace_checksum(trace)
+
+
+def test_record_latents_are_the_seeded_batch_kept_read_only(gan, data, tmp_path):
+    settings = TrainingSettings(epochs=2, batch_size=7, lr_gen=1e-3, lr_disc=1e-3, seed=14)
+    trace = run_training(gan, data, settings)
+    save_trace(trace, tmp_path / "trace")
+    loaded = load_trace(tmp_path / "trace")
+    # The loaded records draw their batches during this replay.
+    assert np.array_equal(replay_trace(gan, loaded, data), trace.final_params)
+    for record in trace.records + loaded.records:
+        batch = record.latents(gan.latent_dim)
+        expected = latents_from_seed(record.latent_seed, len(record.batch_indices),
+                                     gan.latent_dim)
+        assert np.array_equal(batch, expected)
+        assert record.latents(gan.latent_dim) is batch
+        assert not batch.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            batch[0, 0] = 0.0
