@@ -31,9 +31,14 @@ from .experiments import (
     write_scatter_data,
 )
 from .influence import infer_linear_influence, save_influence_csv, save_influence_json
-from .metrics import MetricSpec, build_query_vector
+from .metrics import MetricSpec, build_query_vector, save_classifier
 from .oracle import metric_deltas
 from .training import DivergenceError, load_trace, run_training, save_trace, trace_checksum
+
+
+# Where ``train`` stores the seed's IS/FID classifier inside the trace
+# directory, for ``influence`` and ``oracle`` to load instead of retraining.
+CLASSIFIER_DIR = "classifier"
 
 
 class UsageError(RuntimeError):
@@ -63,7 +68,7 @@ def _build_parser() -> _Parser:
     p_infl = sub.add_parser("influence", help="estimate influence from a stored trace")
     common(p_infl)
     p_infl.add_argument("--trace", required=True)
-    p_infl.add_argument("--metric", default=None, help="metric kind (default: first configured)")
+    p_infl.add_argument("--metric", default=None, help="one of the configured metric kinds (default: the first)")
     p_infl.add_argument("--k", type=int, default=None, help="epochs to trace back")
     p_infl.add_argument("--targets", type=int, default=None,
                         help="score a random target subset of this size")
@@ -116,26 +121,35 @@ def _cmd_train(args) -> int:
     problem, data, fingerprint = _prepared(config)
     trace = run_training(problem, data, config.training, fingerprint=fingerprint)
     save_trace(trace, args.out)
+    if config.uses_classifier:
+        _, context = evaluation_context(config, config.training.seed)
+        save_classifier(context.classifier, Path(args.out) / CLASSIFIER_DIR)
     print(f"trace: {args.out}")
     print(f"steps: {trace.n_steps}  checksum: {trace_checksum(trace)}")
     return 0
 
 
 def _load_matching_trace(args, config: ExperimentConfig):
+    """The stored trace with its dataset and evaluation context; the context
+    loads the classifier ``train`` stored beside the trace."""
     problem, data, fingerprint = _prepared(config)
     trace = load_trace(args.trace)
     if trace.fingerprint != fingerprint:
         raise UsageError(
             f"trace fingerprint {trace.fingerprint[:12]}... does not match the "
             f"config fingerprint {fingerprint[:12]}...; refusing to mix them")
-    return problem, data, trace
+    latents, context = evaluation_context(config, config.training.seed,
+                                          Path(args.trace) / CLASSIFIER_DIR)
+    return problem, data, trace, latents, context
 
 
 def _cmd_influence(args) -> int:
     config = _load(args)
-    problem, data, trace = _load_matching_trace(args, config)
-    latents, context = evaluation_context(config, config.training.seed)
     kind = args.metric or config.metrics[0]
+    if kind not in config.metrics:
+        raise UsageError(f"--metric {kind} is not a configured metric; "
+                         f"the config has {', '.join(config.metrics)}")
+    problem, data, trace, latents, context = _load_matching_trace(args, config)
     spec = MetricSpec(kind, bandwidth=config.bandwidth)
     query = build_query_vector(spec, problem, trace.final_params, latents, context)
     targets = None
@@ -152,8 +166,7 @@ def _cmd_influence(args) -> int:
 
 def _cmd_oracle(args) -> int:
     config = _load(args)
-    problem, data, trace = _load_matching_trace(args, config)
-    latents, context = evaluation_context(config, config.training.seed)
+    problem, data, trace, latents, context = _load_matching_trace(args, config)
     targets = np.sort(_stream(config.training.seed, "targets").choice(
         config.dataset.n_train, size=args.targets, replace=False))
     specs = config.metric_specs()

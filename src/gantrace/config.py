@@ -73,6 +73,11 @@ class ExperimentConfig:
     def metric_specs(self) -> list[MetricSpec]:
         return [MetricSpec(kind, bandwidth=self.bandwidth) for kind in self.metrics]
 
+    @property
+    def uses_classifier(self) -> bool:
+        """Whether a configured metric (IS or FID) reads samples through a classifier."""
+        return any(kind in ("is", "fid") for kind in self.metrics)
+
     def problem(self) -> FcGan:
         return FcGan(self.architecture)
 

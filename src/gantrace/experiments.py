@@ -27,9 +27,12 @@ from .config import ExperimentConfig, synthesize_dataset, trace_fingerprint
 from .datasets import dataset_checksum, make_digit_images, sample_normal2d
 from .influence import InfluenceTable, infer_linear_influence
 from .metrics import (
+    Classifier,
     MetricContext,
     MetricSpec,
     build_query_vector,
+    classifier_key,
+    load_classifier,
     metric_value,
     train_classifier,
 )
@@ -189,24 +192,38 @@ def prepare_seed_run(config: ExperimentConfig, seed: int) -> SeedRun:
                    fingerprint=fingerprint)
 
 
-def evaluation_context(config: ExperimentConfig, seed: int
+def evaluation_context(config: ExperimentConfig, seed: int, stored_classifier=None
                        ) -> tuple[np.ndarray, MetricContext]:
     """Reference latents and metric context of a seed, drawn from its reference stream.
 
-    Needs no trace: the latents come first, then the reference set, and a
-    classifier is trained on that set when an IS or FID metric is configured.
+    Needs no trace: the latents come first, then the reference set, and
+    when an IS or FID metric is configured, a classifier for that set.  It
+    is loaded from the ``stored_classifier`` directory when one is stored
+    there under the same ``classifier_key``, and trained otherwise.
     """
     ref_rng = _stream(seed, "reference")
     reference_latents = ref_rng.standard_normal((config.n_reference,
                                                  config.architecture.latent_dim))
     reference_data, reference_labels = _reference_set(config, ref_rng, config.n_reference)
     classifier = None
-    if any(kind in ("is", "fid") for kind in config.metrics):
+    if config.uses_classifier:
         if reference_labels is None:
             raise ValueError("classifier metrics need a labeled dataset kind")
-        classifier = train_classifier(reference_data, reference_labels,
-                                      config.classifier, seed=config.classifier_seed)
+        if stored_classifier is not None:
+            classifier = _load_if_key_matches(
+                stored_classifier, classifier_key(reference_data, reference_labels,
+                                                  config.classifier, config.classifier_seed))
+        if classifier is None:
+            classifier = train_classifier(reference_data, reference_labels,
+                                          config.classifier, seed=config.classifier_seed)
     return reference_latents, MetricContext(real_data=reference_data, classifier=classifier)
+
+
+def _load_if_key_matches(directory, key: str) -> Classifier | None:
+    if not (Path(directory) / "manifest.json").exists():
+        return None
+    classifier = load_classifier(directory)
+    return classifier if classifier.key == key else None
 
 
 def _reseeded(config: ExperimentConfig, seed: int):

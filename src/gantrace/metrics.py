@@ -28,9 +28,10 @@ through the generator.  No metric builds an autodiff tape.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -311,16 +312,19 @@ class Classifier:
     """Small dense classifier supplying posteriors and feature vectors.
 
     The feature layer is the post-activation output of the configured
-    hidden layer; the head is linear with a softmax readout.
+    hidden layer; the head is linear with a softmax readout.  ``key`` is
+    the ``classifier_key`` of what it was trained from.
     """
 
     def __init__(self, layout: MlpLayout, params: np.ndarray, n_classes: int,
-                 feature_layer: int, train_accuracy: float = float("nan")):
+                 feature_layer: int, train_accuracy: float = float("nan"),
+                 key: str | None = None):
         self.layout = layout
         self.params = np.asarray(params, dtype=np.float64)
         self.n_classes = n_classes
         self.feature_layer = feature_layer
         self.train_accuracy = train_accuracy
+        self.key = key
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         return self.layout.forward_np(self.params, x)
@@ -337,6 +341,20 @@ class Classifier:
         _, pullback = self.layout.vjp_np(self.params, x, upto_layer=upto)
         _, input_grad = pullback(output_grads)
         return input_grad
+
+
+def classifier_key(data: np.ndarray, labels: np.ndarray,
+                   settings: ClassifierSettings, seed: int) -> str:
+    """SHA-256 of exactly what ``train_classifier`` trains from: the data's
+    shape and little-endian f8 bytes, the labels, the settings and the seed."""
+    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    labels = np.asarray(labels, dtype=np.int64)
+    digest = hashlib.sha256()
+    digest.update(json.dumps({"shape": list(data.shape), "settings": asdict(settings),
+                              "seed": int(seed)}, sort_keys=True).encode())
+    digest.update(data.astype("<f8", copy=False).tobytes())
+    digest.update(labels.astype("<i8", copy=False).tobytes())
+    return digest.hexdigest()
 
 
 def train_classifier(data: np.ndarray, labels: np.ndarray,
@@ -367,34 +385,47 @@ def train_classifier(data: np.ndarray, labels: np.ndarray,
             if not np.isfinite(peak) or peak > 1e6:
                 raise DivergenceError("classifier training diverged")
 
-    clf = Classifier(layout, params, n_classes, settings.feature_layer)
+    clf = Classifier(layout, params, n_classes, settings.feature_layer,
+                     key=classifier_key(data, labels, settings, seed))
     clf.train_accuracy = float((clf.logits(data).argmax(axis=1) == labels).mean())
     return clf
 
 
 def save_classifier(classifier: Classifier, directory) -> None:
+    """Write ``params.bin`` and a manifest holding the content key and the
+    parameters' SHA-256.  The manifest goes last: an interrupted first save
+    leaves none and reads as no stored classifier, and an interrupted
+    overwrite leaves parameters that fail the old manifest's checksum."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    blob = classifier.params.astype("<f8").tobytes()
     manifest = {
         "sizes": list(classifier.layout.sizes),
         "activations": list(classifier.layout.activations),
         "n_classes": classifier.n_classes,
         "feature_layer": classifier.feature_layer,
         "train_accuracy": classifier.train_accuracy,
+        "key": classifier.key,
+        "params_sha256": hashlib.sha256(blob).hexdigest(),
     }
+    (directory / "params.bin").write_bytes(blob)
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    (directory / "params.bin").write_bytes(classifier.params.astype("<f8").tobytes())
 
 
 def load_classifier(directory) -> Classifier:
+    """Read a classifier saved by ``save_classifier``; ``ValueError`` when
+    ``params.bin`` fails its checksum or does not fit the manifest."""
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
     layout = MlpLayout(manifest["sizes"], manifest["activations"])
-    params = np.frombuffer((directory / "params.bin").read_bytes(), dtype="<f8").astype(np.float64)
+    blob = (directory / "params.bin").read_bytes()
+    if hashlib.sha256(blob).hexdigest() != manifest.get("params_sha256"):
+        raise ValueError(f"classifier parameters in {directory} fail their checksum")
+    params = np.frombuffer(blob, dtype="<f8").astype(np.float64)
     if len(params) != layout.n_params:
         raise ValueError("classifier parameter file does not match its manifest")
     return Classifier(layout, params, manifest["n_classes"], manifest["feature_layer"],
-                      manifest["train_accuracy"])
+                      manifest["train_accuracy"], manifest.get("key"))
 
 
 # -- metric dispatch ------------------------------------------------------------

@@ -1,10 +1,16 @@
 import csv
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gantrace.cli
+import gantrace.experiments
 from gantrace.cli import main as cli_main
 from gantrace.config import load_config
 from gantrace.experiments import (
@@ -20,7 +26,9 @@ from gantrace.experiments import (
 from gantrace.influence import infer_linear_influence
 from gantrace.metrics import MetricSpec, build_query_vector
 from gantrace.oracle import metric_deltas
-from gantrace.training import load_trace
+from gantrace.training import load_trace, trace_checksum
+
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 MINI_CONFIG = """
 [dataset]
@@ -150,7 +158,7 @@ def test_report_files_roundtrip(mini_config, tmp_path):
 @pytest.mark.parametrize("name", ["normal2d_desk", "digits8_smoke"])
 @pytest.mark.parametrize("seed", [1, 3])
 def test_evaluation_context_matches_prepare_seed_run(name, seed):
-    config = load_config(Path(__file__).parent.parent / "configs" / f"{name}.ini")
+    config = load_config(CONFIGS / f"{name}.ini")
     latents, context = evaluation_context(config, seed)
     run = prepare_seed_run(config, seed)
     assert latents.tobytes() == run.reference_latents.tobytes()
@@ -186,6 +194,105 @@ def test_cli_influence_and_oracle_do_not_retrain(mini_config, tmp_path, capsys, 
     truths = metric_deltas(config.problem(), run.trace, run.dataset, targets, 1, [spec],
                            run.reference_latents, run.context)
     assert [float(r["true_influence"]) for r in rows] == list(truths["all"])
+
+
+@pytest.fixture(scope="module")
+def digits_trace(tmp_path_factory):
+    """A ``gantrace train`` trace of the bundled IS/FID smoke config."""
+    trace = tmp_path_factory.mktemp("digits") / "trace"
+    assert cli_main(["train", "--config", str(CONFIGS / "digits8_smoke.ini"),
+                     "--out", str(trace)]) == 0
+    return trace
+
+
+def _influence_and_oracle(trace: Path, out: Path) -> dict[str, bytes]:
+    out.mkdir()
+    common = ["--config", str(CONFIGS / "digits8_smoke.ini"), "--trace", str(trace), "--k", "1"]
+    assert cli_main(["influence", *common, "--metric", "is",
+                     "--out", str(out / "scores.csv")]) == 0
+    assert cli_main(["oracle", *common, "--targets", "3",
+                     "--out", str(out / "oracle.csv")]) == 0
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def test_cli_influence_and_oracle_load_the_stored_classifier(digits_trace, tmp_path,
+                                                              capsys, monkeypatch):
+    trace = tmp_path / "trace"
+    shutil.copytree(digits_trace, trace)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command retrained the classifier")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gantrace.experiments, "train_classifier", refuse)
+        loaded = _influence_and_oracle(trace, tmp_path / "loaded")
+    shutil.rmtree(trace / "classifier")
+    trained = _influence_and_oracle(trace, tmp_path / "trained")
+    assert set(loaded) == {"oracle.csv", "scores.csv", "scores.json"}
+    assert loaded == trained
+
+
+def test_stored_classifier_with_another_key_is_retrained(digits_trace, tmp_path, monkeypatch):
+    config = load_config(CONFIGS / "digits8_smoke.ini")
+    changed = _with(config, classifier=_with(config.classifier, epochs=5))
+    calls = []
+    original = gantrace.experiments.train_classifier
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gantrace.experiments, "train_classifier", counting)
+    seed = config.training.seed
+    _, stored = evaluation_context(config, seed, digits_trace / "classifier")
+    assert calls == []
+    latents, context = evaluation_context(changed, seed, digits_trace / "classifier")
+    assert len(calls) == 1
+    fresh_latents, fresh = evaluation_context(changed, seed)
+    assert latents.tobytes() == fresh_latents.tobytes()
+    assert context.real_data.tobytes() == fresh.real_data.tobytes()
+    assert context.classifier.params.tobytes() == fresh.classifier.params.tobytes()
+    assert context.classifier.key == fresh.classifier.key != stored.classifier.key
+
+
+@pytest.mark.parametrize("damage", ["truncate", "edit"])
+def test_cli_influence_rejects_a_damaged_stored_classifier(digits_trace, tmp_path, capsys,
+                                                           damage):
+    trace = tmp_path / "trace"
+    shutil.copytree(digits_trace, trace)
+    params = trace / "classifier" / "params.bin"
+    blob = params.read_bytes()
+    params.write_bytes(blob[:len(blob) // 2] if damage == "truncate"
+                       else blob[:-1] + bytes([blob[-1] ^ 0x10]))
+    code = cli_main(["influence", "--config", str(CONFIGS / "digits8_smoke.ini"),
+                     "--trace", str(trace), "--out", str(tmp_path / "scores.csv")])
+    assert code == 1
+    assert "checksum" in capsys.readouterr().err
+    assert not (tmp_path / "scores.csv").exists()
+
+
+def test_stored_classifier_leaves_the_trace_alone(digits_trace, tmp_path):
+    config = load_config(CONFIGS / "digits8_smoke.ini")
+    expected = trace_checksum(prepare_seed_run(config, config.training.seed).trace)
+    trace = tmp_path / "trace"
+    shutil.copytree(digits_trace, trace)
+    with_classifier = load_trace(trace)
+    shutil.rmtree(trace / "classifier")
+    without = load_trace(trace)
+    assert trace_checksum(with_classifier) == trace_checksum(without) == expected
+    assert np.array_equal(with_classifier.final_params, without.final_params)
+
+
+def test_cli_train_without_classifier_metrics_stores_no_classifier(mini_config, tmp_path,
+                                                                   capsys, monkeypatch):
+    _, path = mini_config
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("train drew an evaluation context for an `all`-only config")
+
+    monkeypatch.setattr(gantrace.cli, "evaluation_context", refuse)
+    assert cli_main(["train", "--config", str(path), "--out", str(tmp_path / "trace")]) == 0
+    assert not (tmp_path / "trace" / "classifier").exists()
 
 
 def _with(config, **changes):
@@ -283,7 +390,7 @@ def test_cli_cleanse_and_report_smoke(mini_config, tmp_path, capsys):
 
 
 def test_cli_accuracy_on_bundled_config(tmp_path, capsys):
-    bundled = Path(__file__).parent.parent / "configs" / "normal2d_desk.ini"
+    bundled = CONFIGS / "normal2d_desk.ini"
     code = cli_main(["accuracy", "--config", str(bundled), "--k", "1",
                      "--targets", "10", "--out", str(tmp_path / "acc")])
     assert code == 0
@@ -302,6 +409,32 @@ def test_cli_divergence_exits_two(mini_config, tmp_path, capsys):
     code = cli_main(["train", "--config", str(bad), "--out", str(tmp_path / "d")])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def _run_module(*args: str) -> subprocess.CompletedProcess:
+    """``python -m gantrace`` from this checkout, as a user without the script runs it."""
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "gantrace", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_dash_m_runs_the_cli():
+    result = _run_module("--help")
+    assert result.returncode == 0
+    assert "influence" in result.stdout
+
+
+def test_cli_influence_refuses_an_unconfigured_metric(mini_config, tmp_path, capsys):
+    _, path = mini_config
+    assert cli_main(["train", "--config", str(path), "--out", str(tmp_path / "trace")]) == 0
+    result = _run_module("influence", "--config", str(path), "--trace", str(tmp_path / "trace"),
+                         "--metric", "fid", "--out", str(tmp_path / "scores.csv"))
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert "fid" in result.stderr and "all" in result.stderr
+    assert not (tmp_path / "scores.csv").exists()
 
 
 def test_cli_unknown_flag_exits_one(capsys):

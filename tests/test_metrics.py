@@ -8,6 +8,7 @@ from gantrace.metrics import (
     MetricSpec,
     average_log_likelihood,
     build_query_vector,
+    classifier_key,
     expected_disc_loss,
     fid,
     generator_pullback,
@@ -318,7 +319,29 @@ def test_classifier_save_load_roundtrip(tmp_path):
     assert np.array_equal(loaded.params, clf.params)
     assert loaded.n_classes == clf.n_classes
     assert loaded.feature_layer == clf.feature_layer
+    assert loaded.train_accuracy == clf.train_accuracy
+    assert loaded.key == clf.key
     assert np.array_equal(loaded.features(data), clf.features(data))
+
+
+def test_classifier_key_covers_every_training_input():
+    rng = np.random.default_rng(19)
+    data = rng.standard_normal((12, 3))
+    labels = rng.integers(0, 2, size=12)
+    settings = ClassifierSettings(hidden=(5, 4), epochs=3)
+    key = classifier_key(data, labels, settings, 7)
+    assert train_classifier(data, labels, settings, seed=7).key == key
+    flipped = labels.copy()
+    flipped[0] = 1 - flipped[0]
+    changed = [
+        classifier_key(data + 1e-12, labels, settings, 7),
+        classifier_key(data.reshape(9, 4), labels, settings, 7),
+        classifier_key(data, flipped, settings, 7),
+        classifier_key(data, labels, ClassifierSettings(hidden=(5, 4), epochs=4), 7),
+        classifier_key(data, labels, ClassifierSettings(hidden=(5, 4), epochs=3, lr=0.04), 7),
+        classifier_key(data, labels, settings, 8),
+    ]
+    assert len(set(changed)) == len(changed) and key not in changed
 
 
 # -- query vectors -----------------------------------------------------------------
