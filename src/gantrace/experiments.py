@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .config import ExperimentConfig, synthesize_dataset, trace_fingerprint
 from .datasets import dataset_checksum, make_digit_images, sample_normal2d
@@ -163,6 +162,9 @@ def sign_test_greater(differences) -> float:
     decided = int(np.sum(differences != 0))
     if decided == 0:
         return 1.0
+    # Imported here: scipy.stats costs about half a second, which every CLI
+    # command would otherwise pay at start-up.
+    from scipy import stats
     return float(stats.binomtest(wins, decided, 0.5, alternative="greater").pvalue)
 
 

@@ -7,11 +7,16 @@ classifier feature distributions (``fid``).  A fourth kind, ``disc_loss``,
 scores the discriminator's expected loss and serves as a baseline selector.
 
 The KDE never holds the n_ref x n_gen kernel matrix: its value and its
-gradient each stream one pass over blocks of reference rows, every row's
-log-sum-exp shifted by that row's largest log kernel, in one reused buffer
-of about ``_KDE_BLOCK_ENTRIES`` entries, so memory is O(block x n_generated)
-beside the two point sets.  Each block's squared distances come from one
-matmul of operands augmented with the squared norms.
+gradient each stream one pass over blocks of reference rows in one reused
+buffer of about ``_KDE_BLOCK_ENTRIES`` entries, so memory is
+O(block x n_generated) beside the two point sets.  Each block's squared
+distances come from one matmul of operands augmented with the squared
+norms.  Kernels are summed unshifted; only a row whose plain sum falls
+below ``_KDE_UNDERFLOW_SUM`` is recomputed with its log-sum-exp shifted by
+its largest log kernel.  In blocks where a norm bound says a log kernel can
+fall below ``_KDE_EXP_FLOOR``, log kernels are floored there and floored
+kernels set to exactly 0, which keeps ``exp`` off its slow path for
+subnormal results.
 The FID's reference side (the mean, covariance and covariance square root
 of the reference set's classifier features) is fitted once per frozen
 ``MetricContext`` and shared by every FID value and gradient read from it.
@@ -90,6 +95,17 @@ class MetricContext:
 # kernel entries (1 MB of float64) whatever the size of the generated set.
 _KDE_BLOCK_ENTRIES = 2 ** 17
 
+# Log kernels are floored here before ``exp``: NumPy's ``exp`` leaves its
+# fast path for arguments below about -708, where results turn subnormal,
+# and a floored kernel is set to exactly 0.
+_KDE_EXP_FLOOR = -700.0
+_KDE_FLOORED_KERNEL = float(np.exp(_KDE_EXP_FLOOR))
+# A row whose plain kernel sum falls below this may have lost its sum to the
+# floor or to underflow; only such rows are recomputed with a row-max shift.
+# Above it, each kernel the floor drops (below about 1e-304) is less than
+# 1e-54 of the row's sum.
+_KDE_UNDERFLOW_SUM = 1e-250
+
 
 def _kde_point_sets(real, generated) -> tuple[np.ndarray, np.ndarray]:
     real = np.atleast_2d(np.asarray(real, dtype=np.float64))
@@ -99,13 +115,35 @@ def _kde_point_sets(real, generated) -> tuple[np.ndarray, np.ndarray]:
     return real, generated
 
 
+def _floored_exp(log_kernels: np.ndarray) -> np.ndarray:
+    """``exp`` in place of log kernels clamped to [_KDE_EXP_FLOOR, 0]; every
+    floored entry comes out exactly 0."""
+    np.clip(log_kernels, _KDE_EXP_FLOOR, 0.0, out=log_kernels)
+    np.exp(log_kernels, out=log_kernels)
+    log_kernels -= _KDE_FLOORED_KERNEL
+    return log_kernels
+
+
+def _shifted_kernels(left_rows: np.ndarray, right: np.ndarray, scale: float):
+    """Kernels of reference rows whose plain sums underflow, each row divided
+    by its largest kernel, and each row's largest log kernel."""
+    log_kernels = left_rows @ right
+    log_kernels *= scale
+    np.minimum(log_kernels, 0.0, out=log_kernels)
+    row_max = log_kernels.max(axis=1)
+    log_kernels -= row_max[:, None]
+    return _floored_exp(log_kernels), row_max
+
+
 def _kde_blocks(real: np.ndarray, generated: np.ndarray, h2: float):
     """Stream the Gaussian kernel matrix over blocks of reference rows.
 
-    Yields ``(rows, kernels, row_max)`` per block: the slice of reference
-    rows, ``exp(log kernel - row max)`` for those rows, and each row's
-    largest log kernel.  ``kernels`` is a view of one buffer that the next
-    block overwrites, so a caller may scale it in place but must not keep it.
+    Yields ``(rows, kernels, sums, shift)`` per block: the slice of reference
+    rows, ``exp(log kernel - shift)`` for those rows, their row sums, and each
+    row's shift.  The shift is 0 except on rows whose plain sum falls below
+    ``_KDE_UNDERFLOW_SUM``; those are recomputed shifted by their largest log
+    kernel.  ``kernels`` is a view of one buffer that the next block
+    overwrites, so a caller must not keep it.
     """
     n_gen = len(generated)
     step = max(1, _KDE_BLOCK_ENTRIES // n_gen)
@@ -114,48 +152,70 @@ def _kde_blocks(real: np.ndarray, generated: np.ndarray, h2: float):
     # Scaling by -2 is exact.  The -1/(2 h^2) scale stays out: it is not a
     # power of two, so applying it to each term before they cancel would
     # add rounding errors of the terms' size, not of the distance's.
-    left = np.hstack([real, (real * real).sum(axis=1, keepdims=True),
-                      np.ones((len(real), 1))])
-    right = np.vstack([-2.0 * generated.T, np.ones((1, n_gen)),
-                       (generated * generated).sum(axis=1)[None, :]])
+    real_sq = (real * real).sum(axis=1, keepdims=True)
+    gen_sq = (generated * generated).sum(axis=1)
+    left = np.hstack([real, real_sq, np.ones((len(real), 1))])
+    right = np.vstack([-2.0 * generated.T, np.ones((1, n_gen)), gen_sq[None, :]])
+    scale = -0.5 / h2
+    # |r - g| <= |r| + |g| bounds each block's smallest log kernel, so only
+    # blocks that may reach the floor pay for it.
+    real_norm = np.sqrt(real_sq[:, 0])
+    gen_norm = float(np.sqrt(gen_sq.max()))
+    ones = np.ones(n_gen)
     buffer = np.empty((min(step, len(real)), n_gen))
     for start in range(0, len(real), step):
         rows = slice(start, min(start + step, len(real)))
         block = buffer[:rows.stop - start]
         np.matmul(left[rows], right, out=block)
-        np.maximum(block, 0.0, out=block)
-        block *= -0.5 / h2
-        row_max = block.max(axis=1)
-        block -= row_max[:, None]
-        np.exp(block, out=block)
-        yield rows, block, row_max
+        block *= scale
+        if scale * (real_norm[rows].max() + gen_norm) ** 2 < _KDE_EXP_FLOOR:
+            _floored_exp(block)
+        else:
+            # Squared distances that round below zero give log kernels above 0.
+            if block.max() > 0.0:
+                np.minimum(block, 0.0, out=block)
+            np.exp(block, out=block)
+        sums = block @ ones
+        shift = np.zeros(len(sums))
+        low = np.flatnonzero(sums < _KDE_UNDERFLOW_SUM)
+        if low.size:
+            kernels, row_max = _shifted_kernels(left[start + low], right, scale)
+            block[low] = kernels
+            sums[low] = kernels @ ones
+            shift[low] = row_max
+        yield rows, block, sums, shift
 
 
 def average_log_likelihood(real: np.ndarray, generated: np.ndarray, bandwidth: float) -> float:
     """Mean log density of the real points under a Gaussian KDE of the generated set.
 
-    The kernel includes the full normalizing constant; each reference row's
+    The kernel includes the full normalizing constant.  A reference row's
+    kernels are summed unshifted unless that sum underflows; then its
     log-sum-exp is stabilized by its own largest log kernel.
     """
     real, generated = _kde_point_sets(real, generated)
     h2 = bandwidth * bandwidth
     total = 0.0
-    for _, kernels, row_max in _kde_blocks(real, generated, h2):
-        total += float((np.log(kernels.sum(axis=1)) + row_max).sum())
+    for _, _, sums, shift in _kde_blocks(real, generated, h2):
+        total += float((np.log(sums) + shift).sum())
     return float(total / len(real) - np.log(len(generated))
                  - 0.5 * real.shape[1] * np.log(2.0 * np.pi * h2))
 
 
 def _all_gradient(real: np.ndarray, generated: np.ndarray, bandwidth: float) -> np.ndarray:
-    """Per-sample gradient of the KDE log-likelihood, shape (n_generated, dim)."""
+    """Per-sample gradient of the KDE log-likelihood, shape (n_generated, dim).
+
+    Each reference row's kernels are normalised by its sum through the
+    weights ``1 / sums`` inside the two products, not by a divide of the block.
+    """
     real, generated = _kde_point_sets(real, generated)
     h2 = bandwidth * bandwidth
     pulled = np.zeros_like(generated)
     mass = np.zeros(len(generated))
-    for rows, kernels, _ in _kde_blocks(real, generated, h2):
-        kernels /= kernels.sum(axis=1, keepdims=True)
-        pulled += kernels.T @ real[rows]
-        mass += kernels.sum(axis=0)
+    for rows, kernels, sums, _ in _kde_blocks(real, generated, h2):
+        weights = 1.0 / sums
+        pulled += kernels.T @ (real[rows] * weights[:, None])
+        mass += weights @ kernels
     pulled -= mass[:, None] * generated
     return pulled / (len(real) * h2)
 

@@ -411,19 +411,32 @@ def test_cli_divergence_exits_two(mini_config, tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def _run_module(*args: str) -> subprocess.CompletedProcess:
-    """``python -m gantrace`` from this checkout, as a user without the script runs it."""
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports ``gantrace`` from this checkout."""
     src = str(Path(__file__).parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "gantrace", *args], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def _run_module(*args: str) -> subprocess.CompletedProcess:
+    """``python -m gantrace`` from this checkout, as a user without the script runs it."""
+    return _run_python("-m", "gantrace", *args)
 
 
 def test_python_dash_m_runs_the_cli():
     result = _run_module("--help")
     assert result.returncode == 0
     assert "influence" in result.stdout
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    """``scipy.stats`` takes about half a second to import and only the sign
+    test uses it, so no CLI command pays for it at start-up."""
+    result = _run_python("-c", "import sys, gantrace.cli; print('scipy.stats' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_cli_influence_refuses_an_unconfigured_metric(mini_config, tmp_path, capsys):

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import gantrace.autodiff
+import gantrace.metrics
 from gantrace.autodiff import NonFiniteError, vjp_gradient_call_count
 from gantrace.config import load_config
 from gantrace.experiments import permutation_test_tau, prepare_seed_run
@@ -358,7 +359,7 @@ def test_kde_blocks_are_sized_by_entries_in_one_buffer(n_gen):
     real = rng.standard_normal((2 * step + 1, 2))
     generated = rng.standard_normal((n_gen, 2))
     seen = [(rows.start, rows.stop, kernels.shape, kernels.ctypes.data)
-            for rows, kernels, _ in _kde_blocks(real, generated, 1.0)]
+            for rows, kernels, _, _ in _kde_blocks(real, generated, 1.0)]
     assert [entry[:3] for entry in seen] == [
         (0, step, (step, n_gen)), (step, 2 * step, (step, n_gen)),
         (2 * step, 2 * step + 1, (1, n_gen))]
@@ -386,6 +387,69 @@ def test_blocked_kde_far_cluster(bandwidth):
     assert np.all(grads[:, 0] < 0.0)
 
 
+def spy_on_shifted_rows(monkeypatch):
+    """Record the reference rows each KDE pass recomputes with a row-max shift."""
+    recomputed = []
+    shifted = gantrace.metrics._shifted_kernels
+
+    def spy(left_rows, right, scale):
+        recomputed.append(left_rows[:, :-2].copy())
+        return shifted(left_rows, right, scale)
+
+    monkeypatch.setattr(gantrace.metrics, "_shifted_kernels", spy)
+    return recomputed
+
+
+def test_kde_recomputes_only_rows_whose_sums_underflow(monkeypatch):
+    """One block at bandwidth 0.05: near rows, faint rows whose log kernels
+    sit near -540 (sums near 1e-234), low rows near -620 (sums near 1e-268)
+    and far rows near -1800.  Only the low and far rows take the shifted path."""
+    rng = np.random.default_rng(46)
+    generated = rng.standard_normal((40, 2)) * 0.02
+
+    def ring(count, radius):
+        angle = rng.uniform(0.0, 2.0 * np.pi, count)
+        return radius * np.column_stack([np.cos(angle), np.sin(angle)])
+
+    near = rng.standard_normal((20, 2)) * 0.05
+    faint, low, far = ring(5, np.sqrt(2.7)), ring(5, np.sqrt(3.1)), ring(5, 3.0)
+    real = np.vstack([near[:10], low, faint, near[10:], far])
+    underflowing = np.repeat([False, True, False, False, True], [10, 5, 5, 10, 5])
+    sq = ((real[:, None, :] - generated[None, :, :]) ** 2).sum(axis=2)
+    dense_log_sums = np.logaddexp.reduce(-sq / (2 * 0.05 ** 2), axis=1)
+    assert np.array_equal(dense_log_sums < np.log(1e-250), underflowing)
+    assert rows_per_block(len(generated)) > len(real)
+
+    recomputed = spy_on_shifted_rows(monkeypatch)
+    assert_kde_matches_dense(real, generated, 0.05)
+    assert len(recomputed) == 2
+    for rows in recomputed:
+        assert np.array_equal(rows, real[underflowing])
+
+
+def test_kde_memory_is_bounded_when_every_row_falls_back(monkeypatch):
+    """Generated points 60 bandwidths from all 10000 reference rows: every
+    plain row sum is 0, so every row is recomputed shifted, block by block."""
+    rng = np.random.default_rng(47)
+    real = rng.standard_normal((10000, 2))
+    generated = rng.standard_normal((1000, 2)) + [60.0, 0.0]
+    recomputed = spy_on_shifted_rows(monkeypatch)
+    tracemalloc.start()
+    try:
+        value = average_log_likelihood(real, generated, 1.0)
+        grads = _all_gradient(real, generated, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert sum(len(rows) for rows in recomputed) == 2 * len(real)
+    assert max(len(rows) for rows in recomputed) == rows_per_block(1000)
+    assert np.isfinite(value)
+    # Each reference row's weight goes to its nearest generated points,
+    # which sit on the near side of the cluster.
+    assert np.all(grads[:, 0] <= 0.0) and grads[:, 0].min() < 0.0
+
+
 def test_blocked_kde_clamps_distances_rounded_below_zero():
     """Coincident points far from the origin: the matmul expansion of some
     squared distances rounds below zero, and the clamp must hold them at 0."""
@@ -396,6 +460,18 @@ def test_blocked_kde_clamps_distances_rounded_below_zero():
     value = average_log_likelihood(points, points, 0.05)
     ref_value = dense_average_log_likelihood(points, points, 0.05)
     assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+
+
+def test_kde_clamps_distances_rounded_below_zero_without_the_floor():
+    """At a bandwidth wide enough that no block is floored, the clamp alone
+    keeps the kernels of coincident points from rounding above 1."""
+    rng = np.random.default_rng(48)
+    points = rng.standard_normal((200, 2)) * 10.0 + 100.0
+    sq = (points * points).sum(axis=1)
+    assert (np.diag(points @ (-2.0 * points.T)) + sq + sq < 0.0).any()
+    assert 2.0 * np.sqrt(sq.max()) < np.sqrt(1400.0) * 10.0
+    for _, kernels, _, _ in _kde_blocks(points, points, 10.0 ** 2):
+        assert kernels.max() == 1.0
 
 
 def test_all_metric_value_and_query_match_dense():
