@@ -13,10 +13,7 @@ O(block x n_generated) beside the two point sets.  Each block's squared
 distances come from one matmul of operands augmented with the squared
 norms.  Kernels are summed unshifted; only a row whose plain sum falls
 below ``_KDE_UNDERFLOW_SUM`` is recomputed with its log-sum-exp shifted by
-its largest log kernel.  In blocks where a norm bound says a log kernel can
-fall below ``_KDE_EXP_FLOOR``, log kernels are floored there and floored
-kernels set to exactly 0, which keeps ``exp`` off its slow path for
-subnormal results.
+its largest log kernel.
 The FID's reference side (the mean, covariance and covariance square root
 of the reference set's classifier features) is fitted once per frozen
 ``MetricContext`` and shared by every FID value and gradient read from it.
@@ -95,15 +92,10 @@ class MetricContext:
 # kernel entries (1 MB of float64) whatever the size of the generated set.
 _KDE_BLOCK_ENTRIES = 2 ** 17
 
-# Log kernels are floored here before ``exp``: NumPy's ``exp`` leaves its
-# fast path for arguments below about -708, where results turn subnormal,
-# and a floored kernel is set to exactly 0.
-_KDE_EXP_FLOOR = -700.0
-_KDE_FLOORED_KERNEL = float(np.exp(_KDE_EXP_FLOOR))
-# A row whose plain kernel sum falls below this may have lost its sum to the
-# floor or to underflow; only such rows are recomputed with a row-max shift.
-# Above it, each kernel the floor drops (below about 1e-304) is less than
-# 1e-54 of the row's sum.
+# A row whose plain kernel sum falls below this may have lost its sum to
+# underflow; only such rows are recomputed with a row-max shift.  Above it,
+# each kernel lost to underflow (below about 1e-308) is less than 1e-58 of
+# the row's sum.
 _KDE_UNDERFLOW_SUM = 1e-250
 
 
@@ -115,15 +107,6 @@ def _kde_point_sets(real, generated) -> tuple[np.ndarray, np.ndarray]:
     return real, generated
 
 
-def _floored_exp(log_kernels: np.ndarray) -> np.ndarray:
-    """``exp`` in place of log kernels clamped to [_KDE_EXP_FLOOR, 0]; every
-    floored entry comes out exactly 0."""
-    np.clip(log_kernels, _KDE_EXP_FLOOR, 0.0, out=log_kernels)
-    np.exp(log_kernels, out=log_kernels)
-    log_kernels -= _KDE_FLOORED_KERNEL
-    return log_kernels
-
-
 def _shifted_kernels(left_rows: np.ndarray, right: np.ndarray, scale: float):
     """Kernels of reference rows whose plain sums underflow, each row divided
     by its largest kernel, and each row's largest log kernel."""
@@ -132,7 +115,7 @@ def _shifted_kernels(left_rows: np.ndarray, right: np.ndarray, scale: float):
     np.minimum(log_kernels, 0.0, out=log_kernels)
     row_max = log_kernels.max(axis=1)
     log_kernels -= row_max[:, None]
-    return _floored_exp(log_kernels), row_max
+    return np.exp(log_kernels, out=log_kernels), row_max
 
 
 def _kde_blocks(real: np.ndarray, generated: np.ndarray, h2: float):
@@ -152,15 +135,11 @@ def _kde_blocks(real: np.ndarray, generated: np.ndarray, h2: float):
     # Scaling by -2 is exact.  The -1/(2 h^2) scale stays out: it is not a
     # power of two, so applying it to each term before they cancel would
     # add rounding errors of the terms' size, not of the distance's.
-    real_sq = (real * real).sum(axis=1, keepdims=True)
-    gen_sq = (generated * generated).sum(axis=1)
-    left = np.hstack([real, real_sq, np.ones((len(real), 1))])
-    right = np.vstack([-2.0 * generated.T, np.ones((1, n_gen)), gen_sq[None, :]])
+    left = np.hstack([real, (real * real).sum(axis=1, keepdims=True),
+                      np.ones((len(real), 1))])
+    right = np.vstack([-2.0 * generated.T, np.ones((1, n_gen)),
+                       (generated * generated).sum(axis=1)[None, :]])
     scale = -0.5 / h2
-    # |r - g| <= |r| + |g| bounds each block's smallest log kernel, so only
-    # blocks that may reach the floor pay for it.
-    real_norm = np.sqrt(real_sq[:, 0])
-    gen_norm = float(np.sqrt(gen_sq.max()))
     ones = np.ones(n_gen)
     buffer = np.empty((min(step, len(real)), n_gen))
     for start in range(0, len(real), step):
@@ -168,13 +147,9 @@ def _kde_blocks(real: np.ndarray, generated: np.ndarray, h2: float):
         block = buffer[:rows.stop - start]
         np.matmul(left[rows], right, out=block)
         block *= scale
-        if scale * (real_norm[rows].max() + gen_norm) ** 2 < _KDE_EXP_FLOOR:
-            _floored_exp(block)
-        else:
-            # Squared distances that round below zero give log kernels above 0.
-            if block.max() > 0.0:
-                np.minimum(block, 0.0, out=block)
-            np.exp(block, out=block)
+        # Squared distances that round below zero give log kernels above 0.
+        np.minimum(block, 0.0, out=block)
+        np.exp(block, out=block)
         sums = block @ ones
         shift = np.zeros(len(sums))
         low = np.flatnonzero(sums < _KDE_UNDERFLOW_SUM)

@@ -462,18 +462,6 @@ def test_blocked_kde_clamps_distances_rounded_below_zero():
     assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
 
 
-def test_kde_clamps_distances_rounded_below_zero_without_the_floor():
-    """At a bandwidth wide enough that no block is floored, the clamp alone
-    keeps the kernels of coincident points from rounding above 1."""
-    rng = np.random.default_rng(48)
-    points = rng.standard_normal((200, 2)) * 10.0 + 100.0
-    sq = (points * points).sum(axis=1)
-    assert (np.diag(points @ (-2.0 * points.T)) + sq + sq < 0.0).any()
-    assert 2.0 * np.sqrt(sq.max()) < np.sqrt(1400.0) * 10.0
-    for _, kernels, _, _ in _kde_blocks(points, points, 10.0 ** 2):
-        assert kernels.max() == 1.0
-
-
 def test_all_metric_value_and_query_match_dense():
     gan, _ = pair("nonsaturating")
     rng = np.random.default_rng(43)
