@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import (
+    GLYPH_SIDE,
     dataset_checksum,
     load_idx_images,
     make_digit_images,
@@ -161,10 +162,15 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         side=int(ds.get("side", 8)),
     )
     ar = parser["architecture"] if parser.has_section("architecture") else {}
-    data_dim = 2 if dataset.kind == "normal2d" else dataset.side * dataset.side
+    # The glyphs are always GLYPH_SIDE pixels square; ``side`` sizes IDX images.
+    side = GLYPH_SIDE if dataset.kind == "digits8" else dataset.side
+    data_dim = 2 if dataset.kind == "normal2d" else side * side
+    if int(ar.get("data_dim", data_dim)) != data_dim:
+        raise ValueError(f"[architecture] data_dim = {ar['data_dim']} does not match the "
+                         f"{dataset.kind} dataset's dimension {data_dim}")
     architecture = GanArchitecture(
         latent_dim=int(ar.get("latent_dim", 10)),
-        data_dim=int(ar.get("data_dim", data_dim)),
+        data_dim=data_dim,
         hidden_gen=int(ar.get("hidden_gen", 32)),
         hidden_disc=int(ar.get("hidden_disc", 64)),
         l2_rate=float(ar.get("l2_rate", 1e-3)),

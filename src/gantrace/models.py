@@ -21,12 +21,19 @@ per-sample gradients back through the generator, and
 ``expected_disc_loss`` with ``expected_disc_loss_gradient`` give the
 ``disc_loss`` metric and its gradient.
 
-``FcGan`` computes all of these in closed form with NumPy, the product by
-Pearlmutter's R-operator and the rest by ``MlpLayout.vjp_np``, the one
-hand-written backward pass of a dense stack, which the classifier shares.
-No metric or hot-path caller builds a tape.  The ``*_graph`` builders
-express the same losses on the autodiff tape; ``data_term_gradient`` uses
-them, and the tests take them as the reference.
+``FcGan`` computes all of these in closed form with NumPy.  The three
+gradient kernels share one forward pass, and the product is Pearlmutter's
+R-operator.  They use the discriminator's scalar output: the adjoint of
+its hidden layer is rank one in the gradient and rank two in the R pass,
+so every product with it is reassociated through the relu mask, kept as a
+float64 array, and no batch x hidden adjoint is ever formed.  Layers enter
+as augmented operands [W; b] against inputs with a ones column, so bias
+adds and bias gradients ride inside the matmuls.  The metric queries use
+``MlpLayout.vjp_np``, the one hand-written backward pass of a dense stack,
+which the classifier shares.  No metric or hot-path caller builds a tape.
+The ``*_graph`` builders express the same losses on the autodiff tape;
+``data_term_gradient`` uses them, and the tests take them as the
+reference.
 """
 
 from __future__ import annotations
@@ -90,6 +97,9 @@ class MlpLayout:
             offset += fan_out
         self.spans = tuple(spans)
         self.n_params = offset
+        self._augmented_spans = tuple(
+            (k_off, k_off + (k_shape[0] + 1) * k_shape[1], (k_shape[0] + 1, k_shape[1]))
+            for k_off, k_shape in spans[::2])
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         """Uniform(-a, a) kernels with a = sqrt(6 / (fan_in + fan_out)), zero biases."""
@@ -110,6 +120,16 @@ class MlpLayout:
             bias = flat[b_off:b_off + b_shape[0]]
             layers.append((kernel, bias))
         return layers
+
+    def augmented(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Each layer as one (fan_in + 1, fan_out) view [kernel; bias] of ``flat``.
+
+        A bias follows its kernel in the layout, so the view copies nothing.
+        Against inputs with a trailing ones column it adds the bias inside
+        the matmul, and the gradient it receives holds the bias gradient in
+        its last row.
+        """
+        return [flat[start:stop].reshape(shape) for start, stop, shape in self._augmented_spans]
 
     def pack(self, layers) -> np.ndarray:
         return np.concatenate([np.concatenate([k.ravel(), b]) for k, b in layers])
@@ -221,6 +241,11 @@ class FcGan:
         self.dim_params = self.dim_gen + self.dim_disc
         self.latent_dim = arch.latent_dim
         self.data_dim = arch.data_dim
+        # The L2 penalty's gradient is this vector times the parameters:
+        # 2 * l2_rate on every kernel entry, zero on the biases.
+        self._penalty_rates = 2.0 * arch.l2_rate * np.concatenate([
+            np.full(math.prod(shape), float(len(shape) == 2))
+            for net in (self.gen_net, self.disc_net) for _, shape in net.spans])
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return np.concatenate([self.gen_net.init_params(rng), self.disc_net.init_params(rng)])
@@ -298,26 +323,38 @@ class FcGan:
     # derivatives follow the tape's conventions: the clamp at PROB_FLOOR has
     # zero derivative at and beyond its bounds, relu has derivative 0 at the
     # kink and no curvature, and the L2 penalty covers kernels only.
+    #
+    # The discriminator's output is a scalar, so the adjoint of its hidden
+    # pre-activations is rank one, (logit adjoint) x V2 masked by the relu,
+    # and its R derivative rank two.  No kernel forms it: every product with
+    # it is reassociated through the float mask M (``_masked_grams``), and
+    # the fake inputs' adjoint is (logit adjoint) x P, with P = M V2 V1^T
+    # the gradient of each fake logit with respect to its input.  Layers are
+    # read as augmented operands [W; b] against inputs that carry a ones
+    # column, so each bias add happens inside its matmul and each bias
+    # gradient is the last row of its kernel's gradient product.
 
     def joint_gradient(self, params: np.ndarray, latents: np.ndarray,
                        data_rows: np.ndarray, denom: int) -> np.ndarray:
         """Generator-loss gradient over the generator block, then the
         discriminator-loss gradient over the discriminator block."""
+        params = np.asarray(params, dtype=np.float64)
         f = self._forward(params, latents, data_rows)
         n = len(f.latents)
-        gen_first, _ = self._gen_logit_derivatives(f.probs[:n])
-        disc_first, _ = _disc_logit_derivatives(f.probs, n)
-        disc_logit_adj = disc_first / denom
-        (w1, _), (w2, _) = f.gen_layers
-        (v1, _), (v2, _) = f.disc_layers
-        disc_adj = disc_logit_adj[:, None] * v2 * f.disc_mask
-        g_w1, g_b1, g_w2, g_b2 = _gen_grads(f, _fake_adjoint(f, gen_first / n))
-        lam = 2.0 * self.arch.l2_rate
-        return _checked(_flat(
-            g_w1 + lam * w1, g_b1, g_w2 + lam * w2, g_b2,
-            f.inputs.T @ disc_adj + lam * v1, disc_adj.sum(axis=0),
-            f.disc_hidden.T @ disc_logit_adj + lam * v2, disc_logit_adj.sum(keepdims=True),
-        ), "joint_gradient")
+        gen_adj = self._gen_logit_first(f.probs[:n]) / n
+        disc_adj = _disc_logit_first(f.probs, _disc_keep(f.probs, n), n) / denom
+        v2 = f.v2[:-1]
+        grad = np.empty(self.dim_params)
+        gw1, gw2, gv1, gv2 = self._augmented(grad)
+        logit_grad = f.disc_mask[:n] @ (v2[:, None] * f.v1[:-1].T)
+        out_adj = gen_adj[:, None] * logit_grad * f.tanh_slope
+        np.matmul(f.gen_hidden.T, out_adj, out=gw2)
+        np.matmul(f.latents.T, (out_adj @ f.w2[:-1].T) * f.gen_mask, out=gw1)
+        np.multiply(_masked_grams(f.inputs, disc_adj[:, None], f.disc_mask)[0], v2, out=gv1)
+        np.matmul(f.disc_hidden.T, disc_adj, out=gv2[:-1])
+        gv2[-1] = disc_adj.sum()
+        grad += self._penalty_rates * params
+        return _checked(grad, "joint_gradient")
 
     def joint_gradient_vjp(self, vector: np.ndarray, params: np.ndarray, latents: np.ndarray,
                            data_rows: np.ndarray, denom: int) -> np.ndarray:
@@ -326,16 +363,61 @@ class FcGan:
         The generator rows of ``J`` are rows of the generator loss's
         Hessian and the discriminator rows rows of the discriminator
         loss's, so with ``vector = (u_gen, u_disc)`` the product is
-        ``H_G (u_gen, 0) + H_D (0, u_disc)``: one R-operator pass each.
+        ``H_G (u_gen, 0) + H_D (0, u_disc)``: Pearlmutter's R-operator
+        along each direction, with one shared backward pass.
         """
         f = self._forward(params, latents, data_rows)
         vector = np.asarray(vector, dtype=np.float64)
         if vector.shape != (self.dim_params,):
             raise ValueError(f"vector of shape {vector.shape} does not match "
                              f"{self.dim_params} parameters")
-        product = _checked(self._gen_loss_hvp(f, vector[:self.dim_gen])
-                           + self._disc_loss_hvp(f, vector[self.dim_gen:], denom),
-                           "joint_gradient_vjp")
+        uw1, uw2, uv1, uv2 = self._augmented(vector)
+        n = len(f.latents)
+        # The discriminator's kernels, and the direction's, without bias rows.
+        v1, v2, uk1, uk2 = f.v1[:-1], f.v2[:-1], uv1[:-1], uv2[:-1]
+        # Forward R pass along u_gen: the fake inputs move.
+        r_gen_hidden = (f.latents @ uw1) * f.gen_mask
+        r_fake = (r_gen_hidden @ f.w2[:-1] + f.gen_hidden @ uw2) * f.tanh_slope
+        # P and its derivative along u_disc, M (u_V2 V1^T + V2 u_V1^T), in one product.
+        d = self.data_dim
+        pulled = f.disc_mask[:n] @ np.hstack([v2[:, None] * v1.T,
+                                              uk2[:, None] * v1.T + v2[:, None] * uk1.T])
+        logit_grad, r_logit_grad = pulled[:, :d], pulled[:, d:]
+        # Logit adjoints and their R derivatives; the fake rows' R adjoint
+        # sums both directions.
+        keep = _disc_keep(f.probs, n)
+        gen_adj = self._gen_logit_first(f.probs[:n]) / n
+        disc_adj = _disc_logit_first(f.probs, keep, n) / denom
+        r_disc_logit = (np.einsum("ij,ij->i", f.inputs, f.disc_mask @ (uv1 * v2).T)
+                        + f.disc_hidden @ uk2 + uv2[-1])
+        r_adj = keep * f.probs * (1.0 - f.probs) / denom * r_disc_logit
+        r_adj[:n] += (self._gen_logit_second(f.probs[:n]) / n
+                      * np.einsum("ij,ij->i", r_fake, logit_grad))
+
+        grad = np.empty(self.dim_params)
+        gw1, gw2, gv1, gv2 = self._augmented(grad)
+        # Generator block: one pullback of both passes' output adjoints.
+        fake_adj = gen_adj[:, None] * logit_grad
+        out_adj = fake_adj * f.tanh_slope
+        r_out_adj = ((r_adj[:n, None] * logit_grad + disc_adj[:n, None] * r_logit_grad)
+                     * f.tanh_slope - 2.0 * fake_adj * f.fake * r_fake)
+        np.matmul(f.gen_hidden.T, r_out_adj, out=gw2)
+        gw2[:-1] += r_gen_hidden.T @ out_adj
+        np.matmul(f.latents.T, (r_out_adj @ f.w2[:-1].T + out_adj @ uw2[:-1].T) * f.gen_mask,
+                  out=gw1)
+        # Discriminator block.
+        grams = _masked_grams(f.inputs, np.column_stack([r_adj, disc_adj]), f.disc_mask)
+        fake_gram = _masked_grams(r_fake, gen_adj[:, None], f.disc_mask[:n])[0]
+        np.multiply(grams[0], v2, out=gv1)
+        gv1 += grams[1] * uk2
+        gv1[:-1] += fake_gram * v2
+        # V2's part: r^T R{adj} + R{r}^T adj, the second read off the grams
+        # of each direction, where R{c} is v uV1 for u_disc and R{x} V1 for u_gen.
+        gv2[:-1] = (f.disc_hidden.T @ r_adj + (fake_gram * v1).sum(axis=0)
+                    + (grams[1] * uv1).sum(axis=0))
+        gv2[-1] = r_adj.sum()
+        grad += self._penalty_rates * vector
+        product = _checked(grad, "joint_gradient_vjp")
         count_vjp_of_gradient()
         return product
 
@@ -348,10 +430,11 @@ class FcGan:
         logit along the query.
         """
         f = self._forward(params, np.empty((0, self.latent_dim)), rows)
-        (qv1, qd1), (qv2, qd2) = self.disc_net.unpack(np.asarray(disc_query, dtype=np.float64))
-        first, _ = _disc_logit_derivatives(f.probs, 0)
-        v2 = f.disc_layers[1][0]
-        along = ((f.inputs @ qv1 + qd1) * f.disc_mask) @ v2 + f.disc_hidden @ qv2[:, 0] + qd2[0]
+        qv1, qv2 = self.disc_net.augmented(np.asarray(disc_query, dtype=np.float64))
+        # ((v Q1) * M) V2 + r q2 + q_d2, the first term reassociated through the mask.
+        along = (np.einsum("ij,ij->i", f.inputs, f.disc_mask @ (qv1 * f.v2[:-1]).T)
+                 + f.disc_hidden @ qv2[:-1, 0] + qv2[-1, 0])
+        first = _disc_logit_first(f.probs, _disc_keep(f.probs, 0), 0)
         return _checked(first * along, "data_term_scores")
 
     # -- closed-form metric queries ------------------------------------------
@@ -399,89 +482,48 @@ class FcGan:
         gen_grad, _ = gen_pullback(input_adj[:n])
         return np.concatenate([gen_grad, disc_grad])
 
+    def _augmented(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The four layers of a coupled vector as augmented views [W; b],
+        the discriminator's output layer as a vector."""
+        w1, w2 = self.gen_net.augmented(flat[:self.dim_gen])
+        v1, v2 = self.disc_net.augmented(flat[self.dim_gen:])
+        return w1, w2, v1, v2[:, 0]
+
     def _forward(self, params, latents, data_rows) -> _Activations:
         params = _checked(np.asarray(params, dtype=np.float64), "parameters")
-        (w1, b1), (w2, b2) = self.gen_net.unpack(params[:self.dim_gen])
-        (v1, d1), (v2, d2) = self.disc_net.unpack(params[self.dim_gen:])
-        z = np.asarray(latents, dtype=np.float64).reshape(-1, self.latent_dim)
-        rows = np.asarray(data_rows, dtype=np.float64).reshape(-1, self.data_dim)
-        gen_pre = z @ w1 + b1
-        gen_hidden = np.maximum(gen_pre, 0.0)
-        fake = np.tanh(gen_hidden @ w2 + b2)
-        inputs = np.concatenate([fake, rows])
-        disc_pre = inputs @ v1 + d1
+        w1, w2, v1, v2 = self._augmented(params)
+        latents = _with_ones(_rows_of(latents, self.latent_dim, "latents"))
+        rows = _rows_of(data_rows, self.data_dim, "data rows")
+        n = len(latents)
+        gen_pre = latents @ w1
+        gen_mask = (gen_pre > 0.0).astype(np.float64)
+        gen_hidden = np.ones((n, gen_pre.shape[1] + 1))
+        np.maximum(gen_pre, 0.0, out=gen_hidden[:, :-1])
+        inputs = np.ones((n + len(rows), self.data_dim + 1))
+        fake = np.tanh(gen_hidden @ w2, out=inputs[:n, :-1])
+        inputs[n:, :-1] = rows
+        disc_pre = inputs @ v1
         disc_hidden = np.maximum(disc_pre, 0.0)
         return _Activations(
-            gen_layers=((w1, b1), (w2, b2)),
-            disc_layers=((v1, d1), (v2[:, 0], d2)),
-            latents=z, gen_mask=gen_pre > 0, gen_hidden=gen_hidden,
-            fake=fake, tanh_slope=1.0 - fake * fake,
-            inputs=inputs, disc_mask=disc_pre > 0, disc_hidden=disc_hidden,
-            probs=expit(disc_hidden @ v2[:, 0] + d2[0]),
+            w1=w1, w2=w2, v1=v1, v2=v2,
+            latents=latents, gen_mask=gen_mask, gen_hidden=gen_hidden,
+            fake=fake, tanh_slope=1.0 - fake * fake, inputs=inputs,
+            disc_mask=(disc_pre > 0.0).astype(np.float64), disc_hidden=disc_hidden,
+            probs=expit(disc_hidden @ v2[:-1] + v2[-1]),
         )
 
-    def _gen_logit_derivatives(self, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """First and second logit derivatives of the per-latent generator loss."""
-        slope = probs * (1.0 - probs)
+    def _gen_logit_first(self, probs: np.ndarray) -> np.ndarray:
+        """First logit derivative of the per-latent generator loss."""
         if self.arch.objective == "nonsaturating":   # -p
-            return -slope, -slope * (1.0 - 2.0 * probs)
-        keep = _clamp_mask(1.0 - probs)              # log clamp(1 - p)
-        return -(keep * probs), -(keep * slope)
+            return -(probs * (1.0 - probs))
+        return -(_clamp_mask(1.0 - probs) * probs)   # log clamp(1 - p)
 
-    def _gen_loss_hvp(self, f: _Activations, u_gen: np.ndarray) -> np.ndarray:
-        """Hessian of the generator batch loss times ``(u_gen, 0)``."""
-        (uw1, ub1), (uw2, ub2) = self.gen_net.unpack(u_gen)
-        (w1, _), (w2, _) = f.gen_layers
-        (v1, _), (v2, _) = f.disc_layers
-        n = len(f.latents)
-        fake_mask, fake_hidden = f.disc_mask[:n], f.disc_hidden[:n]
-        # Forward R pass: directional derivatives R{.} of the activations.
-        r_gen_hidden = (f.latents @ uw1 + ub1) * f.gen_mask
-        r_fake = (r_gen_hidden @ w2 + f.gen_hidden @ uw2 + ub2) * f.tanh_slope
-        r_disc_hidden = (r_fake @ v1) * fake_mask
-        r_logit = r_disc_hidden @ v2
-        # Backward pass and its R derivative.
-        first, second = self._gen_logit_derivatives(f.probs[:n])
-        logit_adj, r_logit_adj = first / n, second / n * r_logit
-        disc_adj = logit_adj[:, None] * v2 * fake_mask
-        r_disc_adj = r_logit_adj[:, None] * v2 * fake_mask
-        fake_adj = disc_adj @ v1.T
-        r_fake_adj = r_disc_adj @ v1.T
-        out_adj = fake_adj * f.tanh_slope
-        r_out_adj = r_fake_adj * f.tanh_slope - 2.0 * fake_adj * f.fake * r_fake
-        r_w1, r_b1, r_w2, r_b2 = _gen_grads(f, r_out_adj)
-        r_hidden_adj = (out_adj @ uw2.T) * f.gen_mask
-        lam = 2.0 * self.arch.l2_rate
-        return _flat(
-            r_w1 + f.latents.T @ r_hidden_adj + lam * uw1, r_b1 + r_hidden_adj.sum(axis=0),
-            r_w2 + r_gen_hidden.T @ out_adj + lam * uw2, r_b2,
-            r_fake.T @ disc_adj + f.fake.T @ r_disc_adj, r_disc_adj.sum(axis=0),
-            r_disc_hidden.T @ logit_adj + fake_hidden.T @ r_logit_adj,
-            r_logit_adj.sum(keepdims=True),
-        )
-
-    def _disc_loss_hvp(self, f: _Activations, u_disc: np.ndarray, denom: int) -> np.ndarray:
-        """Hessian of the discriminator batch loss times ``(0, u_disc)``."""
-        (uv1, ud1), (uv2, ud2) = self.disc_net.unpack(u_disc)
-        uv2 = uv2[:, 0]
-        (v1, _), (v2, _) = f.disc_layers
-        n = len(f.latents)
-        # Forward R pass; the discriminator's inputs do not move.
-        r_disc_hidden = (f.inputs @ uv1 + ud1) * f.disc_mask
-        r_logit = r_disc_hidden @ v2 + f.disc_hidden @ uv2 + ud2[0]
-        # Backward pass and its R derivative.
-        first, second = _disc_logit_derivatives(f.probs, n)
-        logit_adj, r_logit_adj = first / denom, second / denom * r_logit
-        disc_adj = logit_adj[:, None] * v2 * f.disc_mask
-        r_disc_adj = (r_logit_adj[:, None] * v2 + logit_adj[:, None] * uv2) * f.disc_mask
-        r_out_adj = (r_disc_adj[:n] @ v1.T + disc_adj[:n] @ uv1.T) * f.tanh_slope
-        lam = 2.0 * self.arch.l2_rate
-        return _flat(
-            *_gen_grads(f, r_out_adj),
-            f.inputs.T @ r_disc_adj + lam * uv1, r_disc_adj.sum(axis=0),
-            r_disc_hidden.T @ logit_adj + f.disc_hidden.T @ r_logit_adj + lam * uv2,
-            r_logit_adj.sum(keepdims=True),
-        )
+    def _gen_logit_second(self, probs: np.ndarray) -> np.ndarray:
+        """Second logit derivative of the per-latent generator loss."""
+        slope = probs * (1.0 - probs)
+        if self.arch.objective == "nonsaturating":
+            return -slope * (1.0 - 2.0 * probs)
+        return -(_clamp_mask(1.0 - probs) * slope)
 
 
 @dataclass
@@ -491,13 +533,20 @@ class _Activations:
     generator on latents z:        a = z W1 + b1,  h = relu(a),  x = tanh(h W2 + b2)
     discriminator on inputs v:     c = v V1 + d1,  r = relu(c),  p = sigmoid(r V2 + d2)
 
-    The discriminator's inputs stack the generated rows first, then the
-    data rows.  Masks are ``a > 0`` and ``c > 0``; ``tanh_slope`` is
-    ``1 - x**2``; the output kernel ``V2`` is kept as a vector.
+    ``w1``, ``w2`` and ``v1`` are the augmented layers [W; b] and ``v2``
+    the vector [V2; d2], all views of the parameters.  ``latents``,
+    ``gen_hidden`` and ``inputs`` carry a trailing ones column; ``r`` does
+    not, since a strided write of the widest array costs more than the
+    bias add it would save.  ``inputs`` stacks the generated rows first,
+    then the data rows, and ``fake`` is the view of its generated part.
+    The masks are ``a > 0`` and ``c > 0`` as float64; ``tanh_slope`` is
+    ``1 - x**2``.
     """
 
-    gen_layers: tuple
-    disc_layers: tuple
+    w1: np.ndarray
+    w2: np.ndarray
+    v1: np.ndarray
+    v2: np.ndarray
     latents: np.ndarray
     gen_mask: np.ndarray
     gen_hidden: np.ndarray
@@ -518,34 +567,48 @@ def _clamp_mask(values: np.ndarray) -> np.ndarray:
     return (values > PROB_FLOOR) & (values < 1.0 - PROB_FLOOR)
 
 
-def _disc_logit_derivatives(probs: np.ndarray, n_fake: int) -> tuple[np.ndarray, np.ndarray]:
-    """First and second logit derivatives of the discriminator's per-input loss.
+def _disc_keep(probs: np.ndarray, n_fake: int) -> np.ndarray:
+    """Where the discriminator's per-input loss passes a derivative.
 
     The first ``n_fake`` inputs are generated, with loss -log clamp(1 - p);
-    the rest are data rows, with loss -log clamp(p).
+    the rest are data rows, with loss -log clamp(p).  The second logit
+    derivative of either is ``keep * p * (1 - p)``.
     """
-    fake, real = probs[:n_fake], probs[n_fake:]
-    keep = np.concatenate([_clamp_mask(1.0 - fake), _clamp_mask(real)])
-    first = keep * np.concatenate([fake, real - 1.0])
-    return first, keep * probs * (1.0 - probs)
+    clamped = probs.copy()
+    np.subtract(1.0, probs[:n_fake], out=clamped[:n_fake])
+    return _clamp_mask(clamped)
 
 
-def _fake_adjoint(f: _Activations, logit_adj: np.ndarray) -> np.ndarray:
-    """Adjoint of the generator's pre-tanh output from fake-logit adjoints."""
-    (v1, _), (v2, _) = f.disc_layers
-    fake_mask = f.disc_mask[:len(logit_adj)]
-    return ((logit_adj[:, None] * v2 * fake_mask) @ v1.T) * f.tanh_slope
+def _disc_logit_first(probs: np.ndarray, keep: np.ndarray, n_fake: int) -> np.ndarray:
+    """First logit derivative of the discriminator's per-input loss."""
+    first = probs.copy()
+    first[n_fake:] -= 1.0
+    return keep * first
 
 
-def _gen_grads(f: _Activations, out_adj: np.ndarray) -> list[np.ndarray]:
-    """Generator parameter gradients from the adjoint of its pre-tanh output."""
-    hidden_adj = (out_adj @ f.gen_layers[1][0].T) * f.gen_mask
-    return [f.latents.T @ hidden_adj, hidden_adj.sum(axis=0),
-            f.gen_hidden.T @ out_adj, out_adj.sum(axis=0)]
+def _rows_of(values, width: int, what: str) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[1] != width:
+        raise ValueError(f"{what} of shape {values.shape} are not (n, {width})")
+    return values
 
 
-def _flat(*pieces: np.ndarray) -> np.ndarray:
-    return np.concatenate([piece.ravel() for piece in pieces])
+def _with_ones(values: np.ndarray) -> np.ndarray:
+    """``values`` with a trailing ones column, the operand of an augmented layer."""
+    out = np.ones((len(values), values.shape[1] + 1))
+    out[:, :-1] = values
+    return out
+
+
+def _masked_grams(inputs: np.ndarray, weights: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``inputs.T @ (weights[:, j, None] * mask)`` for each column j of
+    ``weights``, stacked along the first axis, from one matmul.
+
+    The row weights scale the inputs, not the mask.
+    """
+    n, k = weights.shape
+    scaled = (weights[:, :, None] * inputs[:, None, :]).reshape(n, -1)
+    return (scaled.T @ mask).reshape(k, inputs.shape[1], -1)
 
 
 def _checked(values: np.ndarray, what: str) -> np.ndarray:

@@ -145,7 +145,10 @@ def asgd_step(problem, params: np.ndarray, data_rows: np.ndarray, latents: np.nd
     """One descent step on the coupled vector with block learning rates."""
     grad = joint_gradient(problem, params, latents, data_rows, denom)
     d = problem.dim_gen
-    return params - np.concatenate([lr_gen * grad[:d], lr_disc * grad[d:]])
+    # The gradient is a fresh array, so the block rates scale it in place.
+    grad[:d] *= lr_gen
+    grad[d:] *= lr_disc
+    return params - grad
 
 
 def _check_divergence(params: np.ndarray, step: int, limit: float) -> None:

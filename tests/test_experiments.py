@@ -316,6 +316,18 @@ def test_cli_train_is_deterministic(mini_config, tmp_path, capsys):
     assert trace.n_steps == 6
 
 
+def test_cli_train_refuses_a_data_dim_that_does_not_match_the_dataset(tmp_path, capsys):
+    # A width that divides the rows' size would otherwise be reinterpreted:
+    # 2-D rows read as twice as many 1-D ones.
+    path = tmp_path / "wrong_width.ini"
+    path.write_text(MINI_CONFIG.replace("latent_dim = 3", "latent_dim = 3\ndata_dim = 1"))
+    code = cli_main(["train", "--config", str(path), "--out", str(tmp_path / "trace")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "data_dim = 1" in err and "dimension 2" in err
+    assert not (tmp_path / "trace").exists()
+
+
 def test_cli_influence_refuses_fingerprint_mismatch(mini_config, tmp_path, capsys):
     _, path = mini_config
     assert cli_main(["train", "--config", str(path), "--out", str(tmp_path / "trace")]) == 0

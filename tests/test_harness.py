@@ -272,6 +272,21 @@ def test_config_roundtrip(tmp_path):
     assert override.training.seed == 9
 
 
+@pytest.mark.parametrize("kind, extra, dim", [
+    ("normal2d", "", 2),
+    ("digits8", "n_classes = 4\n", 64),
+    ("digits8", "n_classes = 4\nside = 4\n", 64),   # glyphs ignore the IDX side
+], ids=["normal2d", "digits8", "digits8_with_side"])
+def test_config_data_dim_must_match_the_dataset(tmp_path, kind, extra, dim):
+    text = CONFIG_TEXT.replace("kind = normal2d\n", f"kind = {kind}\n{extra}")
+    path = tmp_path / "exp.ini"
+    path.write_text(text.replace("latent_dim = 4", f"latent_dim = 4\ndata_dim = {dim}"))
+    assert load_config(path).architecture.data_dim == dim
+    path.write_text(text.replace("latent_dim = 4", f"latent_dim = 4\ndata_dim = {2 * dim}"))
+    with pytest.raises(ValueError, match=f"data_dim = {2 * dim} .* dimension {dim}"):
+        load_config(path)
+
+
 def test_config_fingerprint_tracks_training_inputs(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text(CONFIG_TEXT)

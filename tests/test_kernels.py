@@ -57,8 +57,8 @@ from toys import (
 LATENT, DATA, HIDDEN_GEN, HIDDEN_DISC = 3, 2, 6, 8
 
 
-def pair(objective):
-    arch = GanArchitecture(latent_dim=LATENT, data_dim=DATA, hidden_gen=HIDDEN_GEN,
+def pair(objective, data_dim=DATA):
+    arch = GanArchitecture(latent_dim=LATENT, data_dim=data_dim, hidden_gen=HIDDEN_GEN,
                            hidden_disc=HIDDEN_DISC, l2_rate=1e-3, objective=objective)
     return FcGan(arch), TapeFcGan(arch)
 
@@ -84,31 +84,35 @@ def saturated(gan, params):
     return params
 
 
-# name: (n latents, n data rows, denom, parameter edit)
+# name: (n latents, n data rows, denom, parameter edit, data dimension)
 SCENARIOS = {
-    "full_batch": (7, 7, 7, None),
-    "oracle_replay": (7, 4, 7, None),        # denom > len(data_rows)
-    "all_rows_excluded": (7, 0, 7, None),
-    "single_row": (1, 1, 1, None),
-    "dead_relus": (7, 7, 7, dead_relus),
-    "saturated_discriminator": (7, 7, 7, saturated),
+    "full_batch": (7, 7, 7, None, DATA),
+    "oracle_replay": (7, 4, 7, None, DATA),        # denom > len(data_rows)
+    "all_rows_excluded": (7, 0, 7, None, DATA),
+    "single_row": (1, 1, 1, None, DATA),
+    "dead_relus": (7, 7, 7, dead_relus, DATA),
+    "saturated_discriminator": (7, 7, 7, saturated, DATA),
+    # Rows wider than the discriminator's hidden layer, as on 64-pixel
+    # digits with 32 hidden units: the weighted inputs of the products
+    # through the relu mask are then wider than the mask itself.
+    "wide_data": (7, 7, 7, None, 12),
 }
 
 
 @pytest.mark.parametrize("objective", ["nonsaturating", "minimax"])
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_closed_form_matches_tape(objective, scenario):
-    gan, tape = pair(objective)
-    n_latents, n_rows, denom, edit = SCENARIOS[scenario]
+    n_latents, n_rows, denom, edit, data_dim = SCENARIOS[scenario]
+    gan, tape = pair(objective, data_dim)
     rng = np.random.default_rng(sorted(SCENARIOS).index(scenario))
     params = gan.init_params(rng) + rng.normal(0.0, 0.1, gan.dim_params)
     if edit is not None:
         params = edit(gan, params)
     latents = rng.standard_normal((n_latents, LATENT))
-    rows = rng.standard_normal((n_rows, DATA))
+    rows = rng.standard_normal((n_rows, data_dim))
     vector = rng.standard_normal(gan.dim_params)
     query = rng.standard_normal(gan.dim_disc)
-    score_rows = rows if n_rows else rng.standard_normal((3, DATA))
+    score_rows = rows if n_rows else rng.standard_normal((3, data_dim))
 
     assert_matches(gan.joint_gradient(params, latents, rows, denom),
                    tape.joint_gradient(params, latents, rows, denom))
@@ -138,6 +142,30 @@ def test_propagate_query_counts_one_vjp_per_call():
         before = vjp_gradient_call_count()
         propagate_query(problem, rng.standard_normal(problem.dim_params), step, data)
         assert vjp_gradient_call_count() == before + 1
+
+
+@pytest.mark.parametrize("kernel, operand", [
+    ("joint_gradient", "data rows"), ("joint_gradient", "latents"),
+    ("joint_gradient_vjp", "data rows"), ("joint_gradient_vjp", "latents"),
+    ("data_term_scores", "data rows"),
+])
+def test_kernels_reject_rows_of_the_wrong_width(kernel, operand):
+    # Twice the width holds as many numbers as twice the rows, so a reshape
+    # would read each row as two instances instead of refusing it.
+    gan, _ = pair("nonsaturating")
+    rng = np.random.default_rng(23)
+    params = gan.init_params(rng)
+    rows = rng.standard_normal((4, 2 * DATA if operand == "data rows" else DATA))
+    latents = rng.standard_normal((4, 2 * LATENT if operand == "latents" else LATENT))
+    calls = {
+        "joint_gradient": lambda: gan.joint_gradient(params, latents, rows, 4),
+        "joint_gradient_vjp": lambda: gan.joint_gradient_vjp(
+            rng.standard_normal(gan.dim_params), params, latents, rows, 4),
+        "data_term_scores": lambda: gan.data_term_scores(
+            rng.standard_normal(gan.dim_disc), params, rows),
+    }
+    with pytest.raises(ValueError, match=f"{operand} of shape"):
+        calls[kernel]()
 
 
 def test_vjp_rejects_a_vector_of_the_wrong_length():
@@ -242,7 +270,7 @@ def test_input_pullback_matches_tape(layer):
                                       "saturated_discriminator"])
 def test_metric_queries_match_tape(scenario):
     gan, tape = pair("nonsaturating")
-    n_latents, n_rows, _, edit = SCENARIOS[scenario]
+    n_latents, n_rows, _, edit, _ = SCENARIOS[scenario]
     rng = np.random.default_rng(34)
     params = gan.init_params(rng) + rng.normal(0.0, 0.1, gan.dim_params)
     if edit is not None:
