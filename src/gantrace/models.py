@@ -505,7 +505,7 @@ class FcGan:
         disc_pre = inputs @ v1
         disc_hidden = np.maximum(disc_pre, 0.0)
         return _Activations(
-            w1=w1, w2=w2, v1=v1, v2=v2,
+            w2=w2, v1=v1, v2=v2,
             latents=latents, gen_mask=gen_mask, gen_hidden=gen_hidden,
             fake=fake, tanh_slope=1.0 - fake * fake, inputs=inputs,
             disc_mask=(disc_pre > 0.0).astype(np.float64), disc_hidden=disc_hidden,
@@ -533,8 +533,8 @@ class _Activations:
     generator on latents z:        a = z W1 + b1,  h = relu(a),  x = tanh(h W2 + b2)
     discriminator on inputs v:     c = v V1 + d1,  r = relu(c),  p = sigmoid(r V2 + d2)
 
-    ``w1``, ``w2`` and ``v1`` are the augmented layers [W; b] and ``v2``
-    the vector [V2; d2], all views of the parameters.  ``latents``,
+    ``w2`` and ``v1`` are the augmented layers [W2; b2] and [V1; d1] and
+    ``v2`` the vector [V2; d2], all views of the parameters.  ``latents``,
     ``gen_hidden`` and ``inputs`` carry a trailing ones column; ``r`` does
     not, since a strided write of the widest array costs more than the
     bias add it would save.  ``inputs`` stacks the generated rows first,
@@ -543,7 +543,6 @@ class _Activations:
     ``1 - x**2``.
     """
 
-    w1: np.ndarray
     w2: np.ndarray
     v1: np.ndarray
     v2: np.ndarray
