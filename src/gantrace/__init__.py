@@ -1,17 +1,9 @@
 """Replayable adversarial SGD training with per-instance influence estimation."""
 
-from .autodiff import (
-    NonFiniteError,
-    Tensor,
-    backward,
-    vjp_of_gradient,
-)
 from .config import DatasetSpec, ExperimentConfig, load_config, trace_fingerprint
 from .influence import (
     InfluenceTable,
     QueryVector,
-    cross_block_transfer_check,
-    estimate_influence_vector,
     infer_linear_influence,
     propagate_query,
 )
@@ -27,7 +19,7 @@ from .metrics import (
     metric_value,
     train_classifier,
 )
-from .models import FcGan, GanArchitecture, MlpLayout, joint_gradient
+from .models import FcGan, GanArchitecture, MlpLayout, NonFiniteError, joint_gradient
 from .oracle import CounterfactualResult, counterfactual_retrain, metric_deltas
 from .training import (
     DivergenceError,

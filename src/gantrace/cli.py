@@ -15,15 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import NonFiniteError
-from .config import ExperimentConfig, load_config, synthesize_dataset, trace_fingerprint
-from .datasets import dataset_checksum
+from .config import ExperimentConfig, load_config
 from .experiments import (
     _stream,
     evaluation_context,
     prepare_seed_run,
     run_data_cleansing,
     run_estimation_accuracy,
+    seed_dataset,
     select_harmful,
     write_accuracy_report,
     write_cleansing_curves,
@@ -32,6 +31,7 @@ from .experiments import (
 )
 from .influence import infer_linear_influence, save_influence_csv, save_influence_json
 from .metrics import MetricSpec, build_query_vector, save_classifier
+from .models import NonFiniteError
 from .oracle import metric_deltas
 from .training import DivergenceError, load_trace, run_training, save_trace, trace_checksum
 
@@ -110,10 +110,8 @@ def _load(args) -> ExperimentConfig:
 
 
 def _prepared(config: ExperimentConfig):
-    problem = config.problem()
-    data, _ = synthesize_dataset(config.dataset, _stream(config.training.seed, "dataset"))
-    fingerprint = trace_fingerprint(config, dataset_checksum(data))
-    return problem, data, fingerprint
+    data, _, fingerprint = seed_dataset(config, config.training.seed)
+    return config.problem(), data, fingerprint
 
 
 def _cmd_train(args) -> int:

@@ -181,11 +181,18 @@ class SeedRun:
     fingerprint: str
 
 
+def seed_dataset(config: ExperimentConfig, seed: int
+                 ) -> tuple[np.ndarray, np.ndarray | None, str]:
+    """A seed's dataset and labels, drawn from its dataset stream, and the
+    fingerprint a trace trained on them under ``config`` carries."""
+    data, labels = synthesize_dataset(config.dataset, _stream(seed, "dataset"))
+    return data, labels, trace_fingerprint(config, dataset_checksum(data))
+
+
 def prepare_seed_run(config: ExperimentConfig, seed: int) -> SeedRun:
     """Train one trace and assemble the evaluation side for a seed."""
     problem = config.problem()
-    data, labels = synthesize_dataset(config.dataset, _stream(seed, "dataset"))
-    fingerprint = trace_fingerprint(config, dataset_checksum(data))
+    data, labels, fingerprint = seed_dataset(config, seed)
     training = _reseeded(config, seed)
     trace = run_training(problem, data, training, fingerprint=fingerprint)
     reference_latents, context = evaluation_context(config, seed)

@@ -9,10 +9,6 @@ over the batch size, is added to the instance's score.  One backward sweep
 serves every instance; the per-step cost is a single vector-Jacobian
 product plus one batched score computation.  Each step's latent batch is
 the record's own, drawn once per trace, so repeated sweeps never redraw it.
-
-A forward variant that assembles the full parameter-shift vector with
-finite-difference Jacobian-vector products is provided for validation at
-small parameter counts.
 """
 
 from __future__ import annotations
@@ -25,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .models import data_term_gradient, data_term_scores, joint_gradient
+from .autodiff import vjp_of_gradient
+from .models import data_term_scores
 from .training import StepRecord, TrainingTrace
 
 
@@ -117,8 +114,8 @@ def propagate_query(problem, query: np.ndarray, record: StepRecord,
     latents = record.latents(problem.latent_dim)
     d = problem.dim_gen
     scaled = np.concatenate([record.lr_gen * query[:d], record.lr_disc * query[d:]])
-    return query - problem.joint_gradient_vjp(scaled, record.params, latents, data_rows,
-                                              len(latents))
+    return query - vjp_of_gradient(problem, scaled, record.params, latents, data_rows,
+                                   len(latents))
 
 
 def infer_linear_influence(problem, trace: TrainingTrace, dataset: np.ndarray,
@@ -172,115 +169,3 @@ def infer_linear_influence(problem, trace: TrainingTrace, dataset: np.ndarray,
         k_epochs=k_used,
         query_fingerprint=query.fingerprint,
     )
-
-
-def jacobian_vector_product_fd(problem, params: np.ndarray, direction: np.ndarray,
-                               latents: np.ndarray, data_rows: np.ndarray,
-                               denom: int | None = None, step_scale: float = 1e-4) -> np.ndarray:
-    """J·v by central finite differences of the joint gradient.
-
-    The evaluation points sit at ``params +- eps * v_hat`` with
-    ``eps = step_scale * (1 + |v|)``, so the perturbation magnitude stays
-    near ``step_scale`` regardless of the direction's length.
-    """
-    norm = float(np.linalg.norm(direction))
-    if norm == 0.0:
-        return np.zeros_like(params)
-    eps = step_scale * (1.0 + norm)
-    offset = (eps / norm) * direction
-    plus = joint_gradient(problem, params + offset, latents, data_rows, denom)
-    minus = joint_gradient(problem, params - offset, latents, data_rows, denom)
-    return (plus - minus) * (norm / (2.0 * eps))
-
-
-def estimate_influence_vector(problem, trace: TrainingTrace, dataset: np.ndarray,
-                              target: int, k_epochs: int | None = None,
-                              dim_cap: int = 2000) -> np.ndarray:
-    """Forward-accumulated estimate of the full parameter shift for one instance.
-
-    Validation-only utility: each step multiplies the running shift by the
-    step's update map using a finite-difference Jacobian-vector product,
-    then injects the instance's scaled data-term gradient at its
-    occurrences.  Refuses parameter counts above ``dim_cap``.
-    """
-    if problem.dim_params > dim_cap:
-        raise ValueError(
-            f"parameter count {problem.dim_params} exceeds the cap {dim_cap} "
-            "for the forward influence estimate")
-    dataset = np.asarray(dataset, dtype=np.float64)
-    start = window_start(trace, k_epochs)
-    target = int(target)
-    d = problem.dim_gen
-    shift = np.zeros(problem.dim_params)
-    for record in trace.records[start:]:
-        idx = record.batch_indices
-        latents = record.latents(problem.latent_dim)
-        if np.any(shift):
-            jv = jacobian_vector_product_fd(problem, record.params, shift, latents,
-                                            dataset[idx], denom=len(latents))
-            shift = shift - np.concatenate([record.lr_gen * jv[:d], record.lr_disc * jv[d:]])
-        if record.lr_disc != 0.0 and target in set(int(j) for j in idx):
-            grad = data_term_gradient(problem, record.params, dataset[target])
-            shift = shift.copy()
-            shift[d:] += (record.lr_disc / len(idx)) * grad
-    return shift
-
-
-@dataclass
-class CrossBlockReport:
-    """Cross-block image of a probe under one step's update map.
-
-    ``gen_image`` is what the probe's discriminator block contributes to
-    the generator block after the step; ``disc_image`` the converse.  A
-    nonzero ``gen_image`` is exactly the coupling that carries an
-    instance's removal from the discriminator into the generator.
-    """
-
-    step: int
-    output: np.ndarray
-    gen_image: np.ndarray
-    disc_image: np.ndarray
-
-    @property
-    def gen_transfer_norm(self) -> float:
-        return float(np.linalg.norm(self.gen_image))
-
-    @property
-    def disc_transfer_norm(self) -> float:
-        return float(np.linalg.norm(self.disc_image))
-
-
-def cross_block_transfer_check(problem, trace: TrainingTrace, dataset: np.ndarray,
-                               step_index: int, probe: np.ndarray | None = None,
-                               rng: np.random.Generator | None = None) -> CrossBlockReport:
-    """Measure how a probe crosses the generator/discriminator block boundary.
-
-    The output applies only the off-diagonal Jacobian blocks: the generator
-    part is ``probe_gen - lr_gen * (J (0, probe_disc))_gen`` and the
-    discriminator part the mirror image.  With a probe confined to the
-    discriminator block, a nonzero generator image certifies the transfer.
-    """
-    dataset = np.asarray(dataset, dtype=np.float64)
-    record = trace.records[step_index]
-    d = problem.dim_gen
-    if probe is None:
-        rng = rng or np.random.default_rng(0)
-        probe = np.concatenate([np.zeros(d), rng.standard_normal(problem.dim_disc)])
-        probe /= np.linalg.norm(probe)
-    probe = np.asarray(probe, dtype=np.float64)
-    latents = record.latents(problem.latent_dim)
-    rows = dataset[record.batch_indices]
-
-    disc_only = np.concatenate([np.zeros(d), probe[d:]])
-    gen_only = np.concatenate([probe[:d], np.zeros(problem.dim_disc)])
-    gen_image = np.zeros(d)
-    if np.any(disc_only):
-        gen_image = -record.lr_gen * jacobian_vector_product_fd(
-            problem, record.params, disc_only, latents, rows, denom=len(latents))[:d]
-    disc_image = np.zeros(problem.dim_disc)
-    if np.any(gen_only):
-        disc_image = -record.lr_disc * jacobian_vector_product_fd(
-            problem, record.params, gen_only, latents, rows, denom=len(latents))[d:]
-    output = probe + np.concatenate([gen_image, disc_image])
-    return CrossBlockReport(step=step_index, output=output,
-                            gen_image=gen_image, disc_image=disc_image)

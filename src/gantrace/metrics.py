@@ -25,7 +25,7 @@ of ``MlpLayout.vjp_np``, which also trains the classifier.  Chaining those
 sample gradients through the generator produces the query vector whose
 backward propagation estimates per-instance influence: the discriminator
 block of such a query is exactly zero because real data never passes
-through the generator.  No metric builds an autodiff tape.
+through the generator.
 """
 
 from __future__ import annotations

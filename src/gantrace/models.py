@@ -7,8 +7,8 @@ a configuration switch.  Batch means fix the summation order so repeated
 evaluation is bit-reproducible.
 
 A "problem" is anything exposing dim_gen / dim_disc / dim_params /
-latent_dim, three gradient methods and the graph builders.  The gradient
-methods serve training, counterfactual replay and influence inference
+latent_dim and the gradient methods below.  Three of them, the gradient
+kernels, serve training, counterfactual replay and influence inference
 through the module-level functions of the same names:
 
 - ``joint_gradient``: the two-block batch gradient;
@@ -30,10 +30,8 @@ float64 array, and no batch x hidden adjoint is ever formed.  Layers enter
 as augmented operands [W; b] against inputs with a ones column, so bias
 adds and bias gradients ride inside the matmuls.  The metric queries use
 ``MlpLayout.vjp_np``, the one hand-written backward pass of a dense stack,
-which the classifier shares.  No metric or hot-path caller builds a tape.
-The ``*_graph`` builders express the same losses on the autodiff tape;
-``data_term_gradient`` uses them, and the tests take them as the
-reference.
+which the classifier shares.  The tests check every one of them against
+the same losses differentiated on an autodiff tape.
 """
 
 from __future__ import annotations
@@ -44,7 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .autodiff import NonFiniteError, Tensor, backward, constant, count_vjp_of_gradient
+
+class NonFiniteError(FloatingPointError):
+    """A computation produced NaN or infinity."""
+
 
 # Discriminator probabilities are clamped away from {0, 1} before any log so
 # the losses and every influence quantity stay finite even when the
@@ -60,17 +61,10 @@ _NP_ACTS = {
 
 # Each activation's derivative from its pre-activation and its output.
 _NP_SLOPES = {
-    "relu": lambda pre, out: pre > 0,   # derivative 0 at the kink, as on the tape
+    "relu": lambda pre, out: pre > 0,   # derivative 0 at the kink
     "tanh": lambda pre, out: 1.0 - out * out,
     "sigmoid": lambda pre, out: out * (1.0 - out),
     "linear": lambda pre, out: 1.0,
-}
-
-_GRAPH_ACTS = {
-    "relu": lambda t: t.relu(),
-    "tanh": lambda t: t.tanh(),
-    "sigmoid": lambda t: t.sigmoid(),
-    "linear": lambda t: t,
 }
 
 
@@ -181,28 +175,6 @@ class MlpLayout:
 
         return output, pullback
 
-    def forward_graph(self, theta: Tensor, base: int, x, upto_layer: int | None = None) -> Tensor:
-        h = x if isinstance(x, Tensor) else constant(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-        for i in range(0, len(self.spans), 2):
-            k_off, k_shape = self.spans[i]
-            b_off, b_shape = self.spans[i + 1]
-            kernel = theta[base + k_off:base + k_off + k_shape[0] * k_shape[1]].reshape(k_shape)
-            bias = theta[base + b_off:base + b_off + b_shape[0]]
-            h = _GRAPH_ACTS[self.activations[i // 2]](h @ kernel + bias)
-            if upto_layer is not None and i // 2 == upto_layer:
-                return h
-        return h
-
-    def kernel_sq_norm_graph(self, theta: Tensor, base: int) -> Tensor:
-        total = None
-        for i in range(0, len(self.spans), 2):
-            k_off, k_shape = self.spans[i]
-            kernel = theta[base + k_off:base + k_off + k_shape[0] * k_shape[1]]
-            term = kernel.square().sum()
-            total = term if total is None else total + term
-        return total
-
-
 @dataclass(frozen=True)
 class GanArchitecture:
     """Shape and objective of the fully connected adversarial pair."""
@@ -269,58 +241,11 @@ class FcGan:
             raise ValueError(f"data dimension mismatch: {x.shape[1]} != {self.data_dim}")
         return self.disc_net.forward_np(params[self.dim_gen:], x)[:, 0]
 
-    # -- graph pieces ----------------------------------------------------
-
-    def generator_graph(self, theta: Tensor, latents: np.ndarray) -> Tensor:
-        return self.gen_net.forward_graph(theta, 0, latents)
-
-    def discriminator_graph(self, theta: Tensor, x) -> Tensor:
-        return self.disc_net.forward_graph(theta, self.dim_gen, x)
-
-    def gen_terms_graph(self, theta: Tensor, latents: np.ndarray) -> Tensor:
-        """Per-latent generator loss, shape (n_latents,)."""
-        probs = self.discriminator_graph(theta, self.generator_graph(theta, latents))
-        n = probs.shape[0]
-        if self.arch.objective == "nonsaturating":
-            terms = -probs
-        else:
-            terms = (1.0 - probs).clamp(PROB_FLOOR, 1.0 - PROB_FLOOR).log()
-        return terms.reshape((n,))
-
-    def disc_fake_terms_graph(self, theta: Tensor, latents: np.ndarray) -> Tensor:
-        """Per-latent discriminator loss on generated samples, shape (n_latents,)."""
-        probs = self.discriminator_graph(theta, self.generator_graph(theta, latents))
-        n = probs.shape[0]
-        return -((1.0 - probs).clamp(PROB_FLOOR, 1.0 - PROB_FLOOR).log()).reshape((n,))
-
-    def disc_real_terms_graph(self, theta: Tensor, rows: np.ndarray) -> Tensor:
-        """Per-instance discriminator loss on real data, shape (n_rows,)."""
-        probs = self.discriminator_graph(theta, rows)
-        n = probs.shape[0]
-        return -(probs.clamp(PROB_FLOOR, 1.0 - PROB_FLOOR).log()).reshape((n,))
-
-    def gen_reg_graph(self, theta: Tensor) -> Tensor:
-        return self.gen_net.kernel_sq_norm_graph(theta, 0) * self.arch.l2_rate
-
-    def disc_reg_graph(self, theta: Tensor) -> Tensor:
-        return self.disc_net.kernel_sq_norm_graph(theta, self.dim_gen) * self.arch.l2_rate
-
-    # -- scalar conveniences ----------------------------------------------
-
-    def gen_loss(self, params: np.ndarray, latent: np.ndarray) -> float:
-        return float(self.gen_terms_graph(Tensor(params), np.atleast_2d(latent)).data[0])
-
-    def disc_fake_loss(self, params: np.ndarray, latent: np.ndarray) -> float:
-        return float(self.disc_fake_terms_graph(Tensor(params), np.atleast_2d(latent)).data[0])
-
-    def disc_real_loss(self, params: np.ndarray, x: np.ndarray) -> float:
-        return float(self.disc_real_terms_graph(Tensor(params), np.atleast_2d(x)).data[0])
-
     # -- closed-form gradient kernels ---------------------------------------
     #
     # Each kernel runs one forward pass (``_Activations``) and then the
     # backward pass, or its R-operator derivative, by hand.  The per-logit
-    # derivatives follow the tape's conventions: the clamp at PROB_FLOOR has
+    # derivatives follow one set of conventions: the clamp at PROB_FLOOR has
     # zero derivative at and beyond its bounds, relu has derivative 0 at the
     # kink and no curvature, and the L2 penalty covers kernels only.
     #
@@ -417,9 +342,7 @@ class FcGan:
                     + (grams[1] * uv1).sum(axis=0))
         gv2[-1] = r_adj.sum()
         grad += self._penalty_rates * vector
-        product = _checked(grad, "joint_gradient_vjp")
-        count_vjp_of_gradient()
-        return product
+        return _checked(grad, "joint_gradient_vjp")
 
     def data_term_scores(self, disc_query: np.ndarray, params: np.ndarray,
                          rows: np.ndarray) -> np.ndarray:
@@ -612,7 +535,7 @@ def _masked_grams(inputs: np.ndarray, weights: np.ndarray, mask: np.ndarray) -> 
 
 def _checked(values: np.ndarray, what: str) -> np.ndarray:
     # Any NaN or infinity contaminates the sum, so one reduction checks the
-    # whole array, as the tape does.
+    # whole array.
     if not math.isfinite(values.sum()):
         raise NonFiniteError(f"non-finite values in {what}")
     return values
@@ -640,18 +563,6 @@ def joint_gradient(problem, params: np.ndarray, latents: np.ndarray,
         raise ValueError("empty latent batch")
     return problem.joint_gradient(params, latents, data_rows,
                                   len(latents) if denom is None else int(denom))
-
-
-def data_term_gradient(problem, params: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """Gradient of one instance's data-term loss, discriminator block only.
-
-    Neither the L2 penalty nor the generated-sample terms depend on the
-    instance, so this is the entire per-step effect of removing it.
-    """
-    theta = Tensor(np.asarray(params, dtype=np.float64))
-    loss = problem.disc_real_terms_graph(theta, np.atleast_2d(row)).sum()
-    (grad,) = backward(loss, [theta])
-    return grad.data[problem.dim_gen:].copy()
 
 
 def data_term_scores(problem, disc_query: np.ndarray, params: np.ndarray,

@@ -1,18 +1,10 @@
 import numpy as np
 import pytest
 
-from gantrace.autodiff import (
-    NonFiniteError,
-    Tensor,
-    backward,
-    concat_vec,
-    constant,
-    logsumexp,
-    reset_vjp_gradient_call_count,
-    vjp_gradient_call_count,
-    vjp_of_gradient,
-)
-from gantrace.models import MlpLayout
+import gantrace.autodiff
+from gantrace.models import MlpLayout, NonFiniteError
+from tape import Tensor, backward, concat_vec, constant, logsumexp, vjp_of_gradient
+from toys import bilinear_game, mlp_graph
 
 
 def numerical_gradient(fn, x, eps=1e-5):
@@ -39,7 +31,7 @@ def test_sigmoid_at_zero():
 def test_zero_mlp_with_tanh_head_outputs_zero():
     layout = MlpLayout((3, 4, 2), ("relu", "tanh"))
     theta = Tensor(np.zeros(layout.n_params))
-    out = layout.forward_graph(theta, 0, np.array([[0.3, -1.2, 0.7]]))
+    out = mlp_graph(layout, theta, 0, np.array([[0.3, -1.2, 0.7]]))
     assert np.array_equal(out.data, np.zeros((1, 2)))
 
 
@@ -171,10 +163,10 @@ def test_random_mlp_gradient_matches_finite_differences():
     x = rng.standard_normal((5, 2))
 
     def value(p):
-        return float(layout.forward_graph(Tensor(p), 0, x).sum().data)
+        return float(mlp_graph(layout, Tensor(p), 0, x).sum().data)
 
     theta = Tensor(params)
-    (g,) = backward(layout.forward_graph(theta, 0, x).sum(), [theta])
+    (g,) = backward(mlp_graph(layout, theta, 0, x).sum(), [theta])
     fd = numerical_gradient(value, params)
     assert np.linalg.norm(g.data - fd) <= 1e-6 * np.linalg.norm(fd)
 
@@ -220,15 +212,17 @@ def test_vjp_of_identity_jacobian_returns_query():
 
 
 def test_vjp_counts_calls():
-    reset_vjp_gradient_call_count()
-
-    def gradient_map(theta):
-        (g,) = backward(theta.square().sum(), [theta])
-        return g
-
+    # The count is kept by the package's one counted product, not by the
+    # problem's own ``joint_gradient_vjp``, which it returns unchanged.
+    problem = bilinear_game()
+    vector, params = np.array([0.5, -1.0]), np.array([0.3, -0.2])
+    latents, rows = np.zeros((2, 1)), np.ones((2, 1))
+    gantrace.autodiff.reset_vjp_gradient_call_count()
     for _ in range(3):
-        vjp_of_gradient(np.ones(2), gradient_map, np.zeros(2))
-    assert vjp_gradient_call_count() == 3
+        product = gantrace.autodiff.vjp_of_gradient(problem, vector, params, latents, rows, 2)
+    assert gantrace.autodiff.vjp_gradient_call_count() == 3
+    assert np.array_equal(product, problem.joint_gradient_vjp(vector, params, latents, rows, 2))
+    assert gantrace.autodiff.vjp_gradient_call_count() == 3
 
 
 def test_vjp_length_mismatch_raises():
@@ -247,7 +241,7 @@ def test_vjp_linearity():
     x = rng.standard_normal((3, 2))
 
     def gradient_map(theta):
-        out = layout.forward_graph(theta, 0, x)
+        out = mlp_graph(layout, theta, 0, x)
         (g,) = backward(out.square().sum(), [theta])
         return g
 
@@ -269,7 +263,7 @@ def test_vjp_matches_fd_hessian_on_smooth_net():
     x = rng.standard_normal((4, 2))
 
     def loss_graph(theta):
-        return layout.forward_graph(theta, 0, x).square().sum()
+        return mlp_graph(layout, theta, 0, x).square().sum()
 
     def gradient_map(theta):
         (g,) = backward(loss_graph(theta), [theta])

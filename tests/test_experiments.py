@@ -25,6 +25,7 @@ from gantrace.experiments import (
 )
 from gantrace.influence import infer_linear_influence
 from gantrace.metrics import MetricSpec, build_query_vector
+from gantrace.models import NonFiniteError
 from gantrace.oracle import metric_deltas
 from gantrace.training import load_trace, trace_checksum
 
@@ -423,6 +424,18 @@ def test_cli_divergence_exits_two(mini_config, tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_cli_non_finite_values_exit_two(mini_config, tmp_path, monkeypatch, capsys):
+    _, path = mini_config
+
+    def non_finite(*args, **kwargs):
+        raise NonFiniteError("non-finite values in joint_gradient")
+
+    monkeypatch.setattr(gantrace.cli, "run_training", non_finite)
+    code = cli_main(["train", "--config", str(path), "--out", str(tmp_path / "t")])
+    assert code == 2
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def _run_python(*args: str) -> subprocess.CompletedProcess:
     """A fresh interpreter that imports ``gantrace`` from this checkout."""
     src = str(Path(__file__).parent.parent / "src")
@@ -449,6 +462,18 @@ def test_cli_import_leaves_scipy_stats_out():
     result = _run_python("-c", "import sys, gantrace.cli; print('scipy.stats' in sys.modules)")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_package_loads_no_autodiff_tape():
+    """The closed-form kernels are the package's one differentiation engine;
+    the tape that checks them lives with the tests."""
+    script = ("import sys, gantrace, gantrace.cli\n"
+              "print(sorted(f'{name}.{attr}' for name, module in sys.modules.items()\n"
+              "             if name.startswith('gantrace') and module is not None\n"
+              "             for attr in ('Tensor', 'backward') if hasattr(module, attr)))")
+    result = _run_python("-c", script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_cli_influence_refuses_an_unconfigured_metric(mini_config, tmp_path, capsys):

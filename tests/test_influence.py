@@ -2,18 +2,20 @@ import numpy as np
 import pytest
 
 from gantrace.autodiff import reset_vjp_gradient_call_count, vjp_gradient_call_count
-from gantrace.influence import (
-    QueryVector,
-    cross_block_transfer_check,
-    estimate_influence_vector,
-    infer_linear_influence,
-    propagate_query,
-    window_start,
-)
-from gantrace.models import FcGan, GanArchitecture, data_term_gradient
+from gantrace.influence import QueryVector, infer_linear_influence, propagate_query, window_start
+from gantrace.models import FcGan, GanArchitecture
 from gantrace.oracle import counterfactual_retrain
 from gantrace.training import TrainingSettings, run_training
-from toys import QuadraticGameProblem, bilinear_game, build_trace, decoupled_game
+from toys import (
+    QuadraticGameProblem,
+    TapeFcGan,
+    bilinear_game,
+    build_trace,
+    cross_block_transfer_check,
+    data_term_gradient,
+    decoupled_game,
+    estimate_influence_vector,
+)
 
 
 def normal2d(n, seed):
@@ -264,7 +266,7 @@ def test_forward_estimate_consistent_with_backward_scores(gan):
     trace = run_training(gan, data, settings)
     query = QueryVector(np.random.default_rng(32).standard_normal(gan.dim_params), gan.dim_gen)
     table = infer_linear_influence(gan, trace, data, query, targets=[5])
-    shift = estimate_influence_vector(gan, trace, data, target=5)
+    shift = estimate_influence_vector(TapeFcGan(gan.arch), trace, data, target=5)
     assert float(query.data @ shift) == pytest.approx(table.scores[5], rel=1e-4)
 
 

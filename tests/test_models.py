@@ -2,22 +2,28 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from gantrace.autodiff import Tensor, backward
-from gantrace.models import (
-    FcGan,
-    GanArchitecture,
-    MlpLayout,
+from gantrace.models import FcGan, GanArchitecture, MlpLayout, data_term_scores, joint_gradient
+from tape import Tensor, backward
+from toys import (
+    TapeFcGan,
+    TinyDiscriminatorProblem,
     data_term_gradient,
-    data_term_scores,
-    joint_gradient,
+    disc_batch_loss_graph,
+    gen_batch_loss_graph,
+    kink_safe_params,
 )
-from toys import TinyDiscriminatorProblem, disc_batch_loss_graph, gen_batch_loss_graph, kink_safe_params
 
 
 @pytest.fixture
 def small_gan():
     return FcGan(GanArchitecture(latent_dim=3, data_dim=2, hidden_gen=4,
                                  hidden_disc=5, l2_rate=1e-3))
+
+
+@pytest.fixture
+def tape_gan(small_gan):
+    """The same model with its losses expressed on the autodiff tape."""
+    return TapeFcGan(small_gan.arch)
 
 
 def test_pack_unpack_roundtrip_bit_exact():
@@ -56,40 +62,40 @@ def test_generator_forward_deterministic(small_gan):
                           small_gan.generator_forward(params, z))
 
 
-def test_zero_discriminator_gives_half_and_log_two_losses(small_gan):
-    params = np.zeros(small_gan.dim_params)
+def test_zero_discriminator_gives_half_and_log_two_losses(tape_gan):
+    params = np.zeros(tape_gan.dim_params)
     x = np.array([0.4, -0.7])
     z = np.array([1.0, 0.0, -1.0])
-    assert small_gan.discriminator_forward(params, x)[0] == 0.5
-    assert small_gan.disc_real_loss(params, x) == pytest.approx(np.log(2.0), abs=1e-12)
-    assert small_gan.disc_fake_loss(params, z) == pytest.approx(np.log(2.0), abs=1e-12)
-    assert small_gan.gen_loss(params, z) == pytest.approx(-0.5, abs=1e-15)
+    assert tape_gan.discriminator_forward(params, x)[0] == 0.5
+    assert tape_gan.disc_real_loss(params, x) == pytest.approx(np.log(2.0), abs=1e-12)
+    assert tape_gan.disc_fake_loss(params, z) == pytest.approx(np.log(2.0), abs=1e-12)
+    assert tape_gan.gen_loss(params, z) == pytest.approx(-0.5, abs=1e-15)
 
 
-def test_losses_match_hand_written_expression(small_gan):
+def test_losses_match_hand_written_expression(tape_gan):
     rng = np.random.default_rng(3)
-    params = small_gan.init_params(rng) + rng.normal(0, 0.1, small_gan.dim_params)
+    params = tape_gan.init_params(rng) + rng.normal(0, 0.1, tape_gan.dim_params)
     z = rng.standard_normal(3)
     x = rng.standard_normal(2)
 
     def disc_prob(v):
-        (k1, b1), (k2, b2) = small_gan.disc_net.unpack(params[small_gan.dim_gen:])
+        (k1, b1), (k2, b2) = tape_gan.disc_net.unpack(params[tape_gan.dim_gen:])
         h = np.maximum(v @ k1 + b1, 0.0)
         return expit(h @ k2 + b2)[0]
 
-    (gk1, gb1), (gk2, gb2) = small_gan.gen_net.unpack(params[:small_gan.dim_gen])
+    (gk1, gb1), (gk2, gb2) = tape_gan.gen_net.unpack(params[:tape_gan.dim_gen])
     generated = np.tanh(np.maximum(z @ gk1 + gb1, 0.0) @ gk2 + gb2)
     p_data = np.clip(disc_prob(x), 1e-7, 1 - 1e-7)
     p_fake = np.clip(disc_prob(generated), 1e-7, 1 - 1e-7)
-    assert small_gan.disc_real_loss(params, x) == pytest.approx(-np.log(p_data), rel=1e-12)
-    assert small_gan.disc_fake_loss(params, z) == pytest.approx(-np.log(1 - p_fake), rel=1e-12)
-    assert small_gan.gen_loss(params, z) == pytest.approx(-disc_prob(generated), rel=1e-12)
+    assert tape_gan.disc_real_loss(params, x) == pytest.approx(-np.log(p_data), rel=1e-12)
+    assert tape_gan.disc_fake_loss(params, z) == pytest.approx(-np.log(1 - p_fake), rel=1e-12)
+    assert tape_gan.gen_loss(params, z) == pytest.approx(-disc_prob(generated), rel=1e-12)
 
 
 def test_minimax_objective_switch():
     arch = GanArchitecture(latent_dim=3, data_dim=2, hidden_gen=4, hidden_disc=5,
                            objective="minimax")
-    gan = FcGan(arch)
+    gan = TapeFcGan(arch)
     rng = np.random.default_rng(4)
     params = gan.init_params(rng) + rng.normal(0, 0.1, gan.dim_params)
     z = rng.standard_normal(3)
@@ -110,7 +116,7 @@ def test_joint_gradient_zero_at_constructed_critical_point(small_gan):
     assert np.array_equal(grad, np.zeros(gan.dim_params))
 
 
-def test_singleton_batch_equals_per_sample_gradient(small_gan):
+def test_singleton_batch_equals_per_sample_gradient(small_gan, tape_gan):
     rng = np.random.default_rng(6)
     params = small_gan.init_params(rng)
     z = rng.standard_normal((1, 3))
@@ -118,10 +124,10 @@ def test_singleton_batch_equals_per_sample_gradient(small_gan):
     grad = joint_gradient(small_gan, params, z, x)
 
     theta = Tensor(params)
-    gen_loss = small_gan.gen_terms_graph(theta, z).sum() + small_gan.gen_reg_graph(theta)
-    disc_loss = (small_gan.disc_fake_terms_graph(theta, z).sum()
-                 + small_gan.disc_real_terms_graph(theta, x).sum()) \
-        + small_gan.disc_reg_graph(theta)
+    gen_loss = tape_gan.gen_terms_graph(theta, z).sum() + tape_gan.gen_reg_graph(theta)
+    disc_loss = (tape_gan.disc_fake_terms_graph(theta, z).sum()
+                 + tape_gan.disc_real_terms_graph(theta, x).sum()) \
+        + tape_gan.disc_reg_graph(theta)
     (gg,) = backward(gen_loss, [theta])
     (gd,) = backward(disc_loss, [theta])
     expected = np.concatenate([gg.data[:small_gan.dim_gen], gd.data[small_gan.dim_gen:]])
@@ -139,7 +145,7 @@ def test_batch_gradient_is_average_of_singletons(small_gan):
     assert np.allclose(batch, singles, rtol=1e-12, atol=1e-15)
 
 
-def test_joint_gradient_matches_finite_differences_blockwise(small_gan):
+def test_joint_gradient_matches_finite_differences_blockwise(small_gan, tape_gan):
     rng = np.random.default_rng(8)
     z = rng.standard_normal((4, 3))
     x = rng.standard_normal((4, 2)) * 0.5
@@ -147,10 +153,10 @@ def test_joint_gradient_matches_finite_differences_blockwise(small_gan):
     grad = joint_gradient(small_gan, params, z, x)
 
     def gen_loss(p):
-        return float(gen_batch_loss_graph(small_gan, Tensor(p), z).data)
+        return float(gen_batch_loss_graph(tape_gan, Tensor(p), z).data)
 
     def disc_loss(p):
-        return float(disc_batch_loss_graph(small_gan, Tensor(p), z, x).data)
+        return float(disc_batch_loss_graph(tape_gan, Tensor(p), z, x).data)
 
     eps = 1e-5
     fd = np.zeros_like(params)
@@ -169,15 +175,15 @@ def test_empty_batch_rejected(small_gan):
                        np.zeros((0, 3)), np.zeros((0, 2)))
 
 
-def test_data_term_gradient_has_no_generator_component(small_gan):
+def test_data_term_gradient_has_no_generator_component(tape_gan):
     rng = np.random.default_rng(9)
-    params = small_gan.init_params(rng)
+    params = tape_gan.init_params(rng)
     x = rng.standard_normal(2)
     theta = Tensor(params)
-    loss = small_gan.disc_real_terms_graph(theta, x[None, :]).sum()
+    loss = tape_gan.disc_real_terms_graph(theta, x[None, :]).sum()
     (full,) = backward(loss, [theta])
-    assert np.array_equal(full.data[:small_gan.dim_gen], np.zeros(small_gan.dim_gen))
-    assert data_term_gradient(small_gan, params, x).shape == (small_gan.dim_disc,)
+    assert np.array_equal(full.data[:tape_gan.dim_gen], np.zeros(tape_gan.dim_gen))
+    assert data_term_gradient(tape_gan, params, x).shape == (tape_gan.dim_disc,)
 
 
 def test_data_term_gradient_hand_derived_one_parameter():
@@ -190,43 +196,43 @@ def test_data_term_gradient_hand_derived_one_parameter():
         assert grad[0] == pytest.approx(-0.5 * x, rel=1e-12)
 
 
-def test_data_term_gradient_finite_under_saturation(small_gan):
+def test_data_term_gradient_finite_under_saturation(tape_gan):
     # Huge output bias saturates D to the clamp bound; the clamp freezes
     # the log argument so the gradient is exactly zero, hence finite.
-    params = np.zeros(small_gan.dim_params)
+    params = np.zeros(tape_gan.dim_params)
     params[-1] = 60.0  # discriminator output bias
-    p = small_gan.discriminator_forward(params, np.array([0.3, -0.3]))[0]
+    p = tape_gan.discriminator_forward(params, np.array([0.3, -0.3]))[0]
     assert p == 1.0
-    grad = data_term_gradient(small_gan, params, np.array([0.3, -0.3]))
+    grad = data_term_gradient(tape_gan, params, np.array([0.3, -0.3]))
     assert np.all(np.isfinite(grad)) and np.array_equal(grad, np.zeros_like(grad))
 
 
-def test_data_term_gradient_deterministic(small_gan):
+def test_data_term_gradient_deterministic(tape_gan):
     rng = np.random.default_rng(10)
-    params = small_gan.init_params(rng)
+    params = tape_gan.init_params(rng)
     x = rng.standard_normal(2)
-    assert np.array_equal(data_term_gradient(small_gan, params, x),
-                          data_term_gradient(small_gan, params, x))
+    assert np.array_equal(data_term_gradient(tape_gan, params, x),
+                          data_term_gradient(tape_gan, params, x))
 
 
-def test_data_term_scores_match_per_row_loop(small_gan):
+def test_data_term_scores_match_per_row_loop(small_gan, tape_gan):
     rng = np.random.default_rng(11)
     params = small_gan.init_params(rng)
     rows = rng.standard_normal((6, 2))
     query = rng.standard_normal(small_gan.dim_disc)
     scores = data_term_scores(small_gan, query, params, rows)
-    loop = np.array([query @ data_term_gradient(small_gan, params, row) for row in rows])
+    loop = np.array([query @ data_term_gradient(tape_gan, params, row) for row in rows])
     assert np.allclose(scores, loop, rtol=1e-12, atol=1e-15)
 
 
-def test_regularizer_touches_kernels_only(small_gan):
+def test_regularizer_touches_kernels_only(tape_gan):
     # Gradient of the penalty alone: zero on every bias coordinate.
-    theta = Tensor(np.ones(small_gan.dim_params))
-    (g_gen,) = backward(small_gan.gen_reg_graph(theta), [theta])
-    (g_disc,) = backward(small_gan.disc_reg_graph(theta), [theta])
+    theta = Tensor(np.ones(tape_gan.dim_params))
+    (g_gen,) = backward(tape_gan.gen_reg_graph(theta), [theta])
+    (g_disc,) = backward(tape_gan.disc_reg_graph(theta), [theta])
     grad = g_gen.data + g_disc.data
     offset = 0
-    for net, base in ((small_gan.gen_net, 0), (small_gan.disc_net, small_gan.dim_gen)):
+    for net, base in ((tape_gan.gen_net, 0), (tape_gan.disc_net, tape_gan.dim_gen)):
         for i in range(0, len(net.spans), 2):
             k_off, k_shape = net.spans[i]
             b_off, b_shape = net.spans[i + 1]

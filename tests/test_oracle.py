@@ -7,10 +7,16 @@ import gantrace.oracle
 import gantrace.training
 from gantrace.influence import QueryVector, infer_linear_influence, window_start
 from gantrace.metrics import MetricContext, MetricSpec
-from gantrace.models import FcGan, GanArchitecture, data_term_gradient
+from gantrace.models import FcGan, GanArchitecture
 from gantrace.oracle import counterfactual_retrain, metric_deltas
 from gantrace.training import TrainingSettings, load_trace, run_training, save_trace
-from toys import build_trace, full_window_retrain, true_influence_on_metric
+from toys import (
+    TapeFcGan,
+    build_trace,
+    data_term_gradient,
+    full_window_retrain,
+    true_influence_on_metric,
+)
 
 
 def normal2d(n, seed):
@@ -81,7 +87,7 @@ def test_final_step_exclusion_has_closed_form(gan):
     trace = run_training(gan, data, settings)
     j = 11
     result = counterfactual_retrain(gan, trace, data, j, k_epochs=1)
-    removal = data_term_gradient(gan, trace.records[-1].params, data[j])
+    removal = data_term_gradient(TapeFcGan(gan.arch), trace.records[-1].params, data[j])
     expected = np.concatenate([np.zeros(gan.dim_gen), (1e-3 / 30) * removal])
     assert np.allclose(result.delta, expected, rtol=1e-7, atol=1e-18)
 

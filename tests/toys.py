@@ -2,15 +2,22 @@
 
 Each toy exposes the same surface the trainer, oracle and influence engine
 use on the real models: dimensions, the five graph builders and the
-gradient methods, which ``TapeGradients`` derives from the graph builders.
-Their losses are low-order polynomials, so Jacobians and update maps have
-closed forms the tests can write down explicitly.
+gradient methods, which ``TapeGradients`` derives from the graph builders
+on the tape of ``tape.py``.  Their losses are low-order polynomials, so
+Jacobians and update maps have closed forms the tests can write down
+explicitly.
 
-The same mixin over ``FcGan`` (``TapeFcGan``) is the autodiff reference
-that the closed-form kernels are checked against, and the ``tape_*``
-functions are the references for the closed-form dense-stack backward and
-the classifier built on it.  ``loop_permutation_test_tau`` is the
-per-permutation reference for the vectorized permutation test, and the
+``TapeFcGan`` is the autodiff reference for ``FcGan``: the same mixin over
+the model, plus its graph builders (``mlp_graph`` and ``kernel_sq_norm_graph``
+express a dense stack on the tape) and the single-sample losses
+``gen_loss``, ``disc_fake_loss`` and ``disc_real_loss``.  The closed-form
+kernels are checked against it, and ``data_term_gradient`` differentiates
+one row's data-term loss on it or on a toy.  The validation-only
+estimators live here as well: ``jacobian_vector_product_fd``, the forward
+``estimate_influence_vector`` built on it, and ``cross_block_transfer_check``.
+The ``tape_*`` functions are the references for the closed-form dense-stack
+backward and the classifier built on it.  ``loop_permutation_test_tau`` is
+the per-permutation reference for the vectorized permutation test, and the
 ``dense_*`` KDE functions, which build the whole n_ref x n_gen matrix, are
 the reference for the blocked KDE.  ``full_window_retrain`` is the oracle
 that replays the whole window whatever it excludes, the reference for the
@@ -20,17 +27,57 @@ refits the FID reference side on every call, the reference for the fit a
 change from two parameter vectors.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy import stats
 from scipy.special import logsumexp as np_logsumexp
 from scipy.special import softmax as np_softmax
 
-from gantrace.autodiff import Tensor, backward, concat_vec, constant, logsumexp, vjp_of_gradient
 from gantrace.experiments import PermutationResult
 from gantrace.influence import window_start
 from gantrace.metrics import Classifier, _psd_pinv, _psd_sqrt, metric_value
-from gantrace.models import FcGan, MlpLayout
-from gantrace.training import DivergenceError, asgd_step, latents_from_seed
+from gantrace.models import PROB_FLOOR, FcGan, MlpLayout, joint_gradient
+from gantrace.training import (
+    DivergenceError,
+    StepRecord,
+    TrainingTrace,
+    asgd_step,
+    latents_from_seed,
+)
+from tape import Tensor, backward, concat_vec, constant, logsumexp, vjp_of_gradient
+
+_GRAPH_ACTS = {
+    "relu": lambda t: t.relu(),
+    "tanh": lambda t: t.tanh(),
+    "sigmoid": lambda t: t.sigmoid(),
+    "linear": lambda t: t,
+}
+
+
+def mlp_graph(layout, theta, base, x, upto_layer=None):
+    """``layout.forward_np`` on the tape, reading the stack's parameters from
+    ``theta`` at offset ``base``; ``x`` is an array or a tensor."""
+    h = x if isinstance(x, Tensor) else constant(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    for i in range(0, len(layout.spans), 2):
+        k_off, k_shape = layout.spans[i]
+        b_off, b_shape = layout.spans[i + 1]
+        kernel = theta[base + k_off:base + k_off + k_shape[0] * k_shape[1]].reshape(k_shape)
+        bias = theta[base + b_off:base + b_off + b_shape[0]]
+        h = _GRAPH_ACTS[layout.activations[i // 2]](h @ kernel + bias)
+        if upto_layer is not None and i // 2 == upto_layer:
+            return h
+    return h
+
+
+def kernel_sq_norm_graph(layout, theta, base):
+    """Sum of the squared kernel entries of a dense stack, biases left out."""
+    total = None
+    for i in range(0, len(layout.spans), 2):
+        k_off, k_shape = layout.spans[i]
+        term = theta[base + k_off:base + k_off + k_shape[0] * k_shape[1]].square().sum()
+        total = term if total is None else total + term
+    return total
 
 
 def gen_batch_loss_graph(problem, theta, latents):
@@ -115,14 +162,186 @@ class TapeGradients:
 
 
 class TapeFcGan(TapeGradients, FcGan):
-    """``FcGan`` whose gradient methods run on the autodiff tape."""
+    """``FcGan`` whose gradient methods run on the autodiff tape.
+
+    The graph builders express ``FcGan``'s losses: the non-saturating or
+    minimax generator loss, the discriminator's -log clamp(1 - D) on
+    generated samples and -log clamp(D) on data rows, and each network's
+    L2 penalty on its kernels.
+    """
+
+    def generator_graph(self, theta, latents):
+        return mlp_graph(self.gen_net, theta, 0, latents)
+
+    def discriminator_graph(self, theta, x):
+        return mlp_graph(self.disc_net, theta, self.dim_gen, x)
+
+    def gen_terms_graph(self, theta, latents):
+        """Per-latent generator loss, shape (n_latents,)."""
+        probs = self.discriminator_graph(theta, self.generator_graph(theta, latents))
+        n = probs.shape[0]
+        if self.arch.objective == "nonsaturating":
+            terms = -probs
+        else:
+            terms = (1.0 - probs).clamp(PROB_FLOOR, 1.0 - PROB_FLOOR).log()
+        return terms.reshape((n,))
+
+    def disc_fake_terms_graph(self, theta, latents):
+        """Per-latent discriminator loss on generated samples, shape (n_latents,)."""
+        probs = self.discriminator_graph(theta, self.generator_graph(theta, latents))
+        n = probs.shape[0]
+        return -((1.0 - probs).clamp(PROB_FLOOR, 1.0 - PROB_FLOOR).log()).reshape((n,))
+
+    def disc_real_terms_graph(self, theta, rows):
+        """Per-instance discriminator loss on real data, shape (n_rows,)."""
+        probs = self.discriminator_graph(theta, rows)
+        n = probs.shape[0]
+        return -(probs.clamp(PROB_FLOOR, 1.0 - PROB_FLOOR).log()).reshape((n,))
+
+    def gen_reg_graph(self, theta):
+        return kernel_sq_norm_graph(self.gen_net, theta, 0) * self.arch.l2_rate
+
+    def disc_reg_graph(self, theta):
+        return kernel_sq_norm_graph(self.disc_net, theta, self.dim_gen) * self.arch.l2_rate
+
+    def gen_loss(self, params, latent):
+        return float(self.gen_terms_graph(Tensor(params), np.atleast_2d(latent)).data[0])
+
+    def disc_fake_loss(self, params, latent):
+        return float(self.disc_fake_terms_graph(Tensor(params), np.atleast_2d(latent)).data[0])
+
+    def disc_real_loss(self, params, x):
+        return float(self.disc_real_terms_graph(Tensor(params), np.atleast_2d(x)).data[0])
+
+
+def data_term_gradient(problem, params, row):
+    """Gradient of one instance's data-term loss, discriminator block only.
+
+    Neither the L2 penalty nor the generated-sample terms depend on the
+    instance, so this is the entire per-step effect of removing it.
+    ``problem`` needs the graph builders: a toy or a ``TapeFcGan``.
+    """
+    theta = Tensor(np.asarray(params, dtype=np.float64))
+    loss = problem.disc_real_terms_graph(theta, np.atleast_2d(row)).sum()
+    (grad,) = backward(loss, [theta])
+    return grad.data[problem.dim_gen:].copy()
+
+
+# -- validation-only estimators ----------------------------------------------------
+
+def jacobian_vector_product_fd(problem, params, direction, latents, data_rows,
+                               denom=None, step_scale=1e-4):
+    """J·v by central finite differences of the joint gradient.
+
+    The evaluation points sit at ``params +- eps * v_hat`` with
+    ``eps = step_scale * (1 + |v|)``, so the perturbation magnitude stays
+    near ``step_scale`` regardless of the direction's length.
+    """
+    norm = float(np.linalg.norm(direction))
+    if norm == 0.0:
+        return np.zeros_like(params)
+    eps = step_scale * (1.0 + norm)
+    offset = (eps / norm) * direction
+    plus = joint_gradient(problem, params + offset, latents, data_rows, denom)
+    minus = joint_gradient(problem, params - offset, latents, data_rows, denom)
+    return (plus - minus) * (norm / (2.0 * eps))
+
+
+def estimate_influence_vector(problem, trace, dataset, target, k_epochs=None, dim_cap=2000):
+    """Forward-accumulated estimate of the full parameter shift for one instance.
+
+    Each step multiplies the running shift by the step's update map using a
+    finite-difference Jacobian-vector product, then injects the instance's
+    scaled data-term gradient at its occurrences.  ``problem`` needs the
+    graph builders for ``data_term_gradient``.  Refuses parameter counts
+    above ``dim_cap``.
+    """
+    if problem.dim_params > dim_cap:
+        raise ValueError(
+            f"parameter count {problem.dim_params} exceeds the cap {dim_cap} "
+            "for the forward influence estimate")
+    dataset = np.asarray(dataset, dtype=np.float64)
+    start = window_start(trace, k_epochs)
+    target = int(target)
+    d = problem.dim_gen
+    shift = np.zeros(problem.dim_params)
+    for record in trace.records[start:]:
+        idx = record.batch_indices
+        latents = record.latents(problem.latent_dim)
+        if np.any(shift):
+            jv = jacobian_vector_product_fd(problem, record.params, shift, latents,
+                                            dataset[idx], denom=len(latents))
+            shift = shift - np.concatenate([record.lr_gen * jv[:d], record.lr_disc * jv[d:]])
+        if record.lr_disc != 0.0 and target in set(int(j) for j in idx):
+            grad = data_term_gradient(problem, record.params, dataset[target])
+            shift = shift.copy()
+            shift[d:] += (record.lr_disc / len(idx)) * grad
+    return shift
+
+
+@dataclass
+class CrossBlockReport:
+    """Cross-block image of a probe under one step's update map.
+
+    ``gen_image`` is what the probe's discriminator block contributes to
+    the generator block after the step; ``disc_image`` the converse.  A
+    nonzero ``gen_image`` is exactly the coupling that carries an
+    instance's removal from the discriminator into the generator.
+    """
+
+    step: int
+    output: np.ndarray
+    gen_image: np.ndarray
+    disc_image: np.ndarray
+
+    @property
+    def gen_transfer_norm(self):
+        return float(np.linalg.norm(self.gen_image))
+
+    @property
+    def disc_transfer_norm(self):
+        return float(np.linalg.norm(self.disc_image))
+
+
+def cross_block_transfer_check(problem, trace, dataset, step_index, probe=None, rng=None):
+    """Measure how a probe crosses the generator/discriminator block boundary.
+
+    The output applies only the off-diagonal Jacobian blocks: the generator
+    part is ``probe_gen - lr_gen * (J (0, probe_disc))_gen`` and the
+    discriminator part the mirror image.  With a probe confined to the
+    discriminator block, a nonzero generator image certifies the transfer.
+    """
+    dataset = np.asarray(dataset, dtype=np.float64)
+    record = trace.records[step_index]
+    d = problem.dim_gen
+    if probe is None:
+        rng = rng or np.random.default_rng(0)
+        probe = np.concatenate([np.zeros(d), rng.standard_normal(problem.dim_disc)])
+        probe /= np.linalg.norm(probe)
+    probe = np.asarray(probe, dtype=np.float64)
+    latents = record.latents(problem.latent_dim)
+    rows = dataset[record.batch_indices]
+
+    disc_only = np.concatenate([np.zeros(d), probe[d:]])
+    gen_only = np.concatenate([probe[:d], np.zeros(problem.dim_disc)])
+    gen_image = np.zeros(d)
+    if np.any(disc_only):
+        gen_image = -record.lr_gen * jacobian_vector_product_fd(
+            problem, record.params, disc_only, latents, rows, denom=len(latents))[:d]
+    disc_image = np.zeros(problem.dim_disc)
+    if np.any(gen_only):
+        disc_image = -record.lr_disc * jacobian_vector_product_fd(
+            problem, record.params, gen_only, latents, rows, denom=len(latents))[d:]
+    output = probe + np.concatenate([gen_image, disc_image])
+    return CrossBlockReport(step=step_index, output=output,
+                            gen_image=gen_image, disc_image=disc_image)
 
 
 def tape_mlp_vjp(layout, flat, x, output_adjoint, upto_layer=None):
     """Parameter and input gradients of ``<output_adjoint, forward>`` on the tape."""
     theta = Tensor(np.asarray(flat, dtype=np.float64))
     leaf = Tensor(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    out = layout.forward_graph(theta, 0, leaf, upto_layer=upto_layer)
+    out = mlp_graph(layout, theta, 0, leaf, upto_layer=upto_layer)
     inner = (constant(output_adjoint) * out).sum()
     param_grad, input_grad = backward(inner, [theta, leaf])
     return param_grad.data.copy(), input_grad.data.copy()
@@ -149,7 +368,7 @@ def tape_train_classifier(data, labels, settings, seed=0):
         for start in range(0, len(data), settings.batch_size):
             batch = order[start:start + settings.batch_size]
             theta = Tensor(params)
-            logits = layout.forward_graph(theta, 0, data[batch])
+            logits = mlp_graph(layout, theta, 0, data[batch])
             logp = logits - logsumexp(logits, axis=1, keepdims=True)
             loss = -(constant(onehot[batch]) * logp).sum(axis=1).mean()
             (grad,) = backward(loss, [theta])
@@ -368,8 +587,6 @@ class TinyDiscriminatorProblem(TapeGradients):
 
 def build_trace(problem, dataset, schedule, rates, theta0, epoch_starts=None, seed0=1000):
     """Hand-built trace from an explicit schedule, for targeted scenarios."""
-    from gantrace.training import StepRecord, TrainingTrace, asgd_step, latents_from_seed
-
     dataset = np.asarray(dataset, dtype=np.float64)
     params = np.asarray(theta0, dtype=np.float64).copy()
     records = []
