@@ -62,9 +62,10 @@ def critical_set(scores, m: int = 10) -> set[int]:
     scores = np.asarray(scores, dtype=np.float64)
     if len(scores) < 2 * m:
         raise ValueError(f"need at least {2 * m} scored instances")
-    by_descending = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    by_ascending = sorted(range(len(scores)), key=lambda i: (scores[i], i))
-    return set(by_descending[:m]) | set(by_ascending[:m])
+    positions = np.arange(len(scores))
+    by_descending = np.lexsort((positions, -scores))[:m]
+    by_ascending = np.lexsort((positions, scores))[:m]
+    return set(by_descending.tolist()) | set(by_ascending.tolist())
 
 
 def jaccard_critical(estimated, true, m: int = 10) -> float:
@@ -88,7 +89,9 @@ def permutation_test_tau(estimated, true, n_permutations: int = 1000,
     true = np.asarray(true, dtype=np.float64)
     observed = kendall_tau(estimated, true)
     n = len(estimated)
-    orders = np.array([rng.permutation(n) for _ in range(n_permutations)]).reshape(-1, n)
+    # One draw of every order: row by row, the same permutations and the
+    # same generator state as n_permutations calls of rng.permutation(n).
+    orders = rng.permuted(np.tile(np.arange(n), (n_permutations, 1)), axis=1)
     null = _reordered_tau_b(estimated, true, orders)
     threshold = float(np.quantile(null, 0.975))
     p_value = float((np.sum(null >= observed) + 1) / (n_permutations + 1))
@@ -141,18 +144,19 @@ def _sign_matrix(values: np.ndarray) -> np.ndarray:
 def select_harmful(table: InfluenceTable, spec: MetricSpec, n_harmful: int) -> np.ndarray:
     """Indices of the most harmful instances under the metric's sign rule.
 
-    Only instances qualifying as harmful by sign are returned; the set is
-    truncated (with a warning) when fewer than requested qualify.
+    Only instances qualifying as harmful by sign are returned, most harmful
+    first and ties by index; the set is truncated (with a warning) when
+    fewer than requested qualify.
     """
     indices, scores = table.as_arrays()
     harmfulness = spec.harmful_sign * scores
-    order = sorted(range(len(indices)), key=lambda i: (-harmfulness[i], indices[i]))
-    qualified = [indices[i] for i in order if harmfulness[i] > 0]
+    order = np.lexsort((indices, -harmfulness))
+    qualified = indices[order[harmfulness[order] > 0]]
     if len(qualified) < n_harmful:
         warnings.warn(
             f"only {len(qualified)} of {n_harmful} requested instances qualify as harmful",
             RuntimeWarning, stacklevel=2)
-    return np.array(qualified[:n_harmful], dtype=np.int64)
+    return qualified[:n_harmful]
 
 
 def sign_test_greater(differences) -> float:

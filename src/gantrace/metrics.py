@@ -20,8 +20,9 @@ of the reference set's classifier features) is fitted once per frozen
 
 Each metric's gradient with respect to the generated samples is analytic at
 the outer level; where samples pass through a network (classifier features
-or posteriors), the pullback to the inputs is the closed-form backward pass
-of ``MlpLayout.vjp_np``, which also trains the classifier.  Chaining those
+or posteriors), the pullback to the inputs is the closed-form dense-stack
+backward pass, ``MlpLayout.backward``, the same pass that trains the
+classifier.  Chaining those
 sample gradients through the generator produces the query vector whose
 backward propagation estimates per-instance influence: the discriminator
 block of such a query is exactly zero because real data never passes
@@ -39,10 +40,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import softmax as np_softmax
 
 from .influence import QueryVector
-from .models import MlpLayout
+from .models import MlpLayout, _checked
 from .training import DivergenceError
 
 METRIC_KINDS = ("all", "is", "fid", "disc_loss")
@@ -365,17 +365,24 @@ class Classifier:
         return self.layout.forward_np(self.params, x)
 
     def posteriors(self, x: np.ndarray) -> np.ndarray:
-        return np_softmax(self.logits(x), axis=1)
+        return _softmax(self.logits(x))
 
     def features(self, x: np.ndarray) -> np.ndarray:
         return self.layout.forward_np(self.params, x, upto_layer=self.feature_layer)
 
     def input_pullback(self, x: np.ndarray, output_grads: np.ndarray, layer: str) -> np.ndarray:
-        """Chain per-sample output gradients back to the classifier inputs."""
+        """Chain per-sample output gradients back to the classifier inputs;
+        no parameter gradient is formed."""
         upto = None if layer == "logits" else self.feature_layer
-        _, pullback = self.layout.vjp_np(self.params, x, upto_layer=upto)
-        _, input_grad = pullback(output_grads)
-        return input_grad
+        record = self.layout.forward_record(self.layout.checked_layers(self.params, upto), x)
+        return self.layout.backward(record, output_grads, input_adjoint=True)
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, ``exp(x - max) / sum``: the same operations in the
+    same order as ``scipy.special.softmax(logits, axis=1)``, so the same bits."""
+    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return shifted / shifted.sum(axis=1, keepdims=True)
 
 
 def classifier_key(data: np.ndarray, labels: np.ndarray,
@@ -394,7 +401,14 @@ def classifier_key(data: np.ndarray, labels: np.ndarray,
 
 def train_classifier(data: np.ndarray, labels: np.ndarray,
                      settings: ClassifierSettings, seed: int = 0) -> Classifier:
-    """Deterministic mini-batch SGD on the softmax cross-entropy."""
+    """Deterministic mini-batch SGD on the softmax cross-entropy.
+
+    Each epoch gathers its shuffled rows and one-hot labels once and takes
+    its batches as slices of them.  Layer views of the parameters and of
+    one gradient buffer are made once for the whole run: every step writes
+    its gradient through the buffer's views and updates ``params`` in
+    place, which keeps the parameter views current.
+    """
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
     n_classes = int(labels.max()) + 1
@@ -407,16 +421,22 @@ def train_classifier(data: np.ndarray, labels: np.ndarray,
     params = layout.init_params(np.random.default_rng(init_seq))
     shuffle_rng = np.random.default_rng(shuffle_seq)
 
+    grad = np.empty_like(params)
+    layers, grads = layout.unpack(params), layout.unpack(grad)
     onehot = np.eye(n_classes)[labels]
     for _ in range(settings.epochs):
         order = shuffle_rng.permutation(len(data))
+        rows, targets = data[order], onehot[order]
         for start in range(0, len(data), settings.batch_size):
-            batch = order[start:start + settings.batch_size]
-            logits, pullback = layout.vjp_np(params, data[batch])
+            batch = slice(start, start + settings.batch_size)
+            record = layout.forward_record(layers, rows[batch])
             # Mean cross-entropy's logit adjoint: (softmax - onehot) / batch.
-            grad, _ = pullback((np_softmax(logits, axis=1) - onehot[batch]) / len(batch))
-            params = params - settings.lr * grad
-            peak = np.max(np.abs(params))
+            adjoint = (_softmax(record.output) - targets[batch]) / len(record.output)
+            layout.backward(record, adjoint, grads)
+            _checked(grad, "classifier gradient")
+            grad *= settings.lr
+            params -= grad
+            peak = np.abs(params).max()
             if not np.isfinite(peak) or peak > 1e6:
                 raise DivergenceError("classifier training diverged")
 
@@ -507,11 +527,18 @@ def expected_disc_loss(problem, params: np.ndarray, latents: np.ndarray,
 
 
 def metric_value(spec: MetricSpec, problem, params: np.ndarray,
-                 eval_latents: np.ndarray, context: MetricContext) -> float:
-    """Metric reading for a parameter vector on a fixed latent set."""
+                 eval_latents: np.ndarray, context: MetricContext,
+                 generated: np.ndarray | None = None) -> float:
+    """Metric reading for a parameter vector on a fixed latent set.
+
+    ``generated``, when given, must be ``problem.generator_forward(params,
+    eval_latents)``: a caller reading several sample-based metrics at one
+    parameter vector generates the samples once.  ``disc_loss`` ignores it.
+    """
     if spec.kind == "disc_loss":
         return expected_disc_loss(problem, params, eval_latents, context.real_data)
-    generated = problem.generator_forward(params, eval_latents)
+    if generated is None:
+        generated = problem.generator_forward(params, eval_latents)
     return evaluate_metric(spec, generated, context)
 
 

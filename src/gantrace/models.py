@@ -28,16 +28,23 @@ its hidden layer is rank one in the gradient and rank two in the R pass,
 so every product with it is reassociated through the relu mask, kept as a
 float64 array, and no batch x hidden adjoint is ever formed.  Layers enter
 as augmented operands [W; b] against inputs with a ones column, so bias
-adds and bias gradients ride inside the matmuls.  The metric queries use
-``MlpLayout.vjp_np``, the one hand-written backward pass of a dense stack,
-which the classifier shares.  The tests check every one of them against
-the same losses differentiated on an autodiff tape.
+adds and bias gradients ride inside the matmuls.
+
+A dense stack has one hand-written backward pass,
+``MlpLayout.backward``, run on what ``MlpLayout.forward_record`` keeps of
+a forward pass.  It writes the kernel and bias gradients into views of a
+buffer its caller owns, and forms the input adjoint only when asked.
+``MlpLayout.vjp_np`` wraps the pair for the metric queries.  The
+classifier's trainer calls the pair directly, and its input pullback asks
+for no parameter gradient.  The tests check every one of them against the same
+losses differentiated on an autodiff tape.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -137,6 +144,51 @@ class MlpLayout:
                 return h
         return h
 
+    def checked_layers(self, flat: np.ndarray, upto_layer: int | None = None):
+        """``unpack(flat)`` through layer ``upto_layer``; ``NonFiniteError``
+        when ``flat`` holds a NaN or infinity."""
+        layers = self.unpack(_checked(np.asarray(flat, dtype=np.float64), "parameters"))
+        return layers if upto_layer is None else layers[:upto_layer + 1]
+
+    def forward_record(self, layers, x: np.ndarray) -> DenseRecord:
+        """Forward pass through ``layers``, (kernel, bias) pairs as from
+        ``unpack``, keeping each layer's input and activation slope for
+        ``backward``."""
+        h = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        inputs, slopes = [], []
+        for (kernel, bias), activation in zip(layers, self.activations):
+            inputs.append(h)
+            pre = h @ kernel
+            pre += bias
+            h = _NP_ACTS[activation](pre)
+            slopes.append(_NP_SLOPES[activation](pre, h))
+        return DenseRecord(tuple(layers), inputs, slopes, h)
+
+    def backward(self, record: DenseRecord, output_adjoint: np.ndarray, grads=None,
+                 input_adjoint: bool = False) -> np.ndarray | None:
+        """Pull ``output_adjoint`` back through a recorded forward pass.
+
+        With ``grads``, (kernel, bias) views as from ``unpack`` of the
+        caller's buffer, each recorded layer's kernel and bias gradient of
+        ``<output_adjoint, output>`` is written into its views; the views of
+        layers past the record are left as they are.  The adjoint of the
+        inputs is computed and returned, checked finite, only with
+        ``input_adjoint``.
+        """
+        adj = np.asarray(output_adjoint, dtype=np.float64)
+        if adj.shape != record.output.shape:
+            raise ValueError(f"adjoint of shape {adj.shape} does not match "
+                             f"the output's {record.output.shape}")
+        for i in reversed(range(len(record.layers))):
+            adj = adj * record.slopes[i]
+            if grads is not None:
+                kernel_grad, bias_grad = grads[i]
+                np.matmul(record.inputs[i].T, adj, out=kernel_grad)
+                adj.sum(axis=0, out=bias_grad)
+            if i or input_adjoint:
+                adj = adj @ record.layers[i][0].T
+        return _checked(adj, "input gradient") if input_adjoint else None
+
     def vjp_np(self, flat: np.ndarray, x: np.ndarray, upto_layer: int | None = None):
         """Forward pass and its closed-form pullback.
 
@@ -146,34 +198,27 @@ class MlpLayout:
         for the layers past ``upto_layer``, and the input gradient, shaped
         like the two-dimensional inputs.
         """
-        flat = _checked(np.asarray(flat, dtype=np.float64), "parameters")
-        layers = self.unpack(flat)
-        if upto_layer is not None:
-            layers = layers[:upto_layer + 1]
-        h = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        inputs, slopes = [], []
-        for (kernel, bias), activation in zip(layers, self.activations):
-            inputs.append(h)
-            pre = h @ kernel + bias
-            h = _NP_ACTS[activation](pre)
-            slopes.append(_NP_SLOPES[activation](pre, h))
-        output = h
+        record = self.forward_record(self.checked_layers(flat, upto_layer), x)
 
         def pullback(output_adjoint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            adj = np.asarray(output_adjoint, dtype=np.float64)
-            if adj.shape != output.shape:
-                raise ValueError(f"adjoint of shape {adj.shape} does not match "
-                                 f"the output's {output.shape}")
             grad = np.zeros(self.n_params)
-            for i in reversed(range(len(layers))):
-                adj = adj * slopes[i]
-                k_off, b_off = self.spans[2 * i][0], self.spans[2 * i + 1][0]
-                grad[k_off:b_off] = (inputs[i].T @ adj).ravel()
-                grad[b_off:b_off + adj.shape[1]] = adj.sum(axis=0)
-                adj = adj @ layers[i][0].T
-            return _checked(grad, "parameter gradient"), _checked(adj, "input gradient")
+            input_grad = self.backward(record, output_adjoint, self.unpack(grad),
+                                       input_adjoint=True)
+            return _checked(grad, "parameter gradient"), input_grad
 
-        return output, pullback
+        return record.output, pullback
+
+
+class DenseRecord(NamedTuple):
+    """One forward pass of a dense stack, as ``MlpLayout.backward`` reads it:
+    the layers' (kernel, bias) views, each layer's input and activation
+    slope, and the output."""
+
+    layers: tuple
+    inputs: list
+    slopes: list
+    output: np.ndarray
+
 
 @dataclass(frozen=True)
 class GanArchitecture:

@@ -76,16 +76,25 @@ def metric_deltas(problem, trace: TrainingTrace, dataset: np.ndarray, targets,
 
     Both readings of a delta use the same evaluation latents, which removes
     the Monte Carlo noise between them; the baseline reading of each metric
-    is taken once.  Each array is aligned with ``targets``.
+    is taken once, and each parameter vector's samples are generated once
+    for all its sample-based readings.  Each array is aligned with ``targets``.
     """
     targets = [int(t) for t in targets]
-    baselines = {spec.kind: metric_value(spec, problem, trace.final_params,
-                                         eval_latents, context)
-                 for spec in specs}
+    baselines = _readings(problem, trace.final_params, specs, eval_latents, context)
     deltas = {spec.kind: np.empty(len(targets)) for spec in specs}
     for position, target in enumerate(targets):
         result = counterfactual_retrain(problem, trace, dataset, target, k_epochs)
+        after = _readings(problem, result.params, specs, eval_latents, context)
         for spec in specs:
-            after = metric_value(spec, problem, result.params, eval_latents, context)
-            deltas[spec.kind][position] = after - baselines[spec.kind]
+            deltas[spec.kind][position] = after[spec.kind] - baselines[spec.kind]
     return deltas
+
+
+def _readings(problem, params: np.ndarray, specs, eval_latents: np.ndarray,
+              context) -> dict[str, float]:
+    """Every metric of ``specs`` at ``params``, from one generated sample set."""
+    generated = None
+    if any(spec.kind != "disc_loss" for spec in specs):
+        generated = problem.generator_forward(params, eval_latents)
+    return {spec.kind: metric_value(spec, problem, params, eval_latents, context, generated)
+            for spec in specs}

@@ -217,6 +217,56 @@ def test_select_harmful_invariant_under_positive_rescaling():
     assert np.array_equal(a, b)
 
 
+def sorted_select_harmful(table, spec, n_harmful):
+    """``select_harmful`` with Python's ``sorted``, the reference for its lexsort."""
+    indices, scores = table.as_arrays()
+    harmfulness = spec.harmful_sign * scores
+    order = sorted(range(len(indices)), key=lambda i: (-harmfulness[i], indices[i]))
+    return np.array([indices[i] for i in order if harmfulness[i] > 0][:n_harmful],
+                    dtype=np.int64)
+
+
+def sorted_critical_set(scores, m):
+    """``critical_set`` with Python's ``sorted``, the reference for its lexsort."""
+    by_descending = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    by_ascending = sorted(range(len(scores)), key=lambda i: (scores[i], i))
+    return set(by_descending[:m]) | set(by_ascending[:m])
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("kind", ["all", "fid"])
+def test_select_harmful_matches_the_sorted_order(tied, kind):
+    rng = np.random.default_rng(10)
+    for trial in range(20):
+        scores = rng.standard_normal(60)
+        if tied:
+            scores = np.round(2.0 * scores) / 2.0   # many equal scores and zeros
+        # Sparse keys, so the index tie-break differs from the position.
+        table = InfluenceTable(metric_name=kind,
+                               scores={3 * i + trial % 3: float(v) for i, v in enumerate(scores)},
+                               k_epochs=1, query_fingerprint="x")
+        spec = MetricSpec(kind)
+        qualified = int((spec.harmful_sign * scores > 0).sum())
+        for n_harmful in (0, 5, qualified):
+            got = select_harmful(table, spec, n_harmful)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, sorted_select_harmful(table, spec, n_harmful))
+        with pytest.warns(RuntimeWarning, match="qualify"):
+            got = select_harmful(table, spec, qualified + 1)
+        assert np.array_equal(got, sorted_select_harmful(table, spec, qualified + 1))
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_critical_set_matches_the_sorted_order(tied):
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        scores = rng.standard_normal(40)
+        if tied:
+            scores = np.round(scores)
+        for m in (1, 5, 20):
+            assert critical_set(scores, m) == sorted_critical_set(scores, m)
+
+
 # -- configuration ---------------------------------------------------------------------
 
 CONFIG_TEXT = """

@@ -5,8 +5,10 @@ data-term scores and the metric queries from the graph builders; the
 closed forms must match it to 1e-12 relative in every regime the relu and
 clamp conventions distinguish.  The dense-stack backward
 (``MlpLayout.vjp_np``) and the classifier built on it are checked against
-the ``tape_*`` references the same way, the vectorized permutation test
-against a loop over ``scipy.stats.kendalltau``, and the blocked KDE against
+the ``tape_*`` references the same way, and the classifier trainer bit for
+bit against the per-step loop ``loop_train_classifier``.  The vectorized
+permutation test is checked against a loop over ``scipy.stats.kendalltau``
+and its orders against row-by-row draws, and the blocked KDE against
 the dense ``dense_*`` references, which build the whole kernel matrix.
 The FID value and query that read a context's cached reference fit are
 checked against the uncached forms.
@@ -17,11 +19,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import softmax as scipy_softmax
 
+import gantrace.experiments
 import gantrace.metrics
 import tape
 from gantrace.autodiff import vjp_gradient_call_count
 from gantrace.config import load_config
+from gantrace.datasets import make_digit_images
 from gantrace.experiments import permutation_test_tau, prepare_seed_run
 from gantrace.influence import propagate_query
 from gantrace.metrics import (
@@ -47,13 +52,14 @@ from gantrace.models import (
     data_term_scores,
     joint_gradient,
 )
-from gantrace.training import StepRecord, latents_from_seed
+from gantrace.training import DivergenceError, StepRecord, latents_from_seed
 from toys import (
     TapeFcGan,
     bilinear_game,
     dense_all_gradient,
     dense_average_log_likelihood,
     loop_permutation_test_tau,
+    loop_train_classifier,
     tape_input_pullback,
     tape_mlp_vjp,
     tape_train_classifier,
@@ -260,6 +266,51 @@ def test_train_classifier_matches_tape(activation):
     assert got.train_accuracy == ref.train_accuracy
 
 
+@pytest.mark.parametrize("activation, batch_size", [("tanh", 8), ("relu", 7), ("sigmoid", 45)])
+def test_train_classifier_matches_the_per_step_loop(activation, batch_size):
+    data, labels = small_classifier_data()
+    settings = ClassifierSettings(hidden=(6, 4), epochs=5, batch_size=batch_size, lr=0.1,
+                                  activation=activation)
+    got = train_classifier(data, labels, settings, seed=3)
+    ref = loop_train_classifier(data, labels, settings, seed=3)
+    assert np.array_equal(got.params, ref.params)
+    assert got.train_accuracy == ref.train_accuracy
+
+
+def test_train_classifier_matches_the_per_step_loop_on_digit_images():
+    # The shapes and settings of the digits8 configs' classifier: 64 inputs,
+    # hidden (64, 32), batches of 32 with a short last one.
+    data, labels = make_digit_images(300, 4, 0.15, np.random.default_rng(101))
+    settings = ClassifierSettings(epochs=3)
+    got = train_classifier(data, labels, settings, seed=101)
+    ref = loop_train_classifier(data, labels, settings, seed=101)
+    assert np.array_equal(got.params, ref.params)
+
+
+def test_train_classifier_refuses_a_non_finite_gradient():
+    data, labels = small_classifier_data()
+    data[7, 2] = np.nan
+    with pytest.raises(NonFiniteError):
+        train_classifier(data, labels, ClassifierSettings(hidden=(6, 4), epochs=1), seed=3)
+
+
+def test_train_classifier_refuses_a_diverging_parameter():
+    # One step at this rate carries some parameter past 1e6 while every
+    # value stays finite.
+    data, labels = small_classifier_data()
+    with pytest.raises(DivergenceError):
+        train_classifier(data, labels, ClassifierSettings(hidden=(6, 4), epochs=1, lr=1e9),
+                         seed=3)
+
+
+def test_softmax_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(39)
+    logits = rng.standard_normal((20000, 10)) * np.logspace(-3, 3, 20000)[:, None]
+    logits[:5] = [[0.0] * 10, [1e300] * 10, [-np.inf] + [0.0] * 9,
+                  [700.0, -700.0] * 5, [-1e-300, 1e-300] * 5]
+    assert np.array_equal(gantrace.metrics._softmax(logits), scipy_softmax(logits, axis=1))
+
+
 @pytest.mark.parametrize("layer", ["logits", "features"])
 def test_input_pullback_matches_tape(layer):
     data, labels = small_classifier_data()
@@ -338,6 +389,23 @@ def test_permutation_test_matches_kendalltau_loop(n, ties):
     ref = loop_permutation_test_tau(estimated, true, 300, rng=np.random.default_rng(37))
     assert (got.observed, got.threshold, got.p_value) == \
         (ref.observed, ref.threshold, ref.p_value)
+
+
+@pytest.mark.parametrize("n", [2, 16, 20, 50, 200])
+def test_permutation_orders_are_the_row_by_row_draws(monkeypatch, n):
+    seen = []
+    reordered = gantrace.experiments._reordered_tau_b
+
+    def recording(x, y, orders):
+        seen.append(orders)
+        return reordered(x, y, orders)
+
+    monkeypatch.setattr(gantrace.experiments, "_reordered_tau_b", recording)
+    values = np.random.default_rng(n).standard_normal((2, n))
+    rng, ref_rng = np.random.default_rng(40), np.random.default_rng(40)
+    permutation_test_tau(values[0], values[1], 120, rng=rng)
+    assert np.array_equal(seen[-1], np.array([ref_rng.permutation(n) for _ in range(120)]))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_permutation_test_of_an_all_tied_side_is_nan():

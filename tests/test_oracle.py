@@ -6,7 +6,7 @@ import pytest
 import gantrace.oracle
 import gantrace.training
 from gantrace.influence import QueryVector, infer_linear_influence, window_start
-from gantrace.metrics import MetricContext, MetricSpec
+from gantrace.metrics import ClassifierSettings, MetricContext, MetricSpec, train_classifier
 from gantrace.models import FcGan, GanArchitecture
 from gantrace.oracle import counterfactual_retrain, metric_deltas
 from gantrace.training import TrainingSettings, load_trace, run_training, save_trace
@@ -156,6 +156,36 @@ def test_metric_deltas_fill_every_metric(gan, trained):
                                                 spec, latents, context)
             assert deltas[spec.kind][position] == expected
             assert np.isfinite(expected)
+
+
+def test_metric_deltas_generate_once_per_parameter_vector(gan, trained, monkeypatch):
+    data, trace = trained
+    rng = np.random.default_rng(18)
+    reference = normal2d(30, 19)
+    labels = (reference[:, 0] > 1.0).astype(np.int64) + (reference[:, 1] > 1.0)
+    classifier = train_classifier(reference, labels, ClassifierSettings(hidden=(6, 4), epochs=3),
+                                  seed=20)
+    context = MetricContext(real_data=reference, classifier=classifier)
+    latents = rng.standard_normal((30, 3))
+    specs = [MetricSpec("all"), MetricSpec("is"), MetricSpec("fid")]
+    targets = [2, 1, 7]
+    calls = []
+    forward = gan.generator_forward
+
+    def counting(params, latents):
+        calls.append(params)
+        return forward(params, latents)
+
+    monkeypatch.setattr(gan, "generator_forward", counting)
+    deltas = metric_deltas(gan, trace, data, targets, 1, specs, latents, context)
+    # The baseline and one replay per target, whatever the number of metrics.
+    assert len(calls) == len(targets) + 1
+    monkeypatch.undo()
+    for spec in specs:
+        for position, target in enumerate(targets):
+            cf = counterfactual_retrain(gan, trace, data, target, k_epochs=1)
+            assert deltas[spec.kind][position] == true_influence_on_metric(
+                gan, trace.final_params, cf.params, spec, latents, context)
 
 
 # -- replay from the first excluded step ---------------------------------------------

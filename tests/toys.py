@@ -16,7 +16,8 @@ one row's data-term loss on it or on a toy.  The validation-only
 estimators live here as well: ``jacobian_vector_product_fd``, the forward
 ``estimate_influence_vector`` built on it, and ``cross_block_transfer_check``.
 The ``tape_*`` functions are the references for the closed-form dense-stack
-backward and the classifier built on it.  ``loop_permutation_test_tau`` is
+backward and the classifier built on it, and ``loop_train_classifier`` is
+the per-step loop the classifier trainer must match bit for bit.  ``loop_permutation_test_tau`` is
 the per-permutation reference for the vectorized permutation test, and the
 ``dense_*`` KDE functions, which build the whole n_ref x n_gen matrix, are
 the reference for the blocked KDE.  ``full_window_retrain`` is the oracle
@@ -373,6 +374,34 @@ def tape_train_classifier(data, labels, settings, seed=0):
             loss = -(constant(onehot[batch]) * logp).sum(axis=1).mean()
             (grad,) = backward(loss, [theta])
             params = params - settings.lr * grad.data
+            peak = np.max(np.abs(params))
+            if not np.isfinite(peak) or peak > 1e6:
+                raise DivergenceError("classifier training diverged")
+    clf = Classifier(layout, params, n_classes, settings.feature_layer)
+    clf.train_accuracy = float((clf.logits(data).argmax(axis=1) == labels).mean())
+    return clf
+
+
+def loop_train_classifier(data, labels, settings, seed=0):
+    """``metrics.train_classifier`` as a plain loop: a fresh ``vjp_np``
+    closure, gathered batch and gradient vector per step, SciPy's softmax
+    and an out-of-place update.  The trainer must match it bit for bit."""
+    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    labels = np.asarray(labels, dtype=np.int64)
+    n_classes = int(labels.max()) + 1
+    layout = MlpLayout((data.shape[1], *settings.hidden, n_classes),
+                       (settings.activation,) * len(settings.hidden) + ("linear",))
+    init_seq, shuffle_seq = np.random.SeedSequence(seed).spawn(2)
+    params = layout.init_params(np.random.default_rng(init_seq))
+    shuffle_rng = np.random.default_rng(shuffle_seq)
+    onehot = np.eye(n_classes)[labels]
+    for _ in range(settings.epochs):
+        order = shuffle_rng.permutation(len(data))
+        for start in range(0, len(data), settings.batch_size):
+            batch = order[start:start + settings.batch_size]
+            logits, pullback = layout.vjp_np(params, data[batch])
+            grad, _ = pullback((np_softmax(logits, axis=1) - onehot[batch]) / len(batch))
+            params = params - settings.lr * grad
             peak = np.max(np.abs(params))
             if not np.isfinite(peak) or peak > 1e6:
                 raise DivergenceError("classifier training diverged")
