@@ -1,8 +1,9 @@
 """The one counted vector-Jacobian product of a problem's joint gradient.
 
 The influence sweep's cost contract is one such product per traced step,
-however many instances it scores.  ``propagate_query`` is its only caller,
-so the count read here is the sweep's.
+however many instances it scores: the step's row scores come with the
+product.  ``propagate_query`` is its only caller, so the count read here is
+the sweep's.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ def reset_vjp_gradient_call_count() -> None:
 
 
 def vjp_of_gradient(problem, vector: np.ndarray, params: np.ndarray, latents: np.ndarray,
-                    data_rows: np.ndarray, denom: int) -> np.ndarray:
-    """``vector^T J`` for the Jacobian ``J`` of ``problem.joint_gradient``, counted."""
+                    data_rows: np.ndarray, denom: int) -> tuple[np.ndarray, np.ndarray]:
+    """``vector^T J`` for the Jacobian ``J`` of ``problem.joint_gradient``
+    and the data rows' scores, as ``problem.joint_gradient_vjp`` returns
+    them, counted as one call."""
     global _vjp_gradient_calls
-    product = problem.joint_gradient_vjp(vector, params, latents, data_rows, denom)
+    pair = problem.joint_gradient_vjp(vector, params, latents, data_rows, denom)
     _vjp_gradient_calls += 1
-    return product
+    return pair

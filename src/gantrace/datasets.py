@@ -12,7 +12,6 @@ import hashlib
 import struct
 
 import numpy as np
-from scipy import ndimage
 
 NORMAL2D_MEAN = np.array([1.0, 1.0])
 NORMAL2D_COV = np.array([[1.0, 0.8], [0.8, 1.0]])
@@ -92,6 +91,10 @@ def load_idx_images(images_path, labels_path=None, side: int = GLYPH_SIDE
         raise ValueError("expected a 3-d IDX image file")
     scaled = raw / 255.0 * 1.998 - 0.999
     if raw.shape[1] != side:
+        # Imported here: scipy.ndimage loads scipy.special with it, which
+        # every CLI command would otherwise pay for at start-up.
+        from scipy import ndimage
+
         factor = side / raw.shape[1]
         scaled = np.stack([ndimage.zoom(img, factor, order=1) for img in scaled])
     flat = scaled.reshape(len(scaled), -1)

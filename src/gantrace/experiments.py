@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -160,16 +161,18 @@ def select_harmful(table: InfluenceTable, spec: MetricSpec, n_harmful: int) -> n
 
 
 def sign_test_greater(differences) -> float:
-    """One-sided sign test that the paired differences are positive."""
+    """One-sided sign test that the paired differences are positive.
+
+    Zero differences are dropped; the p-value is the exact binomial tail
+    P(X >= wins) for X ~ Binomial(decided, 1/2), an integer count over
+    2**decided in one correctly rounded division.
+    """
     differences = np.asarray(differences, dtype=np.float64)
     wins = int(np.sum(differences > 0))
     decided = int(np.sum(differences != 0))
     if decided == 0:
         return 1.0
-    # Imported here: scipy.stats costs about half a second, which every CLI
-    # command would otherwise pay at start-up.
-    from scipy import stats
-    return float(stats.binomtest(wins, decided, 0.5, alternative="greater").pvalue)
+    return sum(math.comb(decided, i) for i in range(wins, decided + 1)) / 2 ** decided
 
 
 # -- shared per-seed setup -------------------------------------------------------

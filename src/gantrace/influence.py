@@ -7,8 +7,9 @@ scored instance, the inner product of the query's discriminator block with
 that instance's data-term gradient, scaled by the step's discriminator rate
 over the batch size, is added to the instance's score.  One backward sweep
 serves every instance; the per-step cost is a single vector-Jacobian
-product plus one batched score computation.  Each step's latent batch is
-the record's own, drawn once per trace, so repeated sweeps never redraw it.
+product, whose R pass also yields the scores of every row in the batch, so
+each step runs one forward pass.  Each step's latent batch is the record's
+own, drawn once per trace, so repeated sweeps never redraw it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import vjp_of_gradient
-from .models import data_term_scores
 from .training import StepRecord, TrainingTrace
 
 
@@ -94,6 +94,16 @@ def window_start(trace: TrainingTrace, k_epochs: int | None) -> int:
     return trace.epoch_starts[trace.epochs - k]
 
 
+def checked_dataset(trace: TrainingTrace, dataset) -> np.ndarray:
+    """``dataset`` as float64; ``ValueError`` unless it holds the trace's
+    ``n_train`` instances, since batch indices would read other rows."""
+    dataset = np.asarray(dataset, dtype=np.float64)
+    if len(dataset) != trace.n_train:
+        raise ValueError(f"dataset of {len(dataset)} rows does not match the trace's "
+                         f"{trace.n_train} training instances")
+    return dataset
+
+
 def _check_query(trace: TrainingTrace, query: QueryVector) -> None:
     if len(query.data) != trace.dim_params or query.dim_gen != trace.dim_gen:
         raise ValueError(
@@ -102,20 +112,24 @@ def _check_query(trace: TrainingTrace, query: QueryVector) -> None:
 
 
 def propagate_query(problem, query: np.ndarray, record: StepRecord,
-                    data_rows: np.ndarray) -> np.ndarray:
-    """Pull the query back through one recorded step.
+                    data_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pull the query back through one recorded step and score its rows.
 
     Returns ``q - q^T B J`` where ``B`` holds the step's block learning
     rates and ``J`` is the Jacobian of the joint batch gradient at the
     step's snapshot.  Folding ``B`` into the query first reduces the whole
     product to one vector-Jacobian product, so no square matrix is ever
-    formed.
+    formed.  Also returns each data row's score at this step: the inner
+    product of ``q``'s discriminator block with the row's data-term
+    gradient, times the discriminator rate over the batch size, which the
+    same product yields.
     """
     latents = record.latents(problem.latent_dim)
     d = problem.dim_gen
     scaled = np.concatenate([record.lr_gen * query[:d], record.lr_disc * query[d:]])
-    return query - vjp_of_gradient(problem, scaled, record.params, latents, data_rows,
-                                   len(latents))
+    product, row_scores = vjp_of_gradient(problem, scaled, record.params, latents, data_rows,
+                                          len(latents))
+    return query - product, row_scores
 
 
 def infer_linear_influence(problem, trace: TrainingTrace, dataset: np.ndarray,
@@ -129,10 +143,11 @@ def infer_linear_influence(problem, trace: TrainingTrace, dataset: np.ndarray,
     window keep an exact zero.  A step whose batch holds a target scores
     every row of the batch, so an instance's score, like the query
     propagation, is identical regardless of the target set.  Targets must
-    be instance indices in ``[0, n_train)``.
+    be instance indices in ``[0, n_train)``, and ``dataset`` must hold the
+    trace's ``n_train`` rows.
     """
     _check_query(trace, query)
-    dataset = np.asarray(dataset, dtype=np.float64)
+    dataset = checked_dataset(trace, dataset)
     start = window_start(trace, k_epochs) if start_step is None else int(start_step)
     if not 0 <= start < trace.n_steps:
         raise ValueError(f"start step {start} outside trace of {trace.n_steps} steps")
@@ -149,10 +164,10 @@ def infer_linear_influence(problem, trace: TrainingTrace, dataset: np.ndarray,
     current = query.data.copy()
     for record in reversed(trace.records[start:]):
         idx = record.batch_indices
-        rows = dataset[idx]
+        current, values = propagate_query(problem, current, record, dataset[idx])
+        # Steps without a discriminator rate score zeros and are skipped,
+        # which leaves the Kahan sums and carries exactly as they were.
         if record.lr_disc != 0.0 and is_target[idx].any():
-            values = (record.lr_disc / len(idx)) * data_term_scores(
-                problem, current[trace.dim_gen:], record.params, rows)
             # Kahan step, since occurrences across epochs can partially
             # cancel; a batch's indices are distinct, so each instance's
             # update is the scalar one.
@@ -160,7 +175,6 @@ def infer_linear_influence(problem, trace: TrainingTrace, dataset: np.ndarray,
             t = sums[idx] + y
             carry[idx] = (t - sums[idx]) - y
             sums[idx] = t
-        current = propagate_query(problem, current, record, rows)
 
     k_used = trace.epochs if k_epochs is None else int(k_epochs)
     return InfluenceTable(

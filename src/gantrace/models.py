@@ -7,23 +7,26 @@ a configuration switch.  Batch means fix the summation order so repeated
 evaluation is bit-reproducible.
 
 A "problem" is anything exposing dim_gen / dim_disc / dim_params /
-latent_dim and the gradient methods below.  Three of them, the gradient
-kernels, serve training, counterfactual replay and influence inference
-through the module-level functions of the same names:
+latent_dim and the gradient methods below.  Two of them, the gradient
+kernels, serve training, counterfactual replay and influence inference:
 
-- ``joint_gradient``: the two-block batch gradient;
-- ``joint_gradient_vjp``: a vector-Jacobian product against it;
-- ``data_term_scores``: a discriminator query's inner product with every
-  row's data-term gradient.
+- ``joint_gradient``: the two-block batch gradient, through the
+  module-level function of the same name;
+- ``joint_gradient_vjp``: a vector-Jacobian product against it, returned
+  with every data row's score along the direction's discriminator block,
+  its inner product with the row's data-term gradient over the batch
+  normalizer.  The module-level ``data_term_scores`` reads a query's scores
+  off it.
 
 The metrics' query vectors use three more: ``generator_vjp`` pulls
 per-sample gradients back through the generator, and
 ``expected_disc_loss`` with ``expected_disc_loss_gradient`` give the
 ``disc_loss`` metric and its gradient.
 
-``FcGan`` computes all of these in closed form with NumPy.  The three
-gradient kernels share one forward pass, and the product is Pearlmutter's
-R-operator.  They use the discriminator's scalar output: the adjoint of
+``FcGan`` computes all of these in closed form with NumPy.  Each gradient
+kernel runs one forward pass, and the product is Pearlmutter's
+R-operator, whose R pass yields the row scores as well.  The kernels
+use the discriminator's scalar output: the adjoint of
 its hidden layer is rank one in the gradient and rank two in the R pass,
 so every product with it is reassociated through the relu mask, kept as a
 float64 array, and no batch x hidden adjoint is ever formed.  Layers enter
@@ -327,14 +330,21 @@ class FcGan:
         return _checked(grad, "joint_gradient")
 
     def joint_gradient_vjp(self, vector: np.ndarray, params: np.ndarray, latents: np.ndarray,
-                           data_rows: np.ndarray, denom: int) -> np.ndarray:
-        """``vector^T J`` for the Jacobian ``J`` of ``joint_gradient``.
+                           data_rows: np.ndarray, denom: int) -> tuple[np.ndarray, np.ndarray]:
+        """``vector^T J`` for the Jacobian ``J`` of ``joint_gradient``, and
+        the data rows' scores along ``u_disc``.
 
         The generator rows of ``J`` are rows of the generator loss's
         Hessian and the discriminator rows rows of the discriminator
         loss's, so with ``vector = (u_gen, u_disc)`` the product is
         ``H_G (u_gen, 0) + H_D (0, u_disc)``: Pearlmutter's R-operator
         along each direction, with one shared backward pass.
+
+        A data row's loss depends on the discriminator only through its
+        logit, and the R pass differentiates every logit along ``u_disc``.
+        So row i's score, ``<u_disc, gradient of row i's data-term loss> /
+        denom``, is its logit adjoint times that derivative, one entry of
+        the second array.
         """
         f = self._forward(params, latents, data_rows)
         vector = np.asarray(vector, dtype=np.float64)
@@ -358,6 +368,8 @@ class FcGan:
         keep = _disc_keep(f.probs, n)
         gen_adj = self._gen_logit_first(f.probs[:n]) / n
         disc_adj = _disc_logit_first(f.probs, keep, n) / denom
+        # Every logit's derivative along u_disc: ((v uV1) * M) V2 + r uV2 + u_d2,
+        # the first term reassociated through the mask.
         r_disc_logit = (np.einsum("ij,ij->i", f.inputs, f.disc_mask @ (uv1 * v2).T)
                         + f.disc_hidden @ uk2 + uv2[-1])
         r_adj = keep * f.probs * (1.0 - f.probs) / denom * r_disc_logit
@@ -387,23 +399,8 @@ class FcGan:
                     + (grams[1] * uv1).sum(axis=0))
         gv2[-1] = r_adj.sum()
         grad += self._penalty_rates * vector
-        return _checked(grad, "joint_gradient_vjp")
-
-    def data_term_scores(self, disc_query: np.ndarray, params: np.ndarray,
-                         rows: np.ndarray) -> np.ndarray:
-        """<disc_query, gradient of one row's data-term loss> for every row.
-
-        A row's loss depends on the discriminator only through its logit, so
-        its score is the loss's logit derivative times the derivative of the
-        logit along the query.
-        """
-        f = self._forward(params, np.empty((0, self.latent_dim)), rows)
-        qv1, qv2 = self.disc_net.augmented(np.asarray(disc_query, dtype=np.float64))
-        # ((v Q1) * M) V2 + r q2 + q_d2, the first term reassociated through the mask.
-        along = (np.einsum("ij,ij->i", f.inputs, f.disc_mask @ (qv1 * f.v2[:-1]).T)
-                 + f.disc_hidden @ qv2[:-1, 0] + qv2[-1, 0])
-        first = _disc_logit_first(f.probs, _disc_keep(f.probs, 0), 0)
-        return _checked(first * along, "data_term_scores")
+        return (_checked(grad, "joint_gradient_vjp"),
+                _checked(disc_adj[n:] * r_disc_logit[n:], "data_term_scores"))
 
     # -- closed-form metric queries ------------------------------------------
 
@@ -574,7 +571,7 @@ def _masked_grams(inputs: np.ndarray, weights: np.ndarray, mask: np.ndarray) -> 
     The row weights scale the inputs, not the mask.
     """
     n, k = weights.shape
-    scaled = (weights[:, :, None] * inputs[:, None, :]).reshape(n, -1)
+    scaled = (weights[:, :, None] * inputs[:, None, :]).reshape(n, k * inputs.shape[1])
     return (scaled.T @ mask).reshape(k, inputs.shape[1], -1)
 
 
@@ -612,5 +609,13 @@ def joint_gradient(problem, params: np.ndarray, latents: np.ndarray,
 
 def data_term_scores(problem, disc_query: np.ndarray, params: np.ndarray,
                      rows: np.ndarray) -> np.ndarray:
-    """<query, data-term gradient> for every row, without per-row gradients."""
-    return problem.data_term_scores(disc_query, params, rows)
+    """<query, data-term gradient> for every row, without per-row gradients.
+
+    Read off ``problem.joint_gradient_vjp`` along a zero generator
+    direction, with no latents and a normalizer of one.
+    """
+    vector = np.concatenate([np.zeros(problem.dim_gen),
+                             np.asarray(disc_query, dtype=np.float64)])
+    _, scores = problem.joint_gradient_vjp(vector, params, np.empty((0, problem.latent_dim)),
+                                           rows, 1)
+    return scores

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .influence import window_start
+from .influence import checked_dataset, window_start
 from .metrics import metric_value
 from .training import TrainingTrace, asgd_step
 
@@ -45,9 +45,13 @@ def counterfactual_retrain(problem, trace: TrainingTrace, dataset: np.ndarray,
     rows from every batch they appear in while the loss normalizer stays
     the full batch size.  The replay starts at the first step of the window
     that holds an excluded instance, or at the window start if none does.
+    Excluded indices must be instance indices in ``[0, n_train)``, and
+    ``dataset`` must hold the trace's ``n_train`` rows.
     """
-    dataset = np.asarray(dataset, dtype=np.float64)
+    dataset = checked_dataset(trace, dataset)
     exclusion = sorted(_as_exclusion_set(excluded))
+    if exclusion and (exclusion[0] < 0 or exclusion[-1] >= trace.n_train):
+        raise ValueError(f"excluded indices must be instance indices in [0, {trace.n_train})")
     window = trace.records[window_start(trace, k_epochs):]
     batches = [record.batch_indices for record in window]
     # One membership test over the whole window, cut back into per-step masks.

@@ -98,7 +98,7 @@ def test_criterion_02_second_order_correctness():
         # Finite differences are only a valid oracle away from relu kinks.
         params = kink_safe_params(gan, latents, rows, rng)
         query = rng.standard_normal(gan.dim_params)
-        got = gan.joint_gradient_vjp(query, params, latents, rows, len(latents))
+        got, _ = gan.joint_gradient_vjp(query, params, latents, rows, len(latents))
         eps = 1e-4
         fd = np.zeros_like(params)
         for i in range(len(params)):

@@ -219,9 +219,12 @@ def test_vjp_counts_calls():
     latents, rows = np.zeros((2, 1)), np.ones((2, 1))
     gantrace.autodiff.reset_vjp_gradient_call_count()
     for _ in range(3):
-        product = gantrace.autodiff.vjp_of_gradient(problem, vector, params, latents, rows, 2)
+        product, scores = gantrace.autodiff.vjp_of_gradient(problem, vector, params, latents,
+                                                            rows, 2)
     assert gantrace.autodiff.vjp_gradient_call_count() == 3
-    assert np.array_equal(product, problem.joint_gradient_vjp(vector, params, latents, rows, 2))
+    direct_product, direct_scores = problem.joint_gradient_vjp(vector, params, latents, rows, 2)
+    assert np.array_equal(product, direct_product)
+    assert np.array_equal(scores, direct_scores)
     assert gantrace.autodiff.vjp_gradient_call_count() == 3
 
 

@@ -457,9 +457,13 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_cli_import_leaves_scipy_stats_out():
-    """``scipy.stats`` takes about half a second to import and only the sign
-    test uses it, so no CLI command pays for it at start-up."""
+    """``scipy.stats`` takes about half a second to import, and
+    ``scipy.ndimage`` serves only the IDX reader, so no CLI command pays for
+    either at start-up."""
     result = _run_python("-c", "import sys, gantrace.cli; print('scipy.stats' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+    result = _run_python("-c", "import sys, gantrace.cli; print('scipy.ndimage' in sys.modules)")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from gantrace.config import DatasetSpec, load_config, synthesize_dataset, trace_fingerprint
 from gantrace.datasets import (
@@ -175,6 +176,16 @@ def test_sign_test_values():
     assert sign_test_greater([1.0, 2.0, 0.5, 0.1, 3.0]) == pytest.approx(0.03125)
     assert sign_test_greater([1.0, -2.0, 0.5, 0.1, 3.0]) > 0.05
     assert sign_test_greater([0.0, 0.0]) == 1.0
+
+
+def test_sign_test_is_the_exact_binomial_tail():
+    # Zeros are dropped, so each (wins, n) is n decided pairs among zeros.
+    for n in range(1, 61):
+        for wins in range(n + 1):
+            differences = [1.0] * wins + [-1.0] * (n - wins) + [0.0] * (n % 3)
+            expected = stats.binomtest(wins, n, 0.5, alternative="greater").pvalue
+            assert sign_test_greater(differences) == pytest.approx(expected, rel=1e-12)
+    assert sign_test_greater([]) == 1.0
 
 
 # -- harmful selection ----------------------------------------------------------------

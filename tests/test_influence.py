@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gantrace.influence
 from gantrace.autodiff import reset_vjp_gradient_call_count, vjp_gradient_call_count
 from gantrace.influence import QueryVector, infer_linear_influence, propagate_query, window_start
 from gantrace.models import FcGan, GanArchitecture
@@ -64,7 +65,7 @@ def test_propagate_query_matches_explicit_update_map():
     record = trace.records[0]
 
     query = rng.standard_normal(4)
-    got = propagate_query(problem, query, record, data[record.batch_indices])
+    got, _ = propagate_query(problem, query, record, data[record.batch_indices])
     jac = problem.expected_jacobian()
     scaling = np.diag([1e-2, 1e-2, 2e-2, 2e-2])
     expected = query - jac.T @ (scaling @ query)
@@ -76,7 +77,8 @@ def test_propagate_query_identity_when_rates_are_zero(gan):
     settings = TrainingSettings(epochs=1, batch_size=5, lr_gen=0.0, lr_disc=0.0, seed=5)
     trace = run_training(gan, data, settings)
     query = np.random.default_rng(6).standard_normal(gan.dim_params)
-    out = propagate_query(gan, query, trace.records[0], data[trace.records[0].batch_indices])
+    out, _ = propagate_query(gan, query, trace.records[0],
+                             data[trace.records[0].batch_indices])
     assert np.array_equal(out, query)
 
 
@@ -236,6 +238,51 @@ def test_one_sweep_vjp_count_is_step_count_independent_of_targets(gan):
     reset_vjp_gradient_call_count()
     infer_linear_influence(gan, trace, data, query, targets=[3, 4])
     assert vjp_gradient_call_count() == trace.n_steps
+
+
+def test_sweep_runs_one_forward_pass_per_traced_step(gan, monkeypatch):
+    # The step's scores come from its product's R pass, so the batch rows
+    # go through the discriminator once per step, not once more to score.
+    data = normal2d(30, 25)
+    settings = TrainingSettings(epochs=3, batch_size=10, lr_gen=1e-3, lr_disc=1e-3, seed=26)
+    trace = run_training(gan, data, settings)
+    query = QueryVector(np.random.default_rng(27).standard_normal(gan.dim_params), gan.dim_gen)
+    calls = []
+    forward = FcGan._forward
+
+    def counting_forward(self, *args):
+        calls.append(1)
+        return forward(self, *args)
+
+    monkeypatch.setattr(FcGan, "_forward", counting_forward)
+    for k in (1, 3):
+        del calls[:]
+        infer_linear_influence(gan, trace, data, query, k_epochs=k)
+        assert len(calls) == trace.n_steps - window_start(trace, k)
+
+
+def test_steps_without_a_discriminator_rate_add_nothing(gan, monkeypatch):
+    # Generator-only steps score zeros.  The sweep must not add them, so
+    # here it is handed NaN in their place, which any addition would show.
+    data = normal2d(20, 22)
+    settings = TrainingSettings(epochs=3, batch_size=10, lr_gen=1e-3, lr_disc=1e-3,
+                                mode="alternating", seed=23)
+    trace = run_training(gan, data, settings)
+    assert any(record.lr_disc == 0.0 for record in trace.records)
+    query = QueryVector(np.random.default_rng(24).standard_normal(gan.dim_params), gan.dim_gen)
+    expected = infer_linear_influence(gan, trace, data, query).scores
+    propagate = gantrace.influence.propagate_query
+
+    def poisoned(problem, current, record, rows):
+        current, values = propagate(problem, current, record, rows)
+        if record.lr_disc == 0.0:
+            assert not values.any()
+            values = np.full_like(values, np.nan)
+        return current, values
+
+    monkeypatch.setattr(gantrace.influence, "propagate_query", poisoned)
+    assert infer_linear_influence(gan, trace, data, query).scores == expected
+    assert any(score != 0.0 for score in expected.values())
 
 
 # -- forward (validation) estimate -------------------------------------------

@@ -1,12 +1,14 @@
 """Closed-form kernels against the autodiff tape of ``tape.py``.
 
-``TapeFcGan`` computes the joint gradient, its vector-Jacobian product, the
-data-term scores and the metric queries from the graph builders; the
-closed forms must match it to 1e-12 relative in every regime the relu and
-clamp conventions distinguish.  The dense-stack backward
-(``MlpLayout.vjp_np``) and the classifier built on it are checked against
-the ``tape_*`` references the same way, and the classifier trainer bit for
-bit against the per-step loop ``loop_train_classifier``.  The vectorized
+``TapeFcGan`` computes the joint gradient, its vector-Jacobian product with
+the data rows' scores, the data-term scores and the metric queries from
+the graph builders; the closed forms must match it to 1e-12 relative in
+every regime the relu and clamp conventions distinguish, and the scores
+read off the product must equal a separate score pass bit for bit.  The
+dense-stack backward (``MlpLayout.vjp_np``) and the classifier built on it
+are checked against the ``tape_*`` references the same way, and the
+classifier trainer bit for bit against the per-step loop
+``loop_train_classifier``.  The vectorized
 permutation test is checked against a loop over ``scipy.stats.kendalltau``
 and its orders against row-by-row draws, and the blocked KDE against
 the dense ``dense_*`` references, which build the whole kernel matrix.
@@ -23,6 +25,7 @@ from scipy.special import softmax as scipy_softmax
 
 import gantrace.experiments
 import gantrace.metrics
+import gantrace.models
 import tape
 from gantrace.autodiff import vjp_gradient_call_count
 from gantrace.config import load_config
@@ -128,9 +131,11 @@ def test_closed_form_matches_tape(objective, scenario):
 
     assert_matches(gan.joint_gradient(params, latents, rows, denom),
                    tape.joint_gradient(params, latents, rows, denom))
-    assert_matches(gan.joint_gradient_vjp(vector, params, latents, rows, denom),
-                   tape.joint_gradient_vjp(vector, params, latents, rows, denom))
-    scores = gan.data_term_scores(query, params, score_rows)
+    product, row_scores = gan.joint_gradient_vjp(vector, params, latents, rows, denom)
+    tape_product, tape_row_scores = tape.joint_gradient_vjp(vector, params, latents, rows, denom)
+    assert_matches(product, tape_product)
+    assert_matches(row_scores, tape_row_scores)
+    scores = data_term_scores(gan, query, params, score_rows)
     assert_matches(scores, tape.data_term_scores(query, params, score_rows))
     if edit is saturated:
         # The clamp freezes -log D at D == 1, so the real-term derivative
@@ -156,6 +161,67 @@ def test_propagate_query_counts_one_vjp_per_call():
         assert vjp_gradient_call_count() == before + 1
 
 
+def separate_pass_scores(gan, disc_query, params, rows):
+    """Data-term scores from a forward pass of their own over ``rows``: the
+    logit derivative of each row's loss times its logit's derivative along
+    the query."""
+    f = gan._forward(params, np.empty((0, gan.latent_dim)), rows)
+    qv1, qv2 = gan.disc_net.augmented(np.asarray(disc_query, dtype=np.float64))
+    along = (np.einsum("ij,ij->i", f.inputs, f.disc_mask @ (qv1 * f.v2[:-1]).T)
+             + f.disc_hidden @ qv2[:-1, 0] + qv2[-1, 0])
+    first = gantrace.models._disc_logit_first(f.probs, gantrace.models._disc_keep(f.probs, 0), 0)
+    return first * along
+
+
+def assert_close_in_max_norm(got, ref):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * np.max(np.abs(ref), initial=0.0)
+
+
+@pytest.mark.parametrize("objective", ["nonsaturating", "minimax"])
+@pytest.mark.parametrize("edit", [None, dead_relus, saturated])
+def test_vjp_row_scores_are_the_step_scores(objective, edit):
+    # A sweep step's product runs along (lr_gen q_gen, lr_disc q_disc) with
+    # the batch size as normalizer; its row scores must be the step's score
+    # increments, lr_disc / denom times the query's data-term scores.
+    gan, tape = pair(objective)
+    rng = np.random.default_rng(24)
+    params = gan.init_params(rng) + rng.normal(0.0, 0.1, gan.dim_params)
+    if edit is not None:
+        params = edit(gan, params)
+    latents = rng.standard_normal((7, LATENT))
+    rows = rng.standard_normal((7, DATA))
+    query = rng.standard_normal(gan.dim_params)
+    lr_gen, lr_disc, denom = 1e-2, 3e-2, len(latents)
+    vector = np.concatenate([lr_gen * query[:gan.dim_gen], lr_disc * query[gan.dim_gen:]])
+    _, row_scores = gan.joint_gradient_vjp(vector, params, latents, rows, denom)
+    expected = lr_disc / denom * data_term_scores(gan, query[gan.dim_gen:], params, rows)
+    assert_close_in_max_norm(row_scores, expected)
+    _, tape_scores = tape.joint_gradient_vjp(vector, params, latents, rows, denom)
+    assert_close_in_max_norm(row_scores, tape_scores)
+    if edit is saturated:
+        # The clamp zeroes every real row's logit derivative.
+        assert not row_scores.any()
+    else:
+        assert np.abs(row_scores).max() > 0
+
+
+@pytest.mark.parametrize("objective", ["nonsaturating", "minimax"])
+@pytest.mark.parametrize("scenario", ["full_batch", "single_row", "dead_relus",
+                                      "saturated_discriminator", "wide_data"])
+def test_data_term_scores_are_bit_identical_to_a_separate_pass(objective, scenario):
+    _, n_rows, _, edit, data_dim = SCENARIOS[scenario]
+    gan, _ = pair(objective, data_dim)
+    rng = np.random.default_rng(25)
+    params = gan.init_params(rng) + rng.normal(0.0, 0.1, gan.dim_params)
+    if edit is not None:
+        params = edit(gan, params)
+    rows = rng.standard_normal((n_rows, data_dim))
+    query = rng.standard_normal(gan.dim_disc)
+    assert np.array_equal(data_term_scores(gan, query, params, rows),
+                          separate_pass_scores(gan, query, params, rows))
+
+
 @pytest.mark.parametrize("kernel, operand", [
     ("joint_gradient", "data rows"), ("joint_gradient", "latents"),
     ("joint_gradient_vjp", "data rows"), ("joint_gradient_vjp", "latents"),
@@ -173,8 +239,8 @@ def test_kernels_reject_rows_of_the_wrong_width(kernel, operand):
         "joint_gradient": lambda: gan.joint_gradient(params, latents, rows, 4),
         "joint_gradient_vjp": lambda: gan.joint_gradient_vjp(
             rng.standard_normal(gan.dim_params), params, latents, rows, 4),
-        "data_term_scores": lambda: gan.data_term_scores(
-            rng.standard_normal(gan.dim_disc), params, rows),
+        "data_term_scores": lambda: data_term_scores(
+            gan, rng.standard_normal(gan.dim_disc), params, rows),
     }
     with pytest.raises(ValueError, match=f"{operand} of shape"):
         calls[kernel]()

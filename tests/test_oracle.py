@@ -239,15 +239,41 @@ def test_instance_only_in_the_final_step_replays_one_step(gan, monkeypatch):
         assert len(calls) == replayed
 
 
-def test_empty_or_untouched_exclusion_replays_the_whole_window(gan, trained, monkeypatch):
-    data, trace = trained
+def test_empty_or_untouched_exclusion_replays_the_whole_window(gan, monkeypatch):
+    # Two epochs of two steps that never use indices 8..11.
+    data = normal2d(12, 2)
+    schedule = [np.array([0, 1, 2, 3]), np.array([4, 5, 6, 7])] * 2
+    trace = build_trace(gan, data, schedule, [(1e-3, 1e-3)] * 4,
+                        gan.init_params(np.random.default_rng(3)), epoch_starts=[0, 2])
     calls = count_replayed_steps(monkeypatch)
-    for excluded in ([], [len(data) + 5], {-1}):
+    for excluded in ([], [9], {8, 11}):
         for k in (1, 2):
             del calls[:]
             result = counterfactual_retrain(gan, trace, data, excluded, k_epochs=k)
             assert len(calls) == trace.n_steps - window_start(trace, k)
             assert np.array_equal(result.params, trace.final_params)
+
+
+@pytest.mark.parametrize("excluded", [-1, [24], {3, 29}, [-1, 0]])
+def test_exclusion_outside_the_instances_is_refused(gan, trained, excluded):
+    # Such an index is in no batch, so the replay would silently exclude
+    # nothing and report a zero delta.
+    data, trace = trained
+    with pytest.raises(ValueError, match=r"instance indices in \[0, 24\)"):
+        counterfactual_retrain(gan, trace, data, excluded)
+
+
+@pytest.mark.parametrize("rows", [23, 25])
+def test_dataset_of_another_length_is_refused(gan, trained, rows):
+    # A longer array would replay and score the trace's batch indices on
+    # rows it was never trained with.
+    data, trace = trained
+    other = normal2d(rows, 0)
+    with pytest.raises(ValueError, match="does not match the trace's 24"):
+        counterfactual_retrain(gan, trace, other, [0])
+    query = QueryVector(np.ones(gan.dim_params), gan.dim_gen)
+    with pytest.raises(ValueError, match="does not match the trace's 24"):
+        infer_linear_influence(gan, trace, other, query)
 
 
 def test_repeated_replays_draw_each_latent_batch_at_most_once(gan, trained, tmp_path,

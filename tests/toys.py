@@ -120,10 +120,15 @@ class TapeGradients:
         return joint_gradient_graph(self, theta, latents, data_rows, denom).data.copy()
 
     def joint_gradient_vjp(self, vector, params, latents, data_rows, denom):
+        """The product on the tape, and the data rows' scores along the
+        vector's discriminator block over ``denom`` from ``data_term_scores``."""
         def gradient_map(theta):
             return joint_gradient_graph(self, theta, latents, data_rows, denom)
 
-        return vjp_of_gradient(vector, gradient_map, params)
+        vector = np.asarray(vector, dtype=np.float64)
+        scores = (self.data_term_scores(vector[self.dim_gen:], params, data_rows) / denom
+                  if len(data_rows) else np.zeros(0))
+        return vjp_of_gradient(vector, gradient_map, params), scores
 
     def data_term_scores(self, disc_query, params, rows):
         """All per-row inner products from one batched double backward.
