@@ -28,7 +28,6 @@ from .training import (
     TrainingTrace,
     load_trace,
     minibatch_schedule,
-    replay_trace,
     run_training,
     save_trace,
     trace_checksum,

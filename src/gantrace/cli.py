@@ -33,7 +33,7 @@ from .influence import infer_linear_influence, save_influence_csv, save_influenc
 from .metrics import MetricSpec, build_query_vector, save_classifier
 from .models import NonFiniteError
 from .oracle import metric_deltas
-from .training import DivergenceError, load_trace, run_training, save_trace, trace_checksum
+from .training import DivergenceError, load_trace, run_training, save_trace
 
 
 # Where ``train`` stores the seed's IS/FID classifier inside the trace
@@ -118,12 +118,12 @@ def _cmd_train(args) -> int:
     config = _load(args)
     problem, data, fingerprint = _prepared(config)
     trace = run_training(problem, data, config.training, fingerprint=fingerprint)
-    save_trace(trace, args.out)
+    checksum = save_trace(trace, args.out)
     if config.uses_classifier:
         _, context = evaluation_context(config, config.training.seed)
         save_classifier(context.classifier, Path(args.out) / CLASSIFIER_DIR)
     print(f"trace: {args.out}")
-    print(f"steps: {trace.n_steps}  checksum: {trace_checksum(trace)}")
+    print(f"steps: {trace.n_steps}  checksum: {checksum}")
     return 0
 
 
@@ -270,10 +270,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FileNotFoundError, ValueError) as exc:
+    except (UsageError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DivergenceError, NonFiniteError) as exc:

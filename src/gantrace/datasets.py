@@ -3,7 +3,7 @@
 Two synthetic tracks: a correlated bivariate normal for density-based
 evaluation, and 8x8 digit-like glyph images for the classifier-based
 metrics.  Real digit images can be ingested from IDX files (big-endian
-magic/dims header, unsigned bytes) and are downsampled to the glyph size.
+magic/dims header, unsigned bytes) and are resized to the glyph size.
 """
 
 from __future__ import annotations
@@ -83,20 +83,29 @@ def read_idx(path) -> np.ndarray:
     return data.reshape(dims)
 
 
+def _resize_weights(size: int, side: int) -> np.ndarray:
+    """(side, size) weights of the corner-aligned linear resize that
+    ``ndimage.zoom(order=1)`` runs, at most two per row.  A coordinate
+    past the last pixel (27 / 13 * 13 > 27) is clamped to it, not zeroed."""
+    coords = np.minimum(np.arange(side) * ((size - 1) / (side - 1)), size - 1)
+    low = coords.astype(np.int64)[:, None]
+    frac = coords[:, None] - low
+    pixels = np.arange(size)
+    return (1.0 - frac) * (pixels == low) + frac * (pixels == low + 1)
+
+
 def load_idx_images(images_path, labels_path=None, side: int = GLYPH_SIDE
                     ) -> tuple[np.ndarray, np.ndarray | None]:
-    """IDX images downsampled to (side, side) and scaled into (-1, 1)."""
+    """IDX images resized to (side, side) and scaled into (-1, 1)."""
+    if side < 2:
+        raise ValueError(f"IDX images need a side of at least 2, not {side}")
     raw = read_idx(images_path).astype(np.float64)
     if raw.ndim != 3:
         raise ValueError("expected a 3-d IDX image file")
     scaled = raw / 255.0 * 1.998 - 0.999
-    if raw.shape[1] != side:
-        # Imported here: scipy.ndimage loads scipy.special with it, which
-        # every CLI command would otherwise pay for at start-up.
-        from scipy import ndimage
-
-        factor = side / raw.shape[1]
-        scaled = np.stack([ndimage.zoom(img, factor, order=1) for img in scaled])
+    if raw.shape[1:] != (side, side):
+        scaled = (_resize_weights(raw.shape[1], side) @ scaled
+                  @ _resize_weights(raw.shape[2], side).T)
     flat = scaled.reshape(len(scaled), -1)
     labels = None
     if labels_path is not None:

@@ -18,7 +18,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -423,37 +423,29 @@ def _select_for_method(config: ExperimentConfig, method: str, spec: MetricSpec,
 
 # -- report emission ------------------------------------------------------------
 
-def write_accuracy_report(report: AccuracyReport, directory) -> None:
+def _write_report(report, directory, name: str, row_type) -> None:
+    """``<name>.csv`` with floats written in full, and ``<name>.json``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / "accuracy.csv", "w", newline="") as handle:
+    columns = fields(row_type)
+    with open(directory / f"{name}.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["metric", "k_epochs", "tau", "jaccard", "n_targets",
-                         "seed", "p_value", "threshold"])
+        writer.writerow([column.name for column in columns])
         for row in report.rows:
-            writer.writerow([row.metric, row.k_epochs, repr(float(row.tau)),
-                             repr(float(row.jaccard)), row.n_targets, row.seed,
-                             repr(float(row.p_value)), repr(float(row.threshold))])
-    (directory / "accuracy.json").write_text(json.dumps({
+            writer.writerow([repr(float(getattr(row, column.name))) if column.type == "float"
+                             else getattr(row, column.name) for column in columns])
+    (directory / f"{name}.json").write_text(json.dumps({
         "rows": [asdict(row) for row in report.rows],
         "fingerprints": {str(k): v for k, v in report.fingerprints.items()},
     }, indent=2))
+
+
+def write_accuracy_report(report: AccuracyReport, directory) -> None:
+    _write_report(report, directory, "accuracy", AccuracyRow)
 
 
 def write_cleansing_report(report: CleansingReport, directory) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / "cleansing.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["method", "metric", "n_harmful", "before", "after",
-                         "improvement", "seed"])
-        for row in report.rows:
-            writer.writerow([row.method, row.metric, row.n_harmful, repr(float(row.before)),
-                             repr(float(row.after)), repr(float(row.improvement)), row.seed])
-    (directory / "cleansing.json").write_text(json.dumps({
-        "rows": [asdict(row) for row in report.rows],
-        "fingerprints": {str(k): v for k, v in report.fingerprints.items()},
-    }, indent=2))
+    _write_report(report, directory, "cleansing", CleansingRow)
 
 
 def write_scatter_data(table: InfluenceTable, dataset: np.ndarray, spec: MetricSpec,

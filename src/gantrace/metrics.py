@@ -520,12 +520,6 @@ def metric_gradient_wrt_generated(spec: MetricSpec, generated: np.ndarray,
     return handler(spec, np.atleast_2d(np.asarray(generated, dtype=np.float64)), context)
 
 
-def expected_disc_loss(problem, params: np.ndarray, latents: np.ndarray,
-                       real_data: np.ndarray) -> float:
-    """Mean discriminator loss over independent latents and reference data."""
-    return problem.expected_disc_loss(params, latents, real_data)
-
-
 def metric_value(spec: MetricSpec, problem, params: np.ndarray,
                  eval_latents: np.ndarray, context: MetricContext,
                  generated: np.ndarray | None = None) -> float:
@@ -536,7 +530,7 @@ def metric_value(spec: MetricSpec, problem, params: np.ndarray,
     parameter vector generates the samples once.  ``disc_loss`` ignores it.
     """
     if spec.kind == "disc_loss":
-        return expected_disc_loss(problem, params, eval_latents, context.real_data)
+        return problem.expected_disc_loss(params, eval_latents, context.real_data)
     if generated is None:
         generated = problem.generator_forward(params, eval_latents)
     return evaluate_metric(spec, generated, context)

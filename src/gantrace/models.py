@@ -50,7 +50,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 
 class NonFiniteError(FloatingPointError):
@@ -62,10 +61,17 @@ class NonFiniteError(FloatingPointError):
 # discriminator saturates.
 PROB_FLOOR = 1e-7
 
+
+def _logistic(x):
+    """1 / (1 + exp(-x)) through exp(-|x|), which cannot overflow."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 _NP_ACTS = {
     "relu": lambda x: np.maximum(x, 0.0),
     "tanh": np.tanh,
-    "sigmoid": expit,
+    "sigmoid": _logistic,
     "linear": lambda x: x,
 }
 
@@ -474,7 +480,7 @@ class FcGan:
             latents=latents, gen_mask=gen_mask, gen_hidden=gen_hidden,
             fake=fake, tanh_slope=1.0 - fake * fake, inputs=inputs,
             disc_mask=(disc_pre > 0.0).astype(np.float64), disc_hidden=disc_hidden,
-            probs=expit(disc_hidden @ v2[:-1] + v2[-1]),
+            probs=_logistic(disc_hidden @ v2[:-1] + v2[-1]),
         )
 
     def _gen_logit_first(self, probs: np.ndarray) -> np.ndarray:

@@ -13,15 +13,14 @@ batches are never written to disk and cost memory only, 8 bytes per latent
 entry: 400 KB when every step of the desk config holds one, at most
 280 MB for the 35000 steps of the paper's cleansing config.
 
-Traces persist as a directory: a JSON manifest plus one little-endian
-binary record per step and the final parameter vector.
+Traces persist as a directory of five ``.npy`` arrays and a checksummed
+JSON manifest (``save_trace``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from .models import joint_gradient
 
-TRACE_FORMAT_VERSION = 1
+TRACE_FORMAT_VERSION = 2
 
 
 class DivergenceError(RuntimeError):
@@ -199,104 +198,108 @@ def run_training(problem, dataset: np.ndarray, settings: TrainingSettings,
     )
 
 
-def replay_trace(problem, trace: TrainingTrace, dataset: np.ndarray) -> np.ndarray:
-    """Re-apply every recorded step from the first snapshot.
-
-    Returns the final parameters, which must equal ``trace.final_params``
-    bit-exactly on an intact trace.
-    """
-    dataset = np.asarray(dataset, dtype=np.float64)
-    params = trace.records[0].params.copy()
-    for record in trace.records:
-        params = asgd_step(problem, params, dataset[record.batch_indices],
-                           record.latents(trace.latent_dim), record.lr_gen, record.lr_disc)
-    return params
-
-
 # -- persistence ------------------------------------------------------------
 
-def _record_bytes(record: StepRecord) -> bytes:
-    idx = np.asarray(record.batch_indices, dtype="<u4")
-    head = struct.pack("<I", len(idx))
-    body = idx.tobytes()
-    tail = struct.pack("<Qdd", record.latent_seed, record.lr_gen, record.lr_disc)
-    params = np.asarray(record.params, dtype="<f8").tobytes()
-    return head + body + tail + params
+# The stored arrays and their dtypes, in checksum order with the snapshots last.
+_ARRAYS = {"batch_indices": "<i8", "batch_sizes": "<i8", "latent_seeds": "<u8",
+           "rates": "<f8", "params": "<f8"}
 
 
-def _record_from_bytes(blob: bytes, step: int, dim_params: int) -> StepRecord:
-    (n_idx,) = struct.unpack_from("<I", blob, 0)
-    offset = 4
-    idx = np.frombuffer(blob, dtype="<u4", count=n_idx, offset=offset).astype(np.int64)
-    offset += 4 * n_idx
-    seed, lr_gen, lr_disc = struct.unpack_from("<Qdd", blob, offset)
-    offset += 24
-    params = np.frombuffer(blob, dtype="<f8", count=dim_params, offset=offset).astype(np.float64)
-    if offset + 8 * dim_params != len(blob):
-        raise ValueError(f"corrupted trace record at step {step}")
-    return StepRecord(step, idx, lr_gen, lr_disc, params, int(seed))
+def _header(trace: TrainingTrace) -> dict:
+    """Every field but the steps: the manifest's body, the constructor's
+    keywords on load and the first thing the checksum hashes."""
+    header = {name: int(getattr(trace, name))
+              for name in ("n_train", "epochs", "latent_dim", "dim_gen", "dim_disc")}
+    return {**header, "fingerprint": trace.fingerprint,
+            "epoch_starts": [int(start) for start in trace.epoch_starts]}
 
 
-def save_trace(trace: TrainingTrace, directory) -> None:
-    directory = Path(directory)
-    steps_dir = directory / "steps"
-    steps_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "version": TRACE_FORMAT_VERSION,
-        "fingerprint": trace.fingerprint,
-        "n_train": trace.n_train,
-        "epochs": trace.epochs,
-        "n_steps": trace.n_steps,
-        "latent_dim": trace.latent_dim,
-        "dim_gen": trace.dim_gen,
-        "dim_disc": trace.dim_disc,
-        "epoch_starts": list(trace.epoch_starts),
+def _digest(header: dict):
+    return hashlib.sha256(json.dumps(header, sort_keys=True).encode())
+
+
+def _stored_arrays(trace: TrainingTrace):
+    """Each stored array's name, shape and C-order pieces: the snapshots are
+    hashed and written row by row, never stacked into one copy."""
+    records = trace.records
+    sizes = [len(record.batch_indices) for record in records]
+    arrays = {
+        "batch_indices": ((sum(sizes),), [record.batch_indices for record in records]),
+        "batch_sizes": ((len(records),), [sizes]),
+        "latent_seeds": ((len(records),), [[record.latent_seed for record in records]]),
+        "rates": ((len(records), 2), [[(record.lr_gen, record.lr_disc) for record in records]]),
+        "params": ((len(records) + 1, trace.dim_params),
+                   [record.params for record in records] + [trace.final_params]),
     }
+    for name, (shape, pieces) in arrays.items():
+        yield name, shape, (np.ascontiguousarray(piece, dtype=_ARRAYS[name]) for piece in pieces)
+
+
+def save_trace(trace: TrainingTrace, directory) -> str:
+    """Write the five arrays as ``.npy`` files, then the manifest with the
+    format version and the checksum, which it returns.  The manifest goes
+    last: an interrupted first save leaves none, and an interrupted
+    overwrite leaves arrays that fail the old manifest's checksum."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    header = _header(trace)
+    digest = _digest(header)
+    for name, shape, pieces in _stored_arrays(trace):
+        with open(directory / f"{name}.npy", "wb") as handle:
+            np.lib.format.write_array_header_1_0(
+                handle, {"descr": _ARRAYS[name], "fortran_order": False, "shape": shape})
+            for piece in pieces:
+                handle.write(piece)
+                digest.update(piece)
+    manifest = {**header, "version": TRACE_FORMAT_VERSION, "checksum": digest.hexdigest()}
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    for record in trace.records:
-        (steps_dir / f"step_{record.step:06d}.bin").write_bytes(_record_bytes(record))
-    (directory / "final.bin").write_bytes(np.asarray(trace.final_params, dtype="<f8").tobytes())
+    return manifest["checksum"]
+
+
+def _read(path: Path, reader):
+    try:
+        return reader(path)
+    except (OSError, EOFError, ValueError) as exc:
+        raise ValueError(f"cannot read trace file {path}: {exc}") from exc
 
 
 def load_trace(directory) -> TrainingTrace:
+    """Read a trace written by ``save_trace``; every record's snapshot is a
+    row view of the one ``params`` array.  Raises ``ValueError``, naming the
+    file, for a missing or unreadable file, a format version other than
+    ``TRACE_FORMAT_VERSION`` and arrays that fail the manifest's checksum."""
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    if manifest["version"] != TRACE_FORMAT_VERSION:
-        raise ValueError(f"unsupported trace version {manifest['version']}")
-    dim_params = manifest["dim_gen"] + manifest["dim_disc"]
-    records = []
-    for step in range(manifest["n_steps"]):
-        blob = (directory / "steps" / f"step_{step:06d}.bin").read_bytes()
-        records.append(_record_from_bytes(blob, step, dim_params))
-    final = np.frombuffer((directory / "final.bin").read_bytes(), dtype="<f8").astype(np.float64)
-    if len(final) != dim_params:
-        raise ValueError("corrupted final parameter vector")
-    return TrainingTrace(
-        records=records,
-        final_params=final,
-        fingerprint=manifest["fingerprint"],
-        epoch_starts=list(manifest["epoch_starts"]),
-        n_train=manifest["n_train"],
-        epochs=manifest["epochs"],
-        latent_dim=manifest["latent_dim"],
-        dim_gen=manifest["dim_gen"],
-        dim_disc=manifest["dim_disc"],
-    )
+    path = directory / "manifest.json"
+    manifest = _read(path, lambda file: json.loads(file.read_text()))
+    version = manifest.pop("version", None) if isinstance(manifest, dict) else None
+    if version != TRACE_FORMAT_VERSION:
+        raise ValueError(f"{path}: trace format version {version} is not "
+                         f"{TRACE_FORMAT_VERSION}; run `gantrace train` again to record it")
+    checksum = manifest.pop("checksum", None)
+    digest = _digest(manifest)
+    arrays = {}
+    for name, dtype in _ARRAYS.items():
+        # Read as the stored dtype: the checksum covers the data, not the
+        # .npy header, so a damaged dtype must change the hashed bytes.
+        arrays[name] = _read(directory / f"{name}.npy", lambda file: np.ascontiguousarray(
+            np.load(file, allow_pickle=False), dtype=dtype))
+        digest.update(arrays[name])
+    if digest.hexdigest() != checksum:
+        raise ValueError(f"trace in {directory} fails the checksum in {path}: a file "
+                         f"is damaged or a save was cut short")
+    params = arrays["params"]
+    batches = np.split(arrays["batch_indices"], np.cumsum(arrays["batch_sizes"])[:-1])
+    records = [StepRecord(step, batch, lr_gen, lr_disc, params[step], seed)
+               for step, (batch, (lr_gen, lr_disc), seed) in enumerate(zip(
+                   batches, arrays["rates"].tolist(), arrays["latent_seeds"].tolist()))]
+    return TrainingTrace(records=records, final_params=params[-1], **manifest)
 
 
 def trace_checksum(trace: TrainingTrace) -> str:
-    """SHA-256 over the canonical serialized form of the trace."""
-    digest = hashlib.sha256()
-    digest.update(json.dumps({
-        "fingerprint": trace.fingerprint,
-        "n_train": trace.n_train,
-        "epochs": trace.epochs,
-        "epoch_starts": list(trace.epoch_starts),
-        "latent_dim": trace.latent_dim,
-        "dim_gen": trace.dim_gen,
-        "dim_disc": trace.dim_disc,
-    }, sort_keys=True).encode())
-    for record in trace.records:
-        digest.update(_record_bytes(record))
-    digest.update(np.asarray(trace.final_params, dtype="<f8").tobytes())
+    """SHA-256 over the header JSON and then the stored arrays' bytes in
+    order: the checksum ``save_trace`` writes and ``load_trace`` verifies."""
+    digest = _digest(_header(trace))
+    for _, _, pieces in _stored_arrays(trace):
+        for piece in pieces:
+            digest.update(piece)
     return digest.hexdigest()

@@ -33,7 +33,13 @@ from gantrace.metrics import (
 )
 from gantrace.models import FcGan, GanArchitecture, joint_gradient
 from gantrace.oracle import counterfactual_retrain
-from gantrace.training import TrainingSettings, replay_trace, run_training, trace_checksum
+from gantrace.training import (
+    TrainingSettings,
+    load_trace,
+    run_training,
+    save_trace,
+    trace_checksum,
+)
 from test_metrics import brute_force_all, with_exact_moments
 from toys import kink_safe_params
 
@@ -270,19 +276,20 @@ def test_criterion_08_data_cleansing_beats_random_and_image_smoke():
           f"FID {before:.3f} -> {after:.3f}, {len(untouched)} untouched scores exactly 0")
 
 
-def test_criterion_09_determinism_and_trace_integrity(desk_run):
+def test_criterion_09_determinism_and_trace_integrity(desk_run, tmp_path):
     config = desk_config()
     gan = config.problem()
     rerun = prepare_seed_run(config, 0)
     first_sum = trace_checksum(desk_run.trace)
     assert trace_checksum(rerun.trace) == first_sum
-    replayed = replay_trace(gan, desk_run.trace, desk_run.dataset)
-    assert np.array_equal(replayed, desk_run.trace.final_params)
-    unmodified = counterfactual_retrain(gan, desk_run.trace, desk_run.dataset,
-                                        excluded=[], k_epochs=5)
-    assert np.array_equal(unmodified.params, desk_run.trace.final_params)
-    print(f"PASS criterion 9: checksum stable ({first_sum[:12]}...), replay and "
-          f"no-exclusion re-run reproduce final parameters bit-exactly")
+    assert save_trace(desk_run.trace, tmp_path / "trace") == first_sum
+    loaded = load_trace(tmp_path / "trace")
+    for trace in (desk_run.trace, loaded):
+        unmodified = counterfactual_retrain(gan, trace, desk_run.dataset,
+                                            excluded=(), k_epochs=None)
+        assert np.array_equal(unmodified.params, desk_run.trace.final_params)
+    print(f"PASS criterion 9: checksum stable ({first_sum[:12]}...), the no-exclusion "
+          f"replay of the trace and of its saved copy reproduce final parameters bit-exactly")
 
 
 def test_criterion_10_one_sweep_cost_contract(desk_run):

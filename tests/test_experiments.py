@@ -2,8 +2,10 @@ import csv
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +342,76 @@ def test_cli_influence_refuses_fingerprint_mismatch(mini_config, tmp_path, capsy
     assert "fingerprint" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def mini_trace(tmp_path_factory):
+    """The mini config and its ``gantrace train`` traces for seeds 3 and 4."""
+    root = tmp_path_factory.mktemp("mini")
+    config = root / "mini.ini"
+    config.write_text(MINI_CONFIG)
+    for seed in (3, 4):
+        assert cli_main(["train", "--config", str(config), "--seed", str(seed),
+                         "--out", str(root / f"seed{seed}")]) == 0
+    return config, root / "seed3", root / "seed4"
+
+
+def _flip_last_byte(path: Path) -> None:
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-1] + bytes([blob[-1] ^ 0x01]))
+
+
+def _cut_in_half(path: Path) -> None:
+    path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+
+
+def _rewrite_manifest(path: Path, **changes) -> None:
+    path.write_text(json.dumps({**json.loads(path.read_text()), **changes}))
+
+
+_TRACE_DAMAGE = {
+    "no manifest": (lambda t, other: (t / "manifest.json").unlink(), "manifest.json"),
+    "v1 manifest": (lambda t, other: _rewrite_manifest(t / "manifest.json", version=1),
+                    "gantrace train"),
+    "empty params": (lambda t, other: (t / "params.npy").write_bytes(b""), "params.npy"),
+    "truncated params": (lambda t, other: _cut_in_half(t / "params.npy"), "params.npy"),
+    "flipped params byte": (lambda t, other: _flip_last_byte(t / "params.npy"), "checksum"),
+    "flipped batch byte": (lambda t, other: _flip_last_byte(t / "batch_indices.npy"),
+                           "checksum"),
+    "missing rates": (lambda t, other: (t / "rates.npy").unlink(), "rates.npy"),
+    # The same bytes under a big-endian header: the checksum covers the data only.
+    "byte-swapped params header": (lambda t, other: (t / "params.npy").write_bytes(
+        (t / "params.npy").read_bytes().replace(b"'<f8'", b"'>f8'", 1)), "checksum"),
+    # An overwrite cut before its manifest: new arrays under the old manifest.
+    "interrupted overwrite": (lambda t, other: [shutil.copy(path, t)
+                                                for path in other.glob("*.npy")], "checksum"),
+}
+
+
+@pytest.mark.parametrize("damage", list(_TRACE_DAMAGE))
+def test_cli_influence_rejects_old_or_damaged_traces(mini_trace, tmp_path, capsys, damage):
+    config, trace, other = mini_trace
+    copy = tmp_path / "trace"
+    shutil.copytree(trace, copy)
+    damage_fn, expected = _TRACE_DAMAGE[damage]
+    damage_fn(copy, other)
+    out = tmp_path / "scores.csv"
+    code = cli_main(["influence", "--config", str(config), "--trace", str(copy),
+                     "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert expected in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_saved_trace_is_the_manifest_and_five_arrays(mini_trace):
+    _, trace, _ = mini_trace
+    assert sorted(path.name for path in trace.iterdir()) == [
+        "batch_indices.npy", "batch_sizes.npy", "latent_seeds.npy", "manifest.json",
+        "params.npy", "rates.npy"]
+    manifest = json.loads((trace / "manifest.json").read_text())
+    assert manifest["version"] == 2
+    assert manifest["checksum"] == trace_checksum(load_trace(trace))
+
+
 def test_cli_influence_writes_scores(mini_config, tmp_path, capsys):
     _, path = mini_config
     cli_main(["train", "--config", str(path), "--out", str(tmp_path / "trace")])
@@ -466,6 +538,39 @@ def test_cli_import_leaves_scipy_stats_out():
     result = _run_python("-c", "import sys, gantrace.cli; print('scipy.ndimage' in sys.modules)")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+    script = ("import sys, gantrace, gantrace.cli\n"
+              "print([name for name in sys.modules\n"
+              "       if name == 'scipy' or name.startswith('scipy.')])")
+    result = _run_python("-c", script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_cli_chain_runs_with_scipy_blocked(mini_trace, tmp_path):
+    """SciPy is a test dependency only: ``train``, ``influence``, ``oracle``
+    and a resizing IDX read all run where ``import scipy`` fails."""
+    config, _, _ = mini_trace
+    images = np.arange(2 * 10 * 10).reshape(2, 10, 10).astype(np.uint8)
+    (tmp_path / "imgs.idx").write_bytes(struct.pack(">BBBBIII", 0, 0, 0x08, 3, 2, 10, 10)
+                                        + images.tobytes())
+    script = textwrap.dedent("""\
+        import sys
+        sys.modules["scipy"] = None
+        from gantrace.cli import main
+        from gantrace.datasets import load_idx_images
+        config, out = sys.argv[1:]
+        trace = out + "/trace"
+        codes = [main(["train", "--config", config, "--out", trace]),
+                 main(["influence", "--config", config, "--trace", trace,
+                       "--out", out + "/scores.csv"]),
+                 main(["oracle", "--config", config, "--trace", trace, "--targets", "3",
+                       "--out", out + "/oracle.csv"])]
+        data, _ = load_idx_images(out + "/imgs.idx", side=6)
+        print(codes, data.shape)
+        """)
+    result = _run_python("-c", script, str(config), str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "[0, 0, 0] (2, 36)"
 
 
 def test_package_loads_no_autodiff_tape():

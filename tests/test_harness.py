@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import ndimage, stats
 
 from gantrace.config import DatasetSpec, load_config, synthesize_dataset, trace_fingerprint
 from gantrace.datasets import (
+    _resize_weights,
     dataset_checksum,
     glyph_templates,
     load_idx_images,
@@ -372,3 +373,49 @@ def test_dataset_spec_validation():
         DatasetSpec(kind="bogus")
     with pytest.raises(ValueError):
         DatasetSpec(n_train=0)
+
+
+def test_resize_matches_scipy_zoom_with_edge_clamping():
+    """The corner-aligned grid of ``ndimage.zoom(order=1)``; ``mode="nearest"``
+    because the default zero fill blanks the last row and column wherever
+    the coordinate rounds past the edge (21 of these (h, side) pairs)."""
+    rng = np.random.default_rng(5)
+    for size in range(2, 40):
+        image = rng.standard_normal((size, size))
+        for side in range(2, 40):
+            weights = _resize_weights(size, side)
+            expected = ndimage.zoom(image, side / size, order=1, mode="nearest")
+            np.testing.assert_allclose(weights @ image @ weights.T, expected,
+                                       rtol=0.0, atol=1e-12)
+
+
+def test_idx_resize_keeps_the_last_row_and_column(tmp_path):
+    write_idx(tmp_path / "imgs.idx", np.full((2, 28, 28), 255))
+    data, _ = load_idx_images(tmp_path / "imgs.idx", side=14)
+    assert np.all(data == 0.999)
+
+
+def test_idx_resizes_both_axes_of_non_square_images(tmp_path):
+    rng = np.random.default_rng(6)
+    images = rng.integers(0, 256, size=(3, 12, 20))
+    write_idx(tmp_path / "imgs.idx", images)
+    data, _ = load_idx_images(tmp_path / "imgs.idx", side=8)
+    assert data.shape == (3, 64)
+    scaled = images / 255.0 * 1.998 - 0.999
+    expected = np.stack([ndimage.zoom(image, (8 / 12, 8 / 20), order=1, mode="nearest")
+                         for image in scaled])
+    np.testing.assert_allclose(data, expected.reshape(3, 64), rtol=0.0, atol=1e-12)
+
+
+def test_idx_images_at_the_requested_side_pass_through(tmp_path):
+    images = np.random.default_rng(7).integers(0, 256, size=(4, 8, 8))
+    write_idx(tmp_path / "imgs.idx", images)
+    data, _ = load_idx_images(tmp_path / "imgs.idx", side=8)
+    assert np.array_equal(data, (images / 255.0 * 1.998 - 0.999).reshape(4, 64))
+
+
+@pytest.mark.parametrize("side", [1, 0])
+def test_idx_side_below_two_is_refused(tmp_path, side):
+    write_idx(tmp_path / "imgs.idx", np.zeros((1, 4, 4)))
+    with pytest.raises(ValueError, match="side"):
+        load_idx_images(tmp_path / "imgs.idx", side=side)

@@ -41,7 +41,6 @@ from gantrace.metrics import (
     _kde_blocks,
     average_log_likelihood,
     build_query_vector,
-    expected_disc_loss,
     fid,
     generator_pullback,
     metric_value,
@@ -407,7 +406,7 @@ def test_metric_queries_match_tape(scenario):
     assert_matches(pulled.data, tape.generator_vjp(params, latents, sample_grads))
     query = build_query_vector(MetricSpec("disc_loss"), gan, params, latents, context)
     assert_matches(query.data, tape.expected_disc_loss_gradient(params, latents, rows))
-    value = expected_disc_loss(gan, params, latents, rows)
+    value = gan.expected_disc_loss(params, latents, rows)
     assert abs(value - tape.expected_disc_loss(params, latents, rows)) <= 1e-12 * abs(value)
     if edit is saturated:
         # D == 1 on every input: both clamps bind, so no derivative flows
@@ -430,7 +429,7 @@ def test_metric_queries_refuse_non_finite_parameters(bad, position):
         build_query_vector(MetricSpec("disc_loss"), gan, params, latents,
                            MetricContext(real_data=rows))
     with pytest.raises(NonFiniteError):
-        expected_disc_loss(gan, params, latents, rows)
+        gan.expected_disc_loss(params, latents, rows)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])

@@ -9,7 +9,6 @@ from gantrace.metrics import (
     average_log_likelihood,
     build_query_vector,
     classifier_key,
-    expected_disc_loss,
     fid,
     generator_pullback,
     inception_score,
@@ -413,7 +412,7 @@ def test_disc_loss_query_matches_finite_differences(gan):
     assert np.any(query.gen_block != 0) and np.any(query.disc_block != 0)
 
     def value(p):
-        return expected_disc_loss(gan, p, latents, real)
+        return gan.expected_disc_loss(p, latents, real)
 
     eps = 1e-5
     coords = rng.choice(gan.dim_params, size=10, replace=False)
@@ -434,7 +433,7 @@ def test_metric_value_dispatch(gan):
     direct = average_log_likelihood(real, gan.generator_forward(params, latents), 1.0)
     assert metric_value(MetricSpec("all"), gan, params, latents, context) == direct
     assert metric_value(MetricSpec("disc_loss"), gan, params, latents, context) == \
-        expected_disc_loss(gan, params, latents, real)
+        gan.expected_disc_loss(params, latents, real)
 
 
 def test_harmful_sign_convention():

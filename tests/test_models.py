@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from gantrace.models import FcGan, GanArchitecture, MlpLayout, data_term_scores, joint_gradient
+from gantrace.models import (
+    FcGan,
+    GanArchitecture,
+    MlpLayout,
+    _logistic,
+    data_term_scores,
+    joint_gradient,
+)
 from tape import Tensor, backward
 from toys import (
     TapeFcGan,
@@ -239,3 +246,20 @@ def test_regularizer_touches_kernels_only(tape_gan):
             k_size = k_shape[0] * k_shape[1]
             assert np.all(grad[base + k_off:base + k_off + k_size] != 0)
             assert np.all(grad[base + b_off:base + b_off + b_shape[0]] == 0)
+
+
+def test_logistic_matches_scipy_expit_without_overflow():
+    x = np.concatenate([np.linspace(-745.0, 745.0, 200001),
+                        np.random.default_rng(7).standard_normal(100000) * 20.0])
+    # Underflow is the true result below about -708, where the logistic is
+    # subnormal; every other floating-point error raises.
+    with np.errstate(all="raise", under="ignore"):
+        got = _logistic(x)
+        ends = _logistic(np.array([0.0, np.inf, -np.inf]))
+    assert np.array_equal(ends, [0.5, 1.0, 0.0])
+    # expit returns 0 below about -709.78, where the logistic is subnormal.
+    np.testing.assert_allclose(got, expit(x), rtol=2e-15, atol=np.finfo(float).tiny)
+    inner = np.linspace(-708.0, 708.0, 20001)
+    with np.errstate(all="raise"):
+        got = _logistic(inner)
+    np.testing.assert_allclose(got, expit(inner), rtol=2e-15, atol=0.0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gantrace.models import FcGan, GanArchitecture
+from gantrace.oracle import counterfactual_retrain
 from gantrace.training import (
     DivergenceError,
     TrainingSettings,
@@ -10,7 +11,6 @@ from gantrace.training import (
     learning_rate_schedule,
     load_trace,
     minibatch_schedule,
-    replay_trace,
     run_training,
     save_trace,
     trace_checksum,
@@ -140,7 +140,8 @@ def test_snapshot_consistency_and_replay(gan, data):
         stepped = asgd_step(gan, before.params, data[before.batch_indices], latents,
                             before.lr_gen, before.lr_disc)
         assert np.array_equal(stepped, after.params)
-    assert np.array_equal(replay_trace(gan, trace, data), trace.final_params)
+    replayed = counterfactual_retrain(gan, trace, data, (), k_epochs=None).params
+    assert np.array_equal(replayed, trace.final_params)
 
 
 def test_latent_regeneration_is_bit_exact():
@@ -170,7 +171,7 @@ def test_divergence_guard(gan, data):
 def test_trace_save_load_roundtrip(gan, data, tmp_path):
     settings = TrainingSettings(epochs=2, batch_size=7, lr_gen=1e-3, lr_disc=1e-3, seed=13)
     trace = run_training(gan, data, settings, fingerprint="abc123")
-    save_trace(trace, tmp_path / "trace")
+    assert save_trace(trace, tmp_path / "trace") == trace_checksum(trace)
     loaded = load_trace(tmp_path / "trace")
     assert loaded.fingerprint == "abc123"
     assert loaded.epoch_starts == trace.epoch_starts
@@ -179,6 +180,8 @@ def test_trace_save_load_roundtrip(gan, data, tmp_path):
         assert np.array_equal(a.params, b.params)
         assert np.array_equal(a.batch_indices, b.batch_indices)
         assert (a.lr_gen, a.lr_disc, a.latent_seed) == (b.lr_gen, b.lr_disc, b.latent_seed)
+        # Every snapshot is a row of the one stored array.
+        assert b.params.base is loaded.final_params.base is not None
     assert trace_checksum(loaded) == trace_checksum(trace)
 
 
@@ -188,7 +191,8 @@ def test_record_latents_are_the_seeded_batch_kept_read_only(gan, data, tmp_path)
     save_trace(trace, tmp_path / "trace")
     loaded = load_trace(tmp_path / "trace")
     # The loaded records draw their batches during this replay.
-    assert np.array_equal(replay_trace(gan, loaded, data), trace.final_params)
+    replayed = counterfactual_retrain(gan, loaded, data, (), k_epochs=None).params
+    assert np.array_equal(replayed, trace.final_params)
     for record in trace.records + loaded.records:
         batch = record.latents(gan.latent_dim)
         expected = latents_from_seed(record.latent_seed, len(record.batch_indices),
