@@ -388,6 +388,9 @@ def run_data_cleansing(config: ExperimentConfig, seeds=None) -> CleansingReport:
                 tables["disc_loss"] = infer_linear_influence(
                     problem, run.trace, run.dataset, query, k_epochs=1)
 
+        # Final parameters per distinct selection: the random and disc_loss
+        # selections do not depend on the metric, so each is replayed once.
+        replays = {}
         for spec in config.metric_specs():
             before = metric_value(spec, problem, run.trace.final_params,
                                   test_latents, test_context)
@@ -395,9 +398,11 @@ def run_data_cleansing(config: ExperimentConfig, seeds=None) -> CleansingReport:
                 for method in config.methods:
                     selected = _select_for_method(config, method, spec, tables,
                                                   seed, n_harmful)
-                    result = counterfactual_retrain(problem, run.trace, run.dataset,
-                                                    selected, k_epochs=1)
-                    after = metric_value(spec, problem, result.params,
+                    key = frozenset(np.asarray(selected).tolist())
+                    if key not in replays:
+                        replays[key] = counterfactual_retrain(
+                            problem, run.trace, run.dataset, selected, k_epochs=1).params
+                    after = metric_value(spec, problem, replays[key],
                                          test_latents, test_context)
                     sign = 1.0 if spec.kind != "fid" else -1.0
                     report.rows.append(CleansingRow(

@@ -9,14 +9,19 @@ scores the discriminator's expected loss and serves as a baseline selector.
 The KDE never holds the n_ref x n_gen kernel matrix: its value and its
 gradient each stream one pass over blocks of reference rows in one reused
 buffer of about ``_KDE_BLOCK_ENTRIES`` entries, so memory is
-O(block x n_generated) beside the two point sets.  Each block's squared
-distances come from one matmul of operands augmented with the squared
-norms.  Kernels are summed unshifted; only a row whose plain sum falls
+O(block x n_generated) beside the two point sets.  Each block's log
+kernels come from one matmul of operands augmented with the squared norms,
+the power-of-two part of the kernel scale multiplied exactly into the
+generated side; a block is multiplied by the scale's mantissa only when
+that is not 1, and clamped at 0 only when a squared distance rounded below
+zero.  Kernels are summed unshifted; only a row whose plain sum falls
 below ``_KDE_UNDERFLOW_SUM`` is recomputed with its log-sum-exp shifted by
 its largest log kernel.
 The FID's reference side (the mean, covariance and covariance square root
 of the reference set's classifier features) is fitted once per frozen
 ``MetricContext`` and shared by every FID value and gradient read from it.
+A ``GeneratedSet`` holds one generated sample set's classifier features and
+posteriors, so readings of several metrics run the classifier on it once.
 
 Each metric's gradient with respect to the generated samples is analytic at
 the outer level; where samples pass through a network (classifier features
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -107,12 +113,23 @@ def _kde_point_sets(real, generated) -> tuple[np.ndarray, np.ndarray]:
     return real, generated
 
 
-def _shifted_kernels(left_rows: np.ndarray, right: np.ndarray, scale: float):
+def _log_kernels(left_rows: np.ndarray, right: np.ndarray, mantissa: float,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Log kernels of reference rows: the augmented matmul, times the scale's
+    mantissa unless that is 1, clamped at 0 only when some squared distance
+    rounded below zero."""
+    log_kernels = np.matmul(left_rows, right, out=out)
+    if mantissa != 1.0:
+        np.multiply(log_kernels, mantissa, out=log_kernels)
+    if log_kernels.max() > 0.0:
+        np.minimum(log_kernels, 0.0, out=log_kernels)
+    return log_kernels
+
+
+def _shifted_kernels(left_rows: np.ndarray, right: np.ndarray, mantissa: float):
     """Kernels of reference rows whose plain sums underflow, each row divided
     by its largest kernel, and each row's largest log kernel."""
-    log_kernels = left_rows @ right
-    log_kernels *= scale
-    np.minimum(log_kernels, 0.0, out=log_kernels)
+    log_kernels = _log_kernels(left_rows, right, mantissa)
     row_max = log_kernels.max(axis=1)
     log_kernels -= row_max[:, None]
     return np.exp(log_kernels, out=log_kernels), row_max
@@ -132,29 +149,34 @@ def _kde_blocks(real: np.ndarray, generated: np.ndarray, h2: float):
     step = max(1, _KDE_BLOCK_ENTRIES // n_gen)
     # Squared distances |r|^2 - 2 r.g + |g|^2 as one matmul of augmented
     # operands [r, |r|^2, 1] and [-2 g; 1; |g|^2], built once per call.
-    # Scaling by -2 is exact.  The -1/(2 h^2) scale stays out: it is not a
-    # power of two, so applying it to each term before they cancel would
-    # add rounding errors of the terms' size, not of the distance's.
+    # The scale -1/(2 h^2) splits into a signed power of two, which moves
+    # into ``right``, and a mantissa in [1, 2), which stays out.  Short of
+    # overflow or subnormal results, scaling by a power of two is exact for
+    # every product and partial sum of the matmul, so the block equals the
+    # scaled distances of an unscaled matmul bit for bit.  The mantissa is
+    # not: applied to each term before they cancel it would add rounding
+    # errors of the terms' size, not of the distance's, so it multiplies
+    # the finished block, and only when it is not 1, as it is at every
+    # bandwidth that is a power of two.
+    fraction, exponent = math.frexp(-0.5 / h2)
+    power = math.ldexp(-1.0, exponent - 1)
+    mantissa = 2.0 * abs(fraction)
     left = np.hstack([real, (real * real).sum(axis=1, keepdims=True),
                       np.ones((len(real), 1))])
     right = np.vstack([-2.0 * generated.T, np.ones((1, n_gen)),
                        (generated * generated).sum(axis=1)[None, :]])
-    scale = -0.5 / h2
+    right *= power
     ones = np.ones(n_gen)
     buffer = np.empty((min(step, len(real)), n_gen))
     for start in range(0, len(real), step):
         rows = slice(start, min(start + step, len(real)))
-        block = buffer[:rows.stop - start]
-        np.matmul(left[rows], right, out=block)
-        block *= scale
-        # Squared distances that round below zero give log kernels above 0.
-        np.minimum(block, 0.0, out=block)
+        block = _log_kernels(left[rows], right, mantissa, out=buffer[:rows.stop - start])
         np.exp(block, out=block)
         sums = block @ ones
         shift = np.zeros(len(sums))
         low = np.flatnonzero(sums < _KDE_UNDERFLOW_SUM)
         if low.size:
-            kernels, row_max = _shifted_kernels(left[start + low], right, scale)
+            kernels, row_max = _shifted_kernels(left[start + low], right, mantissa)
             block[low] = kernels
             sums[low] = kernels @ ones
             shift[low] = row_max
@@ -370,6 +392,12 @@ class Classifier:
     def features(self, x: np.ndarray) -> np.ndarray:
         return self.layout.forward_np(self.params, x, upto_layer=self.feature_layer)
 
+    def posteriors_from_features(self, features: np.ndarray) -> np.ndarray:
+        """``posteriors(x)`` from ``features(x)``, bit for bit: the pass goes on
+        from the feature layer through the remaining layers."""
+        return _softmax(self.layout.forward_np(self.params, features,
+                                               from_layer=self.feature_layer + 1))
+
     def input_pullback(self, x: np.ndarray, output_grads: np.ndarray, layer: str) -> np.ndarray:
         """Chain per-sample output gradients back to the classifier inputs;
         no parameter gradient is formed."""
@@ -485,24 +513,47 @@ def load_classifier(directory) -> Classifier:
 
 # -- metric dispatch ------------------------------------------------------------
 
+class GeneratedSet:
+    """One generated sample set and its classifier readings, each computed at
+    most once: the FID reads the feature layer, and the inception score goes
+    on from those features, so readings of both run one classifier pass."""
+
+    def __init__(self, samples: np.ndarray, classifier: "Classifier | None"):
+        self.samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+        self.classifier = classifier
+
+    @cached_property
+    def features(self) -> np.ndarray:
+        return self.classifier.features(self.samples)
+
+    @cached_property
+    def posteriors(self) -> np.ndarray:
+        return self.classifier.posteriors_from_features(self.features)
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(message)
 
 
-def evaluate_metric(spec: MetricSpec, generated: np.ndarray, context: MetricContext) -> float:
+def evaluate_metric(spec: MetricSpec, generated, context: MetricContext) -> float:
     """Value of a generated-sample metric; ``disc_loss`` needs parameters and
-    goes through ``metric_value`` instead."""
+    goes through ``metric_value`` instead.  ``generated`` is the samples or a
+    ``GeneratedSet`` of them built on the context's classifier."""
     handler = _METRIC_VALUES.get(spec.kind)
     _require(handler is not None, f"metric {spec.kind!r} is not sample-based")
+    if not isinstance(generated, GeneratedSet):
+        generated = GeneratedSet(generated, context.classifier)
+    _require(generated.classifier is context.classifier,
+             "generated set was read by another classifier than the context's")
     return handler(spec, generated, context)
 
 
 _METRIC_VALUES = {
-    "all": lambda spec, gen, ctx: average_log_likelihood(ctx.real_data, gen, spec.bandwidth),
-    "is": lambda spec, gen, ctx: inception_score(gen, ctx.classifier),
-    "fid": lambda spec, gen, ctx: _fid_from_fit(ctx.fid_reference,
-                                                ctx.classifier.features(gen)),
+    "all": lambda spec, gen, ctx: average_log_likelihood(ctx.real_data, gen.samples,
+                                                         spec.bandwidth),
+    "is": lambda spec, gen, ctx: inception_score_from_posteriors(gen.posteriors),
+    "fid": lambda spec, gen, ctx: _fid_from_fit(ctx.fid_reference, gen.features),
 }
 
 _METRIC_GRADS = {
@@ -526,8 +577,10 @@ def metric_value(spec: MetricSpec, problem, params: np.ndarray,
     """Metric reading for a parameter vector on a fixed latent set.
 
     ``generated``, when given, must be ``problem.generator_forward(params,
-    eval_latents)``: a caller reading several sample-based metrics at one
-    parameter vector generates the samples once.  ``disc_loss`` ignores it.
+    eval_latents)`` or a ``GeneratedSet`` of it: a caller reading several
+    sample-based metrics at one parameter vector generates the samples once,
+    and through a ``GeneratedSet`` runs the classifier on them once.
+    ``disc_loss`` ignores it.
     """
     if spec.kind == "disc_loss":
         return problem.expected_disc_loss(params, eval_latents, context.real_data)

@@ -144,10 +144,16 @@ class MlpLayout:
     def pack(self, layers) -> np.ndarray:
         return np.concatenate([np.concatenate([k.ravel(), b]) for k, b in layers])
 
-    def forward_np(self, flat: np.ndarray, x: np.ndarray, upto_layer: int | None = None) -> np.ndarray:
-        """Plain numpy forward pass; ``upto_layer`` returns that layer's activation."""
+    def forward_np(self, flat: np.ndarray, x: np.ndarray, upto_layer: int | None = None,
+                   from_layer: int = 0) -> np.ndarray:
+        """Plain numpy forward pass; ``upto_layer`` returns that layer's activation.
+
+        ``from_layer`` starts the pass at that layer, with ``x`` the
+        activation of the layer before it: the same operations in the same
+        order as the rest of a pass from the inputs, so the same bits.
+        """
         h = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        for i, (kernel, bias) in enumerate(self.unpack(flat)):
+        for i, (kernel, bias) in enumerate(self.unpack(flat)[from_layer:], start=from_layer):
             h = _NP_ACTS[self.activations[i]](h @ kernel + bias)
             if upto_layer is not None and i == upto_layer:
                 return h

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .influence import checked_dataset, window_start
-from .metrics import metric_value
+from .metrics import GeneratedSet, metric_value
 from .training import TrainingTrace, asgd_step
 
 
@@ -96,9 +96,11 @@ def metric_deltas(problem, trace: TrainingTrace, dataset: np.ndarray, targets,
 
 def _readings(problem, params: np.ndarray, specs, eval_latents: np.ndarray,
               context) -> dict[str, float]:
-    """Every metric of ``specs`` at ``params``, from one generated sample set."""
+    """Every metric of ``specs`` at ``params``, from one generated sample set
+    and at most one classifier pass over it."""
     generated = None
     if any(spec.kind != "disc_loss" for spec in specs):
-        generated = problem.generator_forward(params, eval_latents)
+        generated = GeneratedSet(problem.generator_forward(params, eval_latents),
+                                 context.classifier)
     return {spec.kind: metric_value(spec, problem, params, eval_latents, context, generated)
             for spec in specs}

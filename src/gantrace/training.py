@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -239,7 +240,9 @@ def save_trace(trace: TrainingTrace, directory) -> str:
     """Write the five arrays as ``.npy`` files, then the manifest with the
     format version and the checksum, which it returns.  The manifest goes
     last: an interrupted first save leaves none, and an interrupted
-    overwrite leaves arrays that fail the old manifest's checksum."""
+    overwrite leaves arrays that fail the old manifest's checksum.  After
+    it, a version-1 trace's ``steps/`` and ``final.bin`` are deleted; any
+    other file in the directory stays."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     header = _header(trace)
@@ -253,6 +256,9 @@ def save_trace(trace: TrainingTrace, directory) -> str:
                 digest.update(piece)
     manifest = {**header, "version": TRACE_FORMAT_VERSION, "checksum": digest.hexdigest()}
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    if (directory / "steps").is_dir():
+        shutil.rmtree(directory / "steps")
+    (directory / "final.bin").unlink(missing_ok=True)
     return manifest["checksum"]
 
 

@@ -7,8 +7,11 @@ never written to.
 """
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
+
+import pytest
 
 import gantrace.autodiff
 
@@ -29,6 +32,27 @@ def test_every_traced_boundary_resolves(monkeypatch):
     for module_name, attribute, _ in boundaries:
         assert callable(getattr(importlib.import_module(module_name), attribute)), \
             f"{module_name}.{attribute}"
+
+
+# The arguments that the benchmark's counters and span names read by name
+# from each wrapped call.
+BOUND_ARGUMENTS = {
+    ("gantrace.metrics", "metric_value"): ("spec", "context", "eval_latents"),
+    ("gantrace.influence", "infer_linear_influence"): ("trace", "k_epochs", "start_step"),
+    ("gantrace.oracle", "counterfactual_retrain"): ("trace", "k_epochs"),
+    ("gantrace.training", "save_trace"): ("directory",),
+    ("gantrace.training", "load_trace"): ("directory",),
+    ("gantrace.models", "data_term_scores"): ("rows",),
+}
+
+
+@pytest.mark.parametrize("boundary", sorted(BOUND_ARGUMENTS), ids=".".join)
+def test_traced_calls_take_the_arguments_the_counters_bind(boundary):
+    module_name, attribute = boundary
+    function = getattr(importlib.import_module(module_name), attribute)
+    parameters = inspect.signature(function).parameters
+    for name in BOUND_ARGUMENTS[boundary]:
+        assert name in parameters, f"{module_name}.{attribute} has no argument {name!r}"
 
 
 def test_vjp_counter_and_counted_product_are_callable():

@@ -124,6 +124,26 @@ def test_cleansing_before_value_identical_across_methods(mini_config):
     assert methods == {"influence", "disc_loss", "random"}
 
 
+def test_cleansing_replays_each_distinct_selection_once(monkeypatch):
+    config = _with(load_config(CONFIGS / "digits8_smoke.ini"),
+                   methods=("influence", "disc_loss", "random"))
+    replayed = []
+    retrain = gantrace.experiments.counterfactual_retrain
+
+    def counting(problem, trace, dataset, excluded, k_epochs=None):
+        replayed.append(frozenset(np.asarray(excluded).tolist()))
+        return retrain(problem, trace, dataset, excluded, k_epochs)
+
+    monkeypatch.setattr(gantrace.experiments, "counterfactual_retrain", counting)
+    with pytest.warns(RuntimeWarning, match="qualify"):
+        report = run_data_cleansing(config, seeds=[1])
+    # Two metrics, two sizes and three methods read 12 rows.  Only the
+    # influence selections depend on the metric: at most 4 + 2 + 2 replays,
+    # fewer where selections coincide (few instances qualify for disc_loss).
+    assert len(report.rows) == 12
+    assert len(set(replayed)) == len(replayed) <= 8
+
+
 def test_cleansing_random_selection_reproducible(mini_config):
     config, _ = mini_config
     config = _with(config, methods=("random",))

@@ -62,6 +62,7 @@ from toys import (
     dense_average_log_likelihood,
     loop_permutation_test_tau,
     loop_train_classifier,
+    scaled_kde_blocks,
     tape_input_pullback,
     tape_mlp_vjp,
     tape_train_classifier,
@@ -559,9 +560,9 @@ def spy_on_shifted_rows(monkeypatch):
     recomputed = []
     shifted = gantrace.metrics._shifted_kernels
 
-    def spy(left_rows, right, scale):
+    def spy(left_rows, right, mantissa):
         recomputed.append(left_rows[:, :-2].copy())
-        return shifted(left_rows, right, scale)
+        return shifted(left_rows, right, mantissa)
 
     monkeypatch.setattr(gantrace.metrics, "_shifted_kernels", spy)
     return recomputed
@@ -627,6 +628,106 @@ def test_blocked_kde_clamps_distances_rounded_below_zero():
     value = average_log_likelihood(points, points, 0.05)
     ref_value = dense_average_log_likelihood(points, points, 0.05)
     assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+
+
+class NumpySpy:
+    """Stands in for ``numpy`` inside ``gantrace.metrics``, recording each
+    call of the named functions with the largest entry of its first argument."""
+
+    def __init__(self, names):
+        self.names = names
+        self.events = []
+
+    def __getattr__(self, name):
+        function = getattr(np, name)
+        if name not in self.names:
+            return function
+
+        def recorded(x, *args, **kwargs):
+            self.events.append((name, float(np.max(x))))
+            return function(x, *args, **kwargs)
+
+        return recorded
+
+
+def spy_on_kde_passes(monkeypatch):
+    """Record the KDE's mantissa multiplies, clamps and exponentials."""
+    spy = NumpySpy({"multiply", "minimum", "exp"})
+    monkeypatch.setattr(gantrace.metrics, "np", spy)
+    return spy.events
+
+
+def kde_case(name, bandwidth):
+    """(real, generated): a Gaussian cloud over three blocks, a far cluster
+    whose every row takes the shifted path, or coincident points far from
+    the origin whose matmul distances round below zero."""
+    rng = np.random.default_rng(48)
+    if name == "cloud":
+        real = rng.standard_normal((2 * rows_per_block(300) + 7, 2))
+        return real, rng.standard_normal((300, 2)) * 1.3 + 0.2
+    if name == "far_cluster":
+        real = rng.standard_normal((60, 2)) * bandwidth
+        return real, rng.standard_normal((10, 2)) * bandwidth + [85.0 * bandwidth, 0.0]
+    points = rng.standard_normal((200, 64)) * 10.0 + 1000.0
+    return points, points
+
+
+def assert_same_bits(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+# 1.0, 0.5 and 2.0 give a kernel scale that is a power of two (mantissa 1);
+# 0.7, 0.2 and 0.05 run the mantissa multiply.
+@pytest.mark.parametrize("bandwidth", [1.0, 0.5, 2.0, 0.7, 0.2, 0.05])
+@pytest.mark.parametrize("case", ["cloud", "far_cluster", "coincident"])
+def test_kde_matches_the_scale_pass_reference_bit_for_bit(case, bandwidth, monkeypatch):
+    real, generated = kde_case(case, bandwidth)
+    h2 = bandwidth * bandwidth
+    passes = spy_on_kde_passes(monkeypatch)
+    blocks = [(rows, kernels.copy(), sums, shift)
+              for rows, kernels, sums, shift in _kde_blocks(real, generated, h2)]
+    value = average_log_likelihood(real, generated, bandwidth)
+    grads = _all_gradient(real, generated, bandwidth)
+    reference = list(scaled_kde_blocks(real, generated, h2))
+    assert [got[0] for got in blocks] == [ref[0] for ref in reference]
+    for got, ref in zip(blocks, reference):
+        for got_array, ref_array in zip(got[1:], ref[1:]):
+            assert_same_bits(got_array, ref_array)
+    if case == "far_cluster":
+        assert all(shift.all() for _, _, _, shift in reference)
+    if case == "coincident":
+        assert any(name == "minimum" for name, _ in passes)
+
+    monkeypatch.setattr(gantrace.metrics, "_kde_blocks", scaled_kde_blocks)
+    assert_same_bits(value, average_log_likelihood(real, generated, bandwidth))
+    assert_same_bits(grads, _all_gradient(real, generated, bandwidth))
+
+
+@pytest.mark.parametrize("bandwidth,mantissa_pass", [(1.0, False), (0.7, True)])
+def test_kde_clamps_only_blocks_above_zero(bandwidth, mantissa_pass, monkeypatch):
+    """Three blocks against points far from the origin: the middle block
+    holds copies of the generated points, whose matmul distances can round
+    below zero; the outer blocks hold them moved by about 2.4.  The mantissa
+    multiply runs once per block, and only where the mantissa is not 1."""
+    rng = np.random.default_rng(45)
+    generated = rng.standard_normal((200, 64)) * 10.0 + 1000.0
+    step = rows_per_block(len(generated))
+    copies = generated[rng.integers(0, len(generated), (3, step))]
+    copies[[0, 2]] += rng.standard_normal((2, step, 64)) * 0.3
+    passes = spy_on_kde_passes(monkeypatch)
+    average_log_likelihood(copies.reshape(-1, 64), generated, bandwidth)
+
+    multiply = ["multiply"] * mantissa_pass
+    assert [name for name, _ in passes] == (
+        multiply + ["exp"] + multiply + ["minimum", "exp"] + multiply + ["exp"])
+    # The clamp reads a block whose largest log kernel is above 0; the
+    # blocks that skip it reach the exponential with none above 0.
+    largest = {name: [peak for event, peak in passes if event == name]
+               for name in ("minimum", "exp")}
+    assert largest["minimum"][0] > 0.0
+    assert largest["exp"][0] <= 0.0 and largest["exp"][2] <= 0.0
 
 
 def test_all_metric_value_and_query_match_dense():

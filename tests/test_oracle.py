@@ -6,7 +6,13 @@ import pytest
 import gantrace.oracle
 import gantrace.training
 from gantrace.influence import QueryVector, infer_linear_influence, window_start
-from gantrace.metrics import ClassifierSettings, MetricContext, MetricSpec, train_classifier
+from gantrace.metrics import (
+    ClassifierSettings,
+    MetricContext,
+    MetricSpec,
+    metric_value,
+    train_classifier,
+)
 from gantrace.models import FcGan, GanArchitecture
 from gantrace.oracle import counterfactual_retrain, metric_deltas
 from gantrace.training import TrainingSettings, load_trace, run_training, save_trace
@@ -158,14 +164,19 @@ def test_metric_deltas_fill_every_metric(gan, trained):
             assert np.isfinite(expected)
 
 
-def test_metric_deltas_generate_once_per_parameter_vector(gan, trained, monkeypatch):
-    data, trace = trained
-    rng = np.random.default_rng(18)
+def classifier_context():
+    """A reference set of 30 points with a classifier of three regions."""
     reference = normal2d(30, 19)
     labels = (reference[:, 0] > 1.0).astype(np.int64) + (reference[:, 1] > 1.0)
     classifier = train_classifier(reference, labels, ClassifierSettings(hidden=(6, 4), epochs=3),
                                   seed=20)
-    context = MetricContext(real_data=reference, classifier=classifier)
+    return MetricContext(real_data=reference, classifier=classifier)
+
+
+def test_metric_deltas_generate_once_per_parameter_vector(gan, trained, monkeypatch):
+    data, trace = trained
+    rng = np.random.default_rng(18)
+    context = classifier_context()
     latents = rng.standard_normal((30, 3))
     specs = [MetricSpec("all"), MetricSpec("is"), MetricSpec("fid")]
     targets = [2, 1, 7]
@@ -186,6 +197,30 @@ def test_metric_deltas_generate_once_per_parameter_vector(gan, trained, monkeypa
             cf = counterfactual_retrain(gan, trace, data, target, k_epochs=1)
             assert deltas[spec.kind][position] == true_influence_on_metric(
                 gan, trace.final_params, cf.params, spec, latents, context)
+
+
+def test_readings_run_one_classifier_pass_per_sample_set(gan, trained, monkeypatch):
+    _, trace = trained
+    latents = np.random.default_rng(18).standard_normal((30, 3))
+    context = classifier_context()
+    context.fid_reference  # fits the reference side before the count starts
+    specs = [MetricSpec("all"), MetricSpec("is"), MetricSpec("fid"), MetricSpec("disc_loss")]
+    layout = context.classifier.layout
+    forward = layout.forward_np
+    starts = []
+
+    def counting(flat, x, upto_layer=None, from_layer=0):
+        starts.append(from_layer)
+        return forward(flat, x, upto_layer, from_layer)
+
+    monkeypatch.setattr(layout, "forward_np", counting)
+    readings = gantrace.oracle._readings(gan, trace.final_params, specs, latents, context)
+    # One pass from the inputs; the inception score goes on from the features.
+    assert starts == [0, context.classifier.feature_layer + 1]
+    monkeypatch.undo()
+    for spec in specs:
+        alone = metric_value(spec, gan, trace.final_params, latents, context)
+        assert np.float64(readings[spec.kind]).tobytes() == np.float64(alone).tobytes()
 
 
 # -- replay from the first excluded step ---------------------------------------------

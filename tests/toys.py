@@ -20,7 +20,9 @@ backward and the classifier built on it, and ``loop_train_classifier`` is
 the per-step loop the classifier trainer must match bit for bit.  ``loop_permutation_test_tau`` is
 the per-permutation reference for the vectorized permutation test, and the
 ``dense_*`` KDE functions, which build the whole n_ref x n_gen matrix, are
-the reference for the blocked KDE.  ``full_window_retrain`` is the oracle
+the reference for the blocked KDE; ``scaled_kde_blocks`` is its reference
+bit for bit, with the whole kernel scale applied after the matmul and the
+clamp always taken.  ``full_window_retrain`` is the oracle
 that replays the whole window whatever it excludes, the reference for the
 replay that starts at the first excluded step; ``uncached_fid_gradient``
 refits the FID reference side on every call, the reference for the fit a
@@ -37,7 +39,14 @@ from scipy.special import softmax as np_softmax
 
 from gantrace.experiments import PermutationResult
 from gantrace.influence import window_start
-from gantrace.metrics import Classifier, _psd_pinv, _psd_sqrt, metric_value
+from gantrace.metrics import (
+    _KDE_BLOCK_ENTRIES,
+    _KDE_UNDERFLOW_SUM,
+    Classifier,
+    _psd_pinv,
+    _psd_sqrt,
+    metric_value,
+)
 from gantrace.models import PROB_FLOOR, FcGan, MlpLayout, joint_gradient
 from gantrace.training import (
     DivergenceError,
@@ -452,6 +461,44 @@ def dense_all_gradient(real, generated, bandwidth):
     weights = np_softmax(-_pairwise_sq_dists(real, generated) / (2.0 * h2), axis=1)
     pulled = weights.T @ real - weights.sum(axis=0)[:, None] * generated
     return pulled / (real.shape[0] * h2)
+
+
+def _scaled_shifted_kernels(left_rows, right, scale):
+    log_kernels = left_rows @ right
+    log_kernels *= scale
+    np.minimum(log_kernels, 0.0, out=log_kernels)
+    row_max = log_kernels.max(axis=1)
+    log_kernels -= row_max[:, None]
+    return np.exp(log_kernels, out=log_kernels), row_max
+
+
+def scaled_kde_blocks(real, generated, h2):
+    """``metrics._kde_blocks`` with the whole scale -1/(2 h^2) applied to
+    each block after an unscaled matmul and the clamp at 0 always taken.
+    Each yielded array is a fresh copy."""
+    n_gen = len(generated)
+    step = max(1, _KDE_BLOCK_ENTRIES // n_gen)
+    left = np.hstack([real, (real * real).sum(axis=1, keepdims=True),
+                      np.ones((len(real), 1))])
+    right = np.vstack([-2.0 * generated.T, np.ones((1, n_gen)),
+                       (generated * generated).sum(axis=1)[None, :]])
+    scale = -0.5 / h2
+    ones = np.ones(n_gen)
+    for start in range(0, len(real), step):
+        rows = slice(start, min(start + step, len(real)))
+        block = left[rows] @ right
+        block *= scale
+        np.minimum(block, 0.0, out=block)
+        np.exp(block, out=block)
+        sums = block @ ones
+        shift = np.zeros(len(sums))
+        low = np.flatnonzero(sums < _KDE_UNDERFLOW_SUM)
+        if low.size:
+            kernels, row_max = _scaled_shifted_kernels(left[start + low], right, scale)
+            block[low] = kernels
+            sums[low] = kernels @ ones
+            shift[low] = row_max
+        yield rows, block, sums, shift
 
 
 def full_window_retrain(problem, trace, dataset, excluded, k_epochs=None):
