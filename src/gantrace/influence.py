@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import vjp_of_gradient
-from .training import StepRecord, TrainingTrace
+from .training import StepRecord, TrainingTrace, block_rates
 
 
 @dataclass
@@ -125,8 +125,8 @@ def propagate_query(problem, query: np.ndarray, record: StepRecord,
     same product yields.
     """
     latents = record.latents(problem.latent_dim)
-    d = problem.dim_gen
-    scaled = np.concatenate([record.lr_gen * query[:d], record.lr_disc * query[d:]])
+    scaled = block_rates(problem.dim_gen, problem.dim_params, record.lr_gen,
+                         record.lr_disc) * query
     product, row_scores = vjp_of_gradient(problem, scaled, record.params, latents, data_rows,
                                           len(latents))
     return query - product, row_scores
@@ -171,9 +171,10 @@ def infer_linear_influence(problem, trace: TrainingTrace, dataset: np.ndarray,
             # Kahan step, since occurrences across epochs can partially
             # cancel; a batch's indices are distinct, so each instance's
             # update is the scalar one.
+            before = sums[idx]
             y = values - carry[idx]
-            t = sums[idx] + y
-            carry[idx] = (t - sums[idx]) - y
+            t = before + y
+            carry[idx] = (t - before) - y
             sums[idx] = t
 
     k_used = trace.epochs if k_epochs is None else int(k_epochs)

@@ -33,6 +33,16 @@ float64 array, and no batch x hidden adjoint is ever formed.  Layers enter
 as augmented operands [W; b] against inputs with a ones column, so bias
 adds and bias gradients ride inside the matmuls.
 
+Each ``FcGan`` keeps one workspace for its gradient kernels, made on the
+first call and grown to the largest batch seen: the operands that carry a
+ones column, written once, the VJP's stacked operands and the
+discriminator's widest arrays.  A call copies
+its latents and rows into leading rows of it, so it builds no operand
+afresh, and reads the layers of a flat vector through spans fixed at
+construction.  The arithmetic is that of fresh operands, bit for bit.  No
+returned array aliases the workspace, but two threads must not call the
+kernels of one instance at the same time.
+
 A dense stack has one hand-written backward pass,
 ``MlpLayout.backward``, run on what ``MlpLayout.forward_record`` keeps of
 a forward pass.  It writes the kernel and bias gradients into views of a
@@ -63,9 +73,17 @@ PROB_FLOOR = 1e-7
 
 
 def _logistic(x):
-    """1 / (1 + exp(-x)) through exp(-|x|), which cannot overflow."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    """1 / (1 + exp(-x)) through exp(-|x|), which cannot overflow.
+
+    -|x| is one copysign, and the exponential and the denominator reuse
+    its array: six array passes, bit for bit the seven of
+    ``where(x >= 0, 1, e) / (1 + e)`` with ``e = exp(-abs(x))``.
+    """
+    e = np.copysign(x, -1.0)
+    np.exp(e, out=e)
+    numerator = np.where(x >= 0, 1.0, e)
+    np.add(e, 1.0, out=e)
+    return np.divide(numerator, e, out=numerator)
 
 
 _NP_ACTS = {
@@ -107,9 +125,6 @@ class MlpLayout:
             offset += fan_out
         self.spans = tuple(spans)
         self.n_params = offset
-        self._augmented_spans = tuple(
-            (k_off, k_off + (k_shape[0] + 1) * k_shape[1], (k_shape[0] + 1, k_shape[1]))
-            for k_off, k_shape in spans[::2])
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         """Uniform(-a, a) kernels with a = sqrt(6 / (fan_in + fan_out)), zero biases."""
@@ -130,16 +145,6 @@ class MlpLayout:
             bias = flat[b_off:b_off + b_shape[0]]
             layers.append((kernel, bias))
         return layers
-
-    def augmented(self, flat: np.ndarray) -> list[np.ndarray]:
-        """Each layer as one (fan_in + 1, fan_out) view [kernel; bias] of ``flat``.
-
-        A bias follows its kernel in the layout, so the view copies nothing.
-        Against inputs with a trailing ones column it adds the bias inside
-        the matmul, and the gradient it receives holds the bias gradient in
-        its last row.
-        """
-        return [flat[start:stop].reshape(shape) for start, stop, shape in self._augmented_spans]
 
     def pack(self, layers) -> np.ndarray:
         return np.concatenate([np.concatenate([k.ravel(), b]) for k, b in layers])
@@ -278,6 +283,15 @@ class FcGan:
         self._penalty_rates = 2.0 * arch.l2_rate * np.concatenate([
             np.full(math.prod(shape), float(len(shape) == 2))
             for net in (self.gen_net, self.disc_net) for _, shape in net.spans])
+        # Each layer's augmented view [W; b] of a coupled vector as (start,
+        # stop, shape): a bias follows its kernel, so the view copies
+        # nothing.  The discriminator's output layer is read as a vector.
+        spans = [(base + start, base + start + (fan_in + 1) * fan_out, (fan_in + 1, fan_out))
+                 for net, base in ((self.gen_net, 0), (self.disc_net, self.dim_gen))
+                 for start, (fan_in, fan_out) in net.spans[::2]]
+        self._layer_spans = tuple(spans[:-1])
+        self._output_span = spans[-1][:2]
+        self._workspace: _Workspace | None = None
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return np.concatenate([self.gen_net.init_params(rng), self.disc_net.init_params(rng)])
@@ -312,12 +326,15 @@ class FcGan:
     # The discriminator's output is a scalar, so the adjoint of its hidden
     # pre-activations is rank one, (logit adjoint) x V2 masked by the relu,
     # and its R derivative rank two.  No kernel forms it: every product with
-    # it is reassociated through the float mask M (``_masked_grams``), and
+    # it is reassociated through the float mask M, as ((w * inputs)^T M) * V2
+    # for row weights w (two weight columns at once in ``_masked_grams``), and
     # the fake inputs' adjoint is (logit adjoint) x P, with P = M V2 V1^T
     # the gradient of each fake logit with respect to its input.  Layers are
     # read as augmented operands [W; b] against inputs that carry a ones
     # column, so each bias add happens inside its matmul and each bias
-    # gradient is the last row of its kernel's gradient product.
+    # gradient is the last row of its kernel's gradient product.  Those
+    # operands, and the VJP's stacked ones, live in the instance's
+    # ``_Workspace``; no returned array is a view of it.
 
     def joint_gradient(self, params: np.ndarray, latents: np.ndarray,
                        data_rows: np.ndarray, denom: int) -> np.ndarray:
@@ -326,16 +343,18 @@ class FcGan:
         params = np.asarray(params, dtype=np.float64)
         f = self._forward(params, latents, data_rows)
         n = len(f.latents)
-        gen_adj = self._gen_logit_first(f.probs[:n]) / n
-        disc_adj = _disc_logit_first(f.probs, _disc_keep(f.probs, n), n) / denom
+        fake_probs = f.probs[:n]
+        keep = _disc_keep(f.probs, n)
+        gen_adj = self._gen_logit_first(fake_probs, fake_probs * (1.0 - fake_probs), keep[:n]) / n
+        disc_adj = _disc_logit_first(f.probs, keep, n) / denom
         v2 = f.v2[:-1]
         grad = np.empty(self.dim_params)
-        gw1, gw2, gv1, gv2 = self._augmented(grad)
+        gw1, gw2, gv1, gv2 = self._layers(grad)
         logit_grad = f.disc_mask[:n] @ (v2[:, None] * f.v1[:-1].T)
         out_adj = gen_adj[:, None] * logit_grad * f.tanh_slope
         np.matmul(f.gen_hidden.T, out_adj, out=gw2)
         np.matmul(f.latents.T, (out_adj @ f.w2[:-1].T) * f.gen_mask, out=gw1)
-        np.multiply(_masked_grams(f.inputs, disc_adj[:, None], f.disc_mask)[0], v2, out=gv1)
+        np.multiply((disc_adj[:, None] * f.inputs).T @ f.disc_mask, v2, out=gv1)
         np.matmul(f.disc_hidden.T, disc_adj, out=gv2[:-1])
         gv2[-1] = disc_adj.sum()
         grad += self._penalty_rates * params
@@ -363,8 +382,9 @@ class FcGan:
         if vector.shape != (self.dim_params,):
             raise ValueError(f"vector of shape {vector.shape} does not match "
                              f"{self.dim_params} parameters")
-        uw1, uw2, uv1, uv2 = self._augmented(vector)
+        uw1, uw2, uv1, uv2 = self._layers(vector)
         n = len(f.latents)
+        ws = self._workspace
         # The discriminator's kernels, and the direction's, without bias rows.
         v1, v2, uk1, uk2 = f.v1[:-1], f.v2[:-1], uv1[:-1], uv2[:-1]
         # Forward R pass along u_gen: the fake inputs move.
@@ -372,24 +392,30 @@ class FcGan:
         r_fake = (r_gen_hidden @ f.w2[:-1] + f.gen_hidden @ uw2) * f.tanh_slope
         # P and its derivative along u_disc, M (u_V2 V1^T + V2 u_V1^T), in one product.
         d = self.data_dim
-        pulled = f.disc_mask[:n] @ np.hstack([v2[:, None] * v1.T,
-                                              uk2[:, None] * v1.T + v2[:, None] * uk1.T])
+        directions = ws.directions
+        np.multiply(v2[:, None], v1.T, out=directions[:, :d])
+        np.multiply(uk2[:, None], v1.T, out=directions[:, d:])
+        directions[:, d:] += v2[:, None] * uk1.T
+        pulled = f.disc_mask[:n] @ directions
         logit_grad, r_logit_grad = pulled[:, :d], pulled[:, d:]
         # Logit adjoints and their R derivatives; the fake rows' R adjoint
         # sums both directions.
-        keep = _disc_keep(f.probs, n)
-        gen_adj = self._gen_logit_first(f.probs[:n]) / n
-        disc_adj = _disc_logit_first(f.probs, keep, n) / denom
+        probs = f.probs
+        slope = probs * (1.0 - probs)
+        keep = _disc_keep(probs, n)
+        gen_first = self._gen_logit_first(probs[:n], slope[:n], keep[:n])
+        gen_adj = gen_first / n
+        disc_adj = _disc_logit_first(probs, keep, n) / denom
         # Every logit's derivative along u_disc: ((v uV1) * M) V2 + r uV2 + u_d2,
         # the first term reassociated through the mask.
         r_disc_logit = (np.einsum("ij,ij->i", f.inputs, f.disc_mask @ (uv1 * v2).T)
                         + f.disc_hidden @ uk2 + uv2[-1])
-        r_adj = keep * f.probs * (1.0 - f.probs) / denom * r_disc_logit
-        r_adj[:n] += (self._gen_logit_second(f.probs[:n]) / n
+        r_adj = keep * slope / denom * r_disc_logit
+        r_adj[:n] += (self._gen_logit_second(gen_first, probs[:n], slope[:n], keep[:n]) / n
                       * np.einsum("ij,ij->i", r_fake, logit_grad))
 
         grad = np.empty(self.dim_params)
-        gw1, gw2, gv1, gv2 = self._augmented(grad)
+        gw1, gw2, gv1, gv2 = self._layers(grad)
         # Generator block: one pullback of both passes' output adjoints.
         fake_adj = gen_adj[:, None] * logit_grad
         out_adj = fake_adj * f.tanh_slope
@@ -400,8 +426,11 @@ class FcGan:
         np.matmul(f.latents.T, (r_out_adj @ f.w2[:-1].T + out_adj @ uw2[:-1].T) * f.gen_mask,
                   out=gw1)
         # Discriminator block.
-        grams = _masked_grams(f.inputs, np.column_stack([r_adj, disc_adj]), f.disc_mask)
-        fake_gram = _masked_grams(r_fake, gen_adj[:, None], f.disc_mask[:n])[0]
+        adjoints = ws.adjoints[:len(probs)]
+        adjoints[:, 0] = r_adj
+        adjoints[:, 1] = disc_adj
+        grams = _masked_grams(f.inputs, adjoints, f.disc_mask)
+        fake_gram = (gen_adj[:, None] * r_fake).T @ f.disc_mask[:n]
         np.multiply(grams[0], v2, out=gv1)
         gv1 += grams[1] * uk2
         gv1[:-1] += fake_gram * v2
@@ -459,48 +488,98 @@ class FcGan:
         gen_grad, _ = gen_pullback(input_adj[:n])
         return np.concatenate([gen_grad, disc_grad])
 
-    def _augmented(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+    def _layers(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
         """The four layers of a coupled vector as augmented views [W; b],
         the discriminator's output layer as a vector."""
-        w1, w2 = self.gen_net.augmented(flat[:self.dim_gen])
-        v1, v2 = self.disc_net.augmented(flat[self.dim_gen:])
-        return w1, w2, v1, v2[:, 0]
+        (a, b, w1), (c, d, w2), (e, g, v1) = self._layer_spans
+        h, i = self._output_span
+        return flat[a:b].reshape(w1), flat[c:d].reshape(w2), flat[e:g].reshape(v1), flat[h:i]
+
+    def _workspace_for(self, n_latents: int, n_inputs: int) -> _Workspace:
+        """The workspace, grown to hold ``n_latents`` latents and
+        ``n_inputs`` discriminator inputs if it holds fewer."""
+        ws = self._workspace
+        if ws is None or n_latents > len(ws.latents) or n_inputs > len(ws.inputs):
+            if ws is not None:
+                n_latents = max(n_latents, len(ws.latents))
+                n_inputs = max(n_inputs, len(ws.inputs))
+            ws = self._workspace = _Workspace(self.arch, n_latents, n_inputs)
+        return ws
 
     def _forward(self, params, latents, data_rows) -> _Activations:
         params = _checked(np.asarray(params, dtype=np.float64), "parameters")
-        w1, w2, v1, v2 = self._augmented(params)
-        latents = _with_ones(_rows_of(latents, self.latent_dim, "latents"))
+        w1, w2, v1, v2 = self._layers(params)
+        latents = _rows_of(latents, self.latent_dim, "latents")
         rows = _rows_of(data_rows, self.data_dim, "data rows")
         n = len(latents)
-        gen_pre = latents @ w1
+        ws = self._workspace_for(n, n + len(rows))
+        augmented = ws.latents[:n]
+        augmented[:, :-1] = latents
+        gen_pre = augmented @ w1
         gen_mask = (gen_pre > 0.0).astype(np.float64)
-        gen_hidden = np.ones((n, gen_pre.shape[1] + 1))
+        gen_hidden = ws.gen_hidden[:n]
         np.maximum(gen_pre, 0.0, out=gen_hidden[:, :-1])
-        inputs = np.ones((n + len(rows), self.data_dim + 1))
+        inputs = ws.inputs[:n + len(rows)]
         fake = np.tanh(gen_hidden @ w2, out=inputs[:n, :-1])
         inputs[n:, :-1] = rows
-        disc_pre = inputs @ v1
-        disc_hidden = np.maximum(disc_pre, 0.0)
+        disc_pre = np.matmul(inputs, v1, out=ws.disc_hidden[:len(inputs)])
+        disc_mask = np.greater(disc_pre, 0.0, out=ws.disc_mask[:len(inputs)])
+        disc_hidden = np.maximum(disc_pre, 0.0, out=disc_pre)
         return _Activations(
             w2=w2, v1=v1, v2=v2,
-            latents=latents, gen_mask=gen_mask, gen_hidden=gen_hidden,
+            latents=augmented, gen_mask=gen_mask, gen_hidden=gen_hidden,
             fake=fake, tanh_slope=1.0 - fake * fake, inputs=inputs,
-            disc_mask=(disc_pre > 0.0).astype(np.float64), disc_hidden=disc_hidden,
+            disc_mask=disc_mask, disc_hidden=disc_hidden,
             probs=_logistic(disc_hidden @ v2[:-1] + v2[-1]),
         )
 
-    def _gen_logit_first(self, probs: np.ndarray) -> np.ndarray:
-        """First logit derivative of the per-latent generator loss."""
-        if self.arch.objective == "nonsaturating":   # -p
-            return -(probs * (1.0 - probs))
-        return -(_clamp_mask(1.0 - probs) * probs)   # log clamp(1 - p)
+    # The logit derivatives of the per-latent generator loss, from the
+    # probabilities p, their slope p * (1 - p) and the clamp mask of 1 - p
+    # (``_disc_keep`` of the generated rows).
 
-    def _gen_logit_second(self, probs: np.ndarray) -> np.ndarray:
-        """Second logit derivative of the per-latent generator loss."""
-        slope = probs * (1.0 - probs)
-        if self.arch.objective == "nonsaturating":
-            return -slope * (1.0 - 2.0 * probs)
-        return -(_clamp_mask(1.0 - probs) * slope)
+    def _gen_logit_first(self, probs: np.ndarray, slope: np.ndarray,
+                         keep: np.ndarray) -> np.ndarray:
+        if self.arch.objective == "nonsaturating":   # -p
+            return -slope
+        return -(keep * probs)   # log clamp(1 - p)
+
+    def _gen_logit_second(self, first: np.ndarray, probs: np.ndarray, slope: np.ndarray,
+                          keep: np.ndarray) -> np.ndarray:
+        """From the first derivative ``first`` as ``_gen_logit_first`` gives it."""
+        if self.arch.objective == "nonsaturating":   # -p (1 - p) (1 - 2p)
+            return first * (1.0 - 2.0 * probs)
+        return -(keep * slope)
+
+
+class _Workspace:
+    """Operands that an ``FcGan``'s kernels write each call's values into.
+
+    ``latents``, ``gen_hidden`` and ``inputs`` are the operands of the
+    augmented layers, with their trailing ones column written here once; a
+    call with n latents and m data rows writes the other columns of their
+    first n, n and n + m rows.  ``directions`` is the VJP's right operand
+    of the mask product, [V2 V1^T | u_V2 V1^T + V2 u_V1^T] (hidden_disc x
+    2 data_dim), and ``adjoints`` its per-input weights of the masked
+    grams, [R{adj} | adj].  ``disc_hidden`` holds the discriminator's
+    pre-activations and then their relu, and ``disc_mask`` the relu mask:
+    the widest arrays of a call, which from about 250 rows per batch would
+    otherwise be unmapped when freed and faulted back in on every call.
+
+    The matmuls must read the same memory layout as on fresh operands,
+    since a BLAS product of a transposed layout can round differently:
+    leading rows of the C-contiguous buffers are C-contiguous, and
+    ``directions`` is column-major, as the products of ``V1^T`` that fill
+    it are.
+    """
+
+    def __init__(self, arch: GanArchitecture, n_latents: int, n_inputs: int):
+        self.latents = np.ones((n_latents, arch.latent_dim + 1))
+        self.gen_hidden = np.ones((n_latents, arch.hidden_gen + 1))
+        self.inputs = np.ones((n_inputs, arch.data_dim + 1))
+        self.directions = np.empty((arch.hidden_disc, 2 * arch.data_dim), order="F")
+        self.adjoints = np.empty((n_inputs, 2))
+        self.disc_hidden = np.empty((n_inputs, arch.hidden_disc))
+        self.disc_mask = np.empty((n_inputs, arch.hidden_disc))
 
 
 @dataclass
@@ -517,7 +596,9 @@ class _Activations:
     bias add it would save.  ``inputs`` stacks the generated rows first,
     then the data rows, and ``fake`` is the view of its generated part.
     The masks are ``a > 0`` and ``c > 0`` as float64; ``tanh_slope`` is
-    ``1 - x**2``.
+    ``1 - x**2``.  ``latents``, ``gen_hidden``, ``inputs``, ``disc_mask``
+    and ``disc_hidden`` are leading rows of the workspace, valid until the
+    instance's next kernel call.
     """
 
     w2: np.ndarray
@@ -567,13 +648,6 @@ def _rows_of(values, width: int, what: str) -> np.ndarray:
     if values.ndim != 2 or values.shape[1] != width:
         raise ValueError(f"{what} of shape {values.shape} are not (n, {width})")
     return values
-
-
-def _with_ones(values: np.ndarray) -> np.ndarray:
-    """``values`` with a trailing ones column, the operand of an augmented layer."""
-    out = np.ones((len(values), values.shape[1] + 1))
-    out[:, :-1] = values
-    return out
 
 
 def _masked_grams(inputs: np.ndarray, weights: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -626,8 +700,8 @@ def data_term_scores(problem, disc_query: np.ndarray, params: np.ndarray,
     Read off ``problem.joint_gradient_vjp`` along a zero generator
     direction, with no latents and a normalizer of one.
     """
-    vector = np.concatenate([np.zeros(problem.dim_gen),
-                             np.asarray(disc_query, dtype=np.float64)])
+    vector = np.zeros(problem.dim_params)
+    vector[problem.dim_gen:] = disc_query
     _, scores = problem.joint_gradient_vjp(vector, params, np.empty((0, problem.latent_dim)),
                                            rows, 1)
     return scores

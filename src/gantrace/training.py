@@ -19,6 +19,7 @@ JSON manifest (``save_trace``).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import shutil
@@ -140,14 +141,26 @@ def learning_rate_schedule(settings: TrainingSettings, n_steps: int) -> list[tup
     return rates
 
 
+@functools.lru_cache(maxsize=16)
+def block_rates(dim_gen: int, dim_params: int, lr_gen: float, lr_disc: float) -> np.ndarray:
+    """Each coupled parameter's learning rate: ``lr_gen`` on the first
+    ``dim_gen`` entries, ``lr_disc`` on the rest.
+
+    One read-only vector is kept per argument tuple, so a run's steps share
+    the few their schedule uses.  Rates that compare equal share a vector.
+    """
+    rates = np.full(dim_params, float(lr_disc))
+    rates[:dim_gen] = lr_gen
+    rates.flags.writeable = False
+    return rates
+
+
 def asgd_step(problem, params: np.ndarray, data_rows: np.ndarray, latents: np.ndarray,
               lr_gen: float, lr_disc: float, denom: int | None = None) -> np.ndarray:
     """One descent step on the coupled vector with block learning rates."""
     grad = joint_gradient(problem, params, latents, data_rows, denom)
-    d = problem.dim_gen
     # The gradient is a fresh array, so the block rates scale it in place.
-    grad[:d] *= lr_gen
-    grad[d:] *= lr_disc
+    grad *= block_rates(problem.dim_gen, problem.dim_params, lr_gen, lr_disc)
     return params - grad
 
 

@@ -13,7 +13,9 @@ permutation test is checked against a loop over ``scipy.stats.kendalltau``
 and its orders against row-by-row draws, and the blocked KDE against
 the dense ``dense_*`` references, which build the whole kernel matrix.
 The FID value and query that read a context's cached reference fit are
-checked against the uncached forms.
+checked against the uncached forms.  ``FcGan``'s kernels, which write
+their operands into a reused workspace, must equal ``AllocatingFcGan``'s
+fresh-operand arithmetic bit for bit, whatever batch shapes came before.
 """
 
 import dataclasses
@@ -24,8 +26,10 @@ import pytest
 from scipy.special import softmax as scipy_softmax
 
 import gantrace.experiments
+import gantrace.influence
 import gantrace.metrics
 import gantrace.models
+import gantrace.training
 import tape
 from gantrace.autodiff import vjp_gradient_call_count
 from gantrace.config import load_config
@@ -54,8 +58,9 @@ from gantrace.models import (
     data_term_scores,
     joint_gradient,
 )
-from gantrace.training import DivergenceError, StepRecord, latents_from_seed
+from gantrace.training import DivergenceError, StepRecord, asgd_step, latents_from_seed
 from toys import (
+    AllocatingFcGan,
     TapeFcGan,
     bilinear_game,
     dense_all_gradient,
@@ -166,9 +171,9 @@ def separate_pass_scores(gan, disc_query, params, rows):
     logit derivative of each row's loss times its logit's derivative along
     the query."""
     f = gan._forward(params, np.empty((0, gan.latent_dim)), rows)
-    qv1, qv2 = gan.disc_net.augmented(np.asarray(disc_query, dtype=np.float64))
+    _, _, qv1, qv2 = gan._layers(np.concatenate([np.zeros(gan.dim_gen), disc_query]))
     along = (np.einsum("ij,ij->i", f.inputs, f.disc_mask @ (qv1 * f.v2[:-1]).T)
-             + f.disc_hidden @ qv2[:-1, 0] + qv2[-1, 0])
+             + f.disc_hidden @ qv2[:-1] + qv2[-1])
     first = gantrace.models._disc_logit_first(f.probs, gantrace.models._disc_keep(f.probs, 0), 0)
     return first * along
 
@@ -220,6 +225,115 @@ def test_data_term_scores_are_bit_identical_to_a_separate_pass(objective, scenar
     query = rng.standard_normal(gan.dim_disc)
     assert np.array_equal(data_term_scores(gan, query, params, rows),
                           separate_pass_scores(gan, query, params, rows))
+
+
+def random_case(gan, seed, n_latents, n_rows, edit=None):
+    rng = np.random.default_rng(seed)
+    params = gan.init_params(rng) + rng.normal(0.0, 0.1, gan.dim_params)
+    if edit is not None:
+        params = edit(gan, params)
+    return (params, rng.standard_normal((n_latents, LATENT)),
+            rng.standard_normal((n_rows, gan.data_dim)), rng.standard_normal(gan.dim_params))
+
+
+# SCENARIOS and a batch wide enough that fresh operands of its width would
+# be unmapped when freed.
+REFERENCE_SCENARIOS = dict(SCENARIOS, wide_batch=(300, 260, 300, None, DATA))
+
+
+@pytest.mark.parametrize("objective", ["nonsaturating", "minimax"])
+@pytest.mark.parametrize("scenario", sorted(REFERENCE_SCENARIOS))
+def test_kernels_match_the_allocating_reference_bit_for_bit(objective, scenario):
+    n_latents, n_rows, denom, edit, data_dim = REFERENCE_SCENARIOS[scenario]
+    gan, _ = pair(objective, data_dim)
+    reference = AllocatingFcGan(gan.arch)
+    params, latents, rows, vector = random_case(gan, 26, n_latents, n_rows, edit)
+    assert_same_bits(gan.joint_gradient(params, latents, rows, denom),
+                     reference.joint_gradient(params, latents, rows, denom))
+    for got, ref in zip(gan.joint_gradient_vjp(vector, params, latents, rows, denom),
+                        reference.joint_gradient_vjp(vector, params, latents, rows, denom)):
+        assert_same_bits(got, ref)
+    query = vector[gan.dim_gen:]
+    assert_same_bits(data_term_scores(gan, query, params, rows),
+                     data_term_scores(reference, query, params, rows))
+
+
+@pytest.mark.parametrize("objective", ["nonsaturating", "minimax"])
+@pytest.mark.parametrize("lr_gen, lr_disc", [(1e-2, 3e-2), (1e-2, 0.0), (0.0, 3e-2)])
+def test_steps_match_the_allocating_reference_bit_for_bit(objective, lr_gen, lr_disc):
+    """A descent step and a query pull-back at simultaneous rates and at
+    the zero rates of alternating mode, against the slice-by-slice rate
+    scaling over the reference kernels."""
+    gan, _ = pair(objective)
+    reference = AllocatingFcGan(gan.arch)
+    params, latents, rows, query = random_case(gan, 27, 7, 5)
+    d = gan.dim_gen
+    grad = reference.joint_gradient(params, latents, rows, 7)
+    grad[:d] *= lr_gen
+    grad[d:] *= lr_disc
+    assert_same_bits(asgd_step(gan, params, rows, latents, lr_gen, lr_disc, 7), params - grad)
+
+    record = StepRecord(0, np.arange(5), lr_gen, lr_disc, params, 11)
+    latents = record.latents(LATENT)
+    scaled = np.concatenate([lr_gen * query[:d], lr_disc * query[d:]])
+    product, scores = reference.joint_gradient_vjp(scaled, params, latents, rows, 5)
+    got, got_scores = propagate_query(gan, query, record, rows)
+    assert_same_bits(got, query - product)
+    assert_same_bits(got_scores, scores)
+
+
+@pytest.mark.parametrize("objective", ["nonsaturating", "minimax"])
+def test_workspace_reuse_changes_no_result(objective):
+    """Gradients, products and scores at growing and shrinking batch shapes
+    through one instance equal a fresh instance's, and no result changes
+    when later calls rewrite the workspace."""
+    gan, _ = pair(objective)
+    calls = [("gradient", 100, 100), ("product", 99, 100), ("scores", 0, 99),
+             ("gradient", 1, 0), ("product", 0, 1), ("gradient", 99, 1),
+             ("product", 100, 0), ("scores", 0, 100), ("gradient", 1, 99),
+             ("product", 1, 1), ("scores", 0, 1), ("product", 100, 100)]
+    kept = []
+    for seed, (kind, n_latents, n_rows) in enumerate(calls):
+        params, latents, rows, vector = random_case(gan, seed, n_latents, n_rows)
+        denom = max(n_latents, n_rows, 1)
+        results = []
+        for problem in (gan, FcGan(gan.arch)):
+            if kind == "gradient":
+                results.append((problem.joint_gradient(params, latents, rows, denom),))
+            elif kind == "product":
+                results.append(problem.joint_gradient_vjp(vector, params, latents, rows, denom))
+            else:
+                results.append((data_term_scores(problem, vector[gan.dim_gen:], params, rows),))
+        for got, fresh in zip(*results):
+            assert_same_bits(got, fresh)
+            kept.append((got, got.copy()))
+    for got, copy in kept:
+        assert_same_bits(got, copy)
+
+
+def test_warm_kernels_build_no_operands(monkeypatch):
+    """Once the workspace holds a batch, a kernel call, a descent step or a
+    query pull-back of that batch or a smaller one builds no ones columns
+    and stacks no arrays."""
+    gan, _ = pair("nonsaturating")
+    params, latents, rows, vector = random_case(gan, 28, 7, 7)
+    record = StepRecord(0, np.arange(5), 1e-2, 3e-2, params, 11)
+    kernel_calls = [
+        lambda n: joint_gradient(gan, params, latents[:n], rows[:n]),
+        lambda n: gan.joint_gradient_vjp(vector, params, latents[:n], rows[:n], n),
+        lambda n: data_term_scores(gan, vector[gan.dim_gen:], params, rows[:n]),
+        lambda n: asgd_step(gan, params, rows[:n], latents[:n], 1e-2, 3e-2),
+        lambda n: propagate_query(gan, vector, record, rows[:5]),
+    ]
+    for call in kernel_calls:
+        call(7)
+    spy = NumpySpy({"ones", "hstack", "column_stack", "concatenate"})
+    for module in (gantrace.models, gantrace.training, gantrace.influence):
+        monkeypatch.setattr(module, "np", spy)
+    for n in (7, 6, 1):
+        for call in kernel_calls:
+            call(n)
+    assert spy.events == []
 
 
 @pytest.mark.parametrize("kernel, operand", [
@@ -631,8 +745,9 @@ def test_blocked_kde_clamps_distances_rounded_below_zero():
 
 
 class NumpySpy:
-    """Stands in for ``numpy`` inside ``gantrace.metrics``, recording each
-    call of the named functions with the largest entry of its first argument."""
+    """Stands in for ``numpy`` inside a module, recording each call of the
+    named functions with the largest entry of its first argument when that
+    is an array."""
 
     def __init__(self, names):
         self.names = names
@@ -644,7 +759,7 @@ class NumpySpy:
             return function
 
         def recorded(x, *args, **kwargs):
-            self.events.append((name, float(np.max(x))))
+            self.events.append((name, float(np.max(x)) if isinstance(x, np.ndarray) else None))
             return function(x, *args, **kwargs)
 
         return recorded

@@ -14,6 +14,7 @@ from tape import Tensor, backward
 from toys import (
     TapeFcGan,
     TinyDiscriminatorProblem,
+    allocating_logistic,
     data_term_gradient,
     disc_batch_loss_graph,
     gen_batch_loss_graph,
@@ -263,3 +264,12 @@ def test_logistic_matches_scipy_expit_without_overflow():
     with np.errstate(all="raise"):
         got = _logistic(inner)
     np.testing.assert_allclose(got, expit(inner), rtol=2e-15, atol=0.0)
+
+
+def test_logistic_is_the_seven_pass_form_bit_for_bit():
+    x = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 36.7, 745.0, -745.0],
+                        np.linspace(-750.0, 750.0, 30001),
+                        np.random.default_rng(8).standard_normal(10000) * 20.0])
+    got = _logistic(x)
+    assert got.tobytes() == allocating_logistic(x).tobytes()
+    assert not np.shares_memory(got, x)

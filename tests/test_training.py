@@ -7,6 +7,7 @@ from gantrace.training import (
     DivergenceError,
     TrainingSettings,
     asgd_step,
+    block_rates,
     latents_from_seed,
     learning_rate_schedule,
     load_trace,
@@ -107,6 +108,26 @@ def test_asgd_step_masks_discriminator_block(gan, data):
     out = asgd_step(gan, params, data[:5], z, 1e-3, 0.0)
     assert np.array_equal(out[gan.dim_gen:], params[gan.dim_gen:])
     assert not np.array_equal(out[:gan.dim_gen], params[:gan.dim_gen])
+
+
+def test_block_rates_are_one_shared_read_only_vector():
+    rates = block_rates(3, 5, 0.1, 0.0)
+    assert np.array_equal(rates, [0.1, 0.1, 0.1, 0.0, 0.0])
+    assert block_rates(3, 5, 0.1, 0.0) is rates
+    assert not rates.flags.writeable
+    with pytest.raises(ValueError):
+        rates[0] = 1.0
+
+
+def test_asgd_step_returns_a_fresh_snapshot_each_step(gan, data):
+    rng = np.random.default_rng(12)
+    params = gan.init_params(rng)
+    z = rng.standard_normal((5, 3))
+    first = asgd_step(gan, params, data[:5], z, 1e-3, 1e-3)
+    kept = first.copy()
+    second = asgd_step(gan, first, data[5:10], z, 1e-3, 1e-3)
+    assert not np.shares_memory(first, params) and not np.shares_memory(second, first)
+    assert first.flags.writeable and np.array_equal(first, kept)
 
 
 def test_asgd_step_matches_hand_computation_on_quadratic():

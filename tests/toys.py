@@ -22,10 +22,12 @@ the per-permutation reference for the vectorized permutation test, and the
 ``dense_*`` KDE functions, which build the whole n_ref x n_gen matrix, are
 the reference for the blocked KDE; ``scaled_kde_blocks`` is its reference
 bit for bit, with the whole kernel scale applied after the matmul and the
-clamp always taken.  ``full_window_retrain`` is the oracle
-that replays the whole window whatever it excludes, the reference for the
-replay that starts at the first excluded step; ``uncached_fid_gradient``
-refits the FID reference side on every call, the reference for the fit a
+clamp always taken.  ``AllocatingFcGan`` and ``allocating_logistic`` are
+the reference, bit for bit, for ``FcGan``'s workspace kernels and its
+logistic.  ``full_window_retrain`` is the oracle that replays the whole
+window whatever it excludes, the reference for the replay that starts at
+the first excluded step; ``uncached_fid_gradient`` refits the FID
+reference side on every call, the reference for the fit a
 ``MetricContext`` keeps; and ``true_influence_on_metric`` reads one metric
 change from two parameter vectors.
 """
@@ -47,7 +49,16 @@ from gantrace.metrics import (
     _psd_sqrt,
     metric_value,
 )
-from gantrace.models import PROB_FLOOR, FcGan, MlpLayout, joint_gradient
+from gantrace.models import (
+    PROB_FLOOR,
+    FcGan,
+    MlpLayout,
+    _Activations,
+    _checked,
+    _clamp_mask,
+    _rows_of,
+    joint_gradient,
+)
 from gantrace.training import (
     DivergenceError,
     StepRecord,
@@ -228,6 +239,156 @@ class TapeFcGan(TapeGradients, FcGan):
     def disc_real_loss(self, params, x):
         return float(self.disc_real_terms_graph(Tensor(params), np.atleast_2d(x)).data[0])
 
+
+
+class AllocatingFcGan(FcGan):
+    """``FcGan`` with its gradient kernels as they were before the
+    workspace: every call builds its operands afresh, the ones columns with
+    ``np.ones``, the VJP's operands with ``np.hstack`` and
+    ``np.column_stack``, and each logit derivative from the probabilities
+    on its own.  The workspace kernels must match it bit for bit."""
+
+    def joint_gradient(self, params, latents, data_rows, denom):
+        params = np.asarray(params, dtype=np.float64)
+        f = self._forward(params, latents, data_rows)
+        n = len(f.latents)
+        gen_adj = self._gen_logit_first(f.probs[:n]) / n
+        disc_adj = _fresh_disc_logit_first(f.probs, _fresh_disc_keep(f.probs, n), n) / denom
+        v2 = f.v2[:-1]
+        grad = np.empty(self.dim_params)
+        gw1, gw2, gv1, gv2 = self._augmented(grad)
+        logit_grad = f.disc_mask[:n] @ (v2[:, None] * f.v1[:-1].T)
+        out_adj = gen_adj[:, None] * logit_grad * f.tanh_slope
+        np.matmul(f.gen_hidden.T, out_adj, out=gw2)
+        np.matmul(f.latents.T, (out_adj @ f.w2[:-1].T) * f.gen_mask, out=gw1)
+        np.multiply(_fresh_masked_grams(f.inputs, disc_adj[:, None], f.disc_mask)[0], v2,
+                    out=gv1)
+        np.matmul(f.disc_hidden.T, disc_adj, out=gv2[:-1])
+        gv2[-1] = disc_adj.sum()
+        grad += self._penalty_rates * params
+        return _checked(grad, "joint_gradient")
+
+    def joint_gradient_vjp(self, vector, params, latents, data_rows, denom):
+        f = self._forward(params, latents, data_rows)
+        vector = np.asarray(vector, dtype=np.float64)
+        if vector.shape != (self.dim_params,):
+            raise ValueError(f"vector of shape {vector.shape} does not match "
+                             f"{self.dim_params} parameters")
+        uw1, uw2, uv1, uv2 = self._augmented(vector)
+        n = len(f.latents)
+        v1, v2, uk1, uk2 = f.v1[:-1], f.v2[:-1], uv1[:-1], uv2[:-1]
+        r_gen_hidden = (f.latents @ uw1) * f.gen_mask
+        r_fake = (r_gen_hidden @ f.w2[:-1] + f.gen_hidden @ uw2) * f.tanh_slope
+        d = self.data_dim
+        pulled = f.disc_mask[:n] @ np.hstack([v2[:, None] * v1.T,
+                                              uk2[:, None] * v1.T + v2[:, None] * uk1.T])
+        logit_grad, r_logit_grad = pulled[:, :d], pulled[:, d:]
+        keep = _fresh_disc_keep(f.probs, n)
+        gen_adj = self._gen_logit_first(f.probs[:n]) / n
+        disc_adj = _fresh_disc_logit_first(f.probs, keep, n) / denom
+        r_disc_logit = (np.einsum("ij,ij->i", f.inputs, f.disc_mask @ (uv1 * v2).T)
+                        + f.disc_hidden @ uk2 + uv2[-1])
+        r_adj = keep * f.probs * (1.0 - f.probs) / denom * r_disc_logit
+        r_adj[:n] += (self._gen_logit_second(f.probs[:n]) / n
+                      * np.einsum("ij,ij->i", r_fake, logit_grad))
+
+        grad = np.empty(self.dim_params)
+        gw1, gw2, gv1, gv2 = self._augmented(grad)
+        fake_adj = gen_adj[:, None] * logit_grad
+        out_adj = fake_adj * f.tanh_slope
+        r_out_adj = ((r_adj[:n, None] * logit_grad + disc_adj[:n, None] * r_logit_grad)
+                     * f.tanh_slope - 2.0 * fake_adj * f.fake * r_fake)
+        np.matmul(f.gen_hidden.T, r_out_adj, out=gw2)
+        gw2[:-1] += r_gen_hidden.T @ out_adj
+        np.matmul(f.latents.T, (r_out_adj @ f.w2[:-1].T + out_adj @ uw2[:-1].T) * f.gen_mask,
+                  out=gw1)
+        grams = _fresh_masked_grams(f.inputs, np.column_stack([r_adj, disc_adj]), f.disc_mask)
+        fake_gram = _fresh_masked_grams(r_fake, gen_adj[:, None], f.disc_mask[:n])[0]
+        np.multiply(grams[0], v2, out=gv1)
+        gv1 += grams[1] * uk2
+        gv1[:-1] += fake_gram * v2
+        gv2[:-1] = (f.disc_hidden.T @ r_adj + (fake_gram * v1).sum(axis=0)
+                    + (grams[1] * uv1).sum(axis=0))
+        gv2[-1] = r_adj.sum()
+        grad += self._penalty_rates * vector
+        return (_checked(grad, "joint_gradient_vjp"),
+                _checked(disc_adj[n:] * r_disc_logit[n:], "data_term_scores"))
+
+    def _augmented(self, flat):
+        w1, w2 = _fresh_augmented(self.gen_net, flat[:self.dim_gen])
+        v1, v2 = _fresh_augmented(self.disc_net, flat[self.dim_gen:])
+        return w1, w2, v1, v2[:, 0]
+
+    def _forward(self, params, latents, data_rows):
+        params = _checked(np.asarray(params, dtype=np.float64), "parameters")
+        w1, w2, v1, v2 = self._augmented(params)
+        latents = _fresh_with_ones(_rows_of(latents, self.latent_dim, "latents"))
+        rows = _rows_of(data_rows, self.data_dim, "data rows")
+        n = len(latents)
+        gen_pre = latents @ w1
+        gen_mask = (gen_pre > 0.0).astype(np.float64)
+        gen_hidden = np.ones((n, gen_pre.shape[1] + 1))
+        np.maximum(gen_pre, 0.0, out=gen_hidden[:, :-1])
+        inputs = np.ones((n + len(rows), self.data_dim + 1))
+        fake = np.tanh(gen_hidden @ w2, out=inputs[:n, :-1])
+        inputs[n:, :-1] = rows
+        disc_pre = inputs @ v1
+        disc_hidden = np.maximum(disc_pre, 0.0)
+        return _Activations(
+            w2=w2, v1=v1, v2=v2,
+            latents=latents, gen_mask=gen_mask, gen_hidden=gen_hidden,
+            fake=fake, tanh_slope=1.0 - fake * fake, inputs=inputs,
+            disc_mask=(disc_pre > 0.0).astype(np.float64), disc_hidden=disc_hidden,
+            probs=allocating_logistic(disc_hidden @ v2[:-1] + v2[-1]),
+        )
+
+    def _gen_logit_first(self, probs):
+        if self.arch.objective == "nonsaturating":
+            return -(probs * (1.0 - probs))
+        return -(_clamp_mask(1.0 - probs) * probs)
+
+    def _gen_logit_second(self, probs):
+        slope = probs * (1.0 - probs)
+        if self.arch.objective == "nonsaturating":
+            return -slope * (1.0 - 2.0 * probs)
+        return -(_clamp_mask(1.0 - probs) * slope)
+
+
+def allocating_logistic(x):
+    """The logistic as seven array passes: ``where(x >= 0, 1, e) / (1 + e)``
+    with ``e = exp(-abs(x))``."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def _fresh_augmented(layout, flat):
+    """Each layer of ``layout`` as a (fan_in + 1, fan_out) view [kernel; bias]."""
+    return [flat[offset:offset + (shape[0] + 1) * shape[1]].reshape(shape[0] + 1, shape[1])
+            for offset, shape in layout.spans[::2]]
+
+
+def _fresh_with_ones(values):
+    out = np.ones((len(values), values.shape[1] + 1))
+    out[:, :-1] = values
+    return out
+
+
+def _fresh_disc_keep(probs, n_fake):
+    clamped = probs.copy()
+    np.subtract(1.0, probs[:n_fake], out=clamped[:n_fake])
+    return _clamp_mask(clamped)
+
+
+def _fresh_disc_logit_first(probs, keep, n_fake):
+    first = probs.copy()
+    first[n_fake:] -= 1.0
+    return keep * first
+
+
+def _fresh_masked_grams(inputs, weights, mask):
+    n, k = weights.shape
+    scaled = (weights[:, :, None] * inputs[:, None, :]).reshape(n, k * inputs.shape[1])
+    return (scaled.T @ mask).reshape(k, inputs.shape[1], -1)
 
 def data_term_gradient(problem, params, row):
     """Gradient of one instance's data-term loss, discriminator block only.
