@@ -64,8 +64,8 @@ class InfluenceTable:
     query_fingerprint: str
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        idx = np.array(sorted(self.scores), dtype=np.int64)
-        return idx, np.array([self.scores[int(i)] for i in idx])
+        keys = sorted(self.scores)
+        return np.array(keys, dtype=np.int64), np.array([self.scores[k] for k in keys])
 
 
 def save_influence_csv(table: InfluenceTable, path) -> None:
@@ -142,22 +142,21 @@ def infer_linear_influence(problem, trace: TrainingTrace, dataset: np.ndarray,
     target's occurrences.  Instances with no occurrence inside the traced
     window keep an exact zero.  A step whose batch holds a target scores
     every row of the batch, so an instance's score, like the query
-    propagation, is identical regardless of the target set.  Targets must
-    be instance indices in ``[0, n_train)``, and ``dataset`` must hold the
-    trace's ``n_train`` rows.
+    propagation, is identical regardless of the target set.  Targets are a
+    sequence or 1-D array of instance indices in ``[0, n_train)``, and
+    ``dataset`` must hold the trace's ``n_train`` rows.
     """
     _check_query(trace, query)
     dataset = checked_dataset(trace, dataset)
     start = window_start(trace, k_epochs) if start_step is None else int(start_step)
     if not 0 <= start < trace.n_steps:
         raise ValueError(f"start step {start} outside trace of {trace.n_steps} steps")
-    if targets is None:
-        targets = range(trace.n_train)
-    targets = np.array([int(j) for j in targets], dtype=np.int64)
-    if targets.size and (targets.min() < 0 or targets.max() >= trace.n_train):
+    targets = np.arange(trace.n_train) if targets is None else np.asarray(targets, np.int64)
+    if targets.ndim != 1 or not np.all((0 <= targets) & (targets < trace.n_train)):
         raise ValueError(f"targets must be instance indices in [0, {trace.n_train})")
     is_target = np.zeros(trace.n_train, dtype=bool)
     is_target[targets] = True
+    every_target = bool(is_target.all())
 
     sums = np.zeros(trace.n_train)
     carry = np.zeros(trace.n_train)
@@ -167,7 +166,7 @@ def infer_linear_influence(problem, trace: TrainingTrace, dataset: np.ndarray,
         current, values = propagate_query(problem, current, record, dataset[idx])
         # Steps without a discriminator rate score zeros and are skipped,
         # which leaves the Kahan sums and carries exactly as they were.
-        if record.lr_disc != 0.0 and is_target[idx].any():
+        if record.lr_disc != 0.0 and (every_target or is_target[idx].any()):
             # Kahan step, since occurrences across epochs can partially
             # cancel; a batch's indices are distinct, so each instance's
             # update is the scalar one.
@@ -180,7 +179,7 @@ def infer_linear_influence(problem, trace: TrainingTrace, dataset: np.ndarray,
     k_used = trace.epochs if k_epochs is None else int(k_epochs)
     return InfluenceTable(
         metric_name=query.label,
-        scores={int(j): float(sums[j]) for j in targets},
+        scores=dict(zip(targets.tolist(), sums[targets].tolist())),
         k_epochs=k_used,
         query_fingerprint=query.fingerprint,
     )

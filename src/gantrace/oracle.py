@@ -54,14 +54,15 @@ def counterfactual_retrain(problem, trace: TrainingTrace, dataset: np.ndarray,
         raise ValueError(f"excluded indices must be instance indices in [0, {trace.n_train})")
     window = trace.records[window_start(trace, k_epochs):]
     batches = [record.batch_indices for record in window]
-    # One membership test over the whole window, cut back into per-step masks.
-    dropped = np.split(np.isin(np.concatenate(batches), exclusion),
-                       np.cumsum([len(idx) for idx in batches])[:-1])
-    first = next((t for t, drop in enumerate(dropped) if drop.any()), 0)
+    # One membership test over the whole window; each step reads its slice.
+    hits = np.isin(np.concatenate(batches), exclusion)
+    ends = np.cumsum([len(idx) for idx in batches])
+    first = int(np.searchsorted(ends, np.argmax(hits), side="right")) if hits.any() else 0
     params = window[first].params.copy()
-    for record, drop in zip(window[first:], dropped[first:]):
+    for record, end in zip(window[first:], ends[first:].tolist()):
         idx = record.batch_indices
-        params = asgd_step(problem, params, dataset[idx[~drop]],
+        drop = hits[end - len(idx):end]
+        params = asgd_step(problem, params, dataset[idx[~drop] if drop.any() else idx],
                            record.latents(problem.latent_dim),
                            record.lr_gen, record.lr_disc, denom=len(idx))
     k_used = trace.epochs if k_epochs is None else int(k_epochs)

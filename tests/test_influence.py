@@ -3,7 +3,13 @@ import pytest
 
 import gantrace.influence
 from gantrace.autodiff import reset_vjp_gradient_call_count, vjp_gradient_call_count
-from gantrace.influence import QueryVector, infer_linear_influence, propagate_query, window_start
+from gantrace.influence import (
+    InfluenceTable,
+    QueryVector,
+    infer_linear_influence,
+    propagate_query,
+    window_start,
+)
 from gantrace.models import FcGan, GanArchitecture
 from gantrace.oracle import counterfactual_retrain
 from gantrace.training import TrainingSettings, run_training
@@ -214,15 +220,51 @@ def test_scores_do_not_depend_on_the_target_set():
         assert alone.scores == {j: full.scores[j]}
 
 
+@pytest.mark.parametrize("mode, start_step", [("simultaneous", None),
+                                              ("simultaneous", 3),
+                                              ("alternating", None)])
+def test_every_target_form_reads_the_full_table(gan, mode, start_step):
+    # Alternating mode skips every other step's scores (lr_disc == 0), and a
+    # start step cuts the window mid-epoch; the table's entries stay those of
+    # the full table in the targets' order, whichever form the targets take.
+    data = normal2d(30, 42)
+    settings = TrainingSettings(epochs=2, batch_size=6, lr_gen=1e-3, lr_disc=1e-3,
+                                mode=mode, seed=43)
+    trace = run_training(gan, data, settings)
+    query = QueryVector(np.random.default_rng(44).standard_normal(gan.dim_params), gan.dim_gen)
+    full = infer_linear_influence(gan, trace, data, query, start_step=start_step)
+    assert list(full.scores) == list(range(30))
+    assert all(type(key) is int and type(value) is float for key, value in full.scores.items())
+    assert any(value != 0.0 for value in full.scores.values())
+    forms = [range(30), [7, 3, 7, 29, 0, 3], np.array([12, 5, 18], dtype=np.int32),
+             np.arange(30)[::-1], list(range(30)) + [4], []]
+    for targets in forms:
+        table = infer_linear_influence(gan, trace, data, query, targets=targets,
+                                       start_step=start_step)
+        expected = {int(j): full.scores[int(j)].hex() for j in targets}
+        assert [(key, value.hex()) for key, value in table.scores.items()] == list(
+            expected.items())
+
+
 def test_targets_must_be_instance_indices(gan):
     data = normal2d(20, 12)
     settings = TrainingSettings(epochs=1, batch_size=5, lr_gen=1e-3, lr_disc=1e-3, seed=13)
     trace = run_training(gan, data, settings)
     query = QueryVector(np.ones(gan.dim_params), gan.dim_gen)
-    for bad in (-1, len(data)):
-        with pytest.raises(ValueError, match="targets"):
-            infer_linear_influence(gan, trace, data, query, targets=[0, bad])
+    for bad in ([0, -1], [0, len(data)], np.array([len(data) + 5]), np.array([[0, 1]])):
+        with pytest.raises(ValueError) as refused:
+            infer_linear_influence(gan, trace, data, query, targets=bad)
+        assert str(refused.value) == "targets must be instance indices in [0, 20)"
     assert infer_linear_influence(gan, trace, data, query, targets=[]).scores == {}
+
+
+@pytest.mark.parametrize("scores", [{}, {4: -0.5, 1: 2.0, 9: 0.25}])
+def test_table_arrays_are_sorted_by_index(scores):
+    table = InfluenceTable("all", scores, 1, "")
+    indices, values = table.as_arrays()
+    assert indices.dtype == np.int64 and values.dtype == np.float64
+    assert indices.tolist() == sorted(scores)
+    assert values.tolist() == [scores[j] for j in sorted(scores)]
 
 
 def test_one_sweep_vjp_count_is_step_count_independent_of_targets(gan):

@@ -289,6 +289,36 @@ def test_empty_or_untouched_exclusion_replays_the_whole_window(gan, monkeypatch)
             assert np.array_equal(result.params, trace.final_params)
 
 
+# Three epochs of two steps with batches of 4, 3 and 5 rows.  Instance 10 is
+# met first in the second epoch, as the first row of a batch, 5 and 6 share
+# every batch they are in, and 11 is met only in the first step.
+UNEVEN_SCHEDULE = [[0, 1, 2, 11], [4, 5, 6], [0, 1, 2, 3], [10, 4, 5, 6, 7],
+                   [10, 1, 2, 3], [4, 5, 6, 8, 9]]
+
+
+@pytest.mark.parametrize("excluded, replayed_k1, replayed_kall, untouched", [
+    ([10], 2, 3, ()),          # met only in later epochs of the full window
+    ([6, 5], 1, 5, ()),        # two excluded instances in one batch
+    ([11], 2, 6, (1,)),        # outside the last epoch's window
+    ([], 2, 6, (1, None)),     # no exclusion
+])
+def test_replay_slices_the_window_hit_mask(gan, monkeypatch, excluded, replayed_k1,
+                                           replayed_kall, untouched):
+    data = normal2d(12, 20)
+    trace = build_trace(gan, data, UNEVEN_SCHEDULE, [(1e-3, 1e-3)] * 6,
+                        gan.init_params(np.random.default_rng(21)), epoch_starts=[0, 2, 4])
+    calls = count_replayed_steps(monkeypatch)
+    for k, replayed in ((1, replayed_k1), (None, replayed_kall)):
+        del calls[:]
+        got = counterfactual_retrain(gan, trace, data, excluded, k_epochs=k)
+        assert len(calls) == replayed
+        assert np.array_equal(got.params, full_window_retrain(gan, trace, data, excluded, k))
+        if k in untouched:
+            assert np.array_equal(got.params, trace.final_params)
+        else:
+            assert not np.array_equal(got.params, trace.final_params)
+
+
 @pytest.mark.parametrize("excluded", [-1, [24], {3, 29}, [-1, 0]])
 def test_exclusion_outside_the_instances_is_refused(gan, trained, excluded):
     # Such an index is in no batch, so the replay would silently exclude
