@@ -3,8 +3,11 @@
 The coupled parameter layout puts all generator parameters first and all
 discriminator parameters second.  Losses follow the non-saturating form by
 default (generator minimizes -D(G(z))), with the minimax form available as
-a configuration switch.  Batch means fix the summation order so repeated
-evaluation is bit-reproducible.
+a configuration switch.  The discriminator's losses are binary cross-entropy
+on its logit x, with D = sigmoid(x): softplus(x) = -log(1 - D) on a
+generated sample and softplus(-x) = -log D on a data row, so no log ever
+sees a probability and nothing is clamped.  Batch means fix the summation
+order so repeated evaluation is bit-reproducible.
 
 A "problem" is anything exposing dim_gen / dim_disc / dim_params /
 latent_dim and the gradient methods below.  Two of them, the gradient
@@ -66,12 +69,6 @@ class NonFiniteError(FloatingPointError):
     """A computation produced NaN or infinity."""
 
 
-# Discriminator probabilities are clamped away from {0, 1} before any log so
-# the losses and every influence quantity stay finite even when the
-# discriminator saturates.
-PROB_FLOOR = 1e-7
-
-
 def _logistic(x):
     """1 / (1 + exp(-x)) through exp(-|x|), which cannot overflow.
 
@@ -84,6 +81,11 @@ def _logistic(x):
     numerator = np.where(x >= 0, 1.0, e)
     np.add(e, 1.0, out=e)
     return np.divide(numerator, e, out=numerator)
+
+
+def _softplus(x):
+    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), which cannot overflow."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 _NP_ACTS = {
@@ -264,7 +266,8 @@ class FcGan:
     """Generator and discriminator as one-hidden-layer MLPs.
 
     Generator: latent -> relu hidden -> tanh output in (-1, 1)^data_dim.
-    Discriminator: data -> relu hidden -> sigmoid scalar in (0, 1).
+    Discriminator: data -> relu hidden -> scalar logit x, and D = sigmoid(x)
+    in (0, 1); ``disc_net`` is the dense stack up to the logit.
     The L2 penalty applies to kernels only, never to biases, and each
     network's penalty enters its own loss.
     """
@@ -272,7 +275,7 @@ class FcGan:
     def __init__(self, arch: GanArchitecture):
         self.arch = arch
         self.gen_net = MlpLayout((arch.latent_dim, arch.hidden_gen, arch.data_dim), ("relu", "tanh"))
-        self.disc_net = MlpLayout((arch.data_dim, arch.hidden_disc, 1), ("relu", "sigmoid"))
+        self.disc_net = MlpLayout((arch.data_dim, arch.hidden_disc, 1), ("relu", "linear"))
         self.dim_gen = self.gen_net.n_params
         self.dim_disc = self.disc_net.n_params
         self.dim_params = self.dim_gen + self.dim_disc
@@ -309,19 +312,24 @@ class FcGan:
             raise ValueError("latents must be finite")
         return self.gen_net.forward_np(params[:self.dim_gen], latents)
 
-    def discriminator_forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def discriminator_logits(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.data_dim:
             raise ValueError(f"data dimension mismatch: {x.shape[1]} != {self.data_dim}")
         return self.disc_net.forward_np(params[self.dim_gen:], x)[:, 0]
 
+    def discriminator_forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return _logistic(self.discriminator_logits(params, x))
+
     # -- closed-form gradient kernels ---------------------------------------
     #
     # Each kernel runs one forward pass (``_Activations``) and then the
-    # backward pass, or its R-operator derivative, by hand.  The per-logit
-    # derivatives follow one set of conventions: the clamp at PROB_FLOOR has
-    # zero derivative at and beyond its bounds, relu has derivative 0 at the
-    # kink and no curvature, and the L2 penalty covers kernels only.
+    # backward pass, or its R-operator derivative, by hand.  Each loss is
+    # differentiated at its logit, from the probabilities p: softplus(x) on a
+    # generated sample has derivatives p and p (1 - p), softplus(-x) on a
+    # data row p - 1 and p (1 - p), and so no loss stops passing a
+    # derivative when the discriminator saturates.  Relu has derivative 0 at
+    # the kink and no curvature, and the L2 penalty covers kernels only.
     #
     # The discriminator's output is a scalar, so the adjoint of its hidden
     # pre-activations is rank one, (logit adjoint) x V2 masked by the relu,
@@ -344,9 +352,8 @@ class FcGan:
         f = self._forward(params, latents, data_rows)
         n = len(f.latents)
         fake_probs = f.probs[:n]
-        keep = _disc_keep(f.probs, n)
-        gen_adj = self._gen_logit_first(fake_probs, fake_probs * (1.0 - fake_probs), keep[:n]) / n
-        disc_adj = _disc_logit_first(f.probs, keep, n) / denom
+        gen_adj = self._gen_logit_first(fake_probs, fake_probs * (1.0 - fake_probs), n)
+        disc_adj = _disc_logit_first(f.probs, n, denom)
         v2 = f.v2[:-1]
         grad = np.empty(self.dim_params)
         gw1, gw2, gv1, gv2 = self._layers(grad)
@@ -402,16 +409,14 @@ class FcGan:
         # sums both directions.
         probs = f.probs
         slope = probs * (1.0 - probs)
-        keep = _disc_keep(probs, n)
-        gen_first = self._gen_logit_first(probs[:n], slope[:n], keep[:n])
-        gen_adj = gen_first / n
-        disc_adj = _disc_logit_first(probs, keep, n) / denom
+        gen_adj = self._gen_logit_first(probs[:n], slope[:n], n)
+        disc_adj = _disc_logit_first(probs, n, denom)
         # Every logit's derivative along u_disc: ((v uV1) * M) V2 + r uV2 + u_d2,
         # the first term reassociated through the mask.
         r_disc_logit = (np.einsum("ij,ij->i", f.inputs, f.disc_mask @ (uv1 * v2).T)
                         + f.disc_hidden @ uk2 + uv2[-1])
-        r_adj = keep * slope / denom * r_disc_logit
-        r_adj[:n] += (self._gen_logit_second(gen_first, probs[:n], slope[:n], keep[:n]) / n
+        r_adj = slope / denom * r_disc_logit
+        r_adj[:n] += (self._gen_logit_second(probs[:n], slope[:n], n)
                       * np.einsum("ij,ij->i", r_fake, logit_grad))
 
         grad = np.empty(self.dim_params)
@@ -456,11 +461,12 @@ class FcGan:
 
     def expected_disc_loss(self, params: np.ndarray, latents: np.ndarray,
                            rows: np.ndarray) -> float:
-        """Mean discriminator loss on the generated samples plus its mean on ``rows``."""
+        """Mean discriminator loss on the generated samples, softplus of
+        their logits, plus its mean on ``rows``, softplus of minus theirs."""
         params = _checked(np.asarray(params, dtype=np.float64), "parameters")
-        fake_probs = self.discriminator_forward(params, self.generator_forward(params, latents))
-        real_probs = self.discriminator_forward(params, rows)
-        value = -np.log(_clamped(1.0 - fake_probs)).mean() - np.log(_clamped(real_probs)).mean()
+        fake_logits = self.discriminator_logits(params, self.generator_forward(params, latents))
+        real_logits = self.discriminator_logits(params, rows)
+        value = _softplus(fake_logits).mean() + _softplus(-real_logits).mean()
         return float(_checked(value, "expected_disc_loss"))
 
     def expected_disc_loss_gradient(self, params: np.ndarray, latents: np.ndarray,
@@ -475,16 +481,15 @@ class FcGan:
         gen_params, disc_params = self.split(params)
         fake, gen_pullback = self.gen_net.vjp_np(gen_params, latents)
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        probs, disc_pullback = self.disc_net.vjp_np(disc_params, np.concatenate([fake, rows]))
+        logits, disc_pullback = self.disc_net.vjp_np(disc_params, np.concatenate([fake, rows]))
         n = len(fake)
-        fake_probs, real_probs = probs[:n, 0], probs[n:, 0]
-        # Probability derivatives of -log clamp(1 - p) and -log clamp(p),
-        # zero where the clamp binds.
-        prob_adj = np.concatenate([
-            _clamp_mask(1.0 - fake_probs) / _clamped(1.0 - fake_probs) / n,
-            -(_clamp_mask(real_probs) / _clamped(real_probs)) / len(rows),
-        ])
-        disc_grad, input_adj = disc_pullback(prob_adj[:, None])
+        # Logit derivatives of the means: p / n on the generated samples
+        # and (p - 1) / m on the m rows.
+        logit_adj = _logistic(logits)
+        logit_adj[:n] /= n
+        logit_adj[n:] -= 1.0
+        logit_adj[n:] /= len(rows)
+        disc_grad, input_adj = disc_pullback(logit_adj)
         gen_grad, _ = gen_pullback(input_adj[:n])
         return np.concatenate([gen_grad, disc_grad])
 
@@ -533,22 +538,20 @@ class FcGan:
             probs=_logistic(disc_hidden @ v2[:-1] + v2[-1]),
         )
 
-    # The logit derivatives of the per-latent generator loss, from the
-    # probabilities p, their slope p * (1 - p) and the clamp mask of 1 - p
-    # (``_disc_keep`` of the generated rows).
+    # The logit derivatives of the per-latent generator loss over the latent
+    # count n, from the probabilities p and their slope p (1 - p).  Each
+    # derivative is minus a product, so it divides by -n, which rounds as
+    # negating and then dividing by n would.
 
-    def _gen_logit_first(self, probs: np.ndarray, slope: np.ndarray,
-                         keep: np.ndarray) -> np.ndarray:
-        if self.arch.objective == "nonsaturating":   # -p
-            return -slope
-        return -(keep * probs)   # log clamp(1 - p)
+    def _gen_logit_first(self, probs: np.ndarray, slope: np.ndarray, n: int) -> np.ndarray:
+        if self.arch.objective == "nonsaturating":   # loss -p: -p (1 - p)
+            return slope / -n
+        return probs / -n   # loss log(1 - p) = -softplus(x): -p
 
-    def _gen_logit_second(self, first: np.ndarray, probs: np.ndarray, slope: np.ndarray,
-                          keep: np.ndarray) -> np.ndarray:
-        """From the first derivative ``first`` as ``_gen_logit_first`` gives it."""
+    def _gen_logit_second(self, probs: np.ndarray, slope: np.ndarray, n: int) -> np.ndarray:
         if self.arch.objective == "nonsaturating":   # -p (1 - p) (1 - 2p)
-            return first * (1.0 - 2.0 * probs)
-        return -(keep * slope)
+            return slope * (1.0 - 2.0 * probs) / -n
+        return slope / -n   # -p (1 - p)
 
 
 class _Workspace:
@@ -615,32 +618,14 @@ class _Activations:
     probs: np.ndarray
 
 
-def _clamped(values: np.ndarray) -> np.ndarray:
-    return np.clip(values, PROB_FLOOR, 1.0 - PROB_FLOOR)
-
-
-def _clamp_mask(values: np.ndarray) -> np.ndarray:
-    """Where ``clamp(values, PROB_FLOOR, 1 - PROB_FLOOR)`` passes a derivative."""
-    return (values > PROB_FLOOR) & (values < 1.0 - PROB_FLOOR)
-
-
-def _disc_keep(probs: np.ndarray, n_fake: int) -> np.ndarray:
-    """Where the discriminator's per-input loss passes a derivative.
-
-    The first ``n_fake`` inputs are generated, with loss -log clamp(1 - p);
-    the rest are data rows, with loss -log clamp(p).  The second logit
-    derivative of either is ``keep * p * (1 - p)``.
-    """
-    clamped = probs.copy()
-    np.subtract(1.0, probs[:n_fake], out=clamped[:n_fake])
-    return _clamp_mask(clamped)
-
-
-def _disc_logit_first(probs: np.ndarray, keep: np.ndarray, n_fake: int) -> np.ndarray:
-    """First logit derivative of the discriminator's per-input loss."""
+def _disc_logit_first(probs: np.ndarray, n_fake: int, denom: int) -> np.ndarray:
+    """First logit derivative of the discriminator's per-input loss over
+    ``denom``: p on the first ``n_fake`` inputs, which are generated, and
+    p - 1 on the data rows after them."""
     first = probs.copy()
     first[n_fake:] -= 1.0
-    return keep * first
+    first /= denom
+    return first
 
 
 def _rows_of(values, width: int, what: str) -> np.ndarray:

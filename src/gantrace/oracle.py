@@ -54,8 +54,10 @@ def counterfactual_retrain(problem, trace: TrainingTrace, dataset: np.ndarray,
         raise ValueError(f"excluded indices must be instance indices in [0, {trace.n_train})")
     window = trace.records[window_start(trace, k_epochs):]
     batches = [record.batch_indices for record in window]
-    # One membership test over the whole window; each step reads its slice.
-    hits = np.isin(np.concatenate(batches), exclusion)
+    # One lookup over the whole window; each step reads its slice.
+    excluded_mask = np.zeros(trace.n_train, dtype=bool)
+    excluded_mask[exclusion] = True
+    hits = excluded_mask[np.concatenate(batches)]
     ends = np.cumsum([len(idx) for idx in batches])
     first = int(np.searchsorted(ends, np.argmax(hits), side="right")) if hits.any() else 0
     params = window[first].params.copy()

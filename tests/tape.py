@@ -204,6 +204,13 @@ class Tensor:
         out.parents = ((self, lambda g: g * out * (1.0 - out)),)
         return out
 
+    def softplus(self):
+        # log(1 + e^x) through logaddexp, which cannot overflow; its
+        # derivative is the logistic.
+        x = self
+        return Tensor(np.logaddexp(0.0, self.data), "softplus",
+                      ((x, lambda g: g * x.sigmoid()),))
+
     def tanh(self):
         out = Tensor(np.tanh(self.data), "tanh")
         out.parents = ((self, lambda g: g * (1.0 - out.square())),)

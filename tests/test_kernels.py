@@ -3,8 +3,9 @@
 ``TapeFcGan`` computes the joint gradient, its vector-Jacobian product with
 the data rows' scores, the data-term scores and the metric queries from
 the graph builders; the closed forms must match it to 1e-12 relative in
-every regime the relu and clamp conventions distinguish, and the scores
-read off the product must equal a separate score pass bit for bit.  The
+every regime the relu convention distinguishes and at a saturated
+discriminator, and the scores read off the product must equal a separate
+score pass bit for bit.  The
 dense-stack backward (``MlpLayout.vjp_np``) and the classifier built on it
 are checked against the ``tape_*`` references the same way, and the
 classifier trainer bit for bit against the per-step loop
@@ -20,6 +21,7 @@ fresh-operand arithmetic bit for bit, whatever batch shapes came before.
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -134,8 +136,8 @@ def test_closed_form_matches_tape(objective, scenario):
     query = rng.standard_normal(gan.dim_disc)
     score_rows = rows if n_rows else rng.standard_normal((3, data_dim))
 
-    assert_matches(gan.joint_gradient(params, latents, rows, denom),
-                   tape.joint_gradient(params, latents, rows, denom))
+    grad = gan.joint_gradient(params, latents, rows, denom)
+    assert_matches(grad, tape.joint_gradient(params, latents, rows, denom))
     product, row_scores = gan.joint_gradient_vjp(vector, params, latents, rows, denom)
     tape_product, tape_row_scores = tape.joint_gradient_vjp(vector, params, latents, rows, denom)
     assert_matches(product, tape_product)
@@ -143,9 +145,19 @@ def test_closed_form_matches_tape(objective, scenario):
     scores = data_term_scores(gan, query, params, score_rows)
     assert_matches(scores, tape.data_term_scores(query, params, score_rows))
     if edit is saturated:
-        # The clamp freezes -log D at D == 1, so the real-term derivative
-        # is exactly zero.
+        # At D == 1.0 a data row's logit derivative p - 1 is exactly 0, so
+        # the rows score nothing, but a generated row's p is 1: the
+        # discriminator's output bias, which no penalty covers, takes
+        # n_latents / denom.  The generator's block is its penalty alone
+        # under the non-saturating loss, whose -p (1 - p) is 0, and not
+        # under the minimax loss, whose -p is -1.
         assert np.array_equal(scores, np.zeros(len(score_rows)))
+        assert grad[-1] == pytest.approx(n_latents / denom, rel=1e-14)
+        gen_loss_grad = grad[:gan.dim_gen] - gan._penalty_rates[:gan.dim_gen] * params[:gan.dim_gen]
+        if objective == "nonsaturating":
+            assert not gen_loss_grad.any()
+        else:
+            assert gen_loss_grad.any()
     if edit is dead_relus:
         gen_hidden = gan.gen_net.forward_np(params[:gan.dim_gen], latents, upto_layer=0)
         disc_hidden = gan.disc_net.forward_np(params[gan.dim_gen:], rows, upto_layer=0)
@@ -174,8 +186,7 @@ def separate_pass_scores(gan, disc_query, params, rows):
     _, _, qv1, qv2 = gan._layers(np.concatenate([np.zeros(gan.dim_gen), disc_query]))
     along = (np.einsum("ij,ij->i", f.inputs, f.disc_mask @ (qv1 * f.v2[:-1]).T)
              + f.disc_hidden @ qv2[:-1] + qv2[-1])
-    first = gantrace.models._disc_logit_first(f.probs, gantrace.models._disc_keep(f.probs, 0), 0)
-    return first * along
+    return gantrace.models._disc_logit_first(f.probs, 0, 1) * along
 
 
 def assert_close_in_max_norm(got, ref):
@@ -205,7 +216,7 @@ def test_vjp_row_scores_are_the_step_scores(objective, edit):
     _, tape_scores = tape.joint_gradient_vjp(vector, params, latents, rows, denom)
     assert_close_in_max_norm(row_scores, tape_scores)
     if edit is saturated:
-        # The clamp zeroes every real row's logit derivative.
+        # At D == 1.0 every data row's logit derivative p - 1 is exactly 0.
         assert not row_scores.any()
     else:
         assert np.abs(row_scores).max() > 0
@@ -372,8 +383,8 @@ def test_vjp_rejects_a_vector_of_the_wrong_length():
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 @pytest.mark.parametrize("position", ["generator_kernel", "discriminator_output_bias"])
 def test_non_finite_parameter_raises(bad, position):
-    # An infinite output bias saturates D to exactly 1, where every clamp
-    # derivative vanishes: the kernels must still refuse the point.
+    # An infinite output bias saturates D to exactly 1, where a data row's
+    # logit derivative p - 1 is 0: the kernels must still refuse the point.
     gan, _ = pair("nonsaturating")
     rng = np.random.default_rng(22)
     params = gan.init_params(rng)
@@ -524,9 +535,60 @@ def test_metric_queries_match_tape(scenario):
     value = gan.expected_disc_loss(params, latents, rows)
     assert abs(value - tape.expected_disc_loss(params, latents, rows)) <= 1e-12 * abs(value)
     if edit is saturated:
-        # D == 1 on every input: both clamps bind, so no derivative flows
-        # and the whole gradient is exactly zero.
-        assert not query.data.any()
+        # D == 1.0 on every input: each generated sample's logit derivative
+        # is p / n = 1 / n and each row's (p - 1) / m is 0, so the output
+        # bias's gradient is 1, and the generated samples pull the
+        # generator too.
+        assert query.data[-1] == pytest.approx(1.0, rel=1e-14)
+        assert np.abs(query.data[:gan.dim_gen]).max() > 0
+
+
+@pytest.mark.parametrize("output_bias", [20.0, 60.0])
+def test_disc_loss_gradient_matches_finite_differences_when_saturated(output_bias):
+    # At bias 20, 1 - D is about 2e-9 on every input, and at 60 D rounds to
+    # 1.0: a clamp of the probabilities at 1e-7 would bind at both and pass
+    # no derivative, but the logit-form loss still has one.
+    gan, _ = pair("nonsaturating")
+    rng = np.random.default_rng(37)
+    params = gan.init_params(rng) + rng.normal(0.0, 0.1, gan.dim_params)
+    params[-1] = output_bias
+    latents = rng.standard_normal((5, LATENT))
+    rows = rng.standard_normal((6, DATA))
+    assert gan.discriminator_forward(params, rows).min() > 1.0 - 1e-7
+    h = 1e-5
+    numeric = np.empty(gan.dim_params)
+    for i in range(gan.dim_params):
+        step = np.zeros(gan.dim_params)
+        step[i] = h
+        numeric[i] = (gan.expected_disc_loss(params + step, latents, rows)
+                      - gan.expected_disc_loss(params - step, latents, rows)) / (2 * h)
+    grad = gan.expected_disc_loss_gradient(params, latents, rows)
+    assert np.abs(grad[:gan.dim_gen]).max() > 0
+    assert np.linalg.norm(grad - numeric) <= 1e-7 * np.linalg.norm(numeric)
+
+
+def test_softplus_loss_is_finite_without_warnings_at_huge_logits():
+    assert np.array_equal(gantrace.models._softplus(np.array([800.0, -800.0, 0.0])),
+                          [800.0, 0.0, np.log(2.0)])
+    gan, _ = pair("nonsaturating")
+    rng = np.random.default_rng(38)
+    params = gan.init_params(rng)
+    latents = rng.standard_normal((4, LATENT))
+    rows = rng.standard_normal((4, DATA))
+    for output_bias in (800.0, -800.0):
+        params[-1] = output_bias
+        with warnings.catch_warnings(), np.errstate(over="raise", divide="raise",
+                                                    invalid="raise"):
+            warnings.simplefilter("error")
+            value = gan.expected_disc_loss(params, latents, rows)
+            grad = gan.expected_disc_loss_gradient(params, latents, rows)
+        # Each generated sample's loss is softplus(x) and each row's
+        # softplus(-x), so one side reads about 800 and the other 0.
+        assert 790.0 < value < 810.0
+        assert np.all(np.isfinite(grad))
+        # The output bias's gradient: 1 from the generated samples at +800,
+        # -1 from the rows at -800.
+        assert grad[-1] == pytest.approx(np.sign(output_bias), rel=1e-14)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])

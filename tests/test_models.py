@@ -205,14 +205,18 @@ def test_data_term_gradient_hand_derived_one_parameter():
 
 
 def test_data_term_gradient_finite_under_saturation(tape_gan):
-    # Huge output bias saturates D to the clamp bound; the clamp freezes
-    # the log argument so the gradient is exactly zero, hence finite.
+    # A huge output bias saturates D.  The loss -log D = softplus(-x) has
+    # logit derivative D - 1, which stays finite however large the logit,
+    # and which no clamp zeroes: at bias 20, where 1 - D is about 2e-9, the
+    # output bias's gradient is D - 1, and from bias 60 D rounds to 1.0.
     params = np.zeros(tape_gan.dim_params)
-    params[-1] = 60.0  # discriminator output bias
-    p = tape_gan.discriminator_forward(params, np.array([0.3, -0.3]))[0]
-    assert p == 1.0
-    grad = data_term_gradient(tape_gan, params, np.array([0.3, -0.3]))
-    assert np.all(np.isfinite(grad)) and np.array_equal(grad, np.zeros_like(grad))
+    for output_bias in (20.0, 60.0, 800.0):
+        params[-1] = output_bias  # discriminator output bias
+        p = tape_gan.discriminator_forward(params, np.array([0.3, -0.3]))[0]
+        grad = data_term_gradient(tape_gan, params, np.array([0.3, -0.3]))
+        assert np.all(np.isfinite(grad))
+        assert grad[-1] == pytest.approx(p - 1.0, rel=1e-12, abs=0.0)
+        assert (grad[-1] != 0.0) == (output_bias == 20.0)
 
 
 def test_data_term_gradient_deterministic(tape_gan):

@@ -50,12 +50,10 @@ from gantrace.metrics import (
     metric_value,
 )
 from gantrace.models import (
-    PROB_FLOOR,
     FcGan,
     MlpLayout,
     _Activations,
     _checked,
-    _clamp_mask,
     _rows_of,
     joint_gradient,
 )
@@ -190,39 +188,41 @@ class TapeGradients:
 class TapeFcGan(TapeGradients, FcGan):
     """``FcGan`` whose gradient methods run on the autodiff tape.
 
-    The graph builders express ``FcGan``'s losses: the non-saturating or
-    minimax generator loss, the discriminator's -log clamp(1 - D) on
-    generated samples and -log clamp(D) on data rows, and each network's
-    L2 penalty on its kernels.
+    The graph builders express ``FcGan``'s losses on the discriminator's
+    logit x: the non-saturating generator loss -sigmoid(x) or the minimax
+    log(1 - D) = -softplus(x), the discriminator's -log(1 - D) =
+    softplus(x) on generated samples and -log D on data rows, and each
+    network's L2 penalty on its kernels.  -log D is written softplus(x) - x,
+    whose derivative on the tape is sigmoid(x) - 1, the kernels' p - 1: at
+    a saturated discriminator both round to 0 where -sigmoid(-x) would not.
     """
 
     def generator_graph(self, theta, latents):
         return mlp_graph(self.gen_net, theta, 0, latents)
 
     def discriminator_graph(self, theta, x):
+        """The discriminator's logits, shape (n, 1)."""
         return mlp_graph(self.disc_net, theta, self.dim_gen, x)
 
     def gen_terms_graph(self, theta, latents):
         """Per-latent generator loss, shape (n_latents,)."""
-        probs = self.discriminator_graph(theta, self.generator_graph(theta, latents))
-        n = probs.shape[0]
+        logits = self.discriminator_graph(theta, self.generator_graph(theta, latents))
+        n = logits.shape[0]
         if self.arch.objective == "nonsaturating":
-            terms = -probs
+            terms = -logits.sigmoid()
         else:
-            terms = (1.0 - probs).clamp(PROB_FLOOR, 1.0 - PROB_FLOOR).log()
+            terms = -logits.softplus()
         return terms.reshape((n,))
 
     def disc_fake_terms_graph(self, theta, latents):
         """Per-latent discriminator loss on generated samples, shape (n_latents,)."""
-        probs = self.discriminator_graph(theta, self.generator_graph(theta, latents))
-        n = probs.shape[0]
-        return -((1.0 - probs).clamp(PROB_FLOOR, 1.0 - PROB_FLOOR).log()).reshape((n,))
+        logits = self.discriminator_graph(theta, self.generator_graph(theta, latents))
+        return logits.softplus().reshape((logits.shape[0],))
 
     def disc_real_terms_graph(self, theta, rows):
         """Per-instance discriminator loss on real data, shape (n_rows,)."""
-        probs = self.discriminator_graph(theta, rows)
-        n = probs.shape[0]
-        return -(probs.clamp(PROB_FLOOR, 1.0 - PROB_FLOOR).log()).reshape((n,))
+        logits = self.discriminator_graph(theta, rows)
+        return (logits.softplus() - logits).reshape((logits.shape[0],))
 
     def gen_reg_graph(self, theta):
         return kernel_sq_norm_graph(self.gen_net, theta, 0) * self.arch.l2_rate
@@ -246,14 +246,15 @@ class AllocatingFcGan(FcGan):
     workspace: every call builds its operands afresh, the ones columns with
     ``np.ones``, the VJP's operands with ``np.hstack`` and
     ``np.column_stack``, and each logit derivative from the probabilities
-    on its own.  The workspace kernels must match it bit for bit."""
+    on its own, negated and then divided by the latent count.  The
+    workspace kernels must match it bit for bit."""
 
     def joint_gradient(self, params, latents, data_rows, denom):
         params = np.asarray(params, dtype=np.float64)
         f = self._forward(params, latents, data_rows)
         n = len(f.latents)
         gen_adj = self._gen_logit_first(f.probs[:n]) / n
-        disc_adj = _fresh_disc_logit_first(f.probs, _fresh_disc_keep(f.probs, n), n) / denom
+        disc_adj = _fresh_disc_logit_first(f.probs, n) / denom
         v2 = f.v2[:-1]
         grad = np.empty(self.dim_params)
         gw1, gw2, gv1, gv2 = self._augmented(grad)
@@ -283,12 +284,11 @@ class AllocatingFcGan(FcGan):
         pulled = f.disc_mask[:n] @ np.hstack([v2[:, None] * v1.T,
                                               uk2[:, None] * v1.T + v2[:, None] * uk1.T])
         logit_grad, r_logit_grad = pulled[:, :d], pulled[:, d:]
-        keep = _fresh_disc_keep(f.probs, n)
         gen_adj = self._gen_logit_first(f.probs[:n]) / n
-        disc_adj = _fresh_disc_logit_first(f.probs, keep, n) / denom
+        disc_adj = _fresh_disc_logit_first(f.probs, n) / denom
         r_disc_logit = (np.einsum("ij,ij->i", f.inputs, f.disc_mask @ (uv1 * v2).T)
                         + f.disc_hidden @ uk2 + uv2[-1])
-        r_adj = keep * f.probs * (1.0 - f.probs) / denom * r_disc_logit
+        r_adj = f.probs * (1.0 - f.probs) / denom * r_disc_logit
         r_adj[:n] += (self._gen_logit_second(f.probs[:n]) / n
                       * np.einsum("ij,ij->i", r_fake, logit_grad))
 
@@ -345,13 +345,13 @@ class AllocatingFcGan(FcGan):
     def _gen_logit_first(self, probs):
         if self.arch.objective == "nonsaturating":
             return -(probs * (1.0 - probs))
-        return -(_clamp_mask(1.0 - probs) * probs)
+        return -probs
 
     def _gen_logit_second(self, probs):
         slope = probs * (1.0 - probs)
         if self.arch.objective == "nonsaturating":
             return -slope * (1.0 - 2.0 * probs)
-        return -(_clamp_mask(1.0 - probs) * slope)
+        return -slope
 
 
 def allocating_logistic(x):
@@ -373,16 +373,10 @@ def _fresh_with_ones(values):
     return out
 
 
-def _fresh_disc_keep(probs, n_fake):
-    clamped = probs.copy()
-    np.subtract(1.0, probs[:n_fake], out=clamped[:n_fake])
-    return _clamp_mask(clamped)
-
-
-def _fresh_disc_logit_first(probs, keep, n_fake):
+def _fresh_disc_logit_first(probs, n_fake):
     first = probs.copy()
     first[n_fake:] -= 1.0
-    return keep * first
+    return first
 
 
 def _fresh_masked_grams(inputs, weights, mask):
@@ -817,8 +811,8 @@ class TinyDiscriminatorProblem(TapeGradients):
     def disc_real_terms_graph(self, theta, rows):
         rows = np.atleast_2d(rows)
         w = theta[1:2].reshape((1, 1))
-        probs = (constant(rows) @ w).sigmoid()
-        return -(probs.clamp(1e-7, 1.0 - 1e-7).log()).reshape((len(rows),))
+        logits = constant(rows) @ w
+        return (logits.softplus() - logits).reshape((len(rows),))
 
     def gen_reg_graph(self, theta):
         return constant(0.0)
