@@ -11,19 +11,17 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .config import ExperimentConfig, load_config
 from .experiments import (
-    _stream,
+    draw_targets,
     evaluation_context,
     prepare_seed_run,
     run_data_cleansing,
     run_estimation_accuracy,
     seed_dataset,
-    select_harmful,
     write_accuracy_report,
     write_cleansing_curves,
     write_cleansing_report,
@@ -152,8 +150,7 @@ def _cmd_influence(args) -> int:
     query = build_query_vector(spec, problem, trace.final_params, latents, context)
     targets = None
     if args.targets is not None:
-        targets = np.sort(_stream(config.training.seed, "targets").choice(
-            config.dataset.n_train, size=args.targets, replace=False))
+        targets = draw_targets(config, config.training.seed, args.targets)
     table = infer_linear_influence(problem, trace, data, query,
                                    targets=targets, k_epochs=args.k)
     save_influence_csv(table, args.out)
@@ -165,8 +162,7 @@ def _cmd_influence(args) -> int:
 def _cmd_oracle(args) -> int:
     config = _load(args)
     problem, data, trace, latents, context = _load_matching_trace(args, config)
-    targets = np.sort(_stream(config.training.seed, "targets").choice(
-        config.dataset.n_train, size=args.targets, replace=False))
+    targets = draw_targets(config, config.training.seed, args.targets)
     specs = config.metric_specs()
     queries = {spec.kind: build_query_vector(spec, problem, trace.final_params,
                                              latents, context)
@@ -191,9 +187,9 @@ def _cmd_accuracy(args) -> int:
     config = _load(args)
     if args.k is not None:
         ks = tuple(int(part) for part in str(args.k).split(",") if part.strip())
-        config = _replace(config, k_epochs=ks)
+        config = replace(config, k_epochs=ks)
     if args.targets is not None:
-        config = _replace(config, n_targets=args.targets)
+        config = replace(config, n_targets=args.targets)
     seeds = list(range(config.training.seed, config.training.seed + args.seeds))
     report = run_estimation_accuracy(config, seeds=seeds)
     write_accuracy_report(report, args.out)
@@ -207,7 +203,7 @@ def _cmd_cleanse(args) -> int:
     config = _load(args)
     if args.n_harmful is not None:
         sizes = tuple(int(part) for part in str(args.n_harmful).split(",") if part.strip())
-        config = _replace(config, n_harmful=sizes)
+        config = replace(config, n_harmful=sizes)
     seeds = None
     if args.seeds is not None:
         seeds = list(range(config.training.seed, config.training.seed + args.seeds))
@@ -247,12 +243,6 @@ def _cmd_report(args) -> int:
         raise UsageError(f"nothing to report from {source}")
     print(f"report files in {out}: {', '.join(emitted)}")
     return 0
-
-
-def _replace(config: ExperimentConfig, **changes) -> ExperimentConfig:
-    from dataclasses import replace
-
-    return replace(config, **changes)
 
 
 _COMMANDS = {

@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import (
-    GLYPH_SIDE,
-    dataset_checksum,
-    load_idx_images,
-    make_digit_images,
-    sample_normal2d,
-)
+from .datasets import GLYPH_SIDE, load_idx_images, make_digit_images, sample_normal2d
 from .metrics import ClassifierSettings, MetricSpec
 from .models import FcGan, GanArchitecture
 from .training import TrainingSettings
@@ -61,7 +55,6 @@ class ExperimentConfig:
     n_harmful: tuple[int, ...] = (50, 100, 250)
     methods: tuple[str, ...] = ("influence", "disc_loss", "random")
     n_seeds: int = 5
-    output_dir: str = "runs"
 
     def __post_init__(self):
         if any(k < 1 or k > self.training.epochs for k in self.k_epochs):
@@ -83,16 +76,22 @@ class ExperimentConfig:
         return FcGan(self.architecture)
 
 
-def synthesize_dataset(spec: DatasetSpec, rng: np.random.Generator
+def synthesize_dataset(spec: DatasetSpec, size: int, rng: np.random.Generator
                        ) -> tuple[np.ndarray, np.ndarray | None]:
+    """``size`` rows of the spec's dataset and their labels (None for ``normal2d``).
+
+    The one draw behind the training set and both evaluation sets.  The
+    synthetic kinds draw from ``rng``; ``idx`` takes the file's first
+    ``size`` rows and leaves ``rng`` alone.
+    """
     if spec.kind == "normal2d":
-        return sample_normal2d(spec.n_train, rng), None
+        return sample_normal2d(size, rng), None
     if spec.kind == "digits8":
-        return make_digit_images(spec.n_train, spec.n_classes, spec.noise, rng)
+        return make_digit_images(size, spec.n_classes, spec.noise, rng)
     data, labels = load_idx_images(spec.images_path, spec.labels_path or None, spec.side)
-    if len(data) < spec.n_train:
-        raise ValueError(f"IDX file holds {len(data)} images, need {spec.n_train}")
-    return data[:spec.n_train], None if labels is None else labels[:spec.n_train]
+    if len(data) < size:
+        raise ValueError(f"IDX file {spec.images_path} holds {len(data)} images, need {size}")
+    return data[:size], None if labels is None else labels[:size]
 
 
 def trace_fingerprint(config: ExperimentConfig, data_checksum: str) -> str:
@@ -197,7 +196,6 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     )
     infl = parser["influence"] if parser.has_section("influence") else {}
     cl = parser["cleansing"] if parser.has_section("cleansing") else {}
-    out = parser["output"] if parser.has_section("output") else {}
     return ExperimentConfig(
         dataset=dataset,
         architecture=architecture,
@@ -214,5 +212,4 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         n_harmful=_split_ints(cl.get("n_harmful", "50,100,250")) or (50,),
         methods=_split_names(cl.get("methods", "influence,disc_loss,random")),
         n_seeds=int(cl.get("n_seeds", 5)),
-        output_dir=out.get("directory", "runs"),
     )

@@ -9,7 +9,14 @@ removes the estimated harmful set, re-runs the final epoch and reads the
 test metric before and after.
 
 Randomness is threaded through named streams derived from the experiment
-seed, so every report row is reproducible from (config, seed).
+seed, so every report row is reproducible from (config, seed).  Each draw
+has one implementation, which the CLI shares: ``seed_dataset`` draws the
+training set, ``evaluation_set`` the reference set behind the metric
+context and cleansing's test set (latents first, then the rows of
+``config.synthesize_dataset``), and ``draw_targets`` the targets of the
+accuracy experiment, ``gantrace influence --targets`` and ``gantrace
+oracle``.  Both experiments read their metrics through the oracle's
+``metric_reader``, one generated sample set per parameter vector.
 """
 
 from __future__ import annotations
@@ -18,13 +25,13 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import ExperimentConfig, synthesize_dataset, trace_fingerprint
-from .datasets import dataset_checksum, make_digit_images, sample_normal2d
+from .datasets import dataset_checksum
 from .influence import InfluenceTable, infer_linear_influence
 from .metrics import (
     Classifier,
@@ -33,10 +40,9 @@ from .metrics import (
     build_query_vector,
     classifier_key,
     load_classifier,
-    metric_value,
     train_classifier,
 )
-from .oracle import counterfactual_retrain, metric_deltas
+from .oracle import counterfactual_retrain, metric_deltas, metric_reader
 from .training import TrainingTrace, run_training
 
 _STREAMS = {"dataset": 11, "reference": 13, "targets": 17, "test": 19,
@@ -192,7 +198,8 @@ def seed_dataset(config: ExperimentConfig, seed: int
                  ) -> tuple[np.ndarray, np.ndarray | None, str]:
     """A seed's dataset and labels, drawn from its dataset stream, and the
     fingerprint a trace trained on them under ``config`` carries."""
-    data, labels = synthesize_dataset(config.dataset, _stream(seed, "dataset"))
+    data, labels = synthesize_dataset(config.dataset, config.dataset.n_train,
+                                      _stream(seed, "dataset"))
     return data, labels, trace_fingerprint(config, dataset_checksum(data))
 
 
@@ -200,7 +207,7 @@ def prepare_seed_run(config: ExperimentConfig, seed: int) -> SeedRun:
     """Train one trace and assemble the evaluation side for a seed."""
     problem = config.problem()
     data, labels, fingerprint = seed_dataset(config, seed)
-    training = _reseeded(config, seed)
+    training = replace(config.training, seed=seed)
     trace = run_training(problem, data, training, fingerprint=fingerprint)
     reference_latents, context = evaluation_context(config, seed)
     return SeedRun(seed=seed, dataset=data, labels=labels, trace=trace,
@@ -212,15 +219,13 @@ def evaluation_context(config: ExperimentConfig, seed: int, stored_classifier=No
                        ) -> tuple[np.ndarray, MetricContext]:
     """Reference latents and metric context of a seed, drawn from its reference stream.
 
-    Needs no trace: the latents come first, then the reference set, and
+    Needs no trace: the reference set comes from ``evaluation_set``, and
     when an IS or FID metric is configured, a classifier for that set.  It
     is loaded from the ``stored_classifier`` directory when one is stored
     there under the same ``classifier_key``, and trained otherwise.
     """
-    ref_rng = _stream(seed, "reference")
-    reference_latents = ref_rng.standard_normal((config.n_reference,
-                                                 config.architecture.latent_dim))
-    reference_data, reference_labels = _reference_set(config, ref_rng, config.n_reference)
+    reference_latents, reference_data, reference_labels = evaluation_set(
+        config, seed, "reference", config.n_reference)
     classifier = None
     if config.uses_classifier:
         if reference_labels is None:
@@ -235,30 +240,28 @@ def evaluation_context(config: ExperimentConfig, seed: int, stored_classifier=No
     return reference_latents, MetricContext(real_data=reference_data, classifier=classifier)
 
 
+def evaluation_set(config: ExperimentConfig, seed: int, stream: str, size: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``size`` latents, then ``size`` dataset rows and their labels, drawn in
+    that order from the seed's named stream: ``reference`` for the metric
+    context, ``test`` for cleansing's readings."""
+    rng = _stream(seed, stream)
+    latents = rng.standard_normal((size, config.architecture.latent_dim))
+    data, labels = synthesize_dataset(config.dataset, size, rng)
+    return latents, data, labels
+
+
+def draw_targets(config: ExperimentConfig, seed: int, count: int) -> np.ndarray:
+    """``count`` distinct instance indices from the seed's targets stream, sorted."""
+    return np.sort(_stream(seed, "targets").choice(config.dataset.n_train, size=count,
+                                                   replace=False))
+
+
 def _load_if_key_matches(directory, key: str) -> Classifier | None:
     if not (Path(directory) / "manifest.json").exists():
         return None
     classifier = load_classifier(directory)
     return classifier if classifier.key == key else None
-
-
-def _reseeded(config: ExperimentConfig, seed: int):
-    training = config.training
-    if training.seed == seed:
-        return training
-    from dataclasses import replace
-
-    return replace(training, seed=seed)
-
-
-def _reference_set(config: ExperimentConfig, rng: np.random.Generator, size: int):
-    spec = config.dataset
-    if spec.kind == "normal2d":
-        return sample_normal2d(size, rng), None
-    if spec.kind == "digits8":
-        return make_digit_images(size, spec.n_classes, spec.noise, rng)
-    data, labels = synthesize_dataset(spec, rng)
-    return data[:size], None if labels is None else labels[:size]
 
 
 # -- experiment 1: estimation accuracy -------------------------------------------
@@ -297,9 +300,7 @@ def run_estimation_accuracy(config: ExperimentConfig, seeds=None,
     for seed in seeds:
         run = prepare_seed_run(config, seed)
         problem = config.problem()
-        targets = _stream(seed, "targets").choice(
-            config.dataset.n_train, size=config.n_targets, replace=False)
-        targets = np.sort(targets)
+        targets = draw_targets(config, seed, config.n_targets)
         queries = {spec.kind: build_query_vector(spec, problem, run.trace.final_params,
                                                  run.reference_latents, run.context)
                    for spec in config.metric_specs()}
@@ -358,9 +359,10 @@ def run_data_cleansing(config: ExperimentConfig, seeds=None) -> CleansingReport:
 
     Selection methods: ``influence`` ranks by the estimated influence on the
     target metric, ``disc_loss`` by the influence on the discriminator's
-    expected loss, ``random`` draws uniformly.  A larger-is-better metric
-    improves when the reading rises; the improvement column is signed so
-    that positive always means better.
+    expected loss, ``random`` draws uniformly.  The improvement column is
+    ``harmful_sign * (after - before)``, so positive always means better.
+    The final parameters and each distinct selection's replayed parameters
+    are generated once, and classified at most once, for all their readings.
     """
     seeds = list(seeds) if seeds is not None else list(
         range(config.training.seed, config.training.seed + config.n_seeds))
@@ -368,15 +370,14 @@ def run_data_cleansing(config: ExperimentConfig, seeds=None) -> CleansingReport:
     for seed in seeds:
         run = prepare_seed_run(config, seed)
         problem = config.problem()
-        test_rng = _stream(seed, "test")
-        test_latents = test_rng.standard_normal((config.n_test, problem.latent_dim))
-        test_data, _ = _reference_set(config, test_rng, config.n_test)
+        specs = config.metric_specs()
+        test_latents, test_data, _ = evaluation_set(config, seed, "test", config.n_test)
         test_context = MetricContext(real_data=test_data, classifier=run.context.classifier)
 
         tables = {}
         for method in config.methods:
             if method == "influence":
-                for spec in config.metric_specs():
+                for spec in specs:
                     query = build_query_vector(spec, problem, run.trace.final_params,
                                                run.reference_latents, run.context)
                     tables[spec.kind] = infer_linear_influence(
@@ -388,27 +389,28 @@ def run_data_cleansing(config: ExperimentConfig, seeds=None) -> CleansingReport:
                 tables["disc_loss"] = infer_linear_influence(
                     problem, run.trace, run.dataset, query, k_epochs=1)
 
-        # Final parameters per distinct selection: the random and disc_loss
-        # selections do not depend on the metric, so each is replayed once.
+        def reader(params):
+            return metric_reader(problem, params, specs, test_latents, test_context)
+
+        before_reader = reader(run.trace.final_params)
+        # One reader per distinct selection: the random and disc_loss selections
+        # do not depend on the metric, so each is replayed and generated once.
         replays = {}
-        for spec in config.metric_specs():
-            before = metric_value(spec, problem, run.trace.final_params,
-                                  test_latents, test_context)
+        for spec in specs:
+            before = before_reader(spec)
             for n_harmful in config.n_harmful:
                 for method in config.methods:
                     selected = _select_for_method(config, method, spec, tables,
                                                   seed, n_harmful)
                     key = frozenset(np.asarray(selected).tolist())
                     if key not in replays:
-                        replays[key] = counterfactual_retrain(
-                            problem, run.trace, run.dataset, selected, k_epochs=1).params
-                    after = metric_value(spec, problem, replays[key],
-                                         test_latents, test_context)
-                    sign = 1.0 if spec.kind != "fid" else -1.0
+                        replays[key] = reader(counterfactual_retrain(
+                            problem, run.trace, run.dataset, selected, k_epochs=1).params)
+                    after = replays[key](spec)
                     report.rows.append(CleansingRow(
                         method=method, metric=spec.kind, n_harmful=n_harmful,
                         before=before, after=after,
-                        improvement=sign * (after - before), seed=seed))
+                        improvement=spec.harmful_sign * (after - before), seed=seed))
         report.fingerprints[seed] = run.fingerprint
     return report
 

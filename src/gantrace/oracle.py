@@ -10,6 +10,12 @@ trace, so repeated calls on one trace never redraw them.  When no step of
 the window holds an excluded instance the whole window is replayed, so with
 nothing excluded the replay reproduces the stored final parameters
 bit-exactly, which anchors every comparison.
+
+Metric readings go through ``metric_reader``: the samples of one parameter
+vector are generated once, and classified at most once, for every reading
+taken from it.  ``metric_deltas`` reads the final and each replayed vector
+that way, and so does data cleansing for the final vector and each distinct
+harmful selection.
 """
 
 from __future__ import annotations
@@ -87,23 +93,26 @@ def metric_deltas(problem, trace: TrainingTrace, dataset: np.ndarray, targets,
     for all its sample-based readings.  Each array is aligned with ``targets``.
     """
     targets = [int(t) for t in targets]
-    baselines = _readings(problem, trace.final_params, specs, eval_latents, context)
+    baseline = metric_reader(problem, trace.final_params, specs, eval_latents, context)
+    baselines = {spec.kind: baseline(spec) for spec in specs}
     deltas = {spec.kind: np.empty(len(targets)) for spec in specs}
     for position, target in enumerate(targets):
         result = counterfactual_retrain(problem, trace, dataset, target, k_epochs)
-        after = _readings(problem, result.params, specs, eval_latents, context)
+        after = metric_reader(problem, result.params, specs, eval_latents, context)
         for spec in specs:
-            deltas[spec.kind][position] = after[spec.kind] - baselines[spec.kind]
+            deltas[spec.kind][position] = after(spec) - baselines[spec.kind]
     return deltas
 
 
-def _readings(problem, params: np.ndarray, specs, eval_latents: np.ndarray,
-              context) -> dict[str, float]:
-    """Every metric of ``specs`` at ``params``, from one generated sample set
-    and at most one classifier pass over it."""
+def metric_reader(problem, params: np.ndarray, specs, eval_latents: np.ndarray, context):
+    """A function from a spec of ``specs`` to its reading at ``params``.
+
+    Every reading comes from one generated sample set and at most one
+    classifier pass over it; ``disc_loss`` reads no samples, so a reader
+    for it alone generates none.
+    """
     generated = None
     if any(spec.kind != "disc_loss" for spec in specs):
         generated = GeneratedSet(problem.generator_forward(params, eval_latents),
                                  context.classifier)
-    return {spec.kind: metric_value(spec, problem, params, eval_latents, context, generated)
-            for spec in specs}
+    return lambda spec: metric_value(spec, problem, params, eval_latents, context, generated)

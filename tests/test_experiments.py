@@ -16,7 +16,9 @@ import gantrace.experiments
 from gantrace.cli import main as cli_main
 from gantrace.config import load_config
 from gantrace.experiments import (
+    draw_targets,
     evaluation_context,
+    evaluation_set,
     prepare_seed_run,
     run_data_cleansing,
     run_estimation_accuracy,
@@ -27,7 +29,7 @@ from gantrace.experiments import (
 )
 from gantrace.influence import infer_linear_influence
 from gantrace.metrics import MetricSpec, build_query_vector
-from gantrace.models import NonFiniteError
+from gantrace.models import FcGan, NonFiniteError
 from gantrace.oracle import metric_deltas
 from gantrace.training import load_trace, trace_checksum
 
@@ -65,9 +67,6 @@ n_permutations = 200
 n_harmful = 6
 methods = influence,disc_loss,random
 n_seeds = 2
-
-[output]
-directory = runs
 """
 
 
@@ -142,6 +141,44 @@ def test_cleansing_replays_each_distinct_selection_once(monkeypatch):
     # fewer where selections coincide (few instances qualify for disc_loss).
     assert len(report.rows) == 12
     assert len(set(replayed)) == len(replayed) <= 8
+
+
+def test_cleansing_generates_each_parameter_vector_once(monkeypatch):
+    config = load_config(CONFIGS / "digits8_smoke.ini")
+    assert config.metrics == ("fid", "is")
+    test_latents, _, _ = evaluation_set(config, 1, "test", config.n_test)
+    replayed, generated = [], []
+    retrain = gantrace.experiments.counterfactual_retrain
+    forward = FcGan.generator_forward
+
+    def counting_retrain(*args, **kwargs):
+        result = retrain(*args, **kwargs)
+        replayed.append(result.params)
+        return result
+
+    def counting_forward(self, params, latents):
+        if np.array_equal(latents, test_latents):
+            generated.append(params)
+        return forward(self, params, latents)
+
+    monkeypatch.setattr(gantrace.experiments, "counterfactual_retrain", counting_retrain)
+    monkeypatch.setattr(FcGan, "generator_forward", counting_forward)
+    report = run_data_cleansing(config, seeds=[1])
+    # Both metrics read every vector: once for the final parameters, then
+    # once per distinct selection, each read by several rows.
+    assert len(report.rows) == 8 and len(replayed) < len(report.rows)
+    assert len(generated) == 1 + len(replayed)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(generated[1:], replayed))
+
+
+def test_cleansing_signs_improvements_by_the_metric(mini_config):
+    # disc_loss is smaller-is-better, as fid is: a removal that lowers it improves.
+    config, _ = mini_config
+    report = run_data_cleansing(_with(config, metrics=("all", "disc_loss")), seeds=[3])
+    assert {row.metric for row in report.rows} == {"all", "disc_loss"}
+    for row in report.rows:
+        assert row.improvement == MetricSpec(row.metric).harmful_sign * (row.after - row.before)
+    assert any(row.after != row.before for row in report.rows if row.metric == "disc_loss")
 
 
 def test_cleansing_random_selection_reproducible(mini_config):
@@ -454,6 +491,31 @@ def test_cli_oracle_writes_joint_csv(mini_config, tmp_path, capsys):
     rows = list(csv.DictReader(open(tmp_path / "oracle.csv")))
     assert len(rows) == 4
     assert set(rows[0]) == {"index", "metric", "true_influence", "estimated_influence"}
+
+
+def test_cli_target_subsets_are_the_accuracy_targets(mini_config, tmp_path, capsys,
+                                                    monkeypatch):
+    config, path = mini_config
+    trace = str(tmp_path / "trace")
+    cli_main(["train", "--config", str(path), "--out", trace])
+    assert cli_main(["influence", "--config", str(path), "--trace", trace, "--k", "1",
+                     "--targets", "8", "--out", str(tmp_path / "scores.csv")]) == 0
+    assert cli_main(["oracle", "--config", str(path), "--trace", trace, "--k", "1",
+                     "--targets", "8", "--out", str(tmp_path / "oracle.csv")]) == 0
+    drawn = []
+    draw = gantrace.experiments.draw_targets
+
+    def recording(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(gantrace.experiments, "draw_targets", recording)
+    run_estimation_accuracy(config, seeds=[config.training.seed])
+    expected = draw_targets(config, config.training.seed, config.n_targets).tolist()
+    assert [d.tolist() for d in drawn] == [expected]
+    for table in ("scores.csv", "oracle.csv"):
+        rows = csv.DictReader(open(tmp_path / table))
+        assert [int(row["index"]) for row in rows] == expected
 
 
 def test_cli_csv_cells_are_plain_floats(mini_config, tmp_path, capsys):

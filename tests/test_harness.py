@@ -18,6 +18,7 @@ from gantrace.datasets import (
 )
 from gantrace.experiments import (
     critical_set,
+    evaluation_context,
     jaccard_critical,
     kendall_tau,
     permutation_test_tau,
@@ -313,9 +314,6 @@ n_permutations = 200
 n_harmful = 10,20
 methods = influence,random
 n_seeds = 2
-
-[output]
-directory = runs
 """
 
 
@@ -353,7 +351,8 @@ def test_config_fingerprint_tracks_training_inputs(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text(CONFIG_TEXT)
     config = load_config(path)
-    data, _ = synthesize_dataset(config.dataset, np.random.default_rng(0))
+    data, _ = synthesize_dataset(config.dataset, config.dataset.n_train,
+                                 np.random.default_rng(0))
     base = trace_fingerprint(config, dataset_checksum(data))
     assert base == trace_fingerprint(config, dataset_checksum(data))
     other = load_config(path, overrides={"training.lr_gen": "2e-3"})
@@ -412,6 +411,25 @@ def test_idx_images_at_the_requested_side_pass_through(tmp_path):
     write_idx(tmp_path / "imgs.idx", images)
     data, _ = load_idx_images(tmp_path / "imgs.idx", side=8)
     assert np.array_equal(data, (images / 255.0 * 1.998 - 0.999).reshape(4, 64))
+
+
+def test_idx_evaluation_sets_take_their_own_row_count(tmp_path):
+    images = np.random.default_rng(8).integers(0, 256, size=(100, 4, 4))
+    write_idx(tmp_path / "imgs.idx", images)
+    path = tmp_path / "exp.ini"
+    path.write_text(CONFIG_TEXT.replace(
+        "kind = normal2d\nn_train = 120",
+        f"kind = idx\nn_train = 50\nimages = {tmp_path / 'imgs.idx'}\nside = 4"))
+    config = load_config(path)
+    assert (config.dataset.n_train, config.n_reference) == (50, 80)
+    latents, context = evaluation_context(config, 0)
+    assert latents.shape == (80, 4)
+    rows = (images / 255.0 * 1.998 - 0.999).reshape(100, 16)
+    assert np.array_equal(context.real_data, rows[:80])
+    # A file with fewer rows than an evaluation set needs is refused by name.
+    write_idx(tmp_path / "imgs.idx", images[:60])
+    with pytest.raises(ValueError, match=f"{tmp_path / 'imgs.idx'} holds 60 images, need 80"):
+        evaluation_context(config, 0)
 
 
 @pytest.mark.parametrize("side", [1, 0])

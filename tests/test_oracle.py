@@ -214,7 +214,8 @@ def test_readings_run_one_classifier_pass_per_sample_set(gan, trained, monkeypat
         return forward(flat, x, upto_layer, from_layer)
 
     monkeypatch.setattr(layout, "forward_np", counting)
-    readings = gantrace.oracle._readings(gan, trace.final_params, specs, latents, context)
+    read = gantrace.oracle.metric_reader(gan, trace.final_params, specs, latents, context)
+    readings = {spec.kind: read(spec) for spec in specs}
     # One pass from the inputs; the inception score goes on from the features.
     assert starts == [0, context.classifier.feature_layer + 1]
     monkeypatch.undo()

@@ -1,0 +1,104 @@
+"""Pinned output digests: a guard that a change meant to keep every output
+byte keeps them.
+
+Each digest is the sha256 of one file that a ``gantrace`` command writes
+from a shipped config at seed 0: the influence table in full and on a
+target subset, the oracle table, and the accuracy and cleansing reports.
+The commands run on a trace that ``gantrace train`` stored, so the
+classifier and evaluation sets are the ones the CLI draws.  As in
+``test_trace_digests``, the test skips and names both versions where NumPy
+or its BLAS differ from the recorded ones.
+
+Run this file as a script to print the digests of the current code.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from gantrace.cli import main as cli_main  # noqa: E402
+from test_trace_digests import PINNED_BLAS, PINNED_NUMPY, blas_version  # noqa: E402
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# The small target and removal counts keep each config's chain to seconds.
+COMMANDS = {
+    "influence": ["influence", "--k", "1", "--out", "{out}/influence.csv"],
+    "influence_targets": ["influence", "--k", "1", "--targets", "5",
+                          "--out", "{out}/subset.csv"],
+    "oracle": ["oracle", "--k", "1", "--targets", "5", "--out", "{out}/oracle.csv"],
+    "accuracy": ["accuracy", "--seeds", "1", "--targets", "5", "--out", "{out}/accuracy"],
+    "cleanse": ["cleanse", "--seeds", "1", "--n-harmful", "5,10", "--out", "{out}/cleanse"],
+}
+
+DIGESTS = {
+    "digits8_smoke.ini": {
+        "accuracy/accuracy.csv": "c23648227d877ea55b0ee47a9b76bc1805b4be9cf5d8d7bacfd8a0606367ee57",
+        "accuracy/accuracy.json": "d97a69ece1d391c13be1e3ac777f3ddcc09ab9c9d59a6a672d245f1079aad4db",
+        "cleanse/cleansing.csv": "fc8662ea2c958ae6af40f8fa153920832d333d1876a54a266c696d5a11d0bffe",
+        "cleanse/cleansing.json": "297f56150ac9197ac0e53f0d35995f2f048fb4ecd483659d491759f72ee29ead",
+        "cleanse/curves.csv": "380c4af5e3ab9134456b31f37a669fa0cbe4732e60d16575e13d5735f6932705",
+        "influence.csv": "591eaf2485bba9daa2fa1af1404392f373db1d6a9dcf2ccc814993454719ec0d",
+        "influence.json": "875cb10cc0b20a1dddbc92dd39bda00fda2f65e540f655d4bd3521f98f8d6857",
+        "oracle.csv": "ef20b69761ed88c84040ef6f85930b97c80fa74ff21b3e60d41761bb6d422eb8",
+        "subset.csv": "bab6841e820fbb511f548097091f6477cbd683ecbd5c4e2e7b17c54ce2a316f6",
+        "subset.json": "62a80123845d1e3c9eba0c199e29be5a1c2688840dfaa795662cd47cb1477890",
+    },
+    "normal2d_desk.ini": {
+        "accuracy/accuracy.csv": "e2b61c1b10c2c0c04e992554ea88b50e85a23f97cbb8c720320c1b2385f9c834",
+        "accuracy/accuracy.json": "73e5963a37e7fd0c400fc5f81b533d6f8e454eb7df3d090bff517edf6531d6ef",
+        "cleanse/cleansing.csv": "d054f9d2a4c9cf6d04b3fb9b304736eebd29e32a20c440e12e19cb5c563c73e2",
+        "cleanse/cleansing.json": "5ccebe32b48bc240d72d01f2073ec8cd8592124fc8fd328c9a67b9d220aa3053",
+        "cleanse/curves.csv": "da7e6218e215c492fa10aeaf54f9185d0da6985e913ac96925e7ed5d4dd3a304",
+        "influence.csv": "69053b75a58b5535c0093ccdc3deeb4cadabab5acebd7499ff7f680ef774767a",
+        "influence.json": "15d049e5bae7f8c5c2becb5271918eabf5094689730a5a5473303c12d9ac6b3e",
+        "oracle.csv": "0e185102260dad40759e697a2538998594449370c7355b1b4da0f199e990d707",
+        "subset.csv": "666539e55f048fa0caeea746a503ffe01c135f90f231fcb26c036d3a3eee1442",
+        "subset.json": "9b08e393cc0ce5aa3c16db016d1eb6054f3eb5053721aa34dff68685d9ec1d2d",
+    },
+}
+
+
+def output_digests(name: str, workdir: Path) -> dict[str, str]:
+    """sha256 of every file the commands write for one config, by relative path."""
+    config = str(CONFIGS / name)
+    trace = workdir / "trace"
+    out = workdir / "out"
+    out.mkdir(parents=True)
+    common = ["--config", config, "--seed", "0"]
+    assert cli_main(["train", *common, "--out", str(trace)]) == 0
+    for command in COMMANDS.values():
+        argv = [part.format(out=out) for part in command]
+        extra = [] if argv[0] in ("accuracy", "cleanse") else ["--trace", str(trace)]
+        assert cli_main([argv[0], *common, *extra, *argv[1:]]) == 0
+    return {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_command_outputs_are_pinned(name, tmp_path, capsys):
+    if (np.__version__, blas_version()) != (PINNED_NUMPY, PINNED_BLAS):
+        pytest.skip(f"digests recorded under NumPy {PINNED_NUMPY} with {PINNED_BLAS}; "
+                    f"this is NumPy {np.__version__} with {blas_version()}")
+    assert output_digests(name, tmp_path) == DIGESTS[name]
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import tempfile
+    import warnings
+
+    warnings.simplefilter("ignore", RuntimeWarning)
+    for config_name in ("digits8_smoke.ini", "normal2d_desk.ini"):
+        with tempfile.TemporaryDirectory() as scratch, contextlib.redirect_stdout(io.StringIO()):
+            digests = output_digests(config_name, Path(scratch))
+        print(f'    "{config_name}": {{')
+        for path, digest in digests.items():
+            print(f'        "{path}": "{digest}",')
+        print("    },")
