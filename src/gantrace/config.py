@@ -76,22 +76,25 @@ class ExperimentConfig:
         return FcGan(self.architecture)
 
 
-def synthesize_dataset(spec: DatasetSpec, size: int, rng: np.random.Generator
-                       ) -> tuple[np.ndarray, np.ndarray | None]:
+def synthesize_dataset(spec: DatasetSpec, size: int, rng: np.random.Generator,
+                       offset: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
     """``size`` rows of the spec's dataset and their labels (None for ``normal2d``).
 
     The one draw behind the training set and both evaluation sets.  The
-    synthetic kinds draw from ``rng``; ``idx`` takes the file's first
-    ``size`` rows and leaves ``rng`` alone.
+    synthetic kinds draw from ``rng``; ``idx`` takes the file's rows
+    ``offset`` to ``offset + size``, leaves ``rng`` alone, and raises
+    ``ValueError`` naming the file when it holds fewer.
     """
     if spec.kind == "normal2d":
         return sample_normal2d(size, rng), None
     if spec.kind == "digits8":
         return make_digit_images(size, spec.n_classes, spec.noise, rng)
     data, labels = load_idx_images(spec.images_path, spec.labels_path or None, spec.side)
-    if len(data) < size:
-        raise ValueError(f"IDX file {spec.images_path} holds {len(data)} images, need {size}")
-    return data[:size], None if labels is None else labels[:size]
+    rows = slice(offset, offset + size)
+    if len(data) < rows.stop:
+        raise ValueError(f"IDX file {spec.images_path} holds {len(data)} images, "
+                         f"need {rows.stop}")
+    return data[rows], None if labels is None else labels[rows]
 
 
 def trace_fingerprint(config: ExperimentConfig, data_checksum: str) -> str:

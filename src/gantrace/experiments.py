@@ -42,7 +42,7 @@ from .metrics import (
     load_classifier,
     train_classifier,
 )
-from .oracle import counterfactual_retrain, metric_deltas, metric_reader
+from .oracle import counterfactual_retrain, final_readings, metric_deltas, metric_reader
 from .training import TrainingTrace, run_training
 
 _STREAMS = {"dataset": 11, "reference": 13, "targets": 17, "test": 19,
@@ -244,10 +244,13 @@ def evaluation_set(config: ExperimentConfig, seed: int, stream: str, size: int
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """``size`` latents, then ``size`` dataset rows and their labels, drawn in
     that order from the seed's named stream: ``reference`` for the metric
-    context, ``test`` for cleansing's readings."""
+    context, ``test`` for cleansing's readings.  An ``idx`` file's rows are
+    dealt in order, training rows first, then the reference rows, then the
+    test rows, so no two sets share a row."""
     rng = _stream(seed, stream)
     latents = rng.standard_normal((size, config.architecture.latent_dim))
-    data, labels = synthesize_dataset(config.dataset, size, rng)
+    offset = config.dataset.n_train + (config.n_reference if stream == "test" else 0)
+    data, labels = synthesize_dataset(config.dataset, size, rng, offset)
     return latents, data, labels
 
 
@@ -301,14 +304,17 @@ def run_estimation_accuracy(config: ExperimentConfig, seeds=None,
         run = prepare_seed_run(config, seed)
         problem = config.problem()
         targets = draw_targets(config, seed, config.n_targets)
+        specs = config.metric_specs()
         queries = {spec.kind: build_query_vector(spec, problem, run.trace.final_params,
                                                  run.reference_latents, run.context)
-                   for spec in config.metric_specs()}
-        for k in config.k_epochs:
-            truths = metric_deltas(problem, run.trace, run.dataset, targets, k,
-                                   config.metric_specs(), run.reference_latents,
+                   for spec in specs}
+        # Every depth's deltas are read against one baseline per metric.
+        baselines = final_readings(problem, run.trace, specs, run.reference_latents,
                                    run.context)
-            for spec in config.metric_specs():
+        for k in config.k_epochs:
+            truths = metric_deltas(problem, run.trace, run.dataset, targets, k, specs,
+                                   run.reference_latents, run.context, baselines)
+            for spec in specs:
                 true_vals = truths[spec.kind]
                 if self_test:
                     estimates = true_vals.copy()

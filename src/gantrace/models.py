@@ -14,7 +14,8 @@ latent_dim and the gradient methods below.  Two of them, the gradient
 kernels, serve training, counterfactual replay and influence inference:
 
 - ``joint_gradient``: the two-block batch gradient, through the
-  module-level function of the same name;
+  module-level function of the same name, written into the caller's
+  ``out`` buffer when one is given and into a fresh array otherwise;
 - ``joint_gradient_vjp``: a vector-Jacobian product against it, returned
   with every data row's score along the direction's discriminator block,
   its inner product with the row's data-term gradient over the batch
@@ -38,13 +39,17 @@ adds and bias gradients ride inside the matmuls.
 
 Each ``FcGan`` keeps one workspace for its gradient kernels, made on the
 first call and grown to the largest batch seen: the operands that carry a
-ones column, written once, the VJP's stacked operands and the
-discriminator's widest arrays.  A call copies
-its latents and rows into leading rows of it, so it builds no operand
-afresh, and reads the layers of a flat vector through spans fixed at
-construction.  The arithmetic is that of fresh operands, bit for bit.  No
-returned array aliases the workspace, but two threads must not call the
-kernels of one instance at the same time.
+ones column, written once, the generator's output, kept contiguous and
+copied into the discriminator's inputs, the VJP's stacked operands and the
+discriminator's widest arrays.  A call copies its latents and rows into
+leading rows of it, so it builds no operand afresh, and reads the layers
+of a flat vector through spans fixed at construction.  The layer views of
+the last two parameter or gradient buffers a gradient used are kept, so a
+replay that steps between two buffers makes them once.  The gradient goes
+into the caller's buffer or a fresh array, never into the workspace, and
+no returned array aliases the workspace.  The arithmetic is that of fresh
+operands, bit for bit, but two threads must not call the kernels of one
+instance at the same time.
 
 A dense stack has one hand-written backward pass,
 ``MlpLayout.backward``, run on what ``MlpLayout.forward_record`` keeps of
@@ -295,6 +300,8 @@ class FcGan:
         self._layer_spans = tuple(spans[:-1])
         self._output_span = spans[-1][:2]
         self._workspace: _Workspace | None = None
+        # (vector, its _layers views) for _kept_layers, newest first.
+        self._views: tuple = ((None, None), (None, None))
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return np.concatenate([self.gen_net.init_params(rng), self.disc_net.init_params(rng)])
@@ -345,18 +352,32 @@ class FcGan:
     # ``_Workspace``; no returned array is a view of it.
 
     def joint_gradient(self, params: np.ndarray, latents: np.ndarray,
-                       data_rows: np.ndarray, denom: int) -> np.ndarray:
+                       data_rows: np.ndarray, denom: int,
+                       out: np.ndarray | None = None) -> np.ndarray:
         """Generator-loss gradient over the generator block, then the
-        discriminator-loss gradient over the discriminator block."""
+        discriminator-loss gradient over the discriminator block.
+
+        Written into ``out``, a float64 vector of ``dim_params`` entries
+        that shares no memory with ``params``, when given, and into a fresh
+        array otherwise; either is returned.
+        """
         params = np.asarray(params, dtype=np.float64)
+        if out is None:
+            grad = np.empty(self.dim_params)
+        elif out.shape != (self.dim_params,) or out.dtype != np.float64:
+            raise ValueError(f"out of shape {out.shape} and dtype {out.dtype} is not "
+                             f"a float64 vector of {self.dim_params} parameters")
+        elif np.may_share_memory(out, params):
+            raise ValueError("out must not share memory with params")
+        else:
+            grad = out
         f = self._forward(params, latents, data_rows)
         n = len(f.latents)
         fake_probs = f.probs[:n]
         gen_adj = self._gen_logit_first(fake_probs, fake_probs * (1.0 - fake_probs), n)
         disc_adj = _disc_logit_first(f.probs, n, denom)
         v2 = f.v2[:-1]
-        grad = np.empty(self.dim_params)
-        gw1, gw2, gv1, gv2 = self._layers(grad)
+        gw1, gw2, gv1, gv2 = self._kept_layers(grad)
         logit_grad = f.disc_mask[:n] @ (v2[:, None] * f.v1[:-1].T)
         out_adj = gen_adj[:, None] * logit_grad * f.tanh_slope
         np.matmul(f.gen_hidden.T, out_adj, out=gw2)
@@ -500,6 +521,21 @@ class FcGan:
         h, i = self._output_span
         return flat[a:b].reshape(w1), flat[c:d].reshape(w2), flat[e:g].reshape(v1), flat[h:i]
 
+    def _kept_layers(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``_layers(flat)``, kept with ``flat`` for the last two vectors
+        read that own their memory, so that steps between two buffers, as
+        a replay takes them, make their views once.  A vector is matched by
+        identity, and the views see every later write to it.  A view, such
+        as a stored trace's snapshot, is not kept: it would keep the whole
+        array it views alive."""
+        for vector, views in self._views:
+            if vector is flat:
+                return views
+        views = self._layers(flat)
+        if flat.base is None:
+            self._views = ((flat, views), self._views[0])
+        return views
+
     def _workspace_for(self, n_latents: int, n_inputs: int) -> _Workspace:
         """The workspace, grown to hold ``n_latents`` latents and
         ``n_inputs`` discriminator inputs if it holds fewer."""
@@ -513,7 +549,7 @@ class FcGan:
 
     def _forward(self, params, latents, data_rows) -> _Activations:
         params = _checked(np.asarray(params, dtype=np.float64), "parameters")
-        w1, w2, v1, v2 = self._layers(params)
+        w1, w2, v1, v2 = self._kept_layers(params)
         latents = _rows_of(latents, self.latent_dim, "latents")
         rows = _rows_of(data_rows, self.data_dim, "data rows")
         n = len(latents)
@@ -523,19 +559,24 @@ class FcGan:
         gen_pre = augmented @ w1
         gen_mask = (gen_pre > 0.0).astype(np.float64)
         gen_hidden = ws.gen_hidden[:n]
-        np.maximum(gen_pre, 0.0, out=gen_hidden[:, :-1])
+        gen_hidden[:, :-1] = np.maximum(gen_pre, 0.0, out=gen_pre)
+        fake = np.matmul(gen_hidden, w2, out=ws.fake[:n])
+        np.tanh(fake, out=fake)
+        tanh_slope = fake * fake
+        np.subtract(1.0, tanh_slope, out=tanh_slope)
         inputs = ws.inputs[:n + len(rows)]
-        fake = np.tanh(gen_hidden @ w2, out=inputs[:n, :-1])
+        inputs[:n, :-1] = fake
         inputs[n:, :-1] = rows
         disc_pre = np.matmul(inputs, v1, out=ws.disc_hidden[:len(inputs)])
         disc_mask = np.greater(disc_pre, 0.0, out=ws.disc_mask[:len(inputs)])
         disc_hidden = np.maximum(disc_pre, 0.0, out=disc_pre)
+        logits = disc_hidden @ v2[:-1]
+        logits += v2[-1]
         return _Activations(
             w2=w2, v1=v1, v2=v2,
             latents=augmented, gen_mask=gen_mask, gen_hidden=gen_hidden,
-            fake=fake, tanh_slope=1.0 - fake * fake, inputs=inputs,
-            disc_mask=disc_mask, disc_hidden=disc_hidden,
-            probs=_logistic(disc_hidden @ v2[:-1] + v2[-1]),
+            fake=fake, tanh_slope=tanh_slope, inputs=inputs,
+            disc_mask=disc_mask, disc_hidden=disc_hidden, probs=_logistic(logits),
         )
 
     # The logit derivatives of the per-latent generator loss over the latent
@@ -560,13 +601,19 @@ class _Workspace:
     ``latents``, ``gen_hidden`` and ``inputs`` are the operands of the
     augmented layers, with their trailing ones column written here once; a
     call with n latents and m data rows writes the other columns of their
-    first n, n and n + m rows.  ``directions`` is the VJP's right operand
-    of the mask product, [V2 V1^T | u_V2 V1^T + V2 u_V1^T] (hidden_disc x
-    2 data_dim), and ``adjoints`` its per-input weights of the masked
-    grams, [R{adj} | adj].  ``disc_hidden`` holds the discriminator's
+    first n, n and n + m rows.  The generator's relu runs in place on its
+    pre-activation, a fresh array, which is then copied into
+    ``gen_hidden``, and its tanh output goes to ``fake`` and is then copied
+    into ``inputs``: the elementwise passes read and write contiguous
+    memory, and only the copies are strided.  ``directions`` is the VJP's
+    right operand of the mask product, [V2 V1^T | u_V2 V1^T + V2 u_V1^T]
+    (hidden_disc x 2 data_dim), and ``adjoints`` its per-input weights of
+    the masked grams, [R{adj} | adj].  ``disc_hidden`` holds the discriminator's
     pre-activations and then their relu, and ``disc_mask`` the relu mask:
     the widest arrays of a call, which from about 250 rows per batch would
     otherwise be unmapped when freed and faulted back in on every call.
+    No gradient is written here: a kernel returns the caller's ``out`` or
+    a fresh array, so no returned array aliases the workspace.
 
     The matmuls must read the same memory layout as on fresh operands,
     since a BLAS product of a transposed layout can round differently:
@@ -578,6 +625,7 @@ class _Workspace:
     def __init__(self, arch: GanArchitecture, n_latents: int, n_inputs: int):
         self.latents = np.ones((n_latents, arch.latent_dim + 1))
         self.gen_hidden = np.ones((n_latents, arch.hidden_gen + 1))
+        self.fake = np.empty((n_latents, arch.data_dim))
         self.inputs = np.ones((n_inputs, arch.data_dim + 1))
         self.directions = np.empty((arch.hidden_disc, 2 * arch.data_dim), order="F")
         self.adjoints = np.empty((n_inputs, 2))
@@ -597,11 +645,12 @@ class _Activations:
     ``gen_hidden`` and ``inputs`` carry a trailing ones column; ``r`` does
     not, since a strided write of the widest array costs more than the
     bias add it would save.  ``inputs`` stacks the generated rows first,
-    then the data rows, and ``fake`` is the view of its generated part.
-    The masks are ``a > 0`` and ``c > 0`` as float64; ``tanh_slope`` is
-    ``1 - x**2``.  ``latents``, ``gen_hidden``, ``inputs``, ``disc_mask``
-    and ``disc_hidden`` are leading rows of the workspace, valid until the
-    instance's next kernel call.
+    then the data rows; ``fake`` is the generated rows, contiguous, of which
+    the first part of ``inputs`` is a copy.  The masks are ``a > 0`` and
+    ``c > 0`` as float64; ``tanh_slope`` is ``1 - x**2``.  ``latents``,
+    ``gen_hidden``, ``fake``, ``inputs``, ``disc_mask`` and ``disc_hidden``
+    are leading rows of the workspace, valid until the instance's next
+    kernel call.
     """
 
     w2: np.ndarray
@@ -662,7 +711,8 @@ def _checked(values: np.ndarray, what: str) -> np.ndarray:
 
 
 def joint_gradient(problem, params: np.ndarray, latents: np.ndarray,
-                   data_rows: np.ndarray, denom: int | None = None) -> np.ndarray:
+                   data_rows: np.ndarray, denom: int | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Two-block batch gradient, shape (dim_params,).
 
     The top block is the gradient of the generator batch loss with respect
@@ -671,11 +721,13 @@ def joint_gradient(problem, params: np.ndarray, latents: np.ndarray,
     normalizes the discriminator loss and defaults to the latent count.
     Counterfactual replays drop data rows while keeping the original
     denominator, so removing one instance removes exactly one summand.
+    The gradient is written into ``out`` when given, which must not share
+    memory with ``params``, and into a fresh array otherwise.
     """
     if len(latents) == 0:
         raise ValueError("empty latent batch")
     return problem.joint_gradient(params, latents, data_rows,
-                                  len(latents) if denom is None else int(denom))
+                                  len(latents) if denom is None else int(denom), out=out)
 
 
 def data_term_scores(problem, disc_query: np.ndarray, params: np.ndarray,

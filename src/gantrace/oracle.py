@@ -11,11 +11,20 @@ the window holds an excluded instance the whole window is replayed, so with
 nothing excluded the replay reproduces the stored final parameters
 bit-exactly, which anchors every comparison.
 
+A replay copies its starting snapshot once and allocates one more buffer
+of the same size.  Each step, through ``training.asgd_step``'s ``out``,
+writes its gradient into the free buffer and turns it there into the new
+parameters, so the two buffers swap roles every step.  These are the
+operations training runs on fresh arrays, in the same order, and the
+trace's snapshots are only ever read.
+
 Metric readings go through ``metric_reader``: the samples of one parameter
 vector are generated once, and classified at most once, for every reading
-taken from it.  ``metric_deltas`` reads the final and each replayed vector
-that way, and so does data cleansing for the final vector and each distinct
-harmful selection.
+taken from it.  ``metric_deltas`` reads each replayed vector that way, and
+the final vector once per call, or takes its readings from
+``final_readings``, as the accuracy experiment does once per seed for all
+its depths.  Data cleansing reads the final vector and each distinct
+harmful selection the same way.
 """
 
 from __future__ import annotations
@@ -66,13 +75,16 @@ def counterfactual_retrain(problem, trace: TrainingTrace, dataset: np.ndarray,
     hits = excluded_mask[np.concatenate(batches)]
     ends = np.cumsum([len(idx) for idx in batches])
     first = int(np.searchsorted(ends, np.argmax(hits), side="right")) if hits.any() else 0
+    # The starting snapshot is copied once; each step writes the new
+    # parameters into the other buffer, so no step allocates a vector.
     params = window[first].params.copy()
+    spare = np.empty_like(params)
     for record, end in zip(window[first:], ends[first:].tolist()):
         idx = record.batch_indices
         drop = hits[end - len(idx):end]
-        params = asgd_step(problem, params, dataset[idx[~drop] if drop.any() else idx],
-                           record.latents(problem.latent_dim),
-                           record.lr_gen, record.lr_disc, denom=len(idx))
+        params, spare = asgd_step(problem, params, dataset[idx[~drop] if drop.any() else idx],
+                                  record.latents(problem.latent_dim), record.lr_gen,
+                                  record.lr_disc, denom=len(idx), out=spare), params
     k_used = trace.epochs if k_epochs is None else int(k_epochs)
     return CounterfactualResult(
         excluded=tuple(exclusion),
@@ -84,17 +96,19 @@ def counterfactual_retrain(problem, trace: TrainingTrace, dataset: np.ndarray,
 
 def metric_deltas(problem, trace: TrainingTrace, dataset: np.ndarray, targets,
                   k_epochs: int | None, specs, eval_latents: np.ndarray,
-                  context) -> dict[str, np.ndarray]:
+                  context, baselines: dict[str, float] | None = None) -> dict[str, np.ndarray]:
     """True metric change from dropping each target alone, one replay per target.
 
     Both readings of a delta use the same evaluation latents, which removes
-    the Monte Carlo noise between them; the baseline reading of each metric
-    is taken once, and each parameter vector's samples are generated once
-    for all its sample-based readings.  Each array is aligned with ``targets``.
+    the Monte Carlo noise between them; each parameter vector's samples are
+    generated once for all its sample-based readings.  ``baselines`` holds
+    each metric's reading at the final parameters by kind, as from
+    ``final_readings``; without it they are read here, once per call.  Each
+    array is aligned with ``targets``.
     """
     targets = [int(t) for t in targets]
-    baseline = metric_reader(problem, trace.final_params, specs, eval_latents, context)
-    baselines = {spec.kind: baseline(spec) for spec in specs}
+    if baselines is None:
+        baselines = final_readings(problem, trace, specs, eval_latents, context)
     deltas = {spec.kind: np.empty(len(targets)) for spec in specs}
     for position, target in enumerate(targets):
         result = counterfactual_retrain(problem, trace, dataset, target, k_epochs)
@@ -102,6 +116,13 @@ def metric_deltas(problem, trace: TrainingTrace, dataset: np.ndarray, targets,
         for spec in specs:
             deltas[spec.kind][position] = after(spec) - baselines[spec.kind]
     return deltas
+
+
+def final_readings(problem, trace: TrainingTrace, specs, eval_latents: np.ndarray,
+                   context) -> dict[str, float]:
+    """Each metric's reading at the trace's final parameters, by kind."""
+    read = metric_reader(problem, trace.final_params, specs, eval_latents, context)
+    return {spec.kind: read(spec) for spec in specs}
 
 
 def metric_reader(problem, params: np.ndarray, specs, eval_latents: np.ndarray, context):

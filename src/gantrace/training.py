@@ -156,12 +156,20 @@ def block_rates(dim_gen: int, dim_params: int, lr_gen: float, lr_disc: float) ->
 
 
 def asgd_step(problem, params: np.ndarray, data_rows: np.ndarray, latents: np.ndarray,
-              lr_gen: float, lr_disc: float, denom: int | None = None) -> np.ndarray:
-    """One descent step on the coupled vector with block learning rates."""
-    grad = joint_gradient(problem, params, latents, data_rows, denom)
-    # The gradient is a fresh array, so the block rates scale it in place.
+              lr_gen: float, lr_disc: float, denom: int | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """One descent step on the coupled vector with block learning rates.
+
+    The step's gradient is written into ``out``, scaled there by the block
+    rates and replaced there by the new parameters, which are returned:
+    the operations of ``params - rates * gradient``, so its bits.  ``out``
+    must not share memory with ``params``; without it the step writes a
+    fresh array.  A replay steps two buffers in turn, each step's
+    parameters being the next step's ``out``.
+    """
+    grad = joint_gradient(problem, params, latents, data_rows, denom, out=out)
     grad *= block_rates(problem.dim_gen, problem.dim_params, lr_gen, lr_disc)
-    return params - grad
+    return np.subtract(params, grad, out=grad)
 
 
 def _check_divergence(params: np.ndarray, step: int, limit: float) -> None:

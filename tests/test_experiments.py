@@ -13,6 +13,7 @@ import pytest
 
 import gantrace.cli
 import gantrace.experiments
+import gantrace.oracle
 from gantrace.cli import main as cli_main
 from gantrace.config import load_config
 from gantrace.experiments import (
@@ -169,6 +170,28 @@ def test_cleansing_generates_each_parameter_vector_once(monkeypatch):
     assert len(report.rows) == 8 and len(replayed) < len(report.rows)
     assert len(generated) == 1 + len(replayed)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(generated[1:], replayed))
+
+
+def test_accuracy_reads_each_baseline_once_per_seed(mini_config, monkeypatch):
+    config, _ = mini_config
+    config = _with(config, training=_with(config.training, epochs=5), k_epochs=(1, 5))
+    runs, read = [], []
+    prepare = gantrace.experiments.prepare_seed_run
+    reader = gantrace.oracle.metric_reader
+
+    def capturing_prepare(*args):
+        runs.append(prepare(*args))
+        return runs[-1]
+
+    def counting_reader(problem, params, *args):
+        read.append(params)
+        return reader(problem, params, *args)
+
+    monkeypatch.setattr(gantrace.experiments, "prepare_seed_run", capturing_prepare)
+    monkeypatch.setattr(gantrace.oracle, "metric_reader", counting_reader)
+    report = run_estimation_accuracy(config, seeds=[3, 4])
+    assert {(row.seed, row.k_epochs) for row in report.rows} == {(3, 1), (3, 5), (4, 1), (4, 5)}
+    assert [sum(params is run.trace.final_params for params in read) for run in runs] == [1, 1]
 
 
 def test_cleansing_signs_improvements_by_the_metric(mini_config):

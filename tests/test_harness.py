@@ -19,9 +19,11 @@ from gantrace.datasets import (
 from gantrace.experiments import (
     critical_set,
     evaluation_context,
+    evaluation_set,
     jaccard_critical,
     kendall_tau,
     permutation_test_tau,
+    seed_dataset,
     select_harmful,
     sign_test_greater,
 )
@@ -414,21 +416,30 @@ def test_idx_images_at_the_requested_side_pass_through(tmp_path):
 
 
 def test_idx_evaluation_sets_take_their_own_row_count(tmp_path):
-    images = np.random.default_rng(8).integers(0, 256, size=(100, 4, 4))
+    images = np.random.default_rng(8).integers(0, 256, size=(220, 4, 4))
     write_idx(tmp_path / "imgs.idx", images)
     path = tmp_path / "exp.ini"
     path.write_text(CONFIG_TEXT.replace(
         "kind = normal2d\nn_train = 120",
         f"kind = idx\nn_train = 50\nimages = {tmp_path / 'imgs.idx'}\nside = 4"))
     config = load_config(path)
-    assert (config.dataset.n_train, config.n_reference) == (50, 80)
+    assert (config.dataset.n_train, config.n_reference, config.n_test) == (50, 80, 80)
+    rows = (images / 255.0 * 1.998 - 0.999).reshape(220, 16)
+    # The file's rows are dealt in order: training, reference, then test rows.
+    data, _, _ = seed_dataset(config, 0)
+    assert np.array_equal(data, rows[:50])
     latents, context = evaluation_context(config, 0)
     assert latents.shape == (80, 4)
-    rows = (images / 255.0 * 1.998 - 0.999).reshape(100, 16)
-    assert np.array_equal(context.real_data, rows[:80])
-    # A file with fewer rows than an evaluation set needs is refused by name.
-    write_idx(tmp_path / "imgs.idx", images[:60])
-    with pytest.raises(ValueError, match=f"{tmp_path / 'imgs.idx'} holds 60 images, need 80"):
+    assert np.array_equal(context.real_data, rows[50:130])
+    _, test_data, _ = evaluation_set(config, 0, "test", config.n_test)
+    assert np.array_equal(test_data, rows[130:210])
+    # A file with fewer rows than a set needs is refused by name.
+    write_idx(tmp_path / "imgs.idx", images[:200])
+    assert np.array_equal(evaluation_context(config, 0)[1].real_data, rows[50:130])
+    with pytest.raises(ValueError, match=f"{tmp_path / 'imgs.idx'} holds 200 images, need 210"):
+        evaluation_set(config, 0, "test", config.n_test)
+    write_idx(tmp_path / "imgs.idx", images[:100])
+    with pytest.raises(ValueError, match=f"{tmp_path / 'imgs.idx'} holds 100 images, need 130"):
         evaluation_context(config, 0)
 
 

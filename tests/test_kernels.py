@@ -322,6 +322,61 @@ def test_workspace_reuse_changes_no_result(objective):
         assert_same_bits(got, copy)
 
 
+@pytest.mark.parametrize("objective", ["nonsaturating", "minimax"])
+def test_reused_buffers_give_fresh_arrays_bytes(objective):
+    """Two parameter buffers used in turn, each rewritten in place before
+    its next use, and two gradient buffers passed as ``out``, give the
+    gradients, products and scores of fresh arrays on a fresh instance; no
+    gradient already returned changes in a later call."""
+    gan, _ = pair(objective)
+    buffers = [np.empty(gan.dim_params) for _ in range(2)]
+    outs = [np.empty(gan.dim_params) for _ in range(2)]
+    kept = []
+    for seed in range(6):
+        params, latents, rows, vector = random_case(gan, 40 + seed, 7, 5)
+        buffer, out = buffers[seed % 2], outs[seed % 2]
+        buffer[...] = params
+        fresh = FcGan(gan.arch)
+        expected = fresh.joint_gradient(params.copy(), latents, rows, 7)
+        assert gan.joint_gradient(buffer, latents, rows, 7, out=out) is out
+        assert_same_bits(out, expected)
+        returned = gan.joint_gradient(buffer, latents, rows, 7)
+        assert_same_bits(returned, expected)
+        kept.append((returned, expected))
+        for got, ref in zip(gan.joint_gradient_vjp(vector, buffer, latents, rows, 7),
+                            fresh.joint_gradient_vjp(vector.copy(), params.copy(),
+                                                     latents, rows, 7)):
+            assert_same_bits(got, ref)
+    for got, expected in kept:
+        assert_same_bits(got, expected)
+
+
+@pytest.mark.parametrize("lr_gen, lr_disc", [(1e-2, 3e-2), (0.0, 3e-2)])
+def test_steps_between_two_buffers_match_fresh_steps(lr_gen, lr_disc):
+    """Steps that write each new parameter vector into the other of two
+    buffers, as a replay does, give the bytes of steps on fresh arrays."""
+    gan, _ = pair("nonsaturating")
+    params, latents, rows, _ = random_case(gan, 29, 7, 5)
+    current, spare = params.copy(), np.empty(gan.dim_params)
+    for _ in range(4):
+        params = asgd_step(gan, params, rows, latents, lr_gen, lr_disc, 7)
+        current, spare = asgd_step(gan, current, rows, latents, lr_gen, lr_disc, 7,
+                                   out=spare), current
+        assert_same_bits(current, params)
+
+
+def test_gradient_out_is_checked():
+    gan, _ = pair("nonsaturating")
+    params, latents, rows, _ = random_case(gan, 30, 3, 3)
+    with pytest.raises(ValueError, match="share memory"):
+        joint_gradient(gan, params, latents, rows, out=params)
+    with pytest.raises(ValueError, match="share memory"):
+        asgd_step(gan, params, rows, latents, 1e-2, 3e-2, out=params[::-1])
+    for out in (np.empty(gan.dim_params - 1), np.empty(gan.dim_params, dtype=np.float32)):
+        with pytest.raises(ValueError, match="float64 vector"):
+            joint_gradient(gan, params, latents, rows, out=out)
+
+
 def test_warm_kernels_build_no_operands(monkeypatch):
     """Once the workspace holds a batch, a kernel call, a descent step or a
     query pull-back of that batch or a smaller one builds no ones columns

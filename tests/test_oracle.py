@@ -15,7 +15,13 @@ from gantrace.metrics import (
 )
 from gantrace.models import FcGan, GanArchitecture
 from gantrace.oracle import counterfactual_retrain, metric_deltas
-from gantrace.training import TrainingSettings, load_trace, run_training, save_trace
+from gantrace.training import (
+    TrainingSettings,
+    load_trace,
+    run_training,
+    save_trace,
+    trace_checksum,
+)
 from toys import (
     TapeFcGan,
     build_trace,
@@ -318,6 +324,31 @@ def test_replay_slices_the_window_hit_mask(gan, monkeypatch, excluded, replayed_
             assert np.array_equal(got.params, trace.final_params)
         else:
             assert not np.array_equal(got.params, trace.final_params)
+
+
+@pytest.mark.parametrize("stored", [False, True])
+def test_replays_never_write_into_their_trace(gan, tmp_path, stored):
+    """A replay steps its own buffers: after one exclusion, several, none or
+    one the k=1 window does not hold, at k=1 and at all epochs, the trace
+    keeps its checksum, the result shares no memory with a snapshot or the
+    final parameters, and a repeated replay gives the same bytes.  A stored
+    trace's snapshots are row views of one array."""
+    data = normal2d(12, 20)
+    trace = build_trace(gan, data, UNEVEN_SCHEDULE, [(1e-3, 1e-3)] * 6,
+                        gan.init_params(np.random.default_rng(21)), epoch_starts=[0, 2, 4])
+    if stored:
+        save_trace(trace, tmp_path / "trace")
+        trace = load_trace(tmp_path / "trace")
+    checksum = trace_checksum(trace)
+    snapshots = [record.params for record in trace.records] + [trace.final_params]
+    for excluded in ([10], [6, 5, 0], [], [11]):
+        for k in (1, None):
+            result = counterfactual_retrain(gan, trace, data, excluded, k_epochs=k)
+            assert trace_checksum(trace) == checksum
+            assert not any(np.shares_memory(result.params, array) for array in snapshots)
+            again = counterfactual_retrain(gan, trace, data, excluded, k_epochs=k)
+            assert again.params.tobytes() == result.params.tobytes()
+            assert not np.shares_memory(again.params, result.params)
 
 
 @pytest.mark.parametrize("excluded", [-1, [24], {3, 29}, [-1, 0]])

@@ -3,7 +3,8 @@ byte keeps them.
 
 Each digest is the sha256 of one file that a ``gantrace`` command writes
 from a shipped config at seed 0: the influence table in full and on a
-target subset, the oracle table, and the accuracy and cleansing reports.
+target subset, the oracle table at one epoch and at all epochs, and the
+accuracy and cleansing reports.
 The commands run on a trace that ``gantrace train`` stored, so the
 classifier and evaluation sets are the ones the CLI draws.  As in
 ``test_trace_digests``, the test skips and names both versions where NumPy
@@ -32,6 +33,7 @@ COMMANDS = {
     "influence_targets": ["influence", "--k", "1", "--targets", "5",
                           "--out", "{out}/subset.csv"],
     "oracle": ["oracle", "--k", "1", "--targets", "5", "--out", "{out}/oracle.csv"],
+    "oracle_all": ["oracle", "--targets", "5", "--out", "{out}/oracle_all.csv"],
     "accuracy": ["accuracy", "--seeds", "1", "--targets", "5", "--out", "{out}/accuracy"],
     "cleanse": ["cleanse", "--seeds", "1", "--n-harmful", "5,10", "--out", "{out}/cleanse"],
 }
@@ -46,6 +48,7 @@ DIGESTS = {
         "influence.csv": "591eaf2485bba9daa2fa1af1404392f373db1d6a9dcf2ccc814993454719ec0d",
         "influence.json": "875cb10cc0b20a1dddbc92dd39bda00fda2f65e540f655d4bd3521f98f8d6857",
         "oracle.csv": "ef20b69761ed88c84040ef6f85930b97c80fa74ff21b3e60d41761bb6d422eb8",
+        "oracle_all.csv": "38125472dfc62d4aba75f59980c06077b44234216134c0a70e1c5dd427d6508f",
         "subset.csv": "bab6841e820fbb511f548097091f6477cbd683ecbd5c4e2e7b17c54ce2a316f6",
         "subset.json": "62a80123845d1e3c9eba0c199e29be5a1c2688840dfaa795662cd47cb1477890",
     },
@@ -58,6 +61,7 @@ DIGESTS = {
         "influence.csv": "69053b75a58b5535c0093ccdc3deeb4cadabab5acebd7499ff7f680ef774767a",
         "influence.json": "15d049e5bae7f8c5c2becb5271918eabf5094689730a5a5473303c12d9ac6b3e",
         "oracle.csv": "0e185102260dad40759e697a2538998594449370c7355b1b4da0f199e990d707",
+        "oracle_all.csv": "3c3275832e9afc215e59788a3b5ce93dd08a6ce82d42321072d64c5a54db4680",
         "subset.csv": "666539e55f048fa0caeea746a503ffe01c135f90f231fcb26c036d3a3eee1442",
         "subset.json": "9b08e393cc0ce5aa3c16db016d1eb6054f3eb5053721aa34dff68685d9ec1d2d",
     },

@@ -133,9 +133,13 @@ def joint_gradient_graph(problem, theta, latents, data_rows, denom=None):
 class TapeGradients:
     """The gradient methods of a problem, derived from its graph builders."""
 
-    def joint_gradient(self, params, latents, data_rows, denom):
+    def joint_gradient(self, params, latents, data_rows, denom, out=None):
         theta = Tensor(np.asarray(params, dtype=np.float64))
-        return joint_gradient_graph(self, theta, latents, data_rows, denom).data.copy()
+        grad = joint_gradient_graph(self, theta, latents, data_rows, denom).data
+        if out is None:
+            return grad.copy()
+        out[...] = grad
+        return out
 
     def joint_gradient_vjp(self, vector, params, latents, data_rows, denom):
         """The product on the tape, and the data rows' scores along the
