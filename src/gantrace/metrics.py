@@ -20,8 +20,8 @@ its largest log kernel.
 The FID's reference side (the mean, covariance and covariance square root
 of the reference set's classifier features) is fitted once per frozen
 ``MetricContext`` and shared by every FID value and gradient read from it.
-A ``GeneratedSet`` holds one generated sample set's classifier features and
-posteriors, so readings of several metrics run the classifier on it once.
+A ``GeneratedSet`` holds one generated sample set and the classifier's
+record of it, so the readings and queries of several metrics share one pass.
 
 Each metric's gradient with respect to the generated samples is analytic at
 the outer level; where samples pass through a network (classifier features
@@ -48,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .influence import QueryVector
-from .models import MlpLayout, _checked
+from .models import DenseRecord, MlpLayout, _checked
 from .training import DivergenceError
 
 METRIC_KINDS = ("all", "is", "fid", "disc_loss")
@@ -232,25 +232,24 @@ def inception_score_from_posteriors(posteriors: np.ndarray) -> float:
 
 
 def inception_score(generated: np.ndarray, classifier: "Classifier") -> float:
-    return inception_score_from_posteriors(classifier.posteriors(generated))
+    return inception_score_from_posteriors(GeneratedSet(generated, classifier).posteriors)
 
 
-def _is_gradient(generated: np.ndarray, classifier: "Classifier") -> np.ndarray:
+def _is_gradient(generated: "GeneratedSet") -> np.ndarray:
     """Gradient of the inception score through the classifier, per sample.
 
     The outer derivative with respect to the logits collapses to
     (score / n) * p * (r - <p, r>) with r the per-sample log ratio to the
     marginal; the pullback from logits to inputs is the classifier's.
     """
-    generated = np.atleast_2d(np.asarray(generated, dtype=np.float64))
-    posteriors = classifier.posteriors(generated)
+    posteriors = generated.posteriors
     score = inception_score_from_posteriors(posteriors)
     marginal = posteriors.mean(axis=0)
     ratio = np.log(np.where(posteriors > 0, posteriors, 1.0)) \
         - np.log(np.where(marginal > 0, marginal, 1.0))[None, :]
     inner = (posteriors * ratio).sum(axis=1, keepdims=True)
-    grad_logits = (score / len(generated)) * posteriors * (ratio - inner)
-    return classifier.input_pullback(generated, grad_logits, layer="logits")
+    grad_logits = (score / len(posteriors)) * posteriors * (ratio - inner)
+    return generated.classifier.input_pullback(generated.record, grad_logits, layer="logits")
 
 
 # -- Frechet distance ---------------------------------------------------------
@@ -342,12 +341,9 @@ def _fid_gradient_wrt_features(reference: FeatureFit, gen_feats: np.ndarray) -> 
     return mean_part + cov_part
 
 
-def _fid_gradient(generated: np.ndarray, context: MetricContext) -> np.ndarray:
-    generated = np.atleast_2d(np.asarray(generated, dtype=np.float64))
-    classifier = context.classifier
-    feat_grad = _fid_gradient_wrt_features(context.fid_reference,
-                                           classifier.features(generated))
-    return classifier.input_pullback(generated, feat_grad, layer="features")
+def _fid_gradient(generated: "GeneratedSet", context: MetricContext) -> np.ndarray:
+    feat_grad = _fid_gradient_wrt_features(context.fid_reference, generated.features)
+    return generated.classifier.input_pullback(generated.record, feat_grad, layer="features")
 
 
 # -- classifier ----------------------------------------------------------------
@@ -364,9 +360,18 @@ class ClassifierSettings:
     # samples far from the training manifold.
     activation: str = "tanh"
 
+    def __post_init__(self):
+        _check_feature_layer(self.feature_layer, len(self.hidden))
+
+
+def _check_feature_layer(feature_layer: int, n_hidden: int) -> None:
+    if not 0 <= feature_layer < n_hidden:
+        raise ValueError(f"feature_layer {feature_layer} is not a hidden layer "
+                         f"(0 to {n_hidden - 1})")
+
 
 class Classifier:
-    """Small dense classifier supplying posteriors and feature vectors.
+    """Small dense classifier whose forward pass yields logits and features.
 
     The feature layer is the post-activation output of the configured
     hidden layer; the head is linear with a softmax readout.  ``key`` is
@@ -376,6 +381,7 @@ class Classifier:
     def __init__(self, layout: MlpLayout, params: np.ndarray, n_classes: int,
                  feature_layer: int, train_accuracy: float = float("nan"),
                  key: str | None = None):
+        _check_feature_layer(feature_layer, len(layout.sizes) - 2)
         self.layout = layout
         self.params = np.asarray(params, dtype=np.float64)
         self.n_classes = n_classes
@@ -383,26 +389,20 @@ class Classifier:
         self.train_accuracy = train_accuracy
         self.key = key
 
-    def logits(self, x: np.ndarray) -> np.ndarray:
-        return self.layout.forward_np(self.params, x)
-
-    def posteriors(self, x: np.ndarray) -> np.ndarray:
-        return _softmax(self.logits(x))
+    def record(self, x: np.ndarray) -> DenseRecord:
+        """The forward pass over ``x``, logits last; ``NonFiniteError`` when
+        the parameters hold a NaN or infinity."""
+        return self.layout.forward(self.layout.unpack(_checked(self.params, "parameters")), x)
 
     def features(self, x: np.ndarray) -> np.ndarray:
-        return self.layout.forward_np(self.params, x, upto_layer=self.feature_layer)
+        return self.record(x).activations[self.feature_layer + 1]
 
-    def posteriors_from_features(self, features: np.ndarray) -> np.ndarray:
-        """``posteriors(x)`` from ``features(x)``, bit for bit: the pass goes on
-        from the feature layer through the remaining layers."""
-        return _softmax(self.layout.forward_np(self.params, features,
-                                               from_layer=self.feature_layer + 1))
-
-    def input_pullback(self, x: np.ndarray, output_grads: np.ndarray, layer: str) -> np.ndarray:
-        """Chain per-sample output gradients back to the classifier inputs;
-        no parameter gradient is formed."""
-        upto = None if layer == "logits" else self.feature_layer
-        record = self.layout.forward_record(self.layout.checked_layers(self.params, upto), x)
+    def input_pullback(self, record: DenseRecord, output_grads: np.ndarray,
+                       layer: str) -> np.ndarray:
+        """Chain per-sample gradients of the ``"logits"`` or ``"features"`` back
+        to the inputs of ``record``, a pass of this classifier; no parameter gradient."""
+        if layer != "logits":
+            record = record.upto(self.feature_layer)
         return self.layout.backward(record, output_grads, input_adjoint=True)
 
 
@@ -457,7 +457,7 @@ def train_classifier(data: np.ndarray, labels: np.ndarray,
         rows, targets = data[order], onehot[order]
         for start in range(0, len(data), settings.batch_size):
             batch = slice(start, start + settings.batch_size)
-            record = layout.forward_record(layers, rows[batch])
+            record = layout.forward(layers, rows[batch])
             # Mean cross-entropy's logit adjoint: (softmax - onehot) / batch.
             adjoint = (_softmax(record.output) - targets[batch]) / len(record.output)
             layout.backward(record, adjoint, grads)
@@ -470,7 +470,7 @@ def train_classifier(data: np.ndarray, labels: np.ndarray,
 
     clf = Classifier(layout, params, n_classes, settings.feature_layer,
                      key=classifier_key(data, labels, settings, seed))
-    clf.train_accuracy = float((clf.logits(data).argmax(axis=1) == labels).mean())
+    clf.train_accuracy = float((clf.record(data).output.argmax(axis=1) == labels).mean())
     return clf
 
 
@@ -496,10 +496,14 @@ def save_classifier(classifier: Classifier, directory) -> None:
 
 
 def load_classifier(directory) -> Classifier:
-    """Read a classifier saved by ``save_classifier``; ``ValueError`` when
-    ``params.bin`` fails its checksum or does not fit the manifest."""
+    """Read a classifier saved by ``save_classifier``; ``ValueError`` when the
+    manifest lacks a field or ``params.bin`` fails its checksum or the manifest."""
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
+    missing = [field for field in ("sizes", "activations", "n_classes", "feature_layer",
+                                   "train_accuracy") if field not in manifest]
+    if missing:
+        raise ValueError(f"classifier manifest in {directory} has no {', '.join(missing)}")
     layout = MlpLayout(manifest["sizes"], manifest["activations"])
     blob = (directory / "params.bin").read_bytes()
     if hashlib.sha256(blob).hexdigest() != manifest.get("params_sha256"):
@@ -514,39 +518,25 @@ def load_classifier(directory) -> Classifier:
 # -- metric dispatch ------------------------------------------------------------
 
 class GeneratedSet:
-    """One generated sample set and its classifier readings, each computed at
-    most once: the FID reads the feature layer, and the inception score goes
-    on from those features, so readings of both run one classifier pass."""
+    """One generated sample set and the classifier's record of it, made at
+    most once: the FID reads the feature layer's activation, the inception
+    score the softmax of the output, and both queries pull back on it."""
 
     def __init__(self, samples: np.ndarray, classifier: "Classifier | None"):
         self.samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
         self.classifier = classifier
 
     @cached_property
+    def record(self) -> DenseRecord:
+        return self.classifier.record(self.samples)
+
+    @cached_property
     def features(self) -> np.ndarray:
-        return self.classifier.features(self.samples)
+        return self.record.activations[self.classifier.feature_layer + 1]
 
     @cached_property
     def posteriors(self) -> np.ndarray:
-        return self.classifier.posteriors_from_features(self.features)
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(message)
-
-
-def evaluate_metric(spec: MetricSpec, generated, context: MetricContext) -> float:
-    """Value of a generated-sample metric; ``disc_loss`` needs parameters and
-    goes through ``metric_value`` instead.  ``generated`` is the samples or a
-    ``GeneratedSet`` of them built on the context's classifier."""
-    handler = _METRIC_VALUES.get(spec.kind)
-    _require(handler is not None, f"metric {spec.kind!r} is not sample-based")
-    if not isinstance(generated, GeneratedSet):
-        generated = GeneratedSet(generated, context.classifier)
-    _require(generated.classifier is context.classifier,
-             "generated set was read by another classifier than the context's")
-    return handler(spec, generated, context)
+        return _softmax(self.record.output)
 
 
 _METRIC_VALUES = {
@@ -557,8 +547,8 @@ _METRIC_VALUES = {
 }
 
 _METRIC_GRADS = {
-    "all": lambda spec, gen, ctx: _all_gradient(ctx.real_data, gen, spec.bandwidth),
-    "is": lambda spec, gen, ctx: _is_gradient(gen, ctx.classifier),
+    "all": lambda spec, gen, ctx: _all_gradient(ctx.real_data, gen.samples, spec.bandwidth),
+    "is": lambda spec, gen, ctx: _is_gradient(gen),
     "fid": lambda spec, gen, ctx: _fid_gradient(gen, ctx),
 }
 
@@ -566,27 +556,28 @@ _METRIC_GRADS = {
 def metric_gradient_wrt_generated(spec: MetricSpec, generated: np.ndarray,
                                   context: MetricContext) -> np.ndarray:
     """One gradient vector per generated sample, shape (n_generated, data_dim)."""
-    handler = _METRIC_GRADS.get(spec.kind)
-    _require(handler is not None, f"metric {spec.kind!r} is not sample-based")
-    return handler(spec, np.atleast_2d(np.asarray(generated, dtype=np.float64)), context)
+    if spec.kind not in _METRIC_GRADS:
+        raise ValueError(f"metric {spec.kind!r} is not sample-based")
+    return _METRIC_GRADS[spec.kind](spec, GeneratedSet(generated, context.classifier), context)
 
 
 def metric_value(spec: MetricSpec, problem, params: np.ndarray,
                  eval_latents: np.ndarray, context: MetricContext,
-                 generated: np.ndarray | None = None) -> float:
+                 generated: GeneratedSet | None = None) -> float:
     """Metric reading for a parameter vector on a fixed latent set.
 
-    ``generated``, when given, must be ``problem.generator_forward(params,
-    eval_latents)`` or a ``GeneratedSet`` of it: a caller reading several
-    sample-based metrics at one parameter vector generates the samples once,
-    and through a ``GeneratedSet`` runs the classifier on them once.
-    ``disc_loss`` ignores it.
+    ``generated``, when given, must be a ``GeneratedSet`` of
+    ``problem.generator_forward(params, eval_latents)`` on the context's
+    classifier: a caller reading several sample-based metrics at one
+    parameter vector generates the samples once and runs the classifier on
+    them once.  ``disc_loss`` ignores it.
     """
     if spec.kind == "disc_loss":
         return problem.expected_disc_loss(params, eval_latents, context.real_data)
     if generated is None:
-        generated = problem.generator_forward(params, eval_latents)
-    return evaluate_metric(spec, generated, context)
+        generated = GeneratedSet(problem.generator_forward(params, eval_latents),
+                                 context.classifier)
+    return _METRIC_VALUES[spec.kind](spec, generated, context)
 
 
 # -- query vectors ----------------------------------------------------------------

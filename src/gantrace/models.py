@@ -51,14 +51,14 @@ no returned array aliases the workspace.  The arithmetic is that of fresh
 operands, bit for bit, but two threads must not call the kernels of one
 instance at the same time.
 
-A dense stack has one hand-written backward pass,
-``MlpLayout.backward``, run on what ``MlpLayout.forward_record`` keeps of
-a forward pass.  It writes the kernel and bias gradients into views of a
-buffer its caller owns, and forms the input adjoint only when asked.
-``MlpLayout.vjp_np`` wraps the pair for the metric queries.  The
-classifier's trainer calls the pair directly, and its input pullback asks
-for no parameter gradient.  The tests check every one of them against the same
-losses differentiated on an autodiff tape.
+A dense stack has one forward pass, ``MlpLayout.forward``, which keeps
+every layer's activation in a ``DenseRecord``, and one hand-written
+backward pass, ``MlpLayout.backward``, which reads each layer's
+derivative from its output.  The backward writes the kernel and bias
+gradients into views of a buffer its caller owns, and forms the input
+adjoint only when asked.  Readings, the metric queries, the classifier's
+trainer and its input pullback all run this pair; the tests check it
+against the same losses differentiated on an autodiff tape.
 """
 
 from __future__ import annotations
@@ -100,12 +100,13 @@ _NP_ACTS = {
     "linear": lambda x: x,
 }
 
-# Each activation's derivative from its pre-activation and its output.
-_NP_SLOPES = {
-    "relu": lambda pre, out: pre > 0,   # derivative 0 at the kink
-    "tanh": lambda pre, out: 1.0 - out * out,
-    "sigmoid": lambda pre, out: out * (1.0 - out),
-    "linear": lambda pre, out: 1.0,
+# Each activation's derivative from its output: relu's output is > 0
+# exactly where its input is, so its derivative is 0 at the kink.
+_NP_DERIVATIVES = {
+    "relu": lambda out: out > 0,
+    "tanh": lambda out: 1.0 - out * out,
+    "sigmoid": lambda out: out * (1.0 - out),
+    "linear": lambda out: 1.0,
 }
 
 
@@ -156,95 +157,59 @@ class MlpLayout:
     def pack(self, layers) -> np.ndarray:
         return np.concatenate([np.concatenate([k.ravel(), b]) for k, b in layers])
 
-    def forward_np(self, flat: np.ndarray, x: np.ndarray, upto_layer: int | None = None,
-                   from_layer: int = 0) -> np.ndarray:
-        """Plain numpy forward pass; ``upto_layer`` returns that layer's activation.
-
-        ``from_layer`` starts the pass at that layer, with ``x`` the
-        activation of the layer before it: the same operations in the same
-        order as the rest of a pass from the inputs, so the same bits.
-        """
-        h = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        for i, (kernel, bias) in enumerate(self.unpack(flat)[from_layer:], start=from_layer):
-            h = _NP_ACTS[self.activations[i]](h @ kernel + bias)
-            if upto_layer is not None and i == upto_layer:
-                return h
-        return h
-
-    def checked_layers(self, flat: np.ndarray, upto_layer: int | None = None):
-        """``unpack(flat)`` through layer ``upto_layer``; ``NonFiniteError``
-        when ``flat`` holds a NaN or infinity."""
-        layers = self.unpack(_checked(np.asarray(flat, dtype=np.float64), "parameters"))
-        return layers if upto_layer is None else layers[:upto_layer + 1]
-
-    def forward_record(self, layers, x: np.ndarray) -> DenseRecord:
+    def forward(self, layers, x: np.ndarray) -> DenseRecord:
         """Forward pass through ``layers``, (kernel, bias) pairs as from
-        ``unpack``, keeping each layer's input and activation slope for
-        ``backward``."""
+        ``unpack``, keeping every layer's activation for ``backward``."""
         h = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        inputs, slopes = [], []
+        activations = [h]
         for (kernel, bias), activation in zip(layers, self.activations):
-            inputs.append(h)
             pre = h @ kernel
             pre += bias
             h = _NP_ACTS[activation](pre)
-            slopes.append(_NP_SLOPES[activation](pre, h))
-        return DenseRecord(tuple(layers), inputs, slopes, h)
+            activations.append(h)
+        return DenseRecord(tuple(layers), activations)
 
     def backward(self, record: DenseRecord, output_adjoint: np.ndarray, grads=None,
                  input_adjoint: bool = False) -> np.ndarray | None:
         """Pull ``output_adjoint`` back through a recorded forward pass.
 
-        With ``grads``, (kernel, bias) views as from ``unpack`` of the
-        caller's buffer, each recorded layer's kernel and bias gradient of
-        ``<output_adjoint, output>`` is written into its views; the views of
-        layers past the record are left as they are.  The adjoint of the
-        inputs is computed and returned, checked finite, only with
-        ``input_adjoint``.
+        Each layer's derivative is read from its output.  With ``grads``,
+        (kernel, bias) views as from ``unpack`` of the caller's buffer, each
+        recorded layer's kernel and bias gradient of ``<output_adjoint,
+        output>`` is written into its views; the views of layers past the
+        record are left as they are.  The adjoint of the inputs is computed
+        and returned, checked finite, only with ``input_adjoint``.
         """
         adj = np.asarray(output_adjoint, dtype=np.float64)
         if adj.shape != record.output.shape:
             raise ValueError(f"adjoint of shape {adj.shape} does not match "
                              f"the output's {record.output.shape}")
         for i in reversed(range(len(record.layers))):
-            adj = adj * record.slopes[i]
+            adj = adj * _NP_DERIVATIVES[self.activations[i]](record.activations[i + 1])
             if grads is not None:
                 kernel_grad, bias_grad = grads[i]
-                np.matmul(record.inputs[i].T, adj, out=kernel_grad)
+                np.matmul(record.activations[i].T, adj, out=kernel_grad)
                 adj.sum(axis=0, out=bias_grad)
             if i or input_adjoint:
                 adj = adj @ record.layers[i][0].T
         return _checked(adj, "input gradient") if input_adjoint else None
 
-    def vjp_np(self, flat: np.ndarray, x: np.ndarray, upto_layer: int | None = None):
-        """Forward pass and its closed-form pullback.
-
-        Returns the output of ``forward_np(flat, x, upto_layer)`` and a
-        function that maps an output adjoint ``g`` to the gradients of
-        ``<g, output>``: the parameter gradient, shape (n_params,) and zero
-        for the layers past ``upto_layer``, and the input gradient, shaped
-        like the two-dimensional inputs.
-        """
-        record = self.forward_record(self.checked_layers(flat, upto_layer), x)
-
-        def pullback(output_adjoint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            grad = np.zeros(self.n_params)
-            input_grad = self.backward(record, output_adjoint, self.unpack(grad),
-                                       input_adjoint=True)
-            return _checked(grad, "parameter gradient"), input_grad
-
-        return record.output, pullback
-
 
 class DenseRecord(NamedTuple):
     """One forward pass of a dense stack, as ``MlpLayout.backward`` reads it:
-    the layers' (kernel, bias) views, each layer's input and activation
-    slope, and the output."""
+    the layers' (kernel, bias) views and the activations, the inputs first
+    and the output last."""
 
     layers: tuple
-    inputs: list
-    slopes: list
-    output: np.ndarray
+    activations: list
+
+    @property
+    def output(self) -> np.ndarray:
+        return self.activations[-1]
+
+    def upto(self, layer: int) -> DenseRecord:
+        """The pass cut after layer ``layer``, whose activation is its output."""
+        return DenseRecord(self.layers[:layer + 1], self.activations[:layer + 2])
 
 
 @dataclass(frozen=True)
@@ -317,13 +282,13 @@ class FcGan:
             raise ValueError(f"latent dimension mismatch: {latents.shape[1]} != {self.latent_dim}")
         if not np.all(np.isfinite(latents)):
             raise ValueError("latents must be finite")
-        return self.gen_net.forward_np(params[:self.dim_gen], latents)
+        return self.gen_net.forward(self.gen_net.unpack(params[:self.dim_gen]), latents).output
 
     def discriminator_logits(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.data_dim:
             raise ValueError(f"data dimension mismatch: {x.shape[1]} != {self.data_dim}")
-        return self.disc_net.forward_np(params[self.dim_gen:], x)[:, 0]
+        return self.disc_net.forward(self.disc_net.unpack(params[self.dim_gen:]), x).output[:, 0]
 
     def discriminator_forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
         return _logistic(self.discriminator_logits(params, x))
@@ -476,9 +441,10 @@ class FcGan:
         """Gradient of ``<sample_grads, generator_forward(params, latents)>``
         over all parameters; the discriminator block is exactly zero."""
         params = _checked(np.asarray(params, dtype=np.float64), "parameters")
-        _, pullback = self.gen_net.vjp_np(params[:self.dim_gen], latents)
-        gen_grad, _ = pullback(sample_grads)
-        return np.concatenate([gen_grad, np.zeros(self.dim_disc)])
+        net = self.gen_net
+        grad = np.zeros(self.dim_params)
+        net.backward(net.forward(net.unpack(params), latents), sample_grads, net.unpack(grad))
+        return _checked(grad, "generator_vjp")
 
     def expected_disc_loss(self, params: np.ndarray, latents: np.ndarray,
                            rows: np.ndarray) -> float:
@@ -499,20 +465,25 @@ class FcGan:
         adjoint.
         """
         params = _checked(np.asarray(params, dtype=np.float64), "parameters")
+        gen, disc = self.gen_net, self.disc_net
         gen_params, disc_params = self.split(params)
-        fake, gen_pullback = self.gen_net.vjp_np(gen_params, latents)
+        gen_record = gen.forward(gen.unpack(gen_params), latents)
+        fake = gen_record.output
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        logits, disc_pullback = self.disc_net.vjp_np(disc_params, np.concatenate([fake, rows]))
+        disc_record = disc.forward(disc.unpack(disc_params), np.concatenate([fake, rows]))
         n = len(fake)
         # Logit derivatives of the means: p / n on the generated samples
         # and (p - 1) / m on the m rows.
-        logit_adj = _logistic(logits)
+        logit_adj = _logistic(disc_record.output)
         logit_adj[:n] /= n
         logit_adj[n:] -= 1.0
         logit_adj[n:] /= len(rows)
-        disc_grad, input_adj = disc_pullback(logit_adj)
-        gen_grad, _ = gen_pullback(input_adj[:n])
-        return np.concatenate([gen_grad, disc_grad])
+        grad = np.empty(self.dim_params)
+        gen_grad, disc_grad = self.split(grad)
+        input_adj = disc.backward(disc_record, logit_adj, disc.unpack(disc_grad),
+                                  input_adjoint=True)
+        gen.backward(gen_record, input_adj[:n], gen.unpack(gen_grad))
+        return _checked(grad, "expected_disc_loss_gradient")
 
     def _layers(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
         """The four layers of a coupled vector as augmented views [W; b],

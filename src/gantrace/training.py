@@ -261,11 +261,16 @@ def save_trace(trace: TrainingTrace, directory) -> str:
     """Write the five arrays as ``.npy`` files, then the manifest with the
     format version and the checksum, which it returns.  The manifest goes
     last: an interrupted first save leaves none, and an interrupted
-    overwrite leaves arrays that fail the old manifest's checksum.  After
-    it, a version-1 trace's ``steps/`` and ``final.bin`` are deleted; any
-    other file in the directory stays."""
+    overwrite leaves arrays that fail the old manifest's checksum.  When
+    the manifest it replaces reads version 1, that trace's ``steps/`` and
+    ``final.bin`` are deleted after it; any other file in the directory
+    stays."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    try:
+        replaces_version_1 = json.loads((directory / "manifest.json").read_text())["version"] == 1
+    except (OSError, ValueError, KeyError, TypeError):
+        replaces_version_1 = False
     header = _header(trace)
     digest = _digest(header)
     for name, shape, pieces in _stored_arrays(trace):
@@ -277,9 +282,10 @@ def save_trace(trace: TrainingTrace, directory) -> str:
                 digest.update(piece)
     manifest = {**header, "version": TRACE_FORMAT_VERSION, "checksum": digest.hexdigest()}
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    if (directory / "steps").is_dir():
-        shutil.rmtree(directory / "steps")
-    (directory / "final.bin").unlink(missing_ok=True)
+    if replaces_version_1:
+        if (directory / "steps").is_dir():
+            shutil.rmtree(directory / "steps")
+        (directory / "final.bin").unlink(missing_ok=True)
     return manifest["checksum"]
 
 

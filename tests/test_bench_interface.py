@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import gantrace.autodiff
+import gantrace.metrics
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -58,3 +59,8 @@ def test_traced_calls_take_the_arguments_the_counters_bind(boundary):
 def test_vjp_counter_and_counted_product_are_callable():
     assert callable(gantrace.autodiff.vjp_gradient_call_count)
     assert callable(gantrace.autodiff.vjp_of_gradient)
+
+
+def test_wrapped_classifier_pullback_is_callable():
+    # The benchmark wraps this method by attribute, outside ``BOUNDARIES``.
+    assert callable(getattr(gantrace.metrics.Classifier, "input_pullback", None))

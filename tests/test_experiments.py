@@ -29,7 +29,7 @@ from gantrace.experiments import (
     write_scatter_data,
 )
 from gantrace.influence import infer_linear_influence
-from gantrace.metrics import MetricSpec, build_query_vector
+from gantrace.metrics import ClassifierSettings, MetricSpec, build_query_vector, load_classifier
 from gantrace.models import FcGan, NonFiniteError
 from gantrace.oracle import metric_deltas
 from gantrace.training import load_trace, trace_checksum
@@ -352,6 +352,47 @@ def test_cli_influence_rejects_a_damaged_stored_classifier(digits_trace, tmp_pat
     assert code == 1
     assert "checksum" in capsys.readouterr().err
     assert not (tmp_path / "scores.csv").exists()
+
+
+@pytest.mark.parametrize("field, value", [("feature_layer", None), ("sizes", None),
+                                          ("feature_layer", 2), ("feature_layer", -1)])
+def test_cli_influence_rejects_a_stored_classifier_manifest_it_cannot_use(
+        digits_trace, tmp_path, capsys, field, value):
+    trace = tmp_path / "trace"
+    shutil.copytree(digits_trace, trace)
+    path = trace / "classifier" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    if value is None:
+        del manifest[field]
+    else:
+        manifest[field] = value
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="classifier manifest" if value is None else
+                       "not a hidden layer"):
+        load_classifier(trace / "classifier")
+    code = cli_main(["influence", "--config", str(CONFIGS / "digits8_smoke.ini"),
+                     "--trace", str(trace), "--out", str(tmp_path / "scores.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    if value is None:
+        assert str(trace / "classifier") in err and field in err
+    assert not (tmp_path / "scores.csv").exists()
+
+
+@pytest.mark.parametrize("feature_layer", [2, 5, -1])
+def test_feature_layer_outside_the_hidden_layers_is_refused(tmp_path, capsys, feature_layer):
+    overrides = {"evaluation.feature_layer": str(feature_layer)}
+    with pytest.raises(ValueError, match="not a hidden layer"):
+        load_config(CONFIGS / "digits8_smoke.ini", overrides)
+    with pytest.raises(ValueError, match="not a hidden layer"):
+        ClassifierSettings(hidden=(64, 32), feature_layer=feature_layer)
+    path = tmp_path / "digits.ini"
+    path.write_text((CONFIGS / "digits8_smoke.ini").read_text().replace(
+        "feature_layer = 1", f"feature_layer = {feature_layer}"))
+    assert cli_main(["train", "--config", str(path), "--out", str(tmp_path / "trace")]) == 1
+    assert "not a hidden layer" in capsys.readouterr().err
+    assert not (tmp_path / "trace").exists()
 
 
 def test_stored_classifier_leaves_the_trace_alone(digits_trace, tmp_path):

@@ -6,12 +6,12 @@ the graph builders; the closed forms must match it to 1e-12 relative in
 every regime the relu convention distinguishes and at a saturated
 discriminator, and the scores read off the product must equal a separate
 score pass bit for bit.  The
-dense-stack backward (``MlpLayout.vjp_np``) and the classifier built on it
-are checked against the ``tape_*`` references the same way, and the
-classifier trainer bit for bit against the per-step loop
-``loop_train_classifier``.  The vectorized
-permutation test is checked against a loop over ``scipy.stats.kendalltau``
-and its orders against row-by-row draws, and the blocked KDE against
+dense-stack forward and backward (``MlpLayout.forward`` and
+``MlpLayout.backward``) and the classifier built on them are checked
+against the ``tape_*`` references the same way, and the classifier trainer
+bit for bit against the per-step loop ``loop_train_classifier``.  The
+vectorized permutation test is checked against a loop over
+``scipy.stats.kendalltau`` and its orders against row-by-row draws, and the blocked KDE against
 the dense ``dense_*`` references, which build the whole kernel matrix.
 The FID value and query that read a context's cached reference fit are
 checked against the uncached forms.  ``FcGan``'s kernels, which write
@@ -49,6 +49,7 @@ from gantrace.metrics import (
     build_query_vector,
     fid,
     generator_pullback,
+    metric_gradient_wrt_generated,
     metric_value,
     train_classifier,
 )
@@ -69,6 +70,7 @@ from toys import (
     dense_average_log_likelihood,
     loop_permutation_test_tau,
     loop_train_classifier,
+    mlp_graph,
     scaled_kde_blocks,
     tape_input_pullback,
     tape_mlp_vjp,
@@ -159,8 +161,9 @@ def test_closed_form_matches_tape(objective, scenario):
         else:
             assert gen_loss_grad.any()
     if edit is dead_relus:
-        gen_hidden = gan.gen_net.forward_np(params[:gan.dim_gen], latents, upto_layer=0)
-        disc_hidden = gan.disc_net.forward_np(params[gan.dim_gen:], rows, upto_layer=0)
+        gen_net, disc_net = gan.gen_net, gan.disc_net
+        gen_hidden = gen_net.forward(gen_net.unpack(params[:gan.dim_gen]), latents).activations[1]
+        disc_hidden = disc_net.forward(disc_net.unpack(params[gan.dim_gen:]), rows).activations[1]
         assert not gen_hidden[:, :HIDDEN_GEN // 2].any()
         assert not disc_hidden[:, :HIDDEN_DISC // 2].any()
 
@@ -471,25 +474,33 @@ def test_mlp_vjp_matches_tape(activation, upto_layer, n_rows, dead):
         bias = layout.spans[1][0]
         params[bias:bias + 3] = -50.0
     x = rng.standard_normal((n_rows, 4))
-    output, pullback = layout.vjp_np(params, x, upto_layer=upto_layer)
-    assert np.array_equal(output, layout.forward_np(params, x, upto_layer=upto_layer))
-    adjoint = rng.standard_normal(output.shape)
-    param_grad, input_grad = pullback(adjoint)
-    ref_param, ref_input = tape_mlp_vjp(layout, params, x, adjoint, upto_layer)
-    assert_matches(param_grad, ref_param)
-    assert_matches(input_grad, ref_input)
+    record = layout.forward(layout.unpack(params), x)
     if upto_layer is not None:
-        assert not param_grad[layout.spans[2 * upto_layer + 2][0]:].any()
+        record = record.upto(upto_layer)
+    assert_matches(record.output, mlp_graph(layout, tape.Tensor(params), 0, x, upto_layer).data)
+    adjoint = rng.standard_normal(record.output.shape)
+    # The gradient views of layers past the record are left as they are.
+    param_grad = np.full(layout.n_params, 7.0)
+    input_grad = layout.backward(record, adjoint, layout.unpack(param_grad),
+                                 input_adjoint=True)
+    ref_param, ref_input = tape_mlp_vjp(layout, params, x, adjoint, upto_layer)
+    cut = layout.n_params if upto_layer is None else layout.spans[2 * upto_layer + 2][0]
+    assert_matches(param_grad[:cut], ref_param[:cut])
+    assert not ref_param[cut:].any() and np.all(param_grad[cut:] == 7.0)
+    assert_matches(input_grad, ref_input)
     if dead and activation == "relu":
-        assert not layout.forward_np(params, x, upto_layer=0)[:, :3].any()
+        assert not record.activations[1][:, :3].any()
 
 
 def test_mlp_vjp_rejects_a_misshapen_adjoint():
     layout = MlpLayout((4, 6, 3), ("tanh", "linear"))
     rng = np.random.default_rng(31)
-    _, pullback = layout.vjp_np(layout.init_params(rng), rng.standard_normal((5, 4)))
+    params = layout.init_params(rng)
+    record = layout.forward(layout.unpack(params), rng.standard_normal((5, 4)))
     with pytest.raises(ValueError, match="does not match"):
-        pullback(np.ones((5, 1)))
+        layout.backward(record, np.ones((5, 1)), layout.unpack(np.empty_like(params)))
+    with pytest.raises(ValueError, match="does not match"):
+        layout.backward(record.upto(0), np.ones((5, 3)), input_adjoint=True)
 
 
 # -- classifier and metric queries ----------------------------------------------------
@@ -565,7 +576,7 @@ def test_input_pullback_matches_tape(layer):
     x = rng.standard_normal((9, 5))
     width = clf.n_classes if layer == "logits" else 4
     grads = rng.standard_normal((9, width))
-    assert_matches(clf.input_pullback(x, grads, layer),
+    assert_matches(clf.input_pullback(clf.record(x), grads, layer),
                    tape_input_pullback(clf, x, grads, layer))
 
 
@@ -671,7 +682,11 @@ def test_classifier_pullback_refuses_non_finite_parameters(bad):
     clf.params[-1] = bad
     x = np.random.default_rng(36).standard_normal((3, 5))
     with pytest.raises(NonFiniteError):
-        clf.input_pullback(x, np.ones((3, clf.n_classes)), "logits")
+        clf.input_pullback(clf.record(x), np.ones((3, clf.n_classes)), "logits")
+    for kind in ("is", "fid"):
+        with pytest.raises(NonFiniteError):
+            metric_gradient_wrt_generated(MetricSpec(kind), x,
+                                          MetricContext(real_data=x, classifier=clf))
 
 
 # -- vectorized permutation test --------------------------------------------------------
@@ -1074,21 +1089,43 @@ def test_fid_reference_features_are_computed_once(tiny_digits_run, monkeypatch):
     problem, run = tiny_digits_run
     context = MetricContext(real_data=run.context.real_data,
                             classifier=run.context.classifier)
-    features = context.classifier.features
-    reference_calls = []
+    layout = context.classifier.layout
+    forward = layout.forward
+    reference_passes = []
 
-    def counting_features(x):
-        reference_calls.append(x is context.real_data)
-        return features(x)
+    def counting_forward(layers, x):
+        reference_passes.append(x is context.real_data)
+        return forward(layers, x)
 
-    monkeypatch.setattr(context.classifier, "features", counting_features)
+    monkeypatch.setattr(layout, "forward", counting_forward)
     rng = np.random.default_rng(45)
     params = run.trace.final_params
     for _ in range(3):
         latents = rng.standard_normal(run.reference_latents.shape)
         metric_value(MetricSpec("fid"), problem, params, latents, context)
         build_query_vector(MetricSpec("fid"), problem, params, latents, context)
-    assert sum(reference_calls) == 1 and len(reference_calls) == 7
+    # One pass over the reference set for its fit, and one over each of the
+    # six generated sets.
+    assert sum(reference_passes) == 1 and len(reference_passes) == 7
+
+
+@pytest.mark.parametrize("kind", ["is", "fid"])
+def test_a_classifier_query_runs_one_classifier_forward(tiny_digits_run, monkeypatch, kind):
+    problem, run = tiny_digits_run
+    run.context.fid_reference  # fits the reference side before the count starts
+    layout = run.context.classifier.layout
+    forward = layout.forward
+    inputs = []
+
+    def counting_forward(layers, x):
+        inputs.append(x)
+        return forward(layers, x)
+
+    monkeypatch.setattr(layout, "forward", counting_forward)
+    build_query_vector(MetricSpec(kind), problem, run.trace.final_params,
+                       run.reference_latents, run.context)
+    # The reading and the pullback share one record of the generated samples.
+    assert [len(x) for x in inputs] == [len(run.reference_latents)]
 
 
 def test_metric_context_is_frozen(tiny_digits_run):

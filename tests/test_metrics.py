@@ -4,6 +4,7 @@ import pytest
 from gantrace.metrics import (
     Classifier,
     ClassifierSettings,
+    GeneratedSet,
     MetricContext,
     MetricSpec,
     average_log_likelihood,
@@ -290,7 +291,7 @@ def test_untrained_classifier_posteriors_near_uniform():
     data = rng.standard_normal((30, 4))
     labels = rng.integers(0, 3, size=30)
     clf = train_classifier(data, labels, ClassifierSettings(hidden=(8, 6), epochs=0), seed=5)
-    posteriors = clf.posteriors(data)
+    posteriors = GeneratedSet(data, clf).posteriors
     # Initialization-scale logits: no confident class, small mean deviation
     # from the uniform distribution.
     assert posteriors.max() < 0.9

@@ -58,7 +58,7 @@ def test_identity_like_linear_generator_returns_weight_column():
     layout = MlpLayout((3, 2), ("linear",))
     kernel = np.array([[1.5, -2.0], [0.0, 3.0], [4.0, 0.5]])
     flat = layout.pack([(kernel, np.zeros(2))])
-    out = layout.forward_np(flat, np.array([[1.0, 0.0, 0.0]]))
+    out = layout.forward(layout.unpack(flat), np.array([[1.0, 0.0, 0.0]])).output
     assert np.array_equal(out[0], kernel[0])
 
 

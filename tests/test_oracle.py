@@ -212,18 +212,19 @@ def test_readings_run_one_classifier_pass_per_sample_set(gan, trained, monkeypat
     context.fid_reference  # fits the reference side before the count starts
     specs = [MetricSpec("all"), MetricSpec("is"), MetricSpec("fid"), MetricSpec("disc_loss")]
     layout = context.classifier.layout
-    forward = layout.forward_np
-    starts = []
+    forward = layout.forward
+    inputs = []
 
-    def counting(flat, x, upto_layer=None, from_layer=0):
-        starts.append(from_layer)
-        return forward(flat, x, upto_layer, from_layer)
+    def counting(layers, x):
+        inputs.append(x)
+        return forward(layers, x)
 
-    monkeypatch.setattr(layout, "forward_np", counting)
+    monkeypatch.setattr(layout, "forward", counting)
     read = gantrace.oracle.metric_reader(gan, trace.final_params, specs, latents, context)
     readings = {spec.kind: read(spec) for spec in specs}
-    # One pass from the inputs; the inception score goes on from the features.
-    assert starts == [0, context.classifier.feature_layer + 1]
+    # One pass over the generated samples serves the FID's features and the
+    # inception score's posteriors.
+    assert [len(x) for x in inputs] == [len(latents)]
     monkeypatch.undo()
     for spec in specs:
         alone = metric_value(spec, gan, trace.final_params, latents, context)

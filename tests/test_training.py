@@ -241,3 +241,19 @@ def test_save_over_a_version_1_trace_removes_only_its_files(gan, data, tmp_path)
         "notes.txt", "params.npy", "rates.npy"]
     assert (directory / "notes.txt").read_text() == "kept"
     assert trace_checksum(load_trace(directory)) == trace_checksum(trace)
+
+
+@pytest.mark.parametrize("manifest", [None, "version_2"])
+def test_save_keeps_steps_and_final_bin_of_no_version_1_trace(gan, data, tmp_path, manifest):
+    settings = TrainingSettings(epochs=2, batch_size=7, lr_gen=1e-3, lr_disc=1e-3, seed=15)
+    trace = run_training(gan, data, settings)
+    directory = tmp_path / "out"
+    if manifest == "version_2":
+        save_trace(trace, directory)
+    (directory / "steps").mkdir(parents=True)
+    (directory / "steps" / "my_notes.txt").write_text("mine")
+    (directory / "final.bin").write_bytes(b"mine too")
+    save_trace(trace, directory)
+    assert (directory / "steps" / "my_notes.txt").read_text() == "mine"
+    assert (directory / "final.bin").read_bytes() == b"mine too"
+    assert trace_checksum(load_trace(directory)) == trace_checksum(trace)

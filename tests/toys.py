@@ -75,8 +75,9 @@ _GRAPH_ACTS = {
 
 
 def mlp_graph(layout, theta, base, x, upto_layer=None):
-    """``layout.forward_np`` on the tape, reading the stack's parameters from
-    ``theta`` at offset ``base``; ``x`` is an array or a tensor."""
+    """``layout.forward`` on the tape, cut after layer ``upto_layer`` when
+    one is given, reading the stack's parameters from ``theta`` at offset
+    ``base``; ``x`` is an array or a tensor."""
     h = x if isinstance(x, Tensor) else constant(np.atleast_2d(np.asarray(x, dtype=np.float64)))
     for i in range(0, len(layout.spans), 2):
         k_off, k_shape = layout.spans[i]
@@ -551,14 +552,15 @@ def tape_train_classifier(data, labels, settings, seed=0):
             if not np.isfinite(peak) or peak > 1e6:
                 raise DivergenceError("classifier training diverged")
     clf = Classifier(layout, params, n_classes, settings.feature_layer)
-    clf.train_accuracy = float((clf.logits(data).argmax(axis=1) == labels).mean())
+    clf.train_accuracy = float((clf.record(data).output.argmax(axis=1) == labels).mean())
     return clf
 
 
 def loop_train_classifier(data, labels, settings, seed=0):
-    """``metrics.train_classifier`` as a plain loop: a fresh ``vjp_np``
-    closure, gathered batch and gradient vector per step, SciPy's softmax
-    and an out-of-place update.  The trainer must match it bit for bit."""
+    """``metrics.train_classifier`` as a plain loop: fresh layer views, a
+    fresh forward record, gathered batch and zeroed gradient vector per
+    step, SciPy's softmax and an out-of-place update.  The trainer must
+    match it bit for bit."""
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
     n_classes = int(labels.max()) + 1
@@ -572,14 +574,16 @@ def loop_train_classifier(data, labels, settings, seed=0):
         order = shuffle_rng.permutation(len(data))
         for start in range(0, len(data), settings.batch_size):
             batch = order[start:start + settings.batch_size]
-            logits, pullback = layout.vjp_np(params, data[batch])
-            grad, _ = pullback((np_softmax(logits, axis=1) - onehot[batch]) / len(batch))
-            params = params - settings.lr * grad
+            record = layout.forward(layout.unpack(params), data[batch])
+            grad = np.zeros(layout.n_params)
+            layout.backward(record, (np_softmax(record.output, axis=1) - onehot[batch])
+                            / len(batch), layout.unpack(grad))
+            params = params - settings.lr * _checked(grad, "parameter gradient")
             peak = np.max(np.abs(params))
             if not np.isfinite(peak) or peak > 1e6:
                 raise DivergenceError("classifier training diverged")
     clf = Classifier(layout, params, n_classes, settings.feature_layer)
-    clf.train_accuracy = float((clf.logits(data).argmax(axis=1) == labels).mean())
+    clf.train_accuracy = float((clf.record(data).output.argmax(axis=1) == labels).mean())
     return clf
 
 
@@ -697,7 +701,8 @@ def uncached_fid_gradient(generated, classifier, real_data):
     sigma_grad = 0.5 * (sigma_grad + sigma_grad.T)
     mean_part = (2.0 / n) * (mu2 - mu1)[None, :]
     cov_part = (2.0 / (n - 1)) * (gen_feats - mu2) @ sigma_grad
-    return classifier.input_pullback(generated, mean_part + cov_part, layer="features")
+    return classifier.input_pullback(classifier.record(generated), mean_part + cov_part,
+                                     layer="features")
 
 
 class QuadraticGameProblem(TapeGradients):
