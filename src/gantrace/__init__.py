@@ -14,8 +14,6 @@ from .metrics import (
     MetricSpec,
     average_log_likelihood,
     build_query_vector,
-    fid,
-    inception_score,
     metric_value,
     train_classifier,
 )

@@ -17,11 +17,6 @@ def vjp_gradient_call_count() -> int:
     return _vjp_gradient_calls
 
 
-def reset_vjp_gradient_call_count() -> None:
-    global _vjp_gradient_calls
-    _vjp_gradient_calls = 0
-
-
 def vjp_of_gradient(problem, vector: np.ndarray, params: np.ndarray, latents: np.ndarray,
                     data_rows: np.ndarray, denom: int) -> tuple[np.ndarray, np.ndarray]:
     """``vector^T J`` for the Jacobian ``J`` of ``problem.joint_gradient``

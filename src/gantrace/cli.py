@@ -14,10 +14,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, _split_ints, load_config
 from .experiments import (
+    CLASSIFIER_DIR,
+    CleansingReport,
+    CleansingRow,
     draw_targets,
+    estimates_and_truths,
     evaluation_context,
+    load_seed_run,
     prepare_seed_run,
     run_data_cleansing,
     run_estimation_accuracy,
@@ -27,16 +32,10 @@ from .experiments import (
     write_cleansing_report,
     write_scatter_data,
 )
-from .influence import infer_linear_influence, save_influence_csv, save_influence_json
-from .metrics import MetricSpec, build_query_vector, save_classifier
+from .influence import save_influence_csv, save_influence_json
+from .metrics import MetricSpec, save_classifier
 from .models import NonFiniteError
-from .oracle import metric_deltas
-from .training import DivergenceError, load_trace, run_training, save_trace
-
-
-# Where ``train`` stores the seed's IS/FID classifier inside the trace
-# directory, for ``influence`` and ``oracle`` to load instead of retraining.
-CLASSIFIER_DIR = "classifier"
+from .training import DivergenceError, run_training, save_trace
 
 
 class UsageError(RuntimeError):
@@ -107,15 +106,10 @@ def _load(args) -> ExperimentConfig:
     return load_config(args.config, overrides)
 
 
-def _prepared(config: ExperimentConfig):
-    data, _, fingerprint = seed_dataset(config, config.training.seed)
-    return config.problem(), data, fingerprint
-
-
 def _cmd_train(args) -> int:
     config = _load(args)
-    problem, data, fingerprint = _prepared(config)
-    trace = run_training(problem, data, config.training, fingerprint=fingerprint)
+    data, _, fingerprint = seed_dataset(config, config.training.seed)
+    trace = run_training(config.problem(), data, config.training, fingerprint=fingerprint)
     checksum = save_trace(trace, args.out)
     if config.uses_classifier:
         _, context = evaluation_context(config, config.training.seed)
@@ -125,34 +119,15 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_matching_trace(args, config: ExperimentConfig):
-    """The stored trace with its dataset and evaluation context; the context
-    loads the classifier ``train`` stored beside the trace."""
-    problem, data, fingerprint = _prepared(config)
-    trace = load_trace(args.trace)
-    if trace.fingerprint != fingerprint:
-        raise UsageError(
-            f"trace fingerprint {trace.fingerprint[:12]}... does not match the "
-            f"config fingerprint {fingerprint[:12]}...; refusing to mix them")
-    latents, context = evaluation_context(config, config.training.seed,
-                                          Path(args.trace) / CLASSIFIER_DIR)
-    return problem, data, trace, latents, context
-
-
 def _cmd_influence(args) -> int:
     config = _load(args)
     kind = args.metric or config.metrics[0]
     if kind not in config.metrics:
         raise UsageError(f"--metric {kind} is not a configured metric; "
                          f"the config has {', '.join(config.metrics)}")
-    problem, data, trace, latents, context = _load_matching_trace(args, config)
-    spec = MetricSpec(kind, bandwidth=config.bandwidth)
-    query = build_query_vector(spec, problem, trace.final_params, latents, context)
-    targets = None
-    if args.targets is not None:
-        targets = draw_targets(config, config.training.seed, args.targets)
-    table = infer_linear_influence(problem, trace, data, query,
-                                   targets=targets, k_epochs=args.k)
+    run = load_seed_run(config, args.trace)
+    targets = None if args.targets is None else draw_targets(config, run.seed, args.targets)
+    table = run.influence(MetricSpec(kind, bandwidth=config.bandwidth), args.k, targets)
     save_influence_csv(table, args.out)
     save_influence_json(table, str(Path(args.out).with_suffix(".json")))
     print(f"influence table: {args.out} ({len(table.scores)} instances, metric {kind})")
@@ -161,24 +136,18 @@ def _cmd_influence(args) -> int:
 
 def _cmd_oracle(args) -> int:
     config = _load(args)
-    problem, data, trace, latents, context = _load_matching_trace(args, config)
-    targets = draw_targets(config, config.training.seed, args.targets)
+    run = load_seed_run(config, args.trace)
+    targets = draw_targets(config, run.seed, args.targets)
     specs = config.metric_specs()
-    queries = {spec.kind: build_query_vector(spec, problem, trace.final_params,
-                                             latents, context)
-               for spec in specs}
-    tables = {spec.kind: infer_linear_influence(problem, trace, data, queries[spec.kind],
-                                                targets=targets, k_epochs=args.k)
-              for spec in specs}
-    truths = metric_deltas(problem, trace, data, targets, args.k, specs, latents, context)
+    compared = estimates_and_truths(run, specs, targets, args.k)
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["index", "metric", "true_influence", "estimated_influence"])
         for position, target in enumerate(targets):
             for spec in specs:
-                writer.writerow([int(target), spec.kind,
-                                 repr(float(truths[spec.kind][position])),
-                                 repr(float(tables[spec.kind].scores[int(target)]))])
+                estimates, truths = compared[spec.kind]
+                writer.writerow([int(target), spec.kind, repr(float(truths[position])),
+                                 repr(float(estimates[position]))])
     print(f"oracle results: {args.out} ({len(targets)} targets)")
     return 0
 
@@ -186,8 +155,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_accuracy(args) -> int:
     config = _load(args)
     if args.k is not None:
-        ks = tuple(int(part) for part in str(args.k).split(",") if part.strip())
-        config = replace(config, k_epochs=ks)
+        config = replace(config, k_epochs=_split_ints(args.k))
     if args.targets is not None:
         config = replace(config, n_targets=args.targets)
     seeds = list(range(config.training.seed, config.training.seed + args.seeds))
@@ -202,12 +170,10 @@ def _cmd_accuracy(args) -> int:
 def _cmd_cleanse(args) -> int:
     config = _load(args)
     if args.n_harmful is not None:
-        sizes = tuple(int(part) for part in str(args.n_harmful).split(",") if part.strip())
-        config = replace(config, n_harmful=sizes)
-    seeds = None
+        config = replace(config, n_harmful=_split_ints(args.n_harmful))
     if args.seeds is not None:
-        seeds = list(range(config.training.seed, config.training.seed + args.seeds))
-    report = run_data_cleansing(config, seeds=seeds)
+        config = replace(config, n_seeds=args.seeds)
+    report = run_data_cleansing(config)
     write_cleansing_report(report, args.out)
     write_cleansing_curves(report, Path(args.out) / "curves.csv")
     for row in report.rows:
@@ -224,19 +190,14 @@ def _cmd_report(args) -> int:
     emitted = []
     cleansing_json = source / "cleansing.json"
     if cleansing_json.exists():
-        from .experiments import CleansingReport, CleansingRow
-
         payload = json.loads(cleansing_json.read_text())
         report = CleansingReport(rows=[CleansingRow(**row) for row in payload["rows"]])
         write_cleansing_curves(report, out / "cleansing_curves.csv")
         emitted.append("cleansing_curves.csv")
     if config.dataset.kind == "normal2d":
         run = prepare_seed_run(config, config.training.seed)
-        problem = config.problem()
         spec = config.metric_specs()[0]
-        query = build_query_vector(spec, problem, run.trace.final_params,
-                                   run.reference_latents, run.context)
-        table = infer_linear_influence(problem, run.trace, run.dataset, query, k_epochs=1)
+        table = run.influence(spec, k_epochs=1)
         write_scatter_data(table, run.dataset, spec, out / "harmfulness_scatter.csv")
         emitted.append("harmfulness_scatter.csv")
     if not emitted:
@@ -260,7 +221,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (UsageError, FileNotFoundError, ValueError) as exc:
+    except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DivergenceError, NonFiniteError) as exc:

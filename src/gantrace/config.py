@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -19,6 +19,8 @@ from .datasets import GLYPH_SIDE, load_idx_images, make_digit_images, sample_nor
 from .metrics import ClassifierSettings, MetricSpec
 from .models import FcGan, GanArchitecture
 from .training import TrainingSettings
+
+SELECTION_METHODS = ("influence", "disc_loss", "random")
 
 
 @dataclass(frozen=True)
@@ -59,10 +61,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if any(k < 1 or k > self.training.epochs for k in self.k_epochs):
             raise ValueError("every k must satisfy 1 <= k <= epochs")
-        if any(n >= self.dataset.n_train for n in self.n_harmful):
-            raise ValueError("n_harmful entries must be smaller than the dataset")
+        if any(n < 0 or n >= self.dataset.n_train for n in self.n_harmful):
+            raise ValueError("n_harmful entries must be non-negative and smaller than "
+                             "the dataset")
         if self.n_targets < 2:
             raise ValueError("need at least two targets")
+        if self.n_permutations < 1:
+            raise ValueError("n_permutations must be positive")
+        self.metric_specs()   # refuses an unknown metric kind
+        unknown = sorted(set(self.methods) - set(SELECTION_METHODS))
+        if unknown:
+            raise ValueError(f"unknown selection methods {unknown}; "
+                             f"choose from {', '.join(SELECTION_METHODS)}")
 
     def metric_specs(self) -> list[MetricSpec]:
         return [MetricSpec(kind, bandwidth=self.bandwidth) for kind in self.metrics]
@@ -98,34 +108,14 @@ def synthesize_dataset(spec: DatasetSpec, size: int, rng: np.random.Generator,
 
 
 def trace_fingerprint(config: ExperimentConfig, data_checksum: str) -> str:
-    """Hash of everything that determines the training run."""
-    payload = {
-        "dataset": {
-            "kind": config.dataset.kind,
-            "n_train": config.dataset.n_train,
-            "n_classes": config.dataset.n_classes,
-            "noise": config.dataset.noise,
-            "side": config.dataset.side,
-            "checksum": data_checksum,
-        },
-        "architecture": {
-            "latent_dim": config.architecture.latent_dim,
-            "data_dim": config.architecture.data_dim,
-            "hidden_gen": config.architecture.hidden_gen,
-            "hidden_disc": config.architecture.hidden_disc,
-            "l2_rate": config.architecture.l2_rate,
-            "objective": config.architecture.objective,
-        },
-        "training": {
-            "epochs": config.training.epochs,
-            "batch_size": config.training.batch_size,
-            "lr_gen": config.training.lr_gen,
-            "lr_disc": config.training.lr_disc,
-            "mode": config.training.mode,
-            "first_update": config.training.first_update,
-            "seed": config.training.seed,
-        },
-    }
+    """Hash of everything that determines the training run: every field of
+    the architecture and of the training settings, and every field of the
+    dataset spec but its file paths, for which the data checksum stands."""
+    dataset = {key: value for key, value in asdict(config.dataset).items()
+               if not key.endswith("_path")}
+    payload = {"dataset": {**dataset, "checksum": data_checksum},
+               "architecture": asdict(config.architecture),
+               "training": asdict(config.training)}
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 

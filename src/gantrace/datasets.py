@@ -17,14 +17,12 @@ NORMAL2D_MEAN = np.array([1.0, 1.0])
 NORMAL2D_COV = np.array([[1.0, 0.8], [0.8, 1.0]])
 
 
-def sample_normal2d(n: int, rng: np.random.Generator,
-                    mean: np.ndarray = NORMAL2D_MEAN,
-                    cov: np.ndarray = NORMAL2D_COV) -> np.ndarray:
-    """IID draws via the Cholesky factor of the covariance."""
+def sample_normal2d(n: int, rng: np.random.Generator) -> np.ndarray:
+    """IID draws of the correlated bivariate normal via the Cholesky factor
+    of its covariance."""
     if n < 1:
         raise ValueError("need at least one sample")
-    chol = np.linalg.cholesky(np.asarray(cov, dtype=np.float64))
-    return np.asarray(mean, dtype=np.float64) + rng.standard_normal((n, len(mean))) @ chol.T
+    return NORMAL2D_MEAN + rng.standard_normal((n, 2)) @ np.linalg.cholesky(NORMAL2D_COV).T
 
 
 # 8x8 glyphs for the image-toy track, one per digit class.  Values are

@@ -1,12 +1,12 @@
 """Experiment pipelines: estimation accuracy and data cleansing.
 
-Both experiments share the same per-seed recipe: synthesize a dataset,
-train while recording the trace, build metric query vectors, estimate
-per-instance influence from the trace, and compare against counterfactual
-re-runs.  Accuracy is scored with rank statistics (Kendall's tau and the
-Jaccard overlap of critical sets) against a permutation null; cleansing
-removes the estimated harmful set, re-runs the final epoch and reads the
-test metric before and after.
+Both experiments and the CLI run one per-seed chain on a ``SeedRun``,
+which ``prepare_seed_run`` trains and ``load_seed_run`` loads from a stored
+trace: ``SeedRun.influence`` sweeps a metric's query through the trace, and
+``estimates_and_truths`` sets the estimates beside the oracle's deltas.
+Accuracy is scored with rank statistics (Kendall's tau and the Jaccard
+overlap of critical sets) against a permutation null; cleansing removes the
+estimated harmful set, re-runs the final epoch and reads the test metric.
 
 Randomness is threaded through named streams derived from the experiment
 seed, so every report row is reproducible from (config, seed).  Each draw
@@ -42,8 +42,9 @@ from .metrics import (
     load_classifier,
     train_classifier,
 )
+from .models import FcGan
 from .oracle import counterfactual_retrain, final_readings, metric_deltas, metric_reader
-from .training import TrainingTrace, run_training
+from .training import TrainingTrace, load_trace, run_training
 
 _STREAMS = {"dataset": 11, "reference": 13, "targets": 17, "test": 19,
             "random_select": 23, "permutation": 29, "classifier_data": 31}
@@ -183,15 +184,34 @@ def sign_test_greater(differences) -> float:
 
 # -- shared per-seed setup -------------------------------------------------------
 
+# Where ``gantrace train`` stores the seed's IS/FID classifier inside the
+# trace directory, for ``load_seed_run`` to load instead of retraining.
+CLASSIFIER_DIR = "classifier"
+
+
 @dataclass
 class SeedRun:
+    """One seed's trace with the problem its sweeps and replays run, the
+    training set it was recorded on, and its evaluation side."""
+
     seed: int
+    problem: FcGan
     dataset: np.ndarray
-    labels: np.ndarray | None
     trace: TrainingTrace
     reference_latents: np.ndarray
     context: MetricContext
     fingerprint: str
+    _queries: dict = field(default_factory=dict, init=False, repr=False)
+
+    def influence(self, spec: MetricSpec, k_epochs: int | None,
+                  targets=None) -> InfluenceTable:
+        """The metric's query at the final parameters on the reference set,
+        built once per run, swept through the last ``k_epochs`` epochs."""
+        if spec not in self._queries:
+            self._queries[spec] = build_query_vector(spec, self.problem, self.trace.final_params,
+                                                     self.reference_latents, self.context)
+        return infer_linear_influence(self.problem, self.trace, self.dataset,
+                                      self._queries[spec], targets=targets, k_epochs=k_epochs)
 
 
 def seed_dataset(config: ExperimentConfig, seed: int
@@ -205,14 +225,28 @@ def seed_dataset(config: ExperimentConfig, seed: int
 
 def prepare_seed_run(config: ExperimentConfig, seed: int) -> SeedRun:
     """Train one trace and assemble the evaluation side for a seed."""
-    problem = config.problem()
-    data, labels, fingerprint = seed_dataset(config, seed)
-    training = replace(config.training, seed=seed)
-    trace = run_training(problem, data, training, fingerprint=fingerprint)
+    data, _, fingerprint = seed_dataset(config, seed)
+    trace = run_training(config.problem(), data, replace(config.training, seed=seed),
+                         fingerprint=fingerprint)
     reference_latents, context = evaluation_context(config, seed)
-    return SeedRun(seed=seed, dataset=data, labels=labels, trace=trace,
-                   reference_latents=reference_latents, context=context,
-                   fingerprint=fingerprint)
+    return SeedRun(seed, config.problem(), data, trace, reference_latents, context, fingerprint)
+
+
+def load_seed_run(config: ExperimentConfig, trace_dir) -> SeedRun:
+    """The run of the config's training seed from the trace stored in
+    ``trace_dir``, retraining nothing: the classifier stored beside the
+    trace is loaded when its key matches.  ``ValueError`` when the trace's
+    fingerprint is not the config's."""
+    seed = config.training.seed
+    data, _, fingerprint = seed_dataset(config, seed)
+    trace = load_trace(trace_dir)
+    if trace.fingerprint != fingerprint:
+        raise ValueError(
+            f"trace fingerprint {trace.fingerprint[:12]}... does not match the "
+            f"config fingerprint {fingerprint[:12]}...; refusing to mix them")
+    reference_latents, context = evaluation_context(config, seed,
+                                                    Path(trace_dir) / CLASSIFIER_DIR)
+    return SeedRun(seed, config.problem(), data, trace, reference_latents, context, fingerprint)
 
 
 def evaluation_context(config: ExperimentConfig, seed: int, stored_classifier=None
@@ -286,50 +320,48 @@ class AccuracyReport:
     rows: list[AccuracyRow] = field(default_factory=list)
     fingerprints: dict[int, str] = field(default_factory=dict)
 
-    def mean_tau(self, metric: str, k: int) -> float:
-        taus = [r.tau for r in self.rows if r.metric == metric and r.k_epochs == k]
-        return float(np.mean(taus))
 
+def estimates_and_truths(run: SeedRun, specs, targets, k_epochs: int | None,
+                         baselines: dict[str, float] | None = None
+                         ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each metric's estimated influence of every target at depth
+    ``k_epochs`` and its true metric delta, both aligned with ``targets``,
+    by kind.
 
-def run_estimation_accuracy(config: ExperimentConfig, seeds=None,
-                            self_test: bool = False) -> AccuracyReport:
-    """Estimate influence for sampled targets and score it against the oracle.
-
-    With ``self_test`` the oracle values stand in for the estimates, which
-    must produce perfect rank agreement; it validates the scoring path.
+    One replay per target serves every metric and one sweep per metric
+    scores every target; ``baselines`` is as for ``metric_deltas``.
     """
+    truths = metric_deltas(run.problem, run.trace, run.dataset, targets, k_epochs, specs,
+                           run.reference_latents, run.context, baselines)
+    compared = {}
+    for spec in specs:
+        scores = run.influence(spec, k_epochs, targets).scores
+        compared[spec.kind] = np.array([scores[int(j)] for j in targets]), truths[spec.kind]
+    return compared
+
+
+def run_estimation_accuracy(config: ExperimentConfig, seeds=None) -> AccuracyReport:
+    """Estimate influence for sampled targets and score it against the oracle."""
     seeds = list(seeds) if seeds is not None else [config.training.seed]
+    specs = config.metric_specs()
     report = AccuracyReport()
     for seed in seeds:
         run = prepare_seed_run(config, seed)
-        problem = config.problem()
         targets = draw_targets(config, seed, config.n_targets)
-        specs = config.metric_specs()
-        queries = {spec.kind: build_query_vector(spec, problem, run.trace.final_params,
-                                                 run.reference_latents, run.context)
-                   for spec in specs}
         # Every depth's deltas are read against one baseline per metric.
-        baselines = final_readings(problem, run.trace, specs, run.reference_latents,
+        baselines = final_readings(run.problem, run.trace, specs, run.reference_latents,
                                    run.context)
         for k in config.k_epochs:
-            truths = metric_deltas(problem, run.trace, run.dataset, targets, k, specs,
-                                   run.reference_latents, run.context, baselines)
+            compared = estimates_and_truths(run, specs, targets, k, baselines)
             for spec in specs:
-                true_vals = truths[spec.kind]
-                if self_test:
-                    estimates = true_vals.copy()
-                else:
-                    table = infer_linear_influence(problem, run.trace, run.dataset,
-                                                   queries[spec.kind], targets=targets,
-                                                   k_epochs=k)
-                    estimates = np.array([table.scores[int(j)] for j in targets])
-                perm = permutation_test_tau(estimates, true_vals,
+                estimates, truths = compared[spec.kind]
+                perm = permutation_test_tau(estimates, truths,
                                             n_permutations=config.n_permutations,
                                             rng=_stream(seed, "permutation"))
                 critical_m = min(10, len(targets) // 2)
                 report.rows.append(AccuracyRow(
                     metric=spec.kind, k_epochs=k, tau=perm.observed,
-                    jaccard=jaccard_critical(estimates, true_vals, m=critical_m),
+                    jaccard=jaccard_critical(estimates, truths, m=critical_m),
                     n_targets=len(targets), seed=seed,
                     p_value=perm.p_value, threshold=perm.threshold))
         report.fingerprints[seed] = run.fingerprint
@@ -372,31 +404,22 @@ def run_data_cleansing(config: ExperimentConfig, seeds=None) -> CleansingReport:
     """
     seeds = list(seeds) if seeds is not None else list(
         range(config.training.seed, config.training.seed + config.n_seeds))
+    specs = config.metric_specs()
+    # Each ranked kind is swept once, disc_loss too when it is both a
+    # configured metric and a selection method.
+    ranked = {spec.kind for spec in specs} if "influence" in config.methods else set()
+    if "disc_loss" in config.methods:
+        ranked.add("disc_loss")
     report = CleansingReport()
     for seed in seeds:
         run = prepare_seed_run(config, seed)
-        problem = config.problem()
-        specs = config.metric_specs()
         test_latents, test_data, _ = evaluation_set(config, seed, "test", config.n_test)
         test_context = MetricContext(real_data=test_data, classifier=run.context.classifier)
-
-        tables = {}
-        for method in config.methods:
-            if method == "influence":
-                for spec in specs:
-                    query = build_query_vector(spec, problem, run.trace.final_params,
-                                               run.reference_latents, run.context)
-                    tables[spec.kind] = infer_linear_influence(
-                        problem, run.trace, run.dataset, query, k_epochs=1)
-            elif method == "disc_loss":
-                query = build_query_vector(MetricSpec("disc_loss"), problem,
-                                           run.trace.final_params,
-                                           run.reference_latents, run.context)
-                tables["disc_loss"] = infer_linear_influence(
-                    problem, run.trace, run.dataset, query, k_epochs=1)
+        tables = {kind: run.influence(MetricSpec(kind, bandwidth=config.bandwidth), k_epochs=1)
+                  for kind in sorted(ranked)}
 
         def reader(params):
-            return metric_reader(problem, params, specs, test_latents, test_context)
+            return metric_reader(run.problem, params, specs, test_latents, test_context)
 
         before_reader = reader(run.trace.final_params)
         # One reader per distinct selection: the random and disc_loss selections
@@ -411,7 +434,7 @@ def run_data_cleansing(config: ExperimentConfig, seeds=None) -> CleansingReport:
                     key = frozenset(np.asarray(selected).tolist())
                     if key not in replays:
                         replays[key] = reader(counterfactual_retrain(
-                            problem, run.trace, run.dataset, selected, k_epochs=1).params)
+                            run.problem, run.trace, run.dataset, selected, k_epochs=1).params)
                     after = replays[key](spec)
                     report.rows.append(CleansingRow(
                         method=method, metric=spec.kind, n_harmful=n_harmful,
@@ -427,11 +450,10 @@ def _select_for_method(config: ExperimentConfig, method: str, spec: MetricSpec,
         return select_harmful(tables[spec.kind], spec, n_harmful)
     if method == "disc_loss":
         return select_harmful(tables["disc_loss"], MetricSpec("disc_loss"), n_harmful)
-    if method == "random":
-        rng = np.random.default_rng(
-            np.random.SeedSequence([int(seed), _STREAMS["random_select"], int(n_harmful)]))
-        return np.sort(rng.choice(config.dataset.n_train, size=n_harmful, replace=False))
-    raise ValueError(f"unknown selection method {method!r}")
+    # random; the config refuses any other method.
+    rng = np.random.default_rng(
+        np.random.SeedSequence([int(seed), _STREAMS["random_select"], int(n_harmful)]))
+    return np.sort(rng.choice(config.dataset.n_train, size=n_harmful, replace=False))
 
 
 # -- report emission ------------------------------------------------------------

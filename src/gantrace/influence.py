@@ -42,14 +42,6 @@ class QueryVector:
             raise ValueError("query vector must be finite")
 
     @property
-    def gen_block(self) -> np.ndarray:
-        return self.data[:self.dim_gen]
-
-    @property
-    def disc_block(self) -> np.ndarray:
-        return self.data[self.dim_gen:]
-
-    @property
     def fingerprint(self) -> str:
         digest = hashlib.sha256(self.data.astype("<f8").tobytes())
         digest.update(self.label.encode())

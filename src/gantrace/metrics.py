@@ -219,20 +219,21 @@ def _all_gradient(real: np.ndarray, generated: np.ndarray, bandwidth: float) -> 
 
 # -- inception score ----------------------------------------------------------
 
+def _kl_to_marginal(posteriors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each posterior's log ratio to the marginal, entry by entry, and its
+    KL divergence from the marginal; a zero probability contributes 0."""
+    marginal = posteriors.mean(axis=0)
+    ratio = np.log(np.where(posteriors > 0, posteriors, 1.0)) \
+        - np.log(np.where(marginal > 0, marginal, 1.0))[None, :]
+    return ratio, (posteriors * ratio).sum(axis=1)
+
+
 def inception_score_from_posteriors(posteriors: np.ndarray) -> float:
     """exp of the mean KL divergence from each posterior to the marginal."""
     posteriors = np.atleast_2d(np.asarray(posteriors, dtype=np.float64))
     if posteriors.size == 0:
         raise ValueError("posterior set must be non-empty")
-    marginal = posteriors.mean(axis=0)
-    safe_p = np.where(posteriors > 0, posteriors, 1.0)
-    safe_m = np.where(marginal > 0, marginal, 1.0)
-    kl = (posteriors * (np.log(safe_p) - np.log(safe_m)[None, :])).sum(axis=1)
-    return float(np.exp(kl.mean()))
-
-
-def inception_score(generated: np.ndarray, classifier: "Classifier") -> float:
-    return inception_score_from_posteriors(GeneratedSet(generated, classifier).posteriors)
+    return float(np.exp(_kl_to_marginal(posteriors)[1].mean()))
 
 
 def _is_gradient(generated: "GeneratedSet") -> np.ndarray:
@@ -240,15 +241,13 @@ def _is_gradient(generated: "GeneratedSet") -> np.ndarray:
 
     The outer derivative with respect to the logits collapses to
     (score / n) * p * (r - <p, r>) with r the per-sample log ratio to the
-    marginal; the pullback from logits to inputs is the classifier's.
+    marginal, whose inner products <p, r> are the KL terms of the score;
+    the pullback from logits to inputs is the classifier's.
     """
     posteriors = generated.posteriors
-    score = inception_score_from_posteriors(posteriors)
-    marginal = posteriors.mean(axis=0)
-    ratio = np.log(np.where(posteriors > 0, posteriors, 1.0)) \
-        - np.log(np.where(marginal > 0, marginal, 1.0))[None, :]
-    inner = (posteriors * ratio).sum(axis=1, keepdims=True)
-    grad_logits = (score / len(posteriors)) * posteriors * (ratio - inner)
+    ratio, kl = _kl_to_marginal(posteriors)
+    score = float(np.exp(kl.mean()))
+    grad_logits = (score / len(posteriors)) * posteriors * (ratio - kl[:, None])
     return generated.classifier.input_pullback(generated.record, grad_logits, layer="logits")
 
 
@@ -301,18 +300,13 @@ def _cross_root(reference: FeatureFit, gen_feats: np.ndarray
     return gen_feats.mean(axis=0), sigma2, cross, most_negative
 
 
-def fid(real_feats: np.ndarray, gen_feats: np.ndarray) -> float:
-    """Frechet distance between Gaussian fits of the two feature sets.
+def _fid_from_fit(reference: FeatureFit, gen_feats: np.ndarray) -> float:
+    """Frechet distance from a fitted reference side to a generated feature set.
 
     Covariances use the unbiased (n - 1) denominator.  The trace of the
     product square root is computed through the symmetric similarity form,
     so a single eigendecomposition of a symmetric matrix suffices.
     """
-    return _fid_from_fit(_fit_features(real_feats), gen_feats)
-
-
-def _fid_from_fit(reference: FeatureFit, gen_feats: np.ndarray) -> float:
-    """Frechet distance from a fitted reference side to a generated feature set."""
     mu2, sigma2, cross, neg_cross = _cross_root(reference, gen_feats)
     worst = min(reference.most_negative, neg_cross)
     if worst < -1e-6:

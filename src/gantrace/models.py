@@ -25,7 +25,10 @@ kernels, serve training, counterfactual replay and influence inference:
 The metrics' query vectors use three more: ``generator_vjp`` pulls
 per-sample gradients back through the generator, and
 ``expected_disc_loss`` with ``expected_disc_loss_gradient`` give the
-``disc_loss`` metric and its gradient.
+``disc_loss`` metric and its gradient.  Readings run the two forward
+passes, ``generator_forward`` and ``discriminator_logits``; the
+discriminator's probabilities exist only inside the kernels and the
+``disc_loss`` gradient, as ``_logistic`` of the logits.
 
 ``FcGan`` computes all of these in closed form with NumPy.  Each gradient
 kernel runs one forward pass, and the product is Pearlmutter's
@@ -111,10 +114,8 @@ _NP_DERIVATIVES = {
 
 
 class MlpLayout:
-    """Index map packing the kernels and biases of a dense stack into a flat vector.
-
-    ``pack(unpack(v))`` reproduces ``v`` bit-exactly.
-    """
+    """Index map of the kernels and biases of a dense stack in a flat vector:
+    each layer's kernel, then its bias, in layer order."""
 
     def __init__(self, sizes, activations):
         if len(activations) != len(sizes) - 1:
@@ -153,9 +154,6 @@ class MlpLayout:
             bias = flat[b_off:b_off + b_shape[0]]
             layers.append((kernel, bias))
         return layers
-
-    def pack(self, layers) -> np.ndarray:
-        return np.concatenate([np.concatenate([k.ravel(), b]) for k, b in layers])
 
     def forward(self, layers, x: np.ndarray) -> DenseRecord:
         """Forward pass through ``layers``, (kernel, bias) pairs as from
@@ -289,9 +287,6 @@ class FcGan:
         if x.shape[1] != self.data_dim:
             raise ValueError(f"data dimension mismatch: {x.shape[1]} != {self.data_dim}")
         return self.disc_net.forward(self.disc_net.unpack(params[self.dim_gen:]), x).output[:, 0]
-
-    def discriminator_forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return _logistic(self.discriminator_logits(params, x))
 
     # -- closed-form gradient kernels ---------------------------------------
     #

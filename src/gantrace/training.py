@@ -32,6 +32,8 @@ from .models import joint_gradient
 
 TRACE_FORMAT_VERSION = 2
 
+DIVERGENCE_LIMIT = 1e6
+
 
 class DivergenceError(RuntimeError):
     """Training left the finite / bounded parameter regime."""
@@ -46,7 +48,6 @@ class TrainingSettings:
     mode: str = "simultaneous"
     first_update: str = "generator"
     seed: int = 0
-    divergence_limit: float = 1e6
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -172,11 +173,11 @@ def asgd_step(problem, params: np.ndarray, data_rows: np.ndarray, latents: np.nd
     return np.subtract(params, grad, out=grad)
 
 
-def _check_divergence(params: np.ndarray, step: int, limit: float) -> None:
+def _check_divergence(params: np.ndarray, step: int) -> None:
     peak = np.max(np.abs(params))
-    if not np.isfinite(peak) or peak > limit:
-        raise DivergenceError(
-            f"parameter magnitude {peak:.3e} exceeded {limit:.1e} after step {step}")
+    if not np.isfinite(peak) or peak > DIVERGENCE_LIMIT:
+        raise DivergenceError(f"parameter magnitude {peak:.3e} exceeded "
+                              f"{DIVERGENCE_LIMIT:.1e} after step {step}")
 
 
 def run_training(problem, dataset: np.ndarray, settings: TrainingSettings,
@@ -205,7 +206,7 @@ def run_training(problem, dataset: np.ndarray, settings: TrainingSettings,
         latents = latents_from_seed(seed, len(idx), problem.latent_dim)
         records.append(StepRecord(t, idx, lr_gen, lr_disc, params, seed))
         params = asgd_step(problem, params, dataset[idx], latents, lr_gen, lr_disc)
-        _check_divergence(params, t, settings.divergence_limit)
+        _check_divergence(params, t)
 
     return TrainingTrace(
         records=records,

@@ -9,7 +9,7 @@ with the measured quantities.
 import numpy as np
 import pytest
 
-from gantrace.autodiff import reset_vjp_gradient_call_count, vjp_gradient_call_count
+from gantrace.autodiff import vjp_gradient_call_count
 from gantrace.config import DatasetSpec, ExperimentConfig
 from gantrace.datasets import make_digit_images, sample_normal2d
 from gantrace.experiments import (
@@ -26,7 +26,6 @@ from gantrace.metrics import (
     MetricSpec,
     average_log_likelihood,
     build_query_vector,
-    fid,
     inception_score_from_posteriors,
     metric_value,
     train_classifier,
@@ -41,7 +40,7 @@ from gantrace.training import (
     trace_checksum,
 )
 from test_metrics import brute_force_all, with_exact_moments
-from toys import kink_safe_params
+from toys import fid, kink_safe_params
 
 
 def desk_config(**overrides) -> ExperimentConfig:
@@ -124,7 +123,7 @@ def test_criterion_03_query_vector_correctness(desk_run):
     gan = config.problem()
     query = build_query_vector(MetricSpec("all"), gan, desk_run.trace.final_params,
                                desk_run.reference_latents, desk_run.context)
-    assert np.array_equal(query.disc_block, np.zeros(gan.dim_disc))
+    assert np.array_equal(query.data[gan.dim_gen:], np.zeros(gan.dim_disc))
 
     def value(params):
         generated = gan.generator_forward(params, desk_run.reference_latents)
@@ -188,8 +187,8 @@ def test_criterion_05_estimation_accuracy_beats_random(desk_run):
 def test_criterion_06_accuracy_degrades_with_trace_depth():
     report = run_estimation_accuracy(desk_config(k_epochs=(1, 5)),
                                      seeds=[0, 1, 2, 3, 4])
-    shallow = report.mean_tau("all", 1)
-    deep = report.mean_tau("all", 5)
+    shallow, deep = (np.mean([row.tau for row in report.rows if row.k_epochs == k])
+                     for k in (1, 5))
     assert shallow >= deep
     print(f"PASS criterion 6: mean tau over 5 seeds, k=1 {shallow:.4f} >= k=5 {deep:.4f}")
 
@@ -297,14 +296,14 @@ def test_criterion_10_one_sweep_cost_contract(desk_run):
     gan = config.problem()
     query = build_query_vector(MetricSpec("all"), gan, desk_run.trace.final_params,
                                desk_run.reference_latents, desk_run.context)
-    reset_vjp_gradient_call_count()
+    before = vjp_gradient_call_count()
     infer_linear_influence(gan, desk_run.trace, desk_run.dataset, query, k_epochs=5)
-    full = vjp_gradient_call_count()
+    full = vjp_gradient_call_count() - before
     assert full == desk_run.trace.n_steps
-    reset_vjp_gradient_call_count()
+    before = vjp_gradient_call_count()
     infer_linear_influence(gan, desk_run.trace, desk_run.dataset, query,
                            targets=[1, 2, 3], k_epochs=5)
-    subset = vjp_gradient_call_count()
+    subset = vjp_gradient_call_count() - before
     assert subset == desk_run.trace.n_steps
     print(f"PASS criterion 10: scoring all {desk_run.trace.n_train} instances used exactly "
           f"{full} vector-Jacobian products (= steps), same as for 3 targets ({subset})")

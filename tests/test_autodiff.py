@@ -217,15 +217,15 @@ def test_vjp_counts_calls():
     problem = bilinear_game()
     vector, params = np.array([0.5, -1.0]), np.array([0.3, -0.2])
     latents, rows = np.zeros((2, 1)), np.ones((2, 1))
-    gantrace.autodiff.reset_vjp_gradient_call_count()
+    before = gantrace.autodiff.vjp_gradient_call_count()
     for _ in range(3):
         product, scores = gantrace.autodiff.vjp_of_gradient(problem, vector, params, latents,
                                                             rows, 2)
-    assert gantrace.autodiff.vjp_gradient_call_count() == 3
+    assert gantrace.autodiff.vjp_gradient_call_count() - before == 3
     direct_product, direct_scores = problem.joint_gradient_vjp(vector, params, latents, rows, 2)
     assert np.array_equal(product, direct_product)
     assert np.array_equal(scores, direct_scores)
-    assert gantrace.autodiff.vjp_gradient_call_count() == 3
+    assert gantrace.autodiff.vjp_gradient_call_count() - before == 3
 
 
 def test_vjp_length_mismatch_raises():

@@ -1,0 +1,74 @@
+"""Every function, class and method of the package has a caller in the package.
+
+A definition counts as called when its name is read somewhere in
+``src/gantrace`` outside its own body: a top-level function or class as a
+name or an attribute, a method only as an attribute.  A re-export in
+``__init__.py`` is not a call.  Names are matched without their owner, so
+two methods of one name share their callers.  Code that only the tests
+call belongs in ``tests/``; the few names kept for other readers are
+listed in ``ALLOWED`` with the reason.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gantrace"
+
+ALLOWED = {
+    "models.data_term_scores": "the benchmark wraps and counts it by name",
+    "autodiff.vjp_gradient_call_count": "the benchmark reads the sweep's VJP count",
+    "training.trace_checksum": "the benchmark checks each retrained trace with it",
+    "experiments.sign_test_greater": "the planned claims report reads its p-values",
+    "cli._Parser.error": "argparse calls it on a usage error",
+}
+
+
+def _definitions(module: str, tree: ast.Module):
+    """(qualified name, node, whether a method) of each top-level function
+    and class and each method that is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{module}.{node.name}.{item.name}", item, True
+
+
+def _reads(tree: ast.Module):
+    """(name, read as an attribute, ids of the enclosing definitions) of
+    every name and attribute read in ``tree``."""
+    reads = []
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {id(node)}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.append((node.id, False, enclosing))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.append((node.attr, True, enclosing))
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return reads
+
+
+def uncalled(package: Path) -> list[str]:
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    reads = [read for module, tree in trees.items() if module != "__init__"
+             for read in _reads(tree)]
+    missing = []
+    for module, tree in trees.items():
+        for name, node, is_method in _definitions(module, tree):
+            if not any(read == node.name and (as_attribute or not is_method)
+                       and id(node) not in enclosing
+                       for read, as_attribute, enclosing in reads):
+                missing.append(name)
+    return missing
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    # Exactly the allowed names lack one: an entry leaves the list when its
+    # name gains a caller or is deleted.
+    assert sorted(uncalled(PACKAGE)) == sorted(ALLOWED)

@@ -14,6 +14,7 @@ import pytest
 import gantrace.cli
 import gantrace.experiments
 import gantrace.oracle
+from gantrace.autodiff import vjp_gradient_call_count
 from gantrace.cli import main as cli_main
 from gantrace.config import load_config
 from gantrace.experiments import (
@@ -28,7 +29,7 @@ from gantrace.experiments import (
     write_cleansing_report,
     write_scatter_data,
 )
-from gantrace.influence import infer_linear_influence
+from gantrace.influence import infer_linear_influence, window_start
 from gantrace.metrics import ClassifierSettings, MetricSpec, build_query_vector, load_classifier
 from gantrace.models import FcGan, NonFiniteError
 from gantrace.oracle import metric_deltas
@@ -78,9 +79,17 @@ def mini_config(tmp_path):
     return load_config(path), path
 
 
-def test_self_test_mode_scores_perfectly(mini_config):
+def test_accuracy_scores_the_oracle_against_itself_perfectly(mini_config, monkeypatch):
+    # With the true deltas standing in for the estimates, the scoring path
+    # must find perfect rank agreement.
     config, _ = mini_config
-    report = run_estimation_accuracy(config, self_test=True)
+    compare = gantrace.experiments.estimates_and_truths
+
+    def truths_as_estimates(*args):
+        return {kind: (truths.copy(), truths) for kind, (_, truths) in compare(*args).items()}
+
+    monkeypatch.setattr(gantrace.experiments, "estimates_and_truths", truths_as_estimates)
+    report = run_estimation_accuracy(config)
     assert report.rows
     for row in report.rows:
         assert row.tau == 1.0
@@ -204,6 +213,17 @@ def test_cleansing_signs_improvements_by_the_metric(mini_config):
     assert any(row.after != row.before for row in report.rows if row.metric == "disc_loss")
 
 
+def test_cleansing_sweeps_each_ranked_kind_once(mini_config):
+    # disc_loss is both a configured metric and a selection method: its
+    # table serves both, so two kinds take two sweeps of the last epoch.
+    config, _ = mini_config
+    config = _with(config, metrics=("all", "disc_loss"), methods=("influence", "disc_loss"))
+    trace = prepare_seed_run(config, 3).trace
+    before = vjp_gradient_call_count()
+    run_data_cleansing(config, seeds=[3])
+    assert vjp_gradient_call_count() - before == 2 * (trace.n_steps - window_start(trace, 1))
+
+
 def test_cleansing_random_selection_reproducible(mini_config):
     config, _ = mini_config
     config = _with(config, methods=("random",))
@@ -261,6 +281,7 @@ def test_cli_influence_and_oracle_do_not_retrain(mini_config, tmp_path, capsys, 
         raise AssertionError("the command retrained the trace")
 
     monkeypatch.setattr(gantrace.cli, "prepare_seed_run", refuse)
+    monkeypatch.setattr(gantrace.experiments, "prepare_seed_run", refuse)
     common = ["--config", str(path), "--trace", str(tmp_path / "trace"), "--k", "1"]
     assert cli_main(["influence", *common, "--out", str(tmp_path / "scores.csv")]) == 0
     assert cli_main(["oracle", *common, "--targets", "4",
@@ -740,6 +761,48 @@ def test_cli_influence_refuses_an_unconfigured_metric(mini_config, tmp_path, cap
     assert "Traceback" not in result.stderr
     assert "fid" in result.stderr and "all" in result.stderr
     assert not (tmp_path / "scores.csv").exists()
+
+
+def test_cli_train_into_an_existing_file_exits_one(mini_config, tmp_path, capsys):
+    _, path = mini_config
+    (tmp_path / "taken").write_text("")
+    assert cli_main(["train", "--config", str(path), "--out", str(tmp_path / "taken")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err and "taken" in err
+
+
+def test_cli_influence_into_an_existing_directory_exits_one(mini_trace, tmp_path, capsys):
+    config, trace, _ = mini_trace
+    (tmp_path / "scores.csv").mkdir()
+    assert cli_main(["influence", "--config", str(config), "--trace", str(trace),
+                     "--out", str(tmp_path / "scores.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err and "scores.csv" in err
+
+
+@pytest.mark.parametrize("command, edit, flags, message", [
+    ("cleanse", ("n_harmful = 6", "n_harmful = 6,-3"), [], "n_harmful"),
+    ("cleanse", ("", ""), ["--n-harmful=-5"], "n_harmful"),
+    ("accuracy", ("n_permutations = 200", "n_permutations = 0"), [], "n_permutations"),
+    ("train", ("metrics = all", "metrics = foo"), [], "unknown metric kind 'foo'"),
+    ("cleanse", ("methods = influence,disc_loss,random", "methods = influence,bogus"), [],
+     "bogus"),
+], ids=["negative_n_harmful", "negative_n_harmful_flag", "no_permutations",
+        "unknown_metric", "unknown_method"])
+def test_cli_refuses_a_bad_config_before_training(tmp_path, capsys, monkeypatch,
+                                                   command, edit, flags, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(gantrace.cli, "run_training", refuse)
+    monkeypatch.setattr(gantrace.experiments, "run_training", refuse)
+    path = tmp_path / "bad.ini"
+    path.write_text(MINI_CONFIG.replace(*edit))
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", str(path), *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
 
 
 def test_cli_unknown_flag_exits_one(capsys):

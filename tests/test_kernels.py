@@ -47,7 +47,6 @@ from gantrace.metrics import (
     _kde_blocks,
     average_log_likelihood,
     build_query_vector,
-    fid,
     generator_pullback,
     metric_gradient_wrt_generated,
     metric_value,
@@ -58,6 +57,7 @@ from gantrace.models import (
     GanArchitecture,
     MlpLayout,
     NonFiniteError,
+    _logistic,
     data_term_scores,
     joint_gradient,
 )
@@ -68,6 +68,7 @@ from toys import (
     bilinear_game,
     dense_all_gradient,
     dense_average_log_likelihood,
+    fid,
     loop_permutation_test_tau,
     loop_train_classifier,
     mlp_graph,
@@ -620,7 +621,7 @@ def test_disc_loss_gradient_matches_finite_differences_when_saturated(output_bia
     params[-1] = output_bias
     latents = rng.standard_normal((5, LATENT))
     rows = rng.standard_normal((6, DATA))
-    assert gan.discriminator_forward(params, rows).min() > 1.0 - 1e-7
+    assert _logistic(gan.discriminator_logits(params, rows)).min() > 1.0 - 1e-7
     h = 1e-5
     numeric = np.empty(gan.dim_params)
     for i in range(gan.dim_params):

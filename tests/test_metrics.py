@@ -10,9 +10,7 @@ from gantrace.metrics import (
     average_log_likelihood,
     build_query_vector,
     classifier_key,
-    fid,
     generator_pullback,
-    inception_score,
     inception_score_from_posteriors,
     load_classifier,
     metric_gradient_wrt_generated,
@@ -21,7 +19,7 @@ from gantrace.metrics import (
     train_classifier,
 )
 from gantrace.models import FcGan, GanArchitecture
-from toys import kink_safe_params
+from toys import fid, inception_score, kink_safe_params
 
 GAUSS_CONST = -0.5 * np.log(2.0 * np.pi)  # log N(0; 0, 1) in one dimension
 
@@ -359,8 +357,8 @@ def test_query_vector_disc_block_exactly_zero(gan):
     real = rng.standard_normal((30, 2))
     query = build_query_vector(MetricSpec("all"), gan, params, latents,
                                MetricContext(real_data=real))
-    assert np.array_equal(query.disc_block, np.zeros(gan.dim_disc))
-    assert np.any(query.gen_block != 0)
+    assert np.array_equal(query.data[gan.dim_gen:], np.zeros(gan.dim_disc))
+    assert np.any(query.data[:gan.dim_gen] != 0)
 
 
 def test_constant_metric_gives_zero_query(gan):
@@ -410,7 +408,7 @@ def test_disc_loss_query_matches_finite_differences(gan):
     params = kink_safe_params(gan, latents, real, rng)
     context = MetricContext(real_data=real)
     query = build_query_vector(MetricSpec("disc_loss"), gan, params, latents, context)
-    assert np.any(query.gen_block != 0) and np.any(query.disc_block != 0)
+    assert np.any(query.data[:gan.dim_gen] != 0) and np.any(query.data[gan.dim_gen:] != 0)
 
     def value(p):
         return gan.expected_disc_loss(p, latents, real)

@@ -34,11 +34,15 @@ def tape_gan(small_gan):
     return TapeFcGan(small_gan.arch)
 
 
-def test_pack_unpack_roundtrip_bit_exact():
+def test_unpack_views_tile_the_flat_vector():
+    # Each layer's kernel, then its bias, in layer order, every entry once:
+    # the trainer writes gradients through these views.
     layout = MlpLayout((3, 7, 2), ("relu", "tanh"))
     rng = np.random.default_rng(0)
     flat = rng.standard_normal(layout.n_params)
-    assert np.array_equal(layout.pack(layout.unpack(flat)), flat)
+    arrays = [array for layer in layout.unpack(flat) for array in layer]
+    assert all(np.shares_memory(array, flat) for array in arrays)
+    assert np.array_equal(np.concatenate([array.ravel() for array in arrays]), flat)
 
 
 def test_block_layout_is_contiguous(small_gan):
@@ -57,7 +61,7 @@ def test_zero_generator_outputs_zero_vector(small_gan):
 def test_identity_like_linear_generator_returns_weight_column():
     layout = MlpLayout((3, 2), ("linear",))
     kernel = np.array([[1.5, -2.0], [0.0, 3.0], [4.0, 0.5]])
-    flat = layout.pack([(kernel, np.zeros(2))])
+    flat = np.concatenate([kernel.ravel(), np.zeros(2)])
     out = layout.forward(layout.unpack(flat), np.array([[1.0, 0.0, 0.0]])).output
     assert np.array_equal(out[0], kernel[0])
 
@@ -74,7 +78,7 @@ def test_zero_discriminator_gives_half_and_log_two_losses(tape_gan):
     params = np.zeros(tape_gan.dim_params)
     x = np.array([0.4, -0.7])
     z = np.array([1.0, 0.0, -1.0])
-    assert tape_gan.discriminator_forward(params, x)[0] == 0.5
+    assert _logistic(tape_gan.discriminator_logits(params, x))[0] == 0.5
     assert tape_gan.disc_real_loss(params, x) == pytest.approx(np.log(2.0), abs=1e-12)
     assert tape_gan.disc_fake_loss(params, z) == pytest.approx(np.log(2.0), abs=1e-12)
     assert tape_gan.gen_loss(params, z) == pytest.approx(-0.5, abs=1e-15)
@@ -212,7 +216,7 @@ def test_data_term_gradient_finite_under_saturation(tape_gan):
     params = np.zeros(tape_gan.dim_params)
     for output_bias in (20.0, 60.0, 800.0):
         params[-1] = output_bias  # discriminator output bias
-        p = tape_gan.discriminator_forward(params, np.array([0.3, -0.3]))[0]
+        p = _logistic(tape_gan.discriminator_logits(params, np.array([0.3, -0.3])))[0]
         grad = data_term_gradient(tape_gan, params, np.array([0.3, -0.3]))
         assert np.all(np.isfinite(grad))
         assert grad[-1] == pytest.approx(p - 1.0, rel=1e-12, abs=0.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gantrace.models import FcGan, GanArchitecture
+from gantrace.models import FcGan, GanArchitecture, _logistic
 from gantrace.oracle import counterfactual_retrain
 from gantrace.training import (
     DivergenceError,
@@ -174,8 +174,8 @@ def test_latent_regeneration_is_bit_exact():
 def test_discriminator_output_drifts_into_unit_interval(gan, data):
     settings = TrainingSettings(epochs=3, batch_size=10, lr_gen=1e-2, lr_disc=1e-2, seed=11)
     trace = run_training(gan, data, settings)
-    start = gan.discriminator_forward(trace.records[0].params, data).mean()
-    end = gan.discriminator_forward(trace.final_params, data).mean()
+    start = _logistic(gan.discriminator_logits(trace.records[0].params, data)).mean()
+    end = _logistic(gan.discriminator_logits(trace.final_params, data)).mean()
     assert 0.0 < end < 1.0
     assert end != start
     rerun = run_training(gan, data, settings)
@@ -183,8 +183,7 @@ def test_discriminator_output_drifts_into_unit_interval(gan, data):
 
 
 def test_divergence_guard(gan, data):
-    settings = TrainingSettings(epochs=3, batch_size=10, lr_gen=1e6, lr_disc=1e6,
-                                seed=12, divergence_limit=1e3)
+    settings = TrainingSettings(epochs=3, batch_size=10, lr_gen=1e6, lr_disc=1e6, seed=12)
     with pytest.raises(DivergenceError, match="step"):
         run_training(gan, data, settings)
 

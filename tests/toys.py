@@ -28,8 +28,10 @@ logistic.  ``full_window_retrain`` is the oracle that replays the whole
 window whatever it excludes, the reference for the replay that starts at
 the first excluded step; ``uncached_fid_gradient`` refits the FID
 reference side on every call, the reference for the fit a
-``MetricContext`` keeps; and ``true_influence_on_metric`` reads one metric
-change from two parameter vectors.
+``MetricContext`` keeps, and ``fid`` does the same for its value;
+``inception_score`` reads the score of a sample set on a classifier; and
+``true_influence_on_metric`` reads one metric change from two parameter
+vectors.
 """
 
 from dataclasses import dataclass
@@ -45,8 +47,12 @@ from gantrace.metrics import (
     _KDE_BLOCK_ENTRIES,
     _KDE_UNDERFLOW_SUM,
     Classifier,
+    GeneratedSet,
+    _fid_from_fit,
+    _fit_features,
     _psd_pinv,
     _psd_sqrt,
+    inception_score_from_posteriors,
     metric_value,
 )
 from gantrace.models import (
@@ -684,6 +690,17 @@ def true_influence_on_metric(problem, base_params, cf_params, spec, eval_latents
     before = metric_value(spec, problem, base_params, eval_latents, context)
     after = metric_value(spec, problem, cf_params, eval_latents, context)
     return after - before
+
+
+def fid(real_feats, gen_feats):
+    """Frechet distance between Gaussian fits of two feature sets, the
+    reference side fitted afresh."""
+    return _fid_from_fit(_fit_features(real_feats), gen_feats)
+
+
+def inception_score(generated, classifier):
+    """Inception score of a sample set, read as a ``GeneratedSet`` reads it."""
+    return inception_score_from_posteriors(GeneratedSet(generated, classifier).posteriors)
 
 
 def uncached_fid_gradient(generated, classifier, real_data):
