@@ -3,8 +3,10 @@ byte keeps them.
 
 Each digest is the sha256 of one file that a ``gantrace`` command writes
 from a shipped config at seed 0: the influence table in full and on a
-target subset, the oracle table at one epoch and at all epochs, and the
-accuracy and cleansing reports.
+target subset, the oracle table at one epoch and at all epochs, the
+accuracy and cleansing reports, and the plot data that ``gantrace report``
+writes from the cleansing report (the harmfulness scatter only for
+``normal2d``).
 The commands run on a trace that ``gantrace train`` stored, so the
 classifier and evaluation sets are the ones the CLI draws.  As in
 ``test_trace_digests``, the test skips and names both versions where NumPy
@@ -36,6 +38,7 @@ COMMANDS = {
     "oracle_all": ["oracle", "--targets", "5", "--out", "{out}/oracle_all.csv"],
     "accuracy": ["accuracy", "--seeds", "1", "--targets", "5", "--out", "{out}/accuracy"],
     "cleanse": ["cleanse", "--seeds", "1", "--n-harmful", "5,10", "--out", "{out}/cleanse"],
+    "report": ["report", "--from", "{out}/cleanse", "--out", "{out}/report"],
 }
 
 DIGESTS = {
@@ -49,6 +52,7 @@ DIGESTS = {
         "influence.json": "875cb10cc0b20a1dddbc92dd39bda00fda2f65e540f655d4bd3521f98f8d6857",
         "oracle.csv": "ef20b69761ed88c84040ef6f85930b97c80fa74ff21b3e60d41761bb6d422eb8",
         "oracle_all.csv": "38125472dfc62d4aba75f59980c06077b44234216134c0a70e1c5dd427d6508f",
+        "report/cleansing_curves.csv": "380c4af5e3ab9134456b31f37a669fa0cbe4732e60d16575e13d5735f6932705",
         "subset.csv": "bab6841e820fbb511f548097091f6477cbd683ecbd5c4e2e7b17c54ce2a316f6",
         "subset.json": "62a80123845d1e3c9eba0c199e29be5a1c2688840dfaa795662cd47cb1477890",
     },
@@ -62,6 +66,8 @@ DIGESTS = {
         "influence.json": "15d049e5bae7f8c5c2becb5271918eabf5094689730a5a5473303c12d9ac6b3e",
         "oracle.csv": "0e185102260dad40759e697a2538998594449370c7355b1b4da0f199e990d707",
         "oracle_all.csv": "3c3275832e9afc215e59788a3b5ce93dd08a6ce82d42321072d64c5a54db4680",
+        "report/cleansing_curves.csv": "da7e6218e215c492fa10aeaf54f9185d0da6985e913ac96925e7ed5d4dd3a304",
+        "report/harmfulness_scatter.csv": "bd983fcb20711eaac6f1cc8bb6dc486da41f28fd9ad81eeff9f39bbe07e1da1d",
         "subset.csv": "666539e55f048fa0caeea746a503ffe01c135f90f231fcb26c036d3a3eee1442",
         "subset.json": "9b08e393cc0ce5aa3c16db016d1eb6054f3eb5053721aa34dff68685d9ec1d2d",
     },
@@ -78,7 +84,7 @@ def output_digests(name: str, workdir: Path) -> dict[str, str]:
     assert cli_main(["train", *common, "--out", str(trace)]) == 0
     for command in COMMANDS.values():
         argv = [part.format(out=out) for part in command]
-        extra = [] if argv[0] in ("accuracy", "cleanse") else ["--trace", str(trace)]
+        extra = ["--trace", str(trace)] if argv[0] in ("influence", "oracle") else []
         assert cli_main([argv[0], *common, *extra, *argv[1:]]) == 0
     return {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out.rglob("*")) if path.is_file()}
