@@ -8,13 +8,11 @@ trace whose fingerprint does not match the config), 2 on numerical failure
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .config import ExperimentConfig, _split_ints, load_config
+from .config import ExperimentConfig, load_config
 from .experiments import (
     CLASSIFIER_DIR,
     CleansingReport,
@@ -30,9 +28,10 @@ from .experiments import (
     write_accuracy_report,
     write_cleansing_curves,
     write_cleansing_report,
+    write_influence_table,
     write_scatter_data,
+    write_table,
 )
-from .influence import save_influence_csv, save_influence_json
 from .metrics import MetricSpec, save_classifier
 from .models import NonFiniteError
 from .training import DivergenceError, run_training, save_trace
@@ -54,56 +53,53 @@ def _build_parser() -> _Parser:
                      description="Replayable adversarial training with influence estimation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, summary, out_help):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--seed", type=int, default=None, help="override the training seed")
+        p.add_argument("--out", required=True, help=out_help)
+        return p
 
-    p_train = sub.add_parser("train", help="run training and store the trace")
-    common(p_train)
-    p_train.add_argument("--out", required=True, help="trace output directory")
+    command("train", "run training and store the trace", "trace output directory")
 
-    p_infl = sub.add_parser("influence", help="estimate influence from a stored trace")
-    common(p_infl)
+    p_infl = command("influence", "estimate influence from a stored trace", "output CSV path")
     p_infl.add_argument("--trace", required=True)
     p_infl.add_argument("--metric", default=None, help="one of the configured metric kinds (default: the first)")
     p_infl.add_argument("--k", type=int, default=None, help="epochs to trace back")
     p_infl.add_argument("--targets", type=int, default=None,
                         help="score a random target subset of this size")
-    p_infl.add_argument("--out", required=True, help="output CSV path")
 
-    p_oracle = sub.add_parser("oracle", help="counterfactual ground truth for targets")
-    common(p_oracle)
+    p_oracle = command("oracle", "counterfactual ground truth for targets", "output CSV path")
     p_oracle.add_argument("--trace", required=True)
     p_oracle.add_argument("--targets", type=int, required=True)
     p_oracle.add_argument("--k", type=int, default=None)
-    p_oracle.add_argument("--out", required=True, help="output CSV path")
 
-    p_acc = sub.add_parser("accuracy", help="estimation-accuracy experiment")
-    common(p_acc)
-    p_acc.add_argument("--k", default=None, help="comma-separated trace-back depths")
-    p_acc.add_argument("--targets", type=int, default=None)
+    p_acc = command("accuracy", "estimation-accuracy experiment", "report output directory")
+    p_acc.add_argument("--k", default=None,
+                       help="comma-separated trace-back depths (influence.k_epochs)")
+    p_acc.add_argument("--targets", type=int, default=None,
+                       help="number of targets (influence.n_targets)")
     p_acc.add_argument("--seeds", type=int, default=1, help="number of seeds")
-    p_acc.add_argument("--out", required=True, help="report output directory")
 
-    p_cl = sub.add_parser("cleanse", help="data-cleansing experiment")
-    common(p_cl)
-    p_cl.add_argument("--n-harmful", default=None, help="comma-separated removal sizes")
-    p_cl.add_argument("--seeds", type=int, default=None)
-    p_cl.add_argument("--out", required=True)
+    p_cl = command("cleanse", "data-cleansing experiment", "report output directory")
+    p_cl.add_argument("--n-harmful", default=None,
+                      help="comma-separated removal sizes (cleansing.n_harmful)")
+    p_cl.add_argument("--seeds", type=int, default=None,
+                      help="number of seeds (cleansing.n_seeds)")
 
-    p_rep = sub.add_parser("report", help="emit plot-data CSVs from experiment outputs")
-    common(p_rep)
+    p_rep = command("report", "emit plot-data CSVs from experiment outputs",
+                    "plot-data output directory")
     p_rep.add_argument("--from", dest="source", required=True,
                        help="directory holding experiment outputs")
-    p_rep.add_argument("--out", required=True)
     return parser
 
 
-def _load(args) -> ExperimentConfig:
-    overrides = {}
-    if args.seed is not None:
-        overrides["training.seed"] = args.seed
-    return load_config(args.config, overrides)
+def _load(args, flags=None) -> ExperimentConfig:
+    """The config with ``--seed`` and each given flag of ``flags`` (the
+    flag's attribute name -> its dotted config key) as an override."""
+    keys = {"seed": "training.seed", **(flags or {})}
+    return load_config(args.config, {key: getattr(args, name) for name, key in keys.items()
+                                     if getattr(args, name) is not None})
 
 
 def _cmd_train(args) -> int:
@@ -128,8 +124,7 @@ def _cmd_influence(args) -> int:
     run = load_seed_run(config, args.trace)
     targets = None if args.targets is None else draw_targets(config, run.seed, args.targets)
     table = run.influence(MetricSpec(kind, bandwidth=config.bandwidth), args.k, targets)
-    save_influence_csv(table, args.out)
-    save_influence_json(table, str(Path(args.out).with_suffix(".json")))
+    write_influence_table(table, args.out)
     print(f"influence table: {args.out} ({len(table.scores)} instances, metric {kind})")
     return 0
 
@@ -140,24 +135,20 @@ def _cmd_oracle(args) -> int:
     targets = draw_targets(config, run.seed, args.targets)
     specs = config.metric_specs()
     compared = estimates_and_truths(run, specs, targets, args.k)
-    with open(args.out, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["index", "metric", "true_influence", "estimated_influence"])
-        for position, target in enumerate(targets):
-            for spec in specs:
-                estimates, truths = compared[spec.kind]
-                writer.writerow([int(target), spec.kind, repr(float(truths[position])),
-                                 repr(float(estimates[position]))])
+    rows = []
+    for position, target in enumerate(targets):
+        for spec in specs:
+            estimates, truths = compared[spec.kind]
+            rows.append((target, spec.kind, truths[position], estimates[position]))
+    write_table(args.out, ["index", "metric", "true_influence", "estimated_influence"], rows)
     print(f"oracle results: {args.out} ({len(targets)} targets)")
     return 0
 
 
 def _cmd_accuracy(args) -> int:
-    config = _load(args)
-    if args.k is not None:
-        config = replace(config, k_epochs=_split_ints(args.k))
-    if args.targets is not None:
-        config = replace(config, n_targets=args.targets)
+    if args.seeds < 1:
+        raise UsageError("--seeds must be at least 1")
+    config = _load(args, {"k": "influence.k_epochs", "targets": "influence.n_targets"})
     seeds = list(range(config.training.seed, config.training.seed + args.seeds))
     report = run_estimation_accuracy(config, seeds=seeds)
     write_accuracy_report(report, args.out)
@@ -168,11 +159,7 @@ def _cmd_accuracy(args) -> int:
 
 
 def _cmd_cleanse(args) -> int:
-    config = _load(args)
-    if args.n_harmful is not None:
-        config = replace(config, n_harmful=_split_ints(args.n_harmful))
-    if args.seeds is not None:
-        config = replace(config, n_seeds=args.seeds)
+    config = _load(args, {"n_harmful": "cleansing.n_harmful", "seeds": "cleansing.n_seeds"})
     report = run_data_cleansing(config)
     write_cleansing_report(report, args.out)
     write_cleansing_curves(report, Path(args.out) / "curves.csv")

@@ -59,13 +59,19 @@ class ExperimentConfig:
     n_seeds: int = 5
 
     def __post_init__(self):
+        for key in ("metrics", "methods", "k_epochs", "n_harmful"):
+            if not getattr(self, key):
+                raise ValueError(f"{key} must not be empty")
+        if self.n_seeds < 1:
+            raise ValueError("n_seeds must be at least 1")
         if any(k < 1 or k > self.training.epochs for k in self.k_epochs):
-            raise ValueError("every k must satisfy 1 <= k <= epochs")
+            raise ValueError("k_epochs entries must be between 1 and epochs")
         if any(n < 0 or n >= self.dataset.n_train for n in self.n_harmful):
             raise ValueError("n_harmful entries must be non-negative and smaller than "
                              "the dataset")
-        if self.n_targets < 2:
-            raise ValueError("need at least two targets")
+        if not 2 <= self.n_targets <= self.dataset.n_train:
+            raise ValueError(f"n_targets must be between 2 and n_train "
+                             f"({self.dataset.n_train})")
         if self.n_permutations < 1:
             raise ValueError("n_permutations must be positive")
         self.metric_specs()   # refuses an unknown metric kind
@@ -119,19 +125,16 @@ def trace_fingerprint(config: ExperimentConfig, data_checksum: str) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def _split_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(part.strip()) for part in text.split(",") if part.strip())
-
-
-def _split_names(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+def _split(text: str, item=str) -> tuple:
+    """The comma list's non-empty entries, each as ``item``."""
+    return tuple(item(part.strip()) for part in text.split(",") if part.strip())
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     """Parse a sectioned key-value config file.
 
-    ``overrides`` maps dotted ``section.key`` names to replacement string
-    values (command-line flags land here).
+    ``overrides`` maps dotted ``section.key`` names to replacement values,
+    read as their ``str`` (the command-line flags land here).
     """
     parser = configparser.ConfigParser()
     read = parser.read(path)
@@ -139,9 +142,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         raise FileNotFoundError(f"config file not found: {path}")
     for dotted, value in (overrides or {}).items():
         section, key = dotted.split(".", 1)
-        if not parser.has_section(section):
-            parser.add_section(section)
-        parser.set(section, key, str(value))
+        parser.read_dict({section: {key: value}})
 
     ds = parser["dataset"] if parser.has_section("dataset") else {}
     dataset = DatasetSpec(
@@ -180,7 +181,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     )
     ev = parser["evaluation"] if parser.has_section("evaluation") else {}
     classifier = ClassifierSettings(
-        hidden=_split_ints(ev.get("classifier_hidden", "64,32")) or (64, 32),
+        hidden=_split(ev.get("classifier_hidden", "64,32"), int),
         epochs=int(ev.get("classifier_epochs", 30)),
         batch_size=int(ev.get("classifier_batch", 32)),
         lr=float(ev.get("classifier_lr", 0.05)),
@@ -193,16 +194,16 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         dataset=dataset,
         architecture=architecture,
         training=training,
-        metrics=_split_names(ev.get("metrics", "all")),
+        metrics=_split(ev.get("metrics", "all")),
         bandwidth=float(ev.get("bandwidth", 1.0)),
         n_reference=int(ev.get("n_reference", 1000)),
         n_test=int(ev.get("n_test", 1000)),
         classifier=classifier,
         classifier_seed=int(ev.get("classifier_seed", 0)),
-        k_epochs=_split_ints(infl.get("k_epochs", "1")) or (1,),
+        k_epochs=_split(infl.get("k_epochs", "1"), int),
         n_targets=int(infl.get("n_targets", 50)),
         n_permutations=int(infl.get("n_permutations", 1000)),
-        n_harmful=_split_ints(cl.get("n_harmful", "50,100,250")) or (50,),
-        methods=_split_names(cl.get("methods", "influence,disc_loss,random")),
+        n_harmful=_split(cl.get("n_harmful", "50,100,250"), int),
+        methods=_split(cl.get("methods", "influence,disc_loss,random")),
         n_seeds=int(cl.get("n_seeds", 5)),
     )

@@ -16,7 +16,8 @@ context and cleansing's test set (latents first, then the rows of
 ``config.synthesize_dataset``), and ``draw_targets`` the targets of the
 accuracy experiment, ``gantrace influence --targets`` and ``gantrace
 oracle``.  Both experiments read their metrics through the oracle's
-``metric_reader``, one generated sample set per parameter vector.
+``metric_reader``, one generated sample set per parameter vector.  Every
+CSV the package writes, the CLI's included, goes through ``write_table``.
 """
 
 from __future__ import annotations
@@ -47,11 +48,11 @@ from .oracle import counterfactual_retrain, final_readings, metric_deltas, metri
 from .training import TrainingTrace, load_trace, run_training
 
 _STREAMS = {"dataset": 11, "reference": 13, "targets": 17, "test": 19,
-            "random_select": 23, "permutation": 29, "classifier_data": 31}
+            "random_select": 23, "permutation": 29}
 
 
-def _stream(seed: int, name: str) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), _STREAMS[name]]))
+def _stream(seed: int, name: str, *keys: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence([int(seed), _STREAMS[name], *keys]))
 
 
 # -- rank statistics -----------------------------------------------------------
@@ -451,24 +452,46 @@ def _select_for_method(config: ExperimentConfig, method: str, spec: MetricSpec,
     if method == "disc_loss":
         return select_harmful(tables["disc_loss"], MetricSpec("disc_loss"), n_harmful)
     # random; the config refuses any other method.
-    rng = np.random.default_rng(
-        np.random.SeedSequence([int(seed), _STREAMS["random_select"], int(n_harmful)]))
+    rng = _stream(seed, "random_select", int(n_harmful))
     return np.sort(rng.choice(config.dataset.n_train, size=n_harmful, replace=False))
 
 
 # -- report emission ------------------------------------------------------------
 
+def write_table(path, header, rows) -> None:
+    """The package's one CSV writer: ``header``, then each row.  Every
+    float, NumPy float64 included, is written as ``repr(float(x))``, its
+    shortest round-trip form, and every other value as ``csv`` writes it."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows([repr(float(value)) if isinstance(value, float) else value
+                          for value in row] for row in rows)
+
+
+def write_influence_table(table: InfluenceTable, path) -> None:
+    """The table as a CSV of ``index, score`` rows in index order, and its
+    JSON twin beside it (the CSV's path with ``.json``), which adds the
+    metric, the trace-back depth and the query fingerprint."""
+    if Path(path).suffix == ".json":
+        raise ValueError(f"{path} would be overwritten by the table's JSON twin")
+    indices = sorted(table.scores)
+    write_table(path, ["index", "score"], ((j, table.scores[j]) for j in indices))
+    Path(path).with_suffix(".json").write_text(json.dumps({
+        "metric": table.metric_name,
+        "k_epochs": table.k_epochs,
+        "query_fingerprint": table.query_fingerprint,
+        "scores": {str(j): table.scores[j] for j in indices},
+    }, indent=2))
+
+
 def _write_report(report, directory, name: str, row_type) -> None:
-    """``<name>.csv`` with floats written in full, and ``<name>.json``."""
+    """``<name>.csv`` and ``<name>.json``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    columns = fields(row_type)
-    with open(directory / f"{name}.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([column.name for column in columns])
-        for row in report.rows:
-            writer.writerow([repr(float(getattr(row, column.name))) if column.type == "float"
-                             else getattr(row, column.name) for column in columns])
+    columns = [column.name for column in fields(row_type)]
+    write_table(directory / f"{name}.csv", columns,
+                ([getattr(row, column) for column in columns] for row in report.rows))
     (directory / f"{name}.json").write_text(json.dumps({
         "rows": [asdict(row) for row in report.rows],
         "fingerprints": {str(k): v for k, v in report.fingerprints.items()},
@@ -493,23 +516,15 @@ def write_scatter_data(table: InfluenceTable, dataset: np.ndarray, spec: MetricS
     harmfulness = spec.harmful_sign * scores
     ranks = np.empty(len(indices), dtype=np.int64)
     ranks[np.argsort(-harmfulness, kind="stable")] = np.arange(len(indices))
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["index", "x0", "x1", "score", "harmfulness_rank"])
-        for pos, index in enumerate(indices):
-            writer.writerow([int(index), repr(float(dataset[index][0])),
-                             repr(float(dataset[index][1])), repr(float(scores[pos])),
-                             int(ranks[pos])])
+    write_table(path, ["index", "x0", "x1", "score", "harmfulness_rank"],
+                zip(indices, dataset[indices, 0], dataset[indices, 1], scores, ranks))
 
 
 def write_cleansing_curves(report: CleansingReport, path) -> None:
     """Mean improvement per (method, metric, n_harmful) for plotting."""
     keys = sorted({(r.method, r.metric, r.n_harmful) for r in report.rows})
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["method", "metric", "n_harmful", "mean_improvement",
-                         "std_improvement", "n_seeds"])
-        for method, metric, n_harmful in keys:
-            values = report.improvements(method, metric, n_harmful)
-            writer.writerow([method, metric, n_harmful, repr(float(values.mean())),
-                             repr(float(values.std(ddof=0))), len(values)])
+    values = {key: report.improvements(*key) for key in keys}
+    write_table(path, ["method", "metric", "n_harmful", "mean_improvement",
+                       "std_improvement", "n_seeds"],
+                ((*key, values[key].mean(), values[key].std(ddof=0), len(values[key]))
+                 for key in keys))

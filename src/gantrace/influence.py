@@ -14,11 +14,8 @@ own, drawn once per trace, so repeated sweeps never redraw it.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -58,24 +55,6 @@ class InfluenceTable:
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         keys = sorted(self.scores)
         return np.array(keys, dtype=np.int64), np.array([self.scores[k] for k in keys])
-
-
-def save_influence_csv(table: InfluenceTable, path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["index", "score"])
-        for index in sorted(table.scores):
-            writer.writerow([index, repr(float(table.scores[index]))])
-
-
-def save_influence_json(table: InfluenceTable, path) -> None:
-    payload = {
-        "metric": table.metric_name,
-        "k_epochs": table.k_epochs,
-        "query_fingerprint": table.query_fingerprint,
-        "scores": {str(k): table.scores[k] for k in sorted(table.scores)},
-    }
-    Path(path).write_text(json.dumps(payload, indent=2))
 
 
 def window_start(trace: TrainingTrace, k_epochs: int | None) -> int:

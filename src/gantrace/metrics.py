@@ -355,6 +355,8 @@ class ClassifierSettings:
     activation: str = "tanh"
 
     def __post_init__(self):
+        if not self.hidden:
+            raise ValueError("classifier_hidden must not be empty")
         _check_feature_layer(self.feature_layer, len(self.hidden))
 
 

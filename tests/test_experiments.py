@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import shutil
@@ -28,6 +29,7 @@ from gantrace.experiments import (
     write_cleansing_curves,
     write_cleansing_report,
     write_scatter_data,
+    write_table,
 )
 from gantrace.influence import infer_linear_influence, window_start
 from gantrace.metrics import ClassifierSettings, MetricSpec, build_query_vector, load_classifier
@@ -256,6 +258,25 @@ def test_report_files_roundtrip(mini_config, tmp_path):
     assert len(scatter) == 60
     ranks = sorted(int(r["harmfulness_rank"]) for r in scatter)
     assert ranks == list(range(60))
+
+
+def test_write_table_writes_floats_as_their_repr(tmp_path):
+    values = [0.1, np.float64(0.1), np.float64(1 / 3), -0.0, np.float64(5e-324)]
+    write_table(tmp_path / "t.csv", ["index", "count", "name", "value"],
+                [(np.int64(7), 3, "all", value) for value in values])
+    text = (tmp_path / "t.csv").read_text()
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == ["index", "count", "name", "value"]
+    assert [row[:3] for row in rows[1:]] == [["7", "3", "all"]] * len(values)
+    assert [row[3] for row in rows[1:]] == ["0.1", "0.1", "0.3333333333333333", "-0.0",
+                                            "5e-324"]
+    read = np.array([float(row[3]) for row in rows[1:]])
+    assert read.tobytes() == np.array(values, dtype=np.float64).tobytes()
+
+
+def test_write_table_without_rows_writes_the_header_alone(tmp_path):
+    write_table(tmp_path / "t.csv", ["index", "score"], [])
+    assert (tmp_path / "t.csv").read_bytes() == b"index,score\r\n"
 
 
 @pytest.mark.parametrize("name", ["normal2d_desk", "digits8_smoke"])
@@ -780,6 +801,16 @@ def test_cli_influence_into_an_existing_directory_exits_one(mini_trace, tmp_path
     assert err.startswith("error: ") and "Traceback" not in err and "scores.csv" in err
 
 
+def test_cli_influence_refuses_a_json_out(mini_trace, tmp_path, capsys):
+    # The JSON twin takes the CSV's path with ".json", which would be the CSV itself.
+    config, trace, _ = mini_trace
+    assert cli_main(["influence", "--config", str(config), "--trace", str(trace),
+                     "--out", str(tmp_path / "scores.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "scores.json" in err and "twin" in err
+    assert not (tmp_path / "scores.json").exists()
+
+
 @pytest.mark.parametrize("command, edit, flags, message", [
     ("cleanse", ("n_harmful = 6", "n_harmful = 6,-3"), [], "n_harmful"),
     ("cleanse", ("", ""), ["--n-harmful=-5"], "n_harmful"),
@@ -787,8 +818,24 @@ def test_cli_influence_into_an_existing_directory_exits_one(mini_trace, tmp_path
     ("train", ("metrics = all", "metrics = foo"), [], "unknown metric kind 'foo'"),
     ("cleanse", ("methods = influence,disc_loss,random", "methods = influence,bogus"), [],
      "bogus"),
+    ("train", ("metrics = all", "metrics = "), [], "metrics"),
+    ("influence", ("metrics = all", "metrics = "), ["--trace", "unused"], "metrics"),
+    ("cleanse", ("methods = influence,disc_loss,random", "methods = "), [], "methods"),
+    ("accuracy", ("k_epochs = 1", "k_epochs = "), [], "k_epochs"),
+    ("accuracy", ("", ""), ["--k="], "k_epochs"),
+    ("cleanse", ("n_harmful = 6", "n_harmful = "), [], "n_harmful"),
+    ("cleanse", ("n_seeds = 2", "n_seeds = 0"), [], "n_seeds"),
+    ("cleanse", ("", ""), ["--seeds", "0"], "n_seeds"),
+    ("accuracy", ("", ""), ["--seeds", "0"], "seeds"),
+    ("accuracy", ("n_targets = 8", "n_targets = 100"), [], "n_targets"),
+    ("accuracy", ("", ""), ["--targets", "61"], "n_targets"),
+    ("train", ("metrics = all", "metrics = all\nclassifier_hidden = "), [],
+     "classifier_hidden"),
 ], ids=["negative_n_harmful", "negative_n_harmful_flag", "no_permutations",
-        "unknown_metric", "unknown_method"])
+        "unknown_metric", "unknown_method", "empty_metrics", "empty_metrics_influence",
+        "empty_methods", "empty_k_epochs", "empty_k_flag", "empty_n_harmful", "zero_n_seeds",
+        "zero_seeds_flag", "zero_accuracy_seeds", "more_targets_than_rows",
+        "more_targets_flag", "empty_classifier_hidden"])
 def test_cli_refuses_a_bad_config_before_training(tmp_path, capsys, monkeypatch,
                                                    command, edit, flags, message):
     def refuse(*args, **kwargs):
