@@ -19,12 +19,10 @@ from .experiments import (
     CleansingRow,
     draw_targets,
     estimates_and_truths,
-    evaluation_context,
     load_seed_run,
     prepare_seed_run,
     run_data_cleansing,
     run_estimation_accuracy,
-    seed_dataset,
     write_accuracy_report,
     write_cleansing_curves,
     write_cleansing_report,
@@ -34,7 +32,7 @@ from .experiments import (
 )
 from .metrics import MetricSpec, save_classifier
 from .models import NonFiniteError
-from .training import DivergenceError, run_training, save_trace
+from .training import DivergenceError, save_trace
 
 
 class UsageError(RuntimeError):
@@ -104,14 +102,12 @@ def _load(args, flags=None) -> ExperimentConfig:
 
 def _cmd_train(args) -> int:
     config = _load(args)
-    data, _, fingerprint = seed_dataset(config, config.training.seed)
-    trace = run_training(config.problem(), data, config.training, fingerprint=fingerprint)
-    checksum = save_trace(trace, args.out)
+    run = prepare_seed_run(config, config.training.seed)
+    checksum = save_trace(run.trace, args.out)
     if config.uses_classifier:
-        _, context = evaluation_context(config, config.training.seed)
-        save_classifier(context.classifier, Path(args.out) / CLASSIFIER_DIR)
+        save_classifier(run.context.classifier, Path(args.out) / CLASSIFIER_DIR)
     print(f"trace: {args.out}")
-    print(f"steps: {trace.n_steps}  checksum: {checksum}")
+    print(f"steps: {run.trace.n_steps}  checksum: {checksum}")
     return 0
 
 

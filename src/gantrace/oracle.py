@@ -41,7 +41,6 @@ from .training import TrainingTrace, asgd_step
 @dataclass
 class CounterfactualResult:
     excluded: tuple[int, ...]
-    k_epochs: int
     params: np.ndarray
     delta: np.ndarray
 
@@ -85,13 +84,8 @@ def counterfactual_retrain(problem, trace: TrainingTrace, dataset: np.ndarray,
         params, spare = asgd_step(problem, params, dataset[idx[~drop] if drop.any() else idx],
                                   record.latents(problem.latent_dim), record.lr_gen,
                                   record.lr_disc, denom=len(idx), out=spare), params
-    k_used = trace.epochs if k_epochs is None else int(k_epochs)
-    return CounterfactualResult(
-        excluded=tuple(exclusion),
-        k_epochs=k_used,
-        params=params,
-        delta=params - trace.final_params,
-    )
+    return CounterfactualResult(excluded=tuple(exclusion), params=params,
+                                delta=params - trace.final_params)
 
 
 def metric_deltas(problem, trace: TrainingTrace, dataset: np.ndarray, targets,

@@ -454,9 +454,9 @@ def test_cli_train_without_classifier_metrics_stores_no_classifier(mini_config, 
     _, path = mini_config
 
     def refuse(*args, **kwargs):
-        raise AssertionError("train drew an evaluation context for an `all`-only config")
+        raise AssertionError("train trained a classifier for an `all`-only config")
 
-    monkeypatch.setattr(gantrace.cli, "evaluation_context", refuse)
+    monkeypatch.setattr(gantrace.experiments, "train_classifier", refuse)
     assert cli_main(["train", "--config", str(path), "--out", str(tmp_path / "trace")]) == 0
     assert not (tmp_path / "trace" / "classifier").exists()
 
@@ -690,7 +690,7 @@ def test_cli_non_finite_values_exit_two(mini_config, tmp_path, monkeypatch, caps
     def non_finite(*args, **kwargs):
         raise NonFiniteError("non-finite values in joint_gradient")
 
-    monkeypatch.setattr(gantrace.cli, "run_training", non_finite)
+    monkeypatch.setattr(gantrace.experiments, "run_training", non_finite)
     code = cli_main(["train", "--config", str(path), "--out", str(tmp_path / "t")])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
@@ -841,7 +841,6 @@ def test_cli_refuses_a_bad_config_before_training(tmp_path, capsys, monkeypatch,
     def refuse(*args, **kwargs):
         raise AssertionError("training started")
 
-    monkeypatch.setattr(gantrace.cli, "run_training", refuse)
     monkeypatch.setattr(gantrace.experiments, "run_training", refuse)
     path = tmp_path / "bad.ini"
     path.write_text(MINI_CONFIG.replace(*edit))

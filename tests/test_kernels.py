@@ -8,18 +8,24 @@ discriminator, and the scores read off the product must equal a separate
 score pass bit for bit.  The
 dense-stack forward and backward (``MlpLayout.forward`` and
 ``MlpLayout.backward``) and the classifier built on them are checked
-against the ``tape_*`` references the same way, and the classifier trainer
-bit for bit against the per-step loop ``loop_train_classifier``.  The
+against the ``tape_*`` references the same way.  The
 vectorized permutation test is checked against a loop over
 ``scipy.stats.kendalltau`` and its orders against row-by-row draws, and the blocked KDE against
 the dense ``dense_*`` references, which build the whole kernel matrix.
 The FID value and query that read a context's cached reference fit are
 checked against the uncached forms.  ``FcGan``'s kernels, which write
-their operands into a reused workspace, must equal ``AllocatingFcGan``'s
-fresh-operand arithmetic bit for bit, whatever batch shapes came before.
+their operands into a reused workspace, must give a fresh instance's
+bytes whatever batch shapes came before.
+
+``DIGESTS`` pins the bytes of the kernels, the KDE, the classifier trainer
+and the logistic on the cases built here, so that a change meant to keep
+every bit shows where it does not; as in ``test_trace_digests``, the test
+skips where NumPy or its BLAS differ from the recorded build.  Run this
+file as a script to print the digests of the current code.
 """
 
 import dataclasses
+import hashlib
 import tracemalloc
 import warnings
 
@@ -63,21 +69,19 @@ from gantrace.models import (
 )
 from gantrace.training import DivergenceError, StepRecord, asgd_step, latents_from_seed
 from toys import (
-    AllocatingFcGan,
     TapeFcGan,
     bilinear_game,
     dense_all_gradient,
     dense_average_log_likelihood,
     fid,
     loop_permutation_test_tau,
-    loop_train_classifier,
     mlp_graph,
-    scaled_kde_blocks,
     tape_input_pullback,
     tape_mlp_vjp,
     tape_train_classifier,
     uncached_fid_gradient,
 )
+from test_trace_digests import skip_unless_pinned_build
 
 LATENT, DATA, HIDDEN_GEN, HIDDEN_DISC = 3, 2, 6, 8
 
@@ -251,36 +255,18 @@ def random_case(gan, seed, n_latents, n_rows, edit=None):
             rng.standard_normal((n_rows, gan.data_dim)), rng.standard_normal(gan.dim_params))
 
 
-# SCENARIOS and a batch wide enough that fresh operands of its width would
-# be unmapped when freed.
+# The pinned kernel cases: SCENARIOS and a batch of a few hundred rows.
 REFERENCE_SCENARIOS = dict(SCENARIOS, wide_batch=(300, 260, 300, None, DATA))
 
 
 @pytest.mark.parametrize("objective", ["nonsaturating", "minimax"])
-@pytest.mark.parametrize("scenario", sorted(REFERENCE_SCENARIOS))
-def test_kernels_match_the_allocating_reference_bit_for_bit(objective, scenario):
-    n_latents, n_rows, denom, edit, data_dim = REFERENCE_SCENARIOS[scenario]
-    gan, _ = pair(objective, data_dim)
-    reference = AllocatingFcGan(gan.arch)
-    params, latents, rows, vector = random_case(gan, 26, n_latents, n_rows, edit)
-    assert_same_bits(gan.joint_gradient(params, latents, rows, denom),
-                     reference.joint_gradient(params, latents, rows, denom))
-    for got, ref in zip(gan.joint_gradient_vjp(vector, params, latents, rows, denom),
-                        reference.joint_gradient_vjp(vector, params, latents, rows, denom)):
-        assert_same_bits(got, ref)
-    query = vector[gan.dim_gen:]
-    assert_same_bits(data_term_scores(gan, query, params, rows),
-                     data_term_scores(reference, query, params, rows))
-
-
-@pytest.mark.parametrize("objective", ["nonsaturating", "minimax"])
 @pytest.mark.parametrize("lr_gen, lr_disc", [(1e-2, 3e-2), (1e-2, 0.0), (0.0, 3e-2)])
-def test_steps_match_the_allocating_reference_bit_for_bit(objective, lr_gen, lr_disc):
+def test_steps_match_the_kernels_scaled_block_by_block(objective, lr_gen, lr_disc):
     """A descent step and a query pull-back at simultaneous rates and at
-    the zero rates of alternating mode, against the slice-by-slice rate
-    scaling over the reference kernels."""
+    the zero rates of alternating mode, against a fresh instance's kernels
+    with each rate applied to its own block."""
     gan, _ = pair(objective)
-    reference = AllocatingFcGan(gan.arch)
+    reference = FcGan(gan.arch)
     params, latents, rows, query = random_case(gan, 27, 7, 5)
     d = gan.dim_gen
     grad = reference.joint_gradient(params, latents, rows, 7)
@@ -522,27 +508,6 @@ def test_train_classifier_matches_tape(activation):
     ref = tape_train_classifier(data, labels, settings, seed=3)
     assert np.linalg.norm(got.params - ref.params) <= 1e-10 * np.linalg.norm(ref.params)
     assert got.train_accuracy == ref.train_accuracy
-
-
-@pytest.mark.parametrize("activation, batch_size", [("tanh", 8), ("relu", 7), ("sigmoid", 45)])
-def test_train_classifier_matches_the_per_step_loop(activation, batch_size):
-    data, labels = small_classifier_data()
-    settings = ClassifierSettings(hidden=(6, 4), epochs=5, batch_size=batch_size, lr=0.1,
-                                  activation=activation)
-    got = train_classifier(data, labels, settings, seed=3)
-    ref = loop_train_classifier(data, labels, settings, seed=3)
-    assert np.array_equal(got.params, ref.params)
-    assert got.train_accuracy == ref.train_accuracy
-
-
-def test_train_classifier_matches_the_per_step_loop_on_digit_images():
-    # The shapes and settings of the digits8 configs' classifier: 64 inputs,
-    # hidden (64, 32), batches of 32 with a short last one.
-    data, labels = make_digit_images(300, 4, 0.15, np.random.default_rng(101))
-    settings = ClassifierSettings(epochs=3)
-    got = train_classifier(data, labels, settings, seed=101)
-    ref = loop_train_classifier(data, labels, settings, seed=101)
-    assert np.array_equal(got.params, ref.params)
 
 
 def test_train_classifier_refuses_a_non_finite_gradient():
@@ -929,28 +894,16 @@ def assert_same_bits(got, ref):
 # 1.0, 0.5 and 2.0 give a kernel scale that is a power of two (mantissa 1);
 # 0.7, 0.2 and 0.05 run the mantissa multiply.
 @pytest.mark.parametrize("bandwidth", [1.0, 0.5, 2.0, 0.7, 0.2, 0.05])
-@pytest.mark.parametrize("case", ["cloud", "far_cluster", "coincident"])
-def test_kde_matches_the_scale_pass_reference_bit_for_bit(case, bandwidth, monkeypatch):
+@pytest.mark.parametrize("case", ["far_cluster", "coincident"])
+def test_kde_shifts_every_far_row_and_clamps_coincident_points(case, bandwidth, monkeypatch):
     real, generated = kde_case(case, bandwidth)
-    h2 = bandwidth * bandwidth
     passes = spy_on_kde_passes(monkeypatch)
-    blocks = [(rows, kernels.copy(), sums, shift)
-              for rows, kernels, sums, shift in _kde_blocks(real, generated, h2)]
-    value = average_log_likelihood(real, generated, bandwidth)
-    grads = _all_gradient(real, generated, bandwidth)
-    reference = list(scaled_kde_blocks(real, generated, h2))
-    assert [got[0] for got in blocks] == [ref[0] for ref in reference]
-    for got, ref in zip(blocks, reference):
-        for got_array, ref_array in zip(got[1:], ref[1:]):
-            assert_same_bits(got_array, ref_array)
+    h2 = bandwidth * bandwidth
+    shifts = [shift.copy() for _, _, _, shift in _kde_blocks(real, generated, h2)]
     if case == "far_cluster":
-        assert all(shift.all() for _, _, _, shift in reference)
-    if case == "coincident":
+        assert all(shift.all() for shift in shifts)
+    else:
         assert any(name == "minimum" for name, _ in passes)
-
-    monkeypatch.setattr(gantrace.metrics, "_kde_blocks", scaled_kde_blocks)
-    assert_same_bits(value, average_log_likelihood(real, generated, bandwidth))
-    assert_same_bits(grads, _all_gradient(real, generated, bandwidth))
 
 
 @pytest.mark.parametrize("bandwidth,mantissa_pass", [(1.0, False), (0.7, True)])
@@ -1135,3 +1088,108 @@ def test_metric_context_is_frozen(tiny_digits_run):
         run.context.real_data = run.context.real_data[:10]
     with pytest.raises(dataclasses.FrozenInstanceError):
         run.context.classifier = None
+
+
+# -- pinned digests ---------------------------------------------------------------------------
+
+def pinned_outputs(name):
+    """The package's outputs for one pinned case: ``kernels/<objective>/<scenario>``
+    (the joint gradient, the VJP pair and the data-term scores),
+    ``kde/<case>/<bandwidth>`` (the KDE value and gradient),
+    ``classifier/<activation>-<batch size>`` or ``classifier/digits`` (the
+    trained parameters and accuracy) or ``logistic``."""
+    group, *key = name.split("/")
+    if group == "kernels":
+        objective, scenario = key
+        n_latents, n_rows, denom, edit, data_dim = REFERENCE_SCENARIOS[scenario]
+        gan, _ = pair(objective, data_dim)
+        params, latents, rows, vector = random_case(gan, 26, n_latents, n_rows, edit)
+        return (gan.joint_gradient(params, latents, rows, denom),
+                *gan.joint_gradient_vjp(vector, params, latents, rows, denom),
+                data_term_scores(gan, vector[gan.dim_gen:], params, rows))
+    if group == "kde":
+        case, bandwidth = key[0], float(key[1])
+        real, generated = kde_case(case, bandwidth)
+        return (average_log_likelihood(real, generated, bandwidth),
+                _all_gradient(real, generated, bandwidth))
+    if group == "classifier":
+        if key[0] == "digits":
+            # The digits8 configs' classifier: 64 inputs, hidden (64, 32),
+            # batches of 32 with a short last one.
+            data, labels = make_digit_images(300, 4, 0.15, np.random.default_rng(101))
+            clf = train_classifier(data, labels, ClassifierSettings(epochs=3), seed=101)
+        else:
+            activation, batch_size = key[0].split("-")
+            settings = ClassifierSettings(hidden=(6, 4), epochs=5, batch_size=int(batch_size),
+                                          lr=0.1, activation=activation)
+            clf = train_classifier(*small_classifier_data(), settings, seed=3)
+        return clf.params, clf.train_accuracy
+    x = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 36.7, 745.0, -745.0],
+                        np.linspace(-750.0, 750.0, 30001),
+                        np.random.default_rng(8).standard_normal(10000) * 20.0])
+    return (_logistic(x),)
+
+
+def digest(outputs):
+    """sha256 over the dtype, shape and bytes of each output in turn."""
+    hasher = hashlib.sha256()
+    for array in map(np.asarray, outputs):
+        hasher.update(f"{array.dtype.str} {array.shape}\n".encode())
+        hasher.update(array.tobytes())
+    return hasher.hexdigest()
+
+
+DIGESTS = {
+    "classifier/digits": "818b2c58260f4b625eb54916fbf23752b8a00df6b2f555a7dc76bd80579b5810",
+    "classifier/relu-7": "589642dc2665cdcc23b6eb366052356b8531813cb9f7e779de2a0c7e645a4b2c",
+    "classifier/sigmoid-45": "11f16cb52f222d8ce936df0034a23c53f3b824627b9dfa8abab1337e3b67402b",
+    "classifier/tanh-8": "577e62bf5200efec4ce0bf89936d23509bce7d25fe633a662a901a42cc9f1ee1",
+    "kde/cloud/0.05": "e4f60cb31ca5626dc84e8645cb5448099eaa878cd9f2f33826f5e07a2c0d4111",
+    "kde/cloud/0.2": "c1e9d6389eb79dd3002343ae6cdd479fec771bff20a0a2446bd6656ec296d58b",
+    "kde/cloud/0.5": "06779015719bd92fd1adb6fe28ed07a30e12aea3a0e471da5ba61451e49aeccc",
+    "kde/cloud/0.7": "169c1ea56272a4f9a7ae257e369c7a6d9e72b361f4625105a7d9c3d5e2951e9f",
+    "kde/cloud/1.0": "a0ff75066c9e4288ef5d107c516c1046534cf771c9e54a651d6dc7023347b6b6",
+    "kde/cloud/2.0": "eae513800a3b2d349489ebfa2fe10d48a7f25e6e9bda2dc48271d59d4520d70f",
+    "kde/coincident/0.05": "e01007ccb5fdff2aec1d5472afe4f4ab866812ca3eec16a5ebdfb282d7a84c95",
+    "kde/coincident/0.2": "974d4acea5ce40ac11cf09141f2fc47bff56f53d4841d989d3183a8f4590e9c8",
+    "kde/coincident/0.5": "54efe80e9070e5dc813f4a768caa6ee1990c318e9b90d5380c02131c3487b58b",
+    "kde/coincident/0.7": "8dc4983e17887920797f0c7461755a93cc9622b824c3955e3409f3b1a16ce0b9",
+    "kde/coincident/1.0": "bc46e9ffe618c4c3375e70847dae87889d5c7d2cd1365c181f6ebb9f696b1abc",
+    "kde/coincident/2.0": "2d732bacfab11e7b13d372d98cd06d75c48f63c12baa87ccc0765309ca299012",
+    "kde/far_cluster/0.05": "4b863b4776390ad2d06479dc7499e3cd67ecbdc61e25dfd849303fe1ab92a8da",
+    "kde/far_cluster/0.2": "8520e1ffecb7f19bdfb9be61aa03ec878c91818fb362e33dc4f1b16566e1de95",
+    "kde/far_cluster/0.5": "64dd5d19a6448ca8cb509b72e9f9ef86fa74a43312fa330afa2500f6a94a8ce1",
+    "kde/far_cluster/0.7": "a1904719b697dc9dff94ed0ba2040d6780a87eb6611b9b3a4b402299eaffa14c",
+    "kde/far_cluster/1.0": "0197843e2693721c7947236de047c514fee6963c65f0339ceb182e9fa7af3435",
+    "kde/far_cluster/2.0": "6e46f89e72a974868818ab687cbbc70d4d981211b4ab3d26796121c75f91cce2",
+    "kernels/minimax/all_rows_excluded": "2e376c1d910a847cfd0490218acd71849dbe8e56d6f77a1275b0b80c78a220ad",
+    "kernels/minimax/dead_relus": "de70246e04aa30fa98503de39169008c1ee4a775cd32d8e0bba14c99b8aae5d2",
+    "kernels/minimax/full_batch": "0b9854cfabb293631481948fdcd673e26c91150d0bed34390541ad56c5f5cf1a",
+    "kernels/minimax/oracle_replay": "e46c40b471c77be058ea91a98792dade695890ad91815a78880368f2ea673c95",
+    "kernels/minimax/saturated_discriminator": "39fba42e5f7d86230d8e6b0afa597e6fad08b6de9a0f8a7c3adf3a9f0a388529",
+    "kernels/minimax/single_row": "b5d596798f1e6595bbc43642243e92db32d0a4af53e9df6f3647125982553463",
+    "kernels/minimax/wide_batch": "35c5442bdb7919a9269e8abc92bbec94ef82e606f5ece5171e40b6c8c2e5132d",
+    "kernels/minimax/wide_data": "f6ed2b12553d0bab9af5ced8b5e47599b99b33184aebea2bff300b66dae627bd",
+    "kernels/nonsaturating/all_rows_excluded": "9eae57a6623b7b45412946480f4a416316fbc491b5cfbee6cc4406d684d8f44d",
+    "kernels/nonsaturating/dead_relus": "088b9780017643262d1456beb9a57ed17e6c9ea5046cf846b61699afb94ced4c",
+    "kernels/nonsaturating/full_batch": "72e69457206cdd7a4ff6128b9e5b855d225c18b5920c3d7044e0765422a9c5a0",
+    "kernels/nonsaturating/oracle_replay": "115be56bd755e10dfb0820e1b94c655a9f9ea78b39653e20854144bee16cb43d",
+    "kernels/nonsaturating/saturated_discriminator": "60d05eadfaab6a8b6853457ee7e520183ec1a6bce1380e3f402a325b1241490e",
+    "kernels/nonsaturating/single_row": "dd11a0efdd8f4afad7d7e4e6ff387afe9672f35fbeb42e8fa6b393eb19bedd03",
+    "kernels/nonsaturating/wide_batch": "d7b397f46c04981349a9dacdb13218acf30d2f015de9dbc21d29b70636a0a273",
+    "kernels/nonsaturating/wide_data": "d0bd1b9b67085f8555a77671bcd0f18cfe52751b7ca38ced830ce68b9872d216",
+    "logistic": "f6945c437bea01f5bf6817b5fd8514b6e13032c8ed18b62ba9d490d31b60a070",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_outputs_match_their_pinned_digest(name):
+    skip_unless_pinned_build()
+    assert digest(pinned_outputs(name)) == DIGESTS[name]
+
+
+if __name__ == "__main__":
+    print("DIGESTS = {")
+    for case_name in sorted(DIGESTS):
+        print(f'    "{case_name}": "{digest(pinned_outputs(case_name))}",')
+    print("}")

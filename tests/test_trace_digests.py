@@ -38,11 +38,17 @@ def blas_version() -> str:
     return f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"
 
 
+def skip_unless_pinned_build() -> None:
+    """Skip the calling test, naming both builds, where NumPy or its BLAS is
+    not the build the pinned values were recorded under."""
+    if (np.__version__, blas_version()) != (PINNED_NUMPY, PINNED_BLAS):
+        pytest.skip(f"pinned values recorded under NumPy {PINNED_NUMPY} with {PINNED_BLAS}; "
+                    f"this is NumPy {np.__version__} with {blas_version()}")
+
+
 @pytest.mark.parametrize("name", sorted(CHECKSUMS))
 def test_trace_checksum_is_pinned(name):
-    if (np.__version__, blas_version()) != (PINNED_NUMPY, PINNED_BLAS):
-        pytest.skip(f"checksums recorded under NumPy {PINNED_NUMPY} with {PINNED_BLAS}; "
-                    f"this is NumPy {np.__version__} with {blas_version()}")
+    skip_unless_pinned_build()
     config = load_config(CONFIGS / name)
     data, _, fingerprint = seed_dataset(config, 0)
     trace = run_training(config.problem(), data, dataclasses.replace(config.training, seed=0),

@@ -16,22 +16,18 @@ one row's data-term loss on it or on a toy.  The validation-only
 estimators live here as well: ``jacobian_vector_product_fd``, the forward
 ``estimate_influence_vector`` built on it, and ``cross_block_transfer_check``.
 The ``tape_*`` functions are the references for the closed-form dense-stack
-backward and the classifier built on it, and ``loop_train_classifier`` is
-the per-step loop the classifier trainer must match bit for bit.  ``loop_permutation_test_tau`` is
+backward and the classifier built on it.  ``loop_permutation_test_tau`` is
 the per-permutation reference for the vectorized permutation test, and the
 ``dense_*`` KDE functions, which build the whole n_ref x n_gen matrix, are
-the reference for the blocked KDE; ``scaled_kde_blocks`` is its reference
-bit for bit, with the whole kernel scale applied after the matmul and the
-clamp always taken.  ``AllocatingFcGan`` and ``allocating_logistic`` are
-the reference, bit for bit, for ``FcGan``'s workspace kernels and its
-logistic.  ``full_window_retrain`` is the oracle that replays the whole
-window whatever it excludes, the reference for the replay that starts at
-the first excluded step; ``uncached_fid_gradient`` refits the FID
-reference side on every call, the reference for the fit a
+the reference for the blocked KDE.  ``full_window_retrain`` is the oracle
+that replays the whole window whatever it excludes, the reference for the
+replay that starts at the first excluded step; ``uncached_fid_gradient``
+refits the FID reference side on every call, the reference for the fit a
 ``MetricContext`` keeps, and ``fid`` does the same for its value;
 ``inception_score`` reads the score of a sample set on a classifier; and
 ``true_influence_on_metric`` reads one metric change from two parameter
-vectors.
+vectors.  Nothing here keeps a frozen copy of the package's arithmetic:
+the digests of ``test_kernels.py`` pin its bits.
 """
 
 from dataclasses import dataclass
@@ -44,8 +40,6 @@ from scipy.special import softmax as np_softmax
 from gantrace.experiments import PermutationResult
 from gantrace.influence import window_start
 from gantrace.metrics import (
-    _KDE_BLOCK_ENTRIES,
-    _KDE_UNDERFLOW_SUM,
     Classifier,
     GeneratedSet,
     _fid_from_fit,
@@ -55,14 +49,7 @@ from gantrace.metrics import (
     inception_score_from_posteriors,
     metric_value,
 )
-from gantrace.models import (
-    FcGan,
-    MlpLayout,
-    _Activations,
-    _checked,
-    _rows_of,
-    joint_gradient,
-)
+from gantrace.models import FcGan, MlpLayout, joint_gradient
 from gantrace.training import (
     DivergenceError,
     StepRecord,
@@ -251,150 +238,6 @@ class TapeFcGan(TapeGradients, FcGan):
         return float(self.disc_real_terms_graph(Tensor(params), np.atleast_2d(x)).data[0])
 
 
-
-class AllocatingFcGan(FcGan):
-    """``FcGan`` with its gradient kernels as they were before the
-    workspace: every call builds its operands afresh, the ones columns with
-    ``np.ones``, the VJP's operands with ``np.hstack`` and
-    ``np.column_stack``, and each logit derivative from the probabilities
-    on its own, negated and then divided by the latent count.  The
-    workspace kernels must match it bit for bit."""
-
-    def joint_gradient(self, params, latents, data_rows, denom):
-        params = np.asarray(params, dtype=np.float64)
-        f = self._forward(params, latents, data_rows)
-        n = len(f.latents)
-        gen_adj = self._gen_logit_first(f.probs[:n]) / n
-        disc_adj = _fresh_disc_logit_first(f.probs, n) / denom
-        v2 = f.v2[:-1]
-        grad = np.empty(self.dim_params)
-        gw1, gw2, gv1, gv2 = self._augmented(grad)
-        logit_grad = f.disc_mask[:n] @ (v2[:, None] * f.v1[:-1].T)
-        out_adj = gen_adj[:, None] * logit_grad * f.tanh_slope
-        np.matmul(f.gen_hidden.T, out_adj, out=gw2)
-        np.matmul(f.latents.T, (out_adj @ f.w2[:-1].T) * f.gen_mask, out=gw1)
-        np.multiply(_fresh_masked_grams(f.inputs, disc_adj[:, None], f.disc_mask)[0], v2,
-                    out=gv1)
-        np.matmul(f.disc_hidden.T, disc_adj, out=gv2[:-1])
-        gv2[-1] = disc_adj.sum()
-        grad += self._penalty_rates * params
-        return _checked(grad, "joint_gradient")
-
-    def joint_gradient_vjp(self, vector, params, latents, data_rows, denom):
-        f = self._forward(params, latents, data_rows)
-        vector = np.asarray(vector, dtype=np.float64)
-        if vector.shape != (self.dim_params,):
-            raise ValueError(f"vector of shape {vector.shape} does not match "
-                             f"{self.dim_params} parameters")
-        uw1, uw2, uv1, uv2 = self._augmented(vector)
-        n = len(f.latents)
-        v1, v2, uk1, uk2 = f.v1[:-1], f.v2[:-1], uv1[:-1], uv2[:-1]
-        r_gen_hidden = (f.latents @ uw1) * f.gen_mask
-        r_fake = (r_gen_hidden @ f.w2[:-1] + f.gen_hidden @ uw2) * f.tanh_slope
-        d = self.data_dim
-        pulled = f.disc_mask[:n] @ np.hstack([v2[:, None] * v1.T,
-                                              uk2[:, None] * v1.T + v2[:, None] * uk1.T])
-        logit_grad, r_logit_grad = pulled[:, :d], pulled[:, d:]
-        gen_adj = self._gen_logit_first(f.probs[:n]) / n
-        disc_adj = _fresh_disc_logit_first(f.probs, n) / denom
-        r_disc_logit = (np.einsum("ij,ij->i", f.inputs, f.disc_mask @ (uv1 * v2).T)
-                        + f.disc_hidden @ uk2 + uv2[-1])
-        r_adj = f.probs * (1.0 - f.probs) / denom * r_disc_logit
-        r_adj[:n] += (self._gen_logit_second(f.probs[:n]) / n
-                      * np.einsum("ij,ij->i", r_fake, logit_grad))
-
-        grad = np.empty(self.dim_params)
-        gw1, gw2, gv1, gv2 = self._augmented(grad)
-        fake_adj = gen_adj[:, None] * logit_grad
-        out_adj = fake_adj * f.tanh_slope
-        r_out_adj = ((r_adj[:n, None] * logit_grad + disc_adj[:n, None] * r_logit_grad)
-                     * f.tanh_slope - 2.0 * fake_adj * f.fake * r_fake)
-        np.matmul(f.gen_hidden.T, r_out_adj, out=gw2)
-        gw2[:-1] += r_gen_hidden.T @ out_adj
-        np.matmul(f.latents.T, (r_out_adj @ f.w2[:-1].T + out_adj @ uw2[:-1].T) * f.gen_mask,
-                  out=gw1)
-        grams = _fresh_masked_grams(f.inputs, np.column_stack([r_adj, disc_adj]), f.disc_mask)
-        fake_gram = _fresh_masked_grams(r_fake, gen_adj[:, None], f.disc_mask[:n])[0]
-        np.multiply(grams[0], v2, out=gv1)
-        gv1 += grams[1] * uk2
-        gv1[:-1] += fake_gram * v2
-        gv2[:-1] = (f.disc_hidden.T @ r_adj + (fake_gram * v1).sum(axis=0)
-                    + (grams[1] * uv1).sum(axis=0))
-        gv2[-1] = r_adj.sum()
-        grad += self._penalty_rates * vector
-        return (_checked(grad, "joint_gradient_vjp"),
-                _checked(disc_adj[n:] * r_disc_logit[n:], "data_term_scores"))
-
-    def _augmented(self, flat):
-        w1, w2 = _fresh_augmented(self.gen_net, flat[:self.dim_gen])
-        v1, v2 = _fresh_augmented(self.disc_net, flat[self.dim_gen:])
-        return w1, w2, v1, v2[:, 0]
-
-    def _forward(self, params, latents, data_rows):
-        params = _checked(np.asarray(params, dtype=np.float64), "parameters")
-        w1, w2, v1, v2 = self._augmented(params)
-        latents = _fresh_with_ones(_rows_of(latents, self.latent_dim, "latents"))
-        rows = _rows_of(data_rows, self.data_dim, "data rows")
-        n = len(latents)
-        gen_pre = latents @ w1
-        gen_mask = (gen_pre > 0.0).astype(np.float64)
-        gen_hidden = np.ones((n, gen_pre.shape[1] + 1))
-        np.maximum(gen_pre, 0.0, out=gen_hidden[:, :-1])
-        inputs = np.ones((n + len(rows), self.data_dim + 1))
-        fake = np.tanh(gen_hidden @ w2, out=inputs[:n, :-1])
-        inputs[n:, :-1] = rows
-        disc_pre = inputs @ v1
-        disc_hidden = np.maximum(disc_pre, 0.0)
-        return _Activations(
-            w2=w2, v1=v1, v2=v2,
-            latents=latents, gen_mask=gen_mask, gen_hidden=gen_hidden,
-            fake=fake, tanh_slope=1.0 - fake * fake, inputs=inputs,
-            disc_mask=(disc_pre > 0.0).astype(np.float64), disc_hidden=disc_hidden,
-            probs=allocating_logistic(disc_hidden @ v2[:-1] + v2[-1]),
-        )
-
-    def _gen_logit_first(self, probs):
-        if self.arch.objective == "nonsaturating":
-            return -(probs * (1.0 - probs))
-        return -probs
-
-    def _gen_logit_second(self, probs):
-        slope = probs * (1.0 - probs)
-        if self.arch.objective == "nonsaturating":
-            return -slope * (1.0 - 2.0 * probs)
-        return -slope
-
-
-def allocating_logistic(x):
-    """The logistic as seven array passes: ``where(x >= 0, 1, e) / (1 + e)``
-    with ``e = exp(-abs(x))``."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def _fresh_augmented(layout, flat):
-    """Each layer of ``layout`` as a (fan_in + 1, fan_out) view [kernel; bias]."""
-    return [flat[offset:offset + (shape[0] + 1) * shape[1]].reshape(shape[0] + 1, shape[1])
-            for offset, shape in layout.spans[::2]]
-
-
-def _fresh_with_ones(values):
-    out = np.ones((len(values), values.shape[1] + 1))
-    out[:, :-1] = values
-    return out
-
-
-def _fresh_disc_logit_first(probs, n_fake):
-    first = probs.copy()
-    first[n_fake:] -= 1.0
-    return first
-
-
-def _fresh_masked_grams(inputs, weights, mask):
-    n, k = weights.shape
-    scaled = (weights[:, :, None] * inputs[:, None, :]).reshape(n, k * inputs.shape[1])
-    return (scaled.T @ mask).reshape(k, inputs.shape[1], -1)
-
 def data_term_gradient(problem, params, row):
     """Gradient of one instance's data-term loss, discriminator block only.
 
@@ -562,37 +405,6 @@ def tape_train_classifier(data, labels, settings, seed=0):
     return clf
 
 
-def loop_train_classifier(data, labels, settings, seed=0):
-    """``metrics.train_classifier`` as a plain loop: fresh layer views, a
-    fresh forward record, gathered batch and zeroed gradient vector per
-    step, SciPy's softmax and an out-of-place update.  The trainer must
-    match it bit for bit."""
-    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    labels = np.asarray(labels, dtype=np.int64)
-    n_classes = int(labels.max()) + 1
-    layout = MlpLayout((data.shape[1], *settings.hidden, n_classes),
-                       (settings.activation,) * len(settings.hidden) + ("linear",))
-    init_seq, shuffle_seq = np.random.SeedSequence(seed).spawn(2)
-    params = layout.init_params(np.random.default_rng(init_seq))
-    shuffle_rng = np.random.default_rng(shuffle_seq)
-    onehot = np.eye(n_classes)[labels]
-    for _ in range(settings.epochs):
-        order = shuffle_rng.permutation(len(data))
-        for start in range(0, len(data), settings.batch_size):
-            batch = order[start:start + settings.batch_size]
-            record = layout.forward(layout.unpack(params), data[batch])
-            grad = np.zeros(layout.n_params)
-            layout.backward(record, (np_softmax(record.output, axis=1) - onehot[batch])
-                            / len(batch), layout.unpack(grad))
-            params = params - settings.lr * _checked(grad, "parameter gradient")
-            peak = np.max(np.abs(params))
-            if not np.isfinite(peak) or peak > 1e6:
-                raise DivergenceError("classifier training diverged")
-    clf = Classifier(layout, params, n_classes, settings.feature_layer)
-    clf.train_accuracy = float((clf.record(data).output.argmax(axis=1) == labels).mean())
-    return clf
-
-
 def loop_permutation_test_tau(estimated, true, n_permutations=1000, rng=None):
     """The permutation test with one ``scipy.stats.kendalltau`` call per permutation."""
     rng = rng or np.random.default_rng(0)
@@ -630,44 +442,6 @@ def dense_all_gradient(real, generated, bandwidth):
     weights = np_softmax(-_pairwise_sq_dists(real, generated) / (2.0 * h2), axis=1)
     pulled = weights.T @ real - weights.sum(axis=0)[:, None] * generated
     return pulled / (real.shape[0] * h2)
-
-
-def _scaled_shifted_kernels(left_rows, right, scale):
-    log_kernels = left_rows @ right
-    log_kernels *= scale
-    np.minimum(log_kernels, 0.0, out=log_kernels)
-    row_max = log_kernels.max(axis=1)
-    log_kernels -= row_max[:, None]
-    return np.exp(log_kernels, out=log_kernels), row_max
-
-
-def scaled_kde_blocks(real, generated, h2):
-    """``metrics._kde_blocks`` with the whole scale -1/(2 h^2) applied to
-    each block after an unscaled matmul and the clamp at 0 always taken.
-    Each yielded array is a fresh copy."""
-    n_gen = len(generated)
-    step = max(1, _KDE_BLOCK_ENTRIES // n_gen)
-    left = np.hstack([real, (real * real).sum(axis=1, keepdims=True),
-                      np.ones((len(real), 1))])
-    right = np.vstack([-2.0 * generated.T, np.ones((1, n_gen)),
-                       (generated * generated).sum(axis=1)[None, :]])
-    scale = -0.5 / h2
-    ones = np.ones(n_gen)
-    for start in range(0, len(real), step):
-        rows = slice(start, min(start + step, len(real)))
-        block = left[rows] @ right
-        block *= scale
-        np.minimum(block, 0.0, out=block)
-        np.exp(block, out=block)
-        sums = block @ ones
-        shift = np.zeros(len(sums))
-        low = np.flatnonzero(sums < _KDE_UNDERFLOW_SUM)
-        if low.size:
-            kernels, row_max = _scaled_shifted_kernels(left[start + low], right, scale)
-            block[low] = kernels
-            sums[low] = kernels @ ones
-            shift[low] = row_max
-        yield rows, block, sums, shift
 
 
 def full_window_retrain(problem, trace, dataset, excluded, k_epochs=None):
