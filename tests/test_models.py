@@ -264,7 +264,6 @@ def test_logistic_matches_scipy_expit_without_overflow():
     with np.errstate(all="raise", under="ignore"):
         got = _logistic(x)
         ends = _logistic(np.array([0.0, np.inf, -np.inf]))
-    assert not np.shares_memory(got, x)
     assert np.array_equal(ends, [0.5, 1.0, 0.0])
     # expit returns 0 below about -709.78, where the logistic is subnormal.
     np.testing.assert_allclose(got, expit(x), rtol=2e-15, atol=np.finfo(float).tiny)
@@ -273,3 +272,14 @@ def test_logistic_matches_scipy_expit_without_overflow():
         got = _logistic(inner)
     np.testing.assert_allclose(got, expit(inner), rtol=2e-15, atol=0.0)
 
+
+def test_logistic_is_the_seven_pass_form_bit_for_bit():
+    # The form its docstring names, written out here rather than kept as a
+    # frozen copy: unlike the pinned digest, this holds on any NumPy build.
+    x = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 36.7, 745.0, -745.0],
+                        np.linspace(-750.0, 750.0, 30001),
+                        np.random.default_rng(8).standard_normal(10000) * 20.0])
+    got = _logistic(x)
+    e = np.exp(-np.abs(x))
+    assert got.tobytes() == (np.where(x >= 0, 1.0, e) / (1.0 + e)).tobytes()
+    assert not np.shares_memory(got, x)
