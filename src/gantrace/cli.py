@@ -61,14 +61,12 @@ def _build_parser() -> _Parser:
     command("train", "run training and store the trace", "trace output directory")
 
     p_infl = command("influence", "estimate influence from a stored trace", "output CSV path")
-    p_infl.add_argument("--trace", required=True)
     p_infl.add_argument("--metric", default=None, help="one of the configured metric kinds (default: the first)")
     p_infl.add_argument("--k", type=int, default=None, help="epochs to trace back")
     p_infl.add_argument("--targets", type=int, default=None,
                         help="score a random target subset of this size")
 
     p_oracle = command("oracle", "counterfactual ground truth for targets", "output CSV path")
-    p_oracle.add_argument("--trace", required=True)
     p_oracle.add_argument("--targets", type=int, required=True)
     p_oracle.add_argument("--k", type=int, default=None)
 
@@ -85,10 +83,12 @@ def _build_parser() -> _Parser:
     p_cl.add_argument("--seeds", type=int, default=None,
                       help="number of seeds (cleansing.n_seeds)")
 
-    p_rep = command("report", "emit plot-data CSVs from experiment outputs",
+    p_rep = command("report", "emit plot-data CSVs from experiment outputs and a stored trace",
                     "plot-data output directory")
     p_rep.add_argument("--from", dest="source", required=True,
                        help="directory holding experiment outputs")
+    for p in (p_infl, p_oracle, p_rep):
+        p.add_argument("--trace", required=True, help="trace directory written by gantrace train")
     return parser
 
 
@@ -178,7 +178,7 @@ def _cmd_report(args) -> int:
         write_cleansing_curves(report, out / "cleansing_curves.csv")
         emitted.append("cleansing_curves.csv")
     if config.dataset.kind == "normal2d":
-        run = prepare_seed_run(config, config.training.seed)
+        run = load_seed_run(config, args.trace)
         spec = config.metric_specs()[0]
         table = run.influence(spec, k_epochs=1)
         write_scatter_data(table, run.dataset, spec, out / "harmfulness_scatter.csv")

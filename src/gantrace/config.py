@@ -125,85 +125,85 @@ def trace_fingerprint(config: ExperimentConfig, data_checksum: str) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def _split(text: str, item=str) -> tuple:
-    """The comma list's non-empty entries, each as ``item``."""
-    return tuple(item(part.strip()) for part in text.split(",") if part.strip())
+def _split(item):
+    """The parser of a comma list: its non-empty entries, each as ``item``."""
+    return lambda text: tuple(item(part.strip()) for part in text.split(",") if part.strip())
+
+
+# Every config key -> (the settings class it fills, the field, its text's parser).
+_KEYS = {
+    "dataset.kind": (DatasetSpec, "kind", str),
+    "dataset.n_train": (DatasetSpec, "n_train", int),
+    "dataset.n_classes": (DatasetSpec, "n_classes", int),
+    "dataset.noise": (DatasetSpec, "noise", float),
+    "dataset.images": (DatasetSpec, "images_path", str),
+    "dataset.labels": (DatasetSpec, "labels_path", str),
+    "dataset.side": (DatasetSpec, "side", int),
+    "architecture.latent_dim": (GanArchitecture, "latent_dim", int),
+    "architecture.data_dim": (GanArchitecture, "data_dim", int),
+    "architecture.hidden_gen": (GanArchitecture, "hidden_gen", int),
+    "architecture.hidden_disc": (GanArchitecture, "hidden_disc", int),
+    "architecture.l2_rate": (GanArchitecture, "l2_rate", float),
+    "architecture.objective": (GanArchitecture, "objective", str),
+    "training.epochs": (TrainingSettings, "epochs", int),
+    "training.batch_size": (TrainingSettings, "batch_size", int),
+    "training.lr_gen": (TrainingSettings, "lr_gen", float),
+    "training.lr_disc": (TrainingSettings, "lr_disc", float),
+    "training.mode": (TrainingSettings, "mode", str),
+    "training.first_update": (TrainingSettings, "first_update", str),
+    "training.seed": (TrainingSettings, "seed", int),
+    "evaluation.metrics": (ExperimentConfig, "metrics", _split(str)),
+    "evaluation.bandwidth": (ExperimentConfig, "bandwidth", float),
+    "evaluation.n_reference": (ExperimentConfig, "n_reference", int),
+    "evaluation.n_test": (ExperimentConfig, "n_test", int),
+    "evaluation.classifier_hidden": (ClassifierSettings, "hidden", _split(int)),
+    "evaluation.classifier_epochs": (ClassifierSettings, "epochs", int),
+    "evaluation.classifier_batch": (ClassifierSettings, "batch_size", int),
+    "evaluation.classifier_lr": (ClassifierSettings, "lr", float),
+    "evaluation.feature_layer": (ClassifierSettings, "feature_layer", int),
+    "evaluation.classifier_activation": (ClassifierSettings, "activation", str),
+    "evaluation.classifier_seed": (ExperimentConfig, "classifier_seed", int),
+    "influence.k_epochs": (ExperimentConfig, "k_epochs", _split(int)),
+    "influence.n_targets": (ExperimentConfig, "n_targets", int),
+    "influence.n_permutations": (ExperimentConfig, "n_permutations", int),
+    "cleansing.n_harmful": (ExperimentConfig, "n_harmful", _split(int)),
+    "cleansing.methods": (ExperimentConfig, "methods", _split(str)),
+    "cleansing.n_seeds": (ExperimentConfig, "n_seeds", int),
+}
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    """Parse a sectioned key-value config file.
+    """Parse a sectioned key-value config file; a field no key sets keeps its default.
 
-    ``overrides`` maps dotted ``section.key`` names to replacement values,
-    read as their ``str`` (the command-line flags land here).
+    ``overrides`` maps dotted ``section.key`` names to values read as their ``str`` (the
+    command-line flags).  A section or key not in ``_KEYS``, even in [DEFAULT], raises.
     """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise FileNotFoundError(f"config file not found: {path}")
     for dotted, value in (overrides or {}).items():
         section, key = dotted.split(".", 1)
         parser.read_dict({section: {key: value}})
 
-    ds = parser["dataset"] if parser.has_section("dataset") else {}
-    dataset = DatasetSpec(
-        kind=ds.get("kind", "normal2d"),
-        n_train=int(ds.get("n_train", 1000)),
-        n_classes=int(ds.get("n_classes", 4)),
-        noise=float(ds.get("noise", 0.15)),
-        images_path=ds.get("images", ""),
-        labels_path=ds.get("labels", ""),
-        side=int(ds.get("side", 8)),
-    )
-    ar = parser["architecture"] if parser.has_section("architecture") else {}
+    given = {target: {} for target, _, _ in _KEYS.values()}
+    for section, entries in parser.items():
+        for key, text in entries.items():
+            if f"{section}.{key}" not in _KEYS:
+                raise ValueError(f"unknown config key {key!r} in section [{section}]")
+            target, name, parse = _KEYS[f"{section}.{key}"]
+            given[target][name] = parse(text)
+    for section in set(parser.sections()) - {dotted.split(".")[0] for dotted in _KEYS}:
+        raise ValueError(f"unknown config section [{section}]")
+
+    dataset = DatasetSpec(**given[DatasetSpec])
     # The glyphs are always GLYPH_SIDE pixels square; ``side`` sizes IDX images.
     side = GLYPH_SIDE if dataset.kind == "digits8" else dataset.side
     data_dim = 2 if dataset.kind == "normal2d" else side * side
-    if int(ar.get("data_dim", data_dim)) != data_dim:
-        raise ValueError(f"[architecture] data_dim = {ar['data_dim']} does not match the "
-                         f"{dataset.kind} dataset's dimension {data_dim}")
-    architecture = GanArchitecture(
-        latent_dim=int(ar.get("latent_dim", 10)),
-        data_dim=data_dim,
-        hidden_gen=int(ar.get("hidden_gen", 32)),
-        hidden_disc=int(ar.get("hidden_disc", 64)),
-        l2_rate=float(ar.get("l2_rate", 1e-3)),
-        objective=ar.get("objective", "nonsaturating"),
-    )
-    tr = parser["training"] if parser.has_section("training") else {}
-    training = TrainingSettings(
-        epochs=int(tr.get("epochs", 5)),
-        batch_size=int(tr.get("batch_size", 100)),
-        lr_gen=float(tr.get("lr_gen", 1e-3)),
-        lr_disc=float(tr.get("lr_disc", 1e-3)),
-        mode=tr.get("mode", "simultaneous"),
-        first_update=tr.get("first_update", "generator"),
-        seed=int(tr.get("seed", 0)),
-    )
-    ev = parser["evaluation"] if parser.has_section("evaluation") else {}
-    classifier = ClassifierSettings(
-        hidden=_split(ev.get("classifier_hidden", "64,32"), int),
-        epochs=int(ev.get("classifier_epochs", 30)),
-        batch_size=int(ev.get("classifier_batch", 32)),
-        lr=float(ev.get("classifier_lr", 0.05)),
-        feature_layer=int(ev.get("feature_layer", 1)),
-        activation=ev.get("classifier_activation", "tanh"),
-    )
-    infl = parser["influence"] if parser.has_section("influence") else {}
-    cl = parser["cleansing"] if parser.has_section("cleansing") else {}
-    return ExperimentConfig(
-        dataset=dataset,
-        architecture=architecture,
-        training=training,
-        metrics=_split(ev.get("metrics", "all")),
-        bandwidth=float(ev.get("bandwidth", 1.0)),
-        n_reference=int(ev.get("n_reference", 1000)),
-        n_test=int(ev.get("n_test", 1000)),
-        classifier=classifier,
-        classifier_seed=int(ev.get("classifier_seed", 0)),
-        k_epochs=_split(infl.get("k_epochs", "1"), int),
-        n_targets=int(infl.get("n_targets", 50)),
-        n_permutations=int(infl.get("n_permutations", 1000)),
-        n_harmful=_split(cl.get("n_harmful", "50,100,250"), int),
-        methods=_split(cl.get("methods", "influence,disc_loss,random")),
-        n_seeds=int(cl.get("n_seeds", 5)),
-    )
+    if given[GanArchitecture].setdefault("data_dim", data_dim) != data_dim:
+        raise ValueError(f"[architecture] data_dim = {given[GanArchitecture]['data_dim']} "
+                         f"does not match the {dataset.kind} dataset's dimension {data_dim}")
+    return ExperimentConfig(dataset=dataset,
+                            architecture=GanArchitecture(**given[GanArchitecture]),
+                            training=TrainingSettings(**given[TrainingSettings]),
+                            classifier=ClassifierSettings(**given[ClassifierSettings]),
+                            **given[ExperimentConfig])

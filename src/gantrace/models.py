@@ -210,15 +210,15 @@ class DenseRecord(NamedTuple):
         return DenseRecord(self.layers[:layer + 1], self.activations[:layer + 2])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class GanArchitecture:
     """Shape and objective of the fully connected adversarial pair."""
 
-    latent_dim: int
+    latent_dim: int = 10
     data_dim: int
-    hidden_gen: int
-    hidden_disc: int
-    l2_rate: float = 0.0
+    hidden_gen: int = 32
+    hidden_disc: int = 64
+    l2_rate: float = 1e-3
     objective: str = "nonsaturating"
 
     def __post_init__(self):

@@ -41,10 +41,10 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainingSettings:
-    epochs: int
-    batch_size: int
-    lr_gen: float
-    lr_disc: float
+    epochs: int = 5
+    batch_size: int = 100
+    lr_gen: float = 1e-3
+    lr_disc: float = 1e-3
     mode: str = "simultaneous"
     first_update: str = "generator"
     seed: int = 0

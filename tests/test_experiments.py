@@ -650,16 +650,38 @@ def test_cli_accuracy_smoke(mini_config, tmp_path, capsys):
     assert "tau=" in capsys.readouterr().out
 
 
-def test_cli_cleanse_and_report_smoke(mini_config, tmp_path, capsys):
-    _, path = mini_config
+def test_cli_cleanse_and_report_smoke(mini_trace, tmp_path, capsys):
+    path, trace, _ = mini_trace
     code = cli_main(["cleanse", "--config", str(path), "--n-harmful", "6",
                      "--seeds", "1", "--out", str(tmp_path / "cl")])
     assert code == 0
-    code = cli_main(["report", "--config", str(path), "--from", str(tmp_path / "cl"),
-                     "--out", str(tmp_path / "plots")])
+    code = cli_main(["report", "--config", str(path), "--trace", str(trace),
+                     "--from", str(tmp_path / "cl"), "--out", str(tmp_path / "plots")])
     assert code == 0
     assert (tmp_path / "plots" / "cleansing_curves.csv").exists()
     assert (tmp_path / "plots" / "harmfulness_scatter.csv").exists()
+
+
+def test_cli_report_reads_the_stored_trace(mini_trace, tmp_path, monkeypatch, capsys):
+    path, trace, other_seed_trace = mini_trace
+    config = load_config(path)
+    run = prepare_seed_run(config, config.training.seed)
+    spec = config.metric_specs()[0]
+    write_scatter_data(run.influence(spec, k_epochs=1), run.dataset, spec,
+                       tmp_path / "retrained.csv")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(gantrace.experiments, "run_training", refuse)
+    report = ["report", "--config", str(path), "--from", str(tmp_path)]
+    assert cli_main([*report, "--trace", str(trace), "--out", str(tmp_path / "plots")]) == 0
+    assert ((tmp_path / "plots" / "harmfulness_scatter.csv").read_bytes()
+            == (tmp_path / "retrained.csv").read_bytes())
+    # Another seed's trace is refused by its fingerprint.
+    assert cli_main([*report, "--trace", str(other_seed_trace),
+                     "--out", str(tmp_path / "other")]) == 1
+    assert "fingerprint" in capsys.readouterr().err
 
 
 def test_cli_accuracy_on_bundled_config(tmp_path, capsys):
@@ -831,11 +853,17 @@ def test_cli_influence_refuses_a_json_out(mini_trace, tmp_path, capsys):
     ("accuracy", ("", ""), ["--targets", "61"], "n_targets"),
     ("train", ("metrics = all", "metrics = all\nclassifier_hidden = "), [],
      "classifier_hidden"),
+    ("train", ("epochs = 2", "epoch = 2"), [], "'epoch' in section [training]"),
+    ("accuracy", ("n_targets = 8", "n_target = 7"), [], "'n_target' in section [influence]"),
+    ("cleanse", ("k_epochs = 1", "k_epochs = 1\nbandwidth = 0.5"), [],
+     "'bandwidth' in section [influence]"),
+    ("train", ("[training]", "[trainng]"), [], "in section [trainng]"),
 ], ids=["negative_n_harmful", "negative_n_harmful_flag", "no_permutations",
         "unknown_metric", "unknown_method", "empty_metrics", "empty_metrics_influence",
         "empty_methods", "empty_k_epochs", "empty_k_flag", "empty_n_harmful", "zero_n_seeds",
         "zero_seeds_flag", "zero_accuracy_seeds", "more_targets_than_rows",
-        "more_targets_flag", "empty_classifier_hidden"])
+        "more_targets_flag", "empty_classifier_hidden", "misspelled_key", "misspelled_n_targets",
+        "key_in_the_wrong_section", "misspelled_section"])
 def test_cli_refuses_a_bad_config_before_training(tmp_path, capsys, monkeypatch,
                                                    command, edit, flags, message):
     def refuse(*args, **kwargs):

@@ -1,4 +1,9 @@
+import hashlib
+import json
+import re
 import struct
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +11,14 @@ from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 from scipy import ndimage, stats
 
-from gantrace.config import DatasetSpec, load_config, synthesize_dataset, trace_fingerprint
+from gantrace.config import (
+    _KEYS,
+    DatasetSpec,
+    ExperimentConfig,
+    load_config,
+    synthesize_dataset,
+    trace_fingerprint,
+)
 from gantrace.datasets import (
     _resize_weights,
     dataset_checksum,
@@ -28,7 +40,9 @@ from gantrace.experiments import (
     sign_test_greater,
 )
 from gantrace.influence import InfluenceTable
-from gantrace.metrics import MetricSpec
+from gantrace.metrics import ClassifierSettings, MetricSpec
+from gantrace.models import GanArchitecture
+from gantrace.training import TrainingSettings
 
 
 # -- datasets ---------------------------------------------------------------------
@@ -284,6 +298,41 @@ def test_critical_set_matches_the_sorted_order(tied):
 
 # -- configuration ---------------------------------------------------------------------
 
+ROOT = Path(__file__).resolve().parent.parent
+
+# sha256 of each shipped and benchmark config as it loads: every field of
+# the ExperimentConfig, as sorted JSON.  Run this file as a script to print
+# the digests of the current code.
+CONFIG_DIGESTS = {
+    "configs/digits8_smoke.ini":
+        "e943bb5cbfc633ec9029f5088eac42d3ec883e610f0b9834a9c819019182caf8",
+    "configs/normal2d_desk.ini":
+        "74345ae43779c5cbc7d3ec777108eb4e1a565b7c25386b656abe47052c6e83f0",
+    "configs/normal2d_paper_accuracy.ini":
+        "dd1bc372fbfcdfd56732a827c3b773544d5a2251041877bb1e308ffbacdf7217",
+    "configs/normal2d_paper_cleansing.ini":
+        "cb5ebed97bde440b37c0b1c6333d9ed162f4dc48a6e99c61923cd8bc39ac94d8",
+    "perfbench/configs/desk.ini":
+        "f94900a780d3c08ba61e3dbf95020484d443c78fe6a156b936f1dca0a24f7783",
+    "perfbench/configs/digits.ini":
+        "de472199c8dcc76a2edf7de283d7037d173a9b3f90c8b32dd000959a0f545c55",
+}
+
+
+def config_digest(path) -> str:
+    return hashlib.sha256(json.dumps(asdict(load_config(path)), sort_keys=True)
+                          .encode()).hexdigest()
+
+
+def test_shipped_configs_load_to_pinned_settings():
+    shipped = sorted(path.relative_to(ROOT).as_posix()
+                     for pattern in ("configs/*.ini", "perfbench/configs/*.ini")
+                     for path in ROOT.glob(pattern))
+    assert shipped == sorted(CONFIG_DIGESTS)
+    for name, digest in CONFIG_DIGESTS.items():
+        assert config_digest(ROOT / name) == digest, name
+
+
 CONFIG_TEXT = """
 [dataset]
 kind = normal2d
@@ -362,6 +411,42 @@ def test_config_fingerprint_tracks_training_inputs(tmp_path):
     # Evaluation-side settings do not change the trace identity.
     eval_changed = load_config(path, overrides={"evaluation.n_reference": "999"})
     assert trace_fingerprint(eval_changed, dataset_checksum(data)) == base
+
+
+def test_config_defaults_live_on_the_settings_classes(tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_text("[dataset]\nkind = normal2d\n")
+    config = load_config(path)
+    assert config.architecture == GanArchitecture(data_dim=2)
+    assert config.training == TrainingSettings()
+    assert config.classifier == ClassifierSettings()
+    assert config == ExperimentConfig(dataset=DatasetSpec(),
+                                      architecture=GanArchitecture(data_dim=2),
+                                      training=TrainingSettings())
+
+
+@pytest.mark.parametrize("text, overrides, message", [
+    (CONFIG_TEXT, {"trainng.seed": "3"}, "'seed' in section [trainng]"),
+    (CONFIG_TEXT, {"training.sed": "3"}, "'sed' in section [training]"),
+    (CONFIG_TEXT, {"DEFAULT.seed": "3"}, "'seed' in section [DEFAULT]"),
+    ("[DEFAULT]\nseed = 3\n" + CONFIG_TEXT, {}, "'seed' in section [DEFAULT]"),
+    (CONFIG_TEXT + "[trainng]\n", {}, "unknown config section [trainng]"),
+], ids=["override_section", "override_key", "override_default", "default_section",
+        "empty_section"])
+def test_config_refuses_names_the_key_table_lacks(tmp_path, text, overrides, message):
+    path = tmp_path / "exp.ini"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_config(path, overrides)
+
+
+def test_readme_names_every_config_key():
+    readme = (ROOT / "README.md").read_text()
+    schema = readme.split("## Configuration schema\n")[1].split("\n## ")[0]
+    bullets = dict(re.findall(r"^- `\[(\w+)\]` (.*?)(?=^- |^$)", schema, re.M | re.S))
+    for dotted in _KEYS:
+        section, key = dotted.split(".")
+        assert f"`{key}`" in bullets.get(section, ""), f"README schema lacks {dotted}"
 
 
 def test_missing_config_file_raises():
@@ -448,3 +533,8 @@ def test_idx_side_below_two_is_refused(tmp_path, side):
     write_idx(tmp_path / "imgs.idx", np.zeros((1, 4, 4)))
     with pytest.raises(ValueError, match="side"):
         load_idx_images(tmp_path / "imgs.idx", side=side)
+
+
+if __name__ == "__main__":
+    for config_name in CONFIG_DIGESTS:
+        print(f'    "{config_name}":\n        "{config_digest(ROOT / config_name)}",')

@@ -5,8 +5,8 @@ Each digest is the sha256 of one file that a ``gantrace`` command writes
 from a shipped config at seed 0: the influence table in full and on a
 target subset, the oracle table at one epoch and at all epochs, the
 accuracy and cleansing reports, and the plot data that ``gantrace report``
-writes from the cleansing report (the harmfulness scatter only for
-``normal2d``).  The cleansing report is pinned at seed 1 as well: on
+writes from the cleansing report and the stored trace (the harmfulness
+scatter only for ``normal2d``).  The cleansing report is pinned at seed 1 as well: on
 ``digits8_smoke`` no instance qualifies as harmful under FID at seed 0, so
 only seed 1 replays an FID selection.
 The commands run on a trace that ``gantrace train`` stored, so the
@@ -94,7 +94,7 @@ def output_digests(name: str, workdir: Path) -> dict[str, str]:
     assert cli_main(["train", *common, "--out", str(trace)]) == 0
     for command in COMMANDS.values():
         argv = [part.format(out=out) for part in command]
-        extra = ["--trace", str(trace)] if argv[0] in ("influence", "oracle") else []
+        extra = ["--trace", str(trace)] if argv[0] in ("influence", "oracle", "report") else []
         assert cli_main([argv[0], *common, *extra, *argv[1:]]) == 0
     return {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out.rglob("*")) if path.is_file()}
