@@ -179,19 +179,26 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     command-line flags).  A section or key not in ``_KEYS``, even in [DEFAULT], raises.
     """
     parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise FileNotFoundError(f"config file not found: {path}")
-    for dotted, value in (overrides or {}).items():
-        section, key = dotted.split(".", 1)
-        parser.read_dict({section: {key: value}})
+    try:
+        if not parser.read(path):
+            raise FileNotFoundError(f"config file not found: {path}")
+        for dotted, value in (overrides or {}).items():
+            section, key = dotted.split(".", 1)
+            parser.read_dict({section: {key: value}})
+        sections = {section: dict(entries) for section, entries in parser.items()}
+    except configparser.Error as exc:
+        raise ValueError(f"config file {path}: {' '.join(str(exc).split())}") from exc
 
     given = {target: {} for target, _, _ in _KEYS.values()}
-    for section, entries in parser.items():
+    for section, entries in sections.items():
         for key, text in entries.items():
             if f"{section}.{key}" not in _KEYS:
                 raise ValueError(f"unknown config key {key!r} in section [{section}]")
             target, name, parse = _KEYS[f"{section}.{key}"]
-            given[target][name] = parse(text)
+            try:
+                given[target][name] = parse(text)
+            except ValueError as exc:
+                raise ValueError(f"[{section}] {key} = {text!r} does not parse: {exc}") from exc
     for section in set(parser.sections()) - {dotted.split(".")[0] for dotted in _KEYS}:
         raise ValueError(f"unknown config section [{section}]")
 

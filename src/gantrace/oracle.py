@@ -1,22 +1,11 @@
 """Exact ground truth by re-running the recorded schedule without an instance.
 
-The counterfactual run starts at the first step of the window whose batch
-holds an excluded instance, from that step's recorded snapshot: every
-earlier step would replay exactly as recorded.  From there it replays every
-recorded step with the same batches, latents and learning rates, dropping
-the excluded instances' data-term summands while keeping the original batch
-normalizer.  The latents are the records' own batches, drawn once per
-trace, so repeated calls on one trace never redraw them.  When no step of
-the window holds an excluded instance the whole window is replayed, so with
-nothing excluded the replay reproduces the stored final parameters
+A counterfactual run starts at the first step of the window whose batch
+holds an excluded instance, from its recorded snapshot, since every earlier
+step would replay exactly as recorded, and runs the rest through
+``training.step_records``, the loop training runs.  With nothing excluded
+it replays the whole window and reproduces the stored final parameters
 bit-exactly, which anchors every comparison.
-
-A replay copies its starting snapshot once and allocates one more buffer
-of the same size.  Each step, through ``training.asgd_step``'s ``out``,
-writes its gradient into the free buffer and turns it there into the new
-parameters, so the two buffers swap roles every step.  These are the
-operations training runs on fresh arrays, in the same order, and the
-trace's snapshots are only ever read.
 
 Metric readings go through ``metric_reader``: the samples of one parameter
 vector are generated once, and classified at most once, for every reading
@@ -35,7 +24,7 @@ import numpy as np
 
 from .influence import checked_dataset, window_start
 from .metrics import GeneratedSet, metric_value
-from .training import TrainingTrace, asgd_step
+from .training import TrainingTrace, step_records
 
 
 @dataclass
@@ -43,12 +32,6 @@ class CounterfactualResult:
     excluded: tuple[int, ...]
     params: np.ndarray
     delta: np.ndarray
-
-
-def _as_exclusion_set(excluded) -> set[int]:
-    if isinstance(excluded, (int, np.integer)):
-        return {int(excluded)}
-    return {int(j) for j in excluded}
 
 
 def counterfactual_retrain(problem, trace: TrainingTrace, dataset: np.ndarray,
@@ -63,7 +46,9 @@ def counterfactual_retrain(problem, trace: TrainingTrace, dataset: np.ndarray,
     ``dataset`` must hold the trace's ``n_train`` rows.
     """
     dataset = checked_dataset(trace, dataset)
-    exclusion = sorted(_as_exclusion_set(excluded))
+    if isinstance(excluded, (int, np.integer)):
+        excluded = [excluded]
+    exclusion = sorted({int(j) for j in excluded})
     if exclusion and (exclusion[0] < 0 or exclusion[-1] >= trace.n_train):
         raise ValueError(f"excluded indices must be instance indices in [0, {trace.n_train})")
     window = trace.records[window_start(trace, k_epochs):]
@@ -74,16 +59,8 @@ def counterfactual_retrain(problem, trace: TrainingTrace, dataset: np.ndarray,
     hits = excluded_mask[np.concatenate(batches)]
     ends = np.cumsum([len(idx) for idx in batches])
     first = int(np.searchsorted(ends, np.argmax(hits), side="right")) if hits.any() else 0
-    # The starting snapshot is copied once; each step writes the new
-    # parameters into the other buffer, so no step allocates a vector.
-    params = window[first].params.copy()
-    spare = np.empty_like(params)
-    for record, end in zip(window[first:], ends[first:].tolist()):
-        idx = record.batch_indices
-        drop = hits[end - len(idx):end]
-        params, spare = asgd_step(problem, params, dataset[idx[~drop] if drop.any() else idx],
-                                  record.latents(problem.latent_dim), record.lr_gen,
-                                  record.lr_disc, denom=len(idx), out=spare), params
+    params = step_records(problem, window[first].params, window[first:], dataset,
+                          dropped=hits[ends[first] - len(batches[first]):])
     return CounterfactualResult(excluded=tuple(exclusion), params=params,
                                 delta=params - trace.final_params)
 

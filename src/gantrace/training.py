@@ -2,16 +2,13 @@
 
 Every step stores the parameter snapshot, the mini-batch index set, both
 learning rates and a 64-bit seed that regenerates the step's latent batch
-bit-exactly.  Replaying the recorded schedule reproduces the final
-parameters byte for byte; the counterfactual oracle relies on that.
+bit-exactly.  Training and every replay run one loop, ``step_records``, so
+a replay of the schedule reproduces the final parameters byte for byte.
 
-Replays and sweeps draw a step's latent batch once per trace: the first
-replay or sweep that reaches a step keeps its batch, read-only, on the
-record for every later one.  Training draws its own batches and keeps
-none, so only the steps that replays and sweeps reach hold one.  The
-batches are never written to disk and cost memory only, 8 bytes per latent
-entry: 400 KB when every step of the desk config holds one, at most
-280 MB for the 35000 steps of the paper's cleansing config.
+The first replay or sweep that reaches a step keeps its latent batch,
+read-only, on the record for every later one; training keeps none.  The
+batches are never saved and cost 8 bytes per latent entry: 400 KB with
+every step of the desk config held, 280 MB for the paper's cleansing config.
 
 Traces persist as a directory of five ``.npy`` arrays and a checksummed
 JSON manifest (``save_trace``).
@@ -165,19 +162,45 @@ def asgd_step(problem, params: np.ndarray, data_rows: np.ndarray, latents: np.nd
     rates and replaced there by the new parameters, which are returned:
     the operations of ``params - rates * gradient``, so its bits.  ``out``
     must not share memory with ``params``; without it the step writes a
-    fresh array.  A replay steps two buffers in turn, each step's
-    parameters being the next step's ``out``.
+    fresh array.
     """
     grad = joint_gradient(problem, params, latents, data_rows, denom, out=out)
     grad *= block_rates(problem.dim_gen, problem.dim_params, lr_gen, lr_disc)
     return np.subtract(params, grad, out=grad)
 
 
-def _check_divergence(params: np.ndarray, step: int) -> None:
-    peak = np.max(np.abs(params))
-    if not np.isfinite(peak) or peak > DIVERGENCE_LIMIT:
-        raise DivergenceError(f"parameter magnitude {peak:.3e} exceeded "
-                              f"{DIVERGENCE_LIMIT:.1e} after step {step}")
+def step_records(problem, params: np.ndarray, records: list[StepRecord], dataset: np.ndarray,
+                 dropped: np.ndarray | None = None, keep: bool = False) -> np.ndarray:
+    """Step ``params`` through ``records`` and return the last parameters.
+
+    ``dropped`` marks rows to leave out, aligned with the records' batches
+    end to end; the normalizer stays the full batch.  With ``keep``, as in
+    training, each record gets its starting vector as its snapshot, each
+    step a fresh vector and a divergence check, and latent batches are
+    drawn, not kept.  Without it, as in a replay, the records are only
+    read: the start is copied once and each step writes into the other of
+    two buffers, which swap roles every step.
+    """
+    params, spare = (params, None) if keep else (params.copy(), np.empty_like(params))
+    for record in records:
+        idx = rows = record.batch_indices
+        if dropped is not None:
+            drop, dropped = dropped[:len(idx)], dropped[len(idx):]
+            rows = idx[~drop] if drop.any() else idx
+        if keep:
+            record.params = params
+            latents = latents_from_seed(record.latent_seed, len(idx), problem.latent_dim)
+        else:
+            latents = record.latents(problem.latent_dim)
+        stepped = asgd_step(problem, params, dataset[rows], latents, record.lr_gen,
+                            record.lr_disc, denom=len(idx), out=spare)
+        if keep:
+            peak = np.max(np.abs(stepped))
+            if not peak <= DIVERGENCE_LIMIT:   # NaN and infinity too
+                raise DivergenceError(f"parameter magnitude {peak:.3e} exceeded "
+                                      f"{DIVERGENCE_LIMIT:.1e} after step {record.step}")
+        params, spare = stepped, (None if keep else params)
+    return params
 
 
 def run_training(problem, dataset: np.ndarray, settings: TrainingSettings,
@@ -199,18 +222,11 @@ def run_training(problem, dataset: np.ndarray, settings: TrainingSettings,
     rates = learning_rate_schedule(settings, len(batches))
     step_seeds = latent_seq.generate_state(len(batches), dtype=np.uint64)
 
-    records: list[StepRecord] = []
-    for t, idx in enumerate(batches):
-        lr_gen, lr_disc = rates[t]
-        seed = int(step_seeds[t])
-        latents = latents_from_seed(seed, len(idx), problem.latent_dim)
-        records.append(StepRecord(t, idx, lr_gen, lr_disc, params, seed))
-        params = asgd_step(problem, params, dataset[idx], latents, lr_gen, lr_disc)
-        _check_divergence(params, t)
-
+    records = [StepRecord(t, idx, *rates[t], None, int(seed))
+               for t, (idx, seed) in enumerate(zip(batches, step_seeds))]
     return TrainingTrace(
         records=records,
-        final_params=params,
+        final_params=step_records(problem, params, records, dataset, keep=True),
         fingerprint=fingerprint,
         epoch_starts=epoch_starts,
         n_train=len(dataset),

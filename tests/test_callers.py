@@ -72,3 +72,32 @@ def test_every_definition_has_a_caller_in_the_package():
     # Exactly the allowed names lack one: an entry leaves the list when its
     # name gains a caller or is deleted.
     assert sorted(uncalled(PACKAGE)) == sorted(ALLOWED)
+
+
+def readers(name: str, package: Path) -> set[str]:
+    """The qualified name of every definition in ``package`` that reads or
+    imports ``name``, or the module's name for a read outside them all."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}"
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == name
+                or isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and node.attr == name
+                or isinstance(node, ast.ImportFrom)
+                and any(alias.name == name for alias in node.names)):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_parameters_are_stepped_in_one_loop():
+    # Training and every replay step through ``step_records``, which keeps
+    # a replay that drops nothing bit-exact by construction; a second loop
+    # that calls ``asgd_step`` fails here.
+    assert readers("asgd_step", PACKAGE) == {"training.step_records"}

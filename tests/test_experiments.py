@@ -858,12 +858,17 @@ def test_cli_influence_refuses_a_json_out(mini_trace, tmp_path, capsys):
     ("cleanse", ("k_epochs = 1", "k_epochs = 1\nbandwidth = 0.5"), [],
      "'bandwidth' in section [influence]"),
     ("train", ("[training]", "[trainng]"), [], "in section [trainng]"),
+    ("train", ("epochs = 2", "epochs = 2\nepochs = 3"), [],
+     "option 'epochs' in section 'training' already exists"),
+    ("train", ("\n[dataset]", "seed = 1\n[dataset]"), [], "line: 1 'seed = 1"),
+    ("train", ("epochs = 2", "epochs = two"), [], "[training] epochs = 'two' does not parse"),
 ], ids=["negative_n_harmful", "negative_n_harmful_flag", "no_permutations",
         "unknown_metric", "unknown_method", "empty_metrics", "empty_metrics_influence",
         "empty_methods", "empty_k_epochs", "empty_k_flag", "empty_n_harmful", "zero_n_seeds",
         "zero_seeds_flag", "zero_accuracy_seeds", "more_targets_than_rows",
         "more_targets_flag", "empty_classifier_hidden", "misspelled_key", "misspelled_n_targets",
-        "key_in_the_wrong_section", "misspelled_section"])
+        "key_in_the_wrong_section", "misspelled_section", "duplicate_key",
+        "key_before_any_section", "unparsed_value"])
 def test_cli_refuses_a_bad_config_before_training(tmp_path, capsys, monkeypatch,
                                                    command, edit, flags, message):
     def refuse(*args, **kwargs):
@@ -876,6 +881,7 @@ def test_cli_refuses_a_bad_config_before_training(tmp_path, capsys, monkeypatch,
     assert cli_main([command, "--config", str(path), *flags, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
 
 

@@ -235,13 +235,13 @@ def test_readings_run_one_classifier_pass_per_sample_set(gan, trained, monkeypat
 
 def count_replayed_steps(monkeypatch):
     calls = []
-    step = gantrace.oracle.asgd_step
+    step = gantrace.training.asgd_step
 
     def counting_step(*args, **kwargs):
         calls.append(1)
         return step(*args, **kwargs)
 
-    monkeypatch.setattr(gantrace.oracle, "asgd_step", counting_step)
+    monkeypatch.setattr(gantrace.training, "asgd_step", counting_step)
     return calls
 
 

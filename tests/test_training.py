@@ -14,6 +14,7 @@ from gantrace.training import (
     minibatch_schedule,
     run_training,
     save_trace,
+    step_records,
     trace_checksum,
 )
 from toys import QuadraticGameProblem, bilinear_game
@@ -163,6 +164,26 @@ def test_snapshot_consistency_and_replay(gan, data):
         assert np.array_equal(stepped, after.params)
     replayed = counterfactual_retrain(gan, trace, data, (), k_epochs=None).params
     assert np.array_equal(replayed, trace.final_params)
+
+
+@pytest.mark.parametrize("mode", ["simultaneous", "alternating"])
+def test_every_snapshot_replays_exactly_through_the_loop(gan, data, mode):
+    # Batches of 7 leave a short final batch in each epoch of the 40 rows.
+    settings = TrainingSettings(epochs=3, batch_size=7, lr_gen=1e-2, lr_disc=1e-2,
+                                mode=mode, seed=16)
+    trace = run_training(gan, data, settings)
+    records = trace.records
+    assert all(record._latents is None for record in records)   # training keeps none
+    checksum = trace_checksum(trace)
+    last = len(records) - 1
+    for s, t in [(0, 1), (0, 9), (3, 4), (5, 11), (6, last), (last - 1, last)]:
+        replayed = step_records(gan, records[s].params, records[s:t], data)
+        assert np.array_equal(replayed, records[t].params), (s, t)
+    for s in (0, 6, last):
+        replayed = step_records(gan, records[s].params, records[s:], data)
+        assert np.array_equal(replayed, trace.final_params), s
+    # The replays only read the trace.
+    assert trace_checksum(trace) == checksum
 
 
 def test_latent_regeneration_is_bit_exact():

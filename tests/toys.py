@@ -56,6 +56,7 @@ from gantrace.training import (
     TrainingTrace,
     asgd_step,
     latents_from_seed,
+    step_records,
 )
 from tape import Tensor, backward, concat_vec, constant, logsumexp, vjp_of_gradient
 
@@ -622,20 +623,15 @@ class TinyDiscriminatorProblem(TapeGradients):
 
 
 def build_trace(problem, dataset, schedule, rates, theta0, epoch_starts=None, seed0=1000):
-    """Hand-built trace from an explicit schedule, for targeted scenarios."""
-    dataset = np.asarray(dataset, dtype=np.float64)
-    params = np.asarray(theta0, dtype=np.float64).copy()
-    records = []
-    for t, idx in enumerate(schedule):
-        idx = np.asarray(idx, dtype=np.int64)
-        lr_gen, lr_disc = rates[t]
-        seed = seed0 + t
-        latents = latents_from_seed(seed, len(idx), problem.latent_dim)
-        records.append(StepRecord(t, idx, lr_gen, lr_disc, params, seed))
-        params = asgd_step(problem, params, dataset[idx], latents, lr_gen, lr_disc)
+    """Hand-built trace from an explicit schedule, for targeted scenarios,
+    stepped through the package's loop as ``run_training`` steps it."""
+    records = [StepRecord(t, np.asarray(idx, dtype=np.int64), *rates[t], None, seed0 + t)
+               for t, idx in enumerate(schedule)]
+    theta0 = np.asarray(theta0, dtype=np.float64).copy()
     return TrainingTrace(
         records=records,
-        final_params=params,
+        final_params=step_records(problem, theta0, records, np.asarray(dataset, dtype=np.float64),
+                                  keep=True),
         fingerprint="toy",
         epoch_starts=list(epoch_starts) if epoch_starts is not None else [0],
         n_train=len(dataset),
