@@ -169,12 +169,18 @@ def _cmd_report(args) -> int:
     config = _load(args)
     source = Path(args.source)
     out = Path(args.out)
+    cleansing_json = source / "cleansing.json"
+    report = None
+    if cleansing_json.exists():
+        try:
+            rows = json.loads(cleansing_json.read_text())["rows"]
+            report = CleansingReport(rows=[CleansingRow(**row) for row in rows])
+        except (ValueError, TypeError, KeyError) as exc:
+            raise UsageError(f"{cleansing_json} is not a cleansing report: "
+                             f"{type(exc).__name__}: {exc}") from exc
     out.mkdir(parents=True, exist_ok=True)
     emitted = []
-    cleansing_json = source / "cleansing.json"
-    if cleansing_json.exists():
-        payload = json.loads(cleansing_json.read_text())
-        report = CleansingReport(rows=[CleansingRow(**row) for row in payload["rows"]])
+    if report is not None:
         write_cleansing_curves(report, out / "cleansing_curves.csv")
         emitted.append("cleansing_curves.csv")
     if config.dataset.kind == "normal2d":

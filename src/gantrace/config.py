@@ -75,6 +75,10 @@ class ExperimentConfig:
         if self.n_permutations < 1:
             raise ValueError("n_permutations must be positive")
         self.metric_specs()   # refuses an unknown metric kind
+        if self.uses_classifier and (self.dataset.kind == "normal2d" or (
+                self.dataset.kind == "idx" and not self.dataset.labels_path)):
+            raise ValueError("the is and fid metrics need a labeled dataset: digits8, "
+                             "or idx with labels")
         unknown = sorted(set(self.methods) - set(SELECTION_METHODS))
         if unknown:
             raise ValueError(f"unknown selection methods {unknown}; "
@@ -178,7 +182,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     ``overrides`` maps dotted ``section.key`` names to values read as their ``str`` (the
     command-line flags).  A section or key not in ``_KEYS``, even in [DEFAULT], raises.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         if not parser.read(path):
             raise FileNotFoundError(f"config file not found: {path}")

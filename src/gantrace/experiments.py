@@ -35,7 +35,6 @@ from .config import ExperimentConfig, synthesize_dataset, trace_fingerprint
 from .datasets import dataset_checksum
 from .influence import InfluenceTable, infer_linear_influence
 from .metrics import (
-    Classifier,
     MetricContext,
     MetricSpec,
     build_query_vector,
@@ -263,13 +262,10 @@ def evaluation_context(config: ExperimentConfig, seed: int, stored_classifier=No
         config, seed, "reference", config.n_reference)
     classifier = None
     if config.uses_classifier:
-        if reference_labels is None:
-            raise ValueError("classifier metrics need a labeled dataset kind")
-        if stored_classifier is not None:
-            classifier = _load_if_key_matches(
-                stored_classifier, classifier_key(reference_data, reference_labels,
-                                                  config.classifier, config.classifier_seed))
-        if classifier is None:
+        if stored_classifier is not None and (Path(stored_classifier) / "manifest.json").exists():
+            classifier = load_classifier(stored_classifier)
+        if classifier is None or classifier.key != classifier_key(
+                reference_data, reference_labels, config.classifier, config.classifier_seed):
             classifier = train_classifier(reference_data, reference_labels,
                                           config.classifier, seed=config.classifier_seed)
     return reference_latents, MetricContext(real_data=reference_data, classifier=classifier)
@@ -293,13 +289,6 @@ def draw_targets(config: ExperimentConfig, seed: int, count: int) -> np.ndarray:
     """``count`` distinct instance indices from the seed's targets stream, sorted."""
     return np.sort(_stream(seed, "targets").choice(config.dataset.n_train, size=count,
                                                    replace=False))
-
-
-def _load_if_key_matches(directory, key: str) -> Classifier | None:
-    if not (Path(directory) / "manifest.json").exists():
-        return None
-    classifier = load_classifier(directory)
-    return classifier if classifier.key == key else None
 
 
 # -- experiment 1: estimation accuracy -------------------------------------------

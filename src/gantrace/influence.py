@@ -109,13 +109,12 @@ def infer_linear_influence(problem, trace: TrainingTrace, dataset: np.ndarray,
                            start_step: int | None = None) -> InfluenceTable:
     """Estimated influence of every target instance on ``<query, final params>``.
 
-    Scores accumulate in 64-bit with compensated summation across a
-    target's occurrences.  Instances with no occurrence inside the traced
-    window keep an exact zero.  A step whose batch holds a target scores
-    every row of the batch, so an instance's score, like the query
-    propagation, is identical regardless of the target set.  Targets are a
-    sequence or 1-D array of instance indices in ``[0, n_train)``, and
-    ``dataset`` must hold the trace's ``n_train`` rows.
+    Every instance's score accumulates in 64-bit with compensated summation
+    across its occurrences in the traced window, and an instance with none
+    keeps an exact zero.  ``targets`` only chooses which scores are
+    reported, so a score is identical whatever the target set.  Targets
+    are a sequence or 1-D array of instance indices in ``[0, n_train)``,
+    and ``dataset`` must hold the trace's ``n_train`` rows.
     """
     _check_query(trace, query)
     dataset = checked_dataset(trace, dataset)
@@ -125,9 +124,6 @@ def infer_linear_influence(problem, trace: TrainingTrace, dataset: np.ndarray,
     targets = np.arange(trace.n_train) if targets is None else np.asarray(targets, np.int64)
     if targets.ndim != 1 or not np.all((0 <= targets) & (targets < trace.n_train)):
         raise ValueError(f"targets must be instance indices in [0, {trace.n_train})")
-    is_target = np.zeros(trace.n_train, dtype=bool)
-    is_target[targets] = True
-    every_target = bool(is_target.all())
 
     sums = np.zeros(trace.n_train)
     carry = np.zeros(trace.n_train)
@@ -137,7 +133,7 @@ def infer_linear_influence(problem, trace: TrainingTrace, dataset: np.ndarray,
         current, values = propagate_query(problem, current, record, dataset[idx])
         # Steps without a discriminator rate score zeros and are skipped,
         # which leaves the Kahan sums and carries exactly as they were.
-        if record.lr_disc != 0.0 and (every_target or is_target[idx].any()):
+        if record.lr_disc != 0.0:
             # Kahan step, since occurrences across epochs can partially
             # cancel; a batch's indices are distinct, so each instance's
             # update is the scalar one.

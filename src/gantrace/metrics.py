@@ -42,14 +42,13 @@ import math
 import warnings
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .influence import QueryVector
 from .models import DenseRecord, MlpLayout, _checked
-from .training import DivergenceError
+from .training import DivergenceError, load_checked, save_checked
 
 METRIC_KINDS = ("all", "is", "fid", "disc_loss")
 
@@ -470,45 +469,28 @@ def train_classifier(data: np.ndarray, labels: np.ndarray,
     return clf
 
 
+# The stored classifier's manifest fields beside its one array, ``params``.
+_CLASSIFIER_FIELDS = ("sizes", "activations", "n_classes", "feature_layer", "train_accuracy",
+                      "key")
+
+
 def save_classifier(classifier: Classifier, directory) -> None:
-    """Write ``params.bin`` and a manifest holding the content key and the
-    parameters' SHA-256.  The manifest goes last: an interrupted first save
-    leaves none and reads as no stored classifier, and an interrupted
-    overwrite leaves parameters that fail the old manifest's checksum."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    blob = classifier.params.astype("<f8").tobytes()
-    manifest = {
-        "sizes": list(classifier.layout.sizes),
-        "activations": list(classifier.layout.activations),
-        "n_classes": classifier.n_classes,
-        "feature_layer": classifier.feature_layer,
-        "train_accuracy": classifier.train_accuracy,
-        "key": classifier.key,
-        "params_sha256": hashlib.sha256(blob).hexdigest(),
-    }
-    (directory / "params.bin").write_bytes(blob)
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    """Store ``params.npy`` and a checked manifest (``training.save_checked``)
+    holding the layout, the feature layer, the training accuracy and the
+    content key."""
+    layout = classifier.layout
+    header = {"sizes": list(layout.sizes), "activations": list(layout.activations),
+              "n_classes": classifier.n_classes, "feature_layer": classifier.feature_layer,
+              "train_accuracy": classifier.train_accuracy, "key": classifier.key}
+    save_checked(directory, header, {"params": ("<f8", (layout.n_params,), [classifier.params])})
 
 
 def load_classifier(directory) -> Classifier:
-    """Read a classifier saved by ``save_classifier``; ``ValueError`` when the
-    manifest lacks a field or ``params.bin`` fails its checksum or the manifest."""
-    directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    missing = [field for field in ("sizes", "activations", "n_classes", "feature_layer",
-                                   "train_accuracy") if field not in manifest]
-    if missing:
-        raise ValueError(f"classifier manifest in {directory} has no {', '.join(missing)}")
-    layout = MlpLayout(manifest["sizes"], manifest["activations"])
-    blob = (directory / "params.bin").read_bytes()
-    if hashlib.sha256(blob).hexdigest() != manifest.get("params_sha256"):
-        raise ValueError(f"classifier parameters in {directory} fail their checksum")
-    params = np.frombuffer(blob, dtype="<f8").astype(np.float64)
-    if len(params) != layout.n_params:
-        raise ValueError("classifier parameter file does not match its manifest")
-    return Classifier(layout, params, manifest["n_classes"], manifest["feature_layer"],
-                      manifest["train_accuracy"], manifest.get("key"))
+    """Read a classifier saved by ``save_classifier``, verified by
+    ``training.load_checked``."""
+    header, arrays = load_checked(directory, _CLASSIFIER_FIELDS, {"params": "<f8"})
+    layout = MlpLayout(header.pop("sizes"), header.pop("activations"))
+    return Classifier(layout, arrays["params"], **header)
 
 
 # -- metric dispatch ------------------------------------------------------------

@@ -11,7 +11,8 @@ batches are never saved and cost 8 bytes per latent entry: 400 KB with
 every step of the desk config held, 280 MB for the paper's cleansing config.
 
 Traces persist as a directory of five ``.npy`` arrays and a checksummed
-JSON manifest (``save_trace``).
+JSON manifest (``save_trace``), the checked format (``save_checked``) that
+stores the IS/FID classifier too.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from .models import joint_gradient
 
-TRACE_FORMAT_VERSION = 2
+FORMAT_VERSION = 2
 
 DIVERGENCE_LIMIT = 1e6
 
@@ -243,12 +243,15 @@ def run_training(problem, dataset: np.ndarray, settings: TrainingSettings,
 _ARRAYS = {"batch_indices": "<i8", "batch_sizes": "<i8", "latent_seeds": "<u8",
            "rates": "<f8", "params": "<f8"}
 
+# The manifest's fields: the trace's sizes, its fingerprint and epoch boundaries.
+_SIZES = ("n_train", "epochs", "latent_dim", "dim_gen", "dim_disc")
+_FIELDS = (*_SIZES, "fingerprint", "epoch_starts")
+
 
 def _header(trace: TrainingTrace) -> dict:
     """Every field but the steps: the manifest's body, the constructor's
     keywords on load and the first thing the checksum hashes."""
-    header = {name: int(getattr(trace, name))
-              for name in ("n_train", "epochs", "latent_dim", "dim_gen", "dim_disc")}
+    header = {name: int(getattr(trace, name)) for name in _SIZES}
     return {**header, "fingerprint": trace.fingerprint,
             "epoch_starts": [int(start) for start in trace.epoch_starts]}
 
@@ -257,8 +260,8 @@ def _digest(header: dict):
     return hashlib.sha256(json.dumps(header, sort_keys=True).encode())
 
 
-def _stored_arrays(trace: TrainingTrace):
-    """Each stored array's name, shape and C-order pieces: the snapshots are
+def _stored_arrays(trace: TrainingTrace) -> dict:
+    """Each stored array's dtype, shape and C-order pieces: the snapshots are
     hashed and written row by row, never stacked into one copy."""
     records = trace.records
     sizes = [len(record.batch_indices) for record in records]
@@ -270,39 +273,31 @@ def _stored_arrays(trace: TrainingTrace):
         "params": ((len(records) + 1, trace.dim_params),
                    [record.params for record in records] + [trace.final_params]),
     }
-    for name, (shape, pieces) in arrays.items():
-        yield name, shape, (np.ascontiguousarray(piece, dtype=_ARRAYS[name]) for piece in pieces)
+    return {name: (_ARRAYS[name], shape, pieces) for name, (shape, pieces) in arrays.items()}
 
 
-def save_trace(trace: TrainingTrace, directory) -> str:
-    """Write the five arrays as ``.npy`` files, then the manifest with the
-    format version and the checksum, which it returns.  The manifest goes
-    last: an interrupted first save leaves none, and an interrupted
-    overwrite leaves arrays that fail the old manifest's checksum.  When
-    the manifest it replaces reads version 1, that trace's ``steps/`` and
-    ``final.bin`` are deleted after it; any other file in the directory
-    stays."""
+def save_checked(directory, header: dict, arrays: dict) -> str:
+    """Write each of ``arrays``, which maps a name to its dtype, shape and
+    pieces (array-likes whose C-order data, one after the other, is the
+    array's), as ``<name>.npy``, then ``manifest.json``: ``header`` plus the
+    format version and the checksum, which it returns.  The checksum is the
+    SHA-256 of the header's sorted-key JSON and then of each array's data in
+    order.  The manifest goes last: an interrupted first save leaves none,
+    and an interrupted overwrite leaves arrays that fail the old manifest's
+    checksum.  No other file is touched."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    try:
-        replaces_version_1 = json.loads((directory / "manifest.json").read_text())["version"] == 1
-    except (OSError, ValueError, KeyError, TypeError):
-        replaces_version_1 = False
-    header = _header(trace)
     digest = _digest(header)
-    for name, shape, pieces in _stored_arrays(trace):
+    for name, (dtype, shape, pieces) in arrays.items():
         with open(directory / f"{name}.npy", "wb") as handle:
             np.lib.format.write_array_header_1_0(
-                handle, {"descr": _ARRAYS[name], "fortran_order": False, "shape": shape})
+                handle, {"descr": dtype, "fortran_order": False, "shape": shape})
             for piece in pieces:
+                piece = np.ascontiguousarray(piece, dtype=dtype)
                 handle.write(piece)
                 digest.update(piece)
-    manifest = {**header, "version": TRACE_FORMAT_VERSION, "checksum": digest.hexdigest()}
+    manifest = {**header, "version": FORMAT_VERSION, "checksum": digest.hexdigest()}
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    if replaces_version_1:
-        if (directory / "steps").is_dir():
-            shutil.rmtree(directory / "steps")
-        (directory / "final.bin").unlink(missing_ok=True)
     return manifest["checksum"]
 
 
@@ -310,46 +305,65 @@ def _read(path: Path, reader):
     try:
         return reader(path)
     except (OSError, EOFError, ValueError) as exc:
-        raise ValueError(f"cannot read trace file {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
-def load_trace(directory) -> TrainingTrace:
-    """Read a trace written by ``save_trace``; every record's snapshot is a
-    row view of the one ``params`` array.  Raises ``ValueError``, naming the
-    file, for a missing or unreadable file, a format version other than
-    ``TRACE_FORMAT_VERSION`` and arrays that fail the manifest's checksum."""
+def load_checked(directory, fields, dtypes: dict) -> tuple[dict, dict]:
+    """The header and the arrays, by name, of a directory written by
+    ``save_checked``; ``dtypes`` maps each array's name to its dtype in
+    checksum order.  Raises ``ValueError``, naming the file, for a missing
+    or unreadable file, a format version other than ``FORMAT_VERSION``, a
+    header whose fields are not exactly ``fields`` and arrays that fail the
+    manifest's checksum."""
     directory = Path(directory)
     path = directory / "manifest.json"
-    manifest = _read(path, lambda file: json.loads(file.read_text()))
-    version = manifest.pop("version", None) if isinstance(manifest, dict) else None
-    if version != TRACE_FORMAT_VERSION:
-        raise ValueError(f"{path}: trace format version {version} is not "
-                         f"{TRACE_FORMAT_VERSION}; run `gantrace train` again to record it")
-    checksum = manifest.pop("checksum", None)
-    digest = _digest(manifest)
+    header = _read(path, lambda file: json.loads(file.read_text()))
+    version = header.pop("version", None) if isinstance(header, dict) else None
+    if version != FORMAT_VERSION:
+        raise ValueError(f"{path}: format version {version} is not {FORMAT_VERSION}; "
+                         f"run `gantrace train` again to record it")
+    stored = header.pop("checksum", None)
+    if set(header) != set(fields):
+        raise ValueError(f"{path}: the manifest's fields differ from {sorted(fields)} in "
+                         f"{sorted(set(header) ^ set(fields))}")
+    digest = _digest(header)
     arrays = {}
-    for name, dtype in _ARRAYS.items():
+    for name, dtype in dtypes.items():
         # Read as the stored dtype: the checksum covers the data, not the
         # .npy header, so a damaged dtype must change the hashed bytes.
         arrays[name] = _read(directory / f"{name}.npy", lambda file: np.ascontiguousarray(
             np.load(file, allow_pickle=False), dtype=dtype))
         digest.update(arrays[name])
-    if digest.hexdigest() != checksum:
-        raise ValueError(f"trace in {directory} fails the checksum in {path}: a file "
-                         f"is damaged or a save was cut short")
+    if digest.hexdigest() != stored:
+        raise ValueError(f"{directory} fails the checksum in {path}: a file is damaged "
+                         f"or a save was cut short")
+    return header, arrays
+
+
+def save_trace(trace: TrainingTrace, directory) -> str:
+    """Store the trace as five arrays and a checked manifest
+    (``save_checked``); returns the checksum."""
+    return save_checked(directory, _header(trace), _stored_arrays(trace))
+
+
+def load_trace(directory) -> TrainingTrace:
+    """Read a trace written by ``save_trace``, verified by ``load_checked``
+    before any step record is built; every record's snapshot is a row view
+    of the one ``params`` array."""
+    header, arrays = load_checked(directory, _FIELDS, _ARRAYS)
     params = arrays["params"]
     batches = np.split(arrays["batch_indices"], np.cumsum(arrays["batch_sizes"])[:-1])
     records = [StepRecord(step, batch, lr_gen, lr_disc, params[step], seed)
                for step, (batch, (lr_gen, lr_disc), seed) in enumerate(zip(
                    batches, arrays["rates"].tolist(), arrays["latent_seeds"].tolist()))]
-    return TrainingTrace(records=records, final_params=params[-1], **manifest)
+    return TrainingTrace(records=records, final_params=params[-1], **header)
 
 
 def trace_checksum(trace: TrainingTrace) -> str:
     """SHA-256 over the header JSON and then the stored arrays' bytes in
     order: the checksum ``save_trace`` writes and ``load_trace`` verifies."""
     digest = _digest(_header(trace))
-    for _, _, pieces in _stored_arrays(trace):
+    for dtype, _, pieces in _stored_arrays(trace).values():
         for piece in pieces:
-            digest.update(piece)
+            digest.update(np.ascontiguousarray(piece, dtype=dtype))
     return digest.hexdigest()

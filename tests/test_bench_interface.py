@@ -6,6 +6,7 @@ the benchmark runs.  The benchmark's module is loaded from its path and
 never written to.
 """
 
+import ast
 import importlib.util
 import inspect
 import sys
@@ -17,6 +18,7 @@ import gantrace.autodiff
 import gantrace.metrics
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+WORKLOADS = TRACING.with_name("workloads.py")
 
 
 def load_tracing(monkeypatch):
@@ -64,3 +66,33 @@ def test_vjp_counter_and_counted_product_are_callable():
 def test_wrapped_classifier_pullback_is_callable():
     # The benchmark wraps this method by attribute, outside ``BOUNDARIES``.
     assert callable(getattr(gantrace.metrics.Classifier, "input_pullback", None))
+
+
+def bench_calls():
+    """Each call ``alias.function(...)`` in the benchmark's workloads, where
+    ``alias`` is an imported ``gantrace`` module: its line, the module's
+    name, the function's name and the call's node.  The file is parsed,
+    never imported."""
+    tree = ast.parse(WORKLOADS.read_text())
+    modules = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name.startswith("gantrace.")}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id in modules):
+            yield node.lineno, modules[node.func.value.id], node.func.attr, node
+
+
+def test_bench_calls_fit_the_signatures():
+    calls = list(bench_calls())
+    assert any(call.keywords for *_, call in calls)
+    for line, module_name, attribute, call in calls:
+        function = getattr(importlib.import_module(module_name), attribute)
+        # The benchmark passes no *args or **kwargs, so every argument is counted.
+        assert not any(isinstance(arg, ast.Starred) for arg in call.args)
+        assert all(keyword.arg is not None for keyword in call.keywords)
+        try:
+            inspect.signature(function).bind(*call.args, **{keyword.arg: keyword.value
+                                                            for keyword in call.keywords})
+        except TypeError as exc:
+            pytest.fail(f"perfbench/workloads.py:{line} calls {module_name}.{attribute}: {exc}")

@@ -32,7 +32,13 @@ from gantrace.experiments import (
     write_table,
 )
 from gantrace.influence import infer_linear_influence, window_start
-from gantrace.metrics import ClassifierSettings, MetricSpec, build_query_vector, load_classifier
+from gantrace.metrics import (
+    ClassifierSettings,
+    MetricSpec,
+    build_query_vector,
+    load_classifier,
+    save_classifier,
+)
 from gantrace.models import FcGan, NonFiniteError
 from gantrace.oracle import metric_deltas
 from gantrace.training import load_trace, trace_checksum
@@ -380,22 +386,6 @@ def test_stored_classifier_with_another_key_is_retrained(digits_trace, tmp_path,
     assert context.classifier.key == fresh.classifier.key != stored.classifier.key
 
 
-@pytest.mark.parametrize("damage", ["truncate", "edit"])
-def test_cli_influence_rejects_a_damaged_stored_classifier(digits_trace, tmp_path, capsys,
-                                                           damage):
-    trace = tmp_path / "trace"
-    shutil.copytree(digits_trace, trace)
-    params = trace / "classifier" / "params.bin"
-    blob = params.read_bytes()
-    params.write_bytes(blob[:len(blob) // 2] if damage == "truncate"
-                       else blob[:-1] + bytes([blob[-1] ^ 0x10]))
-    code = cli_main(["influence", "--config", str(CONFIGS / "digits8_smoke.ini"),
-                     "--trace", str(trace), "--out", str(tmp_path / "scores.csv")])
-    assert code == 1
-    assert "checksum" in capsys.readouterr().err
-    assert not (tmp_path / "scores.csv").exists()
-
-
 @pytest.mark.parametrize("field, value", [("feature_layer", None), ("sizes", None),
                                           ("feature_layer", 2), ("feature_layer", -1)])
 def test_cli_influence_rejects_a_stored_classifier_manifest_it_cannot_use(
@@ -409,16 +399,17 @@ def test_cli_influence_rejects_a_stored_classifier_manifest_it_cannot_use(
     else:
         manifest[field] = value
     path.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match="classifier manifest" if value is None else
-                       "not a hidden layer"):
+    # A missing field is named; an edited one fails the checksum, which
+    # covers the manifest's fields as well as the parameters.
+    with pytest.raises(ValueError, match=f"differ .* in \\['{field}'\\]" if value is None
+                       else "checksum"):
         load_classifier(trace / "classifier")
     code = cli_main(["influence", "--config", str(CONFIGS / "digits8_smoke.ini"),
                      "--trace", str(trace), "--out", str(tmp_path / "scores.csv")])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
-    if value is None:
-        assert str(trace / "classifier") in err and field in err
+    assert str(path) in err
     assert not (tmp_path / "scores.csv").exists()
 
 
@@ -530,22 +521,48 @@ def _rewrite_manifest(path: Path, **changes) -> None:
     path.write_text(json.dumps({**json.loads(path.read_text()), **changes}))
 
 
-_TRACE_DAMAGE = {
+def _drop_from_manifest(path: Path, field: str) -> None:
+    manifest = json.loads(path.read_text())
+    del manifest[field]
+    path.write_text(json.dumps(manifest))
+
+
+# Damage to a stored directory, written by ``training.save_checked``, and the
+# text its refusal must hold.  ``other`` is a directory of the same kind with
+# other contents.  A trace and the digits trace's classifier/ both hold
+# params.npy; the cases past ``_DAMAGE`` touch what only one of them holds.
+_DAMAGE = {
     "no manifest": (lambda t, other: (t / "manifest.json").unlink(), "manifest.json"),
+    "truncated manifest": (lambda t, other: _cut_in_half(t / "manifest.json"),
+                           "manifest.json"),
     "v1 manifest": (lambda t, other: _rewrite_manifest(t / "manifest.json", version=1),
                     "gantrace train"),
+    # As stored before the classifier shared the trace's format.
+    "unversioned manifest": (lambda t, other: _drop_from_manifest(t / "manifest.json",
+                                                                  "version"), "gantrace train"),
     "empty params": (lambda t, other: (t / "params.npy").write_bytes(b""), "params.npy"),
     "truncated params": (lambda t, other: _cut_in_half(t / "params.npy"), "params.npy"),
     "flipped params byte": (lambda t, other: _flip_last_byte(t / "params.npy"), "checksum"),
-    "flipped batch byte": (lambda t, other: _flip_last_byte(t / "batch_indices.npy"),
-                           "checksum"),
-    "missing rates": (lambda t, other: (t / "rates.npy").unlink(), "rates.npy"),
     # The same bytes under a big-endian header: the checksum covers the data only.
     "byte-swapped params header": (lambda t, other: (t / "params.npy").write_bytes(
         (t / "params.npy").read_bytes().replace(b"'<f8'", b"'>f8'", 1)), "checksum"),
     # An overwrite cut before its manifest: new arrays under the old manifest.
     "interrupted overwrite": (lambda t, other: [shutil.copy(path, t)
                                                 for path in other.glob("*.npy")], "checksum"),
+}
+
+_TRACE_DAMAGE = {
+    **_DAMAGE,
+    "flipped batch byte": (lambda t, other: _flip_last_byte(t / "batch_indices.npy"),
+                           "checksum"),
+    "missing rates": (lambda t, other: (t / "rates.npy").unlink(), "rates.npy"),
+}
+
+# A classifier with no manifest is an interrupted first save, and is trained again.
+_CLASSIFIER_DAMAGE = {
+    **{name: case for name, case in _DAMAGE.items() if name != "no manifest"},
+    "feature_layer 1 to 0": (lambda t, other: _rewrite_manifest(t / "manifest.json",
+                                                                feature_layer=0), "checksum"),
 }
 
 
@@ -563,6 +580,53 @@ def test_cli_influence_rejects_old_or_damaged_traces(mini_trace, tmp_path, capsy
     assert code == 1
     assert expected in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def other_classifier(digits_trace, tmp_path_factory):
+    """The digits classifier stored again with its parameters reversed."""
+    classifier = load_classifier(digits_trace / "classifier")
+    classifier.params = classifier.params[::-1].copy()
+    directory = tmp_path_factory.mktemp("other") / "classifier"
+    save_classifier(classifier, directory)
+    return directory
+
+
+@pytest.mark.parametrize("damage", list(_CLASSIFIER_DAMAGE))
+def test_cli_influence_rejects_a_damaged_stored_classifier(digits_trace, other_classifier,
+                                                           tmp_path, capsys, damage):
+    trace = tmp_path / "trace"
+    shutil.copytree(digits_trace, trace)
+    damage_fn, expected = _CLASSIFIER_DAMAGE[damage]
+    damage_fn(trace / "classifier", other_classifier)
+    out = tmp_path / "scores.csv"
+    code = cli_main(["influence", "--config", str(CONFIGS / "digits8_smoke.ini"),
+                     "--metric", "fid", "--trace", str(trace), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert expected in err and str(trace / "classifier") in err
+    assert not out.exists()
+
+
+def test_stored_classifier_without_a_manifest_is_trained_again(digits_trace, tmp_path,
+                                                               monkeypatch):
+    trace = tmp_path / "trace"
+    shutil.copytree(digits_trace, trace)
+    (trace / "classifier" / "manifest.json").unlink()
+    calls = []
+    original = gantrace.experiments.train_classifier
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gantrace.experiments, "train_classifier", counting)
+    config = load_config(CONFIGS / "digits8_smoke.ini")
+    _, retrained = evaluation_context(config, config.training.seed, trace / "classifier")
+    _, stored = evaluation_context(config, config.training.seed, digits_trace / "classifier")
+    assert len(calls) == 1
+    assert retrained.classifier.params.tobytes() == stored.classifier.params.tobytes()
 
 
 def test_saved_trace_is_the_manifest_and_five_arrays(mini_trace):
@@ -660,6 +724,25 @@ def test_cli_cleanse_and_report_smoke(mini_trace, tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "plots" / "cleansing_curves.csv").exists()
     assert (tmp_path / "plots" / "harmfulness_scatter.csv").exists()
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({"rows": [{"method": "random", "metric": "all", "n_harmful": 6,
+                          "before": 1.0, "after": 0.5, "seed": 3}]}),
+    json.dumps({"rows": 5}),
+    '{"rows": [{"method": "ran',
+], ids=["row_without_improvement", "rows_not_a_list", "truncated"])
+def test_cli_report_refuses_a_malformed_cleansing_json(mini_trace, tmp_path, capsys, text):
+    path, trace, _ = mini_trace
+    (tmp_path / "cl").mkdir()
+    (tmp_path / "cl" / "cleansing.json").write_text(text)
+    out = tmp_path / "plots"
+    assert cli_main(["report", "--config", str(path), "--trace", str(trace),
+                     "--from", str(tmp_path / "cl"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert str(tmp_path / "cl" / "cleansing.json") in err
+    assert not out.exists()
 
 
 def test_cli_report_reads_the_stored_trace(mini_trace, tmp_path, monkeypatch, capsys):
@@ -862,13 +945,17 @@ def test_cli_influence_refuses_a_json_out(mini_trace, tmp_path, capsys):
      "option 'epochs' in section 'training' already exists"),
     ("train", ("\n[dataset]", "seed = 1\n[dataset]"), [], "line: 1 'seed = 1"),
     ("train", ("epochs = 2", "epochs = two"), [], "[training] epochs = 'two' does not parse"),
+    ("train", ("metrics = all", "metrics = all,is"), [], "need a labeled dataset"),
+    ("accuracy", [("kind = normal2d", "kind = idx\nimages = digits.idx"),
+                  ("metrics = all", "metrics = fid")], [], "need a labeled dataset"),
 ], ids=["negative_n_harmful", "negative_n_harmful_flag", "no_permutations",
         "unknown_metric", "unknown_method", "empty_metrics", "empty_metrics_influence",
         "empty_methods", "empty_k_epochs", "empty_k_flag", "empty_n_harmful", "zero_n_seeds",
         "zero_seeds_flag", "zero_accuracy_seeds", "more_targets_than_rows",
         "more_targets_flag", "empty_classifier_hidden", "misspelled_key", "misspelled_n_targets",
         "key_in_the_wrong_section", "misspelled_section", "duplicate_key",
-        "key_before_any_section", "unparsed_value"])
+        "key_before_any_section", "unparsed_value", "is_on_normal2d",
+        "fid_on_idx_without_labels"])
 def test_cli_refuses_a_bad_config_before_training(tmp_path, capsys, monkeypatch,
                                                    command, edit, flags, message):
     def refuse(*args, **kwargs):
@@ -876,7 +963,10 @@ def test_cli_refuses_a_bad_config_before_training(tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr(gantrace.experiments, "run_training", refuse)
     path = tmp_path / "bad.ini"
-    path.write_text(MINI_CONFIG.replace(*edit))
+    text = MINI_CONFIG
+    for old, new in edit if isinstance(edit, list) else [edit]:
+        text = text.replace(old, new)
+    path.write_text(text)
     out = tmp_path / "out"
     assert cli_main([command, "--config", str(path), *flags, "--out", str(out)]) == 1
     err = capsys.readouterr().err

@@ -383,6 +383,21 @@ def test_config_roundtrip(tmp_path):
     assert override.training.seed == 9
 
 
+@pytest.mark.parametrize("name", ["a%b.idx", "%(seed)s.idx", "run-%(n_train)s.idx"],
+                         ids=["percent", "missing_reference", "reference_to_n_train"])
+def test_config_values_are_read_literally(tmp_path, name):
+    # No interpolation: a `%` is part of the path, and `%(key)s` names no key.
+    images = np.arange(4 * 36, dtype=np.uint8).reshape(4, 6, 6)
+    write_idx(tmp_path / name, images)
+    path = tmp_path / "exp.ini"
+    path.write_text(CONFIG_TEXT.replace("kind = normal2d\n",
+                                        f"kind = idx\nside = 6\nimages = {tmp_path / name}\n"))
+    config = load_config(path)
+    assert config.dataset.images_path == str(tmp_path / name)
+    data, _ = synthesize_dataset(config.dataset, 4, np.random.default_rng(0))
+    assert np.array_equal(data, load_idx_images(tmp_path / name, side=6)[0])
+
+
 @pytest.mark.parametrize("kind, extra, dim", [
     ("normal2d", "", 2),
     ("digits8", "n_classes = 4\n", 64),

@@ -245,32 +245,17 @@ def test_record_latents_are_the_seeded_batch_kept_read_only(gan, data, tmp_path)
             batch[0, 0] = 0.0
 
 
-def test_save_over_a_version_1_trace_removes_only_its_files(gan, data, tmp_path):
-    settings = TrainingSettings(epochs=2, batch_size=7, lr_gen=1e-3, lr_disc=1e-3, seed=15)
-    trace = run_training(gan, data, settings)
-    directory = tmp_path / "trace"
-    (directory / "steps").mkdir(parents=True)
-    for step in range(3):
-        (directory / "steps" / f"{step:06d}.npz").write_bytes(b"old step")
-    (directory / "final.bin").write_bytes(b"old final parameters")
-    (directory / "manifest.json").write_text('{"version": 1}')
-    (directory / "notes.txt").write_text("kept")
-    save_trace(trace, directory)
-    assert sorted(path.name for path in directory.iterdir()) == [
-        "batch_indices.npy", "batch_sizes.npy", "latent_seeds.npy", "manifest.json",
-        "notes.txt", "params.npy", "rates.npy"]
-    assert (directory / "notes.txt").read_text() == "kept"
-    assert trace_checksum(load_trace(directory)) == trace_checksum(trace)
-
-
-@pytest.mark.parametrize("manifest", [None, "version_2"])
+@pytest.mark.parametrize("manifest", [None, "version_1", "version_2"])
 def test_save_keeps_steps_and_final_bin_of_no_version_1_trace(gan, data, tmp_path, manifest):
+    # The writer deletes nothing, not even the files of a version-1 trace.
     settings = TrainingSettings(epochs=2, batch_size=7, lr_gen=1e-3, lr_disc=1e-3, seed=15)
     trace = run_training(gan, data, settings)
     directory = tmp_path / "out"
     if manifest == "version_2":
         save_trace(trace, directory)
     (directory / "steps").mkdir(parents=True)
+    if manifest == "version_1":
+        (directory / "manifest.json").write_text('{"version": 1}')
     (directory / "steps" / "my_notes.txt").write_text("mine")
     (directory / "final.bin").write_bytes(b"mine too")
     save_trace(trace, directory)
