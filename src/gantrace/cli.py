@@ -1,4 +1,5 @@
-"""Command-line front end for the training / influence / cleansing pipeline.
+"""Command-line front end for the training / influence / cleansing pipeline:
+flags and printing, while ``experiments`` writes and reads every stored file.
 
 Exit codes: 0 on success, 1 on usage or configuration errors (including a
 trace whose fingerprint does not match the config), 2 on numerical failure
@@ -8,31 +9,28 @@ trace whose fingerprint does not match the config), 2 on numerical failure
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config
 from .experiments import (
-    CLASSIFIER_DIR,
-    CleansingReport,
-    CleansingRow,
     draw_targets,
     estimates_and_truths,
     load_seed_run,
     prepare_seed_run,
+    read_report,
     run_data_cleansing,
     run_estimation_accuracy,
-    write_accuracy_report,
+    save_seed_run,
     write_cleansing_curves,
-    write_cleansing_report,
     write_influence_table,
+    write_report,
     write_scatter_data,
     write_table,
 )
-from .metrics import MetricSpec, save_classifier
+from .metrics import MetricSpec
 from .models import NonFiniteError
-from .training import DivergenceError, save_trace
+from .training import DivergenceError
 
 
 class UsageError(RuntimeError):
@@ -100,12 +98,18 @@ def _load(args, flags=None) -> ExperimentConfig:
                                      if getattr(args, name) is not None})
 
 
+def _targets(config: ExperimentConfig, count: int | None):
+    """``--targets``: ``count`` targets of the training seed, or None without
+    it, drawn before any trace is loaded; a count outside [1, n_train] is refused."""
+    if count is not None and not 1 <= count <= config.dataset.n_train:
+        raise UsageError(f"--targets {count} is outside [1, {config.dataset.n_train}]")
+    return None if count is None else draw_targets(config, config.training.seed, count)
+
+
 def _cmd_train(args) -> int:
     config = _load(args)
     run = prepare_seed_run(config, config.training.seed)
-    checksum = save_trace(run.trace, args.out)
-    if config.uses_classifier:
-        save_classifier(run.context.classifier, Path(args.out) / CLASSIFIER_DIR)
+    checksum = save_seed_run(run, args.out)
     print(f"trace: {args.out}")
     print(f"steps: {run.trace.n_steps}  checksum: {checksum}")
     return 0
@@ -117,8 +121,8 @@ def _cmd_influence(args) -> int:
     if kind not in config.metrics:
         raise UsageError(f"--metric {kind} is not a configured metric; "
                          f"the config has {', '.join(config.metrics)}")
+    targets = _targets(config, args.targets)
     run = load_seed_run(config, args.trace)
-    targets = None if args.targets is None else draw_targets(config, run.seed, args.targets)
     table = run.influence(MetricSpec(kind, bandwidth=config.bandwidth), args.k, targets)
     write_influence_table(table, args.out)
     print(f"influence table: {args.out} ({len(table.scores)} instances, metric {kind})")
@@ -127,8 +131,8 @@ def _cmd_influence(args) -> int:
 
 def _cmd_oracle(args) -> int:
     config = _load(args)
+    targets = _targets(config, args.targets)
     run = load_seed_run(config, args.trace)
-    targets = draw_targets(config, run.seed, args.targets)
     specs = config.metric_specs()
     compared = estimates_and_truths(run, specs, targets, args.k)
     rows = []
@@ -147,7 +151,7 @@ def _cmd_accuracy(args) -> int:
     config = _load(args, {"k": "influence.k_epochs", "targets": "influence.n_targets"})
     seeds = list(range(config.training.seed, config.training.seed + args.seeds))
     report = run_estimation_accuracy(config, seeds=seeds)
-    write_accuracy_report(report, args.out)
+    write_report(report, args.out)
     for row in report.rows:
         print(f"metric={row.metric} k={row.k_epochs} seed={row.seed} "
               f"tau={row.tau:.4f} jaccard={row.jaccard:.4f} p={row.p_value:.4f}")
@@ -157,7 +161,7 @@ def _cmd_accuracy(args) -> int:
 def _cmd_cleanse(args) -> int:
     config = _load(args, {"n_harmful": "cleansing.n_harmful", "seeds": "cleansing.n_seeds"})
     report = run_data_cleansing(config)
-    write_cleansing_report(report, args.out)
+    write_report(report, args.out)
     write_cleansing_curves(report, Path(args.out) / "curves.csv")
     for row in report.rows:
         print(f"method={row.method} metric={row.metric} n_h={row.n_harmful} "
@@ -169,15 +173,7 @@ def _cmd_report(args) -> int:
     config = _load(args)
     source = Path(args.source)
     out = Path(args.out)
-    cleansing_json = source / "cleansing.json"
-    report = None
-    if cleansing_json.exists():
-        try:
-            rows = json.loads(cleansing_json.read_text())["rows"]
-            report = CleansingReport(rows=[CleansingRow(**row) for row in rows])
-        except (ValueError, TypeError, KeyError) as exc:
-            raise UsageError(f"{cleansing_json} is not a cleansing report: "
-                             f"{type(exc).__name__}: {exc}") from exc
+    report = read_report(source, "cleansing") if (source / "cleansing.json").exists() else None
     out.mkdir(parents=True, exist_ok=True)
     emitted = []
     if report is not None:

@@ -1,9 +1,10 @@
 """Experiment pipelines: estimation accuracy and data cleansing.
 
 Both experiments and the CLI run one per-seed chain on a ``SeedRun``,
-which ``prepare_seed_run`` trains and ``load_seed_run`` loads from a stored
-trace: ``SeedRun.influence`` sweeps a metric's query through the trace, and
-``estimates_and_truths`` sets the estimates beside the oracle's deltas.
+which ``prepare_seed_run`` trains, ``save_seed_run`` stores and
+``load_seed_run`` loads back: ``SeedRun.influence`` sweeps a metric's query
+through the trace, and ``estimates_and_truths`` sets the estimates beside
+the oracle's deltas.
 Accuracy is scored with rank statistics (Kendall's tau and the Jaccard
 overlap of critical sets) against a permutation null; cleansing removes the
 estimated harmful set, re-runs the final epoch and reads the test metric.
@@ -16,8 +17,9 @@ context and cleansing's test set (latents first, then the rows of
 ``config.synthesize_dataset``), and ``draw_targets`` the targets of the
 accuracy experiment, ``gantrace influence --targets`` and ``gantrace
 oracle``.  Both experiments read their metrics through the oracle's
-``metric_reader``, one generated sample set per parameter vector.  Every
-CSV the package writes, the CLI's included, goes through ``write_table``.
+``metric_reader``, one generated sample set per parameter vector.  What
+one command stores for another, the run and the reports, is written and
+read back here, and every CSV goes through ``write_table``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import typing
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -40,11 +43,12 @@ from .metrics import (
     build_query_vector,
     classifier_key,
     load_classifier,
+    save_classifier,
     train_classifier,
 )
 from .models import FcGan
 from .oracle import counterfactual_retrain, final_readings, metric_deltas, metric_reader
-from .training import TrainingTrace, load_trace, run_training
+from .training import TrainingTrace, load_trace, run_training, save_trace
 
 _STREAMS = {"dataset": 11, "reference": 13, "targets": 17, "test": 19,
             "random_select": 23, "permutation": 29}
@@ -184,7 +188,7 @@ def sign_test_greater(differences) -> float:
 
 # -- shared per-seed setup -------------------------------------------------------
 
-# Where ``gantrace train`` stores the seed's IS/FID classifier inside the
+# Where ``save_seed_run`` stores the seed's IS/FID classifier inside the
 # trace directory, for ``load_seed_run`` to load instead of retraining.
 CLASSIFIER_DIR = "classifier"
 
@@ -226,10 +230,21 @@ def seed_dataset(config: ExperimentConfig, seed: int
 def prepare_seed_run(config: ExperimentConfig, seed: int) -> SeedRun:
     """Train one trace and assemble the evaluation side for a seed."""
     data, _, fingerprint = seed_dataset(config, seed)
-    trace = run_training(config.problem(), data, replace(config.training, seed=seed),
+    problem = config.problem()
+    trace = run_training(problem, data, replace(config.training, seed=seed),
                          fingerprint=fingerprint)
     reference_latents, context = evaluation_context(config, seed)
-    return SeedRun(seed, config.problem(), data, trace, reference_latents, context, fingerprint)
+    return SeedRun(seed, problem, data, trace, reference_latents, context, fingerprint)
+
+
+def save_seed_run(run: SeedRun, directory) -> str:
+    """Store what ``load_seed_run`` reads back: the trace in ``directory``
+    (``save_trace``), then the run's IS/FID classifier, when it has one, in
+    ``CLASSIFIER_DIR`` inside it.  Returns the trace's checksum."""
+    checksum = save_trace(run.trace, directory)
+    if run.context.classifier is not None:
+        save_classifier(run.context.classifier, Path(directory) / CLASSIFIER_DIR)
+    return checksum
 
 
 def load_seed_run(config: ExperimentConfig, trace_dir) -> SeedRun:
@@ -305,12 +320,6 @@ class AccuracyRow:
     threshold: float
 
 
-@dataclass
-class AccuracyReport:
-    rows: list[AccuracyRow] = field(default_factory=list)
-    fingerprints: dict[int, str] = field(default_factory=dict)
-
-
 def estimates_and_truths(run: SeedRun, specs, targets, k_epochs: int | None,
                          baselines: dict[str, float] | None = None
                          ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -330,11 +339,11 @@ def estimates_and_truths(run: SeedRun, specs, targets, k_epochs: int | None,
     return compared
 
 
-def run_estimation_accuracy(config: ExperimentConfig, seeds=None) -> AccuracyReport:
+def run_estimation_accuracy(config: ExperimentConfig, seeds=None) -> Report:
     """Estimate influence for sampled targets and score it against the oracle."""
     seeds = list(seeds) if seeds is not None else [config.training.seed]
     specs = config.metric_specs()
-    report = AccuracyReport()
+    report = Report("accuracy")
     for seed in seeds:
         run = prepare_seed_run(config, seed)
         targets = draw_targets(config, seed, config.n_targets)
@@ -371,18 +380,13 @@ class CleansingRow:
     seed: int
 
 
-@dataclass
-class CleansingReport:
-    rows: list[CleansingRow] = field(default_factory=list)
-    fingerprints: dict[int, str] = field(default_factory=dict)
-
-    def improvements(self, method: str, metric: str, n_harmful: int) -> np.ndarray:
-        return np.array([r.improvement for r in self.rows
-                         if r.method == method and r.metric == metric
-                         and r.n_harmful == n_harmful])
+def improvements(rows, method: str, metric: str, n_harmful: int) -> np.ndarray:
+    """The improvement of each cleansing row of one method, metric and size."""
+    return np.array([r.improvement for r in rows
+                     if r.method == method and r.metric == metric and r.n_harmful == n_harmful])
 
 
-def run_data_cleansing(config: ExperimentConfig, seeds=None) -> CleansingReport:
+def run_data_cleansing(config: ExperimentConfig, seeds=None) -> Report:
     """Remove estimated harmful sets, re-run the final epoch, read test metrics.
 
     Selection methods: ``influence`` ranks by the estimated influence on the
@@ -400,7 +404,7 @@ def run_data_cleansing(config: ExperimentConfig, seeds=None) -> CleansingReport:
     ranked = {spec.kind for spec in specs} if "influence" in config.methods else set()
     if "disc_loss" in config.methods:
         ranked.add("disc_loss")
-    report = CleansingReport()
+    report = Report("cleansing")
     for seed in seeds:
         run = prepare_seed_run(config, seed)
         test_latents, test_data, _ = evaluation_set(config, seed, "test", config.n_test)
@@ -474,25 +478,73 @@ def write_influence_table(table: InfluenceTable, path) -> None:
     }, indent=2))
 
 
-def _write_report(report, directory, name: str, row_type) -> None:
-    """``<name>.csv`` and ``<name>.json``."""
+# The row type of each experiment's report, by the report's name, which is
+# also the stem of its files.
+_ROW_TYPES = {"accuracy": AccuracyRow, "cleansing": CleansingRow}
+
+
+@dataclass
+class Report:
+    """One experiment's rows, of the type ``_ROW_TYPES`` gives its name, and
+    the fingerprint of each seed's trace."""
+
+    name: str
+    rows: list = field(default_factory=list)
+    fingerprints: dict[int, str] = field(default_factory=dict)
+
+
+def write_report(report: Report, directory) -> None:
+    """``<name>.csv``, one column per field of the report's row type, and
+    ``<name>.json``, the rows and the fingerprints, for ``read_report``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    columns = [column.name for column in fields(row_type)]
-    write_table(directory / f"{name}.csv", columns,
+    columns = [column.name for column in fields(_ROW_TYPES[report.name])]
+    write_table(directory / f"{report.name}.csv", columns,
                 ([getattr(row, column) for column in columns] for row in report.rows))
-    (directory / f"{name}.json").write_text(json.dumps({
+    (directory / f"{report.name}.json").write_text(json.dumps({
         "rows": [asdict(row) for row in report.rows],
         "fingerprints": {str(k): v for k, v in report.fingerprints.items()},
     }, indent=2))
 
 
-def write_accuracy_report(report: AccuracyReport, directory) -> None:
-    _write_report(report, directory, "accuracy", AccuracyRow)
+# The JSON values each annotation of a row takes; a boolean is never a number.
+_JSON_TYPES = {str: str, int: int, float: (int, float)}
 
 
-def write_cleansing_report(report: CleansingReport, directory) -> None:
-    _write_report(report, directory, "cleansing", CleansingRow)
+def read_report(directory, name: str) -> Report:
+    """The report ``write_report`` wrote to ``<name>.json`` in ``directory``,
+    each field converted by its annotation on the row type.  A missing or
+    an extra field, or a value of another type (a string, ``null`` or a
+    boolean where a number belongs), raises one ``ValueError`` naming the
+    file, the row and the field."""
+    path = Path(directory) / f"{name}.json"
+    try:
+        stored = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path} is not JSON: {exc}") from exc
+    fingerprints = stored.get("fingerprints") if isinstance(stored, dict) else None
+    if not (isinstance(fingerprints, dict) and set(stored) == {"rows", "fingerprints"}
+            and isinstance(stored["rows"], list)
+            and all(seed.isdigit() and isinstance(value, str)
+                    for seed, value in fingerprints.items())):
+        raise ValueError(f"{path} is not a {name} report: it must hold exactly a 'rows' "
+                         f"list and a 'fingerprints' object of seeds and strings")
+    row_type = _ROW_TYPES[name]
+    types = typing.get_type_hints(row_type)
+    for number, row in enumerate(stored["rows"]):
+        if not isinstance(row, dict):
+            raise ValueError(f"{path}: row {number} is not an object")
+        odd = sorted(set(row) ^ set(types))
+        if odd:
+            raise ValueError(f"{path}: row {number} field {odd[0]!r} is "
+                             f"{'unknown' if odd[0] in row else 'missing'}")
+        for column, kind in types.items():
+            if isinstance(row[column], bool) or not isinstance(row[column], _JSON_TYPES[kind]):
+                raise ValueError(f"{path}: row {number} field {column!r} is {row[column]!r}, "
+                                 f"not {kind.__name__}")
+    return Report(name, [row_type(**{column: kind(row[column]) for column, kind in types.items()})
+                         for row in stored["rows"]],
+                  {int(seed): value for seed, value in fingerprints.items()})
 
 
 def write_scatter_data(table: InfluenceTable, dataset: np.ndarray, spec: MetricSpec,
@@ -509,10 +561,10 @@ def write_scatter_data(table: InfluenceTable, dataset: np.ndarray, spec: MetricS
                 zip(indices, dataset[indices, 0], dataset[indices, 1], scores, ranks))
 
 
-def write_cleansing_curves(report: CleansingReport, path) -> None:
+def write_cleansing_curves(report: Report, path) -> None:
     """Mean improvement per (method, metric, n_harmful) for plotting."""
     keys = sorted({(r.method, r.metric, r.n_harmful) for r in report.rows})
-    values = {key: report.improvements(*key) for key in keys}
+    values = {key: improvements(report.rows, *key) for key in keys}
     write_table(path, ["method", "metric", "n_harmful", "mean_improvement",
                        "std_improvement", "n_seeds"],
                 ((*key, values[key].mean(), values[key].std(ddof=0), len(values[key]))

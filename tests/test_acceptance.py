@@ -13,6 +13,7 @@ from gantrace.autodiff import vjp_gradient_call_count
 from gantrace.config import DatasetSpec, ExperimentConfig
 from gantrace.datasets import make_digit_images, sample_normal2d
 from gantrace.experiments import (
+    improvements,
     prepare_seed_run,
     run_data_cleansing,
     run_estimation_accuracy,
@@ -230,8 +231,8 @@ def test_criterion_07_approximation_error_decays_with_learning_rate():
 
 def test_criterion_08_data_cleansing_beats_random_and_image_smoke():
     report = run_data_cleansing(desk_config(), seeds=[0, 1, 2, 3, 4])
-    proposed = report.improvements("influence", "all", 100)
-    random_sel = report.improvements("random", "all", 100)
+    proposed = improvements(report.rows, "influence", "all", 100)
+    random_sel = improvements(report.rows, "random", "all", 100)
     p_value = sign_test_greater(proposed - random_sel)
     assert proposed.mean() > random_sel.mean()
     assert p_value < 0.05

@@ -12,6 +12,8 @@ listed in ``ALLOWED`` with the reason.
 import ast
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gantrace"
 
 ALLOWED = {
@@ -101,3 +103,14 @@ def test_parameters_are_stepped_in_one_loop():
     # a replay that drops nothing bit-exact by construction; a second loop
     # that calls ``asgd_step`` fails here.
     assert readers("asgd_step", PACKAGE) == {"training.step_records"}
+
+
+@pytest.mark.parametrize("name", ["CLASSIFIER_DIR", "save_trace", "save_classifier",
+                                  "CleansingRow"])
+def test_stored_formats_are_written_and_read_in_experiments(name):
+    # ``save_seed_run`` and ``load_seed_run`` own the stored run, and
+    # ``write_report`` and ``read_report`` the reports; a second writer or
+    # parser of either, in the CLI say, fails here.  ``__init__``'s
+    # re-exports are not reads.
+    assert {reader.split(".")[0] for reader in readers(name, PACKAGE)} - {"__init__"} \
+        == {"experiments"}

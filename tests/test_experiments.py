@@ -23,11 +23,11 @@ from gantrace.experiments import (
     evaluation_context,
     evaluation_set,
     prepare_seed_run,
+    read_report,
     run_data_cleansing,
     run_estimation_accuracy,
-    write_accuracy_report,
     write_cleansing_curves,
-    write_cleansing_report,
+    write_report,
     write_scatter_data,
     write_table,
 )
@@ -243,12 +243,14 @@ def test_cleansing_random_selection_reproducible(mini_config):
 def test_report_files_roundtrip(mini_config, tmp_path):
     config, _ = mini_config
     accuracy = run_estimation_accuracy(config, seeds=[3])
-    write_accuracy_report(accuracy, tmp_path / "acc")
+    write_report(accuracy, tmp_path / "acc")
     rows = list(csv.DictReader(open(tmp_path / "acc" / "accuracy.csv")))
     assert float(rows[0]["tau"]) == accuracy.rows[0].tau
+    assert read_report(tmp_path / "acc", "accuracy") == accuracy
 
     cleansing = run_data_cleansing(config, seeds=[3])
-    write_cleansing_report(cleansing, tmp_path / "cl")
+    write_report(cleansing, tmp_path / "cl")
+    assert read_report(tmp_path / "cl", "cleansing") == cleansing
     write_cleansing_curves(cleansing, tmp_path / "cl" / "curves.csv")
     curve_rows = list(csv.DictReader(open(tmp_path / "cl" / "curves.csv")))
     assert {r["method"] for r in curve_rows} == {"influence", "disc_loss", "random"}
@@ -726,13 +728,33 @@ def test_cli_cleanse_and_report_smoke(mini_trace, tmp_path, capsys):
     assert (tmp_path / "plots" / "harmfulness_scatter.csv").exists()
 
 
-@pytest.mark.parametrize("text", [
-    json.dumps({"rows": [{"method": "random", "metric": "all", "n_harmful": 6,
-                          "before": 1.0, "after": 0.5, "seed": 3}]}),
-    json.dumps({"rows": 5}),
-    '{"rows": [{"method": "ran',
-], ids=["row_without_improvement", "rows_not_a_list", "truncated"])
-def test_cli_report_refuses_a_malformed_cleansing_json(mini_trace, tmp_path, capsys, text):
+CLEANSING_ROW = {"method": "random", "metric": "all", "n_harmful": 6, "before": 1.0,
+                 "after": 0.5, "improvement": -0.5, "seed": 3}
+
+
+def cleansing_json(**row):
+    """A cleansing report of one row: ``CLEANSING_ROW`` with ``row``'s
+    fields changed, or dropped where given as ``...``."""
+    row = {key: value for key, value in {**CLEANSING_ROW, **row}.items() if value is not ...}
+    return json.dumps({"rows": [row], "fingerprints": {"3": "f" * 64}})
+
+
+@pytest.mark.parametrize("text, message", [
+    (cleansing_json(improvement=...), "row 0 field 'improvement' is missing"),
+    (json.dumps({"rows": 5, "fingerprints": {}}), "'rows' list"),
+    ('{"rows": [{"method": "ran', "is not JSON"),
+    (cleansing_json(improvement="abc"), "row 0 field 'improvement' is 'abc', not float"),
+    (cleansing_json(improvement=None), "row 0 field 'improvement' is None, not float"),
+    (cleansing_json(n_harmful="6"), "row 0 field 'n_harmful' is '6', not int"),
+    (cleansing_json(seed=True), "row 0 field 'seed' is True, not int"),
+    (cleansing_json(selected=6), "row 0 field 'selected' is unknown"),
+    (json.dumps({"rows": [CLEANSING_ROW]}), "'fingerprints' object"),
+    (json.dumps({"rows": ["random"], "fingerprints": {}}), "row 0 is not an object"),
+], ids=["row_without_improvement", "rows_not_a_list", "truncated", "string_improvement",
+        "null_improvement", "string_n_harmful", "boolean_seed", "unknown_field",
+        "no_fingerprints", "row_not_an_object"])
+def test_cli_report_refuses_a_malformed_cleansing_json(mini_trace, tmp_path, capsys, text,
+                                                       message):
     path, trace, _ = mini_trace
     (tmp_path / "cl").mkdir()
     (tmp_path / "cl" / "cleansing.json").write_text(text)
@@ -741,8 +763,17 @@ def test_cli_report_refuses_a_malformed_cleansing_json(mini_trace, tmp_path, cap
                      "--from", str(tmp_path / "cl"), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
-    assert str(tmp_path / "cl" / "cleansing.json") in err
+    assert str(tmp_path / "cl" / "cleansing.json") in err and message in err
     assert not out.exists()
+
+
+def test_read_report_converts_each_field_by_its_annotation(tmp_path):
+    # An integer where a float belongs is read as a float, and a seed key as an int.
+    (tmp_path / "cleansing.json").write_text(cleansing_json(before=1, after=0))
+    report = read_report(tmp_path, "cleansing")
+    assert report.fingerprints == {3: "f" * 64}
+    assert [type(getattr(report.rows[0], name)) for name in ("before", "after", "seed")] == \
+        [float, float, int]
 
 
 def test_cli_report_reads_the_stored_trace(mini_trace, tmp_path, monkeypatch, capsys):
@@ -887,6 +918,20 @@ def test_cli_influence_refuses_an_unconfigured_metric(mini_config, tmp_path, cap
     assert "Traceback" not in result.stderr
     assert "fid" in result.stderr and "all" in result.stderr
     assert not (tmp_path / "scores.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["influence", "oracle"])
+@pytest.mark.parametrize("count", ["-3", "5000", "0"])
+def test_cli_targets_outside_the_training_set_are_refused(mini_config, tmp_path, capsys,
+                                                          command, count):
+    # The trace named does not exist: the count is refused before it is read.
+    _, path = mini_config
+    out = tmp_path / "out.csv"
+    assert cli_main([command, "--config", str(path), "--trace", str(tmp_path / "missing"),
+                     "--targets", count, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --targets {count} is outside [1, 60]\n"
+    assert not out.exists()
 
 
 def test_cli_train_into_an_existing_file_exits_one(mini_config, tmp_path, capsys):
