@@ -2,8 +2,8 @@
 flags and printing, while ``experiments`` writes and reads every stored file.
 
 Exit codes: 0 on success, 1 on usage or configuration errors (including a
-trace whose fingerprint does not match the config), 2 on numerical failure
-(divergence or non-finite values).
+trace or an influence table whose fingerprint does not match the config),
+2 on numerical failure (divergence or non-finite values).
 """
 
 from __future__ import annotations
@@ -18,10 +18,12 @@ from .experiments import (
     estimates_and_truths,
     load_seed_run,
     prepare_seed_run,
+    read_influence_table,
     read_report,
     run_data_cleansing,
     run_estimation_accuracy,
     save_seed_run,
+    seed_dataset,
     write_cleansing_curves,
     write_influence_table,
     write_report,
@@ -81,11 +83,13 @@ def _build_parser() -> _Parser:
     p_cl.add_argument("--seeds", type=int, default=None,
                       help="number of seeds (cleansing.n_seeds)")
 
-    p_rep = command("report", "emit plot-data CSVs from experiment outputs and a stored trace",
-                    "plot-data output directory")
+    p_rep = command("report", "emit plot-data CSVs from experiment outputs and an "
+                    "influence table", "plot-data output directory")
     p_rep.add_argument("--from", dest="source", required=True,
                        help="directory holding experiment outputs")
-    for p in (p_infl, p_oracle, p_rep):
+    p_rep.add_argument("--scores", default=None,
+                       help="influence CSV written by gantrace influence, for the 2-d scatter")
+    for p in (p_infl, p_oracle):
         p.add_argument("--trace", required=True, help="trace directory written by gantrace train")
     return parser
 
@@ -106,6 +110,13 @@ def _targets(config: ExperimentConfig, count: int | None):
     return None if count is None else draw_targets(config, config.training.seed, count)
 
 
+def _depth(config: ExperimentConfig, k: int | None) -> int | None:
+    """``--k``, checked against the config before any trace is loaded."""
+    if k is not None and not 1 <= k <= config.training.epochs:
+        raise UsageError(f"--k {k} is outside [1, {config.training.epochs}]")
+    return k
+
+
 def _cmd_train(args) -> int:
     config = _load(args)
     run = prepare_seed_run(config, config.training.seed)
@@ -121,9 +132,10 @@ def _cmd_influence(args) -> int:
     if kind not in config.metrics:
         raise UsageError(f"--metric {kind} is not a configured metric; "
                          f"the config has {', '.join(config.metrics)}")
+    k = _depth(config, args.k)
     targets = _targets(config, args.targets)
     run = load_seed_run(config, args.trace)
-    table = run.influence(MetricSpec(kind, bandwidth=config.bandwidth), args.k, targets)
+    table = run.influence(MetricSpec(kind, bandwidth=config.bandwidth), k, targets)
     write_influence_table(table, args.out)
     print(f"influence table: {args.out} ({len(table.scores)} instances, metric {kind})")
     return 0
@@ -131,10 +143,11 @@ def _cmd_influence(args) -> int:
 
 def _cmd_oracle(args) -> int:
     config = _load(args)
+    k = _depth(config, args.k)
     targets = _targets(config, args.targets)
     run = load_seed_run(config, args.trace)
     specs = config.metric_specs()
-    compared = estimates_and_truths(run, specs, targets, args.k)
+    compared = estimates_and_truths(run, specs, targets, k)
     rows = []
     for position, target in enumerate(targets):
         for spec in specs:
@@ -170,23 +183,29 @@ def _cmd_cleanse(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    # Every input is read and checked before --out is created.
     config = _load(args)
     source = Path(args.source)
-    out = Path(args.out)
     report = read_report(source, "cleansing") if (source / "cleansing.json").exists() else None
+    table = None
+    if args.scores is not None:
+        data, _, fingerprint = seed_dataset(config, config.training.seed)
+        if data.shape[1] != 2:
+            raise UsageError(f"--scores {args.scores}: the harmfulness scatter needs 2-d "
+                             f"data, and the {config.dataset.kind} data is {data.shape[1]}-d")
+        table = read_influence_table(args.scores, fingerprint, len(data))
+    if report is None and table is None:
+        raise UsageError(f"nothing to report from {source}")
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     emitted = []
     if report is not None:
         write_cleansing_curves(report, out / "cleansing_curves.csv")
         emitted.append("cleansing_curves.csv")
-    if config.dataset.kind == "normal2d":
-        run = load_seed_run(config, args.trace)
-        spec = config.metric_specs()[0]
-        table = run.influence(spec, k_epochs=1)
-        write_scatter_data(table, run.dataset, spec, out / "harmfulness_scatter.csv")
+    if table is not None:
+        write_scatter_data(table, data, MetricSpec(table.metric_name),
+                           out / "harmfulness_scatter.csv")
         emitted.append("harmfulness_scatter.csv")
-    if not emitted:
-        raise UsageError(f"nothing to report from {source}")
     print(f"report files in {out}: {', '.join(emitted)}")
     return 0
 

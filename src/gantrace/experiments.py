@@ -38,6 +38,7 @@ from .config import ExperimentConfig, synthesize_dataset, trace_fingerprint
 from .datasets import dataset_checksum
 from .influence import InfluenceTable, infer_linear_influence
 from .metrics import (
+    METRIC_KINDS,
     MetricContext,
     MetricSpec,
     build_query_vector,
@@ -255,13 +256,17 @@ def load_seed_run(config: ExperimentConfig, trace_dir) -> SeedRun:
     seed = config.training.seed
     data, _, fingerprint = seed_dataset(config, seed)
     trace = load_trace(trace_dir)
-    if trace.fingerprint != fingerprint:
-        raise ValueError(
-            f"trace fingerprint {trace.fingerprint[:12]}... does not match the "
-            f"config fingerprint {fingerprint[:12]}...; refusing to mix them")
+    _check_fingerprint(trace.fingerprint, fingerprint, trace_dir)
     reference_latents, context = evaluation_context(config, seed,
                                                     Path(trace_dir) / CLASSIFIER_DIR)
     return SeedRun(seed, config.problem(), data, trace, reference_latents, context, fingerprint)
+
+
+def _check_fingerprint(found: str, fingerprint: str, source) -> None:
+    """``ValueError`` naming ``source`` when a stored trace fingerprint is not the config's."""
+    if found != fingerprint:
+        raise ValueError(f"{source}: trace fingerprint {found[:12]}... does not match the "
+                         f"config fingerprint {fingerprint[:12]}...; refusing to mix them")
 
 
 def evaluation_context(config: ExperimentConfig, seed: int, stored_classifier=None
@@ -462,18 +467,24 @@ def write_table(path, header, rows) -> None:
                           for value in row] for row in rows)
 
 
+# The fields of an influence table's JSON twin besides its scores: each
+# one's attribute on the table and its type.
+_TWIN_FIELDS = {"metric": ("metric_name", str), "k_epochs": ("k_epochs", int),
+                "query_fingerprint": ("query_fingerprint", str),
+                "trace_fingerprint": ("trace_fingerprint", str)}
+
+
 def write_influence_table(table: InfluenceTable, path) -> None:
     """The table as a CSV of ``index, score`` rows in index order, and its
     JSON twin beside it (the CSV's path with ``.json``), which adds the
-    metric, the trace-back depth and the query fingerprint."""
+    metric, the trace-back depth and the query and trace fingerprints, for
+    ``read_influence_table``."""
     if Path(path).suffix == ".json":
         raise ValueError(f"{path} would be overwritten by the table's JSON twin")
     indices = sorted(table.scores)
     write_table(path, ["index", "score"], ((j, table.scores[j]) for j in indices))
     Path(path).with_suffix(".json").write_text(json.dumps({
-        "metric": table.metric_name,
-        "k_epochs": table.k_epochs,
-        "query_fingerprint": table.query_fingerprint,
+        **{key: getattr(table, name) for key, (name, _) in _TWIN_FIELDS.items()},
         "scores": {str(j): table.scores[j] for j in indices},
     }, indent=2))
 
@@ -507,8 +518,28 @@ def write_report(report: Report, directory) -> None:
     }, indent=2))
 
 
-# The JSON values each annotation of a row takes; a boolean is never a number.
-_JSON_TYPES = {str: str, int: int, float: (int, float)}
+# The JSON values each annotation takes; a boolean is never a number.
+_JSON_TYPES = {str: str, int: int, float: (int, float), dict: dict}
+
+
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path} is not JSON: {exc}") from exc
+
+
+def _check_fields(path: Path, where: str, stored: dict, types: dict) -> None:
+    """``ValueError`` naming ``path`` and ``where`` unless ``stored`` holds
+    exactly the fields of ``types``, each a JSON value of its annotation."""
+    odd = sorted(set(stored) ^ set(types))
+    if odd:
+        raise ValueError(f"{path}: {where}field {odd[0]!r} is "
+                         f"{'unknown' if odd[0] in stored else 'missing'}")
+    for name, kind in types.items():
+        if isinstance(stored[name], bool) or not isinstance(stored[name], _JSON_TYPES[kind]):
+            raise ValueError(f"{path}: {where}field {name!r} is {stored[name]!r}, "
+                             f"not {kind.__name__}")
 
 
 def read_report(directory, name: str) -> Report:
@@ -518,10 +549,7 @@ def read_report(directory, name: str) -> Report:
     boolean where a number belongs), raises one ``ValueError`` naming the
     file, the row and the field."""
     path = Path(directory) / f"{name}.json"
-    try:
-        stored = json.loads(path.read_text())
-    except ValueError as exc:
-        raise ValueError(f"{path} is not JSON: {exc}") from exc
+    stored = _read_json(path)
     fingerprints = stored.get("fingerprints") if isinstance(stored, dict) else None
     if not (isinstance(fingerprints, dict) and set(stored) == {"rows", "fingerprints"}
             and isinstance(stored["rows"], list)
@@ -534,25 +562,43 @@ def read_report(directory, name: str) -> Report:
     for number, row in enumerate(stored["rows"]):
         if not isinstance(row, dict):
             raise ValueError(f"{path}: row {number} is not an object")
-        odd = sorted(set(row) ^ set(types))
-        if odd:
-            raise ValueError(f"{path}: row {number} field {odd[0]!r} is "
-                             f"{'unknown' if odd[0] in row else 'missing'}")
-        for column, kind in types.items():
-            if isinstance(row[column], bool) or not isinstance(row[column], _JSON_TYPES[kind]):
-                raise ValueError(f"{path}: row {number} field {column!r} is {row[column]!r}, "
-                                 f"not {kind.__name__}")
+        _check_fields(path, f"row {number} ", row, types)
     return Report(name, [row_type(**{column: kind(row[column]) for column, kind in types.items()})
                          for row in stored["rows"]],
                   {int(seed): value for seed, value in fingerprints.items()})
 
 
+def read_influence_table(path, fingerprint: str, n_train: int) -> InfluenceTable:
+    """The table ``write_influence_table`` wrote to ``path``, read from its
+    JSON twin.  One ``ValueError`` naming the twin refuses a missing or an
+    extra field, a value of another type, an unknown metric, a score index
+    outside [0, ``n_train``), a score that is not a number, and a table
+    swept through another trace than the one of ``fingerprint``."""
+    twin = Path(path).with_suffix(".json")
+    stored = _read_json(twin)
+    if not isinstance(stored, dict):
+        raise ValueError(f"{twin} is not an influence table: it must be an object")
+    _check_fields(twin, "", stored, {**{key: kind for key, (_, kind) in _TWIN_FIELDS.items()},
+                                     "scores": dict})
+    if stored["metric"] not in METRIC_KINDS:
+        raise ValueError(f"{twin}: unknown metric kind {stored['metric']!r}")
+    _check_fingerprint(stored["trace_fingerprint"], fingerprint, twin)
+    scores = {}
+    for index, score in stored["scores"].items():
+        if not (index.isdigit() and int(index) < n_train):
+            raise ValueError(f"{twin}: score index {index!r} is outside [0, {n_train})")
+        if isinstance(score, bool) or not isinstance(score, (int, float)):
+            raise ValueError(f"{twin}: score {index} is {score!r}, not float")
+        scores[int(index)] = float(score)
+    return InfluenceTable(scores=scores, **{name: stored[key]
+                                            for key, (name, _) in _TWIN_FIELDS.items()})
+
+
 def write_scatter_data(table: InfluenceTable, dataset: np.ndarray, spec: MetricSpec,
                        path) -> None:
-    """Per-instance coordinates with scores and harmfulness ranks (2-d data only)."""
+    """Per-instance coordinates with scores and harmfulness ranks, for 2-d
+    data: the first two columns of ``dataset`` are the coordinates."""
     dataset = np.asarray(dataset)
-    if dataset.shape[1] != 2:
-        raise ValueError("scatter data is only emitted for 2-d datasets")
     indices, scores = table.as_arrays()
     harmfulness = spec.harmful_sign * scores
     ranks = np.empty(len(indices), dtype=np.int64)

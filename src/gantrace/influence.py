@@ -51,6 +51,7 @@ class InfluenceTable:
     scores: dict[int, float]
     k_epochs: int
     query_fingerprint: str
+    trace_fingerprint: str
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         keys = sorted(self.scores)
@@ -149,4 +150,5 @@ def infer_linear_influence(problem, trace: TrainingTrace, dataset: np.ndarray,
         scores=dict(zip(targets.tolist(), sums[targets].tolist())),
         k_epochs=k_used,
         query_fingerprint=query.fingerprint,
+        trace_fingerprint=trace.fingerprint,
     )

@@ -256,10 +256,6 @@ def _header(trace: TrainingTrace) -> dict:
             "epoch_starts": [int(start) for start in trace.epoch_starts]}
 
 
-def _digest(header: dict):
-    return hashlib.sha256(json.dumps(header, sort_keys=True).encode())
-
-
 def _stored_arrays(trace: TrainingTrace) -> dict:
     """Each stored array's dtype, shape and C-order pieces: the snapshots are
     hashed and written row by row, never stacked into one copy."""
@@ -276,27 +272,35 @@ def _stored_arrays(trace: TrainingTrace) -> dict:
     return {name: (_ARRAYS[name], shape, pieces) for name, (shape, pieces) in arrays.items()}
 
 
+def _checksum(header: dict, arrays: dict) -> str:
+    """The checksum of a checked directory: the SHA-256 of ``header``'s
+    sorted-key JSON and then of each array's data in order.  ``arrays``
+    maps a name to its dtype, shape and pieces (array-likes whose C-order
+    data, one after the other, is the array's); each piece is hashed where
+    it lies, so the snapshots are never stacked into one copy."""
+    digest = hashlib.sha256(json.dumps(header, sort_keys=True).encode())
+    for dtype, _, pieces in arrays.values():
+        for piece in pieces:
+            digest.update(np.ascontiguousarray(piece, dtype=dtype))
+    return digest.hexdigest()
+
+
 def save_checked(directory, header: dict, arrays: dict) -> str:
-    """Write each of ``arrays``, which maps a name to its dtype, shape and
-    pieces (array-likes whose C-order data, one after the other, is the
-    array's), as ``<name>.npy``, then ``manifest.json``: ``header`` plus the
-    format version and the checksum, which it returns.  The checksum is the
-    SHA-256 of the header's sorted-key JSON and then of each array's data in
-    order.  The manifest goes last: an interrupted first save leaves none,
-    and an interrupted overwrite leaves arrays that fail the old manifest's
-    checksum.  No other file is touched."""
+    """Write each of ``arrays``, as ``_checksum`` takes them, as
+    ``<name>.npy``, then ``manifest.json``: ``header`` plus the format
+    version and the checksum, which it returns.  The manifest goes last: an
+    interrupted first save leaves none, and an interrupted overwrite leaves
+    arrays that fail the old manifest's checksum.  No other file is touched."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    digest = _digest(header)
     for name, (dtype, shape, pieces) in arrays.items():
         with open(directory / f"{name}.npy", "wb") as handle:
             np.lib.format.write_array_header_1_0(
                 handle, {"descr": dtype, "fortran_order": False, "shape": shape})
             for piece in pieces:
-                piece = np.ascontiguousarray(piece, dtype=dtype)
-                handle.write(piece)
-                digest.update(piece)
-    manifest = {**header, "version": FORMAT_VERSION, "checksum": digest.hexdigest()}
+                handle.write(np.ascontiguousarray(piece, dtype=dtype))
+    manifest = {**header, "version": FORMAT_VERSION,
+                "checksum": _checksum(header, arrays)}
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return manifest["checksum"]
 
@@ -326,15 +330,12 @@ def load_checked(directory, fields, dtypes: dict) -> tuple[dict, dict]:
     if set(header) != set(fields):
         raise ValueError(f"{path}: the manifest's fields differ from {sorted(fields)} in "
                          f"{sorted(set(header) ^ set(fields))}")
-    digest = _digest(header)
-    arrays = {}
-    for name, dtype in dtypes.items():
-        # Read as the stored dtype: the checksum covers the data, not the
-        # .npy header, so a damaged dtype must change the hashed bytes.
-        arrays[name] = _read(directory / f"{name}.npy", lambda file: np.ascontiguousarray(
-            np.load(file, allow_pickle=False), dtype=dtype))
-        digest.update(arrays[name])
-    if digest.hexdigest() != stored:
+    # Read as the stored dtype: the checksum covers the data, not the .npy
+    # header, so a damaged dtype must change the hashed bytes.
+    arrays = {name: _read(directory / f"{name}.npy", lambda file: np.ascontiguousarray(
+        np.load(file, allow_pickle=False), dtype=dtype)) for name, dtype in dtypes.items()}
+    if _checksum(header, {name: (dtypes[name], array.shape, [array])
+                          for name, array in arrays.items()}) != stored:
         raise ValueError(f"{directory} fails the checksum in {path}: a file is damaged "
                          f"or a save was cut short")
     return header, arrays
@@ -360,10 +361,5 @@ def load_trace(directory) -> TrainingTrace:
 
 
 def trace_checksum(trace: TrainingTrace) -> str:
-    """SHA-256 over the header JSON and then the stored arrays' bytes in
-    order: the checksum ``save_trace`` writes and ``load_trace`` verifies."""
-    digest = _digest(_header(trace))
-    for dtype, _, pieces in _stored_arrays(trace).values():
-        for piece in pieces:
-            digest.update(np.ascontiguousarray(piece, dtype=dtype))
-    return digest.hexdigest()
+    """The checksum ``save_trace`` writes and ``load_trace`` verifies."""
+    return _checksum(_header(trace), _stored_arrays(trace))

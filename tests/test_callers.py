@@ -106,11 +106,12 @@ def test_parameters_are_stepped_in_one_loop():
 
 
 @pytest.mark.parametrize("name", ["CLASSIFIER_DIR", "save_trace", "save_classifier",
-                                  "CleansingRow"])
+                                  "CleansingRow", "_TWIN_FIELDS"])
 def test_stored_formats_are_written_and_read_in_experiments(name):
-    # ``save_seed_run`` and ``load_seed_run`` own the stored run, and
-    # ``write_report`` and ``read_report`` the reports; a second writer or
-    # parser of either, in the CLI say, fails here.  ``__init__``'s
-    # re-exports are not reads.
+    # ``save_seed_run`` and ``load_seed_run`` own the stored run,
+    # ``write_report`` and ``read_report`` the reports, and
+    # ``write_influence_table`` and ``read_influence_table`` the influence
+    # table; a second writer or parser of any, in the CLI say, fails here.
+    # ``__init__``'s re-exports are not reads.
     assert {reader.split(".")[0] for reader in readers(name, PACKAGE)} - {"__init__"} \
         == {"experiments"}

@@ -721,7 +721,9 @@ def test_cli_cleanse_and_report_smoke(mini_trace, tmp_path, capsys):
     code = cli_main(["cleanse", "--config", str(path), "--n-harmful", "6",
                      "--seeds", "1", "--out", str(tmp_path / "cl")])
     assert code == 0
-    code = cli_main(["report", "--config", str(path), "--trace", str(trace),
+    assert cli_main(["influence", "--config", str(path), "--trace", str(trace), "--k", "1",
+                     "--out", str(tmp_path / "scores.csv")]) == 0
+    code = cli_main(["report", "--config", str(path), "--scores", str(tmp_path / "scores.csv"),
                      "--from", str(tmp_path / "cl"), "--out", str(tmp_path / "plots")])
     assert code == 0
     assert (tmp_path / "plots" / "cleansing_curves.csv").exists()
@@ -753,13 +755,13 @@ def cleansing_json(**row):
 ], ids=["row_without_improvement", "rows_not_a_list", "truncated", "string_improvement",
         "null_improvement", "string_n_harmful", "boolean_seed", "unknown_field",
         "no_fingerprints", "row_not_an_object"])
-def test_cli_report_refuses_a_malformed_cleansing_json(mini_trace, tmp_path, capsys, text,
+def test_cli_report_refuses_a_malformed_cleansing_json(mini_config, tmp_path, capsys, text,
                                                        message):
-    path, trace, _ = mini_trace
+    _, path = mini_config
     (tmp_path / "cl").mkdir()
     (tmp_path / "cl" / "cleansing.json").write_text(text)
     out = tmp_path / "plots"
-    assert cli_main(["report", "--config", str(path), "--trace", str(trace),
+    assert cli_main(["report", "--config", str(path),
                      "--from", str(tmp_path / "cl"), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
@@ -776,26 +778,77 @@ def test_read_report_converts_each_field_by_its_annotation(tmp_path):
         [float, float, int]
 
 
-def test_cli_report_reads_the_stored_trace(mini_trace, tmp_path, monkeypatch, capsys):
-    path, trace, other_seed_trace = mini_trace
+def test_cli_report_reads_the_influence_table(mini_trace, tmp_path, monkeypatch, capsys):
+    # The scatter comes from the table `influence` wrote: no trace is read,
+    # trained or swept, and the bytes are those of the in-process table.
+    path, trace, _ = mini_trace
     config = load_config(path)
     run = prepare_seed_run(config, config.training.seed)
     spec = config.metric_specs()[0]
     write_scatter_data(run.influence(spec, k_epochs=1), run.dataset, spec,
-                       tmp_path / "retrained.csv")
+                       tmp_path / "in_process.csv")
+    assert cli_main(["influence", "--config", str(path), "--trace", str(trace), "--k", "1",
+                     "--out", str(tmp_path / "scores.csv")]) == 0
 
     def refuse(*args, **kwargs):
-        raise AssertionError("training started")
+        raise AssertionError("report read, trained or swept a trace")
 
-    monkeypatch.setattr(gantrace.experiments, "run_training", refuse)
-    report = ["report", "--config", str(path), "--from", str(tmp_path)]
-    assert cli_main([*report, "--trace", str(trace), "--out", str(tmp_path / "plots")]) == 0
+    for name in ("load_trace", "run_training", "infer_linear_influence"):
+        monkeypatch.setattr(gantrace.experiments, name, refuse)
+    assert cli_main(["report", "--config", str(path), "--from", str(tmp_path),
+                     "--scores", str(tmp_path / "scores.csv"),
+                     "--out", str(tmp_path / "plots")]) == 0
     assert ((tmp_path / "plots" / "harmfulness_scatter.csv").read_bytes()
-            == (tmp_path / "retrained.csv").read_bytes())
-    # Another seed's trace is refused by its fingerprint.
-    assert cli_main([*report, "--trace", str(other_seed_trace),
-                     "--out", str(tmp_path / "other")]) == 1
-    assert "fingerprint" in capsys.readouterr().err
+            == (tmp_path / "in_process.csv").read_bytes())
+
+
+@pytest.fixture(scope="module")
+def mini_twins(mini_trace):
+    """The JSON twins of `influence --k 1` on the mini traces of seeds 3 and 4."""
+    path, trace, other_seed_trace = mini_trace
+    twins = {}
+    for seed, stored in ((3, trace), (4, other_seed_trace)):
+        out = stored.parent / f"scores{seed}.csv"
+        assert cli_main(["influence", "--config", str(path), "--seed", str(seed),
+                         "--trace", str(stored), "--k", "1", "--out", str(out)]) == 0
+        twins[seed] = json.loads(out.with_suffix(".json").read_text())
+    return twins
+
+
+def _edited(twin, **fields):
+    """``twin`` with ``fields`` changed, or dropped where given as ``...``."""
+    return {key: value for key, value in {**twin, **fields}.items() if value is not ...}
+
+
+@pytest.mark.parametrize("config_name, text, message", [
+    ("mini", lambda twins: json.dumps(twins[4]), "does not match the config fingerprint"),
+    ("mini", lambda twins: json.dumps(twins[3])[:200], "is not JSON"),
+    ("mini", lambda twins: json.dumps(_edited(twins[3], trace_fingerprint=...)),
+     "field 'trace_fingerprint' is missing"),
+    ("mini", lambda twins: json.dumps(_edited(twins[3], bandwidth=1.0)),
+     "field 'bandwidth' is unknown"),
+    ("mini", lambda twins: json.dumps(_edited(twins[3], scores={**twins[3]["scores"],
+                                                                "7": "abc"})),
+     "score 7 is 'abc', not float"),
+    ("mini", lambda twins: json.dumps(_edited(twins[3], scores={**twins[3]["scores"],
+                                                                "60": 0.5})),
+     "score index '60' is outside [0, 60)"),
+    ("digits8_smoke", lambda twins: json.dumps(twins[3]), "needs 2-d data"),
+], ids=["another_seed", "truncated", "missing_field", "unknown_field", "non_numeric_score",
+        "index_outside_the_training_set", "digits_data"])
+def test_cli_report_refuses_an_influence_table_it_cannot_use(mini_trace, mini_twins, tmp_path,
+                                                             capsys, config_name, text,
+                                                             message):
+    path = mini_trace[0] if config_name == "mini" else CONFIGS / f"{config_name}.ini"
+    scores = tmp_path / "table.csv"
+    scores.with_suffix(".json").write_text(text(mini_twins))
+    out = tmp_path / "plots"
+    assert cli_main(["report", "--config", str(path), "--from", str(tmp_path),
+                     "--scores", str(scores), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert str(tmp_path / "table.") in err and message in err
+    assert not out.exists()
 
 
 def test_cli_accuracy_on_bundled_config(tmp_path, capsys):
@@ -931,6 +984,18 @@ def test_cli_targets_outside_the_training_set_are_refused(mini_config, tmp_path,
                      "--targets", count, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: --targets {count} is outside [1, 60]\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["influence", "oracle"])
+@pytest.mark.parametrize("k", ["0", "9"])
+def test_cli_k_outside_the_epochs_is_refused(mini_config, tmp_path, capsys, command, k):
+    # The trace named does not exist: the depth is refused before it is read.
+    _, path = mini_config
+    out = tmp_path / "out.csv"
+    assert cli_main([command, "--config", str(path), "--trace", str(tmp_path / "missing"),
+                     "--k", k, "--targets", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --k {k} is outside [1, 2]\n"
     assert not out.exists()
 
 

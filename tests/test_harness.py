@@ -211,7 +211,7 @@ def test_sign_test_is_the_exact_binomial_tail():
 def make_table(scores):
     return InfluenceTable(metric_name="all",
                           scores={i: float(s) for i, s in enumerate(scores)},
-                          k_epochs=1, query_fingerprint="x")
+                          k_epochs=1, query_fingerprint="x", trace_fingerprint="x")
 
 
 def test_select_harmful_positive_rule_for_likelihood():
@@ -273,7 +273,7 @@ def test_select_harmful_matches_the_sorted_order(tied, kind):
         # Sparse keys, so the index tie-break differs from the position.
         table = InfluenceTable(metric_name=kind,
                                scores={3 * i + trial % 3: float(v) for i, v in enumerate(scores)},
-                               k_epochs=1, query_fingerprint="x")
+                               k_epochs=1, query_fingerprint="x", trace_fingerprint="x")
         spec = MetricSpec(kind)
         qualified = int((spec.harmful_sign * scores > 0).sum())
         for n_harmful in (0, 5, qualified):

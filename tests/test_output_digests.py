@@ -5,10 +5,10 @@ Each digest is the sha256 of one file that a ``gantrace`` command writes
 from a shipped config at seed 0: the influence table in full and on a
 target subset, the oracle table at one epoch and at all epochs, the
 accuracy and cleansing reports, and the plot data that ``gantrace report``
-writes from the cleansing report and the stored trace (the harmfulness
-scatter only for ``normal2d``).  The cleansing report is pinned at seed 1 as well: on
-``digits8_smoke`` no instance qualifies as harmful under FID at seed 0, so
-only seed 1 replays an FID selection.
+writes from the cleansing report and, for ``normal2d`` only, the harmfulness
+scatter from the k=1 influence table.  The cleansing report is pinned at
+seed 1 as well: on ``digits8_smoke`` no instance qualifies as harmful under
+FID at seed 0, so only seed 1 replays an FID selection.
 The commands run on a trace that ``gantrace train`` stored, so the
 classifier and evaluation sets are the ones the CLI draws.  As in
 ``test_trace_digests``, the test skips and names both versions where NumPy
@@ -45,6 +45,11 @@ COMMANDS = {
     "report": ["report", "--from", "{out}/cleanse", "--out", "{out}/report"],
 }
 
+# The influence table each config's report draws its scatter from: none
+# for the 64-d digits.
+REPORT_SCORES = {"digits8_smoke.ini": [],
+                 "normal2d_desk.ini": ["--scores", "{out}/influence.csv"]}
+
 DIGESTS = {
     "digits8_smoke.ini": {
         "accuracy/accuracy.csv": "c23648227d877ea55b0ee47a9b76bc1805b4be9cf5d8d7bacfd8a0606367ee57",
@@ -56,12 +61,12 @@ DIGESTS = {
         "cleanse_seed1/cleansing.json": "76d0ed96fc2b6d6bff25eeff5bc56698999feee51a24022f11e900bef4c604f4",
         "cleanse_seed1/curves.csv": "0e11129b0b0cb2dab139d1b0957584ab8ab41aa192c4184971b02dedc62c4aa9",
         "influence.csv": "591eaf2485bba9daa2fa1af1404392f373db1d6a9dcf2ccc814993454719ec0d",
-        "influence.json": "875cb10cc0b20a1dddbc92dd39bda00fda2f65e540f655d4bd3521f98f8d6857",
+        "influence.json": "02a4c3a423a0ae39db392df8e7cf947d9fc5a70f76a27e8a8c3a09d4a2486bed",
         "oracle.csv": "ef20b69761ed88c84040ef6f85930b97c80fa74ff21b3e60d41761bb6d422eb8",
         "oracle_all.csv": "38125472dfc62d4aba75f59980c06077b44234216134c0a70e1c5dd427d6508f",
         "report/cleansing_curves.csv": "380c4af5e3ab9134456b31f37a669fa0cbe4732e60d16575e13d5735f6932705",
         "subset.csv": "bab6841e820fbb511f548097091f6477cbd683ecbd5c4e2e7b17c54ce2a316f6",
-        "subset.json": "62a80123845d1e3c9eba0c199e29be5a1c2688840dfaa795662cd47cb1477890",
+        "subset.json": "a780efa9b595dbe283e922a3f2786123c3b40882269a3fdab1f317ad3f35e88d",
     },
     "normal2d_desk.ini": {
         "accuracy/accuracy.csv": "e2b61c1b10c2c0c04e992554ea88b50e85a23f97cbb8c720320c1b2385f9c834",
@@ -73,13 +78,13 @@ DIGESTS = {
         "cleanse_seed1/cleansing.json": "31f42735e2208ecc1174444afe7cf4e2db8ebfec6fba6adf9bea9ea864407475",
         "cleanse_seed1/curves.csv": "dc560cfc35832cd156c0b680df4dab70320c1b4b7c750588bd128ea3c075f328",
         "influence.csv": "69053b75a58b5535c0093ccdc3deeb4cadabab5acebd7499ff7f680ef774767a",
-        "influence.json": "15d049e5bae7f8c5c2becb5271918eabf5094689730a5a5473303c12d9ac6b3e",
+        "influence.json": "8b1d022b88c88114553e3e42c8280c9f241530fcc916253c42311186952bb95b",
         "oracle.csv": "0e185102260dad40759e697a2538998594449370c7355b1b4da0f199e990d707",
         "oracle_all.csv": "3c3275832e9afc215e59788a3b5ce93dd08a6ce82d42321072d64c5a54db4680",
         "report/cleansing_curves.csv": "da7e6218e215c492fa10aeaf54f9185d0da6985e913ac96925e7ed5d4dd3a304",
         "report/harmfulness_scatter.csv": "bd983fcb20711eaac6f1cc8bb6dc486da41f28fd9ad81eeff9f39bbe07e1da1d",
         "subset.csv": "666539e55f048fa0caeea746a503ffe01c135f90f231fcb26c036d3a3eee1442",
-        "subset.json": "9b08e393cc0ce5aa3c16db016d1eb6054f3eb5053721aa34dff68685d9ec1d2d",
+        "subset.json": "ecfb5163a89f408bb7c0909fd4a8958505adac3e2ccfadae847213a4842ee728",
     },
 }
 
@@ -92,10 +97,11 @@ def output_digests(name: str, workdir: Path) -> dict[str, str]:
     out.mkdir(parents=True)
     common = ["--config", config, "--seed", "0"]
     assert cli_main(["train", *common, "--out", str(trace)]) == 0
+    extras = {"influence": ["--trace", str(trace)], "oracle": ["--trace", str(trace)],
+              "report": REPORT_SCORES[name]}
     for command in COMMANDS.values():
-        argv = [part.format(out=out) for part in command]
-        extra = ["--trace", str(trace)] if argv[0] in ("influence", "oracle", "report") else []
-        assert cli_main([argv[0], *common, *extra, *argv[1:]]) == 0
+        argv = [part.format(out=out) for part in [*command, *extras.get(command[0], [])]]
+        assert cli_main([argv[0], *common, *argv[1:]]) == 0
     return {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out.rglob("*")) if path.is_file()}
 
