@@ -14,11 +14,12 @@ from .metrics import (
     MetricSpec,
     average_log_likelihood,
     build_query_vector,
+    metric_reader,
     metric_value,
     train_classifier,
 )
 from .models import FcGan, GanArchitecture, MlpLayout, NonFiniteError, joint_gradient
-from .oracle import CounterfactualResult, counterfactual_retrain, metric_deltas
+from .oracle import CounterfactualResult, counterfactual_retrain
 from .training import (
     DivergenceError,
     StepRecord,

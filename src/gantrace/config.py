@@ -60,8 +60,20 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for key in ("metrics", "methods", "k_epochs", "n_harmful"):
-            if not getattr(self, key):
+            entries = getattr(self, key)
+            if not entries:
                 raise ValueError(f"{key} must not be empty")
+            repeated = [entry for i, entry in enumerate(entries) if entry in entries[:i]]
+            if repeated:
+                raise ValueError(f"{key} repeats {repeated[0]!r}")
+        # The FID fits a covariance to each side, which takes two samples.
+        samples = 2 if "fid" in self.metrics else 1
+        for key, value, least in (("n_reference", self.n_reference, samples),
+                                  ("n_test", self.n_test, samples),
+                                  ("classifier_epochs", self.classifier.epochs, 1),
+                                  ("classifier_batch", self.classifier.batch_size, 1)):
+            if value < least:
+                raise ValueError(f"{key} must be at least {least}")
         if self.n_seeds < 1:
             raise ValueError("n_seeds must be at least 1")
         if any(k < 1 or k > self.training.epochs for k in self.k_epochs):
@@ -144,7 +156,6 @@ _KEYS = {
     "dataset.labels": (DatasetSpec, "labels_path", str),
     "dataset.side": (DatasetSpec, "side", int),
     "architecture.latent_dim": (GanArchitecture, "latent_dim", int),
-    "architecture.data_dim": (GanArchitecture, "data_dim", int),
     "architecture.hidden_gen": (GanArchitecture, "hidden_gen", int),
     "architecture.hidden_disc": (GanArchitecture, "hidden_disc", int),
     "architecture.l2_rate": (GanArchitecture, "l2_rate", float),
@@ -209,10 +220,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     dataset = DatasetSpec(**given[DatasetSpec])
     # The glyphs are always GLYPH_SIDE pixels square; ``side`` sizes IDX images.
     side = GLYPH_SIDE if dataset.kind == "digits8" else dataset.side
-    data_dim = 2 if dataset.kind == "normal2d" else side * side
-    if given[GanArchitecture].setdefault("data_dim", data_dim) != data_dim:
-        raise ValueError(f"[architecture] data_dim = {given[GanArchitecture]['data_dim']} "
-                         f"does not match the {dataset.kind} dataset's dimension {data_dim}")
+    given[GanArchitecture]["data_dim"] = 2 if dataset.kind == "normal2d" else side * side
     return ExperimentConfig(dataset=dataset,
                             architecture=GanArchitecture(**given[GanArchitecture]),
                             training=TrainingSettings(**given[TrainingSettings]),

@@ -3,8 +3,8 @@
 Both experiments and the CLI run one per-seed chain on a ``SeedRun``,
 which ``prepare_seed_run`` trains, ``save_seed_run`` stores and
 ``load_seed_run`` loads back: ``SeedRun.influence`` sweeps a metric's query
-through the trace, and ``estimates_and_truths`` sets the estimates beside
-the oracle's deltas.
+through the trace, and ``estimates_and_truths`` sets each target's estimate
+beside its true delta, read from the oracle's replay without it.
 Accuracy is scored with rank statistics (Kendall's tau and the Jaccard
 overlap of critical sets) against a permutation null; cleansing removes the
 estimated harmful set, re-runs the final epoch and reads the test metric.
@@ -16,8 +16,8 @@ training set, ``evaluation_set`` the reference set behind the metric
 context and cleansing's test set (latents first, then the rows of
 ``config.synthesize_dataset``), and ``draw_targets`` the targets of the
 accuracy experiment, ``gantrace influence --targets`` and ``gantrace
-oracle``.  Both experiments read their metrics through the oracle's
-``metric_reader``, one generated sample set per parameter vector.  What
+oracle``.  Both experiments read their metrics through
+``metrics.metric_reader``, one generated sample set per parameter vector.  What
 one command stores for another, the run and the reports, is written and
 read back here, and every CSV goes through ``write_table``.
 """
@@ -44,11 +44,12 @@ from .metrics import (
     build_query_vector,
     classifier_key,
     load_classifier,
+    metric_reader,
     save_classifier,
     train_classifier,
 )
 from .models import FcGan
-from .oracle import counterfactual_retrain, final_readings, metric_deltas, metric_reader
+from .oracle import counterfactual_retrain
 from .training import TrainingTrace, load_trace, run_training, save_trace
 
 _STREAMS = {"dataset": 11, "reference": 13, "targets": 17, "test": 19,
@@ -218,6 +219,11 @@ class SeedRun:
         return infer_linear_influence(self.problem, self.trace, self.dataset,
                                       self._queries[spec], targets=targets, k_epochs=k_epochs)
 
+    def readings(self, params: np.ndarray, specs) -> dict[str, float]:
+        """Each metric's reading at ``params`` on the reference set, by kind."""
+        read = metric_reader(self.problem, params, specs, self.reference_latents, self.context)
+        return {spec.kind: read(spec) for spec in specs}
+
 
 def seed_dataset(config: ExperimentConfig, seed: int
                  ) -> tuple[np.ndarray, np.ndarray | None, str]:
@@ -332,15 +338,26 @@ def estimates_and_truths(run: SeedRun, specs, targets, k_epochs: int | None,
     ``k_epochs`` and its true metric delta, both aligned with ``targets``,
     by kind.
 
-    One replay per target serves every metric and one sweep per metric
-    scores every target; ``baselines`` is as for ``metric_deltas``.
+    A true delta is the reading after the target's replay minus the
+    reading at the final parameters, both on the reference latents, which
+    removes the Monte Carlo noise between them.  One replay per target
+    serves every metric and one sweep per metric scores every target.
+    ``baselines`` holds the final readings, as from ``SeedRun.readings``;
+    without it they are read here, once per call.
     """
-    truths = metric_deltas(run.problem, run.trace, run.dataset, targets, k_epochs, specs,
-                           run.reference_latents, run.context, baselines)
+    targets = [int(j) for j in targets]
+    if baselines is None:
+        baselines = run.readings(run.trace.final_params, specs)
+    truths = {spec.kind: np.empty(len(targets)) for spec in specs}
+    for position, target in enumerate(targets):
+        after = run.readings(counterfactual_retrain(run.problem, run.trace, run.dataset,
+                                                    target, k_epochs).params, specs)
+        for spec in specs:
+            truths[spec.kind][position] = after[spec.kind] - baselines[spec.kind]
     compared = {}
     for spec in specs:
         scores = run.influence(spec, k_epochs, targets).scores
-        compared[spec.kind] = np.array([scores[int(j)] for j in targets]), truths[spec.kind]
+        compared[spec.kind] = np.array([scores[j] for j in targets]), truths[spec.kind]
     return compared
 
 
@@ -353,8 +370,7 @@ def run_estimation_accuracy(config: ExperimentConfig, seeds=None) -> Report:
         run = prepare_seed_run(config, seed)
         targets = draw_targets(config, seed, config.n_targets)
         # Every depth's deltas are read against one baseline per metric.
-        baselines = final_readings(run.problem, run.trace, specs, run.reference_latents,
-                                   run.context)
+        baselines = run.readings(run.trace.final_params, specs)
         for k in config.k_epochs:
             compared = estimates_and_truths(run, specs, targets, k, baselines)
             for spec in specs:

@@ -21,7 +21,8 @@ The FID's reference side (the mean, covariance and covariance square root
 of the reference set's classifier features) is fitted once per frozen
 ``MetricContext`` and shared by every FID value and gradient read from it.
 A ``GeneratedSet`` holds one generated sample set and the classifier's
-record of it, so the readings and queries of several metrics share one pass.
+record of it, so the readings and queries of several metrics share one pass;
+``metric_reader`` reads every metric at one parameter vector from one such set.
 
 Each metric's gradient with respect to the generated samples is analytic at
 the outer level; where samples pass through a network (classifier features
@@ -556,6 +557,21 @@ def metric_value(spec: MetricSpec, problem, params: np.ndarray,
         generated = GeneratedSet(problem.generator_forward(params, eval_latents),
                                  context.classifier)
     return _METRIC_VALUES[spec.kind](spec, generated, context)
+
+
+def metric_reader(problem, params: np.ndarray, specs, eval_latents: np.ndarray,
+                  context: MetricContext):
+    """A function from a spec of ``specs`` to its ``metric_value`` at ``params``.
+
+    Every reading comes from one generated sample set and at most one
+    classifier pass over it; ``disc_loss`` reads no samples, so a reader
+    for it alone generates none.
+    """
+    generated = None
+    if any(spec.kind != "disc_loss" for spec in specs):
+        generated = GeneratedSet(problem.generator_forward(params, eval_latents),
+                                 context.classifier)
+    return lambda spec: metric_value(spec, problem, params, eval_latents, context, generated)
 
 
 # -- query vectors ----------------------------------------------------------------

@@ -105,6 +105,26 @@ def test_parameters_are_stepped_in_one_loop():
     assert readers("asgd_step", PACKAGE) == {"training.step_records"}
 
 
+def test_only_the_experiments_replay():
+    # ``estimates_and_truths`` replays each target beside its estimate and
+    # ``run_data_cleansing`` each harmful selection; a third caller, say a
+    # layer of truths between them, fails here.  ``experiments`` itself is
+    # its import.
+    assert readers("counterfactual_retrain", PACKAGE) - {"__init__"} == {
+        "experiments", "experiments.estimates_and_truths", "experiments.run_data_cleansing"}
+
+
+def test_the_oracle_reads_no_metric():
+    # The oracle returns replayed parameters, and the experiments read them
+    # through ``metrics.metric_reader``: no name of ``metrics``, nor the
+    # module, is read or imported in ``oracle``.
+    tree = ast.parse((PACKAGE / "metrics.py").read_text())
+    names = ["metrics"] + [node.name for _, node, is_method in _definitions("metrics", tree)
+                           if not is_method]
+    assert [name for name in names
+            if any(reader.split(".")[0] == "oracle" for reader in readers(name, PACKAGE))] == []
+
+
 @pytest.mark.parametrize("name", ["CLASSIFIER_DIR", "save_trace", "save_classifier",
                                   "CleansingRow", "_TWIN_FIELDS"])
 def test_stored_formats_are_written_and_read_in_experiments(name):

@@ -14,7 +14,7 @@ import pytest
 
 import gantrace.cli
 import gantrace.experiments
-import gantrace.oracle
+import gantrace.metrics
 from gantrace.autodiff import vjp_gradient_call_count
 from gantrace.cli import main as cli_main
 from gantrace.config import load_config
@@ -40,8 +40,9 @@ from gantrace.metrics import (
     save_classifier,
 )
 from gantrace.models import FcGan, NonFiniteError
-from gantrace.oracle import metric_deltas
+from gantrace.oracle import counterfactual_retrain
 from gantrace.training import load_trace, trace_checksum
+from toys import true_influence_on_metric
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -194,7 +195,7 @@ def test_accuracy_reads_each_baseline_once_per_seed(mini_config, monkeypatch):
     config = _with(config, training=_with(config.training, epochs=5), k_epochs=(1, 5))
     runs, read = [], []
     prepare = gantrace.experiments.prepare_seed_run
-    reader = gantrace.oracle.metric_reader
+    reader = gantrace.metrics.metric_reader
 
     def capturing_prepare(*args):
         runs.append(prepare(*args))
@@ -205,7 +206,7 @@ def test_accuracy_reads_each_baseline_once_per_seed(mini_config, monkeypatch):
         return reader(problem, params, *args)
 
     monkeypatch.setattr(gantrace.experiments, "prepare_seed_run", capturing_prepare)
-    monkeypatch.setattr(gantrace.oracle, "metric_reader", counting_reader)
+    monkeypatch.setattr(gantrace.experiments, "metric_reader", counting_reader)
     report = run_estimation_accuracy(config, seeds=[3, 4])
     assert {(row.seed, row.k_epochs) for row in report.rows} == {(3, 1), (3, 5), (4, 1), (4, 5)}
     assert [sum(params is run.trace.final_params for params in read) for run in runs] == [1, 1]
@@ -323,10 +324,13 @@ def test_cli_influence_and_oracle_do_not_retrain(mini_config, tmp_path, capsys, 
     scores = json.loads((tmp_path / "scores.json").read_text())["scores"]
     assert all(scores[str(j)] == table.scores[j] for j in range(len(run.dataset)))
     rows = list(csv.DictReader(open(tmp_path / "oracle.csv")))
-    targets = [int(r["index"]) for r in rows]
-    truths = metric_deltas(config.problem(), run.trace, run.dataset, targets, 1, [spec],
-                           run.reference_latents, run.context)
-    assert [float(r["true_influence"]) for r in rows] == list(truths["all"])
+    for row in rows:
+        target = int(row["index"])
+        replay = counterfactual_retrain(config.problem(), run.trace, run.dataset, target, 1)
+        assert float(row["true_influence"]) == true_influence_on_metric(
+            config.problem(), run.trace.final_params, replay.params, spec,
+            run.reference_latents, run.context)
+        assert float(row["estimated_influence"]) == table.scores[target]
 
 
 @pytest.fixture(scope="module")
@@ -473,18 +477,6 @@ def test_cli_train_is_deterministic(mini_config, tmp_path, capsys):
     assert checksum1 == checksum2
     trace = load_trace(tmp_path / "t1")
     assert trace.n_steps == 6
-
-
-def test_cli_train_refuses_a_data_dim_that_does_not_match_the_dataset(tmp_path, capsys):
-    # A width that divides the rows' size would otherwise be reinterpreted:
-    # 2-D rows read as twice as many 1-D ones.
-    path = tmp_path / "wrong_width.ini"
-    path.write_text(MINI_CONFIG.replace("latent_dim = 3", "latent_dim = 3\ndata_dim = 1"))
-    code = cli_main(["train", "--config", str(path), "--out", str(tmp_path / "trace")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "data_dim = 1" in err and "dimension 2" in err
-    assert not (tmp_path / "trace").exists()
 
 
 def test_cli_influence_refuses_fingerprint_mismatch(mini_config, tmp_path, capsys):
@@ -1058,6 +1050,23 @@ def test_cli_influence_refuses_a_json_out(mini_trace, tmp_path, capsys):
     ("train", ("metrics = all", "metrics = all,is"), [], "need a labeled dataset"),
     ("accuracy", [("kind = normal2d", "kind = idx\nimages = digits.idx"),
                   ("metrics = all", "metrics = fid")], [], "need a labeled dataset"),
+    ("train", ("n_reference = 60", "n_reference = 0"), [], "n_reference must be at least 1"),
+    ("cleanse", ("n_test = 60", "n_test = 0"), [], "n_test must be at least 1"),
+    ("train", [("kind = normal2d", "kind = digits8"), ("metrics = all", "metrics = all,fid"),
+               ("n_reference = 60", "n_reference = 1")], [], "n_reference must be at least 2"),
+    ("cleanse", [("kind = normal2d", "kind = digits8"), ("metrics = all", "metrics = fid"),
+                 ("n_test = 60", "n_test = 1")], [], "n_test must be at least 2"),
+    ("train", ("metrics = all", "metrics = all\nclassifier_batch = 0"), [], "classifier_batch"),
+    ("train", ("metrics = all", "metrics = all\nclassifier_epochs = 0"), [],
+     "classifier_epochs"),
+    ("train", ("metrics = all", "metrics = all,disc_loss,all"), [], "metrics repeats 'all'"),
+    ("cleanse", ("methods = influence,disc_loss,random", "methods = random,influence,random"),
+     [], "methods repeats 'random'"),
+    ("accuracy", ("", ""), ["--k", "1,1"], "k_epochs repeats 1"),
+    ("cleanse", ("n_harmful = 6", "n_harmful = 6,6"), [], "n_harmful repeats 6"),
+    ("cleanse", ("", ""), ["--n-harmful", "5,3,5"], "n_harmful repeats 5"),
+    ("train", ("latent_dim = 3", "latent_dim = 3\ndata_dim = 2"), [],
+     "'data_dim' in section [architecture]"),
 ], ids=["negative_n_harmful", "negative_n_harmful_flag", "no_permutations",
         "unknown_metric", "unknown_method", "empty_metrics", "empty_metrics_influence",
         "empty_methods", "empty_k_epochs", "empty_k_flag", "empty_n_harmful", "zero_n_seeds",
@@ -1065,7 +1074,10 @@ def test_cli_influence_refuses_a_json_out(mini_trace, tmp_path, capsys):
         "more_targets_flag", "empty_classifier_hidden", "misspelled_key", "misspelled_n_targets",
         "key_in_the_wrong_section", "misspelled_section", "duplicate_key",
         "key_before_any_section", "unparsed_value", "is_on_normal2d",
-        "fid_on_idx_without_labels"])
+        "fid_on_idx_without_labels", "zero_n_reference", "zero_n_test",
+        "one_fid_reference_row", "one_fid_test_row", "zero_classifier_batch",
+        "zero_classifier_epochs", "repeated_metric", "repeated_method", "repeated_k_flag",
+        "repeated_n_harmful", "repeated_n_harmful_flag", "data_dim_key"])
 def test_cli_refuses_a_bad_config_before_training(tmp_path, capsys, monkeypatch,
                                                    command, edit, flags, message):
     def refuse(*args, **kwargs):

@@ -404,13 +404,10 @@ def test_config_values_are_read_literally(tmp_path, name):
     ("digits8", "n_classes = 4\nside = 4\n", 64),   # glyphs ignore the IDX side
 ], ids=["normal2d", "digits8", "digits8_with_side"])
 def test_config_data_dim_must_match_the_dataset(tmp_path, kind, extra, dim):
-    text = CONFIG_TEXT.replace("kind = normal2d\n", f"kind = {kind}\n{extra}")
+    # No key sets it: the architecture takes the dataset's dimension.
     path = tmp_path / "exp.ini"
-    path.write_text(text.replace("latent_dim = 4", f"latent_dim = 4\ndata_dim = {dim}"))
+    path.write_text(CONFIG_TEXT.replace("kind = normal2d\n", f"kind = {kind}\n{extra}"))
     assert load_config(path).architecture.data_dim == dim
-    path.write_text(text.replace("latent_dim = 4", f"latent_dim = 4\ndata_dim = {2 * dim}"))
-    with pytest.raises(ValueError, match=f"data_dim = {2 * dim} .* dimension {dim}"):
-        load_config(path)
 
 
 def test_config_fingerprint_tracks_training_inputs(tmp_path):
@@ -446,8 +443,11 @@ def test_config_defaults_live_on_the_settings_classes(tmp_path):
     (CONFIG_TEXT, {"DEFAULT.seed": "3"}, "'seed' in section [DEFAULT]"),
     ("[DEFAULT]\nseed = 3\n" + CONFIG_TEXT, {}, "'seed' in section [DEFAULT]"),
     (CONFIG_TEXT + "[trainng]\n", {}, "unknown config section [trainng]"),
+    (CONFIG_TEXT.replace("latent_dim = 4", "latent_dim = 4\ndata_dim = 2"), {},
+     "'data_dim' in section [architecture]"),
+    (CONFIG_TEXT, {"architecture.data_dim": "2"}, "'data_dim' in section [architecture]"),
 ], ids=["override_section", "override_key", "override_default", "default_section",
-        "empty_section"])
+        "empty_section", "data_dim_key", "data_dim_override"])
 def test_config_refuses_names_the_key_table_lacks(tmp_path, text, overrides, message):
     path = tmp_path / "exp.ini"
     path.write_text(text)

@@ -3,18 +3,19 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import gantrace.oracle
 import gantrace.training
+from gantrace.experiments import SeedRun, estimates_and_truths
 from gantrace.influence import QueryVector, infer_linear_influence, window_start
 from gantrace.metrics import (
     ClassifierSettings,
     MetricContext,
     MetricSpec,
+    metric_reader,
     metric_value,
     train_classifier,
 )
 from gantrace.models import FcGan, GanArchitecture
-from gantrace.oracle import counterfactual_retrain, metric_deltas
+from gantrace.oracle import counterfactual_retrain
 from gantrace.training import (
     TrainingSettings,
     load_trace,
@@ -143,31 +144,42 @@ def test_constant_metric_stub_gives_zero_influence(gan, trained, monkeypatch):
     assert value == 0.0
 
 
-def test_metric_deltas_empty_and_duplicate_targets(gan, trained):
+def seed_run(gan, trained, latents, context):
+    """A ``SeedRun`` of the trained fixture with ``latents`` and ``context``
+    as its reference side."""
     data, trace = trained
+    return SeedRun(0, gan, data, trace, latents, context, trace.fingerprint)
+
+
+def test_estimates_and_truths_empty_and_duplicate_targets(gan, trained):
     latents = np.random.default_rng(16).standard_normal((30, 3))
-    context = MetricContext(real_data=normal2d(30, 17))
+    run = seed_run(gan, trained, latents, MetricContext(real_data=normal2d(30, 17)))
     specs = [MetricSpec("all")]
-    empty = metric_deltas(gan, trace, data, [], 1, specs, latents, context)
-    assert list(empty) == ["all"] and empty["all"].shape == (0,)
-    repeated = metric_deltas(gan, trace, data, [5, 5, 5], 1, specs, latents, context)
-    alone = metric_deltas(gan, trace, data, [5], 1, specs, latents, context)
-    assert np.array_equal(repeated["all"], np.repeat(alone["all"], 3))
+    empty = estimates_and_truths(run, specs, [], 1)
+    assert list(empty) == ["all"] and [array.shape for array in empty["all"]] == [(0,), (0,)]
+    repeated = estimates_and_truths(run, specs, [5, 5, 5], 1)
+    alone = estimates_and_truths(run, specs, [5], 1)
+    for got, single in zip(repeated["all"], alone["all"]):
+        assert np.array_equal(got, np.repeat(single, 3))
 
 
-def test_metric_deltas_fill_every_metric(gan, trained):
+def test_estimates_and_truths_fill_every_metric(gan, trained):
     data, trace = trained
     latents = np.random.default_rng(16).standard_normal((30, 3))
     context = MetricContext(real_data=normal2d(30, 17))
+    run = seed_run(gan, trained, latents, context)
     specs = [MetricSpec("all"), MetricSpec("disc_loss")]
-    deltas = metric_deltas(gan, trace, data, [2, 1], 1, specs, latents, context)
+    compared = estimates_and_truths(run, specs, [2, 1], 1)
     for spec in specs:
+        estimates, truths = compared[spec.kind]
+        scores = run.influence(spec, 1).scores
         for position, target in enumerate((2, 1)):
             cf = counterfactual_retrain(gan, trace, data, target, k_epochs=1)
             expected = true_influence_on_metric(gan, trace.final_params, cf.params,
                                                 spec, latents, context)
-            assert deltas[spec.kind][position] == expected
+            assert truths[position] == expected
             assert np.isfinite(expected)
+            assert estimates[position] == scores[target]
 
 
 def classifier_context():
@@ -179,13 +191,16 @@ def classifier_context():
     return MetricContext(real_data=reference, classifier=classifier)
 
 
-def test_metric_deltas_generate_once_per_parameter_vector(gan, trained, monkeypatch):
+def test_estimates_and_truths_generate_once_per_parameter_vector(gan, trained, monkeypatch):
     data, trace = trained
     rng = np.random.default_rng(18)
     context = classifier_context()
     latents = rng.standard_normal((30, 3))
+    run = seed_run(gan, trained, latents, context)
     specs = [MetricSpec("all"), MetricSpec("is"), MetricSpec("fid")]
     targets = [2, 1, 7]
+    for spec in specs:
+        run.influence(spec, 1)   # builds each query before the count starts
     calls = []
     forward = gan.generator_forward
 
@@ -194,14 +209,14 @@ def test_metric_deltas_generate_once_per_parameter_vector(gan, trained, monkeypa
         return forward(params, latents)
 
     monkeypatch.setattr(gan, "generator_forward", counting)
-    deltas = metric_deltas(gan, trace, data, targets, 1, specs, latents, context)
+    compared = estimates_and_truths(run, specs, targets, 1)
     # The baseline and one replay per target, whatever the number of metrics.
     assert len(calls) == len(targets) + 1
     monkeypatch.undo()
     for spec in specs:
         for position, target in enumerate(targets):
             cf = counterfactual_retrain(gan, trace, data, target, k_epochs=1)
-            assert deltas[spec.kind][position] == true_influence_on_metric(
+            assert compared[spec.kind][1][position] == true_influence_on_metric(
                 gan, trace.final_params, cf.params, spec, latents, context)
 
 
@@ -220,7 +235,7 @@ def test_readings_run_one_classifier_pass_per_sample_set(gan, trained, monkeypat
         return forward(layers, x)
 
     monkeypatch.setattr(layout, "forward", counting)
-    read = gantrace.oracle.metric_reader(gan, trace.final_params, specs, latents, context)
+    read = metric_reader(gan, trace.final_params, specs, latents, context)
     readings = {spec.kind: read(spec) for spec in specs}
     # One pass over the generated samples serves the FID's features and the
     # inception score's posteriors.
