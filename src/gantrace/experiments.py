@@ -18,8 +18,8 @@ context and cleansing's test set (latents first, then the rows of
 accuracy experiment, ``gantrace influence --targets`` and ``gantrace
 oracle``.  Both experiments read their metrics through
 ``metrics.metric_reader``, one generated sample set per parameter vector.  What
-one command stores for another, the run and the reports, is written and
-read back here, and every CSV goes through ``write_table``.
+one command stores for another is written and read back here, each JSON
+file through ``training.read_record``, and every CSV through ``write_table``.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-import typing
 import warnings
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, make_dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,7 @@ from .datasets import dataset_checksum
 from .influence import InfluenceTable, infer_linear_influence
 from .metrics import (
     METRIC_KINDS,
+    GeneratedSet,
     MetricContext,
     MetricSpec,
     build_query_vector,
@@ -50,7 +51,7 @@ from .metrics import (
 )
 from .models import FcGan
 from .oracle import counterfactual_retrain
-from .training import TrainingTrace, load_trace, run_training, save_trace
+from .training import TrainingTrace, load_trace, read_record, run_training, save_trace
 
 _STREAMS = {"dataset": 11, "reference": 13, "targets": 17, "test": 19,
             "random_select": 23, "permutation": 29}
@@ -209,19 +210,29 @@ class SeedRun:
     fingerprint: str
     _queries: dict = field(default_factory=dict, init=False, repr=False)
 
+    @cached_property
+    def final_set(self) -> GeneratedSet:
+        """The final parameters' generated set, shared by every query and baseline."""
+        return GeneratedSet(self.problem.generator_forward(
+            self.trace.final_params, self.reference_latents), self.context.classifier)
+
     def influence(self, spec: MetricSpec, k_epochs: int | None,
                   targets=None) -> InfluenceTable:
         """The metric's query at the final parameters on the reference set,
         built once per run, swept through the last ``k_epochs`` epochs."""
-        if spec not in self._queries:
-            self._queries[spec] = build_query_vector(spec, self.problem, self.trace.final_params,
-                                                     self.reference_latents, self.context)
+        if spec not in self._queries:   # disc_loss reads no samples, so makes none
+            self._queries[spec] = build_query_vector(
+                spec, self.problem, self.trace.final_params, self.reference_latents, self.context,
+                None if spec.kind == "disc_loss" else self.final_set)
         return infer_linear_influence(self.problem, self.trace, self.dataset,
                                       self._queries[spec], targets=targets, k_epochs=k_epochs)
 
-    def readings(self, params: np.ndarray, specs) -> dict[str, float]:
-        """Each metric's reading at ``params`` on the reference set, by kind."""
-        read = metric_reader(self.problem, params, specs, self.reference_latents, self.context)
+    def readings(self, specs, params: np.ndarray | None = None) -> dict[str, float]:
+        """Each metric's reading on the reference set, by kind, at ``params`` or the final ones."""
+        final = params is None and any(spec.kind != "disc_loss" for spec in specs)
+        read = metric_reader(self.problem, self.trace.final_params if params is None else params,
+                             specs, self.reference_latents, self.context,
+                             self.final_set if final else None)
         return {spec.kind: read(spec) for spec in specs}
 
 
@@ -343,15 +354,15 @@ def estimates_and_truths(run: SeedRun, specs, targets, k_epochs: int | None,
     removes the Monte Carlo noise between them.  One replay per target
     serves every metric and one sweep per metric scores every target.
     ``baselines`` holds the final readings, as from ``SeedRun.readings``;
-    without it they are read here, once per call.
+    without it they are read here.
     """
     targets = [int(j) for j in targets]
     if baselines is None:
-        baselines = run.readings(run.trace.final_params, specs)
+        baselines = run.readings(specs)
     truths = {spec.kind: np.empty(len(targets)) for spec in specs}
     for position, target in enumerate(targets):
-        after = run.readings(counterfactual_retrain(run.problem, run.trace, run.dataset,
-                                                    target, k_epochs).params, specs)
+        after = run.readings(specs, counterfactual_retrain(run.problem, run.trace, run.dataset,
+                                                           target, k_epochs).params)
         for spec in specs:
             truths[spec.kind][position] = after[spec.kind] - baselines[spec.kind]
     compared = {}
@@ -370,7 +381,7 @@ def run_estimation_accuracy(config: ExperimentConfig, seeds=None) -> Report:
         run = prepare_seed_run(config, seed)
         targets = draw_targets(config, seed, config.n_targets)
         # Every depth's deltas are read against one baseline per metric.
-        baselines = run.readings(run.trace.final_params, specs)
+        baselines = run.readings(specs)
         for k in config.k_epochs:
             compared = estimates_and_truths(run, specs, targets, k, baselines)
             for spec in specs:
@@ -483,31 +494,34 @@ def write_table(path, header, rows) -> None:
                           for value in row] for row in rows)
 
 
-# The fields of an influence table's JSON twin besides its scores: each
-# one's attribute on the table and its type.
-_TWIN_FIELDS = {"metric": ("metric_name", str), "k_epochs": ("k_epochs", int),
-                "query_fingerprint": ("query_fingerprint", str),
-                "trace_fingerprint": ("trace_fingerprint", str)}
+@dataclass
+class TableTwin:
+    """An influence table as its JSON twin stores it."""
+
+    metric: str
+    k_epochs: int
+    query_fingerprint: str
+    trace_fingerprint: str
+    scores: dict[int, float]
 
 
 def write_influence_table(table: InfluenceTable, path) -> None:
     """The table as a CSV of ``index, score`` rows in index order, and its
-    JSON twin beside it (the CSV's path with ``.json``), which adds the
-    metric, the trace-back depth and the query and trace fingerprints, for
+    ``TableTwin`` beside it (the CSV's path with ``.json``), for
     ``read_influence_table``."""
     if Path(path).suffix == ".json":
         raise ValueError(f"{path} would be overwritten by the table's JSON twin")
     indices = sorted(table.scores)
     write_table(path, ["index", "score"], ((j, table.scores[j]) for j in indices))
-    Path(path).with_suffix(".json").write_text(json.dumps({
-        **{key: getattr(table, name) for key, (name, _) in _TWIN_FIELDS.items()},
-        "scores": {str(j): table.scores[j] for j in indices},
-    }, indent=2))
+    twin = TableTwin(table.metric_name, table.k_epochs, table.query_fingerprint,
+                     table.trace_fingerprint, {j: table.scores[j] for j in indices})
+    Path(path).with_suffix(".json").write_text(json.dumps(asdict(twin), indent=2))
 
 
-# The row type of each experiment's report, by the report's name, which is
-# also the stem of its files.
+# Each report's row type and its JSON's record, by the report's name, its files' stem.
 _ROW_TYPES = {"accuracy": AccuracyRow, "cleansing": CleansingRow}
+_REPORT_JSON = {name: make_dataclass(name, [("rows", list[row]), ("fingerprints", dict[int, str])])
+                for name, row in _ROW_TYPES.items()}
 
 
 @dataclass
@@ -528,86 +542,30 @@ def write_report(report: Report, directory) -> None:
     columns = [column.name for column in fields(_ROW_TYPES[report.name])]
     write_table(directory / f"{report.name}.csv", columns,
                 ([getattr(row, column) for column in columns] for row in report.rows))
-    (directory / f"{report.name}.json").write_text(json.dumps({
-        "rows": [asdict(row) for row in report.rows],
-        "fingerprints": {str(k): v for k, v in report.fingerprints.items()},
-    }, indent=2))
-
-
-# The JSON values each annotation takes; a boolean is never a number.
-_JSON_TYPES = {str: str, int: int, float: (int, float), dict: dict}
-
-
-def _read_json(path: Path):
-    try:
-        return json.loads(path.read_text())
-    except ValueError as exc:
-        raise ValueError(f"{path} is not JSON: {exc}") from exc
-
-
-def _check_fields(path: Path, where: str, stored: dict, types: dict) -> None:
-    """``ValueError`` naming ``path`` and ``where`` unless ``stored`` holds
-    exactly the fields of ``types``, each a JSON value of its annotation."""
-    odd = sorted(set(stored) ^ set(types))
-    if odd:
-        raise ValueError(f"{path}: {where}field {odd[0]!r} is "
-                         f"{'unknown' if odd[0] in stored else 'missing'}")
-    for name, kind in types.items():
-        if isinstance(stored[name], bool) or not isinstance(stored[name], _JSON_TYPES[kind]):
-            raise ValueError(f"{path}: {where}field {name!r} is {stored[name]!r}, "
-                             f"not {kind.__name__}")
+    stored = _REPORT_JSON[report.name](report.rows, report.fingerprints)
+    (directory / f"{report.name}.json").write_text(json.dumps(asdict(stored), indent=2))
 
 
 def read_report(directory, name: str) -> Report:
-    """The report ``write_report`` wrote to ``<name>.json`` in ``directory``,
-    each field converted by its annotation on the row type.  A missing or
-    an extra field, or a value of another type (a string, ``null`` or a
-    boolean where a number belongs), raises one ``ValueError`` naming the
-    file, the row and the field."""
+    """The report ``write_report`` wrote to ``directory``, read by ``read_record``."""
     path = Path(directory) / f"{name}.json"
-    stored = _read_json(path)
-    fingerprints = stored.get("fingerprints") if isinstance(stored, dict) else None
-    if not (isinstance(fingerprints, dict) and set(stored) == {"rows", "fingerprints"}
-            and isinstance(stored["rows"], list)
-            and all(seed.isdigit() and isinstance(value, str)
-                    for seed, value in fingerprints.items())):
-        raise ValueError(f"{path} is not a {name} report: it must hold exactly a 'rows' "
-                         f"list and a 'fingerprints' object of seeds and strings")
-    row_type = _ROW_TYPES[name]
-    types = typing.get_type_hints(row_type)
-    for number, row in enumerate(stored["rows"]):
-        if not isinstance(row, dict):
-            raise ValueError(f"{path}: row {number} is not an object")
-        _check_fields(path, f"row {number} ", row, types)
-    return Report(name, [row_type(**{column: kind(row[column]) for column, kind in types.items()})
-                         for row in stored["rows"]],
-                  {int(seed): value for seed, value in fingerprints.items()})
+    stored = read_record(path, _REPORT_JSON[name])
+    return Report(name, stored.rows, stored.fingerprints)
 
 
 def read_influence_table(path, fingerprint: str, n_train: int) -> InfluenceTable:
-    """The table ``write_influence_table`` wrote to ``path``, read from its
-    JSON twin.  One ``ValueError`` naming the twin refuses a missing or an
-    extra field, a value of another type, an unknown metric, a score index
-    outside [0, ``n_train``), a score that is not a number, and a table
-    swept through another trace than the one of ``fingerprint``."""
-    twin = Path(path).with_suffix(".json")
-    stored = _read_json(twin)
-    if not isinstance(stored, dict):
-        raise ValueError(f"{twin} is not an influence table: it must be an object")
-    _check_fields(twin, "", stored, {**{key: kind for key, (_, kind) in _TWIN_FIELDS.items()},
-                                     "scores": dict})
-    if stored["metric"] not in METRIC_KINDS:
-        raise ValueError(f"{twin}: unknown metric kind {stored['metric']!r}")
-    _check_fingerprint(stored["trace_fingerprint"], fingerprint, twin)
-    scores = {}
-    for index, score in stored["scores"].items():
-        if not (index.isdigit() and int(index) < n_train):
-            raise ValueError(f"{twin}: score index {index!r} is outside [0, {n_train})")
-        if isinstance(score, bool) or not isinstance(score, (int, float)):
-            raise ValueError(f"{twin}: score {index} is {score!r}, not float")
-        scores[int(index)] = float(score)
-    return InfluenceTable(scores=scores, **{name: stored[key]
-                                            for key, (name, _) in _TWIN_FIELDS.items()})
+    """The table ``write_influence_table`` wrote to ``path``, read from its twin
+    by ``training.read_record``; an unknown metric, a score index outside
+    [0, ``n_train``) and a trace other than ``fingerprint``'s are refused too."""
+    path = Path(path).with_suffix(".json")
+    twin = read_record(path, TableTwin)
+    if twin.metric not in METRIC_KINDS:
+        raise ValueError(f"{path}: unknown metric kind {twin.metric!r}")
+    _check_fingerprint(twin.trace_fingerprint, fingerprint, path)
+    if twin.scores and max(twin.scores) >= n_train:
+        raise ValueError(f"{path}: score index {max(twin.scores)} is outside [0, {n_train})")
+    return InfluenceTable(twin.metric, twin.scores, twin.k_epochs, twin.query_fingerprint,
+                          twin.trace_fingerprint)
 
 
 def write_scatter_data(table: InfluenceTable, dataset: np.ndarray, spec: MetricSpec,

@@ -22,7 +22,7 @@ of the reference set's classifier features) is fitted once per frozen
 ``MetricContext`` and shared by every FID value and gradient read from it.
 A ``GeneratedSet`` holds one generated sample set and the classifier's
 record of it, so the readings and queries of several metrics share one pass;
-``metric_reader`` reads every metric at one parameter vector from one such set.
+``metric_reader`` and ``build_query_vector`` read and chain through one such set.
 
 Each metric's gradient with respect to the generated samples is analytic at
 the outer level; where samples pass through a network (classifier features
@@ -470,28 +470,34 @@ def train_classifier(data: np.ndarray, labels: np.ndarray,
     return clf
 
 
-# The stored classifier's manifest fields beside its one array, ``params``.
-_CLASSIFIER_FIELDS = ("sizes", "activations", "n_classes", "feature_layer", "train_accuracy",
-                      "key")
+@dataclass(frozen=True)
+class ClassifierHeader:
+    """A stored classifier's manifest fields beside its one array, ``params``."""
+
+    sizes: list[int]
+    activations: list[str]
+    n_classes: int
+    feature_layer: int
+    train_accuracy: float
+    key: str | None
 
 
 def save_classifier(classifier: Classifier, directory) -> None:
     """Store ``params.npy`` and a checked manifest (``training.save_checked``)
-    holding the layout, the feature layer, the training accuracy and the
-    content key."""
+    whose header is the classifier's ``ClassifierHeader``."""
     layout = classifier.layout
-    header = {"sizes": list(layout.sizes), "activations": list(layout.activations),
-              "n_classes": classifier.n_classes, "feature_layer": classifier.feature_layer,
-              "train_accuracy": classifier.train_accuracy, "key": classifier.key}
-    save_checked(directory, header, {"params": ("<f8", (layout.n_params,), [classifier.params])})
+    header = ClassifierHeader(list(layout.sizes), list(layout.activations), classifier.n_classes,
+                              classifier.feature_layer, classifier.train_accuracy, classifier.key)
+    save_checked(directory, asdict(header),
+                 {"params": ("<f8", (layout.n_params,), [classifier.params])})
 
 
 def load_classifier(directory) -> Classifier:
     """Read a classifier saved by ``save_classifier``, verified by
     ``training.load_checked``."""
-    header, arrays = load_checked(directory, _CLASSIFIER_FIELDS, {"params": "<f8"})
-    layout = MlpLayout(header.pop("sizes"), header.pop("activations"))
-    return Classifier(layout, arrays["params"], **header)
+    header, arrays = load_checked(directory, ClassifierHeader, {"params": "<f8"})
+    return Classifier(MlpLayout(header.sizes, header.activations), arrays["params"],
+                      header.n_classes, header.feature_layer, header.train_accuracy, header.key)
 
 
 # -- metric dispatch ------------------------------------------------------------
@@ -532,12 +538,12 @@ _METRIC_GRADS = {
 }
 
 
-def metric_gradient_wrt_generated(spec: MetricSpec, generated: np.ndarray,
+def metric_gradient_wrt_generated(spec: MetricSpec, generated: GeneratedSet,
                                   context: MetricContext) -> np.ndarray:
-    """One gradient vector per generated sample, shape (n_generated, data_dim)."""
+    """One gradient vector per sample of ``generated``, shape (n_generated, data_dim)."""
     if spec.kind not in _METRIC_GRADS:
         raise ValueError(f"metric {spec.kind!r} is not sample-based")
-    return _METRIC_GRADS[spec.kind](spec, GeneratedSet(generated, context.classifier), context)
+    return _METRIC_GRADS[spec.kind](spec, generated, context)
 
 
 def metric_value(spec: MetricSpec, problem, params: np.ndarray,
@@ -560,15 +566,14 @@ def metric_value(spec: MetricSpec, problem, params: np.ndarray,
 
 
 def metric_reader(problem, params: np.ndarray, specs, eval_latents: np.ndarray,
-                  context: MetricContext):
+                  context: MetricContext, generated: GeneratedSet | None = None):
     """A function from a spec of ``specs`` to its ``metric_value`` at ``params``.
 
-    Every reading comes from one generated sample set and at most one
-    classifier pass over it; ``disc_loss`` reads no samples, so a reader
-    for it alone generates none.
+    Every reading comes from one generated sample set, ``generated`` when
+    given, and at most one classifier pass over it; ``disc_loss`` reads no
+    samples, so a reader for it alone generates none.
     """
-    generated = None
-    if any(spec.kind != "disc_loss" for spec in specs):
+    if generated is None and any(spec.kind != "disc_loss" for spec in specs):
         generated = GeneratedSet(problem.generator_forward(params, eval_latents),
                                  context.classifier)
     return lambda spec: metric_value(spec, problem, params, eval_latents, context, generated)
@@ -588,18 +593,21 @@ def generator_pullback(problem, params: np.ndarray, latents: np.ndarray,
 
 
 def build_query_vector(spec: MetricSpec, problem, params: np.ndarray,
-                       eval_latents: np.ndarray, context: MetricContext) -> QueryVector:
+                       eval_latents: np.ndarray, context: MetricContext,
+                       generated: GeneratedSet | None = None) -> QueryVector:
     """Gradient of the metric with respect to the coupled parameters.
 
     For sample-based metrics this is the chain rule through the generator;
     for ``disc_loss`` it is the full gradient of the expected loss, which
-    generally has both blocks nonzero.
+    generally has both blocks nonzero.  ``generated`` is as for ``metric_value``.
     """
     params = np.asarray(params, dtype=np.float64)
     if spec.kind == "disc_loss":
         return QueryVector(problem.expected_disc_loss_gradient(params, eval_latents,
                                                                context.real_data),
                            problem.dim_gen, label=spec.kind)
-    generated = problem.generator_forward(params, eval_latents)
+    if generated is None:
+        generated = GeneratedSet(problem.generator_forward(params, eval_latents),
+                                 context.classifier)
     sample_grads = metric_gradient_wrt_generated(spec, generated, context)
     return generator_pullback(problem, params, eval_latents, sample_grads, label=spec.kind)

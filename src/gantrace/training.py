@@ -12,7 +12,8 @@ every step of the desk config held, 280 MB for the paper's cleansing config.
 
 Traces persist as a directory of five ``.npy`` arrays and a checksummed
 JSON manifest (``save_trace``), the checked format (``save_checked``) that
-stores the IS/FID classifier too.
+stores the IS/FID classifier too.  Every stored JSON file holds a
+dataclass, which ``read_record`` reads back field by field.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -77,16 +80,22 @@ class StepRecord:
 
 
 @dataclass
-class TrainingTrace:
-    records: list[StepRecord]
-    final_params: np.ndarray
-    fingerprint: str
-    epoch_starts: list[int]
+class TraceHeader:
+    """Every field of a trace but its steps: a stored trace's manifest header."""
+
     n_train: int
     epochs: int
     latent_dim: int
     dim_gen: int
     dim_disc: int
+    fingerprint: str
+    epoch_starts: list[int]
+
+
+@dataclass
+class TrainingTrace(TraceHeader):
+    records: list[StepRecord]
+    final_params: np.ndarray
 
     @property
     def n_steps(self) -> int:
@@ -225,16 +234,10 @@ def run_training(problem, dataset: np.ndarray, settings: TrainingSettings,
     records = [StepRecord(t, idx, *rates[t], None, int(seed))
                for t, (idx, seed) in enumerate(zip(batches, step_seeds))]
     return TrainingTrace(
-        records=records,
-        final_params=step_records(problem, params, records, dataset, keep=True),
-        fingerprint=fingerprint,
-        epoch_starts=epoch_starts,
-        n_train=len(dataset),
-        epochs=settings.epochs,
-        latent_dim=problem.latent_dim,
-        dim_gen=problem.dim_gen,
-        dim_disc=problem.dim_disc,
-    )
+        n_train=len(dataset), epochs=settings.epochs, latent_dim=problem.latent_dim,
+        dim_gen=problem.dim_gen, dim_disc=problem.dim_disc, fingerprint=fingerprint,
+        epoch_starts=epoch_starts, records=records,
+        final_params=step_records(problem, params, records, dataset, keep=True))
 
 
 # -- persistence ------------------------------------------------------------
@@ -243,22 +246,11 @@ def run_training(problem, dataset: np.ndarray, settings: TrainingSettings,
 _ARRAYS = {"batch_indices": "<i8", "batch_sizes": "<i8", "latent_seeds": "<u8",
            "rates": "<f8", "params": "<f8"}
 
-# The manifest's fields: the trace's sizes, its fingerprint and epoch boundaries.
-_SIZES = ("n_train", "epochs", "latent_dim", "dim_gen", "dim_disc")
-_FIELDS = (*_SIZES, "fingerprint", "epoch_starts")
 
-
-def _header(trace: TrainingTrace) -> dict:
-    """Every field but the steps: the manifest's body, the constructor's
-    keywords on load and the first thing the checksum hashes."""
-    header = {name: int(getattr(trace, name)) for name in _SIZES}
-    return {**header, "fingerprint": trace.fingerprint,
-            "epoch_starts": [int(start) for start in trace.epoch_starts]}
-
-
-def _stored_arrays(trace: TrainingTrace) -> dict:
-    """Each stored array's dtype, shape and C-order pieces: the snapshots are
-    hashed and written row by row, never stacked into one copy."""
+def _stored(trace: TrainingTrace) -> tuple[dict, dict]:
+    """The trace's ``TraceHeader`` fields, and each stored array's dtype, shape
+    and C-order pieces: the snapshots are never stacked into one copy."""
+    header = {column.name: getattr(trace, column.name) for column in fields(TraceHeader)}
     records = trace.records
     sizes = [len(record.batch_indices) for record in records]
     arrays = {
@@ -269,7 +261,7 @@ def _stored_arrays(trace: TrainingTrace) -> dict:
         "params": ((len(records) + 1, trace.dim_params),
                    [record.params for record in records] + [trace.final_params]),
     }
-    return {name: (_ARRAYS[name], shape, pieces) for name, (shape, pieces) in arrays.items()}
+    return header, {name: (_ARRAYS[name], *array) for name, array in arrays.items()}
 
 
 def _checksum(header: dict, arrays: dict) -> str:
@@ -312,24 +304,65 @@ def _read(path: Path, reader):
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
-def load_checked(directory, fields, dtypes: dict) -> tuple[dict, dict]:
-    """The header and the arrays, by name, of a directory written by
-    ``save_checked``; ``dtypes`` maps each array's name to its dtype in
-    checksum order.  Raises ``ValueError``, naming the file, for a missing
-    or unreadable file, a format version other than ``FORMAT_VERSION``, a
-    header whose fields are not exactly ``fields`` and arrays that fail the
-    manifest's checksum."""
+def read_record(path, cls):
+    """The ``cls`` the JSON file ``path`` holds: a dataclass of exactly its
+    fields, read by their annotations, ``int``, ``float`` (or an int; a
+    boolean is neither), ``str``, ``X | None``, ``list[X]``, ``dict[int, X]``
+    (keys ``str(i)``, ``i >= 0``) and ``object``, any value.  One
+    ``ValueError`` names the file, the row, the field and the entry or key."""
+    path = Path(path)
+    return _typed(path, "", cls, _read(path, lambda file: json.loads(file.read_text())))
+
+
+def _typed(path: Path, where: str, cls, value):
+    """``value`` read as ``cls`` for ``read_record``; ``where`` names its place."""
+    if cls is object:
+        return value
+    if is_dataclass(cls):
+        if not isinstance(value, dict):
+            raise ValueError(f"{path}: {where or 'the file '}is not an object")
+        hints = typing.get_type_hints(cls)
+        odd = sorted(set(value) ^ set(hints))
+        if odd:
+            raise ValueError(f"{path}: {where}field {odd[0]!r} is "
+                             f"{'unknown' if odd[0] in value else 'missing'}")
+        return cls(**{name: _typed(path, f"{where}field {name!r} ", hint, value[name])
+                      for name, hint in hints.items()})
+    origin, args = typing.get_origin(cls), typing.get_args(cls)
+    if origin is types.UnionType:
+        return None if value is None else _typed(path, where, args[0], value)
+    kind = origin or cls
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ValueError(f"{path}: {where}is {value!r}, not {kind.__name__}")
+    if kind is list:
+        return [_typed(path, f"row {number} " if is_dataclass(args[0])
+                       else f"{where}entry {number} ", args[0], item)
+                for number, item in enumerate(value)]
+    if kind is dict:
+        odd = [key for key in value if args[0] is int
+               and not (key.isascii() and key.isdigit() and key == str(int(key)))]
+        if odd:
+            raise ValueError(f"{path}: {where}key {odd[0]!r} is not str(i) for an integer i >= 0")
+        return {args[0](key): _typed(path, f"{where}entry {key!r} ", args[1], item)
+                for key, item in value.items()}
+    return float(value) if kind is float else value
+
+
+def load_checked(directory, cls, dtypes: dict) -> tuple:
+    """The header, a ``cls``, and the arrays, by name, of a directory written
+    by ``save_checked``; ``dtypes`` maps each array's name to its dtype in
+    checksum order.  ``ValueError``, naming the file, for a missing or
+    unreadable file, a version other than ``FORMAT_VERSION``, a header
+    ``read_record`` refuses and arrays that fail the checksum."""
     directory = Path(directory)
     path = directory / "manifest.json"
-    header = _read(path, lambda file: json.loads(file.read_text()))
+    header = read_record(path, object)
     version = header.pop("version", None) if isinstance(header, dict) else None
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: format version {version} is not {FORMAT_VERSION}; "
                          f"run `gantrace train` again to record it")
     stored = header.pop("checksum", None)
-    if set(header) != set(fields):
-        raise ValueError(f"{path}: the manifest's fields differ from {sorted(fields)} in "
-                         f"{sorted(set(header) ^ set(fields))}")
+    record = _typed(path, "", cls, header)
     # Read as the stored dtype: the checksum covers the data, not the .npy
     # header, so a damaged dtype must change the hashed bytes.
     arrays = {name: _read(directory / f"{name}.npy", lambda file: np.ascontiguousarray(
@@ -338,28 +371,28 @@ def load_checked(directory, fields, dtypes: dict) -> tuple[dict, dict]:
                           for name, array in arrays.items()}) != stored:
         raise ValueError(f"{directory} fails the checksum in {path}: a file is damaged "
                          f"or a save was cut short")
-    return header, arrays
+    return record, arrays
 
 
 def save_trace(trace: TrainingTrace, directory) -> str:
     """Store the trace as five arrays and a checked manifest
     (``save_checked``); returns the checksum."""
-    return save_checked(directory, _header(trace), _stored_arrays(trace))
+    return save_checked(directory, *_stored(trace))
 
 
 def load_trace(directory) -> TrainingTrace:
     """Read a trace written by ``save_trace``, verified by ``load_checked``
     before any step record is built; every record's snapshot is a row view
     of the one ``params`` array."""
-    header, arrays = load_checked(directory, _FIELDS, _ARRAYS)
+    header, arrays = load_checked(directory, TraceHeader, _ARRAYS)
     params = arrays["params"]
     batches = np.split(arrays["batch_indices"], np.cumsum(arrays["batch_sizes"])[:-1])
     records = [StepRecord(step, batch, lr_gen, lr_disc, params[step], seed)
                for step, (batch, (lr_gen, lr_disc), seed) in enumerate(zip(
                    batches, arrays["rates"].tolist(), arrays["latent_seeds"].tolist()))]
-    return TrainingTrace(records=records, final_params=params[-1], **header)
+    return TrainingTrace(records=records, final_params=params[-1], **asdict(header))
 
 
 def trace_checksum(trace: TrainingTrace) -> str:
     """The checksum ``save_trace`` writes and ``load_trace`` verifies."""
-    return _checksum(_header(trace), _stored_arrays(trace))
+    return _checksum(*_stored(trace))

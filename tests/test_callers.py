@@ -126,7 +126,7 @@ def test_the_oracle_reads_no_metric():
 
 
 @pytest.mark.parametrize("name", ["CLASSIFIER_DIR", "save_trace", "save_classifier",
-                                  "CleansingRow", "_TWIN_FIELDS"])
+                                  "CleansingRow", "TableTwin"])
 def test_stored_formats_are_written_and_read_in_experiments(name):
     # ``save_seed_run`` and ``load_seed_run`` own the stored run,
     # ``write_report`` and ``read_report`` the reports, and
@@ -135,3 +135,9 @@ def test_stored_formats_are_written_and_read_in_experiments(name):
     # ``__init__``'s re-exports are not reads.
     assert {reader.split(".")[0] for reader in readers(name, PACKAGE)} - {"__init__"} \
         == {"experiments"}
+
+
+def test_stored_json_is_parsed_in_one_place():
+    # Every stored JSON file, manifests, twin and reports, is read through
+    # ``read_record``; a format that parses its own JSON fails here.
+    assert readers("loads", PACKAGE) == {"training.read_record"}

@@ -41,7 +41,7 @@ from gantrace.metrics import (
 )
 from gantrace.models import FcGan, NonFiniteError
 from gantrace.oracle import counterfactual_retrain
-from gantrace.training import load_trace, trace_checksum
+from gantrace.training import load_trace, save_checked, trace_checksum
 from toys import true_influence_on_metric
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -407,7 +407,7 @@ def test_cli_influence_rejects_a_stored_classifier_manifest_it_cannot_use(
     path.write_text(json.dumps(manifest))
     # A missing field is named; an edited one fails the checksum, which
     # covers the manifest's fields as well as the parameters.
-    with pytest.raises(ValueError, match=f"differ .* in \\['{field}'\\]" if value is None
+    with pytest.raises(ValueError, match=f"field '{field}' is missing" if value is None
                        else "checksum"):
         load_classifier(trace / "classifier")
     code = cli_main(["influence", "--config", str(CONFIGS / "digits8_smoke.ini"),
@@ -521,6 +521,21 @@ def _drop_from_manifest(path: Path, field: str) -> None:
     path.write_text(json.dumps(manifest))
 
 
+# The arrays a checked directory may hold, in checksum order.
+_CHECKSUM_ORDER = ("batch_indices", "batch_sizes", "latent_seeds", "rates", "params")
+
+
+def _retyped(directory: Path, **changes) -> None:
+    """Store ``directory`` again with ``changes`` in its manifest's header and
+    the checksum recomputed over them, so that only their types are wrong."""
+    manifest = {**json.loads((directory / "manifest.json").read_text()), **changes}
+    arrays = {name: np.load(directory / f"{name}.npy") for name in _CHECKSUM_ORDER
+              if (directory / f"{name}.npy").exists()}
+    save_checked(directory, {key: value for key, value in manifest.items()
+                             if key not in ("version", "checksum")},
+                 {name: (array.dtype.str, array.shape, [array]) for name, array in arrays.items()})
+
+
 # Damage to a stored directory, written by ``training.save_checked``, and the
 # text its refusal must hold.  ``other`` is a directory of the same kind with
 # other contents.  A trace and the digits trace's classifier/ both hold
@@ -550,6 +565,9 @@ _TRACE_DAMAGE = {
     "flipped batch byte": (lambda t, other: _flip_last_byte(t / "batch_indices.npy"),
                            "checksum"),
     "missing rates": (lambda t, other: (t / "rates.npy").unlink(), "rates.npy"),
+    "string epochs": (lambda t, other: _retyped(t, epochs="5"), "field 'epochs' is '5', not int"),
+    "float epoch start": (lambda t, other: _retyped(t, epoch_starts=[0, 10.0]),
+                          "field 'epoch_starts' entry 1 is 10.0, not int"),
 }
 
 # A classifier with no manifest is an interrupted first save, and is trained again.
@@ -557,6 +575,9 @@ _CLASSIFIER_DAMAGE = {
     **{name: case for name, case in _DAMAGE.items() if name != "no manifest"},
     "feature_layer 1 to 0": (lambda t, other: _rewrite_manifest(t / "manifest.json",
                                                                 feature_layer=0), "checksum"),
+    "boolean feature_layer": (lambda t, other: _retyped(t, feature_layer=True),
+                              "field 'feature_layer' is True, not int"),
+    "numeric key": (lambda t, other: _retyped(t, key=7), "field 'key' is 7, not str"),
 }
 
 
@@ -735,18 +756,22 @@ def cleansing_json(**row):
 
 @pytest.mark.parametrize("text, message", [
     (cleansing_json(improvement=...), "row 0 field 'improvement' is missing"),
-    (json.dumps({"rows": 5, "fingerprints": {}}), "'rows' list"),
-    ('{"rows": [{"method": "ran', "is not JSON"),
+    (json.dumps({"rows": 5, "fingerprints": {}}), "field 'rows' is 5, not list"),
+    ('{"rows": [{"method": "ran', "cannot read"),
     (cleansing_json(improvement="abc"), "row 0 field 'improvement' is 'abc', not float"),
     (cleansing_json(improvement=None), "row 0 field 'improvement' is None, not float"),
     (cleansing_json(n_harmful="6"), "row 0 field 'n_harmful' is '6', not int"),
     (cleansing_json(seed=True), "row 0 field 'seed' is True, not int"),
     (cleansing_json(selected=6), "row 0 field 'selected' is unknown"),
-    (json.dumps({"rows": [CLEANSING_ROW]}), "'fingerprints' object"),
+    (json.dumps({"rows": [CLEANSING_ROW]}), "field 'fingerprints' is missing"),
     (json.dumps({"rows": ["random"], "fingerprints": {}}), "row 0 is not an object"),
+    (json.dumps({"rows": [], "fingerprints": {"01": "f" * 64}}),
+     "field 'fingerprints' key '01' is not str(i) for an integer i >= 0"),
+    (json.dumps({"rows": [], "fingerprints": {"\u00b2": "f" * 64}}),
+     "field 'fingerprints' key '\u00b2' is not str(i) for an integer i >= 0"),
 ], ids=["row_without_improvement", "rows_not_a_list", "truncated", "string_improvement",
         "null_improvement", "string_n_harmful", "boolean_seed", "unknown_field",
-        "no_fingerprints", "row_not_an_object"])
+        "no_fingerprints", "row_not_an_object", "leading_zero_seed", "superscript_seed"])
 def test_cli_report_refuses_a_malformed_cleansing_json(mini_config, tmp_path, capsys, text,
                                                        message):
     _, path = mini_config
@@ -814,20 +839,27 @@ def _edited(twin, **fields):
 
 @pytest.mark.parametrize("config_name, text, message", [
     ("mini", lambda twins: json.dumps(twins[4]), "does not match the config fingerprint"),
-    ("mini", lambda twins: json.dumps(twins[3])[:200], "is not JSON"),
+    ("mini", lambda twins: json.dumps(twins[3])[:200], "cannot read"),
     ("mini", lambda twins: json.dumps(_edited(twins[3], trace_fingerprint=...)),
      "field 'trace_fingerprint' is missing"),
     ("mini", lambda twins: json.dumps(_edited(twins[3], bandwidth=1.0)),
      "field 'bandwidth' is unknown"),
     ("mini", lambda twins: json.dumps(_edited(twins[3], scores={**twins[3]["scores"],
                                                                 "7": "abc"})),
-     "score 7 is 'abc', not float"),
+     "field 'scores' entry '7' is 'abc', not float"),
     ("mini", lambda twins: json.dumps(_edited(twins[3], scores={**twins[3]["scores"],
                                                                 "60": 0.5})),
-     "score index '60' is outside [0, 60)"),
+     "score index 60 is outside [0, 60)"),
+    ("mini", lambda twins: json.dumps(_edited(twins[3], scores={**twins[3]["scores"],
+                                                                "03": 0.9})),
+     "field 'scores' key '03' is not str(i) for an integer i >= 0"),
+    ("mini", lambda twins: json.dumps(_edited(twins[3], scores={**twins[3]["scores"],
+                                                                "\u0663": 0.7})),
+     "field 'scores' key '\u0663' is not str(i) for an integer i >= 0"),
     ("digits8_smoke", lambda twins: json.dumps(twins[3]), "needs 2-d data"),
 ], ids=["another_seed", "truncated", "missing_field", "unknown_field", "non_numeric_score",
-        "index_outside_the_training_set", "digits_data"])
+        "index_outside_the_training_set", "leading_zero_index", "arabic_indic_index",
+        "digits_data"])
 def test_cli_report_refuses_an_influence_table_it_cannot_use(mini_trace, mini_twins, tmp_path,
                                                              capsys, config_name, text,
                                                              message):

@@ -1,3 +1,7 @@
+import functools
+import math
+import operator
+
 import numpy as np
 import pytest
 
@@ -325,6 +329,28 @@ def test_steps_without_a_discriminator_rate_add_nothing(gan, monkeypatch):
     monkeypatch.setattr(gantrace.influence, "propagate_query", poisoned)
     assert infer_linear_influence(gan, trace, data, query).scores == expected
     assert any(score != 0.0 for score in expected.values())
+
+
+def test_sweep_sums_each_instance_with_compensation(gan):
+    # Eight occurrences per instance: the sweep's score is closer to the
+    # exactly rounded sum of the per-step terms than the plain left-to-right
+    # sum is, which differs from it for some instance.
+    data = normal2d(12, 40)
+    settings = TrainingSettings(epochs=8, batch_size=4, lr_gen=1e-2, lr_disc=1e-2, seed=41)
+    trace = run_training(gan, data, settings)
+    query = QueryVector(np.random.default_rng(42).standard_normal(gan.dim_params), gan.dim_gen)
+    terms = [[] for _ in range(len(data))]
+    current = query.data
+    for record in reversed(trace.records):
+        current, values = propagate_query(gan, current, record, data[record.batch_indices])
+        for j, value in zip(record.batch_indices.tolist(), values.tolist()):
+            terms[j].append(value)
+    scores = infer_linear_influence(gan, trace, data, query).scores
+    exact = [math.fsum(instance) for instance in terms]
+    plain = [functools.reduce(operator.add, instance, 0.0) for instance in terms]
+    assert plain != exact
+    assert (sum(abs(scores[j] - exact[j]) for j in range(len(data)))
+            < sum(abs(plain[j] - exact[j]) for j in range(len(data))))
 
 
 # -- forward (validation) estimate -------------------------------------------

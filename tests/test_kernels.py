@@ -47,6 +47,7 @@ from gantrace.influence import propagate_query
 from gantrace.metrics import (
     _KDE_BLOCK_ENTRIES,
     ClassifierSettings,
+    GeneratedSet,
     MetricContext,
     MetricSpec,
     _all_gradient,
@@ -651,7 +652,7 @@ def test_classifier_pullback_refuses_non_finite_parameters(bad):
         clf.input_pullback(clf.record(x), np.ones((3, clf.n_classes)), "logits")
     for kind in ("is", "fid"):
         with pytest.raises(NonFiniteError):
-            metric_gradient_wrt_generated(MetricSpec(kind), x,
+            metric_gradient_wrt_generated(MetricSpec(kind), GeneratedSet(x, clf),
                                           MetricContext(real_data=x, classifier=clf))
 
 

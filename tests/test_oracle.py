@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import gantrace.experiments
 import gantrace.training
 from gantrace.experiments import SeedRun, estimates_and_truths
 from gantrace.influence import QueryVector, infer_linear_influence, window_start
@@ -195,23 +196,34 @@ def test_estimates_and_truths_generate_once_per_parameter_vector(gan, trained, m
     data, trace = trained
     rng = np.random.default_rng(18)
     context = classifier_context()
+    context.fid_reference  # fits the reference side before the count starts
     latents = rng.standard_normal((30, 3))
     run = seed_run(gan, trained, latents, context)
     specs = [MetricSpec("all"), MetricSpec("is"), MetricSpec("fid")]
     targets = [2, 1, 7]
-    for spec in specs:
-        run.influence(spec, 1)   # builds each query before the count starts
-    calls = []
-    forward = gan.generator_forward
+    calls = Counter()
 
-    def counting(params, latents):
-        calls.append(params)
-        return forward(params, latents)
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(gan, "generator_forward", counting)
+    monkeypatch.setattr(gan, "generator_forward", counting("forward", gan.generator_forward))
+    monkeypatch.setattr(context.classifier, "record",
+                        counting("classifier", context.classifier.record))
+    monkeypatch.setattr(gantrace.experiments, "build_query_vector",
+                        counting("query", gantrace.experiments.build_query_vector))
     compared = estimates_and_truths(run, specs, targets, 1)
-    # The baseline and one replay per target, whatever the number of metrics.
-    assert len(calls) == len(targets) + 1
+    # One query per metric, and one generated set and classifier pass for
+    # the final parameters, which every query and baseline shares, and for
+    # each replay, whatever the number of metrics.
+    assert calls == {"query": len(specs), "forward": len(targets) + 1,
+                     "classifier": len(targets) + 1}
+    # disc_loss reads no generated set: a run of it alone makes none.
+    disc_run = seed_run(gan, trained, latents, context)
+    estimates_and_truths(disc_run, [MetricSpec("disc_loss")], targets, 1)
+    assert "final_set" not in vars(disc_run) and calls["classifier"] == len(targets) + 1
     monkeypatch.undo()
     for spec in specs:
         for position, target in enumerate(targets):
