@@ -1098,8 +1098,17 @@ def pinned_outputs(name):
     (the joint gradient, the VJP pair and the data-term scores),
     ``kde/<case>/<bandwidth>`` (the KDE value and gradient),
     ``classifier/<activation>-<batch size>`` or ``classifier/digits`` (the
-    trained parameters and accuracy) or ``logistic``."""
+    trained parameters and accuracy), ``queries/disc_loss/<scenario>`` (the
+    reading and the query) or ``logistic``."""
     group, *key = name.split("/")
+    if group == "queries":
+        kind, scenario = key
+        n_latents, n_rows, _, edit, data_dim = REFERENCE_SCENARIOS[scenario]
+        gan, _ = pair("nonsaturating", data_dim)
+        params, latents, rows, _ = random_case(gan, 26, n_latents, n_rows, edit)
+        spec, context = MetricSpec(kind), MetricContext(real_data=rows)
+        return (metric_value(spec, gan, params, latents, context),
+                build_query_vector(spec, gan, params, latents, context).data)
     if group == "kernels":
         objective, scenario = key
         n_latents, n_rows, denom, edit, data_dim = REFERENCE_SCENARIOS[scenario]
@@ -1180,6 +1189,9 @@ DIGESTS = {
     "kernels/nonsaturating/wide_batch": "d7b397f46c04981349a9dacdb13218acf30d2f015de9dbc21d29b70636a0a273",
     "kernels/nonsaturating/wide_data": "d0bd1b9b67085f8555a77671bcd0f18cfe52751b7ca38ced830ce68b9872d216",
     "logistic": "f6945c437bea01f5bf6817b5fd8514b6e13032c8ed18b62ba9d490d31b60a070",
+    "queries/disc_loss/dead_relus": "7fb41a76f95c3b2d60abe94e759d5d82b35f4e50ac9026520389a7390fb88d4e",
+    "queries/disc_loss/full_batch": "c5d6ef7976993d2ff90e7fe665a165513d5255ff724c929633563207aaec8702",
+    "queries/disc_loss/saturated_discriminator": "93a9ccd983399d6779de593d15fea33388b56ab2f22ddaf90a908406f82aa617",
 }
 
 
