@@ -14,7 +14,6 @@ from .metrics import (
     MetricSpec,
     average_log_likelihood,
     build_query_vector,
-    metric_reader,
     metric_value,
     train_classifier,
 )

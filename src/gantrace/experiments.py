@@ -16,8 +16,8 @@ training set, ``evaluation_set`` the reference set behind the metric
 context and cleansing's test set (latents first, then the rows of
 ``config.synthesize_dataset``), and ``draw_targets`` the targets of the
 accuracy experiment, ``gantrace influence --targets`` and ``gantrace
-oracle``.  Both experiments read their metrics through
-``metrics.metric_reader``, one generated sample set per parameter vector.  What
+oracle``.  Both experiments read every metric kind from one
+``metrics.generated_set`` per parameter vector.  What
 one command stores for another is written and read back here, each JSON
 file through ``training.read_record``, and every CSV through ``write_table``.
 """
@@ -44,8 +44,9 @@ from .metrics import (
     MetricSpec,
     build_query_vector,
     classifier_key,
+    generated_set,
     load_classifier,
-    metric_reader,
+    metric_value,
     save_classifier,
     train_classifier,
 )
@@ -213,27 +214,29 @@ class SeedRun:
     @cached_property
     def final_set(self) -> GeneratedSet:
         """The final parameters' generated set, shared by every query and baseline."""
-        return GeneratedSet(self.problem.generator_forward(
-            self.trace.final_params, self.reference_latents), self.context.classifier)
+        return generated_set(self.problem, self.trace.final_params, self.reference_latents,
+                             self.context)
 
     def influence(self, spec: MetricSpec, k_epochs: int | None,
                   targets=None) -> InfluenceTable:
         """The metric's query at the final parameters on the reference set,
         built once per run, swept through the last ``k_epochs`` epochs."""
-        if spec not in self._queries:   # disc_loss reads no samples, so makes none
+        if spec not in self._queries:
             self._queries[spec] = build_query_vector(
                 spec, self.problem, self.trace.final_params, self.reference_latents, self.context,
-                None if spec.kind == "disc_loss" else self.final_set)
+                self.final_set)
         return infer_linear_influence(self.problem, self.trace, self.dataset,
                                       self._queries[spec], targets=targets, k_epochs=k_epochs)
 
     def readings(self, specs, params: np.ndarray | None = None) -> dict[str, float]:
-        """Each metric's reading on the reference set, by kind, at ``params`` or the final ones."""
-        final = params is None and any(spec.kind != "disc_loss" for spec in specs)
-        read = metric_reader(self.problem, self.trace.final_params if params is None else params,
-                             specs, self.reference_latents, self.context,
-                             self.final_set if final else None)
-        return {spec.kind: read(spec) for spec in specs}
+        """Each metric's reading on the reference set, by kind, at ``params`` or
+        the final ones, all from one generated set."""
+        if params is None:
+            params, generated = self.trace.final_params, self.final_set
+        else:
+            generated = generated_set(self.problem, params, self.reference_latents, self.context)
+        return {spec.kind: metric_value(spec, self.problem, params, self.reference_latents,
+                                        self.context, generated) for spec in specs}
 
 
 def seed_dataset(config: ExperimentConfig, seed: int
@@ -445,7 +448,9 @@ def run_data_cleansing(config: ExperimentConfig, seeds=None) -> Report:
                   for kind in sorted(ranked)}
 
         def reader(params):
-            return metric_reader(run.problem, params, specs, test_latents, test_context)
+            generated = generated_set(run.problem, params, test_latents, test_context)
+            return lambda spec: metric_value(spec, run.problem, params, test_latents,
+                                             test_context, generated)
 
         before_reader = reader(run.trace.final_params)
         # One reader per distinct selection: the random and disc_loss selections

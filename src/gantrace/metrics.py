@@ -20,19 +20,19 @@ its largest log kernel.
 The FID's reference side (the mean, covariance and covariance square root
 of the reference set's classifier features) is fitted once per frozen
 ``MetricContext`` and shared by every FID value and gradient read from it.
-A ``GeneratedSet`` holds one generated sample set and the classifier's
-record of it, so the readings and queries of several metrics share one pass;
-``metric_reader`` and ``build_query_vector`` read and chain through one such set.
+A ``GeneratedSet``, made by ``generated_set`` alone, holds one generated
+sample set and the classifier's record of it: the readings and queries of
+every kind at one parameter vector share one generator pass and at most one
+classifier pass.
 
 Each metric's gradient with respect to the generated samples is analytic at
 the outer level; where samples pass through a network (classifier features
-or posteriors), the pullback to the inputs is the closed-form dense-stack
-backward pass, ``MlpLayout.backward``, the same pass that trains the
-classifier.  Chaining those
-sample gradients through the generator produces the query vector whose
-backward propagation estimates per-instance influence: the discriminator
-block of such a query is exactly zero because real data never passes
-through the generator.
+or posteriors, or the discriminator for ``disc_loss``), the pullback to the
+inputs is the closed-form dense-stack backward pass, ``MlpLayout.backward``,
+the same pass that trains the classifier.  ``generator_pullback`` chains
+those sample gradients through the generator into every query's generator
+block.  The discriminator block is exactly zero, since real data never
+passes through the generator, except for ``disc_loss``'s.
 """
 
 from __future__ import annotations
@@ -546,37 +546,28 @@ def metric_gradient_wrt_generated(spec: MetricSpec, generated: GeneratedSet,
     return _METRIC_GRADS[spec.kind](spec, generated, context)
 
 
+def generated_set(problem, params: np.ndarray, eval_latents: np.ndarray,
+                  context: MetricContext) -> GeneratedSet:
+    """The samples generated at ``params`` from ``eval_latents``, on the
+    context's classifier: the one place a reading or a query generates."""
+    return GeneratedSet(problem.generator_forward(params, eval_latents), context.classifier)
+
+
 def metric_value(spec: MetricSpec, problem, params: np.ndarray,
                  eval_latents: np.ndarray, context: MetricContext,
                  generated: GeneratedSet | None = None) -> float:
     """Metric reading for a parameter vector on a fixed latent set.
 
-    ``generated``, when given, must be a ``GeneratedSet`` of
-    ``problem.generator_forward(params, eval_latents)`` on the context's
-    classifier: a caller reading several sample-based metrics at one
+    ``generated``, when given, must be ``generated_set(problem, params,
+    eval_latents, context)``: a caller reading several metrics at one
     parameter vector generates the samples once and runs the classifier on
-    them once.  ``disc_loss`` ignores it.
+    them at most once.
     """
-    if spec.kind == "disc_loss":
-        return problem.expected_disc_loss(params, eval_latents, context.real_data)
     if generated is None:
-        generated = GeneratedSet(problem.generator_forward(params, eval_latents),
-                                 context.classifier)
+        generated = generated_set(problem, params, eval_latents, context)
+    if spec.kind == "disc_loss":
+        return problem.expected_disc_loss(params, generated.samples, context.real_data)
     return _METRIC_VALUES[spec.kind](spec, generated, context)
-
-
-def metric_reader(problem, params: np.ndarray, specs, eval_latents: np.ndarray,
-                  context: MetricContext, generated: GeneratedSet | None = None):
-    """A function from a spec of ``specs`` to its ``metric_value`` at ``params``.
-
-    Every reading comes from one generated sample set, ``generated`` when
-    given, and at most one classifier pass over it; ``disc_loss`` reads no
-    samples, so a reader for it alone generates none.
-    """
-    if generated is None and any(spec.kind != "disc_loss" for spec in specs):
-        generated = GeneratedSet(problem.generator_forward(params, eval_latents),
-                                 context.classifier)
-    return lambda spec: metric_value(spec, problem, params, eval_latents, context, generated)
 
 
 # -- query vectors ----------------------------------------------------------------
@@ -597,17 +588,20 @@ def build_query_vector(spec: MetricSpec, problem, params: np.ndarray,
                        generated: GeneratedSet | None = None) -> QueryVector:
     """Gradient of the metric with respect to the coupled parameters.
 
-    For sample-based metrics this is the chain rule through the generator;
-    for ``disc_loss`` it is the full gradient of the expected loss, which
-    generally has both blocks nonzero.  ``generated`` is as for ``metric_value``.
+    The generator block is the chain rule through the generator of the
+    metric's gradient with respect to the generated samples.  The
+    discriminator block is zero except for ``disc_loss``, the expected
+    loss's gradient over it.  ``generated`` is as for ``metric_value``.
     """
     params = np.asarray(params, dtype=np.float64)
-    if spec.kind == "disc_loss":
-        return QueryVector(problem.expected_disc_loss_gradient(params, eval_latents,
-                                                               context.real_data),
-                           problem.dim_gen, label=spec.kind)
     if generated is None:
-        generated = GeneratedSet(problem.generator_forward(params, eval_latents),
-                                 context.classifier)
-    sample_grads = metric_gradient_wrt_generated(spec, generated, context)
-    return generator_pullback(problem, params, eval_latents, sample_grads, label=spec.kind)
+        generated = generated_set(problem, params, eval_latents, context)
+    disc_block = 0.0
+    if spec.kind == "disc_loss":
+        disc_block, sample_grads = problem.expected_disc_loss_gradient(
+            params, generated.samples, context.real_data)
+    else:
+        sample_grads = metric_gradient_wrt_generated(spec, generated, context)
+    query = generator_pullback(problem, params, eval_latents, sample_grads, label=spec.kind)
+    query.data[problem.dim_gen:] = disc_block
+    return query

@@ -22,13 +22,12 @@ kernels, serve training, counterfactual replay and influence inference:
   normalizer.  The module-level ``data_term_scores`` reads a query's scores
   off it.
 
-The metrics' query vectors use three more: ``generator_vjp`` pulls
-per-sample gradients back through the generator, and
-``expected_disc_loss`` with ``expected_disc_loss_gradient`` give the
-``disc_loss`` metric and its gradient.  Readings run the two forward
-passes, ``generator_forward`` and ``discriminator_logits``; the
-discriminator's probabilities exist only inside the kernels and the
-``disc_loss`` gradient, as ``_logistic`` of the logits.
+The metrics use three more: ``generator_vjp`` pulls per-sample gradients
+back through the generator, and ``expected_disc_loss`` with
+``expected_disc_loss_gradient`` read the ``disc_loss`` value, and its
+discriminator block and samples' adjoint, off samples the caller made with
+``generator_forward``.  The discriminator's probabilities exist only inside
+the kernels and the ``disc_loss`` gradient, as ``_logistic`` of the logits.
 
 ``FcGan`` computes all of these in closed form with NumPy.  Each gradient
 kernel runs one forward pass, and the product is Pearlmutter's
@@ -275,12 +274,15 @@ class FcGan:
     # -- numpy forward passes ------------------------------------------
 
     def generator_forward(self, params: np.ndarray, latents: np.ndarray) -> np.ndarray:
+        """The samples generated from ``latents``; ``NonFiniteError`` when the
+        generator's parameters hold a NaN or infinity."""
+        gen_params = _checked(np.asarray(params, dtype=np.float64)[:self.dim_gen], "parameters")
         latents = np.atleast_2d(np.asarray(latents, dtype=np.float64))
         if latents.shape[1] != self.latent_dim:
             raise ValueError(f"latent dimension mismatch: {latents.shape[1]} != {self.latent_dim}")
         if not np.all(np.isfinite(latents)):
             raise ValueError("latents must be finite")
-        return self.gen_net.forward(self.gen_net.unpack(params[:self.dim_gen]), latents).output
+        return self.gen_net.forward(self.gen_net.unpack(gen_params), latents).output
 
     def discriminator_logits(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -441,44 +443,39 @@ class FcGan:
         net.backward(net.forward(net.unpack(params), latents), sample_grads, net.unpack(grad))
         return _checked(grad, "generator_vjp")
 
-    def expected_disc_loss(self, params: np.ndarray, latents: np.ndarray,
+    def expected_disc_loss(self, params: np.ndarray, generated: np.ndarray,
                            rows: np.ndarray) -> float:
-        """Mean discriminator loss on the generated samples, softplus of
+        """Mean discriminator loss on the ``generated`` samples, softplus of
         their logits, plus its mean on ``rows``, softplus of minus theirs."""
         params = _checked(np.asarray(params, dtype=np.float64), "parameters")
-        fake_logits = self.discriminator_logits(params, self.generator_forward(params, latents))
+        fake_logits = self.discriminator_logits(params, generated)
         real_logits = self.discriminator_logits(params, rows)
         value = _softplus(fake_logits).mean() + _softplus(-real_logits).mean()
         return float(_checked(value, "expected_disc_loss"))
 
-    def expected_disc_loss_gradient(self, params: np.ndarray, latents: np.ndarray,
-                                    rows: np.ndarray) -> np.ndarray:
-        """Gradient of ``expected_disc_loss`` over both blocks.
+    def expected_disc_loss_gradient(self, params: np.ndarray, generated: np.ndarray,
+                                    rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient of ``expected_disc_loss`` over the discriminator block,
+        and the adjoint of the ``generated`` samples, for the caller to pull
+        back through the generator.
 
-        One discriminator pullback over the generated and data rows
-        together, then a generator pullback of the generated rows' input
-        adjoint.
+        One discriminator pullback over the generated and data rows together.
         """
         params = _checked(np.asarray(params, dtype=np.float64), "parameters")
-        gen, disc = self.gen_net, self.disc_net
-        gen_params, disc_params = self.split(params)
-        gen_record = gen.forward(gen.unpack(gen_params), latents)
-        fake = gen_record.output
+        disc = self.disc_net
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        disc_record = disc.forward(disc.unpack(disc_params), np.concatenate([fake, rows]))
-        n = len(fake)
+        record = disc.forward(disc.unpack(params[self.dim_gen:]),
+                              np.concatenate([generated, rows]))
+        n = len(generated)
         # Logit derivatives of the means: p / n on the generated samples
         # and (p - 1) / m on the m rows.
-        logit_adj = _logistic(disc_record.output)
+        logit_adj = _logistic(record.output)
         logit_adj[:n] /= n
         logit_adj[n:] -= 1.0
         logit_adj[n:] /= len(rows)
-        grad = np.empty(self.dim_params)
-        gen_grad, disc_grad = self.split(grad)
-        input_adj = disc.backward(disc_record, logit_adj, disc.unpack(disc_grad),
-                                  input_adjoint=True)
-        gen.backward(gen_record, input_adj[:n], gen.unpack(gen_grad))
-        return _checked(grad, "expected_disc_loss_gradient")
+        grad = np.empty(self.dim_disc)
+        input_adj = disc.backward(record, logit_adj, disc.unpack(grad), input_adjoint=True)
+        return _checked(grad, "expected_disc_loss_gradient"), input_adj[:n]
 
     def _layers(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
         """The four layers of a coupled vector as augmented views [W; b],

@@ -8,7 +8,7 @@ it replays the whole window and reproduces the stored final parameters
 bit-exactly, which anchors every comparison.
 
 The replay returns parameters and reads no metric: the experiments read a
-replayed vector, and the final one, through ``metrics.metric_reader``.
+replayed vector, and the final one, each from one ``metrics.generated_set``.
 """
 
 from __future__ import annotations

@@ -345,7 +345,10 @@ def _typed(path: Path, where: str, cls, value):
             raise ValueError(f"{path}: {where}key {odd[0]!r} is not str(i) for an integer i >= 0")
         return {args[0](key): _typed(path, f"{where}entry {key!r} ", args[1], item)
                 for key, item in value.items()}
-    return float(value) if kind is float else value
+    try:
+        return float(value) if kind is float else value
+    except OverflowError:
+        raise ValueError(f"{path}: {where}is an integer too large for a float") from None
 
 
 def load_checked(directory, cls, dtypes: dict) -> tuple:

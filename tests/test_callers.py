@@ -116,13 +116,30 @@ def test_only_the_experiments_replay():
 
 def test_the_oracle_reads_no_metric():
     # The oracle returns replayed parameters, and the experiments read them
-    # through ``metrics.metric_reader``: no name of ``metrics``, nor the
-    # module, is read or imported in ``oracle``.
+    # from one ``metrics.generated_set`` each: no name of ``metrics``, nor
+    # the module, is read or imported in ``oracle``.
     tree = ast.parse((PACKAGE / "metrics.py").read_text())
     names = ["metrics"] + [node.name for _, node, is_method in _definitions("metrics", tree)
                            if not is_method]
     assert [name for name in names
             if any(reader.split(".")[0] == "oracle" for reader in readers(name, PACKAGE))] == []
+
+
+def test_samples_are_generated_in_one_place():
+    # Every reading and query, ``disc_loss``'s too, reads the samples of a
+    # ``GeneratedSet``, which ``generated_set`` alone makes; a metric that
+    # runs the generator for itself fails here.
+    assert readers("generator_forward", PACKAGE) == {"metrics.generated_set"}
+
+
+def test_queries_pull_back_through_the_generator_in_one_place():
+    # Every query's generator block, ``disc_loss``'s too, comes from
+    # ``generator_pullback``, and the generator network runs only in the
+    # forward pass and its VJP (the gradient kernels read the layers off
+    # the flat vector); a second chain through the generator fails here.
+    assert readers("generator_vjp", PACKAGE) == {"metrics.generator_pullback"}
+    assert readers("gen_net", PACKAGE) - {"models.FcGan.__init__", "models.FcGan.init_params"} \
+        == {"models.FcGan.generator_forward", "models.FcGan.generator_vjp"}
 
 
 @pytest.mark.parametrize("name", ["CLASSIFIER_DIR", "save_trace", "save_classifier",

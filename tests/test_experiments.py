@@ -195,21 +195,24 @@ def test_accuracy_reads_each_baseline_once_per_seed(mini_config, monkeypatch):
     config = _with(config, training=_with(config.training, epochs=5), k_epochs=(1, 5))
     runs, read = [], []
     prepare = gantrace.experiments.prepare_seed_run
-    reader = gantrace.metrics.metric_reader
+    value = gantrace.metrics.metric_value
 
     def capturing_prepare(*args):
         runs.append(prepare(*args))
         return runs[-1]
 
-    def counting_reader(problem, params, *args):
+    def counting_value(spec, problem, params, *args):
         read.append(params)
-        return reader(problem, params, *args)
+        return value(spec, problem, params, *args)
 
     monkeypatch.setattr(gantrace.experiments, "prepare_seed_run", capturing_prepare)
-    monkeypatch.setattr(gantrace.experiments, "metric_reader", counting_reader)
+    monkeypatch.setattr(gantrace.experiments, "metric_value", counting_value)
     report = run_estimation_accuracy(config, seeds=[3, 4])
     assert {(row.seed, row.k_epochs) for row in report.rows} == {(3, 1), (3, 5), (4, 1), (4, 5)}
-    assert [sum(params is run.trace.final_params for params in read) for run in runs] == [1, 1]
+    # One reading per metric at each seed's final parameters, not one per depth.
+    n_metrics = len(config.metric_specs())
+    assert [sum(params is run.trace.final_params for params in read) for run in runs] \
+        == [n_metrics, n_metrics]
 
 
 def test_cleansing_signs_improvements_by_the_metric(mini_config):
@@ -578,6 +581,8 @@ _CLASSIFIER_DAMAGE = {
     "boolean feature_layer": (lambda t, other: _retyped(t, feature_layer=True),
                               "field 'feature_layer' is True, not int"),
     "numeric key": (lambda t, other: _retyped(t, key=7), "field 'key' is 7, not str"),
+    "huge integer train_accuracy": (lambda t, other: _retyped(t, train_accuracy=10**400),
+                                    "field 'train_accuracy' is an integer too large for a float"),
 }
 
 
@@ -769,9 +774,11 @@ def cleansing_json(**row):
      "field 'fingerprints' key '01' is not str(i) for an integer i >= 0"),
     (json.dumps({"rows": [], "fingerprints": {"\u00b2": "f" * 64}}),
      "field 'fingerprints' key '\u00b2' is not str(i) for an integer i >= 0"),
+    (cleansing_json(before=10**400), "row 0 field 'before' is an integer too large for a float"),
 ], ids=["row_without_improvement", "rows_not_a_list", "truncated", "string_improvement",
         "null_improvement", "string_n_harmful", "boolean_seed", "unknown_field",
-        "no_fingerprints", "row_not_an_object", "leading_zero_seed", "superscript_seed"])
+        "no_fingerprints", "row_not_an_object", "leading_zero_seed", "superscript_seed",
+        "huge_integer_before"])
 def test_cli_report_refuses_a_malformed_cleansing_json(mini_config, tmp_path, capsys, text,
                                                        message):
     _, path = mini_config
@@ -856,10 +863,13 @@ def _edited(twin, **fields):
     ("mini", lambda twins: json.dumps(_edited(twins[3], scores={**twins[3]["scores"],
                                                                 "\u0663": 0.7})),
      "field 'scores' key '\u0663' is not str(i) for an integer i >= 0"),
+    ("mini", lambda twins: json.dumps(_edited(twins[3], scores={**twins[3]["scores"],
+                                                                "7": 10**400})),
+     "field 'scores' entry '7' is an integer too large for a float"),
     ("digits8_smoke", lambda twins: json.dumps(twins[3]), "needs 2-d data"),
 ], ids=["another_seed", "truncated", "missing_field", "unknown_field", "non_numeric_score",
         "index_outside_the_training_set", "leading_zero_index", "arabic_indic_index",
-        "digits_data"])
+        "huge_integer_score", "digits_data"])
 def test_cli_report_refuses_an_influence_table_it_cannot_use(mini_trace, mini_twins, tmp_path,
                                                              capsys, config_name, text,
                                                              message):

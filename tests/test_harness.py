@@ -464,6 +464,14 @@ def test_readme_names_every_config_key():
         assert f"`{key}`" in bullets.get(section, ""), f"README schema lacks {dotted}"
 
 
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    (example,) = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    namespace = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    assert np.isfinite(namespace["truth"]) and 17 in namespace["scores"].scores
+
+
 def test_missing_config_file_raises():
     with pytest.raises(FileNotFoundError):
         load_config("/nonexistent/config.ini")

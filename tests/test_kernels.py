@@ -565,7 +565,7 @@ def test_metric_queries_match_tape(scenario):
     assert_matches(pulled.data, tape.generator_vjp(params, latents, sample_grads))
     query = build_query_vector(MetricSpec("disc_loss"), gan, params, latents, context)
     assert_matches(query.data, tape.expected_disc_loss_gradient(params, latents, rows))
-    value = gan.expected_disc_loss(params, latents, rows)
+    value = gan.expected_disc_loss(params, gan.generator_forward(params, latents), rows)
     assert abs(value - tape.expected_disc_loss(params, latents, rows)) <= 1e-12 * abs(value)
     if edit is saturated:
         # D == 1.0 on every input: each generated sample's logit derivative
@@ -590,12 +590,16 @@ def test_disc_loss_gradient_matches_finite_differences_when_saturated(output_bia
     assert _logistic(gan.discriminator_logits(params, rows)).min() > 1.0 - 1e-7
     h = 1e-5
     numeric = np.empty(gan.dim_params)
+
+    def value(p):
+        return gan.expected_disc_loss(p, gan.generator_forward(p, latents), rows)
+
     for i in range(gan.dim_params):
         step = np.zeros(gan.dim_params)
         step[i] = h
-        numeric[i] = (gan.expected_disc_loss(params + step, latents, rows)
-                      - gan.expected_disc_loss(params - step, latents, rows)) / (2 * h)
-    grad = gan.expected_disc_loss_gradient(params, latents, rows)
+        numeric[i] = (value(params + step) - value(params - step)) / (2 * h)
+    grad = build_query_vector(MetricSpec("disc_loss"), gan, params, latents,
+                              MetricContext(real_data=rows)).data
     assert np.abs(grad[:gan.dim_gen]).max() > 0
     assert np.linalg.norm(grad - numeric) <= 1e-7 * np.linalg.norm(numeric)
 
@@ -613,8 +617,9 @@ def test_softplus_loss_is_finite_without_warnings_at_huge_logits():
         with warnings.catch_warnings(), np.errstate(over="raise", divide="raise",
                                                     invalid="raise"):
             warnings.simplefilter("error")
-            value = gan.expected_disc_loss(params, latents, rows)
-            grad = gan.expected_disc_loss_gradient(params, latents, rows)
+            value = gan.expected_disc_loss(params, gan.generator_forward(params, latents), rows)
+            grad = build_query_vector(MetricSpec("disc_loss"), gan, params, latents,
+                                      MetricContext(real_data=rows)).data
         # Each generated sample's loss is softplus(x) and each row's
         # softplus(-x), so one side reads about 800 and the other 0.
         assert 790.0 < value < 810.0
@@ -639,7 +644,9 @@ def test_metric_queries_refuse_non_finite_parameters(bad, position):
         build_query_vector(MetricSpec("disc_loss"), gan, params, latents,
                            MetricContext(real_data=rows))
     with pytest.raises(NonFiniteError):
-        gan.expected_disc_loss(params, latents, rows)
+        gan.expected_disc_loss(params, rng.standard_normal((4, DATA)), rows)
+    with pytest.raises(NonFiniteError):
+        metric_value(MetricSpec("disc_loss"), gan, params, latents, MetricContext(real_data=rows))
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])

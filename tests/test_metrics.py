@@ -412,7 +412,7 @@ def test_disc_loss_query_matches_finite_differences(gan):
     assert np.any(query.data[:gan.dim_gen] != 0) and np.any(query.data[gan.dim_gen:] != 0)
 
     def value(p):
-        return gan.expected_disc_loss(p, latents, real)
+        return gan.expected_disc_loss(p, gan.generator_forward(p, latents), real)
 
     eps = 1e-5
     coords = rng.choice(gan.dim_params, size=10, replace=False)
@@ -433,7 +433,7 @@ def test_metric_value_dispatch(gan):
     direct = average_log_likelihood(real, gan.generator_forward(params, latents), 1.0)
     assert metric_value(MetricSpec("all"), gan, params, latents, context) == direct
     assert metric_value(MetricSpec("disc_loss"), gan, params, latents, context) == \
-        gan.expected_disc_loss(params, latents, real)
+        gan.expected_disc_loss(params, gan.generator_forward(params, latents), real)
 
 
 def test_harmful_sign_convention():

@@ -11,7 +11,6 @@ from gantrace.metrics import (
     ClassifierSettings,
     MetricContext,
     MetricSpec,
-    metric_reader,
     metric_value,
     train_classifier,
 )
@@ -199,7 +198,7 @@ def test_estimates_and_truths_generate_once_per_parameter_vector(gan, trained, m
     context.fid_reference  # fits the reference side before the count starts
     latents = rng.standard_normal((30, 3))
     run = seed_run(gan, trained, latents, context)
-    specs = [MetricSpec("all"), MetricSpec("is"), MetricSpec("fid")]
+    specs = [MetricSpec("all"), MetricSpec("is"), MetricSpec("fid"), MetricSpec("disc_loss")]
     targets = [2, 1, 7]
     calls = Counter()
 
@@ -217,13 +216,16 @@ def test_estimates_and_truths_generate_once_per_parameter_vector(gan, trained, m
     compared = estimates_and_truths(run, specs, targets, 1)
     # One query per metric, and one generated set and classifier pass for
     # the final parameters, which every query and baseline shares, and for
-    # each replay, whatever the number of metrics.
+    # each replay, whatever the number of metrics; disc_loss reads the same
+    # sets.
     assert calls == {"query": len(specs), "forward": len(targets) + 1,
                      "classifier": len(targets) + 1}
-    # disc_loss reads no generated set: a run of it alone makes none.
+    # A disc_loss run alone makes one set per parameter vector too, and
+    # runs no classifier over them.
+    calls.clear()
     disc_run = seed_run(gan, trained, latents, context)
     estimates_and_truths(disc_run, [MetricSpec("disc_loss")], targets, 1)
-    assert "final_set" not in vars(disc_run) and calls["classifier"] == len(targets) + 1
+    assert calls == {"query": 1, "forward": len(targets) + 1}
     monkeypatch.undo()
     for spec in specs:
         for position, target in enumerate(targets):
@@ -247,8 +249,7 @@ def test_readings_run_one_classifier_pass_per_sample_set(gan, trained, monkeypat
         return forward(layers, x)
 
     monkeypatch.setattr(layout, "forward", counting)
-    read = metric_reader(gan, trace.final_params, specs, latents, context)
-    readings = {spec.kind: read(spec) for spec in specs}
+    readings = seed_run(gan, trained, latents, context).readings(specs)
     # One pass over the generated samples serves the FID's features and the
     # inception score's posteriors.
     assert [len(x) for x in inputs] == [len(latents)]
