@@ -203,7 +203,7 @@ def _cmd_report(args) -> int:
         write_cleansing_curves(report, out / "cleansing_curves.csv")
         emitted.append("cleansing_curves.csv")
     if table is not None:
-        write_scatter_data(table, data, MetricSpec(table.metric_name),
+        write_scatter_data(table, data, MetricSpec(table.metric),
                            out / "harmfulness_scatter.csv")
         emitted.append("harmfulness_scatter.csv")
     print(f"report files in {out}: {', '.join(emitted)}")

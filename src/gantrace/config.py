@@ -9,8 +9,7 @@ evaluation-side changes while mismatched trace/config pairs are refused.
 from __future__ import annotations
 
 import configparser
-import hashlib
-import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from .datasets import GLYPH_SIDE, load_idx_images, make_digit_images, sample_normal2d
 from .metrics import ClassifierSettings, MetricSpec
 from .models import FcGan, GanArchitecture
-from .training import TrainingSettings
+from .training import TrainingSettings, json_digest
 
 SELECTION_METHODS = ("influence", "disc_loss", "random")
 
@@ -138,7 +137,14 @@ def trace_fingerprint(config: ExperimentConfig, data_checksum: str) -> str:
     payload = {"dataset": {**dataset, "checksum": data_checksum},
                "architecture": asdict(config.architecture),
                "training": asdict(config.training)}
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    return json_digest(payload).hexdigest()
+
+
+def _finite(text: str) -> float:
+    """A float key's parser: NaN, infinity and an overflow like ``1e400`` are refused."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError("not a finite number")
+    return value
 
 
 def _split(item):
@@ -151,30 +157,30 @@ _KEYS = {
     "dataset.kind": (DatasetSpec, "kind", str),
     "dataset.n_train": (DatasetSpec, "n_train", int),
     "dataset.n_classes": (DatasetSpec, "n_classes", int),
-    "dataset.noise": (DatasetSpec, "noise", float),
+    "dataset.noise": (DatasetSpec, "noise", _finite),
     "dataset.images": (DatasetSpec, "images_path", str),
     "dataset.labels": (DatasetSpec, "labels_path", str),
     "dataset.side": (DatasetSpec, "side", int),
     "architecture.latent_dim": (GanArchitecture, "latent_dim", int),
     "architecture.hidden_gen": (GanArchitecture, "hidden_gen", int),
     "architecture.hidden_disc": (GanArchitecture, "hidden_disc", int),
-    "architecture.l2_rate": (GanArchitecture, "l2_rate", float),
+    "architecture.l2_rate": (GanArchitecture, "l2_rate", _finite),
     "architecture.objective": (GanArchitecture, "objective", str),
     "training.epochs": (TrainingSettings, "epochs", int),
     "training.batch_size": (TrainingSettings, "batch_size", int),
-    "training.lr_gen": (TrainingSettings, "lr_gen", float),
-    "training.lr_disc": (TrainingSettings, "lr_disc", float),
+    "training.lr_gen": (TrainingSettings, "lr_gen", _finite),
+    "training.lr_disc": (TrainingSettings, "lr_disc", _finite),
     "training.mode": (TrainingSettings, "mode", str),
     "training.first_update": (TrainingSettings, "first_update", str),
     "training.seed": (TrainingSettings, "seed", int),
     "evaluation.metrics": (ExperimentConfig, "metrics", _split(str)),
-    "evaluation.bandwidth": (ExperimentConfig, "bandwidth", float),
+    "evaluation.bandwidth": (ExperimentConfig, "bandwidth", _finite),
     "evaluation.n_reference": (ExperimentConfig, "n_reference", int),
     "evaluation.n_test": (ExperimentConfig, "n_test", int),
     "evaluation.classifier_hidden": (ClassifierSettings, "hidden", _split(int)),
     "evaluation.classifier_epochs": (ClassifierSettings, "epochs", int),
     "evaluation.classifier_batch": (ClassifierSettings, "batch_size", int),
-    "evaluation.classifier_lr": (ClassifierSettings, "lr", float),
+    "evaluation.classifier_lr": (ClassifierSettings, "lr", _finite),
     "evaluation.feature_layer": (ClassifierSettings, "feature_layer", int),
     "evaluation.classifier_activation": (ClassifierSettings, "activation", str),
     "evaluation.classifier_seed": (ExperimentConfig, "classifier_seed", int),

@@ -15,17 +15,16 @@ has one implementation, which the CLI shares: ``seed_dataset`` draws the
 training set, ``evaluation_set`` the reference set behind the metric
 context and cleansing's test set (latents first, then the rows of
 ``config.synthesize_dataset``), and ``draw_targets`` the targets of the
-accuracy experiment, ``gantrace influence --targets`` and ``gantrace
-oracle``.  Both experiments read every metric kind from one
-``metrics.generated_set`` per parameter vector.  What
-one command stores for another is written and read back here, each JSON
-file through ``training.read_record``, and every CSV through ``write_table``.
+accuracy experiment, ``gantrace influence --targets`` and ``gantrace oracle``.
+Both experiments read every metric kind from one ``metrics.generated_set`` per
+parameter vector.  What one command stores for another is written and read back
+here, each JSON file through ``training.write_record`` and ``read_record``,
+every CSV through ``write_table``.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field, fields, make_dataclass, replace
@@ -52,7 +51,7 @@ from .metrics import (
 )
 from .models import FcGan
 from .oracle import counterfactual_retrain
-from .training import TrainingTrace, load_trace, read_record, run_training, save_trace
+from .training import TrainingTrace, load_trace, read_record, run_training, save_trace, write_record
 
 _STREAMS = {"dataset": 11, "reference": 13, "targets": 17, "test": 19,
             "random_select": 23, "permutation": 29}
@@ -110,7 +109,8 @@ def permutation_test_tau(estimated, true, n_permutations: int = 1000,
     orders = rng.permuted(np.tile(np.arange(n), (n_permutations, 1)), axis=1)
     null = _reordered_tau_b(estimated, true, orders)
     threshold = float(np.quantile(null, 0.975))
-    p_value = float((np.sum(null >= observed) + 1) / (n_permutations + 1))
+    p_value = math.nan if math.isnan(observed) else \
+        float((np.sum(null >= observed) + 1) / (n_permutations + 1))
     return PermutationResult(observed, threshold, p_value, n_permutations)
 
 
@@ -499,28 +499,15 @@ def write_table(path, header, rows) -> None:
                           for value in row] for row in rows)
 
 
-@dataclass
-class TableTwin:
-    """An influence table as its JSON twin stores it."""
-
-    metric: str
-    k_epochs: int
-    query_fingerprint: str
-    trace_fingerprint: str
-    scores: dict[int, float]
-
-
 def write_influence_table(table: InfluenceTable, path) -> None:
     """The table as a CSV of ``index, score`` rows in index order, and its
-    ``TableTwin`` beside it (the CSV's path with ``.json``), for
-    ``read_influence_table``."""
+    fields beside it as a JSON twin (the CSV's path with ``.json``), the
+    scores in index order too, for ``read_influence_table``."""
     if Path(path).suffix == ".json":
         raise ValueError(f"{path} would be overwritten by the table's JSON twin")
-    indices = sorted(table.scores)
-    write_table(path, ["index", "score"], ((j, table.scores[j]) for j in indices))
-    twin = TableTwin(table.metric_name, table.k_epochs, table.query_fingerprint,
-                     table.trace_fingerprint, {j: table.scores[j] for j in indices})
-    Path(path).with_suffix(".json").write_text(json.dumps(asdict(twin), indent=2))
+    table = replace(table, scores=dict(sorted(table.scores.items())))
+    write_table(path, ["index", "score"], table.scores.items())
+    write_record(Path(path).with_suffix(".json"), asdict(table))
 
 
 # Each report's row type and its JSON's record, by the report's name, its files' stem.
@@ -548,7 +535,7 @@ def write_report(report: Report, directory) -> None:
     write_table(directory / f"{report.name}.csv", columns,
                 ([getattr(row, column) for column in columns] for row in report.rows))
     stored = _REPORT_JSON[report.name](report.rows, report.fingerprints)
-    (directory / f"{report.name}.json").write_text(json.dumps(asdict(stored), indent=2))
+    write_record(directory / f"{report.name}.json", asdict(stored))
 
 
 def read_report(directory, name: str) -> Report:
@@ -563,14 +550,13 @@ def read_influence_table(path, fingerprint: str, n_train: int) -> InfluenceTable
     by ``training.read_record``; an unknown metric, a score index outside
     [0, ``n_train``) and a trace other than ``fingerprint``'s are refused too."""
     path = Path(path).with_suffix(".json")
-    twin = read_record(path, TableTwin)
-    if twin.metric not in METRIC_KINDS:
-        raise ValueError(f"{path}: unknown metric kind {twin.metric!r}")
-    _check_fingerprint(twin.trace_fingerprint, fingerprint, path)
-    if twin.scores and max(twin.scores) >= n_train:
-        raise ValueError(f"{path}: score index {max(twin.scores)} is outside [0, {n_train})")
-    return InfluenceTable(twin.metric, twin.scores, twin.k_epochs, twin.query_fingerprint,
-                          twin.trace_fingerprint)
+    table = read_record(path, InfluenceTable)
+    if table.metric not in METRIC_KINDS:
+        raise ValueError(f"{path}: unknown metric kind {table.metric!r}")
+    _check_fingerprint(table.trace_fingerprint, fingerprint, path)
+    if table.scores and max(table.scores) >= n_train:
+        raise ValueError(f"{path}: score index {max(table.scores)} is outside [0, {n_train})")
+    return table
 
 
 def write_scatter_data(table: InfluenceTable, dataset: np.ndarray, spec: MetricSpec,

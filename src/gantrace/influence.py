@@ -47,11 +47,11 @@ class QueryVector:
 
 @dataclass
 class InfluenceTable:
-    metric_name: str
-    scores: dict[int, float]
+    metric: str
     k_epochs: int
     query_fingerprint: str
     trace_fingerprint: str
+    scores: dict[int, float]
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         keys = sorted(self.scores)
@@ -144,11 +144,6 @@ def infer_linear_influence(problem, trace: TrainingTrace, dataset: np.ndarray,
             carry[idx] = (t - before) - y
             sums[idx] = t
 
-    k_used = trace.epochs if k_epochs is None else int(k_epochs)
-    return InfluenceTable(
-        metric_name=query.label,
-        scores=dict(zip(targets.tolist(), sums[targets].tolist())),
-        k_epochs=k_used,
-        query_fingerprint=query.fingerprint,
-        trace_fingerprint=trace.fingerprint,
-    )
+    return InfluenceTable(query.label, trace.epochs if k_epochs is None else int(k_epochs),
+                          query.fingerprint, trace.fingerprint,
+                          dict(zip(targets.tolist(), sums[targets].tolist())))

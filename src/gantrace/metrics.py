@@ -37,8 +37,6 @@ passes through the generator, except for ``disc_loss``'s.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import warnings
 from dataclasses import asdict, dataclass
@@ -49,7 +47,7 @@ import numpy as np
 
 from .influence import QueryVector
 from .models import DenseRecord, MlpLayout, _checked
-from .training import DivergenceError, load_checked, save_checked
+from .training import DivergenceError, json_digest, load_checked, save_checked
 
 METRIC_KINDS = ("all", "is", "fid", "disc_loss")
 
@@ -415,9 +413,8 @@ def classifier_key(data: np.ndarray, labels: np.ndarray,
     shape and little-endian f8 bytes, the labels, the settings and the seed."""
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
-    digest = hashlib.sha256()
-    digest.update(json.dumps({"shape": list(data.shape), "settings": asdict(settings),
-                              "seed": int(seed)}, sort_keys=True).encode())
+    digest = json_digest({"shape": list(data.shape), "settings": asdict(settings),
+                          "seed": int(seed)})
     digest.update(data.astype("<f8", copy=False).tobytes())
     digest.update(labels.astype("<i8", copy=False).tobytes())
     return digest.hexdigest()

@@ -13,7 +13,8 @@ every step of the desk config held, 280 MB for the paper's cleansing config.
 Traces persist as a directory of five ``.npy`` arrays and a checksummed
 JSON manifest (``save_trace``), the checked format (``save_checked``) that
 stores the IS/FID classifier too.  Every stored JSON file holds a
-dataclass, which ``read_record`` reads back field by field.
+dataclass's fields, written by ``write_record`` and read back by
+``read_record``; every fingerprint over JSON starts from ``json_digest``.
 """
 
 from __future__ import annotations
@@ -270,7 +271,7 @@ def _checksum(header: dict, arrays: dict) -> str:
     maps a name to its dtype, shape and pieces (array-likes whose C-order
     data, one after the other, is the array's); each piece is hashed where
     it lies, so the snapshots are never stacked into one copy."""
-    digest = hashlib.sha256(json.dumps(header, sort_keys=True).encode())
+    digest = json_digest(header)
     for dtype, _, pieces in arrays.values():
         for piece in pieces:
             digest.update(np.ascontiguousarray(piece, dtype=dtype))
@@ -279,8 +280,8 @@ def _checksum(header: dict, arrays: dict) -> str:
 
 def save_checked(directory, header: dict, arrays: dict) -> str:
     """Write each of ``arrays``, as ``_checksum`` takes them, as
-    ``<name>.npy``, then ``manifest.json``: ``header`` plus the format
-    version and the checksum, which it returns.  The manifest goes last: an
+    ``<name>.npy``, then ``manifest.json``: ``header``, the format version
+    and the checksum (returned), sorted by key.  The manifest goes last: an
     interrupted first save leaves none, and an interrupted overwrite leaves
     arrays that fail the old manifest's checksum.  No other file is touched."""
     directory = Path(directory)
@@ -293,8 +294,18 @@ def save_checked(directory, header: dict, arrays: dict) -> str:
                 handle.write(np.ascontiguousarray(piece, dtype=dtype))
     manifest = {**header, "version": FORMAT_VERSION,
                 "checksum": _checksum(header, arrays)}
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    write_record(directory / "manifest.json", dict(sorted(manifest.items())))
     return manifest["checksum"]
+
+
+def json_digest(value):
+    """The SHA-256 of ``value``'s sorted-key JSON, open for more bytes."""
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode())
+
+
+def write_record(path, record: dict) -> None:
+    """The package's one JSON writer: the dict ``record``, in its order, indented by two."""
+    Path(path).write_text(json.dumps(record, indent=2))
 
 
 def _read(path: Path, reader):

@@ -143,7 +143,7 @@ def test_queries_pull_back_through_the_generator_in_one_place():
 
 
 @pytest.mark.parametrize("name", ["CLASSIFIER_DIR", "save_trace", "save_classifier",
-                                  "CleansingRow", "TableTwin"])
+                                  "CleansingRow"])
 def test_stored_formats_are_written_and_read_in_experiments(name):
     # ``save_seed_run`` and ``load_seed_run`` own the stored run,
     # ``write_report`` and ``read_report`` the reports, and
@@ -158,3 +158,11 @@ def test_stored_json_is_parsed_in_one_place():
     # Every stored JSON file, manifests, twin and reports, is read through
     # ``read_record``; a format that parses its own JSON fails here.
     assert readers("loads", PACKAGE) == {"training.read_record"}
+
+
+def test_stored_json_is_written_in_one_place():
+    # Every stored JSON file is written through ``write_record``, and every
+    # fingerprint over JSON starts from ``json_digest``; a writer or a hash
+    # that encodes its own JSON fails here.
+    assert readers("dumps", PACKAGE) == {"training.write_record", "training.json_digest"}
+    assert readers("write_text", PACKAGE) == {"training.write_record"}

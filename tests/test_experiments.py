@@ -19,14 +19,19 @@ from gantrace.autodiff import vjp_gradient_call_count
 from gantrace.cli import main as cli_main
 from gantrace.config import load_config
 from gantrace.experiments import (
+    AccuracyRow,
+    CleansingRow,
+    Report,
     draw_targets,
     evaluation_context,
     evaluation_set,
     prepare_seed_run,
+    read_influence_table,
     read_report,
     run_data_cleansing,
     run_estimation_accuracy,
     write_cleansing_curves,
+    write_influence_table,
     write_report,
     write_scatter_data,
     write_table,
@@ -41,7 +46,7 @@ from gantrace.metrics import (
 )
 from gantrace.models import FcGan, NonFiniteError
 from gantrace.oracle import counterfactual_retrain
-from gantrace.training import load_trace, save_checked, trace_checksum
+from gantrace.training import load_trace, save_checked, save_trace, trace_checksum
 from toys import true_influence_on_metric
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -885,6 +890,57 @@ def test_cli_report_refuses_an_influence_table_it_cannot_use(mini_trace, mini_tw
     assert not out.exists()
 
 
+def _files(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def test_rewritten_checked_directories_are_byte_identical(mini_trace, digits_trace, tmp_path):
+    # A trace or classifier read back and stored again gives the same
+    # manifest and arrays, byte for byte, and each manifest has its keys sorted.
+    trace = mini_trace[1]
+    save_trace(load_trace(trace), tmp_path / "trace")
+    assert _files(tmp_path / "trace") == _files(trace)
+    stored = digits_trace / "classifier"
+    save_classifier(load_classifier(stored), tmp_path / "classifier")
+    assert _files(tmp_path / "classifier") == _files(stored)
+    for manifest in (trace / "manifest.json", stored / "manifest.json"):
+        text = manifest.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("flags", [[], ["--targets", "8"]], ids=["full", "subset"])
+def test_rewritten_influence_table_is_byte_identical(mini_trace, tmp_path, flags):
+    path, trace, _ = mini_trace
+    written = tmp_path / "written" / "scores.csv"
+    written.parent.mkdir()
+    assert cli_main(["influence", "--config", str(path), "--trace", str(trace), "--k", "1",
+                     *flags, "--out", str(written)]) == 0
+    table = read_influence_table(written, load_trace(trace).fingerprint, 60)
+    assert len(table.scores) == (8 if flags else 60)
+    again = tmp_path / "again" / "scores.csv"
+    again.parent.mkdir()
+    write_influence_table(table, again)
+    assert _files(again.parent) == _files(written.parent)
+
+
+def test_rewritten_reports_are_byte_identical(tmp_path):
+    # A NaN tau and p-value, which ``read_report(...) == report`` cannot
+    # compare, are written back as they were read.
+    nan = float("nan")
+    reports = [
+        Report("accuracy", [AccuracyRow("all", 1, 0.1 + 0.2, 1.0, 8, 3, 1 / 201, 0.5),
+                            AccuracyRow("disc_loss", 2, nan, 0.0, 8, 4, nan, nan)],
+               {3: "a" * 64, 4: "b" * 64}),
+        Report("cleansing", [CleansingRow("influence", "all", 6, -0.0, 1e-300, 1e-300, 3)],
+               {3: "c" * 64}),
+    ]
+    for report in reports:
+        write_report(report, tmp_path / "written")
+        write_report(read_report(tmp_path / "written", report.name), tmp_path / "again")
+    assert '"tau": NaN' in (tmp_path / "written" / "accuracy.json").read_text()
+    assert _files(tmp_path / "again") == _files(tmp_path / "written")
+
+
 def test_cli_accuracy_on_bundled_config(tmp_path, capsys):
     bundled = CONFIGS / "normal2d_desk.ini"
     code = cli_main(["accuracy", "--config", str(bundled), "--k", "1",
@@ -1109,6 +1165,18 @@ def test_cli_influence_refuses_a_json_out(mini_trace, tmp_path, capsys):
     ("cleanse", ("", ""), ["--n-harmful", "5,3,5"], "n_harmful repeats 5"),
     ("train", ("latent_dim = 3", "latent_dim = 3\ndata_dim = 2"), [],
      "'data_dim' in section [architecture]"),
+    ("train", ("n_train = 60", "n_train = 60\nnoise = nan"), [],
+     "[dataset] noise = 'nan' does not parse: not a finite number"),
+    ("train", ("l2_rate = 1e-3", "l2_rate = inf"), [],
+     "[architecture] l2_rate = 'inf' does not parse: not a finite number"),
+    ("train", ("lr_gen = 1e-3", "lr_gen = -inf"), [],
+     "[training] lr_gen = '-inf' does not parse: not a finite number"),
+    ("train", ("lr_disc = 1e-3", "lr_disc = nan"), [],
+     "[training] lr_disc = 'nan' does not parse: not a finite number"),
+    ("train", ("metrics = all", "metrics = all\nbandwidth = 1e400"), [],
+     "[evaluation] bandwidth = '1e400' does not parse: not a finite number"),
+    ("train", ("metrics = all", "metrics = all\nclassifier_lr = NaN"), [],
+     "[evaluation] classifier_lr = 'NaN' does not parse: not a finite number"),
 ], ids=["negative_n_harmful", "negative_n_harmful_flag", "no_permutations",
         "unknown_metric", "unknown_method", "empty_metrics", "empty_metrics_influence",
         "empty_methods", "empty_k_epochs", "empty_k_flag", "empty_n_harmful", "zero_n_seeds",
@@ -1119,7 +1187,9 @@ def test_cli_influence_refuses_a_json_out(mini_trace, tmp_path, capsys):
         "fid_on_idx_without_labels", "zero_n_reference", "zero_n_test",
         "one_fid_reference_row", "one_fid_test_row", "zero_classifier_batch",
         "zero_classifier_epochs", "repeated_metric", "repeated_method", "repeated_k_flag",
-        "repeated_n_harmful", "repeated_n_harmful_flag", "data_dim_key"])
+        "repeated_n_harmful", "repeated_n_harmful_flag", "data_dim_key", "nan_noise",
+        "infinite_l2_rate", "minus_infinite_lr_gen", "nan_lr_disc", "overflowing_bandwidth",
+        "nan_classifier_lr"])
 def test_cli_refuses_a_bad_config_before_training(tmp_path, capsys, monkeypatch,
                                                    command, edit, flags, message):
     def refuse(*args, **kwargs):

@@ -209,7 +209,7 @@ def test_sign_test_is_the_exact_binomial_tail():
 # -- harmful selection ----------------------------------------------------------------
 
 def make_table(scores):
-    return InfluenceTable(metric_name="all",
+    return InfluenceTable(metric="all",
                           scores={i: float(s) for i, s in enumerate(scores)},
                           k_epochs=1, query_fingerprint="x", trace_fingerprint="x")
 
@@ -271,7 +271,7 @@ def test_select_harmful_matches_the_sorted_order(tied, kind):
         if tied:
             scores = np.round(2.0 * scores) / 2.0   # many equal scores and zeros
         # Sparse keys, so the index tie-break differs from the position.
-        table = InfluenceTable(metric_name=kind,
+        table = InfluenceTable(metric=kind,
                                scores={3 * i + trial % 3: float(v) for i, v in enumerate(scores)},
                                k_epochs=1, query_fingerprint="x", trace_fingerprint="x")
         spec = MetricSpec(kind)

@@ -264,7 +264,7 @@ def test_targets_must_be_instance_indices(gan):
 
 @pytest.mark.parametrize("scores", [{}, {4: -0.5, 1: 2.0, 9: 0.25}])
 def test_table_arrays_are_sorted_by_index(scores):
-    table = InfluenceTable("all", scores, 1, "", "")
+    table = InfluenceTable("all", 1, "", "", scores)
     indices, values = table.as_arrays()
     assert indices.dtype == np.int64 and values.dtype == np.float64
     assert indices.tolist() == sorted(scores)

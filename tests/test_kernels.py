@@ -695,12 +695,25 @@ def test_permutation_orders_are_the_row_by_row_draws(monkeypatch, n):
 
 
 def test_permutation_test_of_an_all_tied_side_is_nan():
+    # A tau of NaN ranks nothing: its p-value is NaN, not the smallest the
+    # test can give, 1 / (n_permutations + 1).  The scipy loop agrees on
+    # the NaN tau and threshold.
     true = np.arange(10.0)
     got = permutation_test_tau(np.ones(10), true, 50, rng=np.random.default_rng(38))
     ref = loop_permutation_test_tau(np.ones(10), true, 50, rng=np.random.default_rng(38))
     assert np.isnan(got.observed) and np.isnan(ref.observed)
     assert np.isnan(got.threshold) and np.isnan(ref.threshold)
-    assert got.p_value == ref.p_value
+    assert np.isnan(got.p_value)
+
+
+@pytest.mark.parametrize("estimated, true", [
+    (np.arange(10.0), np.full(10, 3.0)),
+    (np.zeros(10), np.zeros(10)),
+], ids=["truths_tied", "both_tied"])
+def test_permutation_test_of_all_ties_is_nan_in_every_field(estimated, true):
+    result = permutation_test_tau(estimated, true, 200)
+    assert np.isnan([result.observed, result.threshold, result.p_value]).all()
+    assert result.n_permutations == 200
 
 
 # -- blocked KDE -------------------------------------------------------------------------
