@@ -37,6 +37,8 @@ class DatasetSpec:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.n_train < 1:
             raise ValueError("n_train must be positive")
+        if not 0 <= self.noise < math.inf:
+            raise ValueError("noise must be finite and non-negative")
 
 
 @dataclass

@@ -210,10 +210,11 @@ class SeedRun:
     context: MetricContext
     fingerprint: str
     _queries: dict = field(default_factory=dict, init=False, repr=False)
+    _final_readings: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def final_set(self) -> GeneratedSet:
-        """The final parameters' generated set, shared by every query and baseline."""
+        """The final parameters' generated set, shared by every query and final reading."""
         return generated_set(self.problem, self.trace.final_params, self.reference_latents,
                              self.context)
 
@@ -229,14 +230,23 @@ class SeedRun:
                                       self._queries[spec], targets=targets, k_epochs=k_epochs)
 
     def readings(self, specs, params: np.ndarray | None = None) -> dict[str, float]:
-        """Each metric's reading on the reference set, by kind, at ``params`` or
-        the final ones, all from one generated set."""
-        if params is None:
-            params, generated = self.trace.final_params, self.final_set
-        else:
-            generated = generated_set(self.problem, params, self.reference_latents, self.context)
-        return {spec.kind: metric_value(spec, self.problem, params, self.reference_latents,
-                                        self.context, generated) for spec in specs}
+        """Each metric's reading on the reference set, by kind, at ``params``, or
+        at the final parameters, where the run reads each metric once."""
+        if params is not None:
+            return _read_metrics(specs, self.problem, params, self.reference_latents, self.context)
+        for spec in set(specs) - self._final_readings.keys():
+            self._final_readings[spec] = metric_value(spec, self.problem, self.trace.final_params,
+                                                      self.reference_latents, self.context,
+                                                      self.final_set)
+        return {spec.kind: self._final_readings[spec] for spec in specs}
+
+
+def _read_metrics(specs, problem, params: np.ndarray, latents: np.ndarray,
+                 context: MetricContext) -> dict[str, float]:
+    """Each metric's reading at ``params``, by kind, all from one generated set."""
+    generated = generated_set(problem, params, latents, context)
+    return {spec.kind: metric_value(spec, problem, params, latents, context, generated)
+            for spec in specs}
 
 
 def seed_dataset(config: ExperimentConfig, seed: int
@@ -345,8 +355,7 @@ class AccuracyRow:
     threshold: float
 
 
-def estimates_and_truths(run: SeedRun, specs, targets, k_epochs: int | None,
-                         baselines: dict[str, float] | None = None
+def estimates_and_truths(run: SeedRun, specs, targets, k_epochs: int | None
                          ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Each metric's estimated influence of every target at depth
     ``k_epochs`` and its true metric delta, both aligned with ``targets``,
@@ -356,18 +365,16 @@ def estimates_and_truths(run: SeedRun, specs, targets, k_epochs: int | None,
     reading at the final parameters, both on the reference latents, which
     removes the Monte Carlo noise between them.  One replay per target
     serves every metric and one sweep per metric scores every target.
-    ``baselines`` holds the final readings, as from ``SeedRun.readings``;
-    without it they are read here.
+    The final readings are the run's, read once whatever the depth.
     """
     targets = [int(j) for j in targets]
-    if baselines is None:
-        baselines = run.readings(specs)
+    final = run.readings(specs)
     truths = {spec.kind: np.empty(len(targets)) for spec in specs}
     for position, target in enumerate(targets):
         after = run.readings(specs, counterfactual_retrain(run.problem, run.trace, run.dataset,
                                                            target, k_epochs).params)
         for spec in specs:
-            truths[spec.kind][position] = after[spec.kind] - baselines[spec.kind]
+            truths[spec.kind][position] = after[spec.kind] - final[spec.kind]
     compared = {}
     for spec in specs:
         scores = run.influence(spec, k_epochs, targets).scores
@@ -383,10 +390,8 @@ def run_estimation_accuracy(config: ExperimentConfig, seeds=None) -> Report:
     for seed in seeds:
         run = prepare_seed_run(config, seed)
         targets = draw_targets(config, seed, config.n_targets)
-        # Every depth's deltas are read against one baseline per metric.
-        baselines = run.readings(specs)
         for k in config.k_epochs:
-            compared = estimates_and_truths(run, specs, targets, k, baselines)
+            compared = estimates_and_truths(run, specs, targets, k)
             for spec in specs:
                 estimates, truths = compared[spec.kind]
                 perm = permutation_test_tau(estimates, truths,
@@ -429,7 +434,8 @@ def run_data_cleansing(config: ExperimentConfig, seeds=None) -> Report:
     expected loss, ``random`` draws uniformly.  The improvement column is
     ``harmful_sign * (after - before)``, so positive always means better.
     The final parameters and each distinct selection's replayed parameters
-    are generated once, and classified at most once, for all their readings.
+    are generated once, and classified at most once, and every configured
+    metric is read from that set at once.
     """
     seeds = list(seeds) if seeds is not None else list(
         range(config.training.seed, config.training.seed + config.n_seeds))
@@ -446,27 +452,24 @@ def run_data_cleansing(config: ExperimentConfig, seeds=None) -> Report:
         test_context = MetricContext(real_data=test_data, classifier=run.context.classifier)
         tables = {kind: run.influence(MetricSpec(kind, bandwidth=config.bandwidth), k_epochs=1)
                   for kind in sorted(ranked)}
-
-        def reader(params):
-            generated = generated_set(run.problem, params, test_latents, test_context)
-            return lambda spec: metric_value(spec, run.problem, params, test_latents,
-                                             test_context, generated)
-
-        before_reader = reader(run.trace.final_params)
-        # One reader per distinct selection: the random and disc_loss selections
-        # do not depend on the metric, so each is replayed and generated once.
+        finals = _read_metrics(specs, run.problem, run.trace.final_params, test_latents,
+                               test_context)
+        # Every metric's reading at each distinct selection: the random and disc_loss
+        # selections do not depend on the metric, so each is replayed and read once.
         replays = {}
         for spec in specs:
-            before = before_reader(spec)
+            before = finals[spec.kind]
             for n_harmful in config.n_harmful:
                 for method in config.methods:
                     selected = _select_for_method(config, method, spec, tables,
                                                   seed, n_harmful)
                     key = frozenset(np.asarray(selected).tolist())
                     if key not in replays:
-                        replays[key] = reader(counterfactual_retrain(
-                            run.problem, run.trace, run.dataset, selected, k_epochs=1).params)
-                    after = replays[key](spec)
+                        replayed = counterfactual_retrain(run.problem, run.trace, run.dataset,
+                                                          selected, k_epochs=1)
+                        replays[key] = _read_metrics(specs, run.problem, replayed.params,
+                                                     test_latents, test_context)
+                    after = replays[key][spec.kind]
                     report.rows.append(CleansingRow(
                         method=method, metric=spec.kind, n_harmful=n_harmful,
                         before=before, after=after,

@@ -20,19 +20,19 @@ its largest log kernel.
 The FID's reference side (the mean, covariance and covariance square root
 of the reference set's classifier features) is fitted once per frozen
 ``MetricContext`` and shared by every FID value and gradient read from it.
-A ``GeneratedSet``, made by ``generated_set`` alone, holds one generated
-sample set and the classifier's record of it: the readings and queries of
-every kind at one parameter vector share one generator pass and at most one
-classifier pass.
+A ``GeneratedSet``, made by ``generated_set`` alone, holds the generator's
+pass over one latent set, whose output is the samples, and the classifier's
+record of them: the readings and queries of every kind at one parameter
+vector share one generator pass and at most one classifier pass.
 
 Each metric's gradient with respect to the generated samples is analytic at
 the outer level; where samples pass through a network (classifier features
 or posteriors, or the discriminator for ``disc_loss``), the pullback to the
 inputs is the closed-form dense-stack backward pass, ``MlpLayout.backward``,
 the same pass that trains the classifier.  ``generator_pullback`` chains
-those sample gradients through the generator into every query's generator
-block.  The discriminator block is exactly zero, since real data never
-passes through the generator, except for ``disc_loss``'s.
+those sample gradients back through the set's generator pass into every
+query's generator block.  The discriminator block is exactly zero, since
+real data never passes through the generator, except for ``disc_loss``'s.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ class MetricSpec:
     def __post_init__(self):
         if self.kind not in METRIC_KINDS:
             raise ValueError(f"unknown metric kind {self.kind!r}")
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 < self.bandwidth < math.inf:
+            raise ValueError("bandwidth must be positive and finite")
 
     @property
     def harmful_sign(self) -> float:
@@ -355,6 +355,8 @@ class ClassifierSettings:
     def __post_init__(self):
         if not self.hidden:
             raise ValueError("classifier_hidden must not be empty")
+        if not 0 <= self.lr < math.inf:
+            raise ValueError("classifier_lr must be finite and non-negative")
         _check_feature_layer(self.feature_layer, len(self.hidden))
 
 
@@ -500,12 +502,14 @@ def load_classifier(directory) -> Classifier:
 # -- metric dispatch ------------------------------------------------------------
 
 class GeneratedSet:
-    """One generated sample set and the classifier's record of it, made at
-    most once: the FID reads the feature layer's activation, the inception
-    score the softmax of the output, and both queries pull back on it."""
+    """The generator's pass over one latent set, whose output is the samples,
+    and the classifier's record of them, made at most once: the FID reads the
+    feature layer's activation, the inception score the softmax of the output,
+    and both queries pull back on it, then through the generator's pass."""
 
-    def __init__(self, samples: np.ndarray, classifier: "Classifier | None"):
-        self.samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+    def __init__(self, generator_pass: DenseRecord, classifier: "Classifier | None"):
+        self.generator_pass = generator_pass
+        self.samples = generator_pass.output
         self.classifier = classifier
 
     @cached_property
@@ -545,7 +549,7 @@ def metric_gradient_wrt_generated(spec: MetricSpec, generated: GeneratedSet,
 
 def generated_set(problem, params: np.ndarray, eval_latents: np.ndarray,
                   context: MetricContext) -> GeneratedSet:
-    """The samples generated at ``params`` from ``eval_latents``, on the
+    """The generator's pass at ``params`` over ``eval_latents``, on the
     context's classifier: the one place a reading or a query generates."""
     return GeneratedSet(problem.generator_forward(params, eval_latents), context.classifier)
 
@@ -569,14 +573,15 @@ def metric_value(spec: MetricSpec, problem, params: np.ndarray,
 
 # -- query vectors ----------------------------------------------------------------
 
-def generator_pullback(problem, params: np.ndarray, latents: np.ndarray,
-                       sample_grads: np.ndarray, label: str = "") -> QueryVector:
-    """Chain per-sample gradients through the generator into parameter space.
+def generator_pullback(problem, generated: GeneratedSet, sample_grads: np.ndarray,
+                       label: str = "") -> QueryVector:
+    """Chain per-sample gradients back through the generator pass of
+    ``generated`` into parameter space.
 
     The discriminator block of the result is exactly zero: the generated
     samples depend only on generator parameters.
     """
-    return QueryVector(problem.generator_vjp(params, latents, sample_grads),
+    return QueryVector(problem.generator_vjp(generated.generator_pass, sample_grads),
                        problem.dim_gen, label=label)
 
 
@@ -590,7 +595,7 @@ def build_query_vector(spec: MetricSpec, problem, params: np.ndarray,
     discriminator block is zero except for ``disc_loss``, the expected
     loss's gradient over it.  ``generated`` is as for ``metric_value``.
     """
-    params = np.asarray(params, dtype=np.float64)
+    params = _checked(np.asarray(params, dtype=np.float64), "parameters")
     if generated is None:
         generated = generated_set(problem, params, eval_latents, context)
     disc_block = 0.0
@@ -599,6 +604,6 @@ def build_query_vector(spec: MetricSpec, problem, params: np.ndarray,
             params, generated.samples, context.real_data)
     else:
         sample_grads = metric_gradient_wrt_generated(spec, generated, context)
-    query = generator_pullback(problem, params, eval_latents, sample_grads, label=spec.kind)
+    query = generator_pullback(problem, generated, sample_grads, label=spec.kind)
     query.data[problem.dim_gen:] = disc_block
     return query

@@ -22,12 +22,14 @@ kernels, serve training, counterfactual replay and influence inference:
   normalizer.  The module-level ``data_term_scores`` reads a query's scores
   off it.
 
-The metrics use three more: ``generator_vjp`` pulls per-sample gradients
-back through the generator, and ``expected_disc_loss`` with
-``expected_disc_loss_gradient`` read the ``disc_loss`` value, and its
-discriminator block and samples' adjoint, off samples the caller made with
-``generator_forward``.  The discriminator's probabilities exist only inside
-the kernels and the ``disc_loss`` gradient, as ``_logistic`` of the logits.
+The metrics use four more.  ``generator_forward`` returns the generator's
+pass over a latent set, a ``DenseRecord`` whose output is the samples, and
+``generator_vjp`` pulls per-sample gradients back through it by the backward
+pass alone.  ``expected_disc_loss`` and ``expected_disc_loss_gradient`` read
+the ``disc_loss`` value, and its discriminator block and samples' adjoint,
+off those samples and the data rows in one discriminator pass each.  The
+discriminator's probabilities exist only inside the kernels and the
+``disc_loss`` gradient, as ``_logistic`` of the logits.
 
 ``FcGan`` computes all of these in closed form with NumPy.  Each gradient
 kernel runs one forward pass, and the product is Pearlmutter's
@@ -223,8 +225,8 @@ class GanArchitecture:
     def __post_init__(self):
         if min(self.latent_dim, self.data_dim, self.hidden_gen, self.hidden_disc) <= 0:
             raise ValueError("all architecture dimensions must be positive")
-        if self.l2_rate < 0:
-            raise ValueError("l2_rate must be non-negative")
+        if not 0 <= self.l2_rate < math.inf:
+            raise ValueError("l2_rate must be finite and non-negative")
         if self.objective not in ("nonsaturating", "minimax"):
             raise ValueError(f"unknown objective {self.objective!r}")
 
@@ -268,27 +270,16 @@ class FcGan:
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return np.concatenate([self.gen_net.init_params(rng), self.disc_net.init_params(rng)])
 
-    def split(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return flat[:self.dim_gen], flat[self.dim_gen:]
-
     # -- numpy forward passes ------------------------------------------
 
-    def generator_forward(self, params: np.ndarray, latents: np.ndarray) -> np.ndarray:
-        """The samples generated from ``latents``; ``NonFiniteError`` when the
-        generator's parameters hold a NaN or infinity."""
+    def generator_forward(self, params: np.ndarray, latents: np.ndarray) -> DenseRecord:
+        """The generator's pass over ``latents``, whose output is the samples;
+        ``NonFiniteError`` when the generator's parameters hold a NaN or infinity."""
         gen_params = _checked(np.asarray(params, dtype=np.float64)[:self.dim_gen], "parameters")
-        latents = np.atleast_2d(np.asarray(latents, dtype=np.float64))
-        if latents.shape[1] != self.latent_dim:
-            raise ValueError(f"latent dimension mismatch: {latents.shape[1]} != {self.latent_dim}")
+        latents = _rows_of(latents, self.latent_dim, "latents")
         if not np.all(np.isfinite(latents)):
             raise ValueError("latents must be finite")
-        return self.gen_net.forward(self.gen_net.unpack(gen_params), latents).output
-
-    def discriminator_logits(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != self.data_dim:
-            raise ValueError(f"data dimension mismatch: {x.shape[1]} != {self.data_dim}")
-        return self.disc_net.forward(self.disc_net.unpack(params[self.dim_gen:]), x).output[:, 0]
+        return self.gen_net.forward(self.gen_net.unpack(gen_params), latents)
 
     # -- closed-form gradient kernels ---------------------------------------
     #
@@ -433,49 +424,46 @@ class FcGan:
 
     # -- closed-form metric queries ------------------------------------------
 
-    def generator_vjp(self, params: np.ndarray, latents: np.ndarray,
-                      sample_grads: np.ndarray) -> np.ndarray:
-        """Gradient of ``<sample_grads, generator_forward(params, latents)>``
-        over all parameters; the discriminator block is exactly zero."""
-        params = _checked(np.asarray(params, dtype=np.float64), "parameters")
-        net = self.gen_net
+    def generator_vjp(self, record: DenseRecord, sample_grads: np.ndarray) -> np.ndarray:
+        """Gradient of ``<sample_grads, record.output>`` by the backward pass of
+        ``record``, a ``generator_forward``; its discriminator block is zero."""
         grad = np.zeros(self.dim_params)
-        net.backward(net.forward(net.unpack(params), latents), sample_grads, net.unpack(grad))
+        self.gen_net.backward(record, sample_grads, self.gen_net.unpack(grad))
         return _checked(grad, "generator_vjp")
 
     def expected_disc_loss(self, params: np.ndarray, generated: np.ndarray,
                            rows: np.ndarray) -> float:
         """Mean discriminator loss on the ``generated`` samples, softplus of
         their logits, plus its mean on ``rows``, softplus of minus theirs."""
-        params = _checked(np.asarray(params, dtype=np.float64), "parameters")
-        fake_logits = self.discriminator_logits(params, generated)
-        real_logits = self.discriminator_logits(params, rows)
-        value = _softplus(fake_logits).mean() + _softplus(-real_logits).mean()
+        logits = self._disc_pass(params, generated, rows).output[:, 0]
+        n = len(generated)
+        value = _softplus(logits[:n]).mean() + _softplus(-logits[n:]).mean()
         return float(_checked(value, "expected_disc_loss"))
 
     def expected_disc_loss_gradient(self, params: np.ndarray, generated: np.ndarray,
                                     rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gradient of ``expected_disc_loss`` over the discriminator block,
         and the adjoint of the ``generated`` samples, for the caller to pull
-        back through the generator.
-
-        One discriminator pullback over the generated and data rows together.
-        """
-        params = _checked(np.asarray(params, dtype=np.float64), "parameters")
-        disc = self.disc_net
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        record = disc.forward(disc.unpack(params[self.dim_gen:]),
-                              np.concatenate([generated, rows]))
-        n = len(generated)
+        back through the generator."""
+        record = self._disc_pass(params, generated, rows)
+        n, m = len(generated), len(record.output) - len(generated)
         # Logit derivatives of the means: p / n on the generated samples
         # and (p - 1) / m on the m rows.
         logit_adj = _logistic(record.output)
         logit_adj[:n] /= n
         logit_adj[n:] -= 1.0
-        logit_adj[n:] /= len(rows)
+        logit_adj[n:] /= m
+        disc = self.disc_net
         grad = np.empty(self.dim_disc)
         input_adj = disc.backward(record, logit_adj, disc.unpack(grad), input_adjoint=True)
         return _checked(grad, "expected_disc_loss_gradient"), input_adj[:n]
+
+    def _disc_pass(self, params: np.ndarray, generated: np.ndarray,
+                   rows: np.ndarray) -> DenseRecord:
+        """The discriminator's pass over the ``generated`` samples, then ``rows``."""
+        params = _checked(np.asarray(params, dtype=np.float64), "parameters")
+        inputs = np.concatenate([generated, np.atleast_2d(np.asarray(rows, dtype=np.float64))])
+        return self.disc_net.forward(self.disc_net.unpack(params[self.dim_gen:]), inputs)
 
     def _layers(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
         """The four layers of a coupled vector as augmented views [W; b],

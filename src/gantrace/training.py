@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import types
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -53,8 +54,8 @@ class TrainingSettings:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
-        if self.lr_gen < 0 or self.lr_disc < 0:
-            raise ValueError("learning rates must be non-negative")
+        if not (0 <= self.lr_gen < math.inf and 0 <= self.lr_disc < math.inf):
+            raise ValueError("learning rates must be finite and non-negative")
         if self.mode not in ("simultaneous", "alternating"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.first_update not in ("generator", "discriminator"):

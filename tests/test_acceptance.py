@@ -127,7 +127,7 @@ def test_criterion_03_query_vector_correctness(desk_run):
     assert np.array_equal(query.data[gan.dim_gen:], np.zeros(gan.dim_disc))
 
     def value(params):
-        generated = gan.generator_forward(params, desk_run.reference_latents)
+        generated = gan.generator_forward(params, desk_run.reference_latents).output
         return average_log_likelihood(desk_run.context.real_data, generated, 1.0)
 
     rng = np.random.default_rng(42)

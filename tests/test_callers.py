@@ -134,12 +134,26 @@ def test_samples_are_generated_in_one_place():
 
 def test_queries_pull_back_through_the_generator_in_one_place():
     # Every query's generator block, ``disc_loss``'s too, comes from
-    # ``generator_pullback``, and the generator network runs only in the
-    # forward pass and its VJP (the gradient kernels read the layers off
-    # the flat vector); a second chain through the generator fails here.
+    # ``generator_pullback``, and the generator network is read only by its
+    # forward pass and the VJP's backward through it (the gradient kernels
+    # read the layers off the flat vector); a second chain through the
+    # generator fails here.
     assert readers("generator_vjp", PACKAGE) == {"metrics.generator_pullback"}
     assert readers("gen_net", PACKAGE) - {"models.FcGan.__init__", "models.FcGan.init_params"} \
         == {"models.FcGan.generator_forward", "models.FcGan.generator_vjp"}
+
+
+def test_each_network_runs_forward_in_one_place():
+    # A dense stack runs forward only in the generator's pass, the
+    # discriminator's one ``disc_loss`` pass and the classifier's record and
+    # trainer, and the discriminator network is read only by that pass and
+    # the ``disc_loss`` gradient's backward through it; a reading or query
+    # that runs a network a second time fails here.
+    assert readers("forward", PACKAGE) == {
+        "models.FcGan.generator_forward", "models.FcGan._disc_pass",
+        "metrics.Classifier.record", "metrics.train_classifier"}
+    assert readers("disc_net", PACKAGE) - {"models.FcGan.__init__", "models.FcGan.init_params"} \
+        == {"models.FcGan._disc_pass", "models.FcGan.expected_disc_loss_gradient"}
 
 
 @pytest.mark.parametrize("name", ["CLASSIFIER_DIR", "save_trace", "save_classifier",

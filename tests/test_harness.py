@@ -484,6 +484,34 @@ def test_dataset_spec_validation():
         DatasetSpec(n_train=0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: TrainingSettings(lr_disc=NAN), "learning rates"),
+    (lambda: TrainingSettings(lr_gen=INF), "learning rates"),
+    (lambda: TrainingSettings(lr_gen=-1e-3), "learning rates"),
+    (lambda: MetricSpec("all", bandwidth=INF), "bandwidth"),
+    (lambda: MetricSpec("all", bandwidth=NAN), "bandwidth"),
+    (lambda: MetricSpec("all", bandwidth=0.0), "bandwidth"),
+    (lambda: ClassifierSettings(lr=INF), "classifier_lr"),
+    (lambda: ClassifierSettings(lr=NAN), "classifier_lr"),
+    (lambda: GanArchitecture(data_dim=2, l2_rate=NAN), "l2_rate"),
+    (lambda: GanArchitecture(data_dim=2, l2_rate=-INF), "l2_rate"),
+    (lambda: DatasetSpec(noise=NAN), "noise"),
+    (lambda: DatasetSpec(noise=INF), "noise"),
+    (lambda: DatasetSpec(noise=-1.0), "noise"),
+], ids=["nan_lr_disc", "infinite_lr_gen", "negative_lr_gen", "infinite_bandwidth",
+        "nan_bandwidth", "zero_bandwidth", "infinite_classifier_lr", "nan_classifier_lr",
+        "nan_l2_rate", "minus_infinite_l2_rate", "nan_noise", "infinite_noise",
+        "negative_noise"])
+def test_settings_refuse_non_finite_and_out_of_range_floats(make, message):
+    # A library caller builds the settings without a config file, so the
+    # bounds themselves, not only ``config._finite``, must refuse NaN.
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_resize_matches_scipy_zoom_with_edge_clamping():
     """The corner-aligned grid of ``ndimage.zoom(order=1)``; ``mode="nearest"``
     because the default zero fill blanks the last row and column wherever

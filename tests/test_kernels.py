@@ -47,13 +47,13 @@ from gantrace.influence import propagate_query
 from gantrace.metrics import (
     _KDE_BLOCK_ENTRIES,
     ClassifierSettings,
-    GeneratedSet,
     MetricContext,
     MetricSpec,
     _all_gradient,
     _kde_blocks,
     average_log_likelihood,
     build_query_vector,
+    generated_set,
     generator_pullback,
     metric_gradient_wrt_generated,
     metric_value,
@@ -74,9 +74,11 @@ from toys import (
     bilinear_game,
     dense_all_gradient,
     dense_average_log_likelihood,
+    disc_logits,
     fid,
     loop_permutation_test_tau,
     mlp_graph,
+    sample_set,
     tape_input_pullback,
     tape_mlp_vjp,
     tape_train_classifier,
@@ -561,12 +563,15 @@ def test_metric_queries_match_tape(scenario):
     sample_grads = rng.standard_normal((n_latents, DATA))
     context = MetricContext(real_data=rows)
 
-    pulled = generator_pullback(gan, params, latents, sample_grads)
-    assert_matches(pulled.data, tape.generator_vjp(params, latents, sample_grads))
+    generated = generated_set(gan, params, latents, context)
+    pulled = generator_pullback(gan, generated, sample_grads)
+    assert_matches(pulled.data, tape.generator_vjp_from_latents(params, latents, sample_grads))
     query = build_query_vector(MetricSpec("disc_loss"), gan, params, latents, context)
-    assert_matches(query.data, tape.expected_disc_loss_gradient(params, latents, rows))
-    value = gan.expected_disc_loss(params, gan.generator_forward(params, latents), rows)
-    assert abs(value - tape.expected_disc_loss(params, latents, rows)) <= 1e-12 * abs(value)
+    assert_matches(query.data,
+                   tape.expected_disc_loss_gradient_from_latents(params, latents, rows))
+    value = gan.expected_disc_loss(params, generated.samples, rows)
+    assert abs(value - tape.expected_disc_loss_from_latents(params, latents, rows)) \
+        <= 1e-12 * abs(value)
     if edit is saturated:
         # D == 1.0 on every input: each generated sample's logit derivative
         # is p / n = 1 / n and each row's (p - 1) / m is 0, so the output
@@ -587,12 +592,12 @@ def test_disc_loss_gradient_matches_finite_differences_when_saturated(output_bia
     params[-1] = output_bias
     latents = rng.standard_normal((5, LATENT))
     rows = rng.standard_normal((6, DATA))
-    assert _logistic(gan.discriminator_logits(params, rows)).min() > 1.0 - 1e-7
+    assert _logistic(disc_logits(gan, params, rows)).min() > 1.0 - 1e-7
     h = 1e-5
     numeric = np.empty(gan.dim_params)
 
     def value(p):
-        return gan.expected_disc_loss(p, gan.generator_forward(p, latents), rows)
+        return gan.expected_disc_loss(p, gan.generator_forward(p, latents).output, rows)
 
     for i in range(gan.dim_params):
         step = np.zeros(gan.dim_params)
@@ -617,7 +622,8 @@ def test_softplus_loss_is_finite_without_warnings_at_huge_logits():
         with warnings.catch_warnings(), np.errstate(over="raise", divide="raise",
                                                     invalid="raise"):
             warnings.simplefilter("error")
-            value = gan.expected_disc_loss(params, gan.generator_forward(params, latents), rows)
+            value = gan.expected_disc_loss(params, gan.generator_forward(params, latents).output,
+                                           rows)
             grad = build_query_vector(MetricSpec("disc_loss"), gan, params, latents,
                                       MetricContext(real_data=rows)).data
         # Each generated sample's loss is softplus(x) and each row's
@@ -639,7 +645,7 @@ def test_metric_queries_refuse_non_finite_parameters(bad, position):
     latents = rng.standard_normal((4, LATENT))
     rows = rng.standard_normal((4, DATA))
     with pytest.raises(NonFiniteError):
-        generator_pullback(gan, params, latents, rng.standard_normal((4, DATA)))
+        build_query_vector(MetricSpec("all"), gan, params, latents, MetricContext(real_data=rows))
     with pytest.raises(NonFiniteError):
         build_query_vector(MetricSpec("disc_loss"), gan, params, latents,
                            MetricContext(real_data=rows))
@@ -659,7 +665,7 @@ def test_classifier_pullback_refuses_non_finite_parameters(bad):
         clf.input_pullback(clf.record(x), np.ones((3, clf.n_classes)), "logits")
     for kind in ("is", "fid"):
         with pytest.raises(NonFiniteError):
-            metric_gradient_wrt_generated(MetricSpec(kind), GeneratedSet(x, clf),
+            metric_gradient_wrt_generated(MetricSpec(kind), sample_set(x, clf),
                                           MetricContext(real_data=x, classifier=clf))
 
 
@@ -960,13 +966,13 @@ def test_all_metric_value_and_query_match_dense():
     rows = rng.standard_normal((300, DATA))
     context = MetricContext(real_data=rows)
     spec = MetricSpec("all", bandwidth=0.7)
-    generated = gan.generator_forward(params, latents)
+    generated = generated_set(gan, params, latents, context)
 
     value = metric_value(spec, gan, params, latents, context)
-    ref_value = dense_average_log_likelihood(rows, generated, 0.7)
+    ref_value = dense_average_log_likelihood(rows, generated.samples, 0.7)
     assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
     query = build_query_vector(spec, gan, params, latents, context)
-    ref = generator_pullback(gan, params, latents, dense_all_gradient(rows, generated, 0.7))
+    ref = generator_pullback(gan, generated, dense_all_gradient(rows, generated.samples, 0.7))
     assert np.max(np.abs(query.data - ref.data)) <= 1e-12 * np.max(np.abs(ref.data))
     assert not query.data[gan.dim_gen:].any()
 
@@ -1051,12 +1057,12 @@ def test_fid_value_and_query_match_the_uncached_forms(tiny_digits_run):
     problem, run = tiny_digits_run
     clf, real = run.context.classifier, run.context.real_data
     params, latents = run.trace.final_params, run.reference_latents
-    generated = problem.generator_forward(params, latents)
+    generated = generated_set(problem, params, latents, run.context)
     value = metric_value(MetricSpec("fid"), problem, params, latents, run.context)
-    assert value == fid(clf.features(real), clf.features(generated))
+    assert value == fid(clf.features(real), clf.features(generated.samples))
     query = build_query_vector(MetricSpec("fid"), problem, params, latents, run.context)
-    ref = generator_pullback(problem, params, latents,
-                             uncached_fid_gradient(generated, clf, real))
+    ref = generator_pullback(problem, generated,
+                             uncached_fid_gradient(generated.samples, clf, real))
     assert np.array_equal(query.data, ref.data)
 
 

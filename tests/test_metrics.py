@@ -19,7 +19,7 @@ from gantrace.metrics import (
     train_classifier,
 )
 from gantrace.models import FcGan, GanArchitecture
-from toys import fid, inception_score, kink_safe_params
+from toys import fid, inception_score, kink_safe_params, sample_set
 
 GAUSS_CONST = -0.5 * np.log(2.0 * np.pi)  # log N(0; 0, 1) in one dimension
 
@@ -94,7 +94,7 @@ def test_all_gradient_rejects_empty_sets():
     for real, generated in [(np.zeros((0, 2)), np.zeros((3, 2))),
                             (np.zeros((3, 2)), np.zeros((0, 2)))]:
         with pytest.raises(ValueError, match="non-empty"):
-            metric_gradient_wrt_generated(MetricSpec("all"), GeneratedSet(generated, None),
+            metric_gradient_wrt_generated(MetricSpec("all"), sample_set(generated),
                                           MetricContext(real_data=real))
 
 
@@ -102,7 +102,7 @@ def test_all_gradient_negligible_for_far_generated_point():
     rng = np.random.default_rng(1)
     real = rng.standard_normal((6, 2)) * 0.3
     generated = np.vstack([rng.standard_normal((3, 2)) * 0.3, [[80.0, 80.0]]])
-    grads = metric_gradient_wrt_generated(MetricSpec("all"), GeneratedSet(generated, None),
+    grads = metric_gradient_wrt_generated(MetricSpec("all"), sample_set(generated),
                                           MetricContext(real_data=real))
     assert np.linalg.norm(grads[-1]) <= 1e-6
 
@@ -112,7 +112,7 @@ def test_all_gradient_matches_finite_differences():
     real = rng.standard_normal((5, 2))
     generated = rng.standard_normal((4, 2))
     spec = MetricSpec("all", bandwidth=0.8)
-    grads = metric_gradient_wrt_generated(spec, GeneratedSet(generated, None),
+    grads = metric_gradient_wrt_generated(spec, sample_set(generated),
                                           MetricContext(real_data=real))
     eps = 1e-6
     fd = np.zeros_like(generated)
@@ -163,7 +163,7 @@ def test_is_gradient_zero_for_constant_head():
     clf = Classifier(layout_clf.layout, np.zeros_like(layout_clf.params),
                      layout_clf.n_classes, layout_clf.feature_layer)
     generated = np.random.default_rng(5).standard_normal((6, 3))
-    grads = metric_gradient_wrt_generated(MetricSpec("is"), GeneratedSet(generated, clf),
+    grads = metric_gradient_wrt_generated(MetricSpec("is"), sample_set(generated, clf),
                                           MetricContext(classifier=clf))
     assert np.array_equal(grads, np.zeros_like(generated))
 
@@ -175,7 +175,7 @@ def test_is_gradient_matches_finite_differences():
     clf = train_classifier(data, labels, ClassifierSettings(hidden=(6, 5), epochs=10), seed=1)
     generated = rng.standard_normal((5, 3))
     context = MetricContext(classifier=clf)
-    grads = metric_gradient_wrt_generated(MetricSpec("is"), GeneratedSet(generated, clf), context)
+    grads = metric_gradient_wrt_generated(MetricSpec("is"), sample_set(generated, clf), context)
     eps = 1e-6
     fd = np.zeros_like(generated)
     for m in range(generated.shape[0]):
@@ -241,7 +241,7 @@ def test_fid_gradient_matches_finite_differences():
         pytest.skip("no well-conditioned feature sets found")
     context = MetricContext(real_data=real, classifier=clf)
     spec = MetricSpec("fid")
-    grads = metric_gradient_wrt_generated(spec, GeneratedSet(generated, clf), context)
+    grads = metric_gradient_wrt_generated(spec, sample_set(generated, clf), context)
 
     def value(points):
         return fid(clf.features(real), clf.features(points))
@@ -267,7 +267,7 @@ def test_fid_gradient_at_identical_sets_is_tiny():
     clf = train_classifier(data, labels, ClassifierSettings(hidden=(6, 4), epochs=8), seed=3)
     points = rng.standard_normal((15, 3))
     context = MetricContext(real_data=points, classifier=clf)
-    grads = metric_gradient_wrt_generated(MetricSpec("fid"), GeneratedSet(points, clf), context)
+    grads = metric_gradient_wrt_generated(MetricSpec("fid"), sample_set(points, clf), context)
     # The distance is minimized here, so both the analytic gradient and
     # finite differences sit at numerical noise.
     assert np.linalg.norm(grads) <= 1e-6
@@ -290,7 +290,7 @@ def test_untrained_classifier_posteriors_near_uniform():
     data = rng.standard_normal((30, 4))
     labels = rng.integers(0, 3, size=30)
     clf = train_classifier(data, labels, ClassifierSettings(hidden=(8, 6), epochs=0), seed=5)
-    posteriors = GeneratedSet(data, clf).posteriors
+    posteriors = sample_set(data, clf).posteriors
     # Initialization-scale logits: no confident class, small mean deviation
     # from the uniform distribution.
     assert posteriors.max() < 0.9
@@ -366,7 +366,8 @@ def test_constant_metric_gives_zero_query(gan):
     rng = np.random.default_rng(20)
     params = gan.init_params(rng)
     latents = rng.standard_normal((8, 3))
-    query = generator_pullback(gan, params, latents, np.zeros((8, 2)))
+    generated = GeneratedSet(gan.generator_forward(params, latents), None)
+    query = generator_pullback(gan, generated, np.zeros((8, 2)))
     assert np.array_equal(query.data, np.zeros(gan.dim_params))
 
 
@@ -375,8 +376,9 @@ def test_query_scales_linearly_with_metric(gan):
     params = gan.init_params(rng)
     latents = rng.standard_normal((8, 3))
     grads = rng.standard_normal((8, 2))
-    base = generator_pullback(gan, params, latents, grads)
-    scaled = generator_pullback(gan, params, latents, 3.5 * grads)
+    generated = GeneratedSet(gan.generator_forward(params, latents), None)
+    base = generator_pullback(gan, generated, grads)
+    scaled = generator_pullback(gan, generated, 3.5 * grads)
     assert np.allclose(scaled.data, 3.5 * base.data, rtol=1e-12)
 
 
@@ -390,7 +392,7 @@ def test_all_query_matches_finite_differences_in_parameters(gan):
     query = build_query_vector(spec, gan, params, latents, context)
 
     def value(p):
-        return average_log_likelihood(real, gan.generator_forward(p, latents), 1.0)
+        return average_log_likelihood(real, gan.generator_forward(p, latents).output, 1.0)
 
     eps = 1e-5
     coords = rng.choice(gan.dim_gen, size=8, replace=False)
@@ -412,7 +414,7 @@ def test_disc_loss_query_matches_finite_differences(gan):
     assert np.any(query.data[:gan.dim_gen] != 0) and np.any(query.data[gan.dim_gen:] != 0)
 
     def value(p):
-        return gan.expected_disc_loss(p, gan.generator_forward(p, latents), real)
+        return gan.expected_disc_loss(p, gan.generator_forward(p, latents).output, real)
 
     eps = 1e-5
     coords = rng.choice(gan.dim_params, size=10, replace=False)
@@ -430,10 +432,11 @@ def test_metric_value_dispatch(gan):
     latents = rng.standard_normal((25, 3))
     real = rng.standard_normal((25, 2))
     context = MetricContext(real_data=real)
-    direct = average_log_likelihood(real, gan.generator_forward(params, latents), 1.0)
+    samples = gan.generator_forward(params, latents).output
+    direct = average_log_likelihood(real, samples, 1.0)
     assert metric_value(MetricSpec("all"), gan, params, latents, context) == direct
     assert metric_value(MetricSpec("disc_loss"), gan, params, latents, context) == \
-        gan.expected_disc_loss(params, gan.generator_forward(params, latents), real)
+        gan.expected_disc_loss(params, samples, real)
 
 
 def test_harmful_sign_convention():

@@ -209,6 +209,8 @@ def test_estimates_and_truths_generate_once_per_parameter_vector(gan, trained, m
         return counted
 
     monkeypatch.setattr(gan, "generator_forward", counting("forward", gan.generator_forward))
+    monkeypatch.setattr(gan.gen_net, "forward", counting("generator", gan.gen_net.forward))
+    monkeypatch.setattr(gan.disc_net, "forward", counting("discriminator", gan.disc_net.forward))
     monkeypatch.setattr(context.classifier, "record",
                         counting("classifier", context.classifier.record))
     monkeypatch.setattr(gantrace.experiments, "build_query_vector",
@@ -217,15 +219,19 @@ def test_estimates_and_truths_generate_once_per_parameter_vector(gan, trained, m
     # One query per metric, and one generated set and classifier pass for
     # the final parameters, which every query and baseline shares, and for
     # each replay, whatever the number of metrics; disc_loss reads the same
-    # sets.
-    assert calls == {"query": len(specs), "forward": len(targets) + 1,
-                     "classifier": len(targets) + 1}
+    # sets.  Each set runs the generator network once, since a query pulls
+    # back through its pass, and disc_loss runs the discriminator once per
+    # reading and once for its query.
+    per_vector = len(targets) + 1
+    assert calls == {"query": len(specs), "forward": per_vector, "generator": per_vector,
+                     "discriminator": per_vector + 1, "classifier": per_vector}
     # A disc_loss run alone makes one set per parameter vector too, and
     # runs no classifier over them.
     calls.clear()
     disc_run = seed_run(gan, trained, latents, context)
     estimates_and_truths(disc_run, [MetricSpec("disc_loss")], targets, 1)
-    assert calls == {"query": 1, "forward": len(targets) + 1}
+    assert calls == {"query": 1, "forward": per_vector, "generator": per_vector,
+                     "discriminator": per_vector + 1}
     monkeypatch.undo()
     for spec in specs:
         for position, target in enumerate(targets):

@@ -17,7 +17,7 @@ from gantrace.training import (
     step_records,
     trace_checksum,
 )
-from toys import QuadraticGameProblem, bilinear_game
+from toys import QuadraticGameProblem, bilinear_game, disc_logits
 
 
 @pytest.fixture
@@ -195,8 +195,8 @@ def test_latent_regeneration_is_bit_exact():
 def test_discriminator_output_drifts_into_unit_interval(gan, data):
     settings = TrainingSettings(epochs=3, batch_size=10, lr_gen=1e-2, lr_disc=1e-2, seed=11)
     trace = run_training(gan, data, settings)
-    start = _logistic(gan.discriminator_logits(trace.records[0].params, data)).mean()
-    end = _logistic(gan.discriminator_logits(trace.final_params, data)).mean()
+    start = _logistic(disc_logits(gan, trace.records[0].params, data)).mean()
+    end = _logistic(disc_logits(gan, trace.final_params, data)).mean()
     assert 0.0 < end < 1.0
     assert end != start
     rerun = run_training(gan, data, settings)

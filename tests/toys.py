@@ -49,7 +49,7 @@ from gantrace.metrics import (
     inception_score_from_posteriors,
     metric_value,
 )
-from gantrace.models import FcGan, MlpLayout, joint_gradient
+from gantrace.models import DenseRecord, FcGan, MlpLayout, joint_gradient
 from gantrace.training import (
     DivergenceError,
     StepRecord,
@@ -163,7 +163,10 @@ class TapeGradients:
         (per_row,) = backward(inner, [weights])
         return per_row.data.copy()
 
-    def generator_vjp(self, params, latents, sample_grads):
+    # The metric queries on the tape take latents where ``FcGan``'s take a
+    # generator pass or its samples, so they keep names of their own.
+
+    def generator_vjp_from_latents(self, params, latents, sample_grads):
         theta = Tensor(np.asarray(params, dtype=np.float64))
         samples = self.generator_graph(theta, latents)
         inner = (constant(np.asarray(sample_grads, dtype=np.float64)) * samples).sum()
@@ -174,11 +177,11 @@ class TapeGradients:
         return self.disc_fake_terms_graph(theta, latents).mean() \
             + self.disc_real_terms_graph(theta, rows).mean()
 
-    def expected_disc_loss(self, params, latents, rows):
+    def expected_disc_loss_from_latents(self, params, latents, rows):
         theta = Tensor(np.asarray(params, dtype=np.float64))
         return float(self._expected_disc_loss_graph(theta, latents, rows).data)
 
-    def expected_disc_loss_gradient(self, params, latents, rows):
+    def expected_disc_loss_gradient_from_latents(self, params, latents, rows):
         theta = Tensor(np.asarray(params, dtype=np.float64))
         (grad,) = backward(self._expected_disc_loss_graph(theta, latents, rows), [theta])
         return grad.data.copy()
@@ -473,9 +476,22 @@ def fid(real_feats, gen_feats):
     return _fid_from_fit(_fit_features(real_feats), gen_feats)
 
 
+def sample_set(points, classifier=None):
+    """A ``GeneratedSet`` of given points: the pass of an empty stack, whose
+    output is its input."""
+    return GeneratedSet(DenseRecord((), [np.atleast_2d(np.asarray(points, dtype=np.float64))]),
+                        classifier)
+
+
+def disc_logits(gan, params, x):
+    """The discriminator's logits on the rows of ``x``, one pass."""
+    net = gan.disc_net
+    return net.forward(net.unpack(params[gan.dim_gen:]), np.atleast_2d(x)).output[:, 0]
+
+
 def inception_score(generated, classifier):
     """Inception score of a sample set, read as a ``GeneratedSet`` reads it."""
-    return inception_score_from_posteriors(GeneratedSet(generated, classifier).posteriors)
+    return inception_score_from_posteriors(sample_set(generated, classifier).posteriors)
 
 
 def uncached_fid_gradient(generated, classifier, real_data):
@@ -650,7 +666,7 @@ def min_abs_preactivation(gan, params, latents, rows):
     """
     gen_kernel, gen_bias = gan.gen_net.unpack(params[:gan.dim_gen])[0]
     gen_pre = np.atleast_2d(latents) @ gen_kernel + gen_bias
-    generated = gan.generator_forward(params, latents)
+    generated = gan.generator_forward(params, latents).output
     disc_kernel, disc_bias = gan.disc_net.unpack(params[gan.dim_gen:])[0]
     disc_inputs = np.vstack([generated, np.atleast_2d(rows)]) if len(rows) else generated
     disc_pre = disc_inputs @ disc_kernel + disc_bias
