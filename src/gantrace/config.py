@@ -67,8 +67,8 @@ class ExperimentConfig:
             repeated = [entry for i, entry in enumerate(entries) if entry in entries[:i]]
             if repeated:
                 raise ValueError(f"{key} repeats {repeated[0]!r}")
-        # The FID fits a covariance to each side, which takes two samples.
-        samples = 2 if "fid" in self.metrics else 1
+        specs = self.metric_specs()   # refuses an unknown metric kind
+        samples = max(spec.least_samples for spec in specs)
         for key, value, least in (("n_reference", self.n_reference, samples),
                                   ("n_test", self.n_test, samples),
                                   ("classifier_epochs", self.classifier.epochs, 1),
@@ -87,11 +87,11 @@ class ExperimentConfig:
                              f"({self.dataset.n_train})")
         if self.n_permutations < 1:
             raise ValueError("n_permutations must be positive")
-        self.metric_specs()   # refuses an unknown metric kind
-        if self.uses_classifier and (self.dataset.kind == "normal2d" or (
+        classified = [spec.kind for spec in specs if spec.needs_classifier]
+        if classified and (self.dataset.kind == "normal2d" or (
                 self.dataset.kind == "idx" and not self.dataset.labels_path)):
-            raise ValueError("the is and fid metrics need a labeled dataset: digits8, "
-                             "or idx with labels")
+            raise ValueError(f"metrics {classified} read through a classifier and need a "
+                             "labeled dataset: digits8, or idx with labels")
         unknown = sorted(set(self.methods) - set(SELECTION_METHODS))
         if unknown:
             raise ValueError(f"unknown selection methods {unknown}; "
@@ -99,11 +99,6 @@ class ExperimentConfig:
 
     def metric_specs(self) -> list[MetricSpec]:
         return [MetricSpec(kind, bandwidth=self.bandwidth) for kind in self.metrics]
-
-    @property
-    def uses_classifier(self) -> bool:
-        """Whether a configured metric (IS or FID) reads samples through a classifier."""
-        return any(kind in ("is", "fid") for kind in self.metrics)
 
     def problem(self) -> FcGan:
         return FcGan(self.architecture)

@@ -9,6 +9,7 @@ magic/dims header, unsigned bytes) and are resized to the glyph size.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -64,20 +65,20 @@ def make_digit_images(n: int, n_classes: int, noise: float,
 
 
 def read_idx(path) -> np.ndarray:
-    """Parse one IDX file (images or labels)."""
+    """Parse one IDX file of unsigned bytes (type code 0x08), images or labels."""
     with open(path, "rb") as handle:
         blob = handle.read()
     if len(blob) < 4 or blob[0] != 0 or blob[1] != 0:
         raise ValueError(f"bad IDX magic in {path}")
-    type_code, ndim = blob[2], blob[3]
-    dtype = {0x08: np.uint8, 0x09: np.int8, 0x0B: ">i2",
-             0x0C: ">i4", 0x0D: ">f4", 0x0E: ">f8"}.get(type_code)
-    if dtype is None:
-        raise ValueError(f"unsupported IDX type code 0x{type_code:02x}")
-    dims = struct.unpack(">" + "I" * ndim, blob[4:4 + 4 * ndim])
-    data = np.frombuffer(blob, dtype=dtype, offset=4 + 4 * ndim)
-    if data.size != int(np.prod(dims)):
-        raise ValueError(f"IDX payload size does not match header dims {dims}")
+    if blob[2] != 0x08:
+        raise ValueError(f"{path}: IDX type code 0x{blob[2]:02x} is not 0x08, unsigned bytes")
+    offset = 4 + 4 * blob[3]
+    if len(blob) < offset:
+        raise ValueError(f"{path}: IDX header of {blob[3]} dims is cut at {len(blob)} bytes")
+    dims = struct.unpack(">" + "I" * blob[3], blob[4:offset])
+    data = np.frombuffer(blob, dtype=np.uint8, offset=offset)
+    if data.size != math.prod(dims):
+        raise ValueError(f"{path}: IDX payload size does not match header dims {dims}")
     return data.reshape(dims)
 
 
@@ -99,7 +100,7 @@ def load_idx_images(images_path, labels_path=None, side: int = GLYPH_SIDE
         raise ValueError(f"IDX images need a side of at least 2, not {side}")
     raw = read_idx(images_path).astype(np.float64)
     if raw.ndim != 3:
-        raise ValueError("expected a 3-d IDX image file")
+        raise ValueError(f"{images_path}: expected a 3-d IDX image file")
     scaled = raw / 255.0 * 1.998 - 0.999
     if raw.shape[1:] != (side, side):
         scaled = (_resize_weights(raw.shape[1], side) @ scaled
@@ -108,6 +109,8 @@ def load_idx_images(images_path, labels_path=None, side: int = GLYPH_SIDE
     labels = None
     if labels_path is not None:
         labels = read_idx(labels_path).astype(np.int64)
+        if labels.ndim != 1:
+            raise ValueError(f"{labels_path}: expected a 1-d IDX label file")
         if len(labels) != len(flat):
             raise ValueError("image and label counts differ")
     return np.clip(flat, -0.999, 0.999), labels

@@ -28,7 +28,7 @@ import csv
 import math
 import warnings
 from dataclasses import asdict, dataclass, field, fields, make_dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -311,7 +311,7 @@ def evaluation_context(config: ExperimentConfig, seed: int, stored_classifier=No
     reference_latents, reference_data, reference_labels = evaluation_set(
         config, seed, "reference", config.n_reference)
     classifier = None
-    if config.uses_classifier:
+    if any(spec.needs_classifier for spec in config.metric_specs()):
         if stored_classifier is not None and (Path(stored_classifier) / "manifest.json").exists():
             classifier = load_classifier(stored_classifier)
         if classifier is None or classifier.key != classifier_key(
@@ -433,25 +433,20 @@ def run_data_cleansing(config: ExperimentConfig, seeds=None) -> Report:
     target metric, ``disc_loss`` by the influence on the discriminator's
     expected loss, ``random`` draws uniformly.  The improvement column is
     ``harmful_sign * (after - before)``, so positive always means better.
-    The final parameters and each distinct selection's replayed parameters
-    are generated once, and classified at most once, and every configured
-    metric is read from that set at once.
+    Each ranking metric is swept once per seed, the first time a selection
+    needs it.  The final parameters and each distinct selection's replayed
+    parameters are generated once, and classified at most once, and every
+    configured metric is read from that set at once.
     """
     seeds = list(seeds) if seeds is not None else list(
         range(config.training.seed, config.training.seed + config.n_seeds))
     specs = config.metric_specs()
-    # Each ranked kind is swept once, disc_loss too when it is both a
-    # configured metric and a selection method.
-    ranked = {spec.kind for spec in specs} if "influence" in config.methods else set()
-    if "disc_loss" in config.methods:
-        ranked.add("disc_loss")
     report = Report("cleansing")
     for seed in seeds:
         run = prepare_seed_run(config, seed)
         test_latents, test_data, _ = evaluation_set(config, seed, "test", config.n_test)
         test_context = MetricContext(real_data=test_data, classifier=run.context.classifier)
-        tables = {kind: run.influence(MetricSpec(kind, bandwidth=config.bandwidth), k_epochs=1)
-                  for kind in sorted(ranked)}
+        sweep = cache(lambda ranking: run.influence(ranking, k_epochs=1))
         finals = _read_metrics(specs, run.problem, run.trace.final_params, test_latents,
                                test_context)
         # Every metric's reading at each distinct selection: the random and disc_loss
@@ -461,8 +456,7 @@ def run_data_cleansing(config: ExperimentConfig, seeds=None) -> Report:
             before = finals[spec.kind]
             for n_harmful in config.n_harmful:
                 for method in config.methods:
-                    selected = _select_for_method(config, method, spec, tables,
-                                                  seed, n_harmful)
+                    selected = _select_for_method(config, method, spec, sweep, seed, n_harmful)
                     key = frozenset(np.asarray(selected).tolist())
                     if key not in replays:
                         replayed = counterfactual_retrain(run.problem, run.trace, run.dataset,
@@ -478,13 +472,12 @@ def run_data_cleansing(config: ExperimentConfig, seeds=None) -> Report:
     return report
 
 
-def _select_for_method(config: ExperimentConfig, method: str, spec: MetricSpec,
-                       tables: dict, seed: int, n_harmful: int) -> np.ndarray:
-    if method == "influence":
-        return select_harmful(tables[spec.kind], spec, n_harmful)
-    if method == "disc_loss":
-        return select_harmful(tables["disc_loss"], MetricSpec("disc_loss"), n_harmful)
-    # random; the config refuses any other method.
+def _select_for_method(config: ExperimentConfig, method: str, spec: MetricSpec, sweep,
+                       seed: int, n_harmful: int) -> np.ndarray:
+    """The method's selection; ``sweep`` gives the table of a ranking spec."""
+    if method != "random":   # the config refuses any other method
+        ranking = spec if method == "influence" else replace(spec, kind="disc_loss")
+        return select_harmful(sweep(ranking), ranking, n_harmful)
     rng = _stream(seed, "random_select", int(n_harmful))
     return np.sort(rng.choice(config.dataset.n_train, size=n_harmful, replace=False))
 

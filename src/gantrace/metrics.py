@@ -5,6 +5,9 @@ Gaussian kernel density estimate of the generated set (``all``), the
 classifier-based inception score (``is``), and the Frechet distance between
 classifier feature distributions (``fid``).  A fourth kind, ``disc_loss``,
 scores the discriminator's expected loss and serves as a baseline selector.
+One table, ``_KINDS``, says what each kind is: its harmful sign, its
+classifier and sample needs, its reading and its query, which
+``metric_value`` and ``build_query_vector`` index without a kind branch.
 
 The KDE never holds the n_ref x n_gen kernel matrix: its value and its
 gradient each stream one pass over blocks of reference rows in one reused
@@ -41,20 +44,13 @@ import math
 import warnings
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .influence import QueryVector
 from .models import DenseRecord, MlpLayout, _checked
 from .training import DivergenceError, json_digest, load_checked, save_checked
-
-METRIC_KINDS = ("all", "is", "fid", "disc_loss")
-
-# Sign convention for data cleansing: +1 means instances with positive
-# estimated influence are harmful (their removal raises a
-# larger-is-better metric); -1 the opposite.
-_HARMFUL_SIGNS = {"all": 1.0, "is": 1.0, "fid": -1.0, "disc_loss": -1.0}
 
 
 @dataclass(frozen=True)
@@ -63,14 +59,22 @@ class MetricSpec:
     bandwidth: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in METRIC_KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown metric kind {self.kind!r}")
         if not 0 < self.bandwidth < math.inf:
             raise ValueError("bandwidth must be positive and finite")
 
     @property
     def harmful_sign(self) -> float:
-        return _HARMFUL_SIGNS[self.kind]
+        return _KINDS[self.kind].harmful_sign
+
+    @property
+    def needs_classifier(self) -> bool:
+        return _KINDS[self.kind].needs_classifier
+
+    @property
+    def least_samples(self) -> int:
+        return _KINDS[self.kind].least_samples
 
 
 @dataclass(frozen=True)
@@ -322,7 +326,6 @@ def _fid_gradient_wrt_features(reference: FeatureFit, gen_feats: np.ndarray) -> 
     The covariance term uses d tr((S1 S2)^(1/2)) / d S2
     = (1/2) B (B S2 B)^(-1/2) B with B the square root of S1.
     """
-    gen_feats = np.atleast_2d(np.asarray(gen_feats, dtype=np.float64))
     n = len(gen_feats)
     mu2, sigma2, cross, _ = _cross_root(reference, gen_feats)
     root1 = reference.root
@@ -331,11 +334,6 @@ def _fid_gradient_wrt_features(reference: FeatureFit, gen_feats: np.ndarray) -> 
     mean_part = (2.0 / n) * (mu2 - reference.mean)[None, :]
     cov_part = (2.0 / (n - 1)) * (gen_feats - mu2) @ sigma_grad
     return mean_part + cov_part
-
-
-def _fid_gradient(generated: "GeneratedSet", context: MetricContext) -> np.ndarray:
-    feat_grad = _fid_gradient_wrt_features(context.fid_reference, generated.features)
-    return generated.classifier.input_pullback(generated.record, feat_grad, layer="features")
 
 
 # -- classifier ----------------------------------------------------------------
@@ -353,8 +351,9 @@ class ClassifierSettings:
     activation: str = "tanh"
 
     def __post_init__(self):
-        if not self.hidden:
-            raise ValueError("classifier_hidden must not be empty")
+        if not self.hidden or min(self.hidden) < 1:
+            raise ValueError(f"classifier_hidden {self.hidden} must be a non-empty list of "
+                             "sizes of at least 1")
         if not 0 <= self.lr < math.inf:
             raise ValueError("classifier_lr must be finite and non-negative")
         _check_feature_layer(self.feature_layer, len(self.hidden))
@@ -525,26 +524,42 @@ class GeneratedSet:
         return _softmax(self.record.output)
 
 
-_METRIC_VALUES = {
-    "all": lambda spec, gen, ctx: average_log_likelihood(ctx.real_data, gen.samples,
-                                                         spec.bandwidth),
-    "is": lambda spec, gen, ctx: inception_score_from_posteriors(gen.posteriors),
-    "fid": lambda spec, gen, ctx: _fid_from_fit(ctx.fid_reference, gen.features),
+class _Kind(NamedTuple):
+    """What a metric kind is.  ``read`` and ``query`` take
+    ``(spec, problem, params, generated, context)``."""
+
+    harmful_sign: float       # +1 if larger is better: removals that raise it help
+    needs_classifier: bool
+    least_samples: int        # per side of a reading
+    read: Callable            # -> the reading
+    query: Callable           # -> (discriminator block, samples' adjoint)
+
+
+_KINDS = {
+    "all": _Kind(1.0, False, 1,
+                 lambda spec, problem, params, gen, ctx:
+                     average_log_likelihood(ctx.real_data, gen.samples, spec.bandwidth),
+                 lambda spec, problem, params, gen, ctx:
+                     (0.0, _all_gradient(ctx.real_data, gen.samples, spec.bandwidth))),
+    "is": _Kind(1.0, True, 1,
+                lambda spec, problem, params, gen, ctx:
+                    inception_score_from_posteriors(gen.posteriors),
+                lambda spec, problem, params, gen, ctx: (0.0, _is_gradient(gen))),
+    # The FID fits a covariance to each side, which takes two samples.
+    "fid": _Kind(-1.0, True, 2,
+                 lambda spec, problem, params, gen, ctx:
+                     _fid_from_fit(ctx.fid_reference, gen.features),
+                 lambda spec, problem, params, gen, ctx: (0.0, gen.classifier.input_pullback(
+                     gen.record, _fid_gradient_wrt_features(ctx.fid_reference, gen.features),
+                     layer="features"))),
+    "disc_loss": _Kind(-1.0, False, 1,
+                       lambda spec, problem, params, gen, ctx:
+                           problem.expected_disc_loss(params, gen.samples, ctx.real_data),
+                       lambda spec, problem, params, gen, ctx: problem.expected_disc_loss_gradient(
+                           params, gen.samples, ctx.real_data)),
 }
 
-_METRIC_GRADS = {
-    "all": lambda spec, gen, ctx: _all_gradient(ctx.real_data, gen.samples, spec.bandwidth),
-    "is": lambda spec, gen, ctx: _is_gradient(gen),
-    "fid": lambda spec, gen, ctx: _fid_gradient(gen, ctx),
-}
-
-
-def metric_gradient_wrt_generated(spec: MetricSpec, generated: GeneratedSet,
-                                  context: MetricContext) -> np.ndarray:
-    """One gradient vector per sample of ``generated``, shape (n_generated, data_dim)."""
-    if spec.kind not in _METRIC_GRADS:
-        raise ValueError(f"metric {spec.kind!r} is not sample-based")
-    return _METRIC_GRADS[spec.kind](spec, generated, context)
+METRIC_KINDS = tuple(_KINDS)
 
 
 def generated_set(problem, params: np.ndarray, eval_latents: np.ndarray,
@@ -566,9 +581,7 @@ def metric_value(spec: MetricSpec, problem, params: np.ndarray,
     """
     if generated is None:
         generated = generated_set(problem, params, eval_latents, context)
-    if spec.kind == "disc_loss":
-        return problem.expected_disc_loss(params, generated.samples, context.real_data)
-    return _METRIC_VALUES[spec.kind](spec, generated, context)
+    return _KINDS[spec.kind].read(spec, problem, params, generated, context)
 
 
 # -- query vectors ----------------------------------------------------------------
@@ -591,19 +604,14 @@ def build_query_vector(spec: MetricSpec, problem, params: np.ndarray,
     """Gradient of the metric with respect to the coupled parameters.
 
     The generator block is the chain rule through the generator of the
-    metric's gradient with respect to the generated samples.  The
-    discriminator block is zero except for ``disc_loss``, the expected
-    loss's gradient over it.  ``generated`` is as for ``metric_value``.
+    samples' adjoint the kind's query gives, and the discriminator block is
+    the query's own: zero except for ``disc_loss``, the expected loss's
+    gradient over it.  ``generated`` is as for ``metric_value``.
     """
     params = _checked(np.asarray(params, dtype=np.float64), "parameters")
     if generated is None:
         generated = generated_set(problem, params, eval_latents, context)
-    disc_block = 0.0
-    if spec.kind == "disc_loss":
-        disc_block, sample_grads = problem.expected_disc_loss_gradient(
-            params, generated.samples, context.real_data)
-    else:
-        sample_grads = metric_gradient_wrt_generated(spec, generated, context)
+    disc_block, sample_grads = _KINDS[spec.kind].query(spec, problem, params, generated, context)
     query = generator_pullback(problem, generated, sample_grads, label=spec.kind)
     query.data[problem.dim_gen:] = disc_block
     return query

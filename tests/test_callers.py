@@ -180,3 +180,14 @@ def test_stored_json_is_written_in_one_place():
     # that encodes its own JSON fails here.
     assert readers("dumps", PACKAGE) == {"training.write_record", "training.json_digest"}
     assert readers("write_text", PACKAGE) == {"training.write_record"}
+
+
+def test_metric_kinds_are_named_in_metrics_alone():
+    # What a kind is lives in ``metrics._KINDS`` alone: no other module
+    # names the classifier metrics, and no reading, query or config branches
+    # on them; a rule kept beside the table fails here.
+    naming = {path.stem for path in sorted(PACKAGE.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Constant) and node.value in ("is", "fid")}
+    assert naming == {"metrics"}
+    assert {reader.split(".")[0] for reader in readers("_KINDS", PACKAGE)} == {"metrics"}

@@ -230,15 +230,24 @@ def test_cleansing_signs_improvements_by_the_metric(mini_config):
     assert any(row.after != row.before for row in report.rows if row.metric == "disc_loss")
 
 
-def test_cleansing_sweeps_each_ranked_kind_once(mini_config):
-    # disc_loss is both a configured metric and a selection method: its
-    # table serves both, so two kinds take two sweeps of the last epoch.
+@pytest.mark.parametrize("metrics, methods, sweeps", [
+    (("all", "disc_loss"), ("influence", "disc_loss"), 2),
+    (("all",), ("disc_loss", "random"), 1),
+    (("all",), ("random",), 0),
+    (("all", "disc_loss"), ("influence",), 2),
+], ids=["disc_loss_metric_and_method", "disc_loss_method", "random_only", "disc_loss_metric"])
+def test_cleansing_sweeps_each_ranked_kind_once(mini_config, metrics, methods, sweeps):
+    # A ranking metric is swept the first time a selection needs it and
+    # never again: disc_loss, both a configured metric and a selection
+    # method, takes one sweep of the last epoch for both, and a random
+    # selection takes none.
     config, _ = mini_config
-    config = _with(config, metrics=("all", "disc_loss"), methods=("influence", "disc_loss"))
+    config = _with(config, metrics=metrics, methods=methods)
     trace = prepare_seed_run(config, 3).trace
     before = vjp_gradient_call_count()
     run_data_cleansing(config, seeds=[3])
-    assert vjp_gradient_call_count() - before == 2 * (trace.n_steps - window_start(trace, 1))
+    assert vjp_gradient_call_count() - before == sweeps * (trace.n_steps
+                                                           - window_start(trace, 1))
 
 
 def test_cleansing_random_selection_reproducible(mini_config):
@@ -1136,6 +1145,10 @@ def test_cli_influence_refuses_a_json_out(mini_trace, tmp_path, capsys):
     ("accuracy", ("", ""), ["--targets", "61"], "n_targets"),
     ("train", ("metrics = all", "metrics = all\nclassifier_hidden = "), [],
      "classifier_hidden"),
+    ("train", ("metrics = all", "metrics = all\nclassifier_hidden = 0,32"), [],
+     "classifier_hidden (0, 32)"),
+    ("train", ("metrics = all", "metrics = all\nclassifier_hidden = -3,32"), [],
+     "classifier_hidden (-3, 32)"),
     ("train", ("epochs = 2", "epoch = 2"), [], "'epoch' in section [training]"),
     ("accuracy", ("n_targets = 8", "n_target = 7"), [], "'n_target' in section [influence]"),
     ("cleanse", ("k_epochs = 1", "k_epochs = 1\nbandwidth = 0.5"), [],
@@ -1181,7 +1194,8 @@ def test_cli_influence_refuses_a_json_out(mini_trace, tmp_path, capsys):
         "unknown_metric", "unknown_method", "empty_metrics", "empty_metrics_influence",
         "empty_methods", "empty_k_epochs", "empty_k_flag", "empty_n_harmful", "zero_n_seeds",
         "zero_seeds_flag", "zero_accuracy_seeds", "more_targets_than_rows",
-        "more_targets_flag", "empty_classifier_hidden", "misspelled_key", "misspelled_n_targets",
+        "more_targets_flag", "empty_classifier_hidden", "zero_classifier_hidden",
+        "negative_classifier_hidden", "misspelled_key", "misspelled_n_targets",
         "key_in_the_wrong_section", "misspelled_section", "duplicate_key",
         "key_before_any_section", "unparsed_value", "is_on_normal2d",
         "fid_on_idx_without_labels", "zero_n_reference", "zero_n_test",

@@ -99,6 +99,38 @@ def test_idx_rejects_bad_magic(tmp_path):
         read_idx(tmp_path / "bad.idx")
 
 
+@pytest.mark.parametrize("code", [0x09, 0x0B, 0x0C, 0x0D, 0x0E])
+def test_idx_refuses_every_type_but_unsigned_bytes(tmp_path, code):
+    # Images of another type would be scaled as bytes: float32 values in
+    # [0, 1] read as values near -0.999.
+    path = tmp_path / "imgs.idx"
+    path.write_bytes(struct.pack(">BBBBIII", 0, 0, code, 3, 1, 2, 2) + bytes(16))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: IDX type code 0x{code:02x}"):
+        load_idx_images(path, side=2)
+
+
+def test_idx_refuses_a_cut_header(tmp_path):
+    path = tmp_path / "imgs.idx"
+    path.write_bytes(struct.pack(">BBBBH", 0, 0, 0x08, 3, 0))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: IDX header of 3 dims"):
+        read_idx(path)
+
+
+def test_idx_refuses_a_payload_short_of_dims_whose_product_passes_int64(tmp_path):
+    # 2**66 entries: a product in int64 wraps to 0, the size of the empty payload.
+    path = tmp_path / "imgs.idx"
+    path.write_bytes(struct.pack(">BBBBIII", 0, 0, 0x08, 3, 2 ** 22, 2 ** 22, 2 ** 22))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: IDX payload size"):
+        read_idx(path)
+
+
+def test_idx_refuses_labels_that_are_not_one_dimensional(tmp_path):
+    write_idx(tmp_path / "imgs.idx", np.zeros((4, 8, 8)))
+    write_idx(tmp_path / "labels.idx", np.zeros((4, 1)))
+    with pytest.raises(ValueError, match="labels.idx: expected a 1-d IDX label file"):
+        load_idx_images(tmp_path / "imgs.idx", tmp_path / "labels.idx")
+
+
 def test_dataset_checksum_sensitivity():
     data = sample_normal2d(10, np.random.default_rng(4))
     other = data.copy()
@@ -496,6 +528,8 @@ NAN, INF = float("nan"), float("inf")
     (lambda: MetricSpec("all", bandwidth=0.0), "bandwidth"),
     (lambda: ClassifierSettings(lr=INF), "classifier_lr"),
     (lambda: ClassifierSettings(lr=NAN), "classifier_lr"),
+    (lambda: ClassifierSettings(hidden=(0, 32)), "classifier_hidden"),
+    (lambda: ClassifierSettings(hidden=(-3, 32)), "classifier_hidden"),
     (lambda: GanArchitecture(data_dim=2, l2_rate=NAN), "l2_rate"),
     (lambda: GanArchitecture(data_dim=2, l2_rate=-INF), "l2_rate"),
     (lambda: DatasetSpec(noise=NAN), "noise"),
@@ -503,6 +537,7 @@ NAN, INF = float("nan"), float("inf")
     (lambda: DatasetSpec(noise=-1.0), "noise"),
 ], ids=["nan_lr_disc", "infinite_lr_gen", "negative_lr_gen", "infinite_bandwidth",
         "nan_bandwidth", "zero_bandwidth", "infinite_classifier_lr", "nan_classifier_lr",
+        "zero_classifier_hidden", "negative_classifier_hidden",
         "nan_l2_rate", "minus_infinite_l2_rate", "nan_noise", "infinite_noise",
         "negative_noise"])
 def test_settings_refuse_non_finite_and_out_of_range_floats(make, message):

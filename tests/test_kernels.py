@@ -55,7 +55,6 @@ from gantrace.metrics import (
     build_query_vector,
     generated_set,
     generator_pullback,
-    metric_gradient_wrt_generated,
     metric_value,
     train_classifier,
 )
@@ -78,6 +77,7 @@ from toys import (
     fid,
     loop_permutation_test_tau,
     mlp_graph,
+    sample_adjoint,
     sample_set,
     tape_input_pullback,
     tape_mlp_vjp,
@@ -665,8 +665,8 @@ def test_classifier_pullback_refuses_non_finite_parameters(bad):
         clf.input_pullback(clf.record(x), np.ones((3, clf.n_classes)), "logits")
     for kind in ("is", "fid"):
         with pytest.raises(NonFiniteError):
-            metric_gradient_wrt_generated(MetricSpec(kind), sample_set(x, clf),
-                                          MetricContext(real_data=x, classifier=clf))
+            sample_adjoint(MetricSpec(kind), sample_set(x, clf),
+                           MetricContext(real_data=x, classifier=clf))
 
 
 # -- vectorized permutation test --------------------------------------------------------

@@ -13,13 +13,12 @@ from gantrace.metrics import (
     generator_pullback,
     inception_score_from_posteriors,
     load_classifier,
-    metric_gradient_wrt_generated,
     metric_value,
     save_classifier,
     train_classifier,
 )
 from gantrace.models import FcGan, GanArchitecture
-from toys import fid, inception_score, kink_safe_params, sample_set
+from toys import fid, inception_score, kink_safe_params, sample_adjoint, sample_set
 
 GAUSS_CONST = -0.5 * np.log(2.0 * np.pi)  # log N(0; 0, 1) in one dimension
 
@@ -94,16 +93,16 @@ def test_all_gradient_rejects_empty_sets():
     for real, generated in [(np.zeros((0, 2)), np.zeros((3, 2))),
                             (np.zeros((3, 2)), np.zeros((0, 2)))]:
         with pytest.raises(ValueError, match="non-empty"):
-            metric_gradient_wrt_generated(MetricSpec("all"), sample_set(generated),
-                                          MetricContext(real_data=real))
+            sample_adjoint(MetricSpec("all"), sample_set(generated),
+                           MetricContext(real_data=real))
 
 
 def test_all_gradient_negligible_for_far_generated_point():
     rng = np.random.default_rng(1)
     real = rng.standard_normal((6, 2)) * 0.3
     generated = np.vstack([rng.standard_normal((3, 2)) * 0.3, [[80.0, 80.0]]])
-    grads = metric_gradient_wrt_generated(MetricSpec("all"), sample_set(generated),
-                                          MetricContext(real_data=real))
+    grads = sample_adjoint(MetricSpec("all"), sample_set(generated),
+                           MetricContext(real_data=real))
     assert np.linalg.norm(grads[-1]) <= 1e-6
 
 
@@ -112,8 +111,8 @@ def test_all_gradient_matches_finite_differences():
     real = rng.standard_normal((5, 2))
     generated = rng.standard_normal((4, 2))
     spec = MetricSpec("all", bandwidth=0.8)
-    grads = metric_gradient_wrt_generated(spec, sample_set(generated),
-                                          MetricContext(real_data=real))
+    grads = sample_adjoint(spec, sample_set(generated),
+                           MetricContext(real_data=real))
     eps = 1e-6
     fd = np.zeros_like(generated)
     for m in range(generated.shape[0]):
@@ -163,8 +162,8 @@ def test_is_gradient_zero_for_constant_head():
     clf = Classifier(layout_clf.layout, np.zeros_like(layout_clf.params),
                      layout_clf.n_classes, layout_clf.feature_layer)
     generated = np.random.default_rng(5).standard_normal((6, 3))
-    grads = metric_gradient_wrt_generated(MetricSpec("is"), sample_set(generated, clf),
-                                          MetricContext(classifier=clf))
+    grads = sample_adjoint(MetricSpec("is"), sample_set(generated, clf),
+                           MetricContext(classifier=clf))
     assert np.array_equal(grads, np.zeros_like(generated))
 
 
@@ -175,7 +174,7 @@ def test_is_gradient_matches_finite_differences():
     clf = train_classifier(data, labels, ClassifierSettings(hidden=(6, 5), epochs=10), seed=1)
     generated = rng.standard_normal((5, 3))
     context = MetricContext(classifier=clf)
-    grads = metric_gradient_wrt_generated(MetricSpec("is"), sample_set(generated, clf), context)
+    grads = sample_adjoint(MetricSpec("is"), sample_set(generated, clf), context)
     eps = 1e-6
     fd = np.zeros_like(generated)
     for m in range(generated.shape[0]):
@@ -241,7 +240,7 @@ def test_fid_gradient_matches_finite_differences():
         pytest.skip("no well-conditioned feature sets found")
     context = MetricContext(real_data=real, classifier=clf)
     spec = MetricSpec("fid")
-    grads = metric_gradient_wrt_generated(spec, sample_set(generated, clf), context)
+    grads = sample_adjoint(spec, sample_set(generated, clf), context)
 
     def value(points):
         return fid(clf.features(real), clf.features(points))
@@ -267,7 +266,7 @@ def test_fid_gradient_at_identical_sets_is_tiny():
     clf = train_classifier(data, labels, ClassifierSettings(hidden=(6, 4), epochs=8), seed=3)
     points = rng.standard_normal((15, 3))
     context = MetricContext(real_data=points, classifier=clf)
-    grads = metric_gradient_wrt_generated(MetricSpec("fid"), sample_set(points, clf), context)
+    grads = sample_adjoint(MetricSpec("fid"), sample_set(points, clf), context)
     # The distance is minimized here, so both the analytic gradient and
     # finite differences sit at numerical noise.
     assert np.linalg.norm(grads) <= 1e-6

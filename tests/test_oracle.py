@@ -133,8 +133,8 @@ def test_constant_metric_stub_gives_zero_influence(gan, trained, monkeypatch):
     import gantrace.metrics as metrics_module
 
     data, trace = trained
-    monkeypatch.setitem(metrics_module._METRIC_VALUES, "all",
-                        lambda spec, gen, ctx: 42.0)
+    stub = metrics_module._KINDS["all"]._replace(read=lambda spec, problem, params, gen, ctx: 42.0)
+    monkeypatch.setitem(metrics_module._KINDS, "all", stub)
     rng = np.random.default_rng(14)
     latents = rng.standard_normal((10, 3))
     context = MetricContext(real_data=normal2d(10, 15))

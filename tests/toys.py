@@ -24,7 +24,8 @@ that replays the whole window whatever it excludes, the reference for the
 replay that starts at the first excluded step; ``uncached_fid_gradient``
 refits the FID reference side on every call, the reference for the fit a
 ``MetricContext`` keeps, and ``fid`` does the same for its value;
-``inception_score`` reads the score of a sample set on a classifier; and
+``inception_score`` reads the score of a sample set on a classifier;
+``sample_adjoint`` reads a sample-based kind's gradient over the samples; and
 ``true_influence_on_metric`` reads one metric change from two parameter
 vectors.  Nothing here keeps a frozen copy of the package's arithmetic:
 the digests of ``test_kernels.py`` pin its bits.
@@ -40,6 +41,7 @@ from scipy.special import softmax as np_softmax
 from gantrace.experiments import PermutationResult
 from gantrace.influence import window_start
 from gantrace.metrics import (
+    _KINDS,
     Classifier,
     GeneratedSet,
     _fid_from_fit,
@@ -481,6 +483,12 @@ def sample_set(points, classifier=None):
     output is its input."""
     return GeneratedSet(DenseRecord((), [np.atleast_2d(np.asarray(points, dtype=np.float64))]),
                         classifier)
+
+
+def sample_adjoint(spec, generated, context):
+    """The samples' adjoint of a sample-based kind's query, read off the
+    kinds table; such a query uses neither the problem nor the parameters."""
+    return _KINDS[spec.kind].query(spec, None, None, generated, context)[1]
 
 
 def disc_logits(gan, params, x):
