@@ -3,11 +3,12 @@
 Both experiments and the CLI run one per-seed chain on a ``SeedRun``,
 which ``prepare_seed_run`` trains, ``save_seed_run`` stores and
 ``load_seed_run`` loads back: ``SeedRun.influence`` sweeps a metric's query
-through the trace, and ``estimates_and_truths`` sets each target's estimate
-beside its true delta, read from the oracle's replay without it.
-Accuracy is scored with rank statistics (Kendall's tau and the Jaccard
-overlap of critical sets) against a permutation null; cleansing removes the
-estimated harmful set, re-runs the final epoch and reads the test metric.
+through the trace, and ``replayed_readings`` replays each distinct selection
+once and reads every metric from one ``metrics.generated_set``.  The oracle,
+``estimates_and_truths``, sets each target's estimate beside its true delta;
+cleansing removes estimated harmful sets, re-runs the final epoch and reads
+the test metrics.  Accuracy is scored with rank statistics (Kendall's tau
+and the Jaccard overlap of critical sets) against a permutation null.
 
 Randomness is threaded through named streams derived from the experiment
 seed, so every report row is reproducible from (config, seed).  Each draw
@@ -16,10 +17,9 @@ training set, ``evaluation_set`` the reference set behind the metric
 context and cleansing's test set (latents first, then the rows of
 ``config.synthesize_dataset``), and ``draw_targets`` the targets of the
 accuracy experiment, ``gantrace influence --targets`` and ``gantrace oracle``.
-Both experiments read every metric kind from one ``metrics.generated_set`` per
-parameter vector.  What one command stores for another is written and read back
-here, each JSON file through ``training.write_record`` and ``read_record``,
-every CSV through ``write_table``.
+What one command stores for another is written and read back here, each
+JSON file through ``training.write_record`` and ``read_record``, every CSV
+through ``write_table``.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import math
 import warnings
 from dataclasses import asdict, dataclass, field, fields, make_dataclass, replace
 from functools import cache, cached_property
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -229,11 +230,8 @@ class SeedRun:
         return infer_linear_influence(self.problem, self.trace, self.dataset,
                                       self._queries[spec], targets=targets, k_epochs=k_epochs)
 
-    def readings(self, specs, params: np.ndarray | None = None) -> dict[str, float]:
-        """Each metric's reading on the reference set, by kind, at ``params``, or
-        at the final parameters, where the run reads each metric once."""
-        if params is not None:
-            return _read_metrics(specs, self.problem, params, self.reference_latents, self.context)
+    def readings(self, specs) -> dict[str, float]:
+        """Each metric's final reading on the reference set, by kind, read once per run."""
         for spec in set(specs) - self._final_readings.keys():
             self._final_readings[spec] = metric_value(spec, self.problem, self.trace.final_params,
                                                       self.reference_latents, self.context,
@@ -247,6 +245,22 @@ def _read_metrics(specs, problem, params: np.ndarray, latents: np.ndarray,
     generated = generated_set(problem, params, latents, context)
     return {spec.kind: metric_value(spec, problem, params, latents, context, generated)
             for spec in specs}
+
+
+def replayed_readings(run: SeedRun, specs, selections, k_epochs: int | None,
+                      latents: np.ndarray, context: MetricContext) -> list[dict[str, float]]:
+    """Each selection's readings by kind, in order, on ``latents`` and
+    ``context`` after the last ``k_epochs`` epochs replay without it.  A
+    selection is an index or several; each distinct set is replayed once."""
+    keys = [frozenset(map(int, [one] if isinstance(one, (int, np.integer)) else one))
+            for one in selections]
+    read = {}
+    for key, selection in zip(keys, selections):
+        if key not in read:
+            params = counterfactual_retrain(run.problem, run.trace, run.dataset, selection,
+                                            k_epochs=k_epochs).params
+            read[key] = _read_metrics(specs, run.problem, params, latents, context)
+    return [read[key] for key in keys]
 
 
 def seed_dataset(config: ExperimentConfig, seed: int
@@ -363,22 +377,18 @@ def estimates_and_truths(run: SeedRun, specs, targets, k_epochs: int | None
 
     A true delta is the reading after the target's replay minus the
     reading at the final parameters, both on the reference latents, which
-    removes the Monte Carlo noise between them.  One replay per target
-    serves every metric and one sweep per metric scores every target.
-    The final readings are the run's, read once whatever the depth.
+    removes the Monte Carlo noise between them.  One replay per distinct
+    target serves every metric and one sweep per metric scores every
+    target; the final readings are the run's, read once whatever the depth.
     """
     targets = [int(j) for j in targets]
     final = run.readings(specs)
-    truths = {spec.kind: np.empty(len(targets)) for spec in specs}
-    for position, target in enumerate(targets):
-        after = run.readings(specs, counterfactual_retrain(run.problem, run.trace, run.dataset,
-                                                           target, k_epochs).params)
-        for spec in specs:
-            truths[spec.kind][position] = after[spec.kind] - final[spec.kind]
+    afters = replayed_readings(run, specs, targets, k_epochs, run.reference_latents, run.context)
     compared = {}
     for spec in specs:
         scores = run.influence(spec, k_epochs, targets).scores
-        compared[spec.kind] = np.array([scores[j] for j in targets]), truths[spec.kind]
+        compared[spec.kind] = (np.array([scores[j] for j in targets]),
+                               np.array([after[spec.kind] - final[spec.kind] for after in afters]))
     return compared
 
 
@@ -434,9 +444,7 @@ def run_data_cleansing(config: ExperimentConfig, seeds=None) -> Report:
     expected loss, ``random`` draws uniformly.  The improvement column is
     ``harmful_sign * (after - before)``, so positive always means better.
     Each ranking metric is swept once per seed, the first time a selection
-    needs it.  The final parameters and each distinct selection's replayed
-    parameters are generated once, and classified at most once, and every
-    configured metric is read from that set at once.
+    needs it, and each distinct selection is replayed and read once.
     """
     seeds = list(seeds) if seeds is not None else list(
         range(config.training.seed, config.training.seed + config.n_seeds))
@@ -449,25 +457,17 @@ def run_data_cleansing(config: ExperimentConfig, seeds=None) -> Report:
         sweep = cache(lambda ranking: run.influence(ranking, k_epochs=1))
         finals = _read_metrics(specs, run.problem, run.trace.final_params, test_latents,
                                test_context)
-        # Every metric's reading at each distinct selection: the random and disc_loss
-        # selections do not depend on the metric, so each is replayed and read once.
-        replays = {}
-        for spec in specs:
-            before = finals[spec.kind]
-            for n_harmful in config.n_harmful:
-                for method in config.methods:
-                    selected = _select_for_method(config, method, spec, sweep, seed, n_harmful)
-                    key = frozenset(np.asarray(selected).tolist())
-                    if key not in replays:
-                        replayed = counterfactual_retrain(run.problem, run.trace, run.dataset,
-                                                          selected, k_epochs=1)
-                        replays[key] = _read_metrics(specs, run.problem, replayed.params,
-                                                     test_latents, test_context)
-                    after = replays[key][spec.kind]
-                    report.rows.append(CleansingRow(
-                        method=method, metric=spec.kind, n_harmful=n_harmful,
-                        before=before, after=after,
-                        improvement=spec.harmful_sign * (after - before), seed=seed))
+        cases = list(product(specs, config.n_harmful, config.methods))
+        selections = [_select_for_method(config, method, spec, sweep, seed, n_harmful)
+                      for spec, n_harmful, method in cases]
+        # Random and disc_loss selections do not depend on the metric: rows share replays.
+        afters = replayed_readings(run, specs, selections, 1, test_latents, test_context)
+        for (spec, n_harmful, method), replayed in zip(cases, afters):
+            before, after = finals[spec.kind], replayed[spec.kind]
+            report.rows.append(CleansingRow(
+                method=method, metric=spec.kind, n_harmful=n_harmful,
+                before=before, after=after,
+                improvement=spec.harmful_sign * (after - before), seed=seed))
         report.fingerprints[seed] = run.fingerprint
     return report
 

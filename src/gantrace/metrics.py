@@ -41,6 +41,7 @@ real data never passes through the generator, except for ``disc_loss``'s.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -61,8 +62,11 @@ class MetricSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown metric kind {self.kind!r}")
-        if not 0 < self.bandwidth < math.inf:
-            raise ValueError("bandwidth must be positive and finite")
+        # A smaller square is subnormal or 0, where the KDE's -1/(2 h^2) overflows.
+        if not 0 < self.bandwidth < math.inf or \
+                self.bandwidth * self.bandwidth < sys.float_info.min:
+            raise ValueError("bandwidth must be positive and finite, its square at least "
+                             f"{sys.float_info.min}")
 
     @property
     def harmful_sign(self) -> float:

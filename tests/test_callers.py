@@ -106,12 +106,12 @@ def test_parameters_are_stepped_in_one_loop():
 
 
 def test_only_the_experiments_replay():
-    # ``estimates_and_truths`` replays each target beside its estimate and
-    # ``run_data_cleansing`` each harmful selection; a third caller, say a
-    # layer of truths between them, fails here.  ``experiments`` itself is
-    # its import.
+    # ``replayed_readings`` replays and reads each distinct selection, for
+    # the oracle's targets and cleansing's harmful sets alike; a second
+    # caller, say a loop of truths beside it, fails here.  ``experiments``
+    # itself is its import.
     assert readers("counterfactual_retrain", PACKAGE) - {"__init__"} == {
-        "experiments", "experiments.estimates_and_truths", "experiments.run_data_cleansing"}
+        "experiments", "experiments.replayed_readings"}
 
 
 def test_the_oracle_reads_no_metric():

@@ -1190,6 +1190,8 @@ def test_cli_influence_refuses_a_json_out(mini_trace, tmp_path, capsys):
      "[evaluation] bandwidth = '1e400' does not parse: not a finite number"),
     ("train", ("metrics = all", "metrics = all\nclassifier_lr = NaN"), [],
      "[evaluation] classifier_lr = 'NaN' does not parse: not a finite number"),
+    ("train", ("metrics = all", "metrics = all\nbandwidth = 1e-200"), [],
+     "bandwidth must be positive and finite, its square at least"),
 ], ids=["negative_n_harmful", "negative_n_harmful_flag", "no_permutations",
         "unknown_metric", "unknown_method", "empty_metrics", "empty_metrics_influence",
         "empty_methods", "empty_k_epochs", "empty_k_flag", "empty_n_harmful", "zero_n_seeds",
@@ -1203,7 +1205,7 @@ def test_cli_influence_refuses_a_json_out(mini_trace, tmp_path, capsys):
         "zero_classifier_epochs", "repeated_metric", "repeated_method", "repeated_k_flag",
         "repeated_n_harmful", "repeated_n_harmful_flag", "data_dim_key", "nan_noise",
         "infinite_l2_rate", "minus_infinite_lr_gen", "nan_lr_disc", "overflowing_bandwidth",
-        "nan_classifier_lr"])
+        "nan_classifier_lr", "vanishing_bandwidth"])
 def test_cli_refuses_a_bad_config_before_training(tmp_path, capsys, monkeypatch,
                                                    command, edit, flags, message):
     def refuse(*args, **kwargs):

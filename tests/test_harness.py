@@ -526,6 +526,7 @@ NAN, INF = float("nan"), float("inf")
     (lambda: MetricSpec("all", bandwidth=INF), "bandwidth"),
     (lambda: MetricSpec("all", bandwidth=NAN), "bandwidth"),
     (lambda: MetricSpec("all", bandwidth=0.0), "bandwidth"),
+    (lambda: MetricSpec("all", bandwidth=1e-200), "bandwidth"),
     (lambda: ClassifierSettings(lr=INF), "classifier_lr"),
     (lambda: ClassifierSettings(lr=NAN), "classifier_lr"),
     (lambda: ClassifierSettings(hidden=(0, 32)), "classifier_hidden"),
@@ -536,7 +537,8 @@ NAN, INF = float("nan"), float("inf")
     (lambda: DatasetSpec(noise=INF), "noise"),
     (lambda: DatasetSpec(noise=-1.0), "noise"),
 ], ids=["nan_lr_disc", "infinite_lr_gen", "negative_lr_gen", "infinite_bandwidth",
-        "nan_bandwidth", "zero_bandwidth", "infinite_classifier_lr", "nan_classifier_lr",
+        "nan_bandwidth", "zero_bandwidth", "vanishing_bandwidth",
+        "infinite_classifier_lr", "nan_classifier_lr",
         "zero_classifier_hidden", "negative_classifier_hidden",
         "nan_l2_rate", "minus_infinite_l2_rate", "nan_noise", "infinite_noise",
         "negative_noise"])

@@ -5,7 +5,7 @@ import pytest
 
 import gantrace.experiments
 import gantrace.training
-from gantrace.experiments import SeedRun, estimates_and_truths
+from gantrace.experiments import SeedRun, estimates_and_truths, replayed_readings
 from gantrace.influence import QueryVector, infer_linear_influence, window_start
 from gantrace.metrics import (
     ClassifierSettings,
@@ -151,13 +151,30 @@ def seed_run(gan, trained, latents, context):
     return SeedRun(0, gan, data, trace, latents, context, trace.fingerprint)
 
 
-def test_estimates_and_truths_empty_and_duplicate_targets(gan, trained):
+def count_replays(monkeypatch):
+    """The selection of each ``counterfactual_retrain`` call the experiments make."""
+    excluded = []
+    retrain = gantrace.experiments.counterfactual_retrain
+
+    def counting(problem, trace, dataset, selection, k_epochs=None):
+        excluded.append(selection)
+        return retrain(problem, trace, dataset, selection, k_epochs=k_epochs)
+
+    monkeypatch.setattr(gantrace.experiments, "counterfactual_retrain", counting)
+    return excluded
+
+
+def test_estimates_and_truths_empty_and_duplicate_targets(gan, trained, monkeypatch):
     latents = np.random.default_rng(16).standard_normal((30, 3))
     run = seed_run(gan, trained, latents, MetricContext(real_data=normal2d(30, 17)))
     specs = [MetricSpec("all")]
+    excluded = count_replays(monkeypatch)
     empty = estimates_and_truths(run, specs, [], 1)
     assert list(empty) == ["all"] and [array.shape for array in empty["all"]] == [(0,), (0,)]
+    assert excluded == []
     repeated = estimates_and_truths(run, specs, [5, 5, 5], 1)
+    # A repeated target is replayed once; its delta serves every position.
+    assert excluded == [5]
     alone = estimates_and_truths(run, specs, [5], 1)
     for got, single in zip(repeated["all"], alone["all"]):
         assert np.array_equal(got, np.repeat(single, 3))
@@ -180,6 +197,31 @@ def test_estimates_and_truths_fill_every_metric(gan, trained):
             assert truths[position] == expected
             assert np.isfinite(expected)
             assert estimates[position] == scores[target]
+
+
+def test_replayed_readings_read_each_distinct_selection_once(gan, trained, monkeypatch):
+    data, trace = trained
+    latents = np.random.default_rng(16).standard_normal((30, 3))
+    context = MetricContext(real_data=normal2d(30, 17))
+    run = seed_run(gan, trained, latents, context)
+    specs = [MetricSpec("all"), MetricSpec("disc_loss")]
+    # An index, an array, the empty selection and a repeat of each, in
+    # another form or order.
+    selections = [3, np.array([4, 2]), [], {2, 4}, np.int64(3), np.array([], dtype=np.int64)]
+    excluded = count_replays(monkeypatch)
+    got = replayed_readings(run, specs, selections, 1, latents, context)
+    assert [sorted(np.atleast_1d(selection).tolist()) for selection in excluded] == \
+        [[3], [2, 4], []]
+    assert len(got) == len(selections) and got[0] != got[1] != got[2]
+    for selection, readings in zip(selections, got):
+        params = counterfactual_retrain(gan, trace, data, selection, k_epochs=1).params
+        assert readings == {spec.kind: metric_value(spec, gan, params, latents, context)
+                            for spec in specs}
+    # A replay that drops nothing is bit-exact, so it reads what the run reads.
+    final = run.readings(specs)
+    for readings in (got[2], got[5]):
+        assert [np.float64(readings[spec.kind]).tobytes() for spec in specs] == \
+            [np.float64(final[spec.kind]).tobytes() for spec in specs]
 
 
 def classifier_context():
