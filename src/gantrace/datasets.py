@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import struct
 
 import numpy as np
 
@@ -75,7 +74,7 @@ def read_idx(path) -> np.ndarray:
     offset = 4 + 4 * blob[3]
     if len(blob) < offset:
         raise ValueError(f"{path}: IDX header of {blob[3]} dims is cut at {len(blob)} bytes")
-    dims = struct.unpack(">" + "I" * blob[3], blob[4:offset])
+    dims = tuple(np.frombuffer(blob, dtype=">u4", count=blob[3], offset=4).tolist())
     data = np.frombuffer(blob, dtype=np.uint8, offset=offset)
     if data.size != math.prod(dims):
         raise ValueError(f"{path}: IDX payload size does not match header dims {dims}")

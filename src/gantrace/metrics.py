@@ -50,7 +50,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .influence import QueryVector
-from .models import DenseRecord, MlpLayout, _checked
+from .models import DenseRecord, MlpLayout, NonFiniteError, _checked
 from .training import DivergenceError, json_digest, load_checked, save_checked
 
 
@@ -149,7 +149,9 @@ def _kde_blocks(real: np.ndarray, generated: np.ndarray, h2: float):
     row's shift.  The shift is 0 except on rows whose plain sum falls below
     ``_KDE_UNDERFLOW_SUM``; those are recomputed shifted by their largest log
     kernel.  ``kernels`` is a view of one buffer that the next block
-    overwrites, so a caller must not keep it.
+    overwrites, so a caller must not keep it.  ``NonFiniteError`` before the
+    first block when a scaled distance could overflow, as it can at
+    bandwidths near the floor that ``MetricSpec`` allows.
     """
     n_gen = len(generated)
     step = max(1, _KDE_BLOCK_ENTRIES // n_gen)
@@ -167,10 +169,17 @@ def _kde_blocks(real: np.ndarray, generated: np.ndarray, h2: float):
     fraction, exponent = math.frexp(-0.5 / h2)
     power = math.ldexp(-1.0, exponent - 1)
     mantissa = 2.0 * abs(fraction)
-    left = np.hstack([real, (real * real).sum(axis=1, keepdims=True),
-                      np.ones((len(real), 1))])
-    right = np.vstack([-2.0 * generated.T, np.ones((1, n_gen)),
-                       (generated * generated).sum(axis=1)[None, :]])
+    real_norms = (real * real).sum(axis=1, keepdims=True)
+    gen_norms = (generated * generated).sum(axis=1)
+    # Every product and partial sum of the scaled matmul, and so every log
+    # kernel after the mantissa, is at most |power| 2 (max|r| + max|g|)^2
+    # in size: checked in Python floats before any scaled array is made.
+    reach = math.sqrt(real_norms.max()) + math.sqrt(gen_norms.max())
+    if not abs(power) * 2.0 * reach * reach < sys.float_info.max:
+        raise NonFiniteError(f"the KDE overflows at bandwidth {math.sqrt(h2):.6g} on "
+                             f"points {reach:.6g} apart at most")
+    left = np.hstack([real, real_norms, np.ones((len(real), 1))])
+    right = np.vstack([-2.0 * generated.T, np.ones((1, n_gen)), gen_norms[None, :]])
     right *= power
     ones = np.ones(n_gen)
     buffer = np.empty((min(step, len(real)), n_gen))
@@ -377,21 +386,23 @@ class Classifier:
     the ``classifier_key`` of what it was trained from.
     """
 
-    def __init__(self, layout: MlpLayout, params: np.ndarray, n_classes: int,
-                 feature_layer: int, train_accuracy: float = float("nan"),
-                 key: str | None = None):
+    def __init__(self, layout: MlpLayout, params: np.ndarray, feature_layer: int,
+                 train_accuracy: float = float("nan"), key: str | None = None):
         _check_feature_layer(feature_layer, len(layout.sizes) - 2)
         self.layout = layout
         self.params = np.asarray(params, dtype=np.float64)
-        self.n_classes = n_classes
         self.feature_layer = feature_layer
         self.train_accuracy = train_accuracy
         self.key = key
 
+    @property
+    def n_classes(self) -> int:
+        return self.layout.sizes[-1]
+
     def record(self, x: np.ndarray) -> DenseRecord:
         """The forward pass over ``x``, logits last; ``NonFiniteError`` when
         the parameters hold a NaN or infinity."""
-        return self.layout.forward(self.layout.unpack(_checked(self.params, "parameters")), x)
+        return self.layout.forward(self.layout.layers(_checked(self.params, "parameters")), x)
 
     def features(self, x: np.ndarray) -> np.ndarray:
         return self.record(x).activations[self.feature_layer + 1]
@@ -448,7 +459,7 @@ def train_classifier(data: np.ndarray, labels: np.ndarray,
     shuffle_rng = np.random.default_rng(shuffle_seq)
 
     grad = np.empty_like(params)
-    layers, grads = layout.unpack(params), layout.unpack(grad)
+    layers, grads = layout.layers(params), layout.layers(grad)
     onehot = np.eye(n_classes)[labels]
     for _ in range(settings.epochs):
         order = shuffle_rng.permutation(len(data))
@@ -466,7 +477,7 @@ def train_classifier(data: np.ndarray, labels: np.ndarray,
             if not np.isfinite(peak) or peak > 1e6:
                 raise DivergenceError("classifier training diverged")
 
-    clf = Classifier(layout, params, n_classes, settings.feature_layer,
+    clf = Classifier(layout, params, settings.feature_layer,
                      key=classifier_key(data, labels, settings, seed))
     clf.train_accuracy = float((clf.record(data).output.argmax(axis=1) == labels).mean())
     return clf
@@ -496,10 +507,22 @@ def save_classifier(classifier: Classifier, directory) -> None:
 
 def load_classifier(directory) -> Classifier:
     """Read a classifier saved by ``save_classifier``, verified by
-    ``training.load_checked``."""
+    ``training.load_checked``; ``ValueError``, naming ``directory``, when
+    the stored layer sizes and activations make no layout, or ``params`` or
+    ``n_classes`` does not fit it."""
     header, arrays = load_checked(directory, ClassifierHeader, {"params": "<f8"})
-    return Classifier(MlpLayout(header.sizes, header.activations), arrays["params"],
-                      header.n_classes, header.feature_layer, header.train_accuracy, header.key)
+    try:
+        layout = MlpLayout(header.sizes, header.activations)
+    except ValueError as exc:
+        raise ValueError(f"{directory}: {exc}") from None
+    params = arrays["params"]
+    if params.shape != (layout.n_params,):
+        raise ValueError(f"{directory}: params of shape {params.shape} does not fit the "
+                         f"{layout.n_params} parameters of sizes {header.sizes}")
+    if header.n_classes != layout.sizes[-1]:
+        raise ValueError(f"{directory}: n_classes {header.n_classes} is not the last of "
+                         f"sizes {header.sizes}")
+    return Classifier(layout, params, header.feature_layer, header.train_accuracy, header.key)
 
 
 # -- metric dispatch ------------------------------------------------------------

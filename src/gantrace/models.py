@@ -55,14 +55,16 @@ no returned array aliases the workspace.  The arithmetic is that of fresh
 operands, bit for bit, but two threads must not call the kernels of one
 instance at the same time.
 
-A dense stack has one forward pass, ``MlpLayout.forward``, which keeps
-every layer's activation in a ``DenseRecord``, and one hand-written
-backward pass, ``MlpLayout.backward``, which reads each layer's
-derivative from its output.  The backward writes the kernel and bias
-gradients into views of a buffer its caller owns, and forms the input
-adjoint only when asked.  Readings, the metric queries, the classifier's
-trainer and its input pullback all run this pair; the tests check it
-against the same losses differentiated on an autodiff tape.
+``MlpLayout`` lays a dense stack out as one [W; b] block per layer, the
+kernel's rows and then the bias row, and ``MlpLayout.layers`` views them;
+``FcGan``'s kernels and L2 mask read the same spans.  A stack has one
+forward pass, ``MlpLayout.forward``, which keeps every layer's activation
+in a ``DenseRecord``, and one hand-written backward pass,
+``MlpLayout.backward``, which reads each layer's derivative from its
+output, writes each layer's gradient into a [W; b] view of its caller's
+buffer, and forms the input adjoint only when asked.  Readings, the metric
+queries, the classifier's trainer and its input pullback all run this
+pair; the tests check it against the same losses differentiated on a tape.
 """
 
 from __future__ import annotations
@@ -115,8 +117,10 @@ _NP_DERIVATIVES = {
 
 
 class MlpLayout:
-    """Index map of the kernels and biases of a dense stack in a flat vector:
-    each layer's kernel, then its bias, in layer order."""
+    """Where each layer of a dense stack lies in a flat vector: layer by
+    layer, one [W; b] block, the kernel's fan_in rows and then the bias
+    row, spanning ``(start, stop, (fan_in + 1, fan_out))``.  ``layers``
+    views every block without a copy."""
 
     def __init__(self, sizes, activations):
         if len(activations) != len(sizes) - 1:
@@ -129,10 +133,8 @@ class MlpLayout:
         spans = []
         offset = 0
         for fan_in, fan_out in zip(self.sizes, self.sizes[1:]):
-            spans.append((offset, (fan_in, fan_out)))
-            offset += fan_in * fan_out
-            spans.append((offset, (fan_out,)))
-            offset += fan_out
+            spans.append((offset, offset + (fan_in + 1) * fan_out, (fan_in + 1, fan_out)))
+            offset = spans[-1][1]
         self.spans = tuple(spans)
         self.n_params = offset
 
@@ -145,25 +147,20 @@ class MlpLayout:
             chunks.append(np.zeros(fan_out))
         return np.concatenate(chunks)
 
-    def unpack(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    def layers(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Each layer's [W; b] as a view of ``flat``: the kernel is
+        ``layer[:-1]`` and the bias ``layer[-1]``."""
         flat = np.asarray(flat)
-        layers = []
-        for i in range(0, len(self.spans), 2):
-            k_off, k_shape = self.spans[i]
-            b_off, b_shape = self.spans[i + 1]
-            kernel = flat[k_off:k_off + k_shape[0] * k_shape[1]].reshape(k_shape)
-            bias = flat[b_off:b_off + b_shape[0]]
-            layers.append((kernel, bias))
-        return layers
+        return tuple(flat[start:stop].reshape(shape) for start, stop, shape in self.spans)
 
     def forward(self, layers, x: np.ndarray) -> DenseRecord:
-        """Forward pass through ``layers``, (kernel, bias) pairs as from
-        ``unpack``, keeping every layer's activation for ``backward``."""
+        """Forward pass through ``layers``, [W; b] views as from ``layers``,
+        keeping every layer's activation for ``backward``."""
         h = np.atleast_2d(np.asarray(x, dtype=np.float64))
         activations = [h]
-        for (kernel, bias), activation in zip(layers, self.activations):
-            pre = h @ kernel
-            pre += bias
+        for layer, activation in zip(layers, self.activations):
+            pre = h @ layer[:-1]
+            pre += layer[-1]
             h = _NP_ACTS[activation](pre)
             activations.append(h)
         return DenseRecord(tuple(layers), activations)
@@ -173,11 +170,12 @@ class MlpLayout:
         """Pull ``output_adjoint`` back through a recorded forward pass.
 
         Each layer's derivative is read from its output.  With ``grads``,
-        (kernel, bias) views as from ``unpack`` of the caller's buffer, each
-        recorded layer's kernel and bias gradient of ``<output_adjoint,
-        output>`` is written into its views; the views of layers past the
-        record are left as they are.  The adjoint of the inputs is computed
-        and returned, checked finite, only with ``input_adjoint``.
+        [W; b] views as from ``layers`` of the caller's buffer, each
+        recorded layer's gradient of ``<output_adjoint, output>`` is written
+        into its view, the kernel's into ``[:-1]`` and the bias's into
+        ``[-1]``; the views of layers past the record are left as they are.
+        The adjoint of the inputs is computed and returned, checked finite,
+        only with ``input_adjoint``.
         """
         adj = np.asarray(output_adjoint, dtype=np.float64)
         if adj.shape != record.output.shape:
@@ -186,18 +184,17 @@ class MlpLayout:
         for i in reversed(range(len(record.layers))):
             adj = adj * _NP_DERIVATIVES[self.activations[i]](record.activations[i + 1])
             if grads is not None:
-                kernel_grad, bias_grad = grads[i]
-                np.matmul(record.activations[i].T, adj, out=kernel_grad)
-                adj.sum(axis=0, out=bias_grad)
+                np.matmul(record.activations[i].T, adj, out=grads[i][:-1])
+                adj.sum(axis=0, out=grads[i][-1])
             if i or input_adjoint:
-                adj = adj @ record.layers[i][0].T
+                adj = adj @ record.layers[i][:-1].T
         return _checked(adj, "input gradient") if input_adjoint else None
 
 
 class DenseRecord(NamedTuple):
     """One forward pass of a dense stack, as ``MlpLayout.backward`` reads it:
-    the layers' (kernel, bias) views and the activations, the inputs first
-    and the output last."""
+    the layers' [W; b] views and the activations, the inputs first and the
+    output last."""
 
     layers: tuple
     activations: list
@@ -250,19 +247,18 @@ class FcGan:
         self.dim_params = self.dim_gen + self.dim_disc
         self.latent_dim = arch.latent_dim
         self.data_dim = arch.data_dim
+        # The four layers' spans in a coupled vector, the discriminator's
+        # offset by the generator block.
+        self._layer_spans = tuple(
+            (base + start, base + stop, shape)
+            for net, base in ((self.gen_net, 0), (self.disc_net, self.dim_gen))
+            for start, stop, shape in net.spans)
         # The L2 penalty's gradient is this vector times the parameters:
-        # 2 * l2_rate on every kernel entry, zero on the biases.
-        self._penalty_rates = 2.0 * arch.l2_rate * np.concatenate([
-            np.full(math.prod(shape), float(len(shape) == 2))
-            for net in (self.gen_net, self.disc_net) for _, shape in net.spans])
-        # Each layer's augmented view [W; b] of a coupled vector as (start,
-        # stop, shape): a bias follows its kernel, so the view copies
-        # nothing.  The discriminator's output layer is read as a vector.
-        spans = [(base + start, base + start + (fan_in + 1) * fan_out, (fan_in + 1, fan_out))
-                 for net, base in ((self.gen_net, 0), (self.disc_net, self.dim_gen))
-                 for start, (fan_in, fan_out) in net.spans[::2]]
-        self._layer_spans = tuple(spans[:-1])
-        self._output_span = spans[-1][:2]
+        # 2 * l2_rate on every kernel entry, zero on each layer's bias row.
+        rates = np.ones(self.dim_params)
+        for layer in self._layers(rates):
+            layer[-1] = 0.0
+        self._penalty_rates = 2.0 * arch.l2_rate * rates
         self._workspace: _Workspace | None = None
         # (vector, its _layers views) for _kept_layers, newest first.
         self._views: tuple = ((None, None), (None, None))
@@ -279,7 +275,7 @@ class FcGan:
         latents = _rows_of(latents, self.latent_dim, "latents")
         if not np.all(np.isfinite(latents)):
             raise ValueError("latents must be finite")
-        return self.gen_net.forward(self.gen_net.unpack(gen_params), latents)
+        return self.gen_net.forward(self.gen_net.layers(gen_params), latents)
 
     # -- closed-form gradient kernels ---------------------------------------
     #
@@ -428,7 +424,7 @@ class FcGan:
         """Gradient of ``<sample_grads, record.output>`` by the backward pass of
         ``record``, a ``generator_forward``; its discriminator block is zero."""
         grad = np.zeros(self.dim_params)
-        self.gen_net.backward(record, sample_grads, self.gen_net.unpack(grad))
+        self.gen_net.backward(record, sample_grads, self.gen_net.layers(grad))
         return _checked(grad, "generator_vjp")
 
     def expected_disc_loss(self, params: np.ndarray, generated: np.ndarray,
@@ -455,7 +451,7 @@ class FcGan:
         logit_adj[n:] /= m
         disc = self.disc_net
         grad = np.empty(self.dim_disc)
-        input_adj = disc.backward(record, logit_adj, disc.unpack(grad), input_adjoint=True)
+        input_adj = disc.backward(record, logit_adj, disc.layers(grad), input_adjoint=True)
         return _checked(grad, "expected_disc_loss_gradient"), input_adj[:n]
 
     def _disc_pass(self, params: np.ndarray, generated: np.ndarray,
@@ -463,13 +459,12 @@ class FcGan:
         """The discriminator's pass over the ``generated`` samples, then ``rows``."""
         params = _checked(np.asarray(params, dtype=np.float64), "parameters")
         inputs = np.concatenate([generated, np.atleast_2d(np.asarray(rows, dtype=np.float64))])
-        return self.disc_net.forward(self.disc_net.unpack(params[self.dim_gen:]), inputs)
+        return self.disc_net.forward(self.disc_net.layers(params[self.dim_gen:]), inputs)
 
     def _layers(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The four layers of a coupled vector as augmented views [W; b],
-        the discriminator's output layer as a vector."""
-        (a, b, w1), (c, d, w2), (e, g, v1) = self._layer_spans
-        h, i = self._output_span
+        """The four layers of a coupled vector as the nets' [W; b] views,
+        the discriminator's output layer flattened to a vector."""
+        (a, b, w1), (c, d, w2), (e, g, v1), (h, i, _) = self._layer_spans
         return flat[a:b].reshape(w1), flat[c:d].reshape(w2), flat[e:g].reshape(v1), flat[h:i]
 
     def _kept_layers(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -397,15 +397,45 @@ def save_trace(trace: TrainingTrace, directory) -> str:
 
 def load_trace(directory) -> TrainingTrace:
     """Read a trace written by ``save_trace``, verified by ``load_checked``
-    before any step record is built; every record's snapshot is a row view
-    of the one ``params`` array."""
+    and ``_check_steps`` before any step record is built; every record's
+    snapshot is a row view of the one ``params`` array."""
     header, arrays = load_checked(directory, TraceHeader, _ARRAYS)
+    _check_steps(directory, header, arrays)
     params = arrays["params"]
     batches = np.split(arrays["batch_indices"], np.cumsum(arrays["batch_sizes"])[:-1])
     records = [StepRecord(step, batch, lr_gen, lr_disc, params[step], seed)
                for step, (batch, (lr_gen, lr_disc), seed) in enumerate(zip(
                    batches, arrays["rates"].tolist(), arrays["latent_seeds"].tolist()))]
     return TrainingTrace(records=records, final_params=params[-1], **asdict(header))
+
+
+def _check_steps(directory, header: TraceHeader, arrays: dict) -> None:
+    """``ValueError``, naming ``directory`` and the array, unless the arrays
+    hold the n steps of ``batch_sizes`` as ``_stored`` writes them: n
+    ``latent_seeds``, n x 2 ``rates`` and n + 1 ``params`` snapshots, sizes
+    of at least 1 that cut ``batch_indices`` exactly, every index a
+    training row, and ``epochs`` increasing ``epoch_starts`` from step 0."""
+    sizes, indices = arrays["batch_sizes"], arrays["batch_indices"]
+    if sizes.ndim != 1 or indices.ndim != 1:
+        raise ValueError(f"{directory}: batch_sizes of shape {sizes.shape} and batch_indices "
+                         f"of shape {indices.shape} are not both vectors")
+    n, dim = len(sizes), header.dim_gen + header.dim_disc
+    for name, shape in {"latent_seeds": (n,), "rates": (n, 2), "params": (n + 1, dim)}.items():
+        if arrays[name].shape != shape:
+            raise ValueError(f"{directory}: {name} of shape {arrays[name].shape} is not "
+                             f"{shape} for the {n} steps of batch_sizes")
+    if sizes.min(initial=1) < 1 or sizes.sum() != len(indices):
+        raise ValueError(f"{directory}: batch_sizes are not sizes of at least 1 that sum to "
+                         f"the {len(indices)} entries of batch_indices")
+    low, high = indices.min(initial=0), indices.max(initial=0)
+    if low < 0 or high >= header.n_train:
+        raise ValueError(f"{directory}: batch_indices holds {low if low < 0 else high}, "
+                         f"which is not one of the {header.n_train} training rows")
+    starts = header.epoch_starts
+    if (len(starts) != header.epochs or starts[:1] != [0] or starts[-1] >= n
+            or any(a >= b for a, b in zip(starts, starts[1:]))):
+        raise ValueError(f"{directory}: epoch_starts {starts} are not {header.epochs} "
+                         f"increasing steps from 0 below the {n} steps of batch_sizes")
 
 
 def trace_checksum(trace: TrainingTrace) -> str:

@@ -10,6 +10,7 @@ listed in ``ALLOWED`` with the reason.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,12 @@ ALLOWED = {
     "experiments.sign_test_greater": "the planned claims report reads its p-values",
     "cli._Parser.error": "argparse calls it on a usage error",
 }
+
+
+@functools.cache
+def _trees(package: Path) -> dict[str, ast.Module]:
+    """Each module of ``package`` by name, parsed once for every test here."""
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
 
 
 def _definitions(module: str, tree: ast.Module):
@@ -57,7 +64,7 @@ def _reads(tree: ast.Module):
 
 
 def uncalled(package: Path) -> list[str]:
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    trees = _trees(package)
     reads = [read for module, tree in trees.items() if module != "__init__"
              for read in _reads(tree)]
     missing = []
@@ -76,26 +83,34 @@ def test_every_definition_has_a_caller_in_the_package():
     assert sorted(uncalled(PACKAGE)) == sorted(ALLOWED)
 
 
-def readers(name: str, package: Path) -> set[str]:
-    """The qualified name of every definition in ``package`` that reads or
-    imports ``name``, or the module's name for a read outside them all."""
-    found = set()
+@functools.cache
+def _reads_by_owner(package: Path) -> tuple[tuple[str, str], ...]:
+    """(name, owner) of every name or attribute read and every name
+    imported in ``package``, found in one walk: the owner is the qualified
+    name of the enclosing definition, or the module's name outside them all."""
+    found = []
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             owner = f"{owner}.{node.name}"
-        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == name
-                or isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-                and node.attr == name
-                or isinstance(node, ast.ImportFrom)
-                and any(alias.name == name for alias in node.names)):
-            found.add(owner)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.append((node.id, owner))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.append((node.attr, owner))
+        elif isinstance(node, ast.ImportFrom):
+            found.extend((alias.name, owner) for alias in node.names)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
-    for path in sorted(package.glob("*.py")):
-        visit(ast.parse(path.read_text()), path.stem)
-    return found
+    for module, tree in _trees(package).items():
+        visit(tree, module)
+    return tuple(found)
+
+
+def readers(name: str, package: Path) -> set[str]:
+    """The qualified name of every definition in ``package`` that reads or
+    imports ``name``, or the module's name for a read outside them all."""
+    return {owner for read, owner in _reads_by_owner(package) if read == name}
 
 
 def test_parameters_are_stepped_in_one_loop():
@@ -118,8 +133,8 @@ def test_the_oracle_reads_no_metric():
     # The oracle returns replayed parameters, and the experiments read them
     # from one ``metrics.generated_set`` each: no name of ``metrics``, nor
     # the module, is read or imported in ``oracle``.
-    tree = ast.parse((PACKAGE / "metrics.py").read_text())
-    names = ["metrics"] + [node.name for _, node, is_method in _definitions("metrics", tree)
+    names = ["metrics"] + [node.name for _, node, is_method
+                           in _definitions("metrics", _trees(PACKAGE)["metrics"])
                            if not is_method]
     assert [name for name in names
             if any(reader.split(".")[0] == "oracle" for reader in readers(name, PACKAGE))] == []
@@ -186,8 +201,7 @@ def test_metric_kinds_are_named_in_metrics_alone():
     # What a kind is lives in ``metrics._KINDS`` alone: no other module
     # names the classifier metrics, and no reading, query or config branches
     # on them; a rule kept beside the table fails here.
-    naming = {path.stem for path in sorted(PACKAGE.glob("*.py"))
-              for node in ast.walk(ast.parse(path.read_text()))
+    naming = {module for module, tree in _trees(PACKAGE).items() for node in ast.walk(tree)
               if isinstance(node, ast.Constant) and node.value in ("is", "fid")}
     assert naming == {"metrics"}
     assert {reader.split(".")[0] for reader in readers("_KINDS", PACKAGE)} == {"metrics"}

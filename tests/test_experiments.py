@@ -542,15 +542,36 @@ def _drop_from_manifest(path: Path, field: str) -> None:
 _CHECKSUM_ORDER = ("batch_indices", "batch_sizes", "latent_seeds", "rates", "params")
 
 
-def _retyped(directory: Path, **changes) -> None:
-    """Store ``directory`` again with ``changes`` in its manifest's header and
-    the checksum recomputed over them, so that only their types are wrong."""
+def _retyped(directory: Path, arrays=None, **changes) -> None:
+    """Store ``directory`` again with ``changes`` in its manifest's header,
+    ``arrays`` in place of the stored arrays of their names, and the checksum
+    recomputed over them, so that only what changed is wrong."""
     manifest = {**json.loads((directory / "manifest.json").read_text()), **changes}
     arrays = {name: np.load(directory / f"{name}.npy") for name in _CHECKSUM_ORDER
-              if (directory / f"{name}.npy").exists()}
+              if (directory / f"{name}.npy").exists()} | (arrays or {})
     save_checked(directory, {key: value for key, value in manifest.items()
                              if key not in ("version", "checksum")},
                  {name: (array.dtype.str, array.shape, [array]) for name, array in arrays.items()})
+
+
+def _edited_array(directory: Path, name: str, edit) -> dict:
+    """``{name: edit(a)}`` for the stored array ``name``, read as ``a``."""
+    return {name: edit(np.load(directory / f"{name}.npy"))}
+
+
+def _drop_last(array):
+    return array[:-1]
+
+
+def _set_entry(array, index, value):
+    array[index] = value
+    return array
+
+
+def _merge_first_batches(sizes):
+    sizes[0] += sizes[1]
+    sizes[1] = 0
+    return sizes
 
 
 # Damage to a stored directory, written by ``training.save_checked``, and the
@@ -597,6 +618,32 @@ _CLASSIFIER_DAMAGE = {
     "numeric key": (lambda t, other: _retyped(t, key=7), "field 'key' is 7, not str"),
     "huge integer train_accuracy": (lambda t, other: _retyped(t, train_accuracy=10**400),
                                     "field 'train_accuracy' is an integer too large for a float"),
+    "one parameter short": (lambda t, other: _retyped(t, _edited_array(t, "params", _drop_last)),
+                            "params of shape"),
+    "n_classes 4 to 3": (lambda t, other: _retyped(t, n_classes=3), "n_classes 3 is not"),
+    "one activation fewer": (lambda t, other: _retyped(t, activations=["tanh", "tanh"]),
+                             "need one activation per layer"),
+}
+
+
+# Damage to a stored trace's arrays or epoch starts, stored with the checksum
+# recomputed, so that only the steps they describe disagree; and the array
+# that the refusal must name.
+_STEP_DAMAGE = {
+    "batch index 5000": ("batch_indices", lambda a: _set_entry(a, 7, 5000)),
+    "batch index -1": ("batch_indices", lambda a: _set_entry(a, 7, -1)),
+    "one batch size fewer": ("batch_sizes", _drop_last),
+    "one rate row fewer": ("rates", _drop_last),
+    "one latent seed fewer": ("latent_seeds", _drop_last),
+    "one snapshot fewer": ("params", _drop_last),
+    "a column of rates fewer": ("rates", lambda a: a[:, :1]),
+    "an empty batch": ("batch_sizes", _merge_first_batches),
+    "sizes one short of the indices": ("batch_sizes", lambda a: _set_entry(a, -1, a[-1] - 1)),
+    "epoch start 50": ("epoch_starts", [0, 50]),
+    "epoch start 6": ("epoch_starts", [0, 6]),
+    "epoch starts from 1": ("epoch_starts", [1, 3]),
+    "repeated epoch start": ("epoch_starts", [0, 0]),
+    "one epoch start fewer": ("epoch_starts", [0]),
 }
 
 
@@ -613,6 +660,29 @@ def test_cli_influence_rejects_old_or_damaged_traces(mini_trace, tmp_path, capsy
     err = capsys.readouterr().err
     assert code == 1
     assert expected in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["influence", "oracle"])
+@pytest.mark.parametrize("damage", list(_STEP_DAMAGE))
+def test_cli_refuses_a_trace_whose_arrays_disagree(mini_trace, tmp_path, capsys, damage,
+                                                   command):
+    # The mini trace has 6 steps of 20 rows in 2 epochs starting at steps 0 and 3.
+    config, trace, _ = mini_trace
+    copy = tmp_path / "trace"
+    shutil.copytree(trace, copy)
+    name, edit = _STEP_DAMAGE[damage]
+    if name == "epoch_starts":
+        _retyped(copy, epoch_starts=edit)
+    else:
+        _retyped(copy, _edited_array(copy, name, edit))
+    out = tmp_path / "out.csv"
+    code = cli_main([command, "--config", str(config), "--trace", str(copy), "--k", "1",
+                     "--targets", "2", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {copy}: ") and err.count("\n") == 1
+    assert name in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -982,6 +1052,35 @@ def test_cli_non_finite_values_exit_two(mini_config, tmp_path, monkeypatch, caps
     code = cli_main(["train", "--config", str(path), "--out", str(tmp_path / "t")])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def tiny_bandwidth_trace(tmp_path_factory):
+    """The bundled desk config at bandwidth 1.5e-154, just above the floor
+    ``MetricSpec`` allows, and its ``gantrace train`` trace."""
+    root = tmp_path_factory.mktemp("tiny_bandwidth")
+    config = root / "desk.ini"
+    config.write_text((CONFIGS / "normal2d_desk.ini").read_text()
+                      .replace("bandwidth = 1.0", "bandwidth = 1.5e-154"))
+    assert cli_main(["train", "--config", str(config), "--out", str(root / "trace")]) == 0
+    return config, root / "trace"
+
+
+@pytest.mark.parametrize("command, flags", [("influence", []), ("oracle", ["--targets", "2"])])
+def test_cli_kde_overflow_is_one_numerical_failure(tiny_bandwidth_trace, tmp_path, capsys,
+                                                   command, flags):
+    # The KDE's scaled distances would overflow: one line and exit 2, with
+    # no NumPy warning before it.
+    config, trace = tiny_bandwidth_trace
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    code = cli_main([command, "--config", str(config), "--trace", str(trace), "--k", "1",
+                     *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("numerical failure: the KDE overflows at bandwidth 1.5e-154")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def _run_python(*args: str) -> subprocess.CompletedProcess:

@@ -103,10 +103,8 @@ def assert_matches(got, ref):
 def dead_relus(gan, params):
     """Half the hidden units of each network get a bias no input overcomes."""
     params = params.copy()
-    gen_bias = gan.gen_net.spans[1][0]
-    disc_bias = gan.dim_gen + gan.disc_net.spans[1][0]
-    params[gen_bias:gen_bias + HIDDEN_GEN // 2] = -50.0
-    params[disc_bias:disc_bias + HIDDEN_DISC // 2] = -50.0
+    gan.gen_net.layers(params[:gan.dim_gen])[0][-1, :HIDDEN_GEN // 2] = -50.0
+    gan.disc_net.layers(params[gan.dim_gen:])[0][-1, :HIDDEN_DISC // 2] = -50.0
     return params
 
 
@@ -170,8 +168,8 @@ def test_closed_form_matches_tape(objective, scenario):
             assert gen_loss_grad.any()
     if edit is dead_relus:
         gen_net, disc_net = gan.gen_net, gan.disc_net
-        gen_hidden = gen_net.forward(gen_net.unpack(params[:gan.dim_gen]), latents).activations[1]
-        disc_hidden = disc_net.forward(disc_net.unpack(params[gan.dim_gen:]), rows).activations[1]
+        gen_hidden = gen_net.forward(gen_net.layers(params[:gan.dim_gen]), latents).activations[1]
+        disc_hidden = disc_net.forward(disc_net.layers(params[gan.dim_gen:]), rows).activations[1]
         assert not gen_hidden[:, :HIDDEN_GEN // 2].any()
         assert not disc_hidden[:, :HIDDEN_DISC // 2].any()
 
@@ -461,20 +459,19 @@ def test_mlp_vjp_matches_tape(activation, upto_layer, n_rows, dead):
     params = layout.init_params(rng) + rng.normal(0.0, 0.1, layout.n_params)
     if dead:
         # Half the first layer's units get a bias no input overcomes.
-        bias = layout.spans[1][0]
-        params[bias:bias + 3] = -50.0
+        layout.layers(params)[0][-1, :3] = -50.0
     x = rng.standard_normal((n_rows, 4))
-    record = layout.forward(layout.unpack(params), x)
+    record = layout.forward(layout.layers(params), x)
     if upto_layer is not None:
         record = record.upto(upto_layer)
     assert_matches(record.output, mlp_graph(layout, tape.Tensor(params), 0, x, upto_layer).data)
     adjoint = rng.standard_normal(record.output.shape)
     # The gradient views of layers past the record are left as they are.
     param_grad = np.full(layout.n_params, 7.0)
-    input_grad = layout.backward(record, adjoint, layout.unpack(param_grad),
+    input_grad = layout.backward(record, adjoint, layout.layers(param_grad),
                                  input_adjoint=True)
     ref_param, ref_input = tape_mlp_vjp(layout, params, x, adjoint, upto_layer)
-    cut = layout.n_params if upto_layer is None else layout.spans[2 * upto_layer + 2][0]
+    cut = layout.n_params if upto_layer is None else layout.spans[upto_layer][1]
     assert_matches(param_grad[:cut], ref_param[:cut])
     assert not ref_param[cut:].any() and np.all(param_grad[cut:] == 7.0)
     assert_matches(input_grad, ref_input)
@@ -486,9 +483,9 @@ def test_mlp_vjp_rejects_a_misshapen_adjoint():
     layout = MlpLayout((4, 6, 3), ("tanh", "linear"))
     rng = np.random.default_rng(31)
     params = layout.init_params(rng)
-    record = layout.forward(layout.unpack(params), rng.standard_normal((5, 4)))
+    record = layout.forward(layout.layers(params), rng.standard_normal((5, 4)))
     with pytest.raises(ValueError, match="does not match"):
-        layout.backward(record, np.ones((5, 1)), layout.unpack(np.empty_like(params)))
+        layout.backward(record, np.ones((5, 1)), layout.layers(np.empty_like(params)))
     with pytest.raises(ValueError, match="does not match"):
         layout.backward(record.upto(0), np.ones((5, 3)), input_adjoint=True)
 
@@ -991,6 +988,23 @@ def test_kde_memory_is_bounded_at_paper_scale():
         tracemalloc.stop()
     # The block buffer itself shows, so NumPy's allocations are traced.
     assert 8 * rows_per_block(1000) * 1000 <= peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("bandwidth, overflows", [(1e-150, False), (1e-153, True)])
+def test_kde_refuses_a_bandwidth_whose_scaled_distances_overflow(bandwidth, overflows):
+    # 64-d points in (-3, 3): the squared norms reach about 200, and the
+    # power-of-two part of -1/(2 h^2) about 2^1015 at 1e-153, where the
+    # unchecked matmul returned NaN.
+    rng = np.random.default_rng(49)
+    real = rng.uniform(-1.0, 1.0, (40, 64)) * 3.0
+    generated = rng.uniform(-1.0, 1.0, (30, 64)) * 3.0
+    if overflows:
+        for kde in (average_log_likelihood, _all_gradient):
+            with pytest.raises(NonFiniteError, match=f"KDE overflows at bandwidth {bandwidth}"):
+                kde(real, generated, bandwidth)
+    else:
+        assert np.isfinite(average_log_likelihood(real, generated, bandwidth))
+        assert np.isfinite(_all_gradient(real, generated, bandwidth)).all()
 
 
 # -- no tape on the metric path ------------------------------------------------------------

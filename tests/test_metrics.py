@@ -160,7 +160,7 @@ def test_is_gradient_zero_for_constant_head():
     layout_clf = train_classifier(np.zeros((4, 3)), np.array([0, 1, 0, 1]),
                                   ClassifierSettings(hidden=(5, 4), epochs=0), seed=0)
     clf = Classifier(layout_clf.layout, np.zeros_like(layout_clf.params),
-                     layout_clf.n_classes, layout_clf.feature_layer)
+                     layout_clf.feature_layer)
     generated = np.random.default_rng(5).standard_normal((6, 3))
     grads = sample_adjoint(MetricSpec("is"), sample_set(generated, clf),
                            MetricContext(classifier=clf))

@@ -34,15 +34,44 @@ def tape_gan(small_gan):
     return TapeFcGan(small_gan.arch)
 
 
-def test_unpack_views_tile_the_flat_vector():
-    # Each layer's kernel, then its bias, in layer order, every entry once:
-    # the trainer writes gradients through these views.
+def test_layer_views_tile_the_flat_vector():
+    # Each layer's [W; b], in layer order, every entry once: the trainer
+    # writes gradients through these views.
     layout = MlpLayout((3, 7, 2), ("relu", "tanh"))
     rng = np.random.default_rng(0)
     flat = rng.standard_normal(layout.n_params)
-    arrays = [array for layer in layout.unpack(flat) for array in layer]
-    assert all(np.shares_memory(array, flat) for array in arrays)
-    assert np.array_equal(np.concatenate([array.ravel() for array in arrays]), flat)
+    layers = layout.layers(flat)
+    assert all(np.shares_memory(layer, flat) for layer in layers)
+    assert np.array_equal(np.concatenate([layer.ravel() for layer in layers]), flat)
+
+
+def test_gan_layers_and_l2_mask_read_the_layouts(small_gan):
+    # Every layer is one [W; b] block: the views of arange tile it once, in
+    # order, each bias in the last row, which is the entries after the kernel.
+    for net in (small_gan.gen_net, small_gan.disc_net):
+        layers = net.layers(np.arange(net.n_params))
+        assert np.array_equal(np.concatenate([layer.ravel() for layer in layers]),
+                              np.arange(net.n_params))
+        for layer, fan_in, fan_out in zip(layers, net.sizes, net.sizes[1:]):
+            assert layer.shape == (fan_in + 1, fan_out)
+            assert np.array_equal(layer[-1], layer[0, 0] + fan_in * fan_out + np.arange(fan_out))
+    # The kernels' views are the two layouts', the discriminator's offset by
+    # the generator block and its output layer flattened.
+    flat = np.arange(small_gan.dim_params)
+    expected = (*small_gan.gen_net.layers(flat[:small_gan.dim_gen]),
+                *small_gan.disc_net.layers(flat[small_gan.dim_gen:]))
+    got = small_gan._layers(flat)
+    assert [layer.shape for layer in got[:3]] == [layer.shape for layer in expected[:3]]
+    assert all(np.array_equal(a, b) for a, b in zip(got[:3], expected[:3]))
+    assert got[3].shape == (expected[3].size,)
+    assert np.array_equal(got[3], expected[3].ravel())
+    assert np.array_equal(np.concatenate([layer.ravel() for layer in got]), flat)
+    # The L2 mask is zero on exactly the bias entries.
+    bias_entries = np.concatenate([layer[-1] for layer in expected])
+    zeros = np.flatnonzero(small_gan._penalty_rates == 0.0)
+    assert np.array_equal(zeros, np.sort(bias_entries))
+    assert np.all(small_gan._penalty_rates[small_gan._penalty_rates != 0.0]
+                  == 2.0 * small_gan.arch.l2_rate)
 
 
 def test_block_layout_is_contiguous(small_gan):
@@ -60,7 +89,7 @@ def test_identity_like_linear_generator_returns_weight_column():
     layout = MlpLayout((3, 2), ("linear",))
     kernel = np.array([[1.5, -2.0], [0.0, 3.0], [4.0, 0.5]])
     flat = np.concatenate([kernel.ravel(), np.zeros(2)])
-    out = layout.forward(layout.unpack(flat), np.array([[1.0, 0.0, 0.0]])).output
+    out = layout.forward(layout.layers(flat), np.array([[1.0, 0.0, 0.0]])).output
     assert np.array_equal(out[0], kernel[0])
 
 
@@ -89,12 +118,12 @@ def test_losses_match_hand_written_expression(tape_gan):
     x = rng.standard_normal(2)
 
     def disc_prob(v):
-        (k1, b1), (k2, b2) = tape_gan.disc_net.unpack(params[tape_gan.dim_gen:])
-        h = np.maximum(v @ k1 + b1, 0.0)
-        return expit(h @ k2 + b2)[0]
+        v1, v2 = tape_gan.disc_net.layers(params[tape_gan.dim_gen:])
+        h = np.maximum(v @ v1[:-1] + v1[-1], 0.0)
+        return expit(h @ v2[:-1] + v2[-1])[0]
 
-    (gk1, gb1), (gk2, gb2) = tape_gan.gen_net.unpack(params[:tape_gan.dim_gen])
-    generated = np.tanh(np.maximum(z @ gk1 + gb1, 0.0) @ gk2 + gb2)
+    w1, w2 = tape_gan.gen_net.layers(params[:tape_gan.dim_gen])
+    generated = np.tanh(np.maximum(z @ w1[:-1] + w1[-1], 0.0) @ w2[:-1] + w2[-1])
     p_data = np.clip(disc_prob(x), 1e-7, 1 - 1e-7)
     p_fake = np.clip(disc_prob(generated), 1e-7, 1 - 1e-7)
     assert tape_gan.disc_real_loss(params, x) == pytest.approx(-np.log(p_data), rel=1e-12)
@@ -245,14 +274,11 @@ def test_regularizer_touches_kernels_only(tape_gan):
     (g_gen,) = backward(tape_gan.gen_reg_graph(theta), [theta])
     (g_disc,) = backward(tape_gan.disc_reg_graph(theta), [theta])
     grad = g_gen.data + g_disc.data
-    offset = 0
-    for net, base in ((tape_gan.gen_net, 0), (tape_gan.disc_net, tape_gan.dim_gen)):
-        for i in range(0, len(net.spans), 2):
-            k_off, k_shape = net.spans[i]
-            b_off, b_shape = net.spans[i + 1]
-            k_size = k_shape[0] * k_shape[1]
-            assert np.all(grad[base + k_off:base + k_off + k_size] != 0)
-            assert np.all(grad[base + b_off:base + b_off + b_shape[0]] == 0)
+    for net, block in ((tape_gan.gen_net, grad[:tape_gan.dim_gen]),
+                       (tape_gan.disc_net, grad[tape_gan.dim_gen:])):
+        for layer in net.layers(block):
+            assert np.all(layer[:-1] != 0)
+            assert np.all(layer[-1] == 0)
 
 
 def test_logistic_matches_scipy_expit_without_overflow():

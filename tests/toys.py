@@ -70,18 +70,22 @@ _GRAPH_ACTS = {
 }
 
 
+def graph_layers(layout, theta, base):
+    """Each layer's (kernel, bias) on the tape, cut from its [W; b] span of
+    ``theta`` at offset ``base``: the tape slices flat tensors only."""
+    for start, stop, (rows, width) in layout.spans:
+        layer = theta[base + start:base + stop]
+        yield layer[:-width].reshape((rows - 1, width)), layer[-width:]
+
+
 def mlp_graph(layout, theta, base, x, upto_layer=None):
     """``layout.forward`` on the tape, cut after layer ``upto_layer`` when
     one is given, reading the stack's parameters from ``theta`` at offset
     ``base``; ``x`` is an array or a tensor."""
     h = x if isinstance(x, Tensor) else constant(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    for i in range(0, len(layout.spans), 2):
-        k_off, k_shape = layout.spans[i]
-        b_off, b_shape = layout.spans[i + 1]
-        kernel = theta[base + k_off:base + k_off + k_shape[0] * k_shape[1]].reshape(k_shape)
-        bias = theta[base + b_off:base + b_off + b_shape[0]]
-        h = _GRAPH_ACTS[layout.activations[i // 2]](h @ kernel + bias)
-        if upto_layer is not None and i // 2 == upto_layer:
+    for i, (kernel, bias) in enumerate(graph_layers(layout, theta, base)):
+        h = _GRAPH_ACTS[layout.activations[i]](h @ kernel + bias)
+        if i == upto_layer:
             return h
     return h
 
@@ -89,9 +93,8 @@ def mlp_graph(layout, theta, base, x, upto_layer=None):
 def kernel_sq_norm_graph(layout, theta, base):
     """Sum of the squared kernel entries of a dense stack, biases left out."""
     total = None
-    for i in range(0, len(layout.spans), 2):
-        k_off, k_shape = layout.spans[i]
-        term = theta[base + k_off:base + k_off + k_shape[0] * k_shape[1]].square().sum()
+    for kernel, _ in graph_layers(layout, theta, base):
+        term = kernel.square().sum()
         total = term if total is None else total + term
     return total
 
@@ -406,7 +409,7 @@ def tape_train_classifier(data, labels, settings, seed=0):
             peak = np.max(np.abs(params))
             if not np.isfinite(peak) or peak > 1e6:
                 raise DivergenceError("classifier training diverged")
-    clf = Classifier(layout, params, n_classes, settings.feature_layer)
+    clf = Classifier(layout, params, settings.feature_layer)
     clf.train_accuracy = float((clf.record(data).output.argmax(axis=1) == labels).mean())
     return clf
 
@@ -494,7 +497,7 @@ def sample_adjoint(spec, generated, context):
 def disc_logits(gan, params, x):
     """The discriminator's logits on the rows of ``x``, one pass."""
     net = gan.disc_net
-    return net.forward(net.unpack(params[gan.dim_gen:]), np.atleast_2d(x)).output[:, 0]
+    return net.forward(net.layers(params[gan.dim_gen:]), np.atleast_2d(x)).output[:, 0]
 
 
 def inception_score(generated, classifier):
@@ -672,12 +675,12 @@ def min_abs_preactivation(gan, params, latents, rows):
     Finite-difference oracles are only valid away from the relu kinks;
     tests resample parameter points until this clears a margin.
     """
-    gen_kernel, gen_bias = gan.gen_net.unpack(params[:gan.dim_gen])[0]
-    gen_pre = np.atleast_2d(latents) @ gen_kernel + gen_bias
+    gen_layer = gan.gen_net.layers(params[:gan.dim_gen])[0]
+    gen_pre = np.atleast_2d(latents) @ gen_layer[:-1] + gen_layer[-1]
     generated = gan.generator_forward(params, latents).output
-    disc_kernel, disc_bias = gan.disc_net.unpack(params[gan.dim_gen:])[0]
+    disc_layer = gan.disc_net.layers(params[gan.dim_gen:])[0]
     disc_inputs = np.vstack([generated, np.atleast_2d(rows)]) if len(rows) else generated
-    disc_pre = disc_inputs @ disc_kernel + disc_bias
+    disc_pre = disc_inputs @ disc_layer[:-1] + disc_layer[-1]
     return min(np.abs(gen_pre).min(), np.abs(disc_pre).min())
 
 
