@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .datasets import GLYPH_SIDE, load_idx_images, make_digit_images, sample_normal2d
+from .datasets import (GLYPH_SIDE, glyph_templates, load_idx_images, make_digit_images,
+                       sample_normal2d)
 from .metrics import ClassifierSettings, MetricSpec
 from .models import FcGan, GanArchitecture
 from .training import TrainingSettings, json_digest
@@ -37,8 +38,11 @@ class DatasetSpec:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.n_train < 1:
             raise ValueError("n_train must be positive")
-        if not 0 <= self.noise < math.inf:
-            raise ValueError("noise must be finite and non-negative")
+        if not 0 <= self.noise < math.inf or math.copysign(1.0, self.noise) < 0:
+            raise ValueError(f"noise {self.noise} must be finite and non-negative "
+                             "(NumPy takes -0 as negative)")
+        if self.kind == "digits8":
+            glyph_templates(self.n_classes)   # refuses an n_classes with no glyphs
 
 
 @dataclass
@@ -87,6 +91,11 @@ class ExperimentConfig:
                              f"({self.dataset.n_train})")
         if self.n_permutations < 1:
             raise ValueError("n_permutations must be positive")
+        if self.classifier_seed < 0:
+            raise ValueError(f"classifier_seed {self.classifier_seed} must be non-negative")
+        if self.training.batch_size > self.dataset.n_train:
+            raise ValueError(f"batch_size {self.training.batch_size} must not exceed n_train "
+                             f"({self.dataset.n_train})")
         classified = [spec.kind for spec in specs if spec.needs_classifier]
         if classified and (self.dataset.kind == "normal2d" or (
                 self.dataset.kind == "idx" and not self.dataset.labels_path)):

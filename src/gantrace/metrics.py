@@ -50,8 +50,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .influence import QueryVector
-from .models import DenseRecord, MlpLayout, NonFiniteError, _checked
-from .training import DivergenceError, json_digest, load_checked, save_checked
+from .models import _NP_ACTS, DenseRecord, MlpLayout, NonFiniteError, _checked
+from .training import check_bounded, json_digest, load_checked, minibatch_schedule, save_checked
 
 
 @dataclass(frozen=True)
@@ -369,6 +369,9 @@ class ClassifierSettings:
                              "sizes of at least 1")
         if not 0 <= self.lr < math.inf:
             raise ValueError("classifier_lr must be finite and non-negative")
+        if self.activation not in _NP_ACTS:
+            raise ValueError(f"classifier_activation {self.activation!r} is not one of "
+                             f"{', '.join(_NP_ACTS)}")
         _check_feature_layer(self.feature_layer, len(self.hidden))
 
 
@@ -440,11 +443,12 @@ def train_classifier(data: np.ndarray, labels: np.ndarray,
                      settings: ClassifierSettings, seed: int = 0) -> Classifier:
     """Deterministic mini-batch SGD on the softmax cross-entropy.
 
-    Each epoch gathers its shuffled rows and one-hot labels once and takes
-    its batches as slices of them.  Layer views of the parameters and of
-    one gradient buffer are made once for the whole run: every step writes
-    its gradient through the buffer's views and updates ``params`` in
-    place, which keeps the parameter views current.
+    The epochs are ``training.minibatch_schedule``'s, one batch an epoch
+    when ``batch_size`` exceeds the data, and each step ends in the GAN's
+    divergence check, ``training.check_bounded``.  Layer views of the
+    parameters and of one gradient buffer are made once for the whole run:
+    every step writes its gradient through the buffer's views and updates
+    ``params`` in place, which keeps the parameter views current.
     """
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
@@ -453,29 +457,23 @@ def train_classifier(data: np.ndarray, labels: np.ndarray,
         raise ValueError("labels must be non-negative class indices")
     layout = MlpLayout((data.shape[1], *settings.hidden, n_classes),
                        (settings.activation,) * len(settings.hidden) + ("linear",))
-    root = np.random.SeedSequence(seed)
-    init_seq, shuffle_seq = root.spawn(2)
+    init_seq, shuffle_seq = np.random.SeedSequence(seed).spawn(2)
     params = layout.init_params(np.random.default_rng(init_seq))
-    shuffle_rng = np.random.default_rng(shuffle_seq)
+    batches, _ = minibatch_schedule(len(data), min(settings.batch_size, len(data)),
+                                    settings.epochs, np.random.default_rng(shuffle_seq))
 
     grad = np.empty_like(params)
     layers, grads = layout.layers(params), layout.layers(grad)
     onehot = np.eye(n_classes)[labels]
-    for _ in range(settings.epochs):
-        order = shuffle_rng.permutation(len(data))
-        rows, targets = data[order], onehot[order]
-        for start in range(0, len(data), settings.batch_size):
-            batch = slice(start, start + settings.batch_size)
-            record = layout.forward(layers, rows[batch])
-            # Mean cross-entropy's logit adjoint: (softmax - onehot) / batch.
-            adjoint = (_softmax(record.output) - targets[batch]) / len(record.output)
-            layout.backward(record, adjoint, grads)
-            _checked(grad, "classifier gradient")
-            grad *= settings.lr
-            params -= grad
-            peak = np.abs(params).max()
-            if not np.isfinite(peak) or peak > 1e6:
-                raise DivergenceError("classifier training diverged")
+    for step, batch in enumerate(batches):
+        record = layout.forward(layers, data[batch])
+        # Mean cross-entropy's logit adjoint: (softmax - onehot) / batch.
+        adjoint = (_softmax(record.output) - onehot[batch]) / len(record.output)
+        layout.backward(record, adjoint, grads)
+        _checked(grad, "classifier gradient")
+        grad *= settings.lr
+        params -= grad
+        check_bounded(params, "classifier", step)
 
     clf = Classifier(layout, params, settings.feature_layer,
                      key=classifier_key(data, labels, settings, seed))

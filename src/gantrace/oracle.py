@@ -1,8 +1,9 @@
 """Exact ground truth by re-running the recorded schedule without an instance.
 
-A counterfactual run starts at the first step of the window whose batch
-holds an excluded instance, from its recorded snapshot, since every earlier
-step would replay exactly as recorded, and runs the rest through
+A counterfactual run marks its excluded instances in a mask over the
+training instances.  It starts at the first step of the window whose batch
+holds one, from its recorded snapshot, since every earlier step would
+replay exactly as recorded, and runs the rest through
 ``training.step_records``, the loop training runs.  With nothing excluded
 it replays the whole window and reproduces the stored final parameters
 bit-exactly, which anchors every comparison.
@@ -46,14 +47,11 @@ def counterfactual_retrain(problem, trace: TrainingTrace, dataset: np.ndarray,
     if exclusion and (exclusion[0] < 0 or exclusion[-1] >= trace.n_train):
         raise ValueError(f"excluded indices must be instance indices in [0, {trace.n_train})")
     window = trace.records[window_start(trace, k_epochs):]
-    batches = [record.batch_indices for record in window]
-    # One lookup over the whole window; each step reads its slice.
-    excluded_mask = np.zeros(trace.n_train, dtype=bool)
-    excluded_mask[exclusion] = True
-    hits = excluded_mask[np.concatenate(batches)]
-    ends = np.cumsum([len(idx) for idx in batches])
-    first = int(np.searchsorted(ends, np.argmax(hits), side="right")) if hits.any() else 0
+    mask = np.zeros(trace.n_train, dtype=bool)
+    mask[exclusion] = True
+    hits = (t for t, record in enumerate(window) if mask[record.batch_indices].any())
+    first = next(hits, 0) if exclusion else 0
     params = step_records(problem, window[first].params, window[first:], dataset,
-                          dropped=hits[ends[first] - len(batches[first]):])
+                          excluded=mask)
     return CounterfactualResult(excluded=tuple(exclusion), params=params,
                                 delta=params - trace.final_params)

@@ -54,6 +54,8 @@ class TrainingSettings:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be non-negative")
         if not (0 <= self.lr_gen < math.inf and 0 <= self.lr_disc < math.inf):
             raise ValueError("learning rates must be finite and non-negative")
         if self.mode not in ("simultaneous", "alternating"):
@@ -180,24 +182,32 @@ def asgd_step(problem, params: np.ndarray, data_rows: np.ndarray, latents: np.nd
     return np.subtract(params, grad, out=grad)
 
 
+def check_bounded(params: np.ndarray, network: str, step: int) -> None:
+    """The divergence rule of both networks: ``DivergenceError`` unless
+    every entry of ``params`` is within ``DIVERGENCE_LIMIT``, so not NaN."""
+    peak = np.max(np.abs(params))
+    if not peak <= DIVERGENCE_LIMIT:
+        raise DivergenceError(f"{network} parameter magnitude {peak:.3e} exceeded "
+                              f"{DIVERGENCE_LIMIT:.1e} after step {step}")
+
+
 def step_records(problem, params: np.ndarray, records: list[StepRecord], dataset: np.ndarray,
-                 dropped: np.ndarray | None = None, keep: bool = False) -> np.ndarray:
+                 excluded: np.ndarray | None = None, keep: bool = False) -> np.ndarray:
     """Step ``params`` through ``records`` and return the last parameters.
 
-    ``dropped`` marks rows to leave out, aligned with the records' batches
-    end to end; the normalizer stays the full batch.  With ``keep``, as in
-    training, each record gets its starting vector as its snapshot, each
-    step a fresh vector and a divergence check, and latent batches are
-    drawn, not kept.  Without it, as in a replay, the records are only
-    read: the start is copied once and each step writes into the other of
-    two buffers, which swap roles every step.
+    ``excluded`` masks the dataset's instances to leave out of each batch;
+    the normalizer stays the full batch.  With ``keep``, as in training,
+    each record gets its starting vector as its snapshot, each step a fresh
+    vector and a divergence check, and latent batches are drawn, not kept.
+    Without it, as in a replay, the records are only read: the start is
+    copied once and each step writes into the other of two buffers, which
+    swap roles every step.
     """
     params, spare = (params, None) if keep else (params.copy(), np.empty_like(params))
     for record in records:
         idx = rows = record.batch_indices
-        if dropped is not None:
-            drop, dropped = dropped[:len(idx)], dropped[len(idx):]
-            rows = idx[~drop] if drop.any() else idx
+        if excluded is not None:
+            rows = idx[~excluded[idx]]
         if keep:
             record.params = params
             latents = latents_from_seed(record.latent_seed, len(idx), problem.latent_dim)
@@ -206,10 +216,7 @@ def step_records(problem, params: np.ndarray, records: list[StepRecord], dataset
         stepped = asgd_step(problem, params, dataset[rows], latents, record.lr_gen,
                             record.lr_disc, denom=len(idx), out=spare)
         if keep:
-            peak = np.max(np.abs(stepped))
-            if not peak <= DIVERGENCE_LIMIT:   # NaN and infinity too
-                raise DivergenceError(f"parameter magnitude {peak:.3e} exceeded "
-                                      f"{DIVERGENCE_LIMIT:.1e} after step {record.step}")
+            check_bounded(stepped, "GAN", record.step)
         params, spare = stepped, (None if keep else params)
     return params
 

@@ -120,6 +120,14 @@ def test_parameters_are_stepped_in_one_loop():
     assert readers("asgd_step", PACKAGE) == {"training.step_records"}
 
 
+def test_both_networks_step_on_one_schedule_and_one_divergence_rule():
+    # The GAN and the IS/FID classifier draw their epochs from one shuffler
+    # and stop at one check; a second permutation loop or a second reading
+    # of the limit fails here.
+    assert readers("permutation", PACKAGE) == {"training.minibatch_schedule"}
+    assert readers("DIVERGENCE_LIMIT", PACKAGE) == {"training.check_bounded"}
+
+
 def test_only_the_experiments_replay():
     # ``replayed_readings`` replays and reads each distinct selection, for
     # the oracle's targets and cleansing's harmful sets alike; a second

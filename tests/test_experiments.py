@@ -1291,6 +1291,22 @@ def test_cli_influence_refuses_a_json_out(mini_trace, tmp_path, capsys):
      "[evaluation] classifier_lr = 'NaN' does not parse: not a finite number"),
     ("train", ("metrics = all", "metrics = all\nbandwidth = 1e-200"), [],
      "bandwidth must be positive and finite, its square at least"),
+    ("train", [("kind = normal2d", "kind = digits8"),
+               ("metrics = all", "metrics = fid\nclassifier_activation = x")], [],
+     "classifier_activation 'x' is not one of relu, tanh, sigmoid, linear"),
+    ("train", ("seed = 3", "seed = -1"), [], "seed -1 must be non-negative"),
+    ("train", ("", ""), ["--seed", "-1"], "seed -1 must be non-negative"),
+    ("train", [("kind = normal2d", "kind = digits8"),
+               ("metrics = all", "metrics = fid\nclassifier_seed = -1")], [],
+     "classifier_seed -1 must be non-negative"),
+    ("train", ("batch_size = 20", "batch_size = 61"), [],
+     "batch_size 61 must not exceed n_train (60)"),
+    ("train", ("kind = normal2d", "kind = digits8\nn_classes = 11"), [],
+     "n_classes must be in [1, 10]"),
+    ("train", ("kind = normal2d", "kind = digits8\nn_classes = 0"), [],
+     "n_classes must be in [1, 10]"),
+    ("train", ("kind = normal2d", "kind = digits8\nnoise = -0"), [],
+     "noise -0.0 must be finite and non-negative"),
 ], ids=["negative_n_harmful", "negative_n_harmful_flag", "no_permutations",
         "unknown_metric", "unknown_method", "empty_metrics", "empty_metrics_influence",
         "empty_methods", "empty_k_epochs", "empty_k_flag", "empty_n_harmful", "zero_n_seeds",
@@ -1304,7 +1320,10 @@ def test_cli_influence_refuses_a_json_out(mini_trace, tmp_path, capsys):
         "zero_classifier_epochs", "repeated_metric", "repeated_method", "repeated_k_flag",
         "repeated_n_harmful", "repeated_n_harmful_flag", "data_dim_key", "nan_noise",
         "infinite_l2_rate", "minus_infinite_lr_gen", "nan_lr_disc", "overflowing_bandwidth",
-        "nan_classifier_lr", "vanishing_bandwidth"])
+        "nan_classifier_lr", "vanishing_bandwidth", "unknown_classifier_activation",
+        "negative_seed", "negative_seed_flag", "negative_classifier_seed",
+        "batch_above_n_train", "eleven_glyph_classes", "zero_glyph_classes",
+        "minus_zero_noise"])
 def test_cli_refuses_a_bad_config_before_training(tmp_path, capsys, monkeypatch,
                                                    command, edit, flags, message):
     def refuse(*args, **kwargs):

@@ -517,13 +517,28 @@ def test_train_classifier_refuses_a_non_finite_gradient():
         train_classifier(data, labels, ClassifierSettings(hidden=(6, 4), epochs=1), seed=3)
 
 
-def test_train_classifier_refuses_a_diverging_parameter():
+def test_train_classifier_refuses_a_diverging_parameter(monkeypatch):
     # One step at this rate carries some parameter past 1e6 while every
-    # value stays finite.
+    # value stays finite.  The classifier stops at the GAN's check,
+    # ``training.check_bounded``: lowering its limit stops an ordinary run.
     data, labels = small_classifier_data()
-    with pytest.raises(DivergenceError):
-        train_classifier(data, labels, ClassifierSettings(hidden=(6, 4), epochs=1, lr=1e9),
-                         seed=3)
+    settings = ClassifierSettings(hidden=(6, 4), epochs=1, lr=1e9)
+    with pytest.raises(DivergenceError, match=r"^classifier parameter magnitude \S+ "
+                                              r"exceeded 1\.0e\+06 after step 0$"):
+        train_classifier(data, labels, settings, seed=3)
+    monkeypatch.setattr(gantrace.training, "DIVERGENCE_LIMIT", 1e-3)
+    with pytest.raises(DivergenceError, match=r"exceeded 1\.0e-03 after step 0$"):
+        train_classifier(data, labels, dataclasses.replace(settings, lr=0.05), seed=3)
+
+
+def test_train_classifier_takes_one_batch_an_epoch_above_the_data_size():
+    # ``minibatch_schedule`` refuses a batch above the data; the trainer
+    # asks it for one batch of all 45 rows instead, as before.
+    data, labels = small_classifier_data()
+    runs = [train_classifier(data, labels, ClassifierSettings(hidden=(6, 4), epochs=3,
+                                                              batch_size=size), seed=3)
+            for size in (45, 1000)]
+    assert runs[0].params.tobytes() == runs[1].params.tobytes()
 
 
 def test_softmax_matches_scipy_bit_for_bit():

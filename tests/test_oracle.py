@@ -375,7 +375,8 @@ def test_empty_or_untouched_exclusion_replays_the_whole_window(gan, monkeypatch)
 
 # Three epochs of two steps with batches of 4, 3 and 5 rows.  Instance 10 is
 # met first in the second epoch, as the first row of a batch, 5 and 6 share
-# every batch they are in, and 11 is met only in the first step.
+# every batch they are in, 11 is met only in the first step, and 4, 5 and 6
+# are the whole of the second step.
 UNEVEN_SCHEDULE = [[0, 1, 2, 11], [4, 5, 6], [0, 1, 2, 3], [10, 4, 5, 6, 7],
                    [10, 1, 2, 3], [4, 5, 6, 8, 9]]
 
@@ -385,9 +386,10 @@ UNEVEN_SCHEDULE = [[0, 1, 2, 11], [4, 5, 6], [0, 1, 2, 3], [10, 4, 5, 6, 7],
     ([6, 5], 1, 5, ()),        # two excluded instances in one batch
     ([11], 2, 6, (1,)),        # outside the last epoch's window
     ([], 2, 6, (1, None)),     # no exclusion
+    ([4, 5, 6], 1, 5, ()),     # a whole batch: one replayed step has no data rows
 ])
-def test_replay_slices_the_window_hit_mask(gan, monkeypatch, excluded, replayed_k1,
-                                           replayed_kall, untouched):
+def test_replay_starts_at_the_first_batch_with_an_excluded_instance(
+        gan, monkeypatch, excluded, replayed_k1, replayed_kall, untouched):
     data = normal2d(12, 20)
     trace = build_trace(gan, data, UNEVEN_SCHEDULE, [(1e-3, 1e-3)] * 6,
                         gan.init_params(np.random.default_rng(21)), epoch_starts=[0, 2, 4])
